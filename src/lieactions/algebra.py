@@ -8,11 +8,13 @@ certificates computed over Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Mapping, Sequence
 
-from .linalg import RatMatrix, Subspace, nullspace, rational_vector
+from .linalg import RatMatrix, Subspace, nullspace_of_rows, rational_vector, sparse_rref
 from .serialize import format_rational, parse_rational
 
 __all__ = [
@@ -51,10 +53,6 @@ class LieAlgebra:
     basis_names: tuple[str, ...]
     # ((i, j), coefficient vector of [e_i, e_j]) for i < j, zero pairs omitted
     table: tuple[tuple[tuple[int, int], tuple[Fraction, ...]], ...]
-    _lookup: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_lookup", dict(self.table))
 
     @staticmethod
     def create(
@@ -104,40 +102,42 @@ class LieAlgebra:
         dim = len(mats)
         if dim == 0:
             return LieAlgebra.create(name, [], {})
-        size = mats[0].rows
-        flat = RatMatrix([m.flat() for m in mats])
-        if flat.rank() != dim:
+        width = mats[0].rows * mats[0].cols
+        # factor once: the RREF of [flat | I] is [R | E] with R = E @ flat, so
+        # v = sum_t v[pivot t] R_t gives the coordinates sum_t v[pivot t] E_t
+        reduced = sparse_rref(
+            {**dict(enumerate(m.flat())), width + t: 1} for t, m in enumerate(mats)
+        )
+        if reduced[-1][0] >= width:
             raise ValueError("matrix basis is linearly dependent")
-        coord_solver = flat.transpose()
-        from .linalg import solve
-
         brackets = {}
         for i in range(dim):
             for j in range(i + 1, dim):
-                comm = mats[i].commutator(mats[j])
-                coords = solve(coord_solver, comm.flat())
-                if coords is None:
+                rest = list(mats[i].commutator(mats[j]).flat())
+                coords = [Fraction(0)] * dim
+                for pivot, row in reduced:
+                    d = rest[pivot]
+                    if d:
+                        for col, v in row.items():
+                            if col < width:
+                                rest[col] -= d * v
+                            else:
+                                coords[col - width] += d * v
+                if any(rest):
                     raise ValueError(
                         f"commutator [{basis_names[i]}, {basis_names[j]}] leaves the span"
                     )
                 if any(coords):
-                    brackets[(i, j)] = coords
+                    brackets[(i, j)] = tuple(coords)
         return LieAlgebra.create(name, basis_names, brackets, validate=False)
 
     # -- bracket ------------------------------------------------------
 
-    def pair_vector(self, i: int, j: int) -> tuple[Fraction, ...] | None:
-        """Coefficient vector of [e_i, e_j] for i < j (None when zero)."""
-        return self._lookup.get((i, j))
-
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            vec = self._lookup.get((i, j))
-            return vec[k] if vec else Fraction(0)
-        vec = self._lookup.get((j, i))
-        return -vec[k] if vec else Fraction(0)
+        """The e_k-coefficient of [e_i, e_j]."""
+        if i > j:
+            return -self.structure_constant(j, i, k)
+        return dict(self.sparse_table.get((i, j), ())).get(k, Fraction(0))
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
         """Exact bracket of coordinate vectors."""
@@ -152,14 +152,18 @@ class LieAlgebra:
             for j, yj in ny:
                 if i == j:
                     continue
-                vec = self._lookup.get((i, j) if i < j else (j, i))
+                vec = self.sparse_table.get((i, j) if i < j else (j, i))
                 if vec is None:
                     continue
                 s = xi * yj if i < j else -xi * yj
-                for k, c in enumerate(vec):
-                    if c:
-                        out[k] += s * c
+                for k, c in vec:
+                    out[k] += s * c
         return tuple(out)
+
+    @cached_property
+    def sparse_table(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+        """{(i, j): [(k, c), ...]} for the nonzero constants c of [e_i, e_j], i < j."""
+        return {pair: [(k, c) for k, c in enumerate(vec) if c] for pair, vec in self.table}
 
     def bracket_numeric(self, x: Sequence[float], y: Sequence[float]) -> list[float]:
         """Float bracket for the numerical verification paths."""
@@ -183,23 +187,34 @@ class LieAlgebra:
     # -- validation ---------------------------------------------------
 
     def jacobi_check(self) -> list[tuple[int, int, int]]:
-        """All 0-based basis triples violating the Jacobi identity."""
-        bad = []
-        for i in range(self.dim):
-            ei = self.basis_vector(i)
-            for j in range(i + 1, self.dim):
-                ej = self.basis_vector(j)
-                cij = self.bracket(ei, ej)
-                for k in range(j + 1, self.dim):
-                    ek = self.basis_vector(k)
-                    total = self.bracket(cij, ek)
-                    cjk = self.bracket(ej, ek)
-                    t2 = self.bracket(cjk, ei)
-                    cki = self.bracket(ek, ei)
-                    t3 = self.bracket(cki, ej)
-                    if any(a + b + c for a, b, c in zip(total, t2, t3)):
-                        bad.append((i, j, k))
-        return bad
+        """All 0-based basis triples violating the Jacobi identity.
+
+        Adds each nonzero term [[e_p, e_q], e_r] into its sorted triple, with
+        the constants scaled to integers (which scales every sum alike).
+        """
+        table = self.sparse_table
+        den = lcm(*(c.denominator for coeffs in table.values() for _, c in coeffs))
+        sparse = [
+            (pair, [(k, c.numerator * (den // c.denominator)) for k, c in coeffs])
+            for pair, coeffs in table.items()
+        ]
+        # nonzero brackets [e_a, e_r] = sign * sum_k c e_k, listed by a
+        ad: list[list] = [[] for _ in range(self.dim)]
+        for (i, j), coeffs in sparse:
+            ad[i].append((j, coeffs, 1))
+            ad[j].append((i, coeffs, -1))
+        totals: dict[tuple[int, int, int], dict[int, int]] = {}
+        for (p, q), coeffs in sparse:
+            for a, c in coeffs:
+                for r, inner, sign in ad[a]:
+                    if r == p or r == q:
+                        continue
+                    # in the sorted triple the term enters as -[[e_p, e_q], e_r] when p < r < q
+                    s = -sign * c if p < r < q else sign * c
+                    acc = totals.setdefault(tuple(sorted((p, q, r))), {})
+                    for k, d in inner:
+                        acc[k] = acc.get(k, 0) + s * d
+        return sorted(t for t, acc in totals.items() if any(acc.values()))
 
     # -- subspace machinery --------------------------------------------
 
@@ -246,29 +261,44 @@ class LieAlgebra:
             terms.append(nxt)
 
     def derived_series(self) -> "SeriesReport":
+        """Computes the series afresh; `derived` holds it once per algebra."""
         return self.derived_series_of(self.full_space())
 
     def lower_central_series(self) -> "SeriesReport":
+        """Computes the series afresh; `lower_central` holds it once per algebra."""
         return self.lower_central_series_of(self.full_space())
+
+    # The algebra is frozen, so each invariant is computed at most once per
+    # instance (cached_property stores it in the instance __dict__). They
+    # call the methods above through the class, so wrappers around those
+    # methods still see every computation.
+    derived = cached_property(lambda self: self.derived_series())
+    lower_central = cached_property(lambda self: self.lower_central_series())
+    center_space = cached_property(lambda self: self.center())
+
+    @cached_property
+    def derivation_algebra(self):
+        """The DerivationAlgebra of this algebra."""
+        from .derivations import derivation_algebra
+
+        return derivation_algebra(self)
 
     def derived_length(self) -> int | None:
         """Smallest l with the l-th derived term zero; None when infinite."""
-        return self.derived_series().length
+        return self.derived.length
 
     def nilpotency_class(self) -> int | None:
-        return self.lower_central_series().length
+        return self.lower_central.length
 
     def center(self) -> Subspace:
-        """{x : [x, e_j] = 0 for all j}, computed as one kernel."""
-        rows = []
-        for j in range(self.dim):
-            for k in range(self.dim):
-                row = [self.structure_constant(i, j, k) for i in range(self.dim)]
-                if any(row):
-                    rows.append(row)
-        if not rows:
-            return Subspace.full(self.dim)
-        return nullspace(RatMatrix(rows))
+        """{x : [x, e_j] = 0 for all j}, computed afresh as one kernel;
+        `center_space` holds it once per algebra."""
+        rows: dict[tuple[int, int], dict[int, Fraction]] = {}  # (j, k) -> {i: c_ij^k}
+        for (i, j), coeffs in self.sparse_table.items():
+            for k, c in coeffs:
+                rows.setdefault((j, k), {})[i] = c
+                rows.setdefault((i, k), {})[j] = -c
+        return nullspace_of_rows(rows.values(), self.dim)
 
     def predicates(self) -> "AlgebraPredicates":
         return AlgebraPredicates(
@@ -293,10 +323,6 @@ class SeriesReport:
     @property
     def term_dims(self) -> tuple[int, ...]:
         return tuple(t.dim for t in self.terms)
-
-    @property
-    def length_label(self) -> str:
-        return "infinite" if self.length is None else str(self.length)
 
 
 @dataclass(frozen=True)

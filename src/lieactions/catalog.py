@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import LieAlgebra, direct_sum
 from .linalg import RatMatrix
@@ -104,26 +105,26 @@ def _sl_data(n: int) -> tuple[list[str], list[RatMatrix]]:
 _MATRIX_FAMILIES = {"t": _t_data, "st": _st_data, "sl": _sl_data}
 
 
-def _matrix_algebra(family: str, n: int) -> tuple[LieAlgebra, list[RatMatrix]]:
+def _matrix_algebra(family: str, n: int) -> tuple[LieAlgebra, tuple[RatMatrix, ...]]:
     if n < 2:
         raise ValueError(f"{family}(n) needs n >= 2")
     names, mats = _MATRIX_FAMILIES[family](n)
     alg = LieAlgebra.from_matrix_basis(f"{family}({n})", names, mats)
-    return alg, mats
+    return alg, tuple(mats)
 
 
-def st_prime(n: int) -> tuple[LieAlgebra, list[RatMatrix]]:
+def st_prime(n: int) -> tuple[LieAlgebra, tuple[RatMatrix, ...]]:
     if n < 2:
         raise ValueError("st_prime(n) needs n >= 2")
     names, mats = _strict_upper(n)
-    return LieAlgebra.from_matrix_basis(f"st_prime({n})", names, mats), mats
+    return LieAlgebra.from_matrix_basis(f"st_prime({n})", names, mats), tuple(mats)
 
 
-def d_algebra(n: int) -> tuple[LieAlgebra, list[RatMatrix]]:
+def d_algebra(n: int) -> tuple[LieAlgebra, tuple[RatMatrix, ...]]:
     if n < 1:
         raise ValueError("d(n) needs n >= 1")
     names = [f"T{i + 1}{i + 1}" for i in range(n)]
-    mats = [_unit_matrix(n, i, i) for i in range(n)]
+    mats = tuple(_unit_matrix(n, i, i) for i in range(n))
     return LieAlgebra.from_matrix_basis(f"d({n})", names, mats), mats
 
 
@@ -197,13 +198,16 @@ def catalog(name: str, param: int | None = None) -> LieAlgebra:
     return alg
 
 
-def catalog_matrices(name: str, param: int | None = None) -> list[RatMatrix] | None:
+def catalog_matrices(name: str, param: int | None = None) -> tuple[RatMatrix, ...] | None:
     """Defining matrices of a catalog entry, when it has a matrix model."""
     _, mats = _build(name, param)
     return mats
 
 
-def _build(name: str, param: int | None) -> tuple[LieAlgebra, list[RatMatrix] | None]:
+# Memoised: algebras, their cached invariants and the matrix tuples are
+# immutable, so one construction per key and process suffices.
+@lru_cache(maxsize=None)
+def _build(name: str, param: int | None) -> tuple[LieAlgebra, tuple[RatMatrix, ...] | None]:
     if param is None:
         name, param = parse_catalog_key(name)
     family = name.lower() if name != "N" else "N"

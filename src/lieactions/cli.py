@@ -37,7 +37,7 @@ from .deformations import (
     st_prime_deformation,
     verify_deformation,
 )
-from .derivations import contractibility_obstruction, derivation_algebra
+from .derivations import contractibility_obstruction
 from .matrixgroups import generators, random_element
 from .obstructions import borderline_analysis, min_effective_action_dim, n_action_verdict
 from .polynomials import Poly
@@ -217,11 +217,11 @@ def algebra_analyze(ctx, source, seed_, output_):
         _emit(ctx.obj, _report(ctx.obj, "algebra analyze", body))
         sys.exit(1)
 
-    derived = alg.derived_series()
-    lower = alg.lower_central_series()
+    derived = alg.derived
+    lower = alg.lower_central
     preds = alg.predicates()
-    center = alg.center()
-    der = derivation_algebra(alg)
+    center = alg.center_space
+    der = alg.derivation_algebra
     obstruction = contractibility_obstruction(alg)
     body = {
         "algebra": alg.name,
@@ -255,6 +255,8 @@ def algebra_analyze(ctx, source, seed_, output_):
 def algebra_obstruct(ctx, source, dim_, seed_, output_):
     """Minimum-dimension and borderline-degeneracy verdicts."""
     _apply_common(ctx, seed_, output_)
+    if dim_ is not None and dim_ < 0:
+        _input_error("--dim must be a nonnegative manifold dimension")
     alg, _ = _load_algebra(source)
     if alg.jacobi_check():
         _input_error(f"{alg.name} is not a Lie algebra (Jacobi fails); run analyze for details")

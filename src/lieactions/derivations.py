@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 from .algebra import LieAlgebra
-from .linalg import RatMatrix, Subspace, nullspace
+from .linalg import RatMatrix, Subspace, nullspace_of_rows
 
 __all__ = [
     "DerivationAlgebra",
@@ -38,12 +39,14 @@ class DerivationAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def span(self) -> Subspace:
+        """The derivation span as a subspace of Q^(n^2), factored once."""
+        return Subspace.span([m.flat() for m in self.basis], self.parent.dim ** 2)
+
     def contains(self, mat: RatMatrix) -> bool:
         """Exact membership of a matrix in the derivation span."""
-        rows = [m.flat() for m in self.basis]
-        base_rank = RatMatrix(rows).rank() if rows else 0
-        ext = RatMatrix(rows + [mat.flat()])
-        return ext.rank() == base_rank
+        return self.span.contains(mat.flat())
 
     def commutator_closed(self) -> bool:
         for a, b in itertools.combinations(self.basis, 2):
@@ -55,25 +58,28 @@ class DerivationAlgebra:
 def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
     """Solve D[e_i, e_j] = [De_i, e_j] + [e_i, De_j] over the n^2 entries."""
     n = g.dim
+    # ad[j]: (a, [(k, c), ...]) for every nonzero [e_a, e_j] = sum_k c e_k
+    ad: list[list] = [[] for _ in range(n)]
+    for (i, j), coeffs in g.sparse_table.items():
+        ad[j].append((i, coeffs))
+        ad[i].append((j, [(k, -c) for k, c in coeffs]))
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            cij = g.pair_vector(i, j)
-            for k in range(n):
-                row = [Fraction(0)] * (n * n)
-                if cij is not None:
-                    for a in range(n):
-                        if cij[a]:
-                            row[k * n + a] += cij[a]
-                for a in range(n):
-                    row[a * n + i] -= g.structure_constant(a, j, k)
-                    row[a * n + j] -= g.structure_constant(i, a, k)
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        kernel = Subspace.full(n * n)
-    else:
-        kernel = nullspace(RatMatrix(rows))
+            # row k: the e_k-component of D[e_i, e_j] - [De_i, e_j] - [e_i, De_j]
+            # as sparse coefficients of the unknowns D[a][b], stored at a*n + b
+            eq: defaultdict[int, Counter] = defaultdict(Counter)
+            for a, c in g.sparse_table.get((i, j), ()):
+                for k in range(n):
+                    eq[k][k * n + a] += c
+            for a, coeffs in ad[j]:
+                for k, c in coeffs:
+                    eq[k][a * n + i] -= c
+            for a, coeffs in ad[i]:  # [e_i, e_a] = -[e_a, e_i]
+                for k, c in coeffs:
+                    eq[k][a * n + j] += c
+            rows.extend(eq.values())
+    kernel = nullspace_of_rows(rows, n * n)
     basis = tuple(
         RatMatrix.from_flat(n, n, vec) for vec in kernel.basis_vectors()
     )
@@ -105,11 +111,7 @@ def engel_flag(mats: list[RatMatrix] | tuple[RatMatrix, ...], ambient_dim: int) 
         for m in mats:
             prod = annihilator @ m
             constraint_rows.extend(prod.to_lists())
-        constraint_rows = [r for r in constraint_rows if any(r)]
-        if not constraint_rows:
-            nxt = Subspace.full(ambient_dim)
-        else:
-            nxt = nullspace(RatMatrix(constraint_rows))
+        nxt = nullspace_of_rows(constraint_rows, ambient_dim)
         if nxt.dim <= current.dim:
             return None
         flag.append(nxt)
@@ -177,7 +179,7 @@ class ContractionObstruction:
 
 
 def contractibility_obstruction(g: LieAlgebra) -> ContractionObstruction:
-    der = derivation_algebra(g)
+    der = g.derivation_algebra
     flag = engel_flag(list(der.basis), g.dim)
     if flag is not None:
         return ContractionObstruction(g.name, "obstructed", der.dim, tuple(flag), None)

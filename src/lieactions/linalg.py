@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
 
@@ -24,8 +24,12 @@ __all__ = [
     "nullspace",
     "subspace_sum",
     "subspace_intersection",
+    "nullspace_of_rows",
     "solve",
+    "sparse_rref",
 ]
+
+_ZERO = Fraction(0)
 
 
 def as_rational(x) -> Fraction:
@@ -40,7 +44,7 @@ def as_rational(x) -> Fraction:
 
 
 def rational_vector(xs: Iterable) -> tuple[Fraction, ...]:
-    return tuple(as_rational(x) for x in xs)
+    return tuple(x if x.__class__ is Fraction else as_rational(x) for x in xs)
 
 
 class RatMatrix:
@@ -124,35 +128,35 @@ class RatMatrix:
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = [other.column(j) for j in range(other.cols)]
-        return RatMatrix(
-            [[_dot(r, c) for c in cols] for r in self._data]
-        )
+        # sparse rows times sparse rows: zeros are tested once per entry, not per product
+        right = [[(j, y) for j, y in enumerate(r) if y] for r in other._data]
+        out = []
+        for r in self._data:
+            acc = [_ZERO] * other.cols
+            for k, x in enumerate(r):
+                if x:
+                    for j, y in right[k]:
+                        acc[j] += x * y
+            out.append(acc)
+        return RatMatrix(out)
 
     def apply(self, v: Sequence) -> tuple[Fraction, ...]:
         """Matrix times column vector."""
         vv = rational_vector(v)
         if len(vv) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(_dot(r, vv) for r in self._data)
+        return tuple(sum((x * y for x, y in zip(r, vv) if x and y), _ZERO) for r in self._data)
 
     def commutator(self, other: "RatMatrix") -> "RatMatrix":
         return (self @ other) - (other @ self)
 
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        return sum((self._data[i][i] for i in range(self.rows)), Fraction(0))
-
     def rref(self) -> "RatMatrix":
-        reduced, _ = _rref_with_pivots(self._data, self.cols)
-        z = [Fraction(0)] * self.cols
-        out = reduced + [z] * (self.rows - len(reduced))
-        return RatMatrix(out)
+        reduced = [_dense(row, self.cols) for _, row in sparse_rref(self._data)]
+        zero = (_ZERO,) * self.cols
+        return RatMatrix(reduced + [zero] * (self.rows - len(reduced)))
 
     def rank(self) -> int:
-        _, pivots = _rref_with_pivots(self._data, self.cols)
-        return len(pivots)
+        return len(_echelon(self._data))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in r) for r in self._data)
@@ -163,88 +167,78 @@ class RatMatrix:
             raise ValueError("shape mismatch")
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for x, y in zip(a, b):
-        if x and y:
-            total += x * y
-    return total
+def _int_row(row: Mapping[int, Fraction] | Sequence[Fraction]) -> dict[int, int]:
+    """Primitive integer multiple of a rational row as {col: value}, zeros dropped."""
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    entries = [(j, as_rational(x)) for j, x in items if x]
+    den = lcm(*(x.denominator for _, x in entries))
+    return _primitive({j: x.numerator * (den // x.denominator) for j, x in entries})
 
 
-def _rref_with_pivots(
-    data: Sequence[Sequence[Fraction]], ncols: int
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Canonical RREF of the nonzero part.
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    if g > 1:
+        return {j: v // g for j, v in row.items()}
+    return row
 
-    Forward pass is fraction-free on integer-scaled rows (with gcd
-    reduction to limit growth); the short backward pass normalizes
-    pivots to 1 over Q. Returns (nonzero reduced rows, pivot columns).
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """Fraction-free step: clear row[col] with the pivot row prow."""
+    a, b = prow[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    for j, v in prow.items():
+        w = out.get(j, 0) - b * v
+        if w:
+            out[j] = w
+        else:
+            out.pop(j, None)
+    return _primitive(out)
+
+
+def _echelon(rows: Iterable) -> dict[int, dict[int, int]]:
+    """Row echelon form of sparse integer rows, keyed by leading column.
+
+    Rows (sequences or {col: value} mappings of rationals) are added one
+    at a time and reduced against the pivot rows found so far, in the
+    fraction-free manner of Bareiss with the content divided out after
+    every step. Zero rows vanish; the number of keys is the rank.
     """
-    int_rows: list[list[int]] = []
-    for row in data:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        if any(ints):
-            int_rows.append(ints)
+    echelon: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = _int_row(row)
+        while r:
+            lead = min(r)
+            prow = echelon.get(lead)
+            if prow is None:
+                echelon[lead] = r
+                break
+            r = _eliminate(r, prow, lead)
+    return echelon
 
-    pivots: list[int] = []
-    echelon: list[list[int]] = []
-    rows = int_rows
-    col = 0
-    while rows and col < ncols:
-        pivot_idx = None
-        best = None
-        for idx, r in enumerate(rows):
-            v = r[col]
-            if v != 0 and (best is None or abs(v) < best):
-                best = abs(v)
-                pivot_idx = idx
-                if best == 1:
-                    break
-        if pivot_idx is None:
-            col += 1
-            continue
-        prow = rows.pop(pivot_idx)
-        p = prow[col]
-        nxt = []
-        for r in rows:
-            v = r[col]
-            if v == 0:
-                nxt.append(r)
-                continue
-            new = [p * a - v * b for a, b in zip(r, prow)]
-            g = 0
-            for x in new:
-                g = gcd(g, x)
-            if g > 1:
-                new = [x // g for x in new]
-            if any(new):
-                nxt.append(new)
-        echelon.append(prow)
-        pivots.append(col)
-        rows = nxt
-        col += 1
 
-    # backward pass over at most ncols rows, exact rationals
-    frac_rows = [[Fraction(x) for x in r] for r in echelon]
-    for t in range(len(pivots) - 1, -1, -1):
-        c = pivots[t]
-        p = frac_rows[t][c]
-        if p != 1:
-            frac_rows[t] = [x / p for x in frac_rows[t]]
-        prow = frac_rows[t]
-        for s in range(t):
-            f = frac_rows[s][c]
-            if f:
-                frac_rows[s] = [a - f * b for a, b in zip(frac_rows[s], prow)]
-    return frac_rows, pivots
+def sparse_rref(rows: Iterable) -> list[tuple[int, dict[int, Fraction]]]:
+    """Canonical RREF of the row space as (pivot column, sparse row) pairs
+    in pivot order. The backward pass clears each pivot column above its
+    pivot, last pivot first, and only then divides by the pivots."""
+    echelon = _echelon(rows)
+    order = sorted(echelon)
+    for t in range(len(order) - 1, 0, -1):
+        col = order[t]
+        prow = echelon[col]
+        for s in order[:t]:
+            row = echelon[s]
+            if col in row:
+                echelon[s] = _eliminate(row, prow, col)
+    return [(c, {j: Fraction(v, echelon[c][c]) for j, v in echelon[c].items()}) for c in order]
+
+
+def _dense(row: Mapping[int, Fraction], ncols: int) -> tuple[Fraction, ...]:
+    out = [_ZERO] * ncols
+    for j, v in row.items():
+        out[j] = v
+    return tuple(out)
 
 
 def rref(m: RatMatrix) -> RatMatrix:
@@ -269,10 +263,7 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length != ambient dimension")
-        if not vecs:
-            return Subspace(ambient_dim, RatMatrix.zeros(0, ambient_dim))
-        reduced, _ = _rref_with_pivots(vecs, ambient_dim)
-        return Subspace(ambient_dim, RatMatrix(reduced) if reduced else RatMatrix.zeros(0, ambient_dim))
+        return _subspace(sparse_rref(vecs), ambient_dim)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -297,14 +288,11 @@ class Subspace:
         v = list(rational_vector(x))
         if len(v) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        for i in range(self.basis.rows):
-            row = self.basis.row(i)
-            piv = _pivot_col(row)
-            coef = v[piv]
+        for row in self.basis._data:
+            coef = v[next(j for j, x in enumerate(row) if x)]
             if coef:
-                for j in range(self.ambient_dim):
-                    v[j] -= coef * row[j]
-        return all(c == 0 for c in v)
+                v = [a - coef * b for a, b in zip(v, row)]
+        return not any(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -316,36 +304,35 @@ class Subspace:
 
     def annihilator_matrix(self) -> RatMatrix:
         """Matrix A with kernel(A) = self (rows span the dual constraints)."""
-        if self.dim == 0:
-            return RatMatrix.identity(self.ambient_dim)
-        ker = nullspace(self.basis)
-        if ker.dim == 0:
-            return RatMatrix.zeros(0, self.ambient_dim)
-        return ker.basis
+        return nullspace_of_rows(self.basis._data, self.ambient_dim).basis
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def _pivot_col(row: Sequence[Fraction]) -> int:
-    for j, x in enumerate(row):
-        if x != 0:
-            return j
-    raise ValueError("zero row has no pivot")
+def _subspace(reduced: list[tuple[int, dict[int, Fraction]]], ambient_dim: int) -> Subspace:
+    if not reduced:
+        return Subspace.zero(ambient_dim)
+    return Subspace(ambient_dim, RatMatrix([_dense(row, ambient_dim) for _, row in reduced]))
 
 
 def nullspace(m: RatMatrix) -> Subspace:
     """Kernel {x : m @ x = 0} with canonical basis."""
-    reduced, pivots = _rref_with_pivots(m._data, m.cols)
-    free = [j for j in range(m.cols) if j not in pivots]
-    vecs = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for t, p in enumerate(pivots):
-            v[p] = -reduced[t][f]
-        vecs.append(v)
-    return Subspace.span(vecs, m.cols)
+    return nullspace_of_rows(m._data, m.cols)
+
+
+def nullspace_of_rows(rows: Iterable, ncols: int) -> Subspace:
+    """Kernel of the matrix with the given rows (sequences or sparse
+    {col: value} mappings), with canonical basis."""
+    reduced = sparse_rref(rows)
+    pivots = {col for col, _ in reduced}
+    # one kernel vector per free column f: e_f - sum_t R[t][f] e_{pivot t}
+    kernel = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
+    for col, row in reduced:
+        for f, v in row.items():
+            if f != col:
+                kernel[f][col] = -v
+    return _subspace(sparse_rref(kernel.values()), ncols)
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -357,12 +344,8 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
     """Intersection via the kernel of the stacked constraint system."""
     u._check_ambient(v)
-    au = u.annihilator_matrix()
-    av = v.annihilator_matrix()
-    stacked = RatMatrix(list(au._data) + list(av._data)) if (au.rows + av.rows) else RatMatrix.zeros(0, u.ambient_dim)
-    if stacked.rows == 0:
-        return Subspace.full(u.ambient_dim)
-    return nullspace(stacked)
+    stacked = u.annihilator_matrix()._data + v.annihilator_matrix()._data
+    return nullspace_of_rows(stacked, u.ambient_dim)
 
 
 def solve(a: RatMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
@@ -373,11 +356,10 @@ def solve(a: RatMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
     bb = rational_vector(b)
     if len(bb) != a.rows:
         raise ValueError("rhs length mismatch")
-    aug = [list(a.row(i)) + [bb[i]] for i in range(a.rows)]
-    reduced, pivots = _rref_with_pivots(aug, a.cols + 1)
-    if a.cols in pivots:
-        return None
-    x = [Fraction(0)] * a.cols
-    for t, p in enumerate(pivots):
-        x[p] = reduced[t][a.cols]
+    aug = [a.row(i) + (bb[i],) for i in range(a.rows)]
+    x = [_ZERO] * a.cols
+    for col, row in sparse_rref(aug):
+        if col == a.cols:
+            return None
+        x[col] = row.get(a.cols, _ZERO)
     return tuple(x)

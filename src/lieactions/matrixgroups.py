@@ -11,14 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "GROUP_TAGS",
     "random_element",
     "generators",
     "in_group",
 ]
-
-GROUP_TAGS = ("ST", "U", "SL2")
-
 
 def random_st_element(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random ST(n): strict uppers in [-2, 2], diagonal in [0.5, 2]

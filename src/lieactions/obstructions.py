@@ -97,12 +97,12 @@ def borderline_analysis(g: LieAlgebra) -> ObstructionReport:
     Requires g solvable. Emits a degeneracy verdict when the last
     nonzero derived term is central and the center has dimension > 1.
     """
-    series = g.derived_series()
+    series = g.derived
     length = series.length
     if length is None:
         raise ValueError(f"{g.name} is not solvable; borderline analysis does not apply")
     nilpotent = g.nilpotency_class() is not None
-    center = g.center()
+    center = g.center_space
     last_term = series.terms[length - 1] if length >= 1 else Subspace.zero(g.dim)
     last_central = center.contains_subspace(last_term)
     borderline = length if nilpotent else length - 1

@@ -106,17 +106,6 @@ class Poly:
             acc[tuple(ne)] = acc.get(tuple(ne), Fraction(0)) + c * e[i]
         return Poly(self.nvars, tuple(sorted(acc.items())))
 
-    def eval_exact(self, point: Sequence) -> Fraction:
-        vals = [Fraction(p) for p in point]
-        total = Fraction(0)
-        for e, c in self.terms:
-            term = c
-            for v, k in zip(vals, e):
-                if k:
-                    term *= v ** k
-            total += term
-        return total
-
     def eval_float(self, point: Sequence[float]) -> float:
         total = 0.0
         for e, c in self.terms:

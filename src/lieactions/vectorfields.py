@@ -88,9 +88,6 @@ class PolyVectorField:
     def eval_float(self, x: Sequence[float]) -> np.ndarray:
         return np.array([c.eval_float(x) for c in self.components])
 
-    def eval_exact(self, x: Sequence) -> tuple[Fraction, ...]:
-        return tuple(c.eval_exact(x) for c in self.components)
-
 
 def vf_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
     """Exact Lie bracket [V, W] = (DW)V - (DV)W."""

@@ -137,6 +137,40 @@ def test_corrupted_h3_fails_jacobi():
         LieAlgebra.create("bad", ["a", "b", "c"], {(0, 1): {2: 1}, (0, 2): {0: 1}})
 
 
+
+def brute_force_jacobi(g):
+    """Triples whose Jacobi sum is nonzero, from every structure constant."""
+    n, c = g.dim, g.structure_constant
+    return [
+        (i, j, k)
+        for i, j, k in itertools.combinations(range(n), 3)
+        if any(
+            sum(c(i, j, a) * c(a, k, m) + c(j, k, a) * c(a, i, m) + c(k, i, a) * c(a, j, m) for a in range(n))
+            for m in range(n)
+        )
+    ]
+
+
+@st.composite
+def bracket_tables(draw):
+    """A catalog algebra with up to three structure constants overwritten:
+    valid tables, where every Jacobi sum cancels, and near misses."""
+    base = catalog(draw(st.sampled_from(["heisenberg3", "st3", "sl2", "n3", "t3", "st_prime4"])))
+    brackets = {pair: dict(enumerate(vec)) for pair, vec in base.table}
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, base.dim - 2))
+        j = draw(st.integers(i + 1, base.dim - 1))
+        k = draw(st.integers(0, base.dim - 1))
+        brackets.setdefault((i, j), {})[k] = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    return LieAlgebra.create(base.name, base.basis_names, brackets, validate=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bracket_tables())
+def test_jacobi_check_matches_brute_force(g):
+    assert g.jacobi_check() == brute_force_jacobi(g)
+
+
 # -- subspace bracket ---------------------------------------------------------
 
 
@@ -416,3 +450,53 @@ def test_json_accepts_corrupted_algebra_without_validation():
     assert parsed.jacobi_check() != []
     with pytest.raises(InvalidLieAlgebraError):
         from_json_dict(doc, validate=True)
+
+
+# -- factor-once coordinates and per-algebra caches -------------------------------
+
+
+@pytest.mark.parametrize("key", ["st4", "sl3"])
+def test_from_matrix_basis_matches_per_pair_solve(key):
+    from lieactions.linalg import solve
+
+    mats = catalog_matrices(key)
+    coord_solver = RatMatrix([m.flat() for m in mats]).transpose()
+    want = {}
+    for i, j in itertools.combinations(range(len(mats)), 2):
+        coords = solve(coord_solver, mats[i].commutator(mats[j]).flat())
+        if any(coords):
+            want[(i, j)] = coords
+    g = LieAlgebra.from_matrix_basis(key, [f"X{i}" for i in range(len(mats))], mats)
+    assert dict(g.table) == want
+
+
+def test_from_matrix_basis_rejects_dependent_and_open_families():
+    mats = catalog_matrices("st3")
+    with pytest.raises(ValueError, match="dependent"):
+        LieAlgebra.from_matrix_basis("dep", ["a", "b"], [mats[0], mats[0].scale(2)])
+    # E12 and E21 bracket to a diagonal matrix outside their span
+    e12 = RatMatrix([[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="leaves the span"):
+        LieAlgebra.from_matrix_basis("open", ["e", "f"], [e12, e12.transpose()])
+
+
+def test_catalog_is_memoised_and_immutable():
+    assert catalog("st4") is catalog("st4")
+    assert isinstance(catalog_matrices("st4"), tuple)
+    assert catalog_matrices("heisenberg5") is None
+
+
+def test_invariants_are_computed_once_per_algebra(monkeypatch):
+    g = catalog("n5")
+    fresh = LieAlgebra(g.name, g.dim, g.basis_names, g.table)
+    calls = []
+    for name in ("derived_series", "lower_central_series", "center"):
+        original = getattr(LieAlgebra, name)
+        monkeypatch.setattr(
+            LieAlgebra, name, lambda self, _o=original, _n=name: calls.append(_n) or _o(self)
+        )
+    for _ in range(3):
+        fresh.derived_length(), fresh.nilpotency_class(), fresh.predicates(), fresh.center_space
+    assert sorted(calls) == ["center", "derived_series", "lower_central_series"]
+    assert fresh.derived == g.derived_series() and fresh.center_space == g.center()
+    assert fresh.derivation_algebra is fresh.derivation_algebra

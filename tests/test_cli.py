@@ -283,3 +283,10 @@ def test_seed_and_output_accepted_after_subcommand(tmp_path):
     )
     assert result.exit_code == 0
     assert csv_out.read_text().startswith("t,x1,x2")
+
+
+def test_obstruct_negative_dim_exits_2():
+    result = run("algebra", "obstruct", "catalog:st3", "--dim", "-3")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:")

@@ -194,3 +194,13 @@ def test_obstructed_algebra_has_no_constructed_contraction():
     # the contraction constructors accept
     report = contractibility_obstruction(catalog("mueller_roemer7"))
     assert report.obstructed
+
+
+def test_contains_reduces_against_the_derivation_span():
+    g = catalog("st3")
+    der = derivation_algebra(g)
+    assert all(der.contains(ad) for ad in inner_derivations(g))
+    assert der.contains(der.basis[0].scale(3) - der.basis[1])
+    # the identity is not a derivation of a non-abelian algebra
+    assert not der.contains(RatMatrix.identity(g.dim))
+    assert der.span.dim == der.dim

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -161,3 +162,70 @@ def test_fractional_entries():
     assert m.rank() == 1
     r = rref(m)
     assert r.row(0) == (Fraction(1), Fraction(2, 3))
+
+
+# -- sympy oracle for the one elimination routine -------------------------------
+
+fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+# three zeros in four entries: the shape of structure-constant systems
+sparse_entries = st.integers(0, 3).flatmap(lambda t: st.just(Fraction(0)) if t else fractions)
+
+
+@st.composite
+def oracle_matrices(draw):
+    """Wide, tall and square matrices, sparse or dense, with fractional
+    entries and some rows forced to zero."""
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(1, 7))
+    entries = draw(st.sampled_from([fractions, sparse_entries]))
+    data = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows // 2)):
+        data[i] = [Fraction(0)] * cols
+    return data
+
+
+def to_fractions(m: sp.Matrix) -> list[list[Fraction]]:
+    return [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)]
+
+
+def sympy_solution(data, b):
+    """Solution with free variables zero, read off sympy's RREF of [A | b]."""
+    cols = len(data[0])
+    reduced, pivots = sp.Matrix([row + [bi] for row, bi in zip(data, b)]).rref()
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for t, p in enumerate(pivots):
+        x[p] = to_fractions(reduced)[t][cols]
+    return tuple(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_matrices())
+def test_rref_rank_nullspace_match_sympy(data):
+    m = RatMatrix(data)
+    reduced, pivots = sp.Matrix(data).rref()
+    assert m.rref() == RatMatrix(to_fractions(reduced))
+    assert m.rank() == len(pivots)
+    kernel = sp.Matrix(data).nullspace()
+    if kernel:
+        want = to_fractions(sp.Matrix.hstack(*kernel).T.rref()[0])
+        assert nullspace(m) == Subspace(m.cols, RatMatrix(want))
+    else:
+        assert nullspace(m).dim == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_matrices(), st.data())
+def test_solve_matches_sympy(data, draw):
+    b = draw.draw(st.lists(fractions, min_size=len(data), max_size=len(data)))
+    assert solve(RatMatrix(data), b) == sympy_solution(data, b)
+    # a zero row with a nonzero right-hand side is always inconsistent
+    cols = len(data[0])
+    assert solve(RatMatrix(data + [[0] * cols]), b + [Fraction(1, 3)]) is None
+    assert sympy_solution(data + [[Fraction(0)] * cols], b + [Fraction(1, 3)]) is None
+
+
+def test_inconsistent_solve():
+    assert solve(RatMatrix([[1, 1], [2, 2], [0, 0]]), [1, 3, 0]) is None
+    assert solve(RatMatrix([[0, 0]]), [Fraction(1, 2)]) is None
