@@ -130,9 +130,14 @@ def borderline_analysis(g: LieAlgebra) -> ObstructionReport:
     )
 
 
-def n_action_verdict(g: LieAlgebra, n: int) -> ActionVerdict:
+def n_action_verdict(
+    g: LieAlgebra, n: int, borderline: ObstructionReport | None = None
+) -> ActionVerdict:
     """Verdict for actions of g on an n-manifold: impossibility below the
-    bound, degeneracy at a central borderline, otherwise none."""
+    bound, degeneracy at a central borderline, otherwise none.
+
+    `borderline` is `borderline_analysis(g)` when the caller already has
+    it; otherwise it is computed here if the verdict needs it."""
     bound = min_effective_action_dim(g)
     if bound is None:
         return ActionVerdict(
@@ -145,9 +150,9 @@ def n_action_verdict(g: LieAlgebra, n: int) -> ActionVerdict:
             VERDICT_IMPOSSIBLE,
             f"no effective action exists: n = {n} < {bound} = minimum effective dimension",
         )
-    report = borderline_analysis(g)
-    borderline = report.derived_length if report.nilpotent else report.derived_length - 1
-    if n == borderline and report.last_term_central and report.center_dim > 1:
+    report = borderline if borderline is not None else borderline_analysis(g)
+    border_dim = report.derived_length if report.nilpotent else report.derived_length - 1
+    if n == border_dim and report.last_term_central and report.center_dim > 1:
         return ActionVerdict(
             g.name,
             n,

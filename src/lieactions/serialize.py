@@ -7,8 +7,8 @@ strings, floats printed with 17 significant digits.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 __all__ = ["format_rational", "parse_rational", "dumps"]
 
@@ -34,73 +34,63 @@ def parse_rational(s: str) -> Fraction:
 
 
 def _scalar(obj) -> str | None:
+    """The JSON text of a scalar, or None for a container."""
+    if isinstance(obj, str):
+        return encode_basestring(obj)
     if obj is None:
         return "null"
     if obj is True:
         return "true"
     if obj is False:
         return "false"
-    if isinstance(obj, Fraction):
-        return json.dumps(format_rational(obj))
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return format(obj, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, Fraction):
+        return f'"{format_rational(obj)}"'  # "p/q" needs no escaping
     return None
 
 
-def _is_flat(obj) -> bool:
-    if isinstance(obj, dict):
-        return all(_scalar(v) is not None for v in obj.values())
-    if isinstance(obj, (list, tuple)):
-        return all(_scalar(v) is not None for v in obj)
-    return True
-
-
 def _write(obj, out: list[str], indent: int) -> None:
-    s = _scalar(obj)
-    if s is not None:
-        out.append(s)
-        return
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    """Append the text of a dict, list or tuple. Each leaf is formatted
+    once: a container of scalars goes on one line (a dict only up to 8
+    keys), otherwise one item per line."""
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        if _is_flat(obj) and len(obj) <= 8:
-            parts = [f"{json.dumps(str(k), ensure_ascii=False)}: {_scalar(v)}" for k, v in obj.items()]
-            out.append("{" + ", ".join(parts) + "}")
-            return
-        out.append("{\n")
-        for idx, (k, v) in enumerate(obj.items()):
-            out.append(inner)
-            out.append(json.dumps(str(k), ensure_ascii=False))
-            out.append(": ")
-            _write(v, out, indent + 1)
-            out.append(",\n" if idx < len(obj) - 1 else "\n")
-        out.append(pad + "}")
+        keys = [encode_basestring(str(k)) + ": " for k in obj]
+        values = list(obj.values())
+        opening, closing, max_flat = "{", "}", 8
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        if _is_flat(obj):
-            out.append("[" + ", ".join(_scalar(v) for v in obj) + "]")
-            return
-        out.append("[\n")
-        for idx, v in enumerate(obj):
-            out.append(inner)
-            _write(v, out, indent + 1)
-            out.append(",\n" if idx < len(obj) - 1 else "\n")
-        out.append(pad + "]")
+        keys = [""] * len(obj)
+        values = obj
+        opening, closing, max_flat = "[", "]", len(obj)
     else:
         raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
+    if not values:
+        out.append(opening + closing)
+        return
+    texts = [_scalar(v) for v in values]
+    if None not in texts and len(texts) <= max_flat:
+        out.append(opening + ", ".join([k + t for k, t in zip(keys, texts)]) + closing)
+        return
+    inner = "  " * (indent + 1)
+    out.append(opening + "\n")
+    last = len(values) - 1
+    for idx, (key, value, text) in enumerate(zip(keys, values, texts)):
+        out.append(inner + key)
+        if text is None:
+            _write(value, out, indent + 1)
+        else:
+            out.append(text)
+        out.append(",\n" if idx < last else "\n")
+    out.append("  " * indent + closing)
 
 
 def dumps(obj) -> str:
     """Serialize to deterministic, human-readable JSON text."""
+    text = _scalar(obj)
+    if text is not None:
+        return text + "\n"
     out: list[str] = []
     _write(obj, out, 0)
     out.append("\n")

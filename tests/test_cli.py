@@ -290,3 +290,66 @@ def test_obstruct_negative_dim_exits_2():
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error:")
+
+
+# -- malformed scenario values are input errors ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "verb,scenario",
+    [
+        ("act", {"action": "sphere", "group": "ST", "n": "x"}),
+        ("act", {"action": "sphere", "group": "ST", "n": 3, "tolerances": {"composition": "abc"}}),
+        ("act", {"action": "multiball", "group": "ST", "n": 3, "balls": []}),
+        ("act", {"action": "sphere", "group": "ST", "n": 3, "samples": 0}),
+        ("vf", {"check": "projective", "n": "two"}),
+    ],
+    ids=["act-n-not-int", "act-tolerance-not-number", "act-no-balls", "act-zero-samples",
+         "vf-projective-n-not-int"],
+)
+def test_malformed_scenario_value_exits_2(tmp_path, verb, scenario):
+    path = write_json(tmp_path, "bad.json", scenario)
+    result = run(verb, "verify", "--scenario", path)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:")
+
+
+# -- each verdict input is computed once -------------------------------------------------
+
+
+def test_obstruct_runs_borderline_analysis_once(monkeypatch):
+    from lieactions import cli, obstructions
+
+    calls = []
+    original = obstructions.borderline_analysis
+
+    def counting(g):
+        calls.append(g.name)
+        return original(g)
+
+    monkeypatch.setattr(obstructions, "borderline_analysis", counting)
+    monkeypatch.setattr(cli, "borderline_analysis", counting)
+    result = run("algebra", "obstruct", "catalog:n3", "--dim", "2")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["action_verdict"]["verdict"] == "degenerate (central kernel)"
+    assert calls == ["N(3)"]
+
+
+def test_projective_runs_homomorphism_check_once(monkeypatch):
+    from lieactions import cli, vectorfields
+
+    calls = []
+    original = vectorfields.action_homomorphism_check
+
+    def counting(action):
+        calls.append(action.algebra.name)
+        return original(action)
+
+    monkeypatch.setattr(vectorfields, "action_homomorphism_check", counting)
+    # also catch a copy bound into the CLI module by a top-level import
+    monkeypatch.setattr(cli, "action_homomorphism_check", counting, raising=False)
+    result = run("vf", "verify", "--scenario", os.path.join(SCENARIOS, "projective2.json"))
+    assert result.exit_code == 0
+    assert json.loads(result.output)["homomorphism"] == {"sign": -1, "exact": True}
+    assert len(calls) == 1

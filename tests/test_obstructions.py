@@ -111,3 +111,14 @@ def test_report_serialization_fields():
 
 def test_report_not_applicable_for_nonsolvable_bound():
     assert min_effective_action_dim(catalog("sl_c2")) is None
+
+
+def test_verdict_with_handed_over_borderline_report():
+    # a caller that already ran borderline_analysis passes it on; the
+    # verdict must equal the one computed from scratch
+    for key, alg, _ in catalog_entries():
+        if min_effective_action_dim(alg) is None:
+            continue
+        report = borderline_analysis(alg)
+        for n in range(6):
+            assert n_action_verdict(alg, n, report) == n_action_verdict(alg, n), (key, n)
