@@ -8,6 +8,7 @@ give byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import sys
@@ -30,25 +31,13 @@ from .serialize import dumps, format_rational, parse_rational
 SEED_ENV_VAR = "LIEACTIONS_SEED"
 
 
-def _resolve_seed(option_value: int | None) -> int:
-    if option_value is not None:
-        return option_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            _input_error(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    return DEFAULT_SEED
-
-
 def _input_error(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(2)
 
 
-def _emit(ctx_obj: dict, payload: dict) -> None:
-    text = dumps(payload)
+def _write(ctx_obj: dict, text: str) -> None:
+    """Write `text` to the --output file, or to stdout without one."""
     path = ctx_obj.get("output")
     if path:
         with open(path, "w") as fh:
@@ -57,7 +46,8 @@ def _emit(ctx_obj: dict, payload: dict) -> None:
         click.echo(text, nl=False)
 
 
-def _report(ctx_obj: dict, command: str, body: dict, tolerances: dict | None = None) -> dict:
+def _emit(ctx_obj: dict, command: str, body: dict, tolerances: dict | None = None) -> None:
+    """Write the JSON report of `command`: tool, command, seed, tolerances (if any), body."""
     head = {
         "tool": {"name": "lieactions", "version": __version__},
         "command": command,
@@ -66,7 +56,17 @@ def _report(ctx_obj: dict, command: str, body: dict, tolerances: dict | None = N
     if tolerances:
         head["tolerances"] = tolerances
     head.update(body)
-    return head
+    _write(ctx_obj, dumps(head))
+
+
+def _json_file(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        _input_error(f"cannot read {path}: {exc}")
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        _input_error(f"malformed JSON in {path}: {exc}")
 
 
 def _load_algebra(source: str) -> tuple[LieAlgebra, str | None]:
@@ -77,13 +77,7 @@ def _load_algebra(source: str) -> tuple[LieAlgebra, str | None]:
             return catalog(key), key
         except ValueError as exc:
             _input_error(str(exc))
-    try:
-        with open(source) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        _input_error(f"cannot read {source}: {exc}")
-    except json.JSONDecodeError as exc:
-        _input_error(f"malformed JSON in {source}: {exc}")
+    data = _json_file(source)
     try:
         return from_json_dict(data, validate=False), None
     except FormatError as exc:
@@ -111,35 +105,34 @@ def _matrix_strings(m) -> list[list[str]]:
     return [[format_rational(x) for x in m.row(i)] for i in range(m.rows)]
 
 
-def _common_options(fn):
-    """--seed/--output accepted on every emitting subcommand as well as
-    at the group level."""
-    fn = click.option(
-        "--seed", "seed_", type=int, default=None,
-        help=f"PRNG seed (default {DEFAULT_SEED}; env {SEED_ENV_VAR}).",
-    )(fn)
-    fn = click.option(
-        "--output", "output_", type=click.Path(dir_okay=False), default=None,
-        help="Write the report here instead of stdout.",
-    )(fn)
-    return fn
+def _store(ctx, param, value) -> None:
+    """Keep a given --seed/--output in the context object that every
+    subcommand shares; one given after the verb is parsed last and wins."""
+    if value is not None:
+        ctx.ensure_object(dict)[param.name] = value
 
 
-def _apply_common(ctx, seed_, output_):
-    if seed_ is not None:
-        ctx.obj["seed"] = seed_
-    if output_ is not None:
-        ctx.obj["output"] = output_
+# Both options are declared once, for the group and for every verb that emits a report.
+SEED_OPTION = click.option("--seed", type=int, callback=_store, expose_value=False,
+                           help=f"PRNG seed (default {DEFAULT_SEED}; env {SEED_ENV_VAR}).")
+OUTPUT_OPTION = click.option("--output", type=click.Path(dir_okay=False), callback=_store, expose_value=False,
+                             help="Write the report here instead of stdout.")
 
 
 @click.group()
-@click.option("--seed", type=int, default=None, help=f"PRNG seed (default {DEFAULT_SEED}; env {SEED_ENV_VAR}).")
-@click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout.")
+@SEED_OPTION
+@OUTPUT_OPTION
 @click.version_option(__version__)
 @click.pass_context
-def main(ctx, seed, output):
+def main(ctx):
     """Exact Lie-algebra invariants, contractions, and constructed actions."""
-    ctx.obj = {"seed": _resolve_seed(seed), "output": output}
+    obj = ctx.ensure_object(dict)
+    if "seed" not in obj:
+        env = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
+        try:
+            obj["seed"] = int(env)
+        except ValueError:
+            _input_error(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
 
 
 # -- catalog ------------------------------------------------------------
@@ -151,15 +144,17 @@ def catalog_cmd():
 
 
 @catalog_cmd.command("list")
-def catalog_list():
+@click.pass_obj
+def catalog_list(obj):
     """List the built-in algebras."""
-    for key, desc in DEFAULT_CATALOG:
-        alg = catalog(key)
-        click.echo(f"{key:<16} dim {alg.dim:>3}  {desc}")
-    click.echo()
-    click.echo("Families accept any size: abelian(m), heisenberg(2k+1), t(n), d(n),")
-    click.echo("st(n), st_prime(n), sl(n), N(n), st_c(n), sl_c(n), mueller_roemer7.")
-    click.echo("Use catalog:KEY (for example catalog:st3) wherever a file is accepted.")
+    lines = [f"{key:<16} dim {catalog(key).dim:>3}  {desc}" for key, desc in DEFAULT_CATALOG]
+    lines += [
+        "",
+        "Families accept any size: abelian(m), heisenberg(2k+1), t(n), d(n),",
+        "st(n), st_prime(n), sl(n), N(n), st_c(n), sl_c(n), mueller_roemer7.",
+        "Use catalog:KEY (for example catalog:st3) wherever a file is accepted.",
+    ]
+    _write(obj, "\n".join(lines) + "\n")
 
 
 # -- algebra ------------------------------------------------------------
@@ -172,11 +167,11 @@ def algebra():
 
 @algebra.command("analyze")
 @click.argument("source")
-@_common_options
-@click.pass_context
-def algebra_analyze(ctx, source, seed_, output_):
+@SEED_OPTION
+@OUTPUT_OPTION
+@click.pass_obj
+def algebra_analyze(obj, source):
     """Full invariants report: series, center, predicates, derivations."""
-    _apply_common(ctx, seed_, output_)
     alg, _ = _load_algebra(source)
     violations = alg.jacobi_check()
     if violations:
@@ -186,7 +181,7 @@ def algebra_analyze(ctx, source, seed_, output_):
             "jacobi_violations": [[i + 1, j + 1, k + 1] for i, j, k in violations],
             "status": "fail",
         }
-        _emit(ctx.obj, _report(ctx.obj, "algebra analyze", body))
+        _emit(obj, "algebra analyze", body)
         sys.exit(1)
 
     derived = alg.derived
@@ -216,17 +211,17 @@ def algebra_analyze(ctx, source, seed_, output_):
         "notes": _notes_for(alg, derived.length),
         "status": "pass",
     }
-    _emit(ctx.obj, _report(ctx.obj, "algebra analyze", body))
+    _emit(obj, "algebra analyze", body)
 
 
 @algebra.command("obstruct")
 @click.argument("source")
 @click.option("--dim", "dim_", type=int, default=None, help="Manifold dimension to judge.")
-@_common_options
-@click.pass_context
-def algebra_obstruct(ctx, source, dim_, seed_, output_):
+@SEED_OPTION
+@OUTPUT_OPTION
+@click.pass_obj
+def algebra_obstruct(obj, source, dim_):
     """Minimum-dimension and borderline-degeneracy verdicts."""
-    _apply_common(ctx, seed_, output_)
     if dim_ is not None and dim_ < 0:
         _input_error("--dim must be a nonnegative manifold dimension")
     alg, _ = _load_algebra(source)
@@ -251,7 +246,7 @@ def algebra_obstruct(ctx, source, dim_, seed_, output_):
         }
     body["notes"] = _notes_for(alg, alg.derived_length())
     body["status"] = "pass"
-    _emit(ctx.obj, _report(ctx.obj, "algebra obstruct", body))
+    _emit(obj, "algebra obstruct", body)
 
 
 # -- deformations --------------------------------------------------------
@@ -266,9 +261,10 @@ def deform():
 @click.option("--family", type=click.Choice(["st", "st-prime", "concat"]), required=True)
 @click.option("--n", "n_", type=int, required=True)
 @click.option("--samples", type=int, default=100, show_default=True)
-@_common_options
-@click.pass_context
-def deform_verify(ctx, family, n_, samples, seed_, output_):
+@SEED_OPTION
+@OUTPUT_OPTION
+@click.pass_obj
+def deform_verify(obj, family, n_, samples):
     """Check D1/D2 exactly and the endomorphism law on seeded samples."""
     from .deformations import (
         concatenate,
@@ -278,7 +274,6 @@ def deform_verify(ctx, family, n_, samples, seed_, output_):
         verify_deformation,
     )
 
-    _apply_common(ctx, seed_, output_)
     if n_ < 2:
         _input_error("--n must be at least 2")
     if family == "st":
@@ -291,7 +286,7 @@ def deform_verify(ctx, family, n_, samples, seed_, output_):
         dfm = concatenate(diag_contraction(n_), st_deformation(n_))
         needs_contraction = True
     law_tol = 1e-9
-    report = verify_deformation(dfm, samples=samples, seed=ctx.obj["seed"])
+    report = verify_deformation(dfm, samples=samples, seed=obj["seed"])
     ok = report.passed(law_tol) and (report.contraction_at_one or not needs_contraction)
     body = {
         "family": family,
@@ -300,40 +295,164 @@ def deform_verify(ctx, family, n_, samples, seed_, output_):
         "checks": report.to_dict(),
         "status": "pass" if ok else "fail",
     }
-    _emit(ctx.obj, _report(ctx.obj, "deform verify", body, {"endomorphism_law": law_tol}))
+    _emit(obj, "deform verify", body, {"endomorphism_law": law_tol})
     sys.exit(0 if ok else 1)
+
+
+# -- scenario files ---------------------------------------------------------
+
+# A key rule is (kind, default, low). kind is int, float (a finite number, read as a
+# float), str, dict, object (anything), [kind] (a list of such values) or a tuple of
+# the allowed values; default is REQUIRED for a key that must be given; low is an
+# inclusive lower bound on the value, or on the length of a list, or None.
+REQUIRED = object()
+POSITIVE = math.ulp(0.0)  # the bound of a number that must be above 0
+_KIND_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "a JSON object"}
+
+
+def _value(value, kind, low, label: str):
+    """`value` if it keeps the rule (kind, low), else an input error."""
+    if isinstance(kind, list):
+        items = [_value(x, kind[0], None, f"each entry of {label}") for x in _value(value, list, None, label)]
+        if low is not None and len(items) < low:
+            _input_error(f"{label} must have at least {low} entries")
+        return items
+    if isinstance(kind, tuple):
+        ok, what = value in kind, "one of " + ", ".join(map(repr, kind))
+    elif kind is float:
+        ok, what = type(value) in (int, float) and abs(value) <= sys.float_info.max, "a finite number"
+    else:  # bool is an int subclass, so int is checked by exact type
+        ok, what = (type(value) is int if kind is int else isinstance(value, kind)), _KIND_NAMES.get(kind)
+    if not ok:
+        _input_error(f"{label} must be {what}, got {value!r}")
+    value = float(value) if kind is float else value
+    if low is not None and value < low:
+        _input_error(f"{label} must be {'positive' if low is POSITIVE else f'at least {low}'}, got {value!r}")
+    return value
+
+
+def _read(doc, spec: dict, what: str) -> dict:
+    """Every key of `spec` read from the JSON object `doc` by its rule, or its
+    default; unknown keys and missing required keys are input errors."""
+    _value(doc, dict, None, what)
+    unknown = [key for key in doc if key not in spec]
+    if unknown:
+        _input_error(f"unknown key {unknown[0]!r} in {what}; allowed: {', '.join(spec)}")
+    values = {}
+    for key, (kind, default, low) in spec.items():
+        if key in doc:
+            values[key] = _value(doc[key], kind, low, f"{key!r} in {what}")
+        elif default is REQUIRED:
+            _input_error(f"{what} is missing {key!r}")
+        else:
+            values[key] = default
+    return values
 
 
 # -- actions --------------------------------------------------------------
 
+ACT_KEYS = {"action": (str, REQUIRED, None), "samples": (int, 200, 1), "seed": (int, None, 0),
+            "tolerances": (dict, {}, None)}
+TOLERANCE_KEYS = {"composition": (float, 1e-6, 0.0), "identity": (float, 1e-9, 0.0), "move": (float, 1e-6, 0.0)}
+MATRIX_KEYS = {"group": (("ST", "U"), REQUIRED, None), "n": (int, REQUIRED, 1)}
+PLACEMENT_KEYS = {"center": ([float], REQUIRED, None), "radius": (float, 1.0, POSITIVE),
+                  "annulus": ([float], [0.3, 0.9], None)}
 
-def _scenario_file(path: str) -> dict:
+# An action kind's function returns the arguments of `verify_action` (action, identity,
+# element sampler, point sampler, named generators) and the witness rule; it imports when run.
+
+
+def _ball_points(n: int, balls=()):
+    """Point sampler: a random unit vector of R^n or, given balls, a point of a
+    random one at relative radius in [0.05, 1.3), around and across its annulus."""
+    import numpy as np
+
+    def sample(r):
+        # with one ball this draws nothing: integers(0, 1) uses no randomness
+        ball = balls[int(r.integers(0, len(balls)))] if balls else None
+        v = r.normal(size=n)
+        v = v / np.linalg.norm(v)
+        return v if ball is None else np.asarray(ball.center) + v * r.uniform(0.05, 1.3) * ball.radius
+
+    return sample
+
+
+def _make_ball(group: str, n: int, placement: dict):
+    from .actions import make_ball_action
+
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        _input_error(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        _input_error(f"malformed JSON in {path}: {exc}")
+        r0, r1 = placement["annulus"]
+        return make_ball_action(group, n, r0, r1, placement["center"], placement["radius"])
+    except ValueError as exc:
+        _input_error(f"bad ball placement: {exc}")
 
 
-def _scenario_get(sc: dict, key: str, default=None, required: bool = False):
-    if key not in sc:
-        if required:
-            _input_error(f"scenario is missing {key!r}")
-        return default
-    return sc[key]
+def _matrix_action(v: dict) -> tuple:
+    """The sphere and ball kinds: the matrix group `group` of size n acting
+    on the unit sphere or inside one ball."""
+    import numpy as np
+
+    from .actions import sphere_action
+    from .matrixgroups import generators, random_element
+
+    group, n = v["group"], v["n"]
+    balls = [_make_ball(group, n, v)] if v["action"] == "ball" else []
+    action = balls[0].apply if balls else sphere_action
+    sample_el = lambda r: random_element(r, group, n)
+    return action, np.eye(n), sample_el, _ball_points(n, balls), generators(group, n), "all"
 
 
-def _scenario_number(sc: dict, key: str, kind: type, default=None, required: bool = False):
-    """`kind(sc[key])` for kind int or float; a value that does not
-    convert is an input error."""
-    value = _scenario_get(sc, key, default, required)
+def _multiball(v: dict) -> tuple:
+    """The multiball kind: one factor of the group per ball."""
+    import numpy as np
+
+    from .actions import MultiBall
+    from .matrixgroups import generators, random_element
+
+    group, n = v["group"], v["n"]
+    balls = [_make_ball(group, n, _read(b, PLACEMENT_KEYS, "a ball placement")) for b in v["balls"]]
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        _input_error(f"{key!r} must be {what}, got {value!r}")
+        multiball = MultiBall(tuple(balls))
+    except ValueError as exc:
+        _input_error(f"bad ball placements: {exc}")
+    k = len(balls)
+    identity = tuple(np.eye(n) for _ in range(k))
+    gens = [
+        (f"ball{j + 1}.{name}", identity[:j] + (g,) + identity[j + 1:])
+        for j in range(k) for name, g in generators(group, n)
+    ]
+    sample_el = lambda r: tuple(random_element(r, group, n) for _ in range(k))
+    return multiball.apply, identity, sample_el, _ball_points(n, balls), gens, "all"
+
+
+def _circle_action(v: dict) -> tuple:
+    """The interval and disk kinds: the lifted circle action of the universal
+    cover of SL(2, R); some generator must move some point ("any")."""
+    import numpy as np
+
+    from .actions import CoverElement, cover_identity, disk_action, interval_action
+    from .matrixgroups import generators, random_sl2
+
+    if v["action"] == "disk":
+        unit = _ball_points(v["n"])
+        action, sample_pt = disk_action, lambda r: unit(r) * r.uniform(0.0, 1.0)
+    else:
+        action = lambda a, y: np.array([interval_action(a, float(y[0]))])
+        sample_pt = lambda r: np.array([r.uniform(0.01, 0.99)])
+    sample_el = lambda r: CoverElement.of(random_sl2(r), int(r.integers(-1, 2)))
+    gens = [(name, CoverElement.of(g)) for name, g in generators("SL2", 2)]
+    return action, cover_identity(), sample_el, sample_pt, gens, "any"
+
+
+# action kind -> (its keys besides ACT_KEYS, the function that sets it up)
+ACTIONS = {
+    "sphere": (MATRIX_KEYS, _matrix_action),
+    "ball": ({**MATRIX_KEYS, "variant": (("compact",), "compact", None), **PLACEMENT_KEYS,
+              "center": ([float], None, None)}, _matrix_action),
+    "multiball": ({**MATRIX_KEYS, "balls": ([dict], REQUIRED, 1)}, _multiball),
+    "interval": ({}, _circle_action),
+    "disk": ({"n": (int, 2, 1)}, _circle_action),
+}
 
 
 @main.group()
@@ -343,141 +462,24 @@ def act():
 
 @act.command("verify")
 @click.option("--scenario", type=click.Path(exists=False), required=True)
-@_common_options
-@click.pass_context
-def act_verify(ctx, scenario, seed_, output_):
+@SEED_OPTION
+@OUTPUT_OPTION
+@click.pass_obj
+def act_verify(obj, scenario):
     """Verify the action axioms for a scenario file."""
-    import numpy as np
+    from .actions import verify_action
 
-    from .actions import (
-        CoverElement,
-        MultiBall,
-        cover_identity,
-        disk_action,
-        interval_action,
-        make_ball_action,
-        sphere_action,
-        verify_action,
-    )
-    from .matrixgroups import generators, random_element, random_sl2
-
-    _apply_common(ctx, seed_, output_)
-    sc = _scenario_file(scenario)
-    kind = _scenario_get(sc, "action", required=True)
-    samples = _scenario_number(sc, "samples", int, 200)
-    if samples < 1:
-        _input_error("'samples' must be at least 1")
-    seed = _scenario_number(sc, "seed", int, ctx.obj["seed"])
-    tol = sc.get("tolerances", {})
-    comp_tol = _scenario_number(tol, "composition", float, 1e-6)
-    id_tol = _scenario_number(tol, "identity", float, 1e-9)
-    move_tol = _scenario_number(tol, "move", float, 1e-6)
-
-    if kind in ("sphere", "ball", "multiball"):
-        group = _scenario_get(sc, "group", required=True)
-        n = _scenario_number(sc, "n", int, required=True)
-        if group not in ("ST", "U"):
-            _input_error(f"unsupported group tag {group!r} for {kind}")
-        gens = generators(group, n)
-        sample_el = lambda r: random_element(r, group, n)
-        if kind == "sphere":
-            def sample_pt(r):
-                v = r.normal(size=n)
-                return v / np.linalg.norm(v)
-            action_fn = sphere_action
-            identity = np.eye(n)
-            witness_rule = "all"
-        elif kind == "ball":
-            annulus = _scenario_get(sc, "annulus", [0.3, 0.9])
-            center = _scenario_get(sc, "center", [0.0] * n)
-            radius = _scenario_number(sc, "radius", float, 1.0)
-            try:
-                ball = make_ball_action(group, n, float(annulus[0]), float(annulus[1]), center, radius)
-            except (ValueError, TypeError) as exc:
-                _input_error(str(exc))
-            def sample_pt(r):
-                v = r.normal(size=n)
-                v /= np.linalg.norm(v)
-                return np.asarray(center) + v * r.uniform(0.05, 1.3) * radius
-            action_fn = ball.apply
-            identity = np.eye(n)
-            witness_rule = "all"
-        else:
-            ball_specs = _scenario_get(sc, "balls", required=True)
-            if not isinstance(ball_specs, list) or not ball_specs:
-                _input_error("'balls' must be a non-empty list of placements")
-            try:
-                balls = [
-                    make_ball_action(
-                        group,
-                        n,
-                        float(b.get("annulus", [0.3, 0.9])[0]),
-                        float(b.get("annulus", [0.3, 0.9])[1]),
-                        b["center"],
-                        float(b.get("radius", 1.0)),
-                    )
-                    for b in ball_specs
-                ]
-                mb = MultiBall(tuple(balls))
-            except (ValueError, TypeError, KeyError) as exc:
-                _input_error(f"bad ball placements: {exc}")
-            k = len(balls)
-            identity = tuple(np.eye(n) for _ in range(k))
-            base_gens = gens
-            gens = []
-            for j in range(k):
-                for name, gmat in base_gens:
-                    element = [np.eye(n)] * k
-                    element[j] = gmat
-                    gens.append((f"ball{j + 1}.{name}", tuple(element)))
-            def sample_el(r, _k=k, _group=group, _n=n):
-                return tuple(random_element(r, _group, _n) for _ in range(_k))
-            centers = [np.asarray(b.center) for b in balls]
-            radii = [b.radius for b in balls]
-            def sample_pt(r):
-                j = int(r.integers(0, len(centers)))
-                v = r.normal(size=n)
-                v /= np.linalg.norm(v)
-                return centers[j] + v * r.uniform(0.05, 1.3) * radii[j]
-            action_fn = mb.apply
-            witness_rule = "all"
-    elif kind in ("interval", "disk"):
-        def sample_el(r):
-            return CoverElement.of(random_sl2(r), int(r.integers(-1, 2)))
-        gens = [
-            (name, CoverElement.of(g)) for name, g in generators("SL2", 2)
-        ]
-        identity = cover_identity()
-        witness_rule = "any"
-        if kind == "interval":
-            def sample_pt(r):
-                return np.array([r.uniform(0.01, 0.99)])
-            def action_fn(a, y):
-                return np.array([interval_action(a, float(y[0]))])
-        else:
-            n = _scenario_number(sc, "n", int, 2)
-            def sample_pt(r):
-                v = r.normal(size=n)
-                v /= np.linalg.norm(v)
-                return v * r.uniform(0.0, 1.0)
-            action_fn = disk_action
-    else:
-        _input_error(f"unknown action kind {kind!r}")
-
-    report = verify_action(
-        action_fn, identity, sample_el, sample_pt, gens,
-        samples=samples, seed=seed, move_threshold=move_tol,
-    )
-    effective = (
-        report.all_generators_effective
-        if witness_rule == "all"
-        else any(w is not None for w in report.witnesses.values())
-    )
-    ok = (
-        report.max_identity_residual <= id_tol
-        and report.max_composition_residual <= comp_tol
-        and effective
-    )
+    sc = _value(_json_file(scenario), dict, None, "the scenario")
+    kind = _value(sc.get("action"), tuple(ACTIONS), None, "'action' in the scenario")
+    keys, setup = ACTIONS[kind]
+    v = _read(sc, {**ACT_KEYS, **keys}, "the scenario")
+    tols = _read(v["tolerances"], TOLERANCE_KEYS, "'tolerances'")
+    *parts, witness_rule = setup(v)
+    seed = obj["seed"] if v["seed"] is None else v["seed"]
+    report = verify_action(*parts, samples=v["samples"], seed=seed, move_threshold=tols["move"])
+    effective = (all if witness_rule == "all" else any)(w is not None for w in report.witnesses.values())
+    ok = (effective and report.max_identity_residual <= tols["identity"]
+          and report.max_composition_residual <= tols["composition"])
     body = {
         "action": kind,
         "scenario": sc,
@@ -485,35 +487,46 @@ def act_verify(ctx, scenario, seed_, output_):
         "witness_rule": witness_rule,
         "status": "pass" if ok else "fail",
     }
-    tols = {"composition": comp_tol, "identity": id_tol, "move": move_tol}
-    _emit(ctx.obj, _report(ctx.obj, "act verify", body, tols))
+    _emit(obj, "act verify", body, tols)
     sys.exit(0 if ok else 1)
 
 
 # -- vector fields ----------------------------------------------------------
 
+POLY_KEYS = {"vars": (int, REQUIRED, 0), "terms": ([dict], REQUIRED, None)}
+TERM_KEYS = {"exponents": ([int], REQUIRED, None), "coefficient": (str, REQUIRED, None)}
+FIELD_KEYS = {"components": ([dict], REQUIRED, 1)}
+COMMUTING_KEYS = {"check": (str, REQUIRED, None), "f": (dict, REQUIRED, None),
+                  "field": (object, "hamiltonian", None), "profiles": ([dict], REQUIRED, None),
+                  "flow": (dict, None, None)}
+FLOW_CHECK_KEYS = {"point": ([float], [1.0, 0.0], None), "s": (float, 0.3, None), "t": (float, 0.3, None),
+                   "h": (float, 1e-3, POSITIVE), "commutation_tolerance": (float, 1e-5, 0.0),
+                   "level_tolerance": (float, 1e-8, 0.0)}
+PROJECTIVE_KEYS = {"check": (str, REQUIRED, None), "n": (int, REQUIRED, 1), "samples": (int, 50, 0),
+                   "seed": (int, None, 0)}
+CHECKS = {"commuting_family": COMMUTING_KEYS, "projective": PROJECTIVE_KEYS}
+FLOW_KEYS = {"field": (dict, REQUIRED, None), "point": ([float], REQUIRED, None), "duration": (float, 1.0, None),
+             "step": (float, 1e-3, POSITIVE)}
+
 
 def _parse_poly(data, what: str):
     from .polynomials import Poly
 
+    poly = _read(data, POLY_KEYS, what)
+    terms = [_read(t, TERM_KEYS, f"a term of {what}") for t in poly["terms"]]
     try:
-        nvars = int(data["vars"])
-        terms = {}
-        for t in data["terms"]:
-            exp = tuple(int(e) for e in t["exponents"])
-            terms[exp] = parse_rational(t["coefficient"])
-        return Poly.make(nvars, terms)
-    except (KeyError, TypeError, ValueError) as exc:
+        return Poly.make(poly["vars"], {tuple(t["exponents"]): parse_rational(t["coefficient"]) for t in terms})
+    except ValueError as exc:
         _input_error(f"bad polynomial in {what}: {exc}")
 
 
 def _parse_field(data, what: str):
     from .vectorfields import PolyVectorField
 
+    comps = [_parse_poly(c, what) for c in _read(data, FIELD_KEYS, what)["components"]]
     try:
-        comps = [_parse_poly(c, what) for c in data["components"]]
         return PolyVectorField(tuple(comps))
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         _input_error(f"bad vector field in {what}: {exc}")
 
 
@@ -524,12 +537,13 @@ def vf():
 
 @vf.command("verify")
 @click.option("--scenario", type=click.Path(exists=False), required=True)
-@_common_options
-@click.pass_context
-def vf_verify(ctx, scenario, seed_, output_):
+@SEED_OPTION
+@OUTPUT_OPTION
+@click.pass_obj
+def vf_verify(obj, scenario):
     """Exact certificates for a vector-field scenario."""
     from .vectorfields import (
-        annihilation_check,
+        FlowBlowUpError,
         commuting_family,
         flow_checks,
         hamiltonian_field,
@@ -538,21 +552,21 @@ def vf_verify(ctx, scenario, seed_, output_):
         projective_kernel,
     )
 
-    _apply_common(ctx, seed_, output_)
-    sc = _scenario_file(scenario)
-    check = _scenario_get(sc, "check", required=True)
+    sc = _value(_json_file(scenario), dict, None, "the scenario")
+    check = _value(sc.get("check"), tuple(CHECKS), None, "'check' in the scenario")
+    v = _read(sc, CHECKS[check], "the scenario")
     if check == "commuting_family":
-        f = _parse_poly(_scenario_get(sc, "f", required=True), "'f'")
-        field_spec = _scenario_get(sc, "field", "hamiltonian")
-        if field_spec == "hamiltonian":
-            base = hamiltonian_field(f)
-        else:
-            base = _parse_field(field_spec, "'field'")
-        prof_specs = _scenario_get(sc, "profiles", required=True)
-        profiles = [_parse_poly(p, "'profiles'") for p in prof_specs]
-        if not annihilation_check(f, base):
-            _input_error("the base field does not annihilate df")
-        fields, cert = commuting_family(f, base, profiles)
+        f = _parse_poly(v["f"], "'f'")
+        profiles = [_parse_poly(p, "'profiles'") for p in v["profiles"]]
+        # an empty "flow" object, like a missing one, asks for no flow check
+        fl = _read(v["flow"], FLOW_CHECK_KEYS, "'flow'") if v["flow"] else None
+        if fl and len(fl["point"]) != f.nvars:
+            _input_error(f"'point' in 'flow' has {len(fl['point'])} coordinates, 'f' has {f.nvars} variables")
+        try:
+            base = hamiltonian_field(f) if v["field"] == "hamiltonian" else _parse_field(v["field"], "'field'")
+            fields, cert = commuting_family(f, base, profiles)
+        except ValueError as exc:  # no annihilation, non-univariate profiles, mismatched dimensions
+            _input_error(str(exc))
         body = {
             "check": check,
             "certificate": {
@@ -563,89 +577,73 @@ def vf_verify(ctx, scenario, seed_, output_):
         }
         tols = {}
         ok = cert.valid
-        flow_spec = sc.get("flow")
-        if flow_spec and len(fields) >= 2:
-            s = float(flow_spec.get("s", 0.3))
-            t = float(flow_spec.get("t", 0.3))
-            h = float(flow_spec.get("h", 1e-3))
-            p = [float(c) for c in flow_spec.get("point", [1.0, 0.0])]
-            comm_tol = float(flow_spec.get("commutation_tolerance", 1e-5))
-            level_tol = float(flow_spec.get("level_tolerance", 1e-8))
-            fr = flow_checks(fields[0], fields[1], p, s, t, h, level_function=f)
+        if fl and len(fields) >= 2:
+            try:
+                fr = flow_checks(fields[0], fields[1], fl["point"], fl["s"], fl["t"], fl["h"], level_function=f)
+            except FlowBlowUpError as exc:
+                click.echo(f"flow failed: {exc}", err=True)
+                sys.exit(1)
             body["flow"] = {
                 "commutation_residual": fr.commutation_residual,
                 "level_residual": fr.level_residual,
             }
-            tols = {"commutation": comm_tol, "level": level_tol}
-            ok = ok and fr.commutation_residual <= comm_tol and fr.level_residual <= level_tol
+            tols = {"commutation": fl["commutation_tolerance"], "level": fl["level_tolerance"]}
+            ok = ok and fr.commutation_residual <= tols["commutation"] and fr.level_residual <= tols["level"]
         body["status"] = "pass" if ok else "fail"
-        _emit(ctx.obj, _report(ctx.obj, "vf verify", body, tols))
+        _emit(obj, "vf verify", body, tols)
         sys.exit(0 if ok else 1)
-    elif check == "projective":
-        import numpy as np
 
-        n = _scenario_number(sc, "n", int, required=True)
-        if n < 1:
-            _input_error("'n' must be at least 1")
-        # make_projective_action ran the homomorphism check; the sign it
-        # recorded is None exactly when the check failed
-        action = make_projective_action(n)
-        exact = action.sign is not None
-        kernel = projective_kernel(n)
-        ident = [Fraction(int(i == j)) for i in range(n + 1) for j in range(n + 1)]
-        kernel_is_scalars = kernel.dim == 1 and kernel.contains(ident)
-        rng = np.random.default_rng(_scenario_number(sc, "seed", int, ctx.obj["seed"]))
-        sample_count = _scenario_number(sc, "samples", int, 50)
-        infos = [orbit_info(action, rng.normal(size=n)) for _ in range(sample_count)]
-        dims = sorted({info["dimension"] for info in infos})
-        body = {
-            "check": check,
-            "n": n,
-            "homomorphism": {"sign": action.sign, "exact": exact},
-            "kernel_is_scalars": kernel_is_scalars,
-            "orbit_dimensions_sampled": dims,
-            "near_degenerate_points": sum(1 for i in infos if i["near_degenerate"]),
-            "status": "pass" if (exact and kernel_is_scalars) else "fail",
-        }
-        _emit(ctx.obj, _report(ctx.obj, "vf verify", body))
-        sys.exit(0 if exact and kernel_is_scalars else 1)
-    else:
-        _input_error(f"unknown check {check!r}")
+    import numpy as np
+
+    n = v["n"]
+    # make_projective_action ran the homomorphism check; the sign it
+    # recorded is None exactly when the check failed
+    action = make_projective_action(n)
+    exact = action.sign is not None
+    kernel = projective_kernel(n)
+    ident = [Fraction(int(i == j)) for i in range(n + 1) for j in range(n + 1)]
+    kernel_is_scalars = kernel.dim == 1 and kernel.contains(ident)
+    rng = np.random.default_rng(obj["seed"] if v["seed"] is None else v["seed"])
+    infos = [orbit_info(action, rng.normal(size=n)) for _ in range(v["samples"])]
+    dims = sorted({info["dimension"] for info in infos})
+    body = {
+        "check": check,
+        "n": n,
+        "homomorphism": {"sign": action.sign, "exact": exact},
+        "kernel_is_scalars": kernel_is_scalars,
+        "orbit_dimensions_sampled": dims,
+        "near_degenerate_points": sum(1 for i in infos if i["near_degenerate"]),
+        "status": "pass" if (exact and kernel_is_scalars) else "fail",
+    }
+    _emit(obj, "vf verify", body)
+    sys.exit(0 if exact and kernel_is_scalars else 1)
 
 
 @vf.command("flow")
 @click.option("--scenario", type=click.Path(exists=False), required=True)
-@_common_options
-@click.pass_context
-def vf_flow(ctx, scenario, seed_, output_):
+@SEED_OPTION
+@OUTPUT_OPTION
+@click.pass_obj
+def vf_flow(obj, scenario):
     """Integrate a field and emit the trajectory as CSV (t, x1..xn)."""
-    from .vectorfields import flow
+    from .vectorfields import FlowBlowUpError, flow
 
-    _apply_common(ctx, seed_, output_)
-    sc = _scenario_file(scenario)
-    field = _parse_field(_scenario_get(sc, "field", required=True), "'field'")
-    point = [float(c) for c in _scenario_get(sc, "point", required=True)]
-    duration = float(_scenario_get(sc, "duration", 1.0))
-    step = float(_scenario_get(sc, "step", 1e-3))
-    if step <= 0:
-        _input_error("'step' must be positive")
+    v = _read(_json_file(scenario), FLOW_KEYS, "the scenario")
+    field = _parse_field(v["field"], "'field'")
+    if len(v["point"]) != field.nvars:
+        _input_error(f"'point' has {len(v['point'])} coordinates, 'field' has {field.nvars} variables")
+    duration, step = v["duration"], v["step"]
     try:
-        traj = flow(field, point, duration, step)
-    except Exception as exc:
+        traj = flow(field, v["point"], duration, step)
+    except FlowBlowUpError as exc:
         click.echo(f"flow failed: {exc}", err=True)
         sys.exit(1)
     lines = ["t," + ",".join(f"x{i + 1}" for i in range(field.nvars))]
     sign = 1.0 if duration >= 0 else -1.0
     for i, row in enumerate(traj):
-        vals = ",".join(format(v, ".17g") for v in row)
+        vals = ",".join(format(x, ".17g") for x in row)
         lines.append(f"{format(sign * i * step, '.17g')},{vals}")
-    text = "\n".join(lines) + "\n"
-    path = ctx.obj.get("output")
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write(obj, "\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

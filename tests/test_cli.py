@@ -2,9 +2,13 @@
 
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieactions.algebra import to_json_dict
 from lieactions.catalog import catalog
@@ -38,6 +42,14 @@ def test_catalog_list():
     assert result.exit_code == 0
     assert "mueller_roemer7" in result.output
     assert "st3" in result.output
+
+
+def test_catalog_list_output_file(tmp_path):
+    out = tmp_path / "catalog.txt"
+    result = run("--output", str(out), "catalog", "list")
+    assert result.exit_code == 0
+    assert result.output == ""
+    assert out.read_text() == run("catalog", "list").output
 
 
 # -- algebra analyze ------------------------------------------------------------
@@ -295,24 +307,156 @@ def test_obstruct_negative_dim_exits_2():
 # -- malformed scenario values are input errors ----------------------------------------
 
 
+ACT = ["act", "verify"]
+VF = ["vf", "verify"]
+FLOW = ["vf", "flow"]
+
+
+def _poly(nvars, *terms):
+    return {"vars": nvars,
+            "terms": [{"exponents": list(e), "coefficient": c} for e, c in terms]}
+
+
+CIRCLE_F = _poly(2, ((2, 0), "1/1"), ((0, 2), "1/1"))
+CIRCLE_FIELD = {"components": [_poly(2, ((0, 1), "2/1")), _poly(2, ((1, 0), "-2/1"))]}
+COMMUTING = {
+    "check": "commuting_family", "f": CIRCLE_F, "field": "hamiltonian",
+    "profiles": [_poly(1, ((0,), "1/1")), _poly(1, ((1,), "1/1"))],
+}
+SPHERE = {"action": "sphere", "group": "ST", "n": 3}
+BALL = {"action": "ball", "group": "ST", "n": 3}
+
+
 @pytest.mark.parametrize(
-    "verb,scenario",
+    "args,scenario",
     [
-        ("act", {"action": "sphere", "group": "ST", "n": "x"}),
-        ("act", {"action": "sphere", "group": "ST", "n": 3, "tolerances": {"composition": "abc"}}),
-        ("act", {"action": "multiball", "group": "ST", "n": 3, "balls": []}),
-        ("act", {"action": "sphere", "group": "ST", "n": 3, "samples": 0}),
-        ("vf", {"check": "projective", "n": "two"}),
+        (ACT, {"action": "sphere", "group": "ST", "n": "x"}),
+        (ACT, {"action": "sphere", "group": "ST", "n": 3, "tolerances": {"composition": "abc"}}),
+        (ACT, {"action": "multiball", "group": "ST", "n": 3, "balls": []}),
+        (ACT, {"action": "sphere", "group": "ST", "n": 3, "samples": 0}),
+        (VF, {"check": "projective", "n": "two"}),
+        (ACT, {"action": "sphere", "group": "ST", "n": 0}),
+        (ACT, {"action": "disk", "n": 0}),
+        (ACT, {**SPHERE, "tolerances": [1]}),
+        (ACT, {**SPHERE, "tolerances": "x"}),
+        (ACT, {"action": "multiball", "group": "ST", "n": 3, "balls": [5]}),
+        (ACT, {**SPHERE, "sampels": 5}),
+        (FLOW, {"field": CIRCLE_FIELD, "point": ["a"]}),
+        (FLOW, {"field": CIRCLE_FIELD, "point": [1.0, 0.0], "duration": "x"}),
+        (VF, {**COMMUTING, "flow": {"s": "x"}}),
+        (VF, {**COMMUTING, "profiles": 5}),
+        (VF, {**COMMUTING, "profiles": [CIRCLE_F]}),
+        (VF, {**COMMUTING, "f": _poly(3, ((2, 0, 0), "1/1"), ((0, 0, 2), "1/1"))}),
+        (VF, {"check": "projective", "n": 2, "samples": -1}),
+        (FLOW, {"field": CIRCLE_FIELD, "point": [0]}),
+        (VF, {**COMMUTING, "flow": {"point": [1.0]}}),
+        (ACT, {**SPHERE, "n": 3.0}),
+        (ACT, {**SPHERE, "samples": True}),
+        (ACT, {**SPHERE, "seed": -1}),
+        (ACT, {**BALL, "variant": "radial"}),
+        (ACT, {**SPHERE, "tolerances": {"compositon": 1e-6}}),
+        (ACT, {**BALL, "annulus": [0.3, 0.6, 0.9]}),
+        (ACT, [SPHERE]),
+        (FLOW, {"field": CIRCLE_FIELD, "point": [1.0, 0.0], "step": float("nan")}),
+        (VF, {**COMMUTING, "flow": {"point": [1.0, 0.0], "h": 0}}),
     ],
     ids=["act-n-not-int", "act-tolerance-not-number", "act-no-balls", "act-zero-samples",
-         "vf-projective-n-not-int"],
+         "vf-projective-n-not-int", "act-sphere-n-zero", "act-disk-n-zero",
+         "act-tolerances-list", "act-tolerances-string", "act-ball-not-object",
+         "act-unknown-key", "flow-point-not-number", "flow-duration-not-number",
+         "vf-flow-s-not-number", "vf-profiles-not-list", "vf-profile-bivariate",
+         "vf-hamiltonian-three-variables", "vf-projective-negative-samples",
+         "flow-point-too-short", "vf-flow-point-too-short", "act-n-float", "act-samples-bool",
+         "act-seed-negative", "act-variant-radial", "act-tolerance-unknown-key",
+         "act-annulus-three-radii", "act-scenario-not-object", "flow-step-nan",
+         "vf-flow-step-zero"],
 )
-def test_malformed_scenario_value_exits_2(tmp_path, verb, scenario):
+def test_malformed_scenario_value_exits_2(tmp_path, args, scenario):
     path = write_json(tmp_path, "bad.json", scenario)
-    result = run(verb, "verify", "--scenario", path)
+    result = run(*args, "--scenario", path)
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
     assert result.stderr.startswith("error:")
+
+
+def test_flow_blow_up_exits_1(tmp_path):
+    # x' = x^2 from x = 1 leaves every bound at t = 1
+    path = write_json(tmp_path, "blowup.json", {
+        "field": {"components": [_poly(1, ((2,), "1/1"))]},
+        "point": [1.0], "duration": 5, "step": 0.01,
+    })
+    result = run("vf", "flow", "--scenario", path)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("flow failed")
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+
+
+# -- mutated scenarios keep the exit-code contract ----------------------------------------
+
+
+SCENARIO_FILES = sorted(Path(SCENARIOS).glob("*.json"))
+SMALL_VALUES = st.one_of(
+    st.integers(-2, 8),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 8) | st.text(max_size=2), max_size=3),
+    st.just({}),
+    st.none(),
+    st.booleans(),
+)
+
+
+def _containers(doc):
+    """Every object and list inside `doc`, `doc` included."""
+    yield doc
+    for value in doc.values() if isinstance(doc, dict) else doc:
+        if isinstance(value, (dict, list)):
+            yield from _containers(value)
+
+
+def _keys(doc):
+    return {key for c in _containers(doc) if isinstance(c, dict) for key in c}
+
+
+# keys an added entry may take: every key of a shipped scenario, plus two more
+ADDED_KEYS = sorted(set().union(*(_keys(json.loads(p.read_text())) for p in SCENARIO_FILES)) | {"seed", "x"})
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """(verb, document): a shipped scenario with one key or list entry
+    dropped, replaced or added, anywhere in it."""
+    path = draw(st.sampled_from(SCENARIO_FILES))
+    doc = json.loads(path.read_text())
+    verb = ACT if "action" in doc else VF if "check" in doc else FLOW
+    target = draw(st.sampled_from(list(_containers(doc))))
+    slots = list(target) if isinstance(target, dict) else list(range(len(target)))
+    op = draw(st.sampled_from(["drop", "replace", "add"] if slots else ["add"]))
+    if op == "add" and isinstance(target, dict):
+        target[draw(st.sampled_from(ADDED_KEYS))] = draw(SMALL_VALUES)
+    elif op == "add":
+        target.append(draw(SMALL_VALUES))
+    elif op == "drop":
+        del target[draw(st.sampled_from(slots))]
+    else:
+        target[draw(st.sampled_from(slots))] = draw(SMALL_VALUES)
+    return verb, doc
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(mutated_scenarios())
+def test_mutated_scenario_keeps_exit_code_contract(case):
+    verb, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutant.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        result = run(*verb, "--scenario", path)
+    assert result.exit_code in (0, 1, 2), (doc, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (doc, result.exception)
+    if result.exit_code == 2:
+        assert result.stdout == "" and result.stderr.startswith("error:"), (doc, result.stderr)
+        assert result.stderr.count("\n") == 1, (doc, result.stderr)
 
 
 # -- each verdict input is computed once -------------------------------------------------
