@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .constants import DEFAULT_SEED
-from .deformations import GroupDeformation, bump_group_deformation
+from .deformations import GroupDeformation, bump_group_deformation, max_residual
 
 __all__ = [
     "sphere_action",
@@ -56,7 +57,8 @@ __all__ = [
 def sphere_action(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Projective-style action x -> gx/|gx| on the unit sphere."""
     y = g @ x
-    norm = float(np.linalg.norm(y))
+    # math.sqrt(v.dot(v)) is what np.linalg.norm computes for a 1-D float array
+    norm = math.sqrt(y.dot(y))
     if norm < 1e-300:
         raise ValueError("matrix is singular along this direction")
     return y / norm
@@ -125,16 +127,29 @@ class BallAction:
         if len(self.center) != self.n:
             raise ValueError("center dimension mismatch")
 
+    @cached_property
+    def center_array(self) -> np.ndarray:
+        return np.asarray(self.center, dtype=float)
+
+    @cached_property
+    def _log_radii(self) -> tuple[float, float]:
+        """(log r1, log r1 - log r0), worked out once."""
+        log_r1 = math.log(self.r1)
+        return log_r1, log_r1 - math.log(self.r0)
+
     def apply(self, g: np.ndarray, y: np.ndarray) -> np.ndarray:
-        u = np.asarray(y, dtype=float) - np.asarray(self.center)
-        r = float(np.linalg.norm(u))
+        center = self.center_array
+        log_r1, log_span = self._log_radii
+        y = np.asarray(y, dtype=float)
+        u = y - center
+        r = math.sqrt(u.dot(u))
         rel = r / self.radius
         if rel <= self.r0 or rel >= self.r1:
-            return np.asarray(y, dtype=float).copy()
+            return y.copy()
         # map radius to deformation time: rel = r1 -> 0, rel = r0 -> 1
-        t = (math.log(self.r1) - math.log(rel)) / (math.log(self.r1) - math.log(self.r0))
+        t = (log_r1 - math.log(rel)) / log_span
         xp = sphere_action(self.deformation.apply(t, g), u / r)
-        return np.asarray(self.center) + r * xp
+        return center + r * xp
 
 
 def make_ball_action(
@@ -218,6 +233,11 @@ class ActionReport:
         }
 
 
+def _gap(a, b) -> float:
+    """The largest coordinate difference of two points (NaN if any is NaN)."""
+    return float(np.abs(np.asarray(a) - np.asarray(b)).max())
+
+
 def verify_action(
     act,
     identity,
@@ -235,8 +255,7 @@ def verify_action(
     comp_res = 0.0
     points = [sample_point(rng) for _ in range(samples)]
     for y in points:
-        moved = act(identity, y)
-        id_res = max(id_res, float(np.max(np.abs(np.asarray(moved) - np.asarray(y)))))
+        id_res = max_residual(id_res, _gap(act(identity, y), y))
     for _ in range(samples):
         g = sample_element(rng)
         h = sample_element(rng)
@@ -244,12 +263,12 @@ def verify_action(
         gh = np.asarray(g) @ np.asarray(h) if isinstance(g, np.ndarray) else compose_pair(g, h)
         lhs = act(gh, y)
         rhs = act(g, act(h, y))
-        comp_res = max(comp_res, float(np.max(np.abs(np.asarray(lhs) - np.asarray(rhs)))))
+        comp_res = max_residual(comp_res, _gap(lhs, rhs))
     witnesses = {}
     for name, gen in named_generators:
         found = None
         for y in points:
-            disp = float(np.max(np.abs(np.asarray(act(gen, y)) - np.asarray(y))))
+            disp = _gap(act(gen, y), y)
             if disp >= move_threshold:
                 found = (np.asarray(y, dtype=float), disp)
                 break
@@ -365,7 +384,7 @@ def disk_action(a: CoverElement, y: np.ndarray) -> np.ndarray:
     """Interval action on every radius of the closed unit disk;
     the boundary sphere is fixed exactly."""
     y = np.asarray(y, dtype=float)
-    r = float(np.linalg.norm(y))
+    r = math.sqrt(y.dot(y))
     if r > 1.0 + 1e-12:
         raise ValueError("point must lie in the closed unit disk")
     if r == 0.0 or r >= 1.0:

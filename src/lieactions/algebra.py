@@ -29,6 +29,19 @@ __all__ = [
 ]
 
 
+_ZERO = Fraction(0)
+
+
+def _scaled(v: Sequence[Fraction]) -> tuple[list[tuple[int, int]], int]:
+    """([(i, d * v_i), ...] for the nonzero v_i, d): v scaled to integers by
+    the lcm d of its denominators."""
+    nonzero = [(i, c) for i, c in enumerate(v) if c]
+    d = lcm(*[c.denominator for _, c in nonzero])
+    if d == 1:
+        return [(i, c.numerator) for i, c in nonzero], 1
+    return [(i, c.numerator * (d // c.denominator)) for i, c in nonzero], d
+
+
 class FormatError(ValueError):
     """Malformed algebra interchange data."""
 
@@ -140,40 +153,66 @@ class LieAlgebra:
         return dict(self.sparse_table.get((i, j), ())).get(k, Fraction(0))
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-        """Exact bracket of coordinate vectors."""
+        """Exact bracket of coordinate vectors, summed in integers over the
+        common denominator of x, y and the structure constants and divided once."""
         xv = rational_vector(x)
         yv = rational_vector(y)
         if len(xv) != self.dim or len(yv) != self.dim:
             raise ValueError("vector length != algebra dimension")
-        out = [Fraction(0)] * self.dim
-        nx = [(i, c) for i, c in enumerate(xv) if c]
-        ny = [(j, c) for j, c in enumerate(yv) if c]
+        den, table = self.integer_table
+        nx, dx = _scaled(xv)
+        ny, dy = _scaled(yv)
+        out: dict[int, int] = {}
         for i, xi in nx:
             for j, yj in ny:
-                if i == j:
+                if i < j:
+                    vec, s = table.get((i, j)), xi * yj
+                elif i > j:
+                    vec, s = table.get((j, i)), -xi * yj
+                else:
                     continue
-                vec = self.sparse_table.get((i, j) if i < j else (j, i))
-                if vec is None:
-                    continue
-                s = xi * yj if i < j else -xi * yj
-                for k, c in vec:
-                    out[k] += s * c
-        return tuple(out)
+                if vec is not None:
+                    for k, c in vec:
+                        out[k] = out.get(k, 0) + s * c
+        den *= dx * dy
+        result = [_ZERO] * self.dim
+        for k, v in out.items():
+            if v:
+                result[k] = Fraction(v, den)
+        return tuple(result)
 
     @cached_property
     def sparse_table(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
         """{(i, j): [(k, c), ...]} for the nonzero constants c of [e_i, e_j], i < j."""
         return {pair: [(k, c) for k, c in enumerate(vec) if c] for pair, vec in self.table}
 
+    @cached_property
+    def integer_table(self) -> tuple[int, dict[tuple[int, int], list[tuple[int, int]]]]:
+        """(den, {(i, j): [(k, den * c), ...]}): `sparse_table` with every
+        constant scaled to an integer by the lcm den of their denominators."""
+        table = self.sparse_table
+        den = lcm(*(c.denominator for coeffs in table.values() for _, c in coeffs))
+        return den, {
+            pair: [(k, c.numerator * (den // c.denominator)) for k, c in coeffs]
+            for pair, coeffs in table.items()
+        }
+
+    @cached_property
+    def float_table(self) -> tuple[tuple[int, int, tuple[tuple[int, float], ...]], ...]:
+        """`sparse_table` as floats, in table order: (i, j, ((k, c), ...))."""
+        return tuple(
+            (i, j, tuple((k, float(c)) for k, c in coeffs))
+            for (i, j), coeffs in self.sparse_table.items()
+        )
+
     def bracket_numeric(self, x: Sequence[float], y: Sequence[float]) -> list[float]:
         """Float bracket for the numerical verification paths."""
         out = [0.0] * self.dim
-        for (i, j), vec in self.table:
+        for i, j, coeffs in self.float_table:
             s = x[i] * y[j] - x[j] * y[i]
             if s:
-                for k, c in enumerate(vec):
-                    if c:
-                        out[k] += s * float(c)
+                for k, c in coeffs:
+                    out[k] += s * c
         return out
 
     def basis_vector(self, i: int) -> tuple[Fraction, ...]:
@@ -192,12 +231,7 @@ class LieAlgebra:
         Adds each nonzero term [[e_p, e_q], e_r] into its sorted triple, with
         the constants scaled to integers (which scales every sum alike).
         """
-        table = self.sparse_table
-        den = lcm(*(c.denominator for coeffs in table.values() for _, c in coeffs))
-        sparse = [
-            (pair, [(k, c.numerator * (den // c.denominator)) for k, c in coeffs])
-            for pair, coeffs in table.items()
-        ]
+        sparse = self.integer_table[1].items()
         # nonzero brackets [e_a, e_r] = sign * sum_k c e_k, listed by a
         ad: list[list] = [[] for _ in range(self.dim)]
         for (i, j), coeffs in sparse:

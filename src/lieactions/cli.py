@@ -20,13 +20,13 @@ from . import __version__
 from .algebra import FormatError, LieAlgebra, from_json_dict
 from .catalog import DEFAULT_CATALOG, catalog, convention_notes
 from .constants import DEFAULT_SEED
-from .derivations import contractibility_obstruction
 from .obstructions import borderline_analysis, min_effective_action_dim, n_action_verdict
 from .serialize import dumps, format_rational, parse_rational
 
 # The numerical layer (numpy, actions, deformations, matrixgroups,
 # vectorfields, polynomials) is imported inside the verbs that run it, so
-# the exact verbs and `catalog list` never pay for loading it.
+# the exact verbs and `catalog list` never pay for loading it; so is
+# `derivations`, which only `algebra analyze` runs.
 
 SEED_ENV_VAR = "LIEACTIONS_SEED"
 
@@ -113,7 +113,7 @@ def _store(ctx, param, value) -> None:
 
 
 # Both options are declared once, for the group and for every verb that emits a report.
-SEED_OPTION = click.option("--seed", type=int, callback=_store, expose_value=False,
+SEED_OPTION = click.option("--seed", type=click.IntRange(min=0), callback=_store, expose_value=False,
                            help=f"PRNG seed (default {DEFAULT_SEED}; env {SEED_ENV_VAR}).")
 OUTPUT_OPTION = click.option("--output", type=click.Path(dir_okay=False), callback=_store, expose_value=False,
                              help="Write the report here instead of stdout.")
@@ -130,9 +130,9 @@ def main(ctx):
     if "seed" not in obj:
         env = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
         try:
-            obj["seed"] = int(env)
-        except ValueError:
-            _input_error(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
+            obj["seed"] = click.IntRange(min=0).convert(env, None, None)
+        except click.BadParameter:
+            _input_error(f"{SEED_ENV_VAR} must be a nonnegative integer, got {env!r}")
 
 
 # -- catalog ------------------------------------------------------------
@@ -172,6 +172,8 @@ def algebra():
 @click.pass_obj
 def algebra_analyze(obj, source):
     """Full invariants report: series, center, predicates, derivations."""
+    from .derivations import contractibility_obstruction
+
     alg, _ = _load_algebra(source)
     violations = alg.jacobi_check()
     if violations:
@@ -368,11 +370,13 @@ def _ball_points(n: int, balls=()):
     import numpy as np
 
     def sample(r):
-        # with one ball this draws nothing: integers(0, 1) uses no randomness
-        ball = balls[int(r.integers(0, len(balls)))] if balls else None
+        if len(balls) > 1:
+            ball = balls[int(r.integers(0, len(balls)))]
+        else:  # integers(0, 1) would draw nothing, so one ball is taken as it is
+            ball = balls[0] if balls else None
         v = r.normal(size=n)
-        v = v / np.linalg.norm(v)
-        return v if ball is None else np.asarray(ball.center) + v * r.uniform(0.05, 1.3) * ball.radius
+        v = v / math.sqrt(v.dot(v))  # the Euclidean norm, as np.linalg.norm computes it
+        return v if ball is None else ball.center_array + v * r.uniform(0.05, 1.3) * ball.radius
 
     return sample
 
@@ -509,6 +513,17 @@ FLOW_KEYS = {"field": (dict, REQUIRED, None), "point": ([float], REQUIRED, None)
              "step": (float, 1e-3, POSITIVE)}
 
 
+def _flow_steps(duration: float, step: float, what: str) -> None:
+    """An input error unless a flow of `duration` in steps of `step` stays
+    within vectorfields.MAX_FLOW_STEPS; checked before anything is allocated."""
+    from .vectorfields import flow_steps
+
+    try:
+        flow_steps(duration, step)
+    except ValueError as exc:
+        _input_error(f"{exc} in {what}")
+
+
 def _parse_poly(data, what: str):
     from .polynomials import Poly
 
@@ -562,6 +577,9 @@ def vf_verify(obj, scenario):
         fl = _read(v["flow"], FLOW_CHECK_KEYS, "'flow'") if v["flow"] else None
         if fl and len(fl["point"]) != f.nvars:
             _input_error(f"'point' in 'flow' has {len(fl['point'])} coordinates, 'f' has {f.nvars} variables")
+        if fl:
+            _flow_steps(fl["s"], fl["h"], "'flow'")
+            _flow_steps(fl["t"], fl["h"], "'flow'")
         try:
             base = hamiltonian_field(f) if v["field"] == "hamiltonian" else _parse_field(v["field"], "'field'")
             fields, cert = commuting_family(f, base, profiles)
@@ -633,6 +651,7 @@ def vf_flow(obj, scenario):
     if len(v["point"]) != field.nvars:
         _input_error(f"'point' has {len(v['point'])} coordinates, 'field' has {field.nvars} variables")
     duration, step = v["duration"], v["step"]
+    _flow_steps(duration, step, "the scenario")
     try:
         traj = flow(field, v["point"], duration, step)
     except FlowBlowUpError as exc:
@@ -640,9 +659,9 @@ def vf_flow(obj, scenario):
         sys.exit(1)
     lines = ["t," + ",".join(f"x{i + 1}" for i in range(field.nvars))]
     sign = 1.0 if duration >= 0 else -1.0
-    for i, row in enumerate(traj):
-        vals = ",".join(format(x, ".17g") for x in row)
-        lines.append(f"{format(sign * i * step, '.17g')},{vals}")
+    row_format = ",".join(["%.17g"] * (field.nvars + 1))  # what format(x, ".17g") writes
+    for i, row in enumerate(traj.tolist()):
+        lines.append(row_format % (sign * i * step, *row))
     _write(obj, "\n".join(lines) + "\n")
 
 

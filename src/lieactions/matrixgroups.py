@@ -8,6 +8,8 @@ Group tags:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -16,25 +18,34 @@ __all__ = [
     "in_group",
 ]
 
+@lru_cache(maxsize=None)
+def _strict_upper(n: int) -> np.ndarray:
+    """Flat indices of the strictly upper entries of an n x n matrix, row-major."""
+    rows, cols = np.triu_indices(n, 1)
+    flat = rows * n + cols
+    flat.flags.writeable = False  # shared by every caller
+    return flat
+
+
 def random_st_element(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random ST(n): strict uppers in [-2, 2], diagonal in [0.5, 2]
-    renormalized to determinant one."""
-    g = np.zeros((n, n))
+    renormalized to determinant one. The diagonal is drawn first, then the
+    strict uppers in row-major order."""
+    g = np.zeros(n * n)
     diag = rng.uniform(0.5, 2.0, size=n)
-    diag = diag / diag.prod() ** (1.0 / n)
-    for i in range(n):
-        g[i, i] = diag[i]
-        for j in range(i + 1, n):
-            g[i, j] = rng.uniform(-2.0, 2.0)
-    return g
+    g[:: n + 1] = diag / diag.prod() ** (1.0 / n)
+    upper = _strict_upper(n)
+    g[upper] = rng.uniform(-2.0, 2.0, size=len(upper))
+    return g.reshape(n, n)
 
 
 def random_unitriangular(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            g[i, j] = rng.uniform(-2.0, 2.0)
-    return g
+    """Random U(n): strict uppers in [-2, 2], drawn in row-major order."""
+    g = np.zeros(n * n)
+    g[:: n + 1] = 1.0
+    upper = _strict_upper(n)
+    g[upper] = rng.uniform(-2.0, 2.0, size=len(upper))
+    return g.reshape(n, n)
 
 
 def random_sl2(rng: np.random.Generator) -> np.ndarray:

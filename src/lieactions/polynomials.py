@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
-__all__ = ["Poly"]
+__all__ = ["Poly", "eval_compiled"]
 
 
 @dataclass(frozen=True)
@@ -106,15 +107,16 @@ class Poly:
             acc[tuple(ne)] = acc.get(tuple(ne), Fraction(0)) + c * e[i]
         return Poly(self.nvars, tuple(sorted(acc.items())))
 
+    @cached_property
+    def float_terms(self) -> tuple[tuple[float, tuple[tuple[int, int], ...]], ...]:
+        """The terms compiled once for evaluation: (float coefficient,
+        ((variable, exponent), ...) for the nonzero exponents)."""
+        return tuple(
+            (float(c), tuple((v, k) for v, k in enumerate(e) if k)) for e, c in self.terms
+        )
+
     def eval_float(self, point: Sequence[float]) -> float:
-        total = 0.0
-        for e, c in self.terms:
-            term = float(c)
-            for v, k in zip(point, e):
-                if k:
-                    term *= v ** k
-            total += term
-        return total
+        return eval_compiled((self.float_terms,), point)[0]
 
     def substitute(self, inner: "Poly") -> "Poly":
         """Composition for univariate self: returns self(inner)."""
@@ -148,3 +150,19 @@ class Poly:
             )
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
+
+
+def eval_compiled(compiled: Sequence[tuple], point: Sequence[float]) -> list[float]:
+    """The values at a point of floats of the polynomials whose
+    `Poly.float_terms` are `compiled`. Each term is its coefficient times the
+    powers of the variables in index order, and the terms are summed in
+    order. A power too large for a float raises OverflowError."""
+    out = []
+    for terms in compiled:
+        total = 0.0
+        for term, powers in terms:
+            for v, k in powers:
+                term *= point[v] ** k
+            total += term
+        out.append(total)
+    return out

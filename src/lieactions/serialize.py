@@ -2,11 +2,13 @@
 
 Reports must be byte-identical across runs with the same inputs, so we
 write JSON ourselves: insertion-ordered keys, rationals as "p/q"
-strings, floats printed with 17 significant digits.
+strings, floats printed with 17 significant digits (a non-finite float
+as the string "nan", "inf" or "-inf").
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from json.encoder import encode_basestring
 
@@ -46,7 +48,9 @@ def _scalar(obj) -> str | None:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return format(obj, ".17g")
+        text = format(obj, ".17g")
+        # JSON has no NaN or infinity: those go out as the strings "nan", "inf", "-inf"
+        return text if math.isfinite(obj) else f'"{text}"'
     if isinstance(obj, Fraction):
         return f'"{format_rational(obj)}"'  # "p/q" needs no escaping
     return None

@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import LieAlgebra
 from .catalog import catalog, catalog_matrices
 from .linalg import RatMatrix, Subspace, nullspace
-from .polynomials import Poly
+from .polynomials import Poly, eval_compiled
 
 __all__ = [
     "PolyVectorField",
@@ -39,6 +39,8 @@ __all__ = [
     "action_homomorphism_check",
     "make_projective_action",
     "FlowBlowUpError",
+    "MAX_FLOW_STEPS",
+    "flow_steps",
     "flow",
     "flow_checks",
     "orbit_dimension",
@@ -86,7 +88,7 @@ class PolyVectorField:
         return PolyVectorField(tuple(p * a for a in self.components))
 
     def eval_float(self, x: Sequence[float]) -> np.ndarray:
-        return np.array([c.eval_float(x) for c in self.components])
+        return np.array(eval_compiled([c.float_terms for c in self.components], x))
 
 
 def vf_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
@@ -271,24 +273,25 @@ class HomomorphismCheck:
 
 def action_homomorphism_check(action: VFAction) -> HomomorphismCheck:
     """Determine the sign eps with rho[x, y] = eps [rho x, rho y] for all
-    basis pairs, exactly; report violating pairs otherwise."""
+    basis pairs, exactly; report violating pairs otherwise (those of the
+    sign with fewer, +1 on a tie). Each pair is bracketed once and tested
+    against both signs."""
     g = action.algebra
     if len(action.images) != g.dim:
         raise ValueError("one image field per basis element required")
-    results = {}
-    for sign in (1, -1):
-        violations = []
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                lhs = action.image_of(g.bracket(g.basis_vector(i), g.basis_vector(j)))
-                rhs = vf_bracket(action.images[i], action.images[j]).scale(sign)
-                if not (lhs - rhs).is_zero():
-                    violations.append((i, j))
-        results[sign] = violations
-        if not violations:
-            return HomomorphismCheck(sign, True, ())
-    fewer = min(results, key=lambda s: len(results[s]))
-    return HomomorphismCheck(None, False, tuple(results[fewer]))
+    violations: dict[int, list[tuple[int, int]]] = {1: [], -1: []}
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            lhs = action.image_of(g.bracket(g.basis_vector(i), g.basis_vector(j)))
+            rhs = vf_bracket(action.images[i], action.images[j])
+            if not (lhs - rhs).is_zero():
+                violations[1].append((i, j))
+            if not (lhs + rhs).is_zero():
+                violations[-1].append((i, j))
+    fewer = min(violations, key=lambda s: len(violations[s]))
+    if not violations[fewer]:
+        return HomomorphismCheck(fewer, True, ())
+    return HomomorphismCheck(None, False, tuple(violations[fewer]))
 
 
 def make_projective_action(n: int) -> VFAction:
@@ -311,31 +314,57 @@ class FlowBlowUpError(RuntimeError):
         super().__init__(f"flow left the finite range at t = {time}")
 
 
+# The trajectory is held in memory, one row per step, so the step count is bounded.
+MAX_FLOW_STEPS = 10**6
+
+
+def flow_steps(duration: float, h: float) -> int:
+    """The number of steps of size h that cover |duration|: ceil(|duration| / h),
+    at least 1 unless duration is 0. Raises ValueError for a step that is not
+    positive or a count that is not finite or exceeds MAX_FLOW_STEPS."""
+    if not h > 0:
+        raise ValueError("step must be positive")
+    ratio = abs(duration) / h
+    if not ratio <= MAX_FLOW_STEPS:
+        raise ValueError(
+            f"a flow of duration {duration} with step {h} needs more than "
+            f"{MAX_FLOW_STEPS} steps"
+        )
+    return max(1, math.ceil(ratio)) if duration else 0
+
+
 def flow(v: PolyVectorField, p: Sequence[float], duration: float, h: float) -> np.ndarray:
     """Classical fourth-order one-step integration with fixed step h > 0.
 
-    Returns the trajectory including the start point; raises
-    FlowBlowUpError at the first non-finite state.
+    Returns the trajectory including the start point, one row per step;
+    raises FlowBlowUpError at the first non-finite state.
+
+    The field is compiled once (`Poly.float_terms`) and the steps run on
+    Python floats: stage points x + (step/2) k, then
+    x + (step/6) (((k1 + 2 k2) + 2 k3) + k4), component by component.
     """
-    if h <= 0:
-        raise ValueError("step must be positive")
-    steps = max(1, math.ceil(abs(duration) / h)) if duration else 0
-    sign = 1.0 if duration >= 0 else -1.0
-    x = np.array([float(c) for c in p])
-    traj = np.zeros((steps + 1, v.nvars))
-    traj[0] = x
-    step = sign * h
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            k1 = v.eval_float(x)
-            k2 = v.eval_float(x + 0.5 * step * k1)
-            k3 = v.eval_float(x + 0.5 * step * k2)
-            k4 = v.eval_float(x + step * k3)
-            x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)):
-                raise FlowBlowUpError((i + 1) * step)
-            traj[i + 1] = x
-    return traj
+    steps = flow_steps(duration, h)
+    step = h if duration >= 0 else -h
+    half, sixth = 0.5 * step, step / 6.0
+    field = [c.float_terms for c in v.components]
+    x = [float(c) for c in p]
+    traj = [x]
+    for i in range(steps):
+        try:
+            k1 = eval_compiled(field, x)
+            k2 = eval_compiled(field, [a + half * b for a, b in zip(x, k1)])
+            k3 = eval_compiled(field, [a + half * b for a, b in zip(x, k2)])
+            k4 = eval_compiled(field, [a + step * b for a, b in zip(x, k3)])
+        except OverflowError:  # a power beyond the float range: inf in numpy arithmetic
+            raise FlowBlowUpError((i + 1) * step) from None
+        x = [
+            a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+        ]
+        if not all(map(math.isfinite, x)):
+            raise FlowBlowUpError((i + 1) * step)
+        traj.append(x)
+    return np.array(traj)
 
 
 @dataclass(frozen=True)
@@ -355,6 +384,8 @@ def flow_checks(
 ) -> FlowCheckReport:
     """Residual of flowing v then w against w then v, plus drift of a
     conserved function along all four legs."""
+    for duration in (s, t):  # bound every leg before running any
+        flow_steps(duration, h)
     leg_vw_1 = flow(v, p, s, h)
     leg_vw_2 = flow(w, leg_vw_1[-1], t, h)
     leg_wv_1 = flow(w, p, t, h)
@@ -362,11 +393,15 @@ def flow_checks(
     comm = float(np.max(np.abs(leg_vw_2[-1] - leg_wv_2[-1])))
     level = None
     if level_function is not None:
-        base = level_function.eval_float([float(c) for c in p])
+        value = level_function.eval_float
         level = 0.0
-        for leg in (leg_vw_1, leg_vw_2, leg_wv_1, leg_wv_2):
-            for row in leg:
-                level = max(level, abs(level_function.eval_float(row) - base))
+        try:
+            base = value([float(c) for c in p])
+            for leg in (leg_vw_1, leg_vw_2, leg_wv_1, leg_wv_2):
+                for row in leg.tolist():
+                    level = max(level, abs(value(row) - base))
+        except OverflowError:  # the function itself leaves the float range
+            level = math.inf
     return FlowCheckReport(comm, level)
 
 

@@ -7,8 +7,10 @@ Jacobi identity.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -23,7 +25,7 @@ from lieactions.algebra import (
     from_json_dict,
     to_json_dict,
 )
-from lieactions.catalog import catalog, catalog_entries, catalog_matrices
+from lieactions.catalog import DEFAULT_CATALOG, catalog, catalog_entries, catalog_matrices
 from lieactions.linalg import RatMatrix, Subspace
 
 
@@ -500,3 +502,70 @@ def test_invariants_are_computed_once_per_algebra(monkeypatch):
     assert sorted(calls) == ["center", "derived_series", "lower_central_series"]
     assert fresh.derived == g.derived_series() and fresh.center_space == g.center()
     assert fresh.derivation_algebra is fresh.derivation_algebra
+
+
+# -- the compiled brackets against the plain sums ------------------------------------
+
+
+def _rescaled(g, scale):
+    """g in the basis scale[i] e_i: constants c_ijk scale[i] scale[j] / scale[k]."""
+    brackets = {
+        pair: {k: c * scale[pair[0]] * scale[pair[1]] / scale[k] for k, c in coeffs}
+        for pair, coeffs in g.sparse_table.items()
+    }
+    return LieAlgebra.create(f"{g.name} rescaled", g.basis_names, brackets)
+
+
+def _bracket_cases():
+    """Every DEFAULT_CATALOG algebra, st(4) in a dense unimodular basis, and
+    st(4) in a rescaled basis (constants with denominators)."""
+    dense = Path(__file__).parent / "golden" / "st4_dense.algebra.json"
+    algebras = [catalog(key) for key, _ in DEFAULT_CATALOG]
+    algebras.append(from_json_dict(json.loads(dense.read_text())))
+    algebras.append(_rescaled(catalog("st4"), [Fraction(k + 2, 2 * k + 3) for k in range(9)]))
+    return [pytest.param(g, id=g.name) for g in algebras]
+
+
+def _reference_bracket_numeric(g, x, y):
+    """The former loop over the dense structure table."""
+    out = [0.0] * g.dim
+    for (i, j), vec in g.table:
+        s = x[i] * y[j] - x[j] * y[i]
+        if s:
+            for k, c in enumerate(vec):
+                if c:
+                    out[k] += s * float(c)
+    return out
+
+
+def _reference_bracket(g, x, y):
+    """sum_{i,j} x_i y_j [e_i, e_j] as a plain Fraction sum."""
+    out = [Fraction(0)] * g.dim
+    for i in range(g.dim):
+        for j in range(g.dim):
+            for k in range(g.dim):
+                out[k] += Fraction(x[i]) * Fraction(y[j]) * g.structure_constant(i, j, k)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("g", _bracket_cases())
+def test_bracket_numeric_matches_dense_loop(g):
+    rng = random.Random(g.dim)
+    for _ in range(40):
+        # some exact zeros, so that the skipped pairs are exercised too
+        x = [rng.choice([0.0, rng.uniform(-3, 3)]) for _ in range(g.dim)]
+        y = [rng.choice([0.0, rng.uniform(-3, 3)]) for _ in range(g.dim)]
+        assert g.bracket_numeric(x, y) == _reference_bracket_numeric(g, x, y)
+
+
+@pytest.mark.parametrize("g", _bracket_cases())
+def test_bracket_matches_fraction_sum(g):
+    rng = random.Random(g.dim)
+    for _ in range(10):
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) * rng.randint(0, 1) for _ in range(g.dim)]
+        y = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(g.dim)]
+        got = g.bracket(x, y)
+        assert got == _reference_bracket(g, x, y)
+        assert all(type(c) is Fraction for c in got)
+    ints = list(range(g.dim))
+    assert g.bracket(ints, ints[::-1]) == _reference_bracket(g, ints, ints[::-1])

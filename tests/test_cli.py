@@ -359,6 +359,13 @@ BALL = {"action": "ball", "group": "ST", "n": 3}
         (ACT, [SPHERE]),
         (FLOW, {"field": CIRCLE_FIELD, "point": [1.0, 0.0], "step": float("nan")}),
         (VF, {**COMMUTING, "flow": {"point": [1.0, 0.0], "h": 0}}),
+        (FLOW, {"field": CIRCLE_FIELD, "point": [1.0, 0.0], "duration": 1e20}),
+        (FLOW, {"field": CIRCLE_FIELD, "point": [1.0, 0.0], "duration": -1e308}),
+        (FLOW, {"field": CIRCLE_FIELD, "point": [1.0, 0.0], "step": 1e-320}),
+        (FLOW, {"field": CIRCLE_FIELD, "point": [1.0, 0.0], "duration": 1.0, "step": 1e-7}),
+        (VF, {**COMMUTING, "flow": {"point": [1.0, 0.0], "s": 1e20}}),
+        (VF, {**COMMUTING, "flow": {"point": [1.0, 0.0], "t": 1e308}}),
+        (VF, {**COMMUTING, "flow": {"point": [1.0, 0.0], "h": 1e-320}}),
     ],
     ids=["act-n-not-int", "act-tolerance-not-number", "act-no-balls", "act-zero-samples",
          "vf-projective-n-not-int", "act-sphere-n-zero", "act-disk-n-zero",
@@ -369,7 +376,9 @@ BALL = {"action": "ball", "group": "ST", "n": 3}
          "flow-point-too-short", "vf-flow-point-too-short", "act-n-float", "act-samples-bool",
          "act-seed-negative", "act-variant-radial", "act-tolerance-unknown-key",
          "act-annulus-three-radii", "act-scenario-not-object", "flow-step-nan",
-         "vf-flow-step-zero"],
+         "vf-flow-step-zero", "flow-duration-1e20", "flow-duration-minus-1e308",
+         "flow-step-denormal", "flow-steps-above-bound", "vf-flow-s-1e20", "vf-flow-t-1e308",
+         "vf-flow-h-denormal"],
 )
 def test_malformed_scenario_value_exits_2(tmp_path, args, scenario):
     path = write_json(tmp_path, "bad.json", scenario)
@@ -377,6 +386,39 @@ def test_malformed_scenario_value_exits_2(tmp_path, args, scenario):
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
     assert result.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("deform", "verify", "--family", "st", "--n", "3"),
+        ("act", "verify", "--scenario", os.path.join(SCENARIOS, "sphere_st3.json")),
+        ("vf", "verify", "--scenario", os.path.join(SCENARIOS, "projective2.json")),
+    ],
+    ids=["deform", "act", "vf-projective"],
+)
+@pytest.mark.parametrize("how", ["option", "env"])
+def test_negative_seed_exits_2(args, how):
+    result = run("--seed", "-1", *args) if how == "option" else run(*args, env={"LIEACTIONS_SEED": "-1"})
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.stderr.splitlines() if line.lower().startswith("error:")]
+    assert len(errors) == 1 and "seed" in errors[0].lower(), result.stderr
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_nan_residual_fails_and_stays_json(tmp_path):
+    # every sampled point overflows, so every residual is NaN
+    path = write_json(tmp_path, "nan.json", {
+        "action": "ball", "group": "ST", "n": 3, "samples": 50, "center": [1e308, 0, 0], "radius": 1e308,
+    })
+    result = run("act", "verify", "--scenario", path)
+    assert result.exit_code == 1
+    report = json.loads(result.stdout, parse_constant=lambda name: pytest.fail(f"bare {name} in the report"))
+    assert report["report"]["max_identity_residual"] == "nan"
+    assert report["report"]["max_composition_residual"] == "nan"
+    assert report["status"] == "fail"
 
 
 def test_flow_blow_up_exits_1(tmp_path):

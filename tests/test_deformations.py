@@ -1,5 +1,7 @@
 """Deformation families: profiles, cocycle, algebra and group levels."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from lieactions.deformations import (
     concatenate,
     diag_contraction,
     group_contraction_ST,
+    max_residual,
     st_deformation,
     st_prime_deformation,
     standard_profile,
@@ -264,3 +267,86 @@ def test_bad_inputs():
         bump_group_deformation("SL2", 3)
     with pytest.raises(ValueError):
         cocycle_check(1)
+
+
+# -- the compiled kernels against the former loops -----------------------------------
+
+
+def _reference_group_apply(gd, t, g):
+    """The former entry-by-entry GroupDeformation.apply."""
+    kind, p = gd.state_at(t)
+    n = gd.n
+    out = np.zeros_like(g, dtype=float)
+    if kind == "offdiag":
+        for i in range(n):
+            out[i, i] = g[i, i]
+            for j in range(i + 1, n):
+                out[i, j] = g[i, j] * p ** (j - i)
+    else:
+        for i in range(n):
+            out[i, i] = g[i, i] ** p
+    return out
+
+
+@pytest.mark.parametrize("group", ["ST", "U"])
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_group_apply_matches_entry_loop(group, n):
+    rng = np.random.default_rng(n)
+    families = [bump_group_deformation(group, n)]
+    if group == "ST":
+        families.append(group_contraction_ST(n))
+    g = random_element(rng, group, n)
+    h = random_element(rng, group, n)
+    # signed zeros and negative entries below the diagonal must still give +0.0 there
+    odd = g @ h
+    odd[np.tril_indices(n, -1)] = [(-1.0) ** k * (0.0 if k % 3 else 7.5) for k in range(n * (n - 1) // 2)]
+    odd[0, -1] = -0.0
+    times = [-1.0, 0.0, 0.05, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0, 2.0]
+    times += list(rng.uniform(0.0, 1.0, size=10))
+    for gd in families:
+        for m in (g, h, g @ h, odd):
+            for t in times:
+                got, want = gd.apply(t, m), _reference_group_apply(gd, t, m)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _reference_random_element(rng, group, n):
+    """The former per-entry draws: the ST diagonal first, then each strict upper entry."""
+    if group == "ST":
+        g = np.zeros((n, n))
+        diag = rng.uniform(0.5, 2.0, size=n)
+        diag = diag / diag.prod() ** (1.0 / n)
+        for i in range(n):
+            g[i, i] = diag[i]
+            for j in range(i + 1, n):
+                g[i, j] = rng.uniform(-2.0, 2.0)
+        return g
+    g = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i, j] = rng.uniform(-2.0, 2.0)
+    return g
+
+
+@pytest.mark.parametrize("group", ["ST", "U"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_random_element_matches_per_entry_draws(group, n):
+    rng, ref = np.random.default_rng(100 + n), np.random.default_rng(100 + n)
+    for _ in range(50):
+        got, want = random_element(rng, group, n), _reference_random_element(ref, group, n)
+        assert got.shape == want.shape == (n, n)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_max_residual_keeps_nan_and_inf():
+    nan, inf = float("nan"), float("inf")
+    assert max_residual(0.0) == 0.0
+    assert max_residual(0.0, 1.0, 3.0, 2.0) == 3.0
+    assert max_residual(0.0, 1.0, inf, 2.0) == inf
+    for values in [(nan,), (1.0, nan), (nan, 5.0), (2.0, nan, 1.0, inf)]:
+        assert math.isnan(max_residual(0.0, *values)), values
+        assert math.isnan(max_residual(max_residual(0.0, *values), 1.0, 9.0))
+    assert math.isnan(max_residual(nan, 4.0))

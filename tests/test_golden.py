@@ -3,11 +3,14 @@
 The exact cases are `algebra analyze` and `algebra obstruct --dim 3` on
 every DEFAULT_CATALOG entry, a few larger catalog algebras, and st(4) in
 a dense unimodular basis (golden/st4_dense.algebra.json). The numerical
-cases are `deform verify` for every family at n = 3 and 5, and every
+cases are `deform verify` for every family at n = 3, 5 and 6, and every
 scenario in `scenarios/` run through its verb (`act verify`, `vf verify`
-or `vf flow`). All run at seed 0. After a deliberate change to a report,
-regenerate the files with `PYTHONPATH=src python tests/test_golden.py`
-and say in the change log why the bytes moved.
+or `vf flow`), plus the wider scenarios kept beside the goldens as
+golden/*.scenario.json (sphere, ball and three-ball actions of ST(5) and
+U(5), and a cubic field in three variables flowed backwards). All run at
+seed 0. After a deliberate change to a report, regenerate the files with
+`PYTHONPATH=src python tests/test_golden.py` and say in the change log
+why the bytes moved.
 """
 
 import json
@@ -63,12 +66,13 @@ def _scenario_verb(path: Path) -> tuple[str, list[str], str]:
 def _numeric_cases():
     """(golden file, lieact arguments) for deform verify and the scenarios."""
     for family in ("st", "st-prime", "concat"):
-        for n in (3, 5):
+        for n in (3, 5, 6):
             args = ["deform", "verify", "--family", family, "--n", str(n)]
             yield GOLDEN / f"{family}{n}.deform.json", args
-    for scenario in sorted(SCENARIOS.glob("*.json")):
+    for scenario in sorted(SCENARIOS.glob("*.json")) + sorted(GOLDEN.glob("*.scenario.json")):
         name, verb, suffix = _scenario_verb(scenario)
-        yield GOLDEN / f"{scenario.stem}.{name}.{suffix}", [*verb, "--scenario", str(scenario)]
+        stem = scenario.name.split(".", 1)[0]
+        yield GOLDEN / f"{stem}.{name}.{suffix}", [*verb, "--scenario", str(scenario)]
 
 
 def _run_numeric(args: list[str]):

@@ -1,10 +1,11 @@
 """Each verb imports only the layer it runs.
 
 The exact verbs and `catalog list` must not load numpy or any module of
-the numerical layer, and the numerical verbs must not load each other's
-modules. Each case runs one verb in a fresh interpreter and inspects
-`sys.modules` afterwards, so a stray top-level import in `cli.py` (or in
-a module it imports) fails here.
+the numerical layer, the numerical verbs must not load each other's
+modules, and only `algebra analyze` loads `derivations`. Each case runs
+one verb in a fresh interpreter and inspects `sys.modules` afterwards, so
+a stray top-level import in `cli.py` (or in a module it imports) fails
+here.
 """
 
 import json
@@ -41,18 +42,25 @@ NUMERICAL = [
 CASES = {
     "analyze": (["algebra", "analyze", "catalog:st4"], NUMERICAL, ["lieactions.derivations"]),
     "obstruct": (
-        ["algebra", "obstruct", "catalog:st4", "--dim", "3"], NUMERICAL, ["lieactions.obstructions"]
+        ["algebra", "obstruct", "catalog:st4", "--dim", "3"],
+        NUMERICAL + ["lieactions.derivations"],
+        ["lieactions.obstructions"],
     ),
-    "catalog-list": (["catalog", "list"], NUMERICAL, ["lieactions.catalog"]),
+    "catalog-list": (["catalog", "list"], NUMERICAL + ["lieactions.derivations"], ["lieactions.catalog"]),
     "vf-flow": (
         ["vf", "flow", "--scenario", str(SCENARIOS / "flow_circle.json")],
-        ["lieactions.actions", "lieactions.deformations", "lieactions.matrixgroups"],
+        ["lieactions.actions", "lieactions.deformations", "lieactions.matrixgroups", "lieactions.derivations"],
         ["lieactions.vectorfields", "lieactions.polynomials"],
     ),
     "act-verify": (
         ["act", "verify", "--scenario", str(SCENARIOS / "sphere_st3.json")],
-        ["lieactions.vectorfields"],
+        ["lieactions.vectorfields", "lieactions.derivations"],
         ["numpy", "lieactions.actions", "lieactions.matrixgroups"],
+    ),
+    "deform-verify": (
+        ["deform", "verify", "--family", "st", "--n", "3"],
+        ["lieactions.vectorfields", "lieactions.actions", "lieactions.derivations"],
+        ["numpy", "lieactions.deformations"],
     ),
 }
 

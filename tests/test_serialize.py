@@ -6,6 +6,7 @@ bytes on arbitrary nested reports.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,8 @@ def _ref_scalar(obj):
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return format(obj, ".17g")
+        # JSON has no NaN or infinity literal: they are written as strings
+        return format(obj, ".17g") if math.isfinite(obj) else json.dumps(str(obj))
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     return None
@@ -76,3 +78,11 @@ def test_dumps_matches_reference(obj):
 def test_dumps_rejects_unknown_types():
     with pytest.raises(TypeError, match="object"):
         dumps({"x": [object()]})
+
+
+def test_non_finite_floats_are_json_strings():
+    text = dumps({"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "max": 1.7976931348623157e308})
+    assert text == '{"nan": "nan", "inf": "inf", "-inf": "-inf", "max": 1.7976931348623157e+308}\n'
+    assert json.loads(text, parse_constant=lambda name: pytest.fail(f"bare {name} in the output")) == {
+        "nan": "nan", "inf": "inf", "-inf": "-inf", "max": 1.7976931348623157e308,
+    }

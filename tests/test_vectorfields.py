@@ -13,6 +13,7 @@ from lieactions.catalog import catalog
 from lieactions.linalg import RatMatrix
 from lieactions.polynomials import Poly
 from lieactions.vectorfields import (
+    MAX_FLOW_STEPS,
     AnnihilationError,
     FlowBlowUpError,
     PolyVectorField,
@@ -23,6 +24,7 @@ from lieactions.vectorfields import (
     fixed_point_check,
     flow,
     flow_checks,
+    flow_steps,
     hamiltonian_field,
     make_projective_action,
     orbit_dimension,
@@ -273,6 +275,45 @@ def test_homomorphism_fault_injection():
     assert len(check.violations) > 0
 
 
+def test_homomorphism_check_brackets_each_pair_once(monkeypatch):
+    from lieactions import vectorfields
+
+    calls = []
+    original = vectorfields.vf_bracket
+
+    def counting(v, w):
+        calls.append(1)
+        return original(v, w)
+
+    monkeypatch.setattr(vectorfields, "vf_bracket", counting)
+    action = make_projective_action(2)  # sl(3): 28 basis pairs, sign -1
+    assert action.sign == -1
+    assert len(calls) == 28
+
+
+def test_homomorphism_violations_of_the_sign_with_fewer():
+    action = make_projective_action(1)
+    images = list(action.images)
+    images[1] = -images[1]
+    check = action_homomorphism_check(VFAction(action.algebra, tuple(images)))
+    g = action.algebra
+    # the violations of each sign, counted the way the check defined them before
+    expected = {}
+    for sign in (1, -1):
+        expected[sign] = tuple(
+            (i, j)
+            for i in range(g.dim)
+            for j in range(i + 1, g.dim)
+            if not (
+                VFAction(g, tuple(images)).image_of(g.bracket(g.basis_vector(i), g.basis_vector(j)))
+                - vf_bracket(images[i], images[j]).scale(sign)
+            ).is_zero()
+        )
+    fewer = min((1, -1), key=lambda s: len(expected[s]))
+    assert check.sign is None and not check.exact
+    assert check.violations == expected[fewer]
+
+
 def test_homomorphism_consistent_across_ranks():
     for n in (1, 2, 3):
         action = make_projective_action(n)
@@ -309,6 +350,113 @@ def test_flow_blowup_reported_with_time():
     with pytest.raises(FlowBlowUpError) as err:
         flow(v, [3.0], 2.0, 1e-3)
     assert 0.0 < err.value.time <= 2.0
+
+
+# The former numpy RK4 loop, kept as the oracle of the compiled one: every
+# component evaluated term by term on numpy floats, overflow giving inf.
+
+
+def _reference_eval(poly: Poly, point) -> float:
+    total = 0.0
+    for e, c in poly.terms:
+        term = float(c)
+        for v, k in zip(point, e):
+            if k:
+                term *= v ** k
+        total += term
+    return total
+
+
+def _reference_flow(v: PolyVectorField, p, duration: float, h: float) -> np.ndarray:
+    def field(x):
+        return np.array([_reference_eval(c, x) for c in v.components])
+
+    steps = max(1, math.ceil(abs(duration) / h)) if duration else 0
+    sign = 1.0 if duration >= 0 else -1.0
+    x = np.array([float(c) for c in p])
+    traj = np.zeros((steps + 1, v.nvars))
+    traj[0] = x
+    step = sign * h
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            k1 = field(x)
+            k2 = field(x + 0.5 * step * k1)
+            k3 = field(x + 0.5 * step * k2)
+            k4 = field(x + step * k3)
+            x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(x)):
+                raise FlowBlowUpError((i + 1) * step)
+            traj[i + 1] = x
+    return traj
+
+
+def _outcome(run):
+    """The trajectory, or the time of the blow-up."""
+    try:
+        return run()
+    except FlowBlowUpError as exc:
+        return exc.time
+
+
+def _assert_same_flow(v, p, duration, h):
+    got = _outcome(lambda: flow(v, p, duration, h))
+    want = _outcome(lambda: _reference_flow(v, p, duration, h))
+    if isinstance(want, float):
+        assert got == want  # the same blow-up time
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+@st.composite
+def cubic_fields(draw):
+    """A field of up to 3 variables whose components have degree <= 3."""
+    nvars = draw(st.integers(1, 3))
+    exponent = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars).filter(lambda e: sum(e) <= 3)
+    coefficient = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    comps = [
+        Poly.make(nvars, dict(draw(st.lists(st.tuples(exponent.map(tuple), coefficient), max_size=4))))
+        for _ in range(nvars)
+    ]
+    return PolyVectorField(tuple(comps))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    cubic_fields(),
+    st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    st.floats(-1.5, 1.5),
+    st.sampled_from([0.01, 0.025, 1.0 / 64]),
+)
+def test_compiled_flow_matches_numpy_loop(v, point, duration, h):
+    _assert_same_flow(v, point[: v.nvars], duration, h)
+
+
+@pytest.mark.parametrize(
+    "field,point,duration",
+    [
+        (PolyVectorField((Poly.make(1, {(2,): 1}),)), [1.0], 2.0),  # x' = x^2: non-finite after the pole
+        (PolyVectorField((Poly.make(1, {(3,): 1}),)), [30.0], 1.0),  # x' = x^3: a power overflows first
+        (PolyVectorField((Poly.make(1, {(3,): 1}),)), [-30.0], -1.0),  # backwards from below
+        (PolyVectorField((Poly.make(2, {(0, 2): 1}), Poly.make(2, {(1, 0): -1}))), [0.5, 3.0], 3.0),
+    ],
+    ids=["square-pole", "cube-overflow", "cube-backwards", "planar"],
+)
+def test_compiled_flow_blow_up_matches_numpy_loop(field, point, duration):
+    assert isinstance(_outcome(lambda: _reference_flow(field, point, duration, 0.01)), float)
+    _assert_same_flow(field, point, duration, 0.01)
+
+
+def test_flow_step_count_is_bounded():
+    assert flow_steps(0.0, 0.1) == 0
+    assert flow_steps(-0.05, 0.1) == 1
+    assert flow_steps(float(MAX_FLOW_STEPS), 1.0) == MAX_FLOW_STEPS
+    for duration, h in [(MAX_FLOW_STEPS + 1.0, 1.0), (1e308, 1e-3), (1.0, 1e-320), (float("nan"), 1.0)]:
+        with pytest.raises(ValueError, match="steps"):
+            flow_steps(duration, h)
+    with pytest.raises(ValueError, match="steps"):
+        flow(PolyVectorField((Poly.zero(1),)), [0.0], 1e20, 1e-3)
+    with pytest.raises(ValueError, match="positive"):
+        flow_steps(1.0, 0.0)
 
 
 def test_flow_checks_same_field():
