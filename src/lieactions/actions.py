@@ -349,8 +349,9 @@ def cover_eval(a: CoverElement, theta: float) -> float:
 def cover_compose(a: CoverElement, b: CoverElement) -> CoverElement:
     """(A, k)(B, m) = (AB, k + m + delta) where delta in {-1, 0, 1}
     corrects the normalization of the composed lift."""
-    ab = a.as_array() @ b.as_array()
-    delta = round((_lift_eval(a.as_array(), _lift_eval(b.as_array(), 0.0)) - _lift_eval(ab, 0.0)) / math.pi)
+    a_arr, b_arr = a.as_array(), b.as_array()
+    ab = a_arr @ b_arr
+    delta = round((_lift_eval(a_arr, _lift_eval(b_arr, 0.0)) - _lift_eval(ab, 0.0)) / math.pi)
     return CoverElement.of(ab, a.deck + b.deck + int(delta))
 
 

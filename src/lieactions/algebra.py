@@ -408,10 +408,21 @@ def to_json_dict(g: LieAlgebra) -> dict:
     }
 
 
+_DOCUMENT_KEYS = ("name", "dim", "basis", "brackets")
+_BRACKET_KEYS = ("i", "j", "result")
+
+
+def _check_keys(obj: Mapping, allowed: tuple[str, ...], what: str) -> None:
+    for key in obj:
+        if key not in allowed:
+            raise FormatError(f"unknown key {key!r} in {what}")
+
+
 def from_json_dict(data: Mapping, validate: bool = True) -> LieAlgebra:
     """Parse the interchange form, rejecting malformed payloads."""
     if not isinstance(data, Mapping):
         raise FormatError("algebra document must be a JSON object")
+    _check_keys(data, _DOCUMENT_KEYS, "algebra document")
     try:
         name = data["name"]
         dim = data["dim"]
@@ -426,6 +437,8 @@ def from_json_dict(data: Mapping, validate: bool = True) -> LieAlgebra:
         isinstance(b, str) for b in basis
     ):
         raise FormatError("'basis' must list one name per dimension")
+    if len(set(basis)) != dim:
+        raise FormatError("'basis' names must be distinct")
     raw = data.get("brackets", [])
     if not isinstance(raw, list):
         raise FormatError("'brackets' must be a list")
@@ -433,6 +446,7 @@ def from_json_dict(data: Mapping, validate: bool = True) -> LieAlgebra:
     for item in raw:
         if not isinstance(item, Mapping):
             raise FormatError("bracket entries must be objects")
+        _check_keys(item, _BRACKET_KEYS, "bracket entry")
         try:
             i = item["i"]
             j = item["j"]
@@ -451,10 +465,10 @@ def from_json_dict(data: Mapping, validate: bool = True) -> LieAlgebra:
             raise FormatError("bracket 'result' must be an object")
         vec: dict[int, Fraction] = {}
         for key, val in result.items():
-            try:
-                k = int(key)
-            except (TypeError, ValueError):
-                raise FormatError(f"bad result index {key!r}") from None
+            # only the canonical decimal form: "01" or "1_0" would alias another index
+            if not (isinstance(key, str) and key.isdecimal() and str(int(key)) == key):
+                raise FormatError(f"bad result index {key!r}")
+            k = int(key)
             if not 1 <= k <= dim:
                 raise FormatError(f"result index {k} out of range 1..{dim}")
             try:

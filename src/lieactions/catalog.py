@@ -35,6 +35,7 @@ __all__ = [
     "parse_catalog_key",
     "convention_notes",
     "DEFAULT_CATALOG",
+    "MAX_CATALOG_DIM",
 ]
 
 
@@ -204,6 +205,27 @@ def catalog_matrices(name: str, param: int | None = None) -> tuple[RatMatrix, ..
     return mats
 
 
+# The largest dimension a catalog key may build. It admits st(8) and sl(6)
+# (dim 35), the top of the size ladders, with room to spare; an analyze
+# report holds dim^3 derivation entries, so far larger keys (st(40) has
+# dim 819) would run for hours.
+MAX_CATALOG_DIM = 40
+
+# The dimension of each sized family, known before anything is built.
+_DIMENSIONS = {
+    "abelian": lambda m: m,
+    "heisenberg": lambda d: d,
+    "t": lambda n: n * (n + 1) // 2,
+    "st": lambda n: n * (n + 1) // 2 - 1,
+    "st_prime": lambda n: n * (n - 1) // 2,
+    "sl": lambda n: n * n - 1,
+    "d": lambda n: n,
+    "n": lambda n: n * (n - 1) // 2 + 1,
+    "st_c": lambda n: n * (n + 1) - 2,
+    "sl_c": lambda n: 2 * n * n - 2,
+}
+
+
 # Memoised: algebras, their cached invariants and the matrix tuples are
 # immutable, so one construction per key and process suffices.
 @lru_cache(maxsize=None)
@@ -215,6 +237,12 @@ def _build(name: str, param: int | None) -> tuple[LieAlgebra, tuple[RatMatrix, .
         return mueller_roemer7(), None
     if param is None:
         raise ValueError(f"catalog family {name!r} needs a size parameter")
+    dimension = _DIMENSIONS.get(family.lower())
+    if dimension is not None and dimension(param) > MAX_CATALOG_DIM:
+        raise ValueError(
+            f"catalog family {name!r} with parameter {param} has dimension "
+            f"{dimension(param)}, above the bound {MAX_CATALOG_DIM}"
+        )
     if family == "abelian":
         return abelian(param), None
     if family == "heisenberg":

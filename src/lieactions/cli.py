@@ -59,10 +59,21 @@ def _emit(ctx_obj: dict, command: str, body: dict, tolerances: dict | None = Non
     _write(ctx_obj, dumps(head))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """object_pairs_hook: a key given twice in one object is malformed JSON
+    here, not a silent last-one-wins."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _json_file(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         _input_error(f"cannot read {path}: {exc}")
     except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8

@@ -14,15 +14,15 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd, lcm
+from operator import mul, sub
 
 from .algebra import LieAlgebra
-from .linalg import RatMatrix, Subspace, nullspace_of_rows
+from .linalg import RatMatrix, Subspace, _insert, _primitive, nullspace_of_rows
 
 __all__ = [
     "DerivationAlgebra",
     "derivation_algebra",
-    "inner_derivations",
-    "is_nil_family",
     "engel_flag",
     "find_non_nilpotent",
     "ContractionObstruction",
@@ -48,28 +48,30 @@ class DerivationAlgebra:
         """Exact membership of a matrix in the derivation span."""
         return self.span.contains(mat.flat())
 
-    def commutator_closed(self) -> bool:
-        for a, b in itertools.combinations(self.basis, 2):
-            if not self.contains(a.commutator(b)):
-                return False
-        return True
+
+# A block of rows that adds no rank switches to the kernel check only when
+# the pivot rows average more than this many nonzeros: on sparse systems
+# elimination is cheap, and taking the kernel would cost more than it saves
+# (without this gate the catalog's sparse size ladder took twice as long).
+_DENSE_PIVOT_ROW = 4
 
 
-def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
-    """Solve D[e_i, e_j] = [De_i, e_j] + [e_i, De_j] over the n^2 entries."""
+def _blocks(g: LieAlgebra):
+    """The rows of D[e_i, e_j] = [De_i, e_j] + [e_i, De_j], one list per
+    pair i < j, as primitive integer rows {a*n + b: coefficient of D[a][b]}
+    (the constants scaled to integers, which scales every row alike)."""
     n = g.dim
+    table = g.integer_table[1]
     # ad[j]: (a, [(k, c), ...]) for every nonzero [e_a, e_j] = sum_k c e_k
     ad: list[list] = [[] for _ in range(n)]
-    for (i, j), coeffs in g.sparse_table.items():
+    for (i, j), coeffs in table.items():
         ad[j].append((i, coeffs))
         ad[i].append((j, [(k, -c) for k, c in coeffs]))
-    rows = []
     for i in range(n):
         for j in range(i + 1, n):
             # row k: the e_k-component of D[e_i, e_j] - [De_i, e_j] - [e_i, De_j]
-            # as sparse coefficients of the unknowns D[a][b], stored at a*n + b
             eq: defaultdict[int, Counter] = defaultdict(Counter)
-            for a, c in g.sparse_table.get((i, j), ()):
+            for a, c in table.get((i, j), ()):
                 for k in range(n):
                     eq[k][k * n + a] += c
             for a, coeffs in ad[j]:
@@ -78,17 +80,94 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
             for a, coeffs in ad[i]:  # [e_i, e_a] = -[e_a, e_i]
                 for k, c in coeffs:
                     eq[k][a * n + j] += c
-            rows.extend(eq.values())
-    kernel = nullspace_of_rows(rows, n * n)
-    basis = tuple(
-        RatMatrix.from_flat(n, n, vec) for vec in kernel.basis_vectors()
-    )
-    return DerivationAlgebra(g, basis)
+            rows = ({col: v for col, v in row.items() if v} for row in eq.values())
+            yield [_primitive(row) for row in rows if row]
 
 
-def inner_derivations(g: LieAlgebra) -> list[RatMatrix]:
-    """The ad matrices of the basis vectors."""
-    return [g.ad_matrix(g.basis_vector(i)) for i in range(g.dim)]
+def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
+    """Der(g): the kernel of the system `_blocks`, in canonical RREF.
+
+    g must satisfy the Jacobi identity (`algebra analyze` checks it first):
+    then every prefix of the rows has a kernel that contains Der(g), and
+    Der(g) contains ad(g), of dimension n - dim center. The rows are
+    eliminated in order until one of two things happens:
+
+    1. the rank reaches n^2 - dim ad(g): the prefix kernel is ad(g), and no
+       later row can change it;
+    2. a whole block adds no rank while the echelon is dense: the prefix
+       kernel K is taken once, as integer vectors, and each later row is
+       checked against it by exact dot products. A row that is not zero on
+       K cuts K by one dimension, and the walk ends once dim K = dim ad(g).
+
+    Either way the result is the kernel of the whole system, so its RREF
+    is the one full elimination gives.
+    """
+    n = g.dim
+    inner = n - g.center_space.dim
+    bound = n * n - inner
+    echelon: dict[int, dict[int, int]] = {}
+    nonzeros = 0
+    blocks = _blocks(g)
+    for block in blocks:
+        grew = False
+        for row in block:
+            prow = _insert(echelon, row)
+            if prow:
+                if len(echelon) == bound:
+                    ads = [g.ad_matrix(g.basis_vector(i)).flat() for i in range(n)]
+                    return _from_kernel(g, Subspace.span(ads, n * n))
+                grew = True
+                nonzeros += len(prow)
+        if not grew and nonzeros > _DENSE_PIVOT_ROW * len(echelon):
+            kernel = _cut(_integer_kernel(echelon, n * n), blocks, inner)
+            return _from_kernel(g, Subspace.span(kernel, n * n))
+    return _from_kernel(g, nullspace_of_rows(echelon.values(), n * n))
+
+
+def _from_kernel(g: LieAlgebra, space: Subspace) -> DerivationAlgebra:
+    n = g.dim
+    return DerivationAlgebra(g, tuple(RatMatrix.from_flat(n, n, vec) for vec in space.basis_vectors()))
+
+
+def _integer_kernel(echelon: dict[int, dict[int, int]], ncols: int) -> list[list[int]]:
+    """A basis of the kernel of the echelon rows as dense integer vectors,
+    each the RREF basis vector scaled by the lcm of its denominators."""
+    vectors = []
+    for vec in nullspace_of_rows(echelon.values(), ncols).basis_vectors():
+        den = lcm(*(x.denominator for x in vec if x))
+        vectors.append([x.numerator * (den // x.denominator) for x in vec])
+    return vectors
+
+
+def _cut(kernel: list[list[int]], blocks, target: int) -> list[list[int]]:
+    """The vectors of `kernel` on which every remaining row vanishes.
+
+    A row is skipped when its integer dot product with every kernel vector
+    is zero. Otherwise the vector v_p with the smallest nonzero product d_p
+    is dropped and every v with d != 0 becomes d_p v - d v_p, divided by its
+    content: the kernel loses exactly one dimension."""
+    for block in blocks:
+        for row in block:
+            cols, vals = list(row), list(row.values())
+            dots = [sum(map(mul, vals, map(v.__getitem__, cols))) for v in kernel]
+            if not any(dots):
+                continue
+            p = min((t for t, d in enumerate(dots) if d), key=lambda t: abs(dots[t]))
+            dp, vp = dots[p], kernel[p]
+            cut = []
+            for t, (v, d) in enumerate(zip(kernel, dots)):
+                if t == p:
+                    continue
+                if d:
+                    v = list(map(sub, map(dp.__mul__, v), map(d.__mul__, vp)))
+                    c = gcd(*v)
+                    if c > 1:
+                        v = [x // c for x in v]
+                cut.append(v)
+            kernel = cut
+            if len(kernel) == target:
+                return kernel
+    return kernel
 
 
 def engel_flag(mats: list[RatMatrix] | tuple[RatMatrix, ...], ambient_dim: int) -> list[Subspace] | None:
@@ -117,11 +196,6 @@ def engel_flag(mats: list[RatMatrix] | tuple[RatMatrix, ...], ambient_dim: int) 
         flag.append(nxt)
         current = nxt
     return flag
-
-
-def is_nil_family(mats, ambient_dim: int) -> bool:
-    """True iff every element of the linear span of mats is nilpotent."""
-    return engel_flag(list(mats), ambient_dim) is not None
 
 
 def _is_nilpotent_matrix(m: RatMatrix) -> bool:

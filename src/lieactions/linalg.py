@@ -207,15 +207,21 @@ def _echelon(rows: Iterable) -> dict[int, dict[int, int]]:
     """
     echelon: dict[int, dict[int, int]] = {}
     for row in rows:
-        r = _int_row(row)
-        while r:
-            lead = min(r)
-            prow = echelon.get(lead)
-            if prow is None:
-                echelon[lead] = r
-                break
-            r = _eliminate(r, prow, lead)
+        _insert(echelon, _int_row(row))
     return echelon
+
+
+def _insert(echelon: dict[int, dict[int, int]], r: dict[int, int]) -> dict[int, int] | None:
+    """Reduce the integer row r against the echelon and keep what is left
+    as a new pivot row; return that row, or None when r was dependent."""
+    while r:
+        lead = min(r)
+        prow = echelon.get(lead)
+        if prow is None:
+            echelon[lead] = r
+            return r
+        r = _eliminate(r, prow, lead)
+    return None
 
 
 def sparse_rref(rows: Iterable) -> list[tuple[int, dict[int, Fraction]]]:

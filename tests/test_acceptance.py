@@ -42,7 +42,7 @@ from lieactions.deformations import (
 from lieactions.derivations import (
     contractibility_obstruction,
     derivation_algebra,
-    is_nil_family,
+    engel_flag,
 )
 from lieactions.matrixgroups import generators, random_element, random_sl2
 from lieactions.obstructions import (
@@ -186,7 +186,7 @@ def test_criterion_05_mueller_roemer_obstruction():
     g = catalog("mueller_roemer7")
     der = derivation_algebra(g)
     assert der.dim > 0
-    assert is_nil_family(list(der.basis), g.dim)
+    assert engel_flag(list(der.basis), g.dim) is not None  # the span is nil
     report = contractibility_obstruction(g)
     assert report.status == "obstructed"
     flag = report.flag

@@ -25,7 +25,15 @@ from lieactions.algebra import (
     from_json_dict,
     to_json_dict,
 )
-from lieactions.catalog import DEFAULT_CATALOG, catalog, catalog_entries, catalog_matrices
+from lieactions.catalog import (
+    _DIMENSIONS,
+    DEFAULT_CATALOG,
+    MAX_CATALOG_DIM,
+    catalog,
+    catalog_entries,
+    catalog_matrices,
+    parse_catalog_key,
+)
 from lieactions.linalg import RatMatrix, Subspace
 
 
@@ -374,6 +382,26 @@ def test_catalog_dimensions():
     assert catalog("mueller_roemer7").dim == 7
     assert catalog("st_c", 2).dim == 4
     assert catalog("sl_c", 2).dim == 6
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [("abelian", (0, 2, 4)), ("heisenberg", (3, 5, 7)), ("t", (2, 3, 4)), ("st", (2, 3, 4)),
+     ("st_prime", (2, 3, 4)), ("sl", (2, 3)), ("d", (1, 3)), ("N", (2, 3, 4)), ("n", (3,)),
+     ("st_c", (2, 3)), ("sl_c", (2,))],
+)
+def test_catalog_dimension_formulas_match_the_built_algebras(family, params):
+    for param in params:
+        assert _DIMENSIONS[family.lower()](param) == catalog(family, param).dim
+
+
+def test_catalog_bound_admits_the_size_ladders():
+    # the largest keys the tests, golden reports and benchmark use
+    for key, dim in (("st8", 35), ("sl5", 24), ("n7", 22), ("heisenberg11", 11)):
+        family, param = parse_catalog_key(key)
+        assert _DIMENSIONS[family.lower()](param) == dim <= MAX_CATALOG_DIM
+    with pytest.raises(ValueError, match="above the bound"):
+        catalog("st", 9)
 
 
 def test_catalog_keys_parse():

@@ -106,8 +106,63 @@ def test_bad_algebra_document_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
+H3_BRACKET = '{"i": 1, "j": 2, "result": {"3": "1/1"}}'
+
+
+def _algebra_text(dim=3, basis='["P", "Q", "Z"]', bracket=H3_BRACKET, extra=""):
+    return f'{{"name": "x", "dim": {dim}, "basis": {basis}, "brackets": [{bracket}]{extra}}}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _algebra_text(bracket='{"i": 1, "j": 2, "result": {"3": "1/1", "03": "5/1"}}'),
+        _algebra_text(dim=10, basis=json.dumps([f"A{k}" for k in range(10)]),
+                      bracket='{"i": 1, "j": 2, "result": {"1_0": "1/1"}}'),
+        _algebra_text(extra=', "extra": 1'),
+        _algebra_text(bracket='{"i": 1, "j": 2, "result": {"3": "1/1"}, "k": 3}'),
+        _algebra_text(basis='["P", "P", "Z"]'),
+        _algebra_text(extra=', "dim": 3'),
+        _algebra_text(bracket='{"i": 1, "j": 2, "result": {"3": "1/1", "3": "5/1"}}'),
+    ],
+    ids=["result-index-leading-zero", "result-index-underscore", "unknown-top-level-key",
+         "unknown-bracket-key", "duplicate-basis-name", "duplicate-json-key",
+         "duplicate-result-index"],
+)
+def test_malformed_algebra_document_exits_2(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    result = run("algebra", "analyze", str(path))
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+
+
+def test_algebra_text_helper_is_well_formed(tmp_path):
+    path = tmp_path / "h3.json"
+    path.write_text(_algebra_text())
+    assert run("algebra", "analyze", str(path)).exit_code == 0
+
+
+def test_scenario_with_a_duplicate_key_exits_2(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"action": "sphere", "group": "ST", "n": 3, "n": 4}')
+    result = run("act", "verify", "--scenario", str(path))
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+
+
 def test_unknown_catalog_exits_2():
     assert run("algebra", "analyze", "catalog:nosuch9").exit_code == 2
+
+
+@pytest.mark.parametrize("key", ["st40", "st9", "sl7", "abelian41"])
+def test_catalog_key_above_the_dimension_bound_exits_2(key):
+    result = run("algebra", "analyze", f"catalog:{key}")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and "above the bound 40" in result.stderr
 
 
 def test_unknown_subcommand_exits_2():

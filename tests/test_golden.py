@@ -1,8 +1,11 @@
 """Golden reports: every verb must reproduce the checked-in bytes exactly.
 
 The exact cases are `algebra analyze` and `algebra obstruct --dim 3` on
-every DEFAULT_CATALOG entry, a few larger catalog algebras, and st(4) in
-a dense unimodular basis (golden/st4_dense.algebra.json). The numerical
+every DEFAULT_CATALOG entry, a few larger catalog algebras, and st(4),
+N(5), heisenberg(7) and mueller_roemer7 in dense unimodular bases
+(golden/*_dense.algebra.json). The dense nilpotent ones are the inputs on
+which `derivation_algebra` stops eliminating and checks the remaining
+rows against the kernel instead. The numerical
 cases are `deform verify` for every family at n = 3, 5 and 6, and every
 scenario in `scenarios/` run through its verb (`act verify`, `vf verify`
 or `vf flow`), plus the wider scenarios kept beside the goldens as
@@ -32,6 +35,9 @@ SOURCES = [f"catalog:{key}" for key, _ in DEFAULT_CATALOG] + [
     "catalog:n5",
     "catalog:heisenberg7",
     "st4_dense.algebra.json",
+    "n5_dense.algebra.json",
+    "heisenberg7_dense.algebra.json",
+    "mr7_dense.algebra.json",
 ]
 VERBS = {
     "analyze": ("algebra", "analyze"),
