@@ -329,10 +329,11 @@ class CoverElement:
     def of(a: np.ndarray, deck: int = 0) -> "CoverElement":
         if a.shape != (2, 2):
             raise ValueError("matrix must be 2x2")
-        det = float(np.linalg.det(a))
+        (p, q), (r, s) = a.tolist()
+        det = p * s - q * r
         if abs(det - 1.0) > 1e-9:
             raise ValueError(f"matrix must have determinant 1, got {det}")
-        return CoverElement(((float(a[0, 0]), float(a[0, 1])), (float(a[1, 0]), float(a[1, 1]))), deck)
+        return CoverElement(((float(p), float(q)), (float(r), float(s))), deck)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.matrix, dtype=float)

@@ -14,6 +14,7 @@ from functools import cached_property
 from math import lcm
 from typing import Mapping, Sequence
 
+from .constants import MAX_CATALOG_DIM
 from .linalg import RatMatrix, Subspace, nullspace_of_rows, rational_vector, sparse_rref
 from .serialize import format_rational, parse_rational
 
@@ -433,6 +434,8 @@ def from_json_dict(data: Mapping, validate: bool = True) -> LieAlgebra:
         raise FormatError("'name' must be a string")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise FormatError("'dim' must be a nonnegative integer")
+    if dim > MAX_CATALOG_DIM:
+        raise FormatError(f"'dim' is {dim}, above the bound {MAX_CATALOG_DIM}")
     if not isinstance(basis, list) or len(basis) != dim or not all(
         isinstance(b, str) for b in basis
     ):

@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import LieAlgebra, direct_sum
+from .constants import MAX_CATALOG_DIM
 from .linalg import RatMatrix
 
 __all__ = [
@@ -204,12 +205,6 @@ def catalog_matrices(name: str, param: int | None = None) -> tuple[RatMatrix, ..
     _, mats = _build(name, param)
     return mats
 
-
-# The largest dimension a catalog key may build. It admits st(8) and sl(6)
-# (dim 35), the top of the size ladders, with room to spare; an analyze
-# report holds dim^3 derivation entries, so far larger keys (st(40) has
-# dim 819) would run for hours.
-MAX_CATALOG_DIM = 40
 
 # The dimension of each sized family, known before anything is built.
 _DIMENSIONS = {

@@ -3,3 +3,9 @@
 # Default PRNG seed for every sampled verification; reports echo the
 # seed actually used so runs are reproducible byte for byte.
 DEFAULT_SEED = 1729
+
+# The largest dimension of an algebra read from a catalog key or a JSON
+# document. It admits st(8) and sl(6) (dim 35), the top of the size
+# ladders, with room to spare; an analyze report holds dim^3 derivation
+# entries, so far larger algebras (st(40) has dim 819) would run for hours.
+MAX_CATALOG_DIM = 40

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 import sympy as sp
-from click.testing import CliRunner
 
 from lieactions.actions import (
     CoverElement,
@@ -28,7 +27,6 @@ from lieactions.actions import (
 )
 from lieactions.algebra import direct_sum
 from lieactions.catalog import catalog, catalog_entries, catalog_matrices, convention_notes
-from lieactions.cli import main as cli_main
 from lieactions.deformations import (
     bump_group_deformation,
     cocycle_check,
@@ -60,6 +58,8 @@ from lieactions.vectorfields import (
     make_projective_action,
     projective_kernel,
 )
+
+from clirunner import invoke
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -139,8 +139,7 @@ def test_criterion_02_derived_lengths():
     for m in range(2, 7):
         notes = convention_notes("st", m, computed[m - 2])
         assert notes and str(m + 1) in notes[0]
-    runner = CliRunner()
-    result = runner.invoke(cli_main, ["algebra", "analyze", "catalog:st3"])
+    result = invoke(["algebra", "analyze", "catalog:st3"])
     assert json.loads(result.output)["notes"]
 
 
@@ -401,7 +400,6 @@ def test_criterion_13_cover_action():
 
 @criterion(14, "CLI reports are byte-identical across runs with the same seed")
 def test_criterion_14_determinism():
-    runner = CliRunner()
     commands = [
         ["algebra", "analyze", "catalog:mueller_roemer7"],
         ["algebra", "obstruct", "catalog:n3", "--dim", "2"],
@@ -410,7 +408,7 @@ def test_criterion_14_determinism():
         ["vf", "verify", "--scenario", os.path.join(SCENARIOS, "commuting_family.json")],
     ]
     for cmd in commands:
-        first = runner.invoke(cli_main, cmd)
-        second = runner.invoke(cli_main, cmd)
+        first = invoke(cmd)
+        second = invoke(cmd)
         assert first.exit_code == 0 and second.exit_code == 0, cmd
         assert first.output.encode() == second.output.encode(), cmd

@@ -403,6 +403,37 @@ def test_cover_associativity():
     assert worst <= 1e-9
 
 
+def _linalg_det_accepts(a) -> bool:
+    """The check CoverElement.of used to make: an LU determinant within 1e-9 of 1."""
+    return abs(float(np.linalg.det(a)) - 1.0) <= 1e-9
+
+
+def _of_accepts(a) -> bool:
+    try:
+        CoverElement.of(a)
+    except ValueError:
+        return False
+    return True
+
+
+def test_cover_determinant_check_matches_linalg_det():
+    rng = RNG(16)
+    matrices = []
+    for _ in range(300):
+        drawn = random_sl2(rng)
+        a = CoverElement.of(drawn, int(rng.integers(-1, 2)))
+        b = CoverElement.of(random_sl2(rng), int(rng.integers(-1, 2)))
+        matrices += [drawn, cover_compose(a, b).as_array(), cover_inverse(a).as_array()]
+    # the same matrices with the determinant moved inside, across and far past the tolerance
+    scaled = [m * np.array([[1.0 + d], [1.0]]) for m in matrices[:150] for d in (5e-10, -5e-10, 2e-9, -2e-9, 1e-3)]
+    for m in matrices + scaled:
+        assert _of_accepts(m) == _linalg_det_accepts(m), m
+    assert all(_of_accepts(m) for m in matrices)
+    assert not all(_of_accepts(m) for m in scaled)
+    with pytest.raises(ValueError, match="determinant 1"):
+        CoverElement.of(np.array([[2.0, 0.0], [0.0, 1.0]]))
+
+
 def test_cover_deck_equivariance():
     rng = RNG(14)
     worst = 0.0

@@ -473,6 +473,18 @@ def test_json_rejects_duplicates_and_bad_shape():
         from_json_dict([1, 2, 3])
 
 
+def test_json_dim_bound():
+    def doc(dim):
+        return {"name": "big", "dim": dim, "basis": [f"e{k}" for k in range(dim)], "brackets": []}
+
+    assert from_json_dict(doc(MAX_CATALOG_DIM)).dim == MAX_CATALOG_DIM == 40
+    with pytest.raises(FormatError, match="above the bound 40"):
+        from_json_dict(doc(MAX_CATALOG_DIM + 1))
+    # the bound is checked before the brackets are read
+    with pytest.raises(FormatError, match="above the bound 40"):
+        from_json_dict({**doc(41), "brackets": [{"i": 1, "j": 2, "result": {"3": "x"}}]})
+
+
 def test_json_accepts_corrupted_algebra_without_validation():
     bad = corrupted_h3()
     doc = to_json_dict(bad)

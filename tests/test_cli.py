@@ -6,19 +6,19 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieactions.algebra import to_json_dict
 from lieactions.catalog import catalog
-from lieactions.cli import main
+
+from clirunner import invoke
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def run(*args, env=None):
-    return CliRunner().invoke(main, list(args), env=env)
+    return invoke(args, env=env)
 
 
 def write_json(tmp_path, name, payload):
@@ -350,6 +350,71 @@ def test_seed_and_output_accepted_after_subcommand(tmp_path):
     )
     assert result.exit_code == 0
     assert csv_out.read_text().startswith("t,x1,x2")
+
+
+def test_seed_after_the_verb_wins():
+    result = run("--seed", "3", "deform", "verify", "--family", "st", "--n", "2", "--seed", "5")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["seed"] == 5
+
+
+def test_version_and_help():
+    result = run("--version")
+    assert result.exit_code == 0
+    assert result.output == "lieact, version 0.1.0\n"
+    for args in (["--help"], ["algebra", "analyze", "--help"]):
+        result = run(*args)
+        assert result.exit_code == 0, args
+        assert result.output.startswith("usage: lieact"), args
+
+
+SPHERE_SCENARIO = os.path.join(SCENARIOS, "sphere_st3.json")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("nosuch", "list"),
+        ("algebra", "frobnicate", "catalog:st3"),
+        ("act", "verify"),
+        ("algebra", "obstruct", "catalog:st3", "--dim", "x"),
+        ("deform", "verify", "--family", "nope", "--n", "3"),
+        ("act", "verify", "--scen", SPHERE_SCENARIO),
+        (),
+        ("catalog", "list", "--seed", "3"),
+    ],
+    ids=["unknown-group", "unknown-verb", "missing-scenario", "dim-not-int", "unknown-family",
+         "abbreviated-option", "no-arguments", "option-on-a-verb-without-it"],
+)
+def test_usage_error_exits_2(args):
+    result = run(*args)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1, result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("algebra", "analyze", "catalog:st3"), ("vf", "flow", "--scenario", os.path.join(SCENARIOS, "flow_circle.json"))],
+    ids=["report", "flow-csv"],
+)
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_exits_2(tmp_path, args, target):
+    path = tmp_path / "nosuch" / "out.txt" if target == "missing-directory" else tmp_path
+    result = run("--output", str(path), *args)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1, result.stderr
+    assert not (tmp_path / "nosuch").exists()
+
+
+def test_json_algebra_above_the_dimension_bound_exits_2(tmp_path):
+    path = write_json(tmp_path, "big.json", {"name": "big", "dim": 41, "basis": [f"e{k}" for k in range(41)]})
+    result = run("algebra", "analyze", path)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and "above the bound 40" in result.stderr
+    assert result.stderr.count("\n") == 1
 
 
 def test_obstruct_negative_dim_exits_2():

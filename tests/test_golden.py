@@ -20,10 +20,10 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from lieactions.catalog import DEFAULT_CATALOG
-from lieactions.cli import main
+
+from clirunner import invoke
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -55,7 +55,7 @@ def _cases():
 def _run(source: str, verb: str):
     path = source if source.startswith("catalog:") else str(GOLDEN / source)
     args = ["--seed", SEED, *VERBS[verb][:2], path, *VERBS[verb][2:]]
-    return CliRunner().invoke(main, args)
+    return invoke(args)
 
 
 def _scenario_verb(path: Path) -> tuple[str, list[str], str]:
@@ -82,7 +82,7 @@ def _numeric_cases():
 
 
 def _run_numeric(args: list[str]):
-    return CliRunner().invoke(main, ["--seed", SEED, *args])
+    return invoke(["--seed", SEED, *args])
 
 
 @pytest.mark.parametrize(
@@ -92,6 +92,7 @@ def test_report_matches_golden(source, verb, golden):
     result = _run(source, verb)
     assert result.exit_code == 0, result.output
     assert result.output == golden.read_text()
+    assert result.stderr == ""
 
 
 @pytest.mark.parametrize(
@@ -101,6 +102,7 @@ def test_numeric_report_matches_golden(golden, args):
     result = _run_numeric(args)
     assert result.exit_code == 0, result.output
     assert result.output == golden.read_text()
+    assert result.stderr == ""
 
 
 if __name__ == "__main__":
