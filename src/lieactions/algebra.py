@@ -8,7 +8,7 @@ certificates computed over Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -58,15 +58,13 @@ class InvalidLieAlgebraError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
-    """Finite-dimensional Lie algebra over Q given by structure constants."""
+class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
+    """Finite-dimensional Lie algebra over Q given by structure constants.
 
-    name: str
-    dim: int
-    basis_names: tuple[str, ...]
-    # ((i, j), coefficient vector of [e_i, e_j]) for i < j, zero pairs omitted
-    table: tuple[tuple[tuple[int, int], tuple[Fraction, ...]], ...]
+    `table` holds ((i, j), coefficient vector of [e_i, e_j]) for i < j,
+    zero pairs omitted. The fields are read-only; equality and hash are
+    those of the tuple of fields.
+    """
 
     @staticmethod
     def create(
@@ -348,22 +346,17 @@ class LieAlgebra:
         return (self.derived_length() is not None) == ideal_nilpotent
 
 
-@dataclass(frozen=True)
-class SeriesReport:
-    kind: str
-    terms: tuple[Subspace, ...]
-    stabilized: bool
-    length: int | None  # None means the series never reaches zero
+class SeriesReport(namedtuple("SeriesReport", "kind terms stabilized length")):
+    """A derived or lower central series; `length` is None when the series
+    never reaches zero."""
 
     @property
     def term_dims(self) -> tuple[int, ...]:
         return tuple(t.dim for t in self.terms)
 
 
-@dataclass(frozen=True)
-class AlgebraPredicates:
-    is_solvable: bool
-    is_nilpotent: bool
+class AlgebraPredicates(namedtuple("AlgebraPredicates", "is_solvable is_nilpotent")):
+    """Solvability and nilpotency of an algebra."""
 
 
 def direct_sum(g: LieAlgebra, h: LieAlgebra, name: str | None = None) -> LieAlgebra:

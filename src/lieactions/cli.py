@@ -19,13 +19,13 @@ from . import __version__
 from .algebra import FormatError, LieAlgebra, from_json_dict
 from .catalog import DEFAULT_CATALOG, catalog, convention_notes
 from .constants import DEFAULT_SEED
-from .obstructions import borderline_analysis, min_effective_action_dim, n_action_verdict
 from .serialize import dumps, format_rational, parse_rational
 
 # The numerical layer (numpy, actions, deformations, matrixgroups,
 # vectorfields, polynomials) is imported inside the verbs that run it, so
-# the exact verbs and `catalog list` never pay for loading it; so is
-# `derivations`, which only `algebra analyze` runs.
+# the exact verbs and `catalog list` never pay for loading it; so are
+# `derivations`, which only `algebra analyze` runs, and `obstructions`,
+# which only `algebra obstruct` runs.
 
 SEED_ENV_VAR = "LIEACTIONS_SEED"
 
@@ -33,6 +33,23 @@ SEED_ENV_VAR = "LIEACTIONS_SEED"
 def _input_error(message: str) -> None:
     sys.stderr.write(f"error: {message}\n")
     sys.exit(2)
+
+
+def _check_output(path: str) -> None:
+    """An input error unless the --output file `path` can be written, found
+    before the verb runs and without opening the file, so an existing file
+    is left as it is when the verb then fails; `_write` reports the rest."""
+    if os.path.isdir(path):
+        _input_error(f"cannot write {path}: it is a directory")
+    if os.path.exists(path):
+        if not os.access(path, os.W_OK):
+            _input_error(f"cannot write {path}: the file is not writable")
+        return
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        _input_error(f"cannot write {path}: no directory {parent}")
+    if not os.access(parent, os.W_OK):
+        _input_error(f"cannot write {path}: directory {parent} is not writable")
 
 
 def _write(ctx_obj: dict, text: str) -> None:
@@ -184,6 +201,8 @@ def algebra_analyze(obj, source):
 
 def algebra_obstruct(obj, source, dim_):
     """Minimum-dimension and borderline-degeneracy verdicts."""
+    from .obstructions import borderline_analysis, min_effective_action_dim, n_action_verdict
+
     if dim_ is not None and dim_ < 0:
         _input_error("--dim must be a nonnegative manifold dimension")
     alg, _ = _load_algebra(source)
@@ -583,7 +602,7 @@ def vf_flow(obj, scenario):
     lines = ["t," + ",".join(f"x{i + 1}" for i in range(field.nvars))]
     sign = 1.0 if duration >= 0 else -1.0
     row_format = ",".join(["%.17g"] * (field.nvars + 1))  # what format(x, ".17g") writes
-    for i, row in enumerate(traj.tolist()):
+    for i, row in enumerate(traj):
         lines.append(row_format % (sign * i * step, *row))
     _write(obj, "\n".join(lines) + "\n")
 
@@ -675,6 +694,8 @@ def main(args: list[str] | None = None, prog_name: str = "lieact") -> None:
             obj["seed"] = _seed(env)
         except argparse.ArgumentTypeError as exc:
             _input_error(f"{SEED_ENV_VAR} {exc}")
+    if obj["output"]:
+        _check_output(obj["output"])
     handler(obj, **values)
 
 

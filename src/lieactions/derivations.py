@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul, sub
 
 from .algebra import LieAlgebra
-from .linalg import RatMatrix, Subspace, _insert, _primitive, nullspace_of_rows
+from .linalg import RatMatrix, Subspace, _insert, _kernel_vectors, _primitive, nullspace_of_rows, sparse_rref
 
 __all__ = [
     "DerivationAlgebra",
@@ -30,10 +29,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DerivationAlgebra:
-    parent: LieAlgebra
-    basis: tuple[RatMatrix, ...]
+class DerivationAlgebra(namedtuple("DerivationAlgebra", "parent basis")):
+    """Der(parent), with `basis` a tuple of matrices in canonical RREF order."""
 
     @property
     def dim(self) -> int:
@@ -130,12 +127,16 @@ def _from_kernel(g: LieAlgebra, space: Subspace) -> DerivationAlgebra:
 
 
 def _integer_kernel(echelon: dict[int, dict[int, int]], ncols: int) -> list[list[int]]:
-    """A basis of the kernel of the echelon rows as dense integer vectors,
-    each the RREF basis vector scaled by the lcm of its denominators."""
+    """A basis of the kernel of the echelon rows as dense integer vectors:
+    the free-column vectors of their RREF, each scaled by the lcm of its
+    denominators (not canonical; `_cut`'s result is reduced afterwards)."""
     vectors = []
-    for vec in nullspace_of_rows(echelon.values(), ncols).basis_vectors():
-        den = lcm(*(x.denominator for x in vec if x))
-        vectors.append([x.numerator * (den // x.denominator) for x in vec])
+    for vec in _kernel_vectors(sparse_rref(echelon.values()), ncols):
+        den = lcm(*(x.denominator for x in vec.values()))
+        dense = [0] * ncols
+        for j, x in vec.items():
+            dense[j] = x.numerator * (den // x.denominator)
+        vectors.append(dense)
     return vectors
 
 
@@ -232,20 +233,15 @@ def find_non_nilpotent(mats: list[RatMatrix], seed: int = 0, tries: int = 200) -
     return None
 
 
-@dataclass(frozen=True)
-class ContractionObstruction:
+class ContractionObstruction(
+    namedtuple("ContractionObstruction", "algebra status derivation_dim flag witness")
+):
     """Verdict on whether nilpotent derivations rule out contracting g.
 
-    status is "obstructed" (every derivation nilpotent; flag certifies)
-    or "inconclusive" (witness is a non-nilpotent derivation, when one
-    was found).
+    status is "obstructed" (every derivation nilpotent; flag, a tuple of
+    Subspaces, certifies) or "inconclusive" (flag is None, and witness is
+    a non-nilpotent derivation when one was found, else None).
     """
-
-    algebra: str
-    status: str
-    derivation_dim: int
-    flag: tuple[Subspace, ...] | None
-    witness: RatMatrix | None
 
     @property
     def obstructed(self) -> bool:

@@ -9,7 +9,7 @@ equality of subspaces is equality of representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -252,16 +252,12 @@ def rref(m: RatMatrix) -> RatMatrix:
     return m.rref()
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(namedtuple("Subspace", "ambient_dim basis")):
     """A subspace of Q^n, represented by its canonical RREF basis.
 
     The basis matrix has one row per basis vector and no zero rows, so
     two subspaces are equal iff their representations are equal.
     """
-
-    ambient_dim: int
-    basis: RatMatrix
 
     @staticmethod
     def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
@@ -330,15 +326,19 @@ def nullspace(m: RatMatrix) -> Subspace:
 def nullspace_of_rows(rows: Iterable, ncols: int) -> Subspace:
     """Kernel of the matrix with the given rows (sequences or sparse
     {col: value} mappings), with canonical basis."""
-    reduced = sparse_rref(rows)
+    return _subspace(sparse_rref(_kernel_vectors(sparse_rref(rows), ncols)), ncols)
+
+
+def _kernel_vectors(reduced: list[tuple[int, dict[int, Fraction]]], ncols: int) -> list[dict[int, Fraction]]:
+    """A basis of the kernel of the RREF rows `reduced` as sparse vectors,
+    one per free column f: e_f - sum_t R[t][f] e_{pivot t}, in order of f."""
     pivots = {col for col, _ in reduced}
-    # one kernel vector per free column f: e_f - sum_t R[t][f] e_{pivot t}
     kernel = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
     for col, row in reduced:
         for f, v in row.items():
             if f != col:
                 kernel[f][col] = -v
-    return _subspace(sparse_rref(kernel.values()), ncols)
+    return list(kernel.values())
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:

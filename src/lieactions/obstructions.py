@@ -11,7 +11,7 @@ no existence claims are made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import LieAlgebra
 from .linalg import Subspace
@@ -32,19 +32,13 @@ VERDICT_DEGENERATE = "degenerate (central kernel)"
 VERDICT_NONE = "no verdict"
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    algebra: str
-    solvable: bool
-    nilpotent: bool
-    derived_length: int | None
-    nilpotency_class: int | None
-    min_effective_dim: int | None  # None = not applicable (not solvable)
-    last_derived_term: Subspace | None  # g^(l-1)
-    center: Subspace
-    last_term_central: bool
-    center_dim: int
-    verdicts: tuple[str, ...]
+class ObstructionReport(namedtuple("ObstructionReport", (
+    "algebra solvable nilpotent derived_length nilpotency_class min_effective_dim "
+    "last_derived_term center last_term_central center_dim verdicts"
+))):
+    """The borderline analysis of a solvable algebra. `min_effective_dim` is
+    None when it does not apply (not solvable); `last_derived_term` is the
+    Subspace g^(l-1) and `center` the center; `verdicts` is a tuple of strings."""
 
     def to_dict(self) -> dict:
         def subspace_dict(s: Subspace | None):
@@ -72,12 +66,8 @@ class ObstructionReport:
         }
 
 
-@dataclass(frozen=True)
-class ActionVerdict:
-    algebra: str
-    manifold_dim: int
-    verdict: str
-    detail: str
+class ActionVerdict(namedtuple("ActionVerdict", "algebra manifold_dim verdict detail")):
+    """The verdict on actions of an algebra on a manifold of dimension `manifold_dim`."""
 
 
 def min_effective_action_dim(g: LieAlgebra) -> int | None:

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .algebra import LieAlgebra
 from .catalog import catalog, catalog_matrices
 from .linalg import RatMatrix, Subspace, nullspace
@@ -88,6 +86,8 @@ class PolyVectorField:
         return PolyVectorField(tuple(p * a for a in self.components))
 
     def eval_float(self, x: Sequence[float]) -> np.ndarray:
+        import numpy as np
+
         return np.array(eval_compiled([c.float_terms for c in self.components], x))
 
 
@@ -333,11 +333,11 @@ def flow_steps(duration: float, h: float) -> int:
     return max(1, math.ceil(ratio)) if duration else 0
 
 
-def flow(v: PolyVectorField, p: Sequence[float], duration: float, h: float) -> np.ndarray:
+def flow(v: PolyVectorField, p: Sequence[float], duration: float, h: float) -> list[list[float]]:
     """Classical fourth-order one-step integration with fixed step h > 0.
 
-    Returns the trajectory including the start point, one row per step;
-    raises FlowBlowUpError at the first non-finite state.
+    Returns the trajectory including the start point, one list of Python
+    floats per step; raises FlowBlowUpError at the first non-finite state.
 
     The field is compiled once (`Poly.float_terms`) and the steps run on
     Python floats: stage points x + (step/2) k, then
@@ -364,7 +364,7 @@ def flow(v: PolyVectorField, p: Sequence[float], duration: float, h: float) -> n
         if not all(map(math.isfinite, x)):
             raise FlowBlowUpError((i + 1) * step)
         traj.append(x)
-    return np.array(traj)
+    return traj
 
 
 @dataclass(frozen=True)
@@ -384,13 +384,15 @@ def flow_checks(
 ) -> FlowCheckReport:
     """Residual of flowing v then w against w then v, plus drift of a
     conserved function along all four legs."""
+    import numpy as np
+
     for duration in (s, t):  # bound every leg before running any
         flow_steps(duration, h)
     leg_vw_1 = flow(v, p, s, h)
     leg_vw_2 = flow(w, leg_vw_1[-1], t, h)
     leg_wv_1 = flow(w, p, t, h)
     leg_wv_2 = flow(v, leg_wv_1[-1], s, h)
-    comm = float(np.max(np.abs(leg_vw_2[-1] - leg_wv_2[-1])))
+    comm = float(np.max(np.abs(np.subtract(leg_vw_2[-1], leg_wv_2[-1]))))
     level = None
     if level_function is not None:
         value = level_function.eval_float
@@ -398,7 +400,7 @@ def flow_checks(
         try:
             base = value([float(c) for c in p])
             for leg in (leg_vw_1, leg_vw_2, leg_wv_1, leg_wv_2):
-                for row in leg.tolist():
+                for row in leg:
                     level = max(level, abs(value(row) - base))
         except OverflowError:  # the function itself leaves the float range
             level = math.inf
@@ -409,6 +411,8 @@ def flow_checks(
 
 
 def _orbit_singular_values(action: VFAction, p: Sequence[float]) -> np.ndarray:
+    import numpy as np
+
     rows = np.array([f.eval_float([float(c) for c in p]) for f in action.images])
     if rows.size == 0:
         return np.zeros(0)
@@ -417,6 +421,8 @@ def _orbit_singular_values(action: VFAction, p: Sequence[float]) -> np.ndarray:
 
 def orbit_dimension(action: VFAction, p: Sequence[float], rel_threshold: float = 1e-9) -> int:
     """Numerical rank of the evaluation matrix of the image fields at p."""
+    import numpy as np
+
     sv = _orbit_singular_values(action, p)
     if sv.size == 0 or sv[0] <= 1e-300:
         return 0
@@ -425,6 +431,8 @@ def orbit_dimension(action: VFAction, p: Sequence[float], rel_threshold: float =
 
 def orbit_info(action: VFAction, p: Sequence[float]) -> dict:
     """Orbit dimension plus a flag for nearly rank-deficient evaluations."""
+    import numpy as np
+
     sv = _orbit_singular_values(action, p)
     dim = orbit_dimension(action, p)
     near = False

@@ -408,6 +408,51 @@ def test_unwritable_output_exits_2(tmp_path, args, target):
     assert not (tmp_path / "nosuch").exists()
 
 
+def _block_writes(monkeypatch, blocked):
+    """os.access answers "not writable" for `blocked` (the test may run as root,
+    whom the file mode does not stop)."""
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode: access(p, mode) and not (
+        mode & os.W_OK and os.fspath(p) == str(blocked)))
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory", "unwritable-directory", "unwritable-file"])
+def test_unwritable_output_rejected_before_the_verb_runs(tmp_path, monkeypatch, target):
+    from lieactions import derivations
+
+    def derivation_algebra(g):
+        raise AssertionError("the verb ran before --output was checked")
+
+    monkeypatch.setattr(derivations, "derivation_algebra", derivation_algebra)
+    path = {"missing-directory": tmp_path / "nosuch" / "out.json", "directory": tmp_path,
+            "unwritable-directory": tmp_path / "out.json", "unwritable-file": tmp_path / "old.json"}[target]
+    (tmp_path / "old.json").write_text("old")
+    if target.startswith("unwritable"):
+        _block_writes(monkeypatch, path if target == "unwritable-file" else tmp_path)
+    # a JSON source: a catalog algebra may hold its derivation algebra from an earlier test
+    source = os.path.join(os.path.dirname(__file__), "golden", "st4_dense.algebra.json")
+    result = run("--output", str(path), "algebra", "analyze", source)
+    assert result.exit_code == 2, result.exception
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: cannot write {path}: ") and result.stderr.count("\n") == 1, result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+    assert (tmp_path / "old.json").read_text() == "old"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("algebra", "analyze", "nosuch.json"), ("algebra", "obstruct", "catalog:st3", "--dim", "-1"),
+     ("deform", "verify", "--family", "st", "--n", "1")],
+    ids=["unreadable-algebra", "negative-dim", "n-below-2"],
+)
+def test_existing_output_untouched_when_the_verb_fails_on_its_input(tmp_path, args):
+    out = tmp_path / "report.json"
+    out.write_text("old")
+    result = run("--output", str(out), *args)
+    assert result.exit_code == 2 and result.stderr.startswith("error:"), result.stderr
+    assert out.read_text() == "old"
+
+
 def test_json_algebra_above_the_dimension_bound_exits_2(tmp_path):
     path = write_json(tmp_path, "big.json", {"name": "big", "dim": 41, "basis": [f"e{k}" for k in range(41)]})
     result = run("algebra", "analyze", path)
@@ -635,7 +680,8 @@ def test_obstruct_runs_borderline_analysis_once(monkeypatch):
         return original(g)
 
     monkeypatch.setattr(obstructions, "borderline_analysis", counting)
-    monkeypatch.setattr(cli, "borderline_analysis", counting)
+    # also catch a copy bound into the CLI module by a top-level import
+    monkeypatch.setattr(cli, "borderline_analysis", counting, raising=False)
     result = run("algebra", "obstruct", "catalog:n3", "--dim", "2")
     assert result.exit_code == 0
     assert json.loads(result.output)["action_verdict"]["verdict"] == "degenerate (central kernel)"

@@ -1,11 +1,12 @@
 """Each verb imports only the layer it runs.
 
-The exact verbs and `catalog list` must not load numpy or any module of
-the numerical layer, the numerical verbs must not load each other's
-modules, and only `algebra analyze` loads `derivations`. Each case runs
-one verb in a fresh interpreter and inspects `sys.modules` afterwards, so
-a stray top-level import in `cli.py` (or in a module it imports) fails
-here.
+The exact verbs and `catalog list` must not load numpy, any module of the
+numerical layer, or `dataclasses` (and with it `inspect`); the numerical
+verbs must not load each other's modules; only `algebra analyze` loads
+`derivations`, only `algebra obstruct` loads `obstructions`, and `vf flow`
+runs without numpy. Each case runs one verb in a fresh interpreter and
+inspects `sys.modules` afterwards, so a stray top-level import in `cli.py`
+(or in a module it imports) fails here.
 """
 
 import json
@@ -18,6 +19,7 @@ import pytest
 
 SRC = Path(__file__).parent.parent / "src"
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+GOLDEN = Path(__file__).parent / "golden"
 
 PROBE = """
 import json, sys
@@ -38,18 +40,36 @@ NUMERICAL = [
     "lieactions.polynomials",
 ]
 
+# The exact layer builds its records as namedtuples: `dataclasses` would cost
+# every exact invocation the import of `inspect` (and `ast`, `dis`, `tokenize`).
+EXACT = NUMERICAL + ["dataclasses", "inspect"]
+
 # (verb arguments, modules that must be absent, modules that must be present)
 CASES = {
-    "analyze": (["algebra", "analyze", "catalog:st4"], NUMERICAL, ["lieactions.derivations"]),
+    "analyze": (
+        ["algebra", "analyze", "catalog:st4"],
+        EXACT + ["lieactions.obstructions"],
+        ["lieactions.derivations"],
+    ),
+    "analyze-json": (
+        ["algebra", "analyze", str(GOLDEN / "st4_dense.algebra.json")],
+        EXACT + ["lieactions.obstructions"],
+        ["lieactions.derivations"],
+    ),
     "obstruct": (
         ["algebra", "obstruct", "catalog:st4", "--dim", "3"],
-        NUMERICAL + ["lieactions.derivations"],
+        EXACT + ["lieactions.derivations"],
         ["lieactions.obstructions"],
     ),
-    "catalog-list": (["catalog", "list"], NUMERICAL + ["lieactions.derivations"], ["lieactions.catalog"]),
+    "catalog-list": (
+        ["catalog", "list"],
+        EXACT + ["lieactions.derivations", "lieactions.obstructions"],
+        ["lieactions.catalog"],
+    ),
     "vf-flow": (
         ["vf", "flow", "--scenario", str(SCENARIOS / "flow_circle.json")],
-        ["lieactions.actions", "lieactions.deformations", "lieactions.matrixgroups", "lieactions.derivations"],
+        ["numpy", "lieactions.actions", "lieactions.deformations", "lieactions.matrixgroups",
+         "lieactions.derivations"],
         ["lieactions.vectorfields", "lieactions.polynomials"],
     ),
     "act-verify": (
@@ -111,3 +131,21 @@ def test_every_verb_runs_with_click_unimportable(tmp_path):
     # the reports go to a file, so the exit codes are the only output
     codes = _probe(WITHOUT_CLICK, json.dumps([["--output", str(tmp_path / "out"), *args] for args in verbs]))
     assert codes == [0] * len(verbs)
+
+
+CATALOG_NAME = """
+import json, sys, types
+import lieactions.cli
+try:
+    lieactions.cli.main(["--output", sys.argv[1], "algebra", "analyze", "catalog:st3"])
+except SystemExit:
+    pass
+from lieactions import catalog
+print(json.dumps([isinstance(catalog, types.FunctionType), catalog("st3").name]))
+"""
+
+
+def test_package_catalog_stays_the_function(tmp_path):
+    # `lieactions.catalog` names both a submodule and the function the package
+    # re-exports; the eager re-export must win even after a verb has run.
+    assert _probe(CATALOG_NAME, str(tmp_path / "out")) == [True, "st(3)"]

@@ -327,7 +327,7 @@ def test_homomorphism_consistent_across_ranks():
 
 def test_flow_of_zero_field_constant():
     v = PolyVectorField((Poly.zero(2), Poly.zero(2)))
-    traj = flow(v, [1.0, -2.0], 1.0, 0.01)
+    traj = np.asarray(flow(v, [1.0, -2.0], 1.0, 0.01))
     assert np.all(traj == traj[0])
 
 
@@ -399,7 +399,7 @@ def _outcome(run):
 
 
 def _assert_same_flow(v, p, duration, h):
-    got = _outcome(lambda: flow(v, p, duration, h))
+    got = _outcome(lambda: np.asarray(flow(v, p, duration, h)))
     want = _outcome(lambda: _reference_flow(v, p, duration, h))
     if isinstance(want, float):
         assert got == want  # the same blow-up time
