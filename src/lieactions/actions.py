@@ -21,13 +21,13 @@ lifted group are a matrix plus a deck index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
 
-from .constants import DEFAULT_SEED
-from .deformations import GroupDeformation, bump_group_deformation, max_residual
+from .constants import DEFAULT_SEED, max_residual
+from .deformations import GroupDeformation, bump_group_deformation
 
 __all__ = [
     "sphere_action",
@@ -102,30 +102,24 @@ def radial_action(defm: GroupDeformation, g: np.ndarray, y: np.ndarray) -> np.nd
     return cylinder_transfer(xp, t)
 
 
-@dataclass(frozen=True)
-class BallAction:
-    """Compactly supported action inside a coordinate ball.
+class BallAction(namedtuple("BallAction", "group n deformation r0 r1 center radius")):
+    """Compactly supported action inside a coordinate ball of R^n, with
+    `center` a tuple of floats.
 
     The deformation must be a bump family (trivial endomorphism outside
     (0, 1)); the action is then exactly the identity off the open
     annulus r0 < |y - center|/radius < r1 and smooth everywhere.
     """
 
-    group: str
-    n: int
-    deformation: GroupDeformation
-    r0: float
-    r1: float
-    center: tuple[float, ...]
-    radius: float
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 < self.r0 < self.r1 <= 1.0):
             raise ValueError("annulus radii must satisfy 0 < r0 < r1 <= 1")
         if self.radius <= 0.0:
             raise ValueError("ball radius must be positive")
         if len(self.center) != self.n:
             raise ValueError("center dimension mismatch")
+        return self
 
     @cached_property
     def center_array(self) -> np.ndarray:
@@ -167,13 +161,12 @@ def make_ball_action(
     )
 
 
-@dataclass(frozen=True)
-class MultiBall:
-    """Product group acting through disjointly supported ball actions."""
+class MultiBall(namedtuple("MultiBall", "balls")):
+    """Product group acting through disjointly supported ball actions
+    (`balls` is a tuple of BallActions)."""
 
-    balls: tuple[BallAction, ...]
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for a in range(len(self.balls)):
             for b in range(a + 1, len(self.balls)):
                 pa, pb = self.balls[a], self.balls[b]
@@ -185,6 +178,7 @@ class MultiBall:
                         f"balls {a} and {b} overlap: centers at distance {dist}, "
                         f"radius sum {pa.radius + pb.radius}"
                     )
+        return self
 
     def apply(self, elements, y: np.ndarray) -> np.ndarray:
         if len(elements) != len(self.balls):
@@ -202,14 +196,11 @@ def multiball_action(balls, elements, y: np.ndarray) -> np.ndarray:
 # -- generic action verification -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ActionReport:
-    max_identity_residual: float
-    max_composition_residual: float
-    witnesses: dict  # generator name -> (point, displacement) or None
-    samples: int
-    seed: int
-    move_threshold: float
+class ActionReport(namedtuple("ActionReport", (
+    "max_identity_residual max_composition_residual witnesses samples seed move_threshold"
+))):
+    """The residuals of the action laws; `witnesses` maps each generator
+    name to (point, displacement), or to None when no point moved."""
 
     @property
     def all_generators_effective(self) -> bool:
@@ -296,20 +287,22 @@ def _angle_mod_pi(v1: float, v2: float) -> float:
     return a
 
 
-def _lift_eval(a: np.ndarray, theta: float) -> float:
-    """The unique continuous lift f of the projective action of a with
-    f(0) in [0, pi).
+def _lift_eval(a, theta: float) -> float:
+    """The unique continuous lift f of the projective action of the 2x2
+    matrix a, given as rows of floats, with f(0) in [0, pi).
 
     The image angle is strictly increasing in theta (the sweep rate is
     det(a)/|a v|^2 > 0), and increases by exactly pi as theta increases
     by pi, so on [0, pi) the increment over f(0) is the mod-pi angle
     difference; deck equivariance extends the formula to all theta.
     """
+    (p, q), (r, s) = a
     m = math.floor(theta / math.pi)
     theta0 = theta - m * math.pi
-    base = _angle_mod_pi(a[0, 0], a[1, 0])
-    v1 = a[0, 0] * math.cos(theta0) + a[0, 1] * math.sin(theta0)
-    v2 = a[1, 0] * math.cos(theta0) + a[1, 1] * math.sin(theta0)
+    base = _angle_mod_pi(p, r)
+    cos_t, sin_t = math.cos(theta0), math.sin(theta0)
+    v1 = p * cos_t + q * sin_t
+    v2 = r * cos_t + s * sin_t
     val = _angle_mod_pi(v1, v2)
     inc = (val - base) % math.pi
     if inc >= math.pi:
@@ -317,26 +310,29 @@ def _lift_eval(a: np.ndarray, theta: float) -> float:
     return base + inc + m * math.pi
 
 
-@dataclass(frozen=True)
-class CoverElement:
+class CoverElement(namedtuple("CoverElement", "matrix deck")):
     """Element of the lifted projective group: T^deck composed with the
-    normalized lift of an SL(2, R) matrix, acting on the line."""
-
-    matrix: tuple[tuple[float, float], tuple[float, float]]
-    deck: int
+    normalized lift of an SL(2, R) matrix, acting on the line. `matrix` is
+    ((a, b), (c, d)), a tuple of rows of Python floats."""
 
     @staticmethod
     def of(a: np.ndarray, deck: int = 0) -> "CoverElement":
         if a.shape != (2, 2):
             raise ValueError("matrix must be 2x2")
-        (p, q), (r, s) = a.tolist()
-        det = p * s - q * r
-        if abs(det - 1.0) > 1e-9:
-            raise ValueError(f"matrix must have determinant 1, got {det}")
-        return CoverElement(((float(p), float(q)), (float(r), float(s))), deck)
+        return _cover_element(a.tolist(), deck)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.matrix, dtype=float)
+
+
+def _cover_element(rows, deck: int) -> CoverElement:
+    """The element of the 2x2 matrix `rows` (rows of floats) and `deck`,
+    once the matrix is checked to have determinant 1."""
+    (p, q), (r, s) = rows
+    det = p * s - q * r
+    if abs(det - 1.0) > 1e-9:
+        raise ValueError(f"matrix must have determinant 1, got {det}")
+    return CoverElement(((float(p), float(q)), (float(r), float(s))), deck)
 
 
 def cover_identity() -> CoverElement:
@@ -344,22 +340,20 @@ def cover_identity() -> CoverElement:
 
 
 def cover_eval(a: CoverElement, theta: float) -> float:
-    return _lift_eval(a.as_array(), theta) + a.deck * math.pi
+    return _lift_eval(a.matrix, theta) + a.deck * math.pi
 
 
 def cover_compose(a: CoverElement, b: CoverElement) -> CoverElement:
     """(A, k)(B, m) = (AB, k + m + delta) where delta in {-1, 0, 1}
     corrects the normalization of the composed lift."""
-    a_arr, b_arr = a.as_array(), b.as_array()
-    ab = a_arr @ b_arr
-    delta = round((_lift_eval(a_arr, _lift_eval(b_arr, 0.0)) - _lift_eval(ab, 0.0)) / math.pi)
-    return CoverElement.of(ab, a.deck + b.deck + int(delta))
+    ab = (a.as_array() @ b.as_array()).tolist()
+    delta = round((_lift_eval(a.matrix, _lift_eval(b.matrix, 0.0)) - _lift_eval(ab, 0.0)) / math.pi)
+    return _cover_element(ab, a.deck + b.deck + int(delta))
 
 
 def cover_inverse(a: CoverElement) -> CoverElement:
-    arr = a.as_array()
-    inv = np.array([[arr[1, 1], -arr[0, 1]], [-arr[1, 0], arr[0, 0]]])
-    raw = CoverElement.of(inv, -a.deck)
+    (p, q), (r, s) = a.matrix
+    raw = _cover_element(((s, -q), (-r, p)), -a.deck)
     # pick the deck index that makes a . raw the identity map of the line
     # (its own deck index depends on the base-angle normalization)
     comp = cover_compose(a, raw)

@@ -14,18 +14,21 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .algebra import FormatError, LieAlgebra, from_json_dict
-from .catalog import DEFAULT_CATALOG, catalog, convention_notes
 from .constants import DEFAULT_SEED
 from .serialize import dumps, format_rational, parse_rational
 
-# The numerical layer (numpy, actions, deformations, matrixgroups,
-# vectorfields, polynomials) is imported inside the verbs that run it, so
-# the exact verbs and `catalog list` never pay for loading it; so are
-# `derivations`, which only `algebra analyze` runs, and `obstructions`,
-# which only `algebra obstruct` runs.
+if TYPE_CHECKING:
+    from .algebra import LieAlgebra
+
+# Every layer is imported inside the functions that run it, so each verb
+# loads only its own: the numerical layer (numpy, actions, deformations,
+# matrixgroups, vectorfields, polynomials) never on an exact verb or
+# `catalog list`; `algebra` only where an algebra is loaded, and `catalog`
+# only for a catalog key, its notes or `catalog list`; `derivations` only
+# in `algebra analyze`, and `obstructions` only in `algebra obstruct`.
 
 SEED_ENV_VAR = "LIEACTIONS_SEED"
 
@@ -101,7 +104,11 @@ def _json_file(path: str):
 
 def _load_algebra(source: str) -> tuple[LieAlgebra, str | None]:
     """Load from 'catalog:KEY' or a JSON file; returns (algebra, catalog key)."""
+    from .algebra import FormatError, from_json_dict
+
     if source.startswith("catalog:"):
+        from .catalog import catalog
+
         key = source.split(":", 1)[1]
         try:
             return catalog(key), key
@@ -121,6 +128,8 @@ def _notes_for(alg: LieAlgebra, derived_length) -> list[str]:
     m = _NAME_RE.match(alg.name)
     if not m:
         return []
+    from .catalog import convention_notes
+
     return convention_notes(m.group(1), int(m.group(2)), derived_length)
 
 
@@ -140,6 +149,8 @@ def _matrix_strings(m) -> list[list[str]]:
 
 def catalog_list(obj):
     """List the built-in algebras."""
+    from .catalog import DEFAULT_CATALOG, catalog
+
     lines = [f"{key:<16} dim {catalog(key).dim:>3}  {desc}" for key, desc in DEFAULT_CATALOG]
     lines += [
         "",

@@ -1,4 +1,5 @@
-"""Package-wide defaults."""
+"""Package-wide defaults, and the residual maximum every numerical check
+shares (this module imports nothing, so every verb can load it)."""
 
 # Default PRNG seed for every sampled verification; reports echo the
 # seed actually used so runs are reproducible byte for byte.
@@ -9,3 +10,13 @@ DEFAULT_SEED = 1729
 # ladders, with room to spare; an analyze report holds dim^3 derivation
 # entries, so far larger algebras (st(40) has dim 819) would run for hours.
 MAX_CATALOG_DIM = 40
+
+
+def max_residual(best: float, *residuals: float) -> float:
+    """max(best, *residuals), except that it is NaN once any of them is NaN
+    (the builtin max drops a NaN that does not come first), so that a
+    `<= tolerance` test on the result fails."""
+    for r in residuals:
+        if not r <= best and best == best:  # r is larger, or r is NaN
+            best = r
+    return best

@@ -19,18 +19,23 @@ entrywise powers of the positive diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import sub
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .algebra import LieAlgebra
-from .catalog import catalog
-from .constants import DEFAULT_SEED
+from .constants import DEFAULT_SEED, max_residual
 from .matrixgroups import random_element
+
+if TYPE_CHECKING:
+    from .algebra import LieAlgebra
+
+# The exact layer (`algebra`, `catalog`) is imported only by the builders
+# that take an algebra from the catalog, so the group families that the ball
+# actions use load none of it.
 
 __all__ = [
     "TransitionProfile",
@@ -53,11 +58,8 @@ __all__ = [
 # -- transition profile -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransitionProfile:
+class TransitionProfile(namedtuple("TransitionProfile", "kind")):
     """Smooth nonincreasing step: 1 for t <= 0, 0 for t >= 1, flat ends."""
-
-    kind: str
 
     def __call__(self, t: float) -> float:
         if t <= 0.0:
@@ -99,30 +101,23 @@ def cocycle_check(n: int, exponents: dict[tuple[int, int], int] | None = None) -
 # -- algebra-level deformations ------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stage:
-    """One scaling stage active on the window [t0, t1]."""
-
-    t0: float
-    t1: float
-    exponents: tuple[int, ...]
+class Stage(namedtuple("Stage", "t0 t1 exponents")):
+    """One scaling stage active on the window [t0, t1]; `exponents` is a
+    tuple of ints, one per basis vector."""
 
 
-@dataclass(frozen=True)
-class AlgebraDeformation:
-    """Piecewise family of diagonal scalings of parent's basis.
+class AlgebraDeformation(namedtuple(
+    "AlgebraDeformation", "label parent profile stages domain_indices", defaults=(None,)
+)):
+    """Piecewise family of diagonal scalings of parent's basis (a
+    LieAlgebra), with a TransitionProfile and a tuple of Stages.
 
     domain_indices restricts the family to the coordinate subalgebra
     spanned by those basis vectors (None means all of parent).
     """
 
-    label: str
-    parent: LieAlgebra
-    profile: TransitionProfile
-    stages: tuple[Stage, ...]
-    domain_indices: tuple[int, ...] | None = None
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         prev_end = None
         for s in self.stages:
             if len(s.exponents) != self.parent.dim:
@@ -134,6 +129,7 @@ class AlgebraDeformation:
             prev_end = s.t1
             if any(e < 0 for e in s.exponents):
                 raise ValueError("exponents must be nonnegative")
+        return self
 
     @staticmethod
     def single_stage(
@@ -210,6 +206,8 @@ def st_deformation(n: int) -> AlgebraDeformation:
     onto the diagonal subalgebra, and restricted to the commutator ideal
     it is a contraction onto zero.
     """
+    from .catalog import catalog
+
     if n < 2:
         raise ValueError("n must be at least 2")
     return AlgebraDeformation.single_stage(
@@ -220,6 +218,8 @@ def st_deformation(n: int) -> AlgebraDeformation:
 def st_prime_deformation(n: int) -> AlgebraDeformation:
     """The same graded scaling on the strictly upper triangular algebra,
     where it is already a contraction onto zero."""
+    from .catalog import catalog
+
     if n < 2:
         raise ValueError("n must be at least 2")
     expo = []
@@ -233,6 +233,8 @@ def st_prime_deformation(n: int) -> AlgebraDeformation:
 def diag_contraction(n: int) -> AlgebraDeformation:
     """Contraction of the diagonal subalgebra of st(n): every diagonal
     basis vector is scaled by sigma(t)."""
+    from .catalog import catalog
+
     if n < 2:
         raise ValueError("n must be at least 2")
     parent = catalog("st", n)
@@ -288,20 +290,14 @@ def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return flat, dist
 
 
-@dataclass(frozen=True)
-class GroupStage:
-    """Stage of a group family: parameter runs start -> end over [t0, t1]."""
-
-    t0: float
-    t1: float
-    kind: str  # "offdiag" (scale entry (i,j) by p^(j-i)) or "diagpow" (d -> d^p)
-    start: float
-    end: float
+class GroupStage(namedtuple("GroupStage", "t0 t1 kind start end")):
+    """Stage of a group family: parameter runs start -> end over [t0, t1].
+    `kind` is "offdiag" (scale entry (i,j) by p^(j-i)) or "diagpow" (d -> d^p)."""
 
 
-@dataclass(frozen=True)
-class GroupDeformation:
-    """Piecewise path of endomorphisms of a triangular matrix group.
+class GroupDeformation(namedtuple("GroupDeformation", "label group n stages profile")):
+    """Piecewise path of endomorphisms of a triangular matrix group
+    (`group` is "ST" or "U"), through a tuple of GroupStages.
 
     Every fixed-t map is multiplicative: off-diagonal cocycle scaling for
     any parameter because the exponents add along products, and diagonal
@@ -309,12 +305,6 @@ class GroupDeformation:
     Consecutive stages agree at their junction, so the path is continuous
     and (with the flat profile) smooth in t.
     """
-
-    label: str
-    group: str  # "ST" or "U"
-    n: int
-    stages: tuple[GroupStage, ...]
-    profile: TransitionProfile
 
     def state_at(self, t: float) -> tuple[str, float]:
         stages = self.stages
@@ -414,27 +404,14 @@ def bump_group_deformation(group: str, n: int) -> GroupDeformation:
 # -- verification ---------------------------------------------------------
 
 
-def max_residual(best: float, *residuals: float) -> float:
-    """max(best, *residuals), except that it is NaN once any of them is NaN
-    (the builtin max drops a NaN that does not come first), so that a
-    `<= tolerance` test on the result fails."""
-    for r in residuals:
-        if not r <= best and best == best:  # r is larger, or r is NaN
-            best = r
-    return best
-
-
-@dataclass(frozen=True)
-class DeformationReport:
-    label: str
-    kind: str  # "algebra" or "group"
-    d1_identity_exact: bool
-    d2_constant_exact: bool
-    contraction_at_one: bool
-    trivial_outside_unit: bool  # bump families: trivial at both ends
-    flatness_max_quotient: float
-    law_max_residual: float  # endomorphism / homomorphism residual
-    extra: dict
+class DeformationReport(namedtuple("DeformationReport", (
+    "label kind d1_identity_exact d2_constant_exact contraction_at_one trivial_outside_unit "
+    "flatness_max_quotient law_max_residual extra"
+))):
+    """The checks of one family: `kind` is "algebra" or "group";
+    `trivial_outside_unit` holds for bump families (trivial at both ends);
+    `law_max_residual` is the endomorphism / homomorphism residual; `extra`
+    is a dict of further entries for the report."""
 
     def passed(self, law_tol: float) -> bool:
         return (

@@ -17,7 +17,7 @@ from math import gcd, lcm
 from operator import mul, sub
 
 from .algebra import LieAlgebra
-from .linalg import RatMatrix, Subspace, _insert, _kernel_vectors, _primitive, nullspace_of_rows, sparse_rref
+from .linalg import RatMatrix, Subspace, _backward, _insert, _kernel_vectors, _primitive, nullspace_of_rows
 
 __all__ = [
     "DerivationAlgebra",
@@ -129,9 +129,11 @@ def _from_kernel(g: LieAlgebra, space: Subspace) -> DerivationAlgebra:
 def _integer_kernel(echelon: dict[int, dict[int, int]], ncols: int) -> list[list[int]]:
     """A basis of the kernel of the echelon rows as dense integer vectors:
     the free-column vectors of their RREF, each scaled by the lcm of its
-    denominators (not canonical; `_cut`'s result is reduced afterwards)."""
+    denominators (not canonical; `_cut`'s result is reduced afterwards).
+    The rows are already an echelon, so only the backward pass runs, on a
+    copy."""
     vectors = []
-    for vec in _kernel_vectors(sparse_rref(echelon.values()), ncols):
+    for vec in _kernel_vectors(_backward(dict(echelon)), ncols):
         den = lcm(*(x.denominator for x in vec.values()))
         dense = [0] * ncols
         for j, x in vec.items():

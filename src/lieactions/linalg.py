@@ -226,9 +226,15 @@ def _insert(echelon: dict[int, dict[int, int]], r: dict[int, int]) -> dict[int, 
 
 def sparse_rref(rows: Iterable) -> list[tuple[int, dict[int, Fraction]]]:
     """Canonical RREF of the row space as (pivot column, sparse row) pairs
-    in pivot order. The backward pass clears each pivot column above its
-    pivot, last pivot first, and only then divides by the pivots."""
-    echelon = _echelon(rows)
+    in pivot order."""
+    return _backward(_echelon(rows))
+
+
+def _backward(echelon: dict[int, dict[int, int]]) -> list[tuple[int, dict[int, Fraction]]]:
+    """The canonical RREF of the row space of `echelon`, integer rows keyed
+    by distinct leading columns as `_echelon` returns them: clear each pivot
+    column above its pivot, last pivot first, and only then divide by the
+    pivots. The rows of `echelon` are replaced as they are reduced."""
     order = sorted(echelon)
     for t in range(len(order) - 1, 0, -1):
         col = order[t]

@@ -6,7 +6,7 @@ representations is equality of polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -14,10 +14,12 @@ from typing import Mapping, Sequence
 __all__ = ["Poly", "eval_compiled"]
 
 
-@dataclass(frozen=True)
-class Poly:
-    nvars: int
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+class Poly(namedtuple("Poly", "nvars terms")):
+    """A polynomial in `nvars` variables; `terms` is a sorted tuple of
+    (exponent tuple, nonzero Fraction) pairs."""
+
+    # A tuple would repeat itself under `2 * poly`.
+    __rmul__ = None
 
     @staticmethod
     def make(nvars: int, coeffs: Mapping[tuple[int, ...], object]) -> "Poly":

@@ -12,14 +12,21 @@ same facts on bounded time windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Sequence
+from operator import sub
+from typing import TYPE_CHECKING, Sequence
 
-from .algebra import LieAlgebra
-from .catalog import catalog, catalog_matrices
-from .linalg import RatMatrix, Subspace, nullspace
+from .constants import max_residual
 from .polynomials import Poly, eval_compiled
+
+if TYPE_CHECKING:
+    from .algebra import LieAlgebra
+    from .linalg import RatMatrix, Subspace
+
+# The exact layer is imported inside the functions that run it: `linalg` by
+# the rank and kernel computations, `catalog` by `make_projective_action`; so
+# is numpy, by the functions that build arrays. `vf flow` loads none of them.
 
 __all__ = [
     "PolyVectorField",
@@ -47,17 +54,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolyVectorField:
-    """Vector field on R^n whose components are polynomials in n variables."""
+class PolyVectorField(namedtuple("PolyVectorField", "components")):
+    """Vector field on R^n whose components are a tuple of n Polys in n
+    variables."""
 
-    components: tuple[Poly, ...]
+    # A tuple would repeat itself under `field * 2` and `2 * field`.
+    __mul__ = __rmul__ = None
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         n = len(self.components)
         for c in self.components:
             if c.nvars != n:
                 raise ValueError("component variable count must equal the dimension")
+        return self
 
     @property
     def nvars(self) -> int:
@@ -136,11 +146,10 @@ class AnnihilationError(ValueError):
         super().__init__(f"field does not annihilate df; residual polynomial {residual}")
 
 
-@dataclass(frozen=True)
-class CommutingFamilyCertificate:
-    pairwise_brackets_zero: bool
-    pairs_checked: int
-    independent: bool
+class CommutingFamilyCertificate(namedtuple(
+    "CommutingFamilyCertificate", "pairwise_brackets_zero pairs_checked independent"
+)):
+    """The exact certificates of a commuting family."""
 
     @property
     def valid(self) -> bool:
@@ -152,6 +161,8 @@ def commuting_family(
 ) -> tuple[list[PolyVectorField], CommutingFamilyCertificate]:
     """Fields L_j = u_j(f) X with exact commutation and independence
     certificates. Requires annihilation_check(f, x_field)."""
+    from .linalg import RatMatrix
+
     residual = annihilation_residual(f, x_field)
     if not residual.is_zero():
         raise AnnihilationError(residual)
@@ -214,6 +225,8 @@ def projective_infinitesimal(a: RatMatrix) -> PolyVectorField:
 def projective_kernel(n: int) -> Subspace:
     """Kernel of A -> X_A on gl(n+1), as a subspace of the flattened
     matrices; equals the scalar matrices."""
+    from .linalg import RatMatrix, nullspace
+
     size = n + 1
     basis_fields = []
     monomials: list[tuple[int, tuple[int, ...]]] = []
@@ -246,14 +259,10 @@ def projective_kernel(n: int) -> Subspace:
     return nullspace(RatMatrix(rows).transpose())
 
 
-@dataclass(frozen=True)
-class VFAction:
-    """Linear map from an algebra to polynomial vector fields, with the
-    measured bracket-compatibility sign."""
-
-    algebra: LieAlgebra
-    images: tuple[PolyVectorField, ...]
-    sign: int | None = None
+class VFAction(namedtuple("VFAction", "algebra images sign", defaults=(None,))):
+    """Linear map from an algebra (a LieAlgebra) to polynomial vector
+    fields (`images`, one per basis vector), with the measured
+    bracket-compatibility sign, or None."""
 
     def image_of(self, x: Sequence) -> PolyVectorField:
         out = PolyVectorField(tuple(Poly.zero(self.images[0].nvars) for _ in range(self.images[0].nvars)))
@@ -264,11 +273,9 @@ class VFAction:
         return out
 
 
-@dataclass(frozen=True)
-class HomomorphismCheck:
-    sign: int | None  # +1 or -1 when exact, None when neither works
-    exact: bool
-    violations: tuple[tuple[int, int], ...]
+class HomomorphismCheck(namedtuple("HomomorphismCheck", "sign exact violations")):
+    """`sign` is +1 or -1 when exact, None when neither works; `violations`
+    is a tuple of basis index pairs."""
 
 
 def action_homomorphism_check(action: VFAction) -> HomomorphismCheck:
@@ -297,6 +304,8 @@ def action_homomorphism_check(action: VFAction) -> HomomorphismCheck:
 def make_projective_action(n: int) -> VFAction:
     """The infinitesimal action of sl(n+1) on the affine chart R^n, with
     its measured sign."""
+    from .catalog import catalog, catalog_matrices
+
     algebra = catalog("sl", n + 1)
     mats = catalog_matrices("sl", n + 1)
     images = tuple(projective_infinitesimal(m) for m in mats)
@@ -367,10 +376,9 @@ def flow(v: PolyVectorField, p: Sequence[float], duration: float, h: float) -> l
     return traj
 
 
-@dataclass(frozen=True)
-class FlowCheckReport:
-    commutation_residual: float
-    level_residual: float | None
+class FlowCheckReport(namedtuple("FlowCheckReport", "commutation_residual level_residual")):
+    """The residuals of `flow_checks`; `level_residual` is None without a
+    level function."""
 
 
 def flow_checks(
@@ -383,16 +391,15 @@ def flow_checks(
     level_function: Poly | None = None,
 ) -> FlowCheckReport:
     """Residual of flowing v then w against w then v, plus drift of a
-    conserved function along all four legs."""
-    import numpy as np
-
+    conserved function along all four legs. Each residual is NaN once any
+    of the differences it takes is NaN (`max_residual`)."""
     for duration in (s, t):  # bound every leg before running any
         flow_steps(duration, h)
     leg_vw_1 = flow(v, p, s, h)
     leg_vw_2 = flow(w, leg_vw_1[-1], t, h)
     leg_wv_1 = flow(w, p, t, h)
     leg_wv_2 = flow(v, leg_wv_1[-1], s, h)
-    comm = float(np.max(np.abs(np.subtract(leg_vw_2[-1], leg_wv_2[-1]))))
+    comm = max_residual(0.0, *map(abs, map(sub, leg_vw_2[-1], leg_wv_2[-1])))
     level = None
     if level_function is not None:
         value = level_function.eval_float
@@ -401,7 +408,7 @@ def flow_checks(
             base = value([float(c) for c in p])
             for leg in (leg_vw_1, leg_vw_2, leg_wv_1, leg_wv_2):
                 for row in leg:
-                    level = max(level, abs(value(row) - base))
+                    level = max_residual(level, abs(value(row) - base))
         except OverflowError:  # the function itself leaves the float range
             level = math.inf
     return FlowCheckReport(comm, level)

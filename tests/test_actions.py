@@ -447,6 +447,57 @@ def test_cover_deck_equivariance():
     assert worst <= 1e-9
 
 
+# The lift, evaluation, composition and inverse as they were when they read the
+# matrix through a numpy array on every call: the oracle of the tuple versions.
+def _array_lift(a: np.ndarray, theta: float) -> float:
+    m = math.floor(theta / math.pi)
+    theta0 = theta - m * math.pi
+    base = math.atan2(a[1, 0], a[0, 0]) % math.pi
+    base = base - math.pi if base >= math.pi else base
+    v1 = a[0, 0] * math.cos(theta0) + a[0, 1] * math.sin(theta0)
+    v2 = a[1, 0] * math.cos(theta0) + a[1, 1] * math.sin(theta0)
+    val = math.atan2(v2, v1) % math.pi
+    val = val - math.pi if val >= math.pi else val
+    inc = (val - base) % math.pi
+    if inc >= math.pi:
+        inc -= math.pi
+    return base + inc + m * math.pi
+
+
+def _array_eval(a: CoverElement, theta: float) -> float:
+    return _array_lift(a.as_array(), theta) + a.deck * math.pi
+
+
+def _array_compose(a: CoverElement, b: CoverElement) -> CoverElement:
+    a_arr, b_arr = a.as_array(), b.as_array()
+    ab = a_arr @ b_arr
+    delta = round((_array_lift(a_arr, _array_lift(b_arr, 0.0)) - _array_lift(ab, 0.0)) / math.pi)
+    return CoverElement.of(ab, a.deck + b.deck + int(delta))
+
+
+def _array_inverse(a: CoverElement) -> CoverElement:
+    arr = a.as_array()
+    raw = CoverElement.of(np.array([[arr[1, 1], -arr[0, 1]], [-arr[1, 0], arr[0, 0]]]), -a.deck)
+    shift = round(_array_eval(_array_compose(a, raw), 0.0) / math.pi)
+    return CoverElement(raw.matrix, raw.deck - int(shift))
+
+
+def _bits(element: CoverElement):
+    return [x.hex() for row in element.matrix for x in row], element.deck
+
+
+def test_cover_operations_match_the_array_versions_bit_for_bit():
+    rng = RNG(17)
+    for _ in range(300):
+        a = CoverElement.of(random_sl2(rng), int(rng.integers(-3, 4)))
+        b = CoverElement.of(random_sl2(rng), int(rng.integers(-3, 4)))
+        # negative angles, angles past several deck shifts, and the multiples of pi
+        for theta in [*rng.uniform(-12.0, 12.0, size=6), -math.pi, 0.0, math.pi, -3 * math.pi]:
+            assert cover_eval(a, float(theta)).hex() == _array_eval(a, float(theta)).hex()
+        assert _bits(cover_compose(a, b)) == _bits(_array_compose(a, b))
+        assert _bits(cover_inverse(a)) == _bits(_array_inverse(a))
+
+
 def test_cover_base_normalization():
     rng = RNG(15)
     for _ in range(50):

@@ -486,6 +486,16 @@ def test_flow_checks_detect_noncommuting():
     assert abs(report.commutation_residual - 1.0) <= 1e-9
 
 
+def test_flow_checks_keep_a_nan_level_residual():
+    # 1e300 x^2 - 1e300 y^2 is inf - inf = NaN at (1e5, 1e5); the builtin max
+    # would drop every NaN after the first value and report 0.0
+    zero = PolyVectorField((Poly.zero(2), Poly.zero(2)))
+    f = Poly.make(2, {(2, 0): 10**300, (0, 2): -(10**300)})
+    report = flow_checks(zero, zero, [1e5, 1e5], 0.01, 0.01, 1e-3, level_function=f)
+    assert report.commutation_residual == 0.0
+    assert math.isnan(report.level_residual)
+
+
 # -- orbit diagnostics ----------------------------------------------------------------------
 
 
