@@ -111,6 +111,8 @@ class BallAction(namedtuple("BallAction", "group n deformation r0 r1 center radi
     annulus r0 < |y - center|/radius < r1 and smooth everywhere.
     """
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # run the checks of __new__ in _make and _replace too
+
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if not (0.0 < self.r0 < self.r1 <= 1.0):
@@ -164,6 +166,8 @@ def make_ball_action(
 class MultiBall(namedtuple("MultiBall", "balls")):
     """Product group acting through disjointly supported ball actions
     (`balls` is a tuple of BallActions)."""
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # run the checks of __new__ in _make and _replace too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

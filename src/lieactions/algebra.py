@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .constants import MAX_CATALOG_DIM
 from .linalg import RatMatrix, Subspace, nullspace_of_rows, rational_vector, sparse_rref
-from .serialize import format_rational, parse_rational
+from .serialize import REQUIRED, FormatError, format_rational, parse_rational, read_object
 
 __all__ = [
     "LieAlgebra",
@@ -41,10 +41,6 @@ def _scaled(v: Sequence[Fraction]) -> tuple[list[tuple[int, int]], int]:
     if d == 1:
         return [(i, c.numerator) for i, c in nonzero], 1
     return [(i, c.numerator * (d // c.denominator)) for i, c in nonzero], d
-
-
-class FormatError(ValueError):
-    """Malformed algebra interchange data."""
 
 
 class InvalidLieAlgebraError(ValueError):
@@ -402,74 +398,37 @@ def to_json_dict(g: LieAlgebra) -> dict:
     }
 
 
-_DOCUMENT_KEYS = ("name", "dim", "basis", "brackets")
-_BRACKET_KEYS = ("i", "j", "result")
+# key tables of the interchange form, read like a scenario (serialize.read_object);
+# the dimension bound is read before any bracket
+DOCUMENT_KEYS = {"name": (str, REQUIRED, None), "dim": (int, REQUIRED, 0, MAX_CATALOG_DIM),
+                 "basis": ([str], REQUIRED, None), "brackets": ([dict], [], None)}
+BRACKET_KEYS = {"i": (int, REQUIRED, 1), "j": (int, REQUIRED, 1), "result": (dict, REQUIRED, None)}
 
 
-def _check_keys(obj: Mapping, allowed: tuple[str, ...], what: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise FormatError(f"unknown key {key!r} in {what}")
-
-
-def from_json_dict(data: Mapping, validate: bool = True) -> LieAlgebra:
-    """Parse the interchange form, rejecting malformed payloads."""
-    if not isinstance(data, Mapping):
-        raise FormatError("algebra document must be a JSON object")
-    _check_keys(data, _DOCUMENT_KEYS, "algebra document")
-    try:
-        name = data["name"]
-        dim = data["dim"]
-        basis = data["basis"]
-    except KeyError as exc:
-        raise FormatError(f"missing field {exc.args[0]!r}") from None
-    if not isinstance(name, str):
-        raise FormatError("'name' must be a string")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
-        raise FormatError("'dim' must be a nonnegative integer")
-    if dim > MAX_CATALOG_DIM:
-        raise FormatError(f"'dim' is {dim}, above the bound {MAX_CATALOG_DIM}")
-    if not isinstance(basis, list) or len(basis) != dim or not all(
-        isinstance(b, str) for b in basis
-    ):
-        raise FormatError("'basis' must list one name per dimension")
+def from_json_dict(data: dict, validate: bool = True) -> LieAlgebra:
+    """Parse the interchange form, rejecting malformed payloads with a FormatError."""
+    doc = read_object(data, DOCUMENT_KEYS, "the algebra document")
+    dim, basis = doc["dim"], doc["basis"]
+    if len(basis) != dim:
+        raise FormatError(f"'basis' lists {len(basis)} names for dimension {dim}")
     if len(set(basis)) != dim:
         raise FormatError("'basis' names must be distinct")
-    raw = data.get("brackets", [])
-    if not isinstance(raw, list):
-        raise FormatError("'brackets' must be a list")
+    # only the canonical decimal form of 1..dim: "01" or "1_0" would alias another
+    # index, and a key that is not a string (from a library caller) is not found
+    indices = {str(k + 1): k for k in range(dim)}
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for item in raw:
-        if not isinstance(item, Mapping):
-            raise FormatError("bracket entries must be objects")
-        _check_keys(item, _BRACKET_KEYS, "bracket entry")
-        try:
-            i = item["i"]
-            j = item["j"]
-            result = item["result"]
-        except KeyError as exc:
-            raise FormatError(f"bracket entry missing {exc.args[0]!r}") from None
-        if not isinstance(i, int) or not isinstance(j, int) or isinstance(i, bool) or isinstance(j, bool):
-            raise FormatError("bracket indices must be integers")
-        if not (1 <= i <= dim and 1 <= j <= dim):
-            raise FormatError(f"bracket indices ({i}, {j}) out of range 1..{dim}")
-        if i >= j:
-            raise FormatError(f"bracket pair ({i}, {j}) must have i < j")
+    for entry in doc["brackets"]:
+        i, j, result = read_object(entry, BRACKET_KEYS, "a bracket entry").values()
+        if not i < j <= dim:
+            raise FormatError(f"bracket pair ({i}, {j}) must have i < j <= {dim}")
         if (i - 1, j - 1) in brackets:
             raise FormatError(f"duplicate bracket pair ({i}, {j})")
-        if not isinstance(result, Mapping):
-            raise FormatError("bracket 'result' must be an object")
-        vec: dict[int, Fraction] = {}
+        vec = brackets[(i - 1, j - 1)] = {}
         for key, val in result.items():
-            # only the canonical decimal form: "01" or "1_0" would alias another index
-            if not (isinstance(key, str) and key.isdecimal() and str(int(key)) == key):
-                raise FormatError(f"bad result index {key!r}")
-            k = int(key)
-            if not 1 <= k <= dim:
-                raise FormatError(f"result index {k} out of range 1..{dim}")
+            if key not in indices:
+                raise FormatError(f"bad result index {key!r}: not one of 1..{dim}")
             try:
-                vec[k - 1] = parse_rational(val)
+                vec[indices[key]] = parse_rational(val)
             except ValueError as exc:
                 raise FormatError(str(exc)) from None
-        brackets[(i - 1, j - 1)] = vec
-    return LieAlgebra.create(name, basis, brackets, validate=validate)
+    return LieAlgebra.create(doc["name"], basis, brackets, validate=validate)

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .constants import DEFAULT_SEED
-from .serialize import dumps, format_rational, parse_rational
+from .constants import DEFAULT_SEED, MAX_ACTION_N, MAX_BALLS, MAX_EXPONENT, MAX_SAMPLES
+from .serialize import POSITIVE, REQUIRED, FormatError, dumps, format_rational, parse_rational, read_object, read_value
 
 if TYPE_CHECKING:
     from .algebra import LieAlgebra
@@ -104,7 +104,7 @@ def _json_file(path: str):
 
 def _load_algebra(source: str) -> tuple[LieAlgebra, str | None]:
     """Load from 'catalog:KEY' or a JSON file; returns (algebra, catalog key)."""
-    from .algebra import FormatError, from_json_dict
+    from .algebra import from_json_dict
 
     if source.startswith("catalog:"):
         from .catalog import catalog
@@ -254,17 +254,17 @@ def deform_verify(obj, family, n_, samples):
         verify_deformation,
     )
 
-    if n_ < 2:
-        _input_error("--n must be at least 2")
-    if family == "st":
-        dfm = st_deformation(n_)
-        needs_contraction = False
-    elif family == "st-prime":
-        dfm = st_prime_deformation(n_)
-        needs_contraction = True
-    else:
-        dfm = concatenate(diag_contraction(n_), st_deformation(n_))
-        needs_contraction = True
+    read_value(n_, int, "--n", 2)
+    read_value(samples, int, "--samples", 0, MAX_SAMPLES)
+    build, needs_contraction = {
+        "st": (st_deformation, False),
+        "st-prime": (st_prime_deformation, True),
+        "concat": (lambda n: concatenate(diag_contraction(n), st_deformation(n)), True),
+    }[family]
+    try:
+        dfm = build(n_)
+    except ValueError as exc:  # the algebra is above the catalog's bound, found before it is built
+        _input_error(f"--n {n_}: {exc}")
     law_tol = 1e-9
     report = verify_deformation(dfm, samples=samples, seed=obj["seed"])
     ok = report.passed(law_tol) and (report.contraction_at_one or not needs_contraction)
@@ -279,62 +279,12 @@ def deform_verify(obj, family, n_, samples):
     sys.exit(0 if ok else 1)
 
 
-# -- scenario files ---------------------------------------------------------
-
-# A key rule is (kind, default, low). kind is int, float (a finite number, read as a
-# float), str, dict, object (anything), [kind] (a list of such values) or a tuple of
-# the allowed values; default is REQUIRED for a key that must be given; low is an
-# inclusive lower bound on the value, or on the length of a list, or None.
-REQUIRED = object()
-POSITIVE = math.ulp(0.0)  # the bound of a number that must be above 0
-_KIND_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "a JSON object"}
-
-
-def _value(value, kind, low, label: str):
-    """`value` if it keeps the rule (kind, low), else an input error."""
-    if isinstance(kind, list):
-        items = [_value(x, kind[0], None, f"each entry of {label}") for x in _value(value, list, None, label)]
-        if low is not None and len(items) < low:
-            _input_error(f"{label} must have at least {low} entries")
-        return items
-    if isinstance(kind, tuple):
-        ok, what = value in kind, "one of " + ", ".join(map(repr, kind))
-    elif kind is float:
-        ok, what = type(value) in (int, float) and abs(value) <= sys.float_info.max, "a finite number"
-    else:  # bool is an int subclass, so int is checked by exact type
-        ok, what = (type(value) is int if kind is int else isinstance(value, kind)), _KIND_NAMES.get(kind)
-    if not ok:
-        _input_error(f"{label} must be {what}, got {value!r}")
-    value = float(value) if kind is float else value
-    if low is not None and value < low:
-        _input_error(f"{label} must be {'positive' if low is POSITIVE else f'at least {low}'}, got {value!r}")
-    return value
-
-
-def _read(doc, spec: dict, what: str) -> dict:
-    """Every key of `spec` read from the JSON object `doc` by its rule, or its
-    default; unknown keys and missing required keys are input errors."""
-    _value(doc, dict, None, what)
-    unknown = [key for key in doc if key not in spec]
-    if unknown:
-        _input_error(f"unknown key {unknown[0]!r} in {what}; allowed: {', '.join(spec)}")
-    values = {}
-    for key, (kind, default, low) in spec.items():
-        if key in doc:
-            values[key] = _value(doc[key], kind, low, f"{key!r} in {what}")
-        elif default is REQUIRED:
-            _input_error(f"{what} is missing {key!r}")
-        else:
-            values[key] = default
-    return values
-
-
 # -- actions --------------------------------------------------------------
 
-ACT_KEYS = {"action": (str, REQUIRED, None), "samples": (int, 200, 1), "seed": (int, None, 0),
+ACT_KEYS = {"action": (str, REQUIRED, None), "samples": (int, 200, 1, MAX_SAMPLES), "seed": (int, None, 0),
             "tolerances": (dict, {}, None)}
 TOLERANCE_KEYS = {"composition": (float, 1e-6, 0.0), "identity": (float, 1e-9, 0.0), "move": (float, 1e-6, 0.0)}
-MATRIX_KEYS = {"group": (("ST", "U"), REQUIRED, None), "n": (int, REQUIRED, 1)}
+MATRIX_KEYS = {"group": (("ST", "U"), REQUIRED, None), "n": (int, REQUIRED, 1, MAX_ACTION_N)}
 PLACEMENT_KEYS = {"center": ([float], REQUIRED, None), "radius": (float, 1.0, POSITIVE),
                   "annulus": ([float], [0.3, 0.9], None)}
 
@@ -392,7 +342,7 @@ def _multiball(v: dict) -> tuple:
     from .matrixgroups import generators, random_element
 
     group, n = v["group"], v["n"]
-    balls = [_make_ball(group, n, _read(b, PLACEMENT_KEYS, "a ball placement")) for b in v["balls"]]
+    balls = [_make_ball(group, n, read_object(b, PLACEMENT_KEYS, "a ball placement")) for b in v["balls"]]
     try:
         multiball = MultiBall(tuple(balls))
     except ValueError as exc:
@@ -431,9 +381,9 @@ ACTIONS = {
     "sphere": (MATRIX_KEYS, _matrix_action),
     "ball": ({**MATRIX_KEYS, "variant": (("compact",), "compact", None), **PLACEMENT_KEYS,
               "center": ([float], None, None)}, _matrix_action),
-    "multiball": ({**MATRIX_KEYS, "balls": ([dict], REQUIRED, 1)}, _multiball),
+    "multiball": ({**MATRIX_KEYS, "balls": ([dict], REQUIRED, 1, MAX_BALLS)}, _multiball),
     "interval": ({}, _circle_action),
-    "disk": ({"n": (int, 2, 1)}, _circle_action),
+    "disk": ({"n": (int, 2, 1, MAX_ACTION_N)}, _circle_action),
 }
 
 
@@ -441,11 +391,11 @@ def act_verify(obj, scenario):
     """Verify the action axioms for a scenario file."""
     from .actions import verify_action
 
-    sc = _value(_json_file(scenario), dict, None, "the scenario")
-    kind = _value(sc.get("action"), tuple(ACTIONS), None, "'action' in the scenario")
+    sc = read_value(_json_file(scenario), dict, "the scenario")
+    kind = read_value(sc.get("action"), tuple(ACTIONS), "'action' in the scenario")
     keys, setup = ACTIONS[kind]
-    v = _read(sc, {**ACT_KEYS, **keys}, "the scenario")
-    tols = _read(v["tolerances"], TOLERANCE_KEYS, "'tolerances'")
+    v = read_object(sc, {**ACT_KEYS, **keys}, "the scenario")
+    tols = read_object(v["tolerances"], TOLERANCE_KEYS, "'tolerances'")
     *parts, witness_rule = setup(v)
     seed = obj["seed"] if v["seed"] is None else v["seed"]
     report = verify_action(*parts, samples=v["samples"], seed=seed, move_threshold=tols["move"])
@@ -466,7 +416,7 @@ def act_verify(obj, scenario):
 # -- vector fields ----------------------------------------------------------
 
 POLY_KEYS = {"vars": (int, REQUIRED, 0), "terms": ([dict], REQUIRED, None)}
-TERM_KEYS = {"exponents": ([int], REQUIRED, None), "coefficient": (str, REQUIRED, None)}
+TERM_KEYS = {"exponents": ([int, 0, MAX_EXPONENT], REQUIRED, None), "coefficient": (str, REQUIRED, None)}
 FIELD_KEYS = {"components": ([dict], REQUIRED, 1)}
 COMMUTING_KEYS = {"check": (str, REQUIRED, None), "f": (dict, REQUIRED, None),
                   "field": (object, "hamiltonian", None), "profiles": ([dict], REQUIRED, None),
@@ -474,7 +424,7 @@ COMMUTING_KEYS = {"check": (str, REQUIRED, None), "f": (dict, REQUIRED, None),
 FLOW_CHECK_KEYS = {"point": ([float], [1.0, 0.0], None), "s": (float, 0.3, None), "t": (float, 0.3, None),
                    "h": (float, 1e-3, POSITIVE), "commutation_tolerance": (float, 1e-5, 0.0),
                    "level_tolerance": (float, 1e-8, 0.0)}
-PROJECTIVE_KEYS = {"check": (str, REQUIRED, None), "n": (int, REQUIRED, 1), "samples": (int, 50, 0),
+PROJECTIVE_KEYS = {"check": (str, REQUIRED, None), "n": (int, REQUIRED, 1), "samples": (int, 50, 0, MAX_SAMPLES),
                    "seed": (int, None, 0)}
 CHECKS = {"commuting_family": COMMUTING_KEYS, "projective": PROJECTIVE_KEYS}
 FLOW_KEYS = {"field": (dict, REQUIRED, None), "point": ([float], REQUIRED, None), "duration": (float, 1.0, None),
@@ -495,8 +445,8 @@ def _flow_steps(duration: float, step: float, what: str) -> None:
 def _parse_poly(data, what: str):
     from .polynomials import Poly
 
-    poly = _read(data, POLY_KEYS, what)
-    terms = [_read(t, TERM_KEYS, f"a term of {what}") for t in poly["terms"]]
+    poly = read_object(data, POLY_KEYS, what)
+    terms = [read_object(t, TERM_KEYS, f"a term of {what}") for t in poly["terms"]]
     try:
         return Poly.make(poly["vars"], {tuple(t["exponents"]): parse_rational(t["coefficient"]) for t in terms})
     except ValueError as exc:
@@ -506,7 +456,7 @@ def _parse_poly(data, what: str):
 def _parse_field(data, what: str):
     from .vectorfields import PolyVectorField
 
-    comps = [_parse_poly(c, what) for c in _read(data, FIELD_KEYS, what)["components"]]
+    comps = [_parse_poly(c, what) for c in read_object(data, FIELD_KEYS, what)["components"]]
     try:
         return PolyVectorField(tuple(comps))
     except ValueError as exc:
@@ -525,14 +475,14 @@ def vf_verify(obj, scenario):
         projective_kernel,
     )
 
-    sc = _value(_json_file(scenario), dict, None, "the scenario")
-    check = _value(sc.get("check"), tuple(CHECKS), None, "'check' in the scenario")
-    v = _read(sc, CHECKS[check], "the scenario")
+    sc = read_value(_json_file(scenario), dict, "the scenario")
+    check = read_value(sc.get("check"), tuple(CHECKS), "'check' in the scenario")
+    v = read_object(sc, CHECKS[check], "the scenario")
     if check == "commuting_family":
         f = _parse_poly(v["f"], "'f'")
         profiles = [_parse_poly(p, "'profiles'") for p in v["profiles"]]
         # an empty "flow" object, like a missing one, asks for no flow check
-        fl = _read(v["flow"], FLOW_CHECK_KEYS, "'flow'") if v["flow"] else None
+        fl = read_object(v["flow"], FLOW_CHECK_KEYS, "'flow'") if v["flow"] else None
         if fl and len(fl["point"]) != f.nvars:
             _input_error(f"'point' in 'flow' has {len(fl['point'])} coordinates, 'f' has {f.nvars} variables")
         if fl:
@@ -574,7 +524,10 @@ def vf_verify(obj, scenario):
     n = v["n"]
     # make_projective_action ran the homomorphism check; the sign it
     # recorded is None exactly when the check failed
-    action = make_projective_action(n)
+    try:
+        action = make_projective_action(n)
+    except ValueError as exc:  # sl(n + 1) is above the catalog's bound, found before it is built
+        _input_error(f"'n' in the scenario: {exc}")
     exact = action.sign is not None
     kernel = projective_kernel(n)
     ident = [Fraction(int(i == j)) for i in range(n + 1) for j in range(n + 1)]
@@ -599,7 +552,7 @@ def vf_flow(obj, scenario):
     """Integrate a field and emit the trajectory as CSV (t, x1..xn)."""
     from .vectorfields import FlowBlowUpError, flow
 
-    v = _read(_json_file(scenario), FLOW_KEYS, "the scenario")
+    v = read_object(_json_file(scenario), FLOW_KEYS, "the scenario")
     field = _parse_field(v["field"], "'field'")
     if len(v["point"]) != field.nvars:
         _input_error(f"'point' has {len(v['point'])} coordinates, 'field' has {field.nvars} variables")
@@ -707,7 +660,10 @@ def main(args: list[str] | None = None, prog_name: str = "lieact") -> None:
             _input_error(f"{SEED_ENV_VAR} {exc}")
     if obj["output"]:
         _check_output(obj["output"])
-    handler(obj, **values)
+    try:
+        handler(obj, **values)
+    except FormatError as exc:  # raised by the reader of a scenario or an algebra document
+        _input_error(str(exc))
 
 
 # The benchmark's traced runner calls main.main(args=..., prog_name=...).

@@ -11,6 +11,17 @@ DEFAULT_SEED = 1729
 # entries, so far larger algebras (st(40) has dim 819) would run for hours.
 MAX_CATALOG_DIM = 40
 
+# Bounds on the sizes an input may ask for, each checked as the value is read,
+# before any work; each admits every shipped scenario, golden and benchmark input.
+# The samples of `act verify`, `deform verify --samples` and the projective `vf verify`:
+MAX_SAMPLES = 10_000
+# `n` of a matrix action kind and of the disk (`generators("ST", n)` holds about n^4/2 floats):
+MAX_ACTION_N = 16
+# The balls of a multiball (each generator of each ball is applied through every ball):
+MAX_BALLS = 8
+# The exponent of a variable in a polynomial term:
+MAX_EXPONENT = 64
+
 
 def max_residual(best: float, *residuals: float) -> float:
     """max(best, *residuals), except that it is NaN once any of them is NaN

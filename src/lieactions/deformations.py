@@ -116,6 +116,8 @@ class AlgebraDeformation(namedtuple(
     spanned by those basis vectors (None means all of parent).
     """
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # run the checks of __new__ in _make and _replace too
+
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         prev_end = None

@@ -59,6 +59,8 @@ class Poly(namedtuple("Poly", "nvars terms")):
             raise ValueError("variable count mismatch")
 
     def __add__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):  # so that `poly + 2` is a TypeError
+            return NotImplemented
         self._check_same_vars(other)
         acc = dict(self.terms)
         for e, c in other.terms:
@@ -78,6 +80,8 @@ class Poly(namedtuple("Poly", "nvars terms")):
         return Poly(self.nvars, tuple((e, c * k) for e, k in self.terms))
 
     def __mul__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):  # so that `poly * 2` is a TypeError
+            return NotImplemented
         self._check_same_vars(other)
         acc: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms:

@@ -1,18 +1,24 @@
-"""Deterministic JSON emission.
+"""Deterministic JSON emission, and the one reader of JSON input.
 
 Reports must be byte-identical across runs with the same inputs, so we
 write JSON ourselves: insertion-ordered keys, rationals as "p/q"
 strings, floats printed with 17 significant digits (a non-finite float
 as the string "nan", "inf" or "-inf").
+
+Every JSON document read, an algebra or a scenario, is read object by
+object through a key table (`read_object`), so types, defaults and
+bounds are checked by the same rules everywhere.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
 
-__all__ = ["format_rational", "parse_rational", "dumps"]
+__all__ = ["format_rational", "parse_rational", "dumps", "FormatError", "REQUIRED", "POSITIVE", "read_value",
+           "read_object"]
 
 
 def format_rational(x: Fraction) -> str:
@@ -99,3 +105,66 @@ def dumps(obj) -> str:
     _write(obj, out, 0)
     out.append("\n")
     return "".join(out)
+
+
+# -- reading ------------------------------------------------------------------
+
+
+class FormatError(ValueError):
+    """Malformed input data: an algebra document or a scenario object."""
+
+
+# A key rule is (kind, default, low) or (kind, default, low, high). kind is int, float
+# (a finite number, read as a float), str, dict, object (anything), [kind] (a list of
+# such values), [kind, low, high] (a list of such values, each within those bounds) or a
+# tuple of the allowed values; default is REQUIRED for a key that must be given; low and
+# high are inclusive bounds on the value, or on the length of a list, or None.
+REQUIRED = object()
+POSITIVE = math.ulp(0.0)  # the low bound of a number that must be above 0
+_KIND_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "a JSON object"}
+
+
+def read_value(value, kind, label: str, low=None, high=None):
+    """`value` if it keeps the rule (kind, low, high), else a FormatError
+    that names it by `label`."""
+    if isinstance(kind, list):
+        item, *bounds = kind
+        items = [read_value(x, item, f"each entry of {label}", *bounds) for x in read_value(value, list, label)]
+        if low is not None and len(items) < low:
+            raise FormatError(f"{label} must have at least {low} entries")
+        if high is not None and len(items) > high:
+            raise FormatError(f"{label} has {len(items)} entries, above the bound {high}")
+        return items
+    if isinstance(kind, tuple):
+        ok, what = value in kind, "one of " + ", ".join(map(repr, kind))
+    elif kind is float:
+        ok, what = type(value) in (int, float) and abs(value) <= sys.float_info.max, "a finite number"
+    else:  # bool is an int subclass, so int is checked by exact type
+        ok, what = (type(value) is int if kind is int else isinstance(value, kind)), _KIND_NAMES.get(kind)
+    if not ok:
+        raise FormatError(f"{label} must be {what}, got {value!r}")
+    value = float(value) if kind is float else value
+    if low is not None and value < low:
+        raise FormatError(f"{label} must be {'positive' if low is POSITIVE else f'at least {low}'}, got {value!r}")
+    if high is not None and value > high:
+        raise FormatError(f"{label} is {value!r}, above the bound {high}")
+    return value
+
+
+def read_object(doc, spec: dict, what: str) -> dict:
+    """Every key of `spec` read from the JSON object `doc` by its rule, in
+    the order of `spec`, or its default; an unknown key or a missing
+    required key is a FormatError."""
+    read_value(doc, dict, what)
+    unknown = [key for key in doc if key not in spec]
+    if unknown:
+        raise FormatError(f"unknown key {unknown[0]!r} in {what}; allowed: {', '.join(spec)}")
+    values = {}
+    for key, (kind, default, *bounds) in spec.items():
+        if key in doc:
+            values[key] = read_value(doc[key], kind, f"{key!r} in {what}", *bounds)
+        elif default is REQUIRED:
+            raise FormatError(f"{what} is missing {key!r}")
+        else:
+            values[key] = default
+    return values

@@ -61,6 +61,8 @@ class PolyVectorField(namedtuple("PolyVectorField", "components")):
     # A tuple would repeat itself under `field * 2` and `2 * field`.
     __mul__ = __rmul__ = None
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # run the checks of __new__ in _make and _replace too
+
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         n = len(self.components)
@@ -417,36 +419,25 @@ def flow_checks(
 # -- orbit diagnostics -------------------------------------------------------
 
 
-def _orbit_singular_values(action: VFAction, p: Sequence[float]) -> np.ndarray:
+def orbit_info(action: VFAction, p: Sequence[float], rel_threshold: float = 1e-9) -> dict:
+    """Orbit dimension, the numerical rank of the evaluation matrix of the
+    image fields at p, plus a flag for nearly rank-deficient evaluations;
+    one SVD gives both."""
     import numpy as np
 
     rows = np.array([f.eval_float([float(c) for c in p]) for f in action.images])
-    if rows.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(rows, compute_uv=False)
-
-
-def orbit_dimension(action: VFAction, p: Sequence[float], rel_threshold: float = 1e-9) -> int:
-    """Numerical rank of the evaluation matrix of the image fields at p."""
-    import numpy as np
-
-    sv = _orbit_singular_values(action, p)
-    if sv.size == 0 or sv[0] <= 1e-300:
-        return 0
-    return int(np.sum(sv > rel_threshold * sv[0]))
-
-
-def orbit_info(action: VFAction, p: Sequence[float]) -> dict:
-    """Orbit dimension plus a flag for nearly rank-deficient evaluations."""
-    import numpy as np
-
-    sv = _orbit_singular_values(action, p)
-    dim = orbit_dimension(action, p)
+    sv = np.linalg.svd(rows, compute_uv=False) if rows.size else np.zeros(0)
+    dim = 0 if sv.size == 0 or sv[0] <= 1e-300 else int(np.sum(sv > rel_threshold * sv[0]))
     near = False
     if sv.size and sv[0] > 0:
         rel = sv / sv[0]
         near = bool(np.any((rel > 1e-9) & (rel < 1e-6)))
     return {"dimension": dim, "near_degenerate": near}
+
+
+def orbit_dimension(action: VFAction, p: Sequence[float], rel_threshold: float = 1e-9) -> int:
+    """Numerical rank of the evaluation matrix of the image fields at p."""
+    return orbit_info(action, p, rel_threshold)["dimension"]
 
 
 def fixed_point_check(action: VFAction, p: Sequence[float]) -> bool:

@@ -6,11 +6,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieactions.algebra import to_json_dict
 from lieactions.catalog import catalog
+from lieactions.constants import MAX_ACTION_N, MAX_BALLS, MAX_CATALOG_DIM, MAX_EXPONENT, MAX_SAMPLES
 
 from clirunner import invoke
 
@@ -531,6 +532,15 @@ BALL = {"action": "ball", "group": "ST", "n": 3}
         (VF, {**COMMUTING, "flow": {"point": [1.0, 0.0], "s": 1e20}}),
         (VF, {**COMMUTING, "flow": {"point": [1.0, 0.0], "t": 1e308}}),
         (VF, {**COMMUTING, "flow": {"point": [1.0, 0.0], "h": 1e-320}}),
+        (ACT, {**SPHERE, "samples": MAX_SAMPLES + 1}),
+        (ACT, {**SPHERE, "n": MAX_ACTION_N + 1}),
+        (ACT, {"action": "disk", "n": MAX_ACTION_N + 1}),
+        (ACT, {"action": "multiball", "group": "U", "n": 2,
+               "balls": [{"center": [4.0 * b, 0.0]} for b in range(MAX_BALLS + 1)]}),
+        (VF, {"check": "projective", "n": 2, "samples": MAX_SAMPLES + 1}),
+        (VF, {"check": "projective", "n": 6}),
+        (VF, {**COMMUTING, "profiles": [_poly(1, ((0,), "1/1")), _poly(1, ((MAX_EXPONENT + 1,), "1/1"))]}),
+        (FLOW, {"field": {"components": [_poly(1, ((MAX_EXPONENT + 1,), "1/1"))]}, "point": [0.5]}),
     ],
     ids=["act-n-not-int", "act-tolerance-not-number", "act-no-balls", "act-zero-samples",
          "vf-projective-n-not-int", "act-sphere-n-zero", "act-disk-n-zero",
@@ -543,14 +553,28 @@ BALL = {"action": "ball", "group": "ST", "n": 3}
          "act-annulus-three-radii", "act-scenario-not-object", "flow-step-nan",
          "vf-flow-step-zero", "flow-duration-1e20", "flow-duration-minus-1e308",
          "flow-step-denormal", "flow-steps-above-bound", "vf-flow-s-1e20", "vf-flow-t-1e308",
-         "vf-flow-h-denormal"],
+         "vf-flow-h-denormal", "act-samples-above-bound", "act-sphere-n-above-bound", "act-disk-n-above-bound",
+         "act-balls-above-bound", "vf-projective-samples-above-bound", "vf-projective-n-6",
+         "vf-profile-exponent-above-bound", "flow-exponent-above-bound"],
 )
 def test_malformed_scenario_value_exits_2(tmp_path, args, scenario):
     path = write_json(tmp_path, "bad.json", scenario)
     result = run(*args, "--scenario", path)
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
-    assert result.stderr.startswith("error:")
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1, result.stderr
+
+
+@pytest.mark.parametrize(
+    "family, n, samples",
+    [("st", 9, 100), ("concat", 9, 100), ("st-prime", 10, 100), ("st", 3, -1), ("st", 3, MAX_SAMPLES + 1)],
+    ids=["st-n-9", "concat-n-9", "st-prime-n-10", "negative-samples", "samples-above-bound"],
+)
+def test_deform_size_out_of_range_exits_2(family, n, samples):
+    result = run("deform", "verify", "--family", family, "--n", str(n), "--samples", str(samples))
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1, result.stderr
 
 
 @pytest.mark.parametrize(
@@ -597,6 +621,14 @@ def test_flow_blow_up_exits_1(tmp_path):
     assert result.stderr.startswith("flow failed")
     assert isinstance(result.exception, SystemExit)
     assert result.stdout == ""
+
+
+def _assert_exit_code_contract(result, case):
+    assert result.exit_code in (0, 1, 2), (case, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (case, result.exception)
+    if result.exit_code == 2:
+        assert result.stdout == "" and result.stderr.startswith("error:"), (case, result.stderr)
+        assert result.stderr.count("\n") == 1, (case, result.stderr)
 
 
 # -- mutated scenarios keep the exit-code contract ----------------------------------------
@@ -659,11 +691,114 @@ def test_mutated_scenario_keeps_exit_code_contract(case):
         with open(path, "w") as fh:
             json.dump(doc, fh)
         result = run(*verb, "--scenario", path)
-    assert result.exit_code in (0, 1, 2), (doc, result.output)
-    assert result.exception is None or isinstance(result.exception, SystemExit), (doc, result.exception)
-    if result.exit_code == 2:
-        assert result.stdout == "" and result.stderr.startswith("error:"), (doc, result.stderr)
-        assert result.stderr.count("\n") == 1, (doc, result.stderr)
+    _assert_exit_code_contract(result, doc)
+
+
+# -- mutated algebra documents keep the exit-code contract ---------------------------------
+
+
+ALGEBRA_FILES = sorted((Path(__file__).parent / "golden").glob("*.algebra.json"))
+
+
+def _json_text(obj, repeat=None) -> str:
+    """The JSON text of `obj`, with the key of `repeat` = (object, key) written twice."""
+    if isinstance(obj, dict):
+        pairs = list(obj.items()) + ([(repeat[1], obj[repeat[1]])] if repeat and repeat[0] is obj else [])
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v, repeat)}" for k, v in pairs) + "}"
+    if isinstance(obj, list):
+        return "[" + ", ".join(_json_text(v, repeat) for v in obj) + "]"
+    return json.dumps(obj)
+
+
+@st.composite
+def mutated_algebras(draw):
+    """The JSON text of a golden algebra document with one key dropped,
+    written twice or given a value of another type, or with one bracket or
+    result index shifted by one."""
+    doc = json.loads(draw(st.sampled_from(ALGEBRA_FILES)).read_text())
+    op = draw(st.sampled_from(["drop", "duplicate", "retype", "shift"]))
+    if op == "shift":
+        entry = draw(st.sampled_from(doc["brackets"]))
+        d = draw(st.sampled_from([-1, 1]))
+        key = draw(st.sampled_from(["i", "j", *entry["result"]]))
+        if key in ("i", "j"):
+            entry[key] += d
+        else:
+            entry["result"] = {str(int(k) + d) if k == key else k: c for k, c in entry["result"].items()}
+        return _json_text(doc)
+    objects = [c for c in _containers(doc) if isinstance(c, dict) and c]
+    target = draw(st.sampled_from(objects))
+    key = draw(st.sampled_from(list(target)))
+    if op == "duplicate":
+        return _json_text(doc, (target, key))
+    if op == "drop":
+        del target[key]
+    else:
+        target[key] = draw(SMALL_VALUES.filter(lambda value: type(value) is not type(target[key])))
+    return _json_text(doc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mutated_algebras())
+def test_mutated_algebra_document_keeps_exit_code_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutant.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        result = run("algebra", "obstruct", path)
+    _assert_exit_code_contract(result, text)
+
+
+# -- sizes on both sides of their bounds ---------------------------------------------------
+
+
+def _balls(count):
+    return [{"center": [4.0 * b, 0.0]} for b in range(count)]
+
+
+# size -> (the arguments that ask for a value of it, a JSON object standing for the
+# file that holds it; its upper bound). Each asks for little else, so that a value
+# at the bound runs quickly.
+SIZES = {
+    "act-samples": (lambda v: (*ACT, "--scenario", {"action": "sphere", "group": "U", "n": 1, "samples": v}),
+                    MAX_SAMPLES),
+    "act-n": (lambda v: (*ACT, "--scenario", {**SPHERE, "n": v, "samples": 1}), MAX_ACTION_N),
+    "disk-n": (lambda v: (*ACT, "--scenario", {"action": "disk", "n": v, "samples": 1}), MAX_ACTION_N),
+    "balls": (lambda v: (*ACT, "--scenario", {"action": "multiball", "group": "U", "n": 2, "samples": 1,
+                                             "balls": _balls(v)}), MAX_BALLS),
+    "projective-samples": (lambda v: (*VF, "--scenario", {"check": "projective", "n": 1, "samples": v}), MAX_SAMPLES),
+    # sl(6) has dimension 35 and sl(7) 48, so the catalog bounds n at 5
+    "projective-n": (lambda v: (*VF, "--scenario", {"check": "projective", "n": v, "samples": 1}), 5),
+    "exponent": (lambda v: (*FLOW, "--scenario", {"field": {"components": [_poly(1, ((v,), "1/1"))]},
+                                                 "point": [0.5], "duration": 0.01}), MAX_EXPONENT),
+    # st(8) has dimension 35 and st(9) 44
+    "deform-n": (lambda v: ("deform", "verify", "--family", "st", "--n", str(v), "--samples", "1"), 8),
+    "deform-samples": (lambda v: ("deform", "verify", "--family", "st-prime", "--n", "2", "--samples", str(v)),
+                       MAX_SAMPLES),
+    "algebra-dim": (lambda v: ("algebra", "obstruct", {"name": "a", "dim": v, "basis": [f"e{k}" for k in range(v)]}),
+                    MAX_CATALOG_DIM),
+}
+
+
+def _at_each_bound(test):
+    for size in SIZES:
+        test = example(size, 0)(test)
+    return test
+
+
+# every size runs once at its bound; the values drawn lie above it, where each
+# is an input error found before any work, so that they cost nothing
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(SIZES)), st.integers(1, 10**30))
+@_at_each_bound
+def test_sizes_on_both_sides_of_their_bounds(size, offset):
+    build, bound = SIZES[size]
+    with tempfile.TemporaryDirectory() as tmp:
+        args = [write_json(Path(tmp), "size.json", a) if isinstance(a, dict) else a for a in build(bound + offset)]
+        result = run(*args)
+    _assert_exit_code_contract(result, (size, offset))
+    # a size above its bound is an input error; one at or below it is admitted
+    assert (result.exit_code == 2) == (offset > 0), (size, offset, result.stderr)
 
 
 # -- each verdict input is computed once -------------------------------------------------

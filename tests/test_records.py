@@ -145,8 +145,10 @@ def test_record_semantics(cls):
             hash(record)
     else:
         assert hash(copy) == hash(record) == expected
-    for name in fields:
-        assert record._replace(**{name: object()}) != record
+    # built as a plain tuple of fields: `_replace` runs the field checks of the
+    # records that have them, and object() is no valid field
+    for i in range(len(fields)):
+        assert tuple.__new__(cls, values[:i] + (object(),) + values[i + 1:]) != record
 
     for name in cached:
         value = getattr(record, name)
@@ -188,3 +190,30 @@ def test_multiplying_records_never_repeat_the_tuple():
         with pytest.raises(TypeError):
             product()
     assert CIRCLE * CIRCLE == Poly.make(2, {(4, 0): 1, (2, 2): 2, (0, 4): 1})
+
+
+# (a valid record, a change of one field to a bad value, the ValueError its constructor raises)
+REPLACED = [
+    (lambda: st_deformation(3), {"stages": (Stage(0.0, 1.0, (1, 2)),)}, "stage exponent count"),
+    (lambda: make_ball_action("ST", 2), {"radius": 0.0}, "radius must be positive"),
+    (lambda: MultiBall((make_ball_action("U", 2), make_ball_action("U", 2, center=(3, 0)))),
+     {"balls": (make_ball_action("U", 2), make_ball_action("U", 2, center=(1.5, 0.0)))}, "overlap"),
+    (lambda: hamiltonian_field(CIRCLE), {"components": (Poly.zero(2),)}, "variable count"),
+]
+
+
+@pytest.mark.parametrize("build, change, message", REPLACED, ids=["AlgebraDeformation", "BallAction", "MultiBall",
+                                                                   "PolyVectorField"])
+def test_replace_and_make_run_the_field_checks(build, change, message):
+    record = build()
+    with pytest.raises(ValueError, match=message):
+        record._replace(**change)
+    with pytest.raises(ValueError, match=message):
+        type(record)._make(change.get(name, value) for name, value in zip(record._fields, record))
+    assert record._replace() == record and type(record._replace()) is type(record)
+
+
+def test_poly_with_a_number_is_a_type_error():
+    for result in (lambda: CIRCLE + 2, lambda: CIRCLE * 2, lambda: 2 + CIRCLE):
+        with pytest.raises(TypeError):
+            result()
