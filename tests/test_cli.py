@@ -738,7 +738,7 @@ def mutated_algebras(draw):
     return _json_text(doc)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(mutated_algebras())
 def test_mutated_algebra_document_keeps_exit_code_contract(text):
     with tempfile.TemporaryDirectory() as tmp:

@@ -154,7 +154,7 @@ def documents(draw):
     return doc
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(table_objects() | st.tuples(st.sampled_from(sorted(TABLES)), json_values))
 def test_every_key_table_reads_any_json_or_raises_format_error(case):
     name, doc = case
@@ -165,7 +165,7 @@ def test_every_key_table_reads_any_json_or_raises_format_error(case):
     assert list(values) == list(TABLES[name])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(documents() | json_values)
 def test_algebra_reader_reads_any_json_or_raises_format_error(doc):
     try:
