@@ -28,6 +28,7 @@ from functools import lru_cache
 from .algebra import LieAlgebra, direct_sum
 from .constants import MAX_CATALOG_DIM
 from .linalg import RatMatrix
+from .serialize import FormatError
 
 __all__ = [
     "catalog",
@@ -234,7 +235,7 @@ def _build(name: str, param: int | None) -> tuple[LieAlgebra, tuple[RatMatrix, .
         raise ValueError(f"catalog family {name!r} needs a size parameter")
     dimension = _DIMENSIONS.get(family.lower())
     if dimension is not None and dimension(param) > MAX_CATALOG_DIM:
-        raise ValueError(
+        raise FormatError(
             f"catalog family {name!r} with parameter {param} has dimension "
             f"{dimension(param)}, above the bound {MAX_CATALOG_DIM}"
         )

@@ -263,7 +263,7 @@ def deform_verify(obj, family, n_, samples):
     }[family]
     try:
         dfm = build(n_)
-    except ValueError as exc:  # the algebra is above the catalog's bound, found before it is built
+    except FormatError as exc:  # the algebra is above the catalog's bound, found before it is built
         _input_error(f"--n {n_}: {exc}")
     law_tol = 1e-9
     report = verify_deformation(dfm, samples=samples, seed=obj["seed"])
@@ -526,7 +526,7 @@ def vf_verify(obj, scenario):
     # recorded is None exactly when the check failed
     try:
         action = make_projective_action(n)
-    except ValueError as exc:  # sl(n + 1) is above the catalog's bound, found before it is built
+    except FormatError as exc:  # sl(n + 1) is above the catalog's bound, found before it is built
         _input_error(f"'n' in the scenario: {exc}")
     exact = action.sign is not None
     kernel = projective_kernel(n)

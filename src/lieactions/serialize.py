@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring
 
@@ -111,7 +112,7 @@ def dumps(obj) -> str:
 
 
 class FormatError(ValueError):
-    """Malformed input data: an algebra document or a scenario object."""
+    """Malformed input data: an algebra document, a scenario object or a size above its bound."""
 
 
 # A key rule is (kind, default, low) or (kind, default, low, high). kind is int, float
@@ -139,8 +140,10 @@ def read_value(value, kind, label: str, low=None, high=None):
         ok, what = value in kind, "one of " + ", ".join(map(repr, kind))
     elif kind is float:
         ok, what = type(value) in (int, float) and abs(value) <= sys.float_info.max, "a finite number"
-    else:  # bool is an int subclass, so int is checked by exact type
-        ok, what = (type(value) is int if kind is int else isinstance(value, kind)), _KIND_NAMES.get(kind)
+    elif kind is int:  # bool is an int subclass, so int is checked by exact type
+        ok, what = type(value) is int, _KIND_NAMES[int]
+    else:  # a JSON object is any Mapping, as a library caller may pass one
+        ok, what = isinstance(value, Mapping if kind is dict else kind), _KIND_NAMES.get(kind)
     if not ok:
         raise FormatError(f"{label} must be {what}, got {value!r}")
     value = float(value) if kind is float else value

@@ -419,7 +419,7 @@ def flow_checks(
 # -- orbit diagnostics -------------------------------------------------------
 
 
-def orbit_info(action: VFAction, p: Sequence[float], rel_threshold: float = 1e-9) -> dict:
+def orbit_info(action: VFAction, p: Sequence[float]) -> dict:
     """Orbit dimension, the numerical rank of the evaluation matrix of the
     image fields at p, plus a flag for nearly rank-deficient evaluations;
     one SVD gives both."""
@@ -427,17 +427,14 @@ def orbit_info(action: VFAction, p: Sequence[float], rel_threshold: float = 1e-9
 
     rows = np.array([f.eval_float([float(c) for c in p]) for f in action.images])
     sv = np.linalg.svd(rows, compute_uv=False) if rows.size else np.zeros(0)
-    dim = 0 if sv.size == 0 or sv[0] <= 1e-300 else int(np.sum(sv > rel_threshold * sv[0]))
-    near = False
-    if sv.size and sv[0] > 0:
-        rel = sv / sv[0]
-        near = bool(np.any((rel > 1e-9) & (rel < 1e-6)))
-    return {"dimension": dim, "near_degenerate": near}
+    dim = 0 if sv.size == 0 or sv[0] <= 1e-300 else int(np.sum(sv > 1e-9 * sv[0]))
+    rel = sv / sv[0] if sv.size and sv[0] > 0 else sv
+    return {"dimension": dim, "near_degenerate": bool(np.any((rel > 1e-9) & (rel < 1e-6)))}
 
 
-def orbit_dimension(action: VFAction, p: Sequence[float], rel_threshold: float = 1e-9) -> int:
+def orbit_dimension(action: VFAction, p: Sequence[float]) -> int:
     """Numerical rank of the evaluation matrix of the image fields at p."""
-    return orbit_info(action, p, rel_threshold)["dimension"]
+    return orbit_info(action, p)["dimension"]
 
 
 def fixed_point_check(action: VFAction, p: Sequence[float]) -> bool:

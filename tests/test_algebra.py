@@ -485,6 +485,17 @@ def test_json_dim_bound():
         from_json_dict({**doc(41), "brackets": [{"i": 1, "j": 2, "result": {"3": "x"}}]})
 
 
+def test_json_reads_any_mapping():
+    from types import MappingProxyType
+
+    doc = to_json_dict(catalog("st3"))
+    proxied = MappingProxyType({
+        **doc,
+        "brackets": [MappingProxyType({**b, "result": MappingProxyType(b["result"])}) for b in doc["brackets"]],
+    })
+    assert to_json_dict(from_json_dict(proxied)) == doc
+
+
 def test_json_accepts_corrupted_algebra_without_validation():
     bad = corrupted_h3()
     doc = to_json_dict(bad)

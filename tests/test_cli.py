@@ -209,6 +209,24 @@ def test_deform_verify_bad_n():
     assert run("deform", "verify", "--family", "st", "--n", "1").exit_code == 2
 
 
+def test_only_the_catalog_bound_is_an_input_error(monkeypatch, tmp_path):
+    """A ValueError from building an algebra below the bound is a fault of the
+    program: it keeps its traceback instead of becoming exit 2."""
+    import lieactions.deformations
+    import lieactions.vectorfields
+
+    def broken(n):
+        raise ValueError("a stage check failed")
+
+    monkeypatch.setattr(lieactions.deformations, "st_deformation", broken)
+    monkeypatch.setattr(lieactions.vectorfields, "make_projective_action", broken)
+    path = write_json(tmp_path, "projective.json", {"check": "projective", "n": 2, "samples": 1})
+    for args in (("deform", "verify", "--family", "st", "--n", "3"), ("vf", "verify", "--scenario", path)):
+        result = run(*args)
+        assert type(result.exception) is ValueError and "stage check" in str(result.exception)
+        assert "error:" not in result.stderr
+
+
 # -- act verify ------------------------------------------------------------------------
 
 
