@@ -523,6 +523,23 @@ def test_from_matrix_basis_matches_per_pair_solve(key):
     assert dict(g.table) == want
 
 
+@pytest.mark.parametrize("family", ["t", "st", "sl", "st_prime", "d"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_from_matrix_basis_matches_sympy_commutators(family, n):
+    """[M_i, M_j] = sum_k c_ij^k M_k in sympy, for every pair of the matrix
+    basis; the basis is independent, so the coordinates are unique."""
+    g = catalog(family, n)
+    mats = [to_sympy(m) for m in catalog_matrices(family, n)]
+    assert sp.Matrix([list(m) for m in mats]).rank() == g.dim == len(mats)
+    for i, j in itertools.combinations(range(g.dim), 2):
+        total = sp.zeros(n, n)
+        for k in range(g.dim):
+            c = g.structure_constant(i, j, k)
+            if c:
+                total += sp.Rational(c.numerator, c.denominator) * mats[k]
+        assert total == mats[i] * mats[j] - mats[j] * mats[i], (i, j)
+
+
 def test_from_matrix_basis_rejects_dependent_and_open_families():
     mats = catalog_matrices("st3")
     with pytest.raises(ValueError, match="dependent"):
