@@ -8,6 +8,7 @@ certificates computed over Q.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -15,7 +16,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .constants import MAX_CATALOG_DIM
-from .linalg import RatMatrix, Subspace, nullspace_of_rows, rational_vector, sparse_rref
+from .linalg import RatMatrix, Subspace, _dense, _integer, nullspace_of_rows, rational_vector, sparse_rref
 from .serialize import REQUIRED, FormatError, format_rational, parse_rational, read_object
 
 __all__ = [
@@ -28,19 +29,6 @@ __all__ = [
     "to_json_dict",
     "from_json_dict",
 ]
-
-
-_ZERO = Fraction(0)
-
-
-def _scaled(v: Sequence[Fraction]) -> tuple[list[tuple[int, int]], int]:
-    """([(i, d * v_i), ...] for the nonzero v_i, d): v scaled to integers by
-    the lcm d of its denominators."""
-    nonzero = [(i, c) for i, c in enumerate(v) if c]
-    d = lcm(*[c.denominator for _, c in nonzero])
-    if d == 1:
-        return [(i, c.numerator) for i, c in nonzero], 1
-    return [(i, c.numerator * (d // c.denominator)) for i, c in nonzero], d
 
 
 class InvalidLieAlgebraError(ValueError):
@@ -110,33 +98,46 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
         dim = len(mats)
         if dim == 0:
             return LieAlgebra.create(name, [], {})
-        width = mats[0].rows * mats[0].cols
+        size = mats[0].cols
+        width = mats[0].rows * size
+        # each matrix as its nonzero entries (r, c, x), and as {r: [(c, x), ...]}
+        entries = [[(r, c, x) for r in range(m.rows) for c, x in enumerate(m.row(r)) if x] for m in mats]
+        rows = [{} for _ in mats]
+        for nonzero, by_row in zip(entries, rows):
+            for r, c, x in nonzero:
+                by_row.setdefault(r, []).append((c, x))
         # factor once: the RREF of [flat | I] is [R | E] with R = E @ flat, so
         # v = sum_t v[pivot t] R_t gives the coordinates sum_t v[pivot t] E_t
         reduced = sparse_rref(
-            {**dict(enumerate(m.flat())), width + t: 1} for t, m in enumerate(mats)
+            {**{r * size + c: x for r, c, x in nonzero}, width + t: 1} for t, nonzero in enumerate(entries)
         )
         if reduced[-1][0] >= width:
             raise ValueError("matrix basis is linearly dependent")
+        pivots = dict(reduced)
         brackets = {}
         for i in range(dim):
             for j in range(i + 1, dim):
-                rest = list(mats[i].commutator(mats[j]).flat())
-                coords = [Fraction(0)] * dim
-                for pivot, row in reduced:
-                    d = rest[pivot]
-                    if d:
-                        for col, v in row.items():
+                # M_i M_j - M_j M_i, flattened, from the nonzeros of each factor
+                rest: dict[int, Fraction] = {}
+                for a, b, sign in ((i, j, 1), (j, i, -1)):
+                    for r, k, x in entries[a]:
+                        for c, y in rows[b].get(k, ()):
+                            rest[r * size + c] = rest.get(r * size + c, 0) + sign * x * y
+                # an RREF row is zero on every other pivot, so each pivot's
+                # coefficient is read off before any row is subtracted
+                coords: dict[int, Fraction] = {}
+                for pivot, d in list(rest.items()):
+                    if d and pivot in pivots:
+                        for col, v in pivots[pivot].items():
                             if col < width:
-                                rest[col] -= d * v
+                                rest[col] = rest.get(col, 0) - d * v
                             else:
-                                coords[col - width] += d * v
-                if any(rest):
+                                coords[col - width] = coords.get(col - width, 0) + d * v
+                if any(rest.values()):
                     raise ValueError(
                         f"commutator [{basis_names[i]}, {basis_names[j]}] leaves the span"
                     )
-                if any(coords):
-                    brackets[(i, j)] = tuple(coords)
+                brackets[(i, j)] = coords
         return LieAlgebra.create(name, basis_names, brackets, validate=False)
 
     # -- bracket ------------------------------------------------------
@@ -148,18 +149,23 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
         return dict(self.sparse_table.get((i, j), ())).get(k, Fraction(0))
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-        """Exact bracket of coordinate vectors, summed in integers over the
-        common denominator of x, y and the structure constants and divided once."""
+        """Exact bracket of coordinate vectors: `_bracket` of x and y scaled
+        to integers, divided once by the common denominator."""
         xv = rational_vector(x)
         yv = rational_vector(y)
         if len(xv) != self.dim or len(yv) != self.dim:
             raise ValueError("vector length != algebra dimension")
-        den, table = self.integer_table
-        nx, dx = _scaled(xv)
-        ny, dy = _scaled(yv)
+        (nx, dx), (ny, dy) = _integer(xv), _integer(yv)
+        den = self.integer_table[0] * dx * dy
+        return _dense({k: Fraction(v, den) for k, v in self._bracket(nx, ny).items()}, self.dim)
+
+    def _bracket(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+        """den * [x, y] for sparse integer vectors {i: x_i}, summed in
+        integers over `integer_table` (whose scale is den); zeros dropped."""
+        table = self.integer_table[1]
         out: dict[int, int] = {}
-        for i, xi in nx:
-            for j, yj in ny:
+        for i, xi in x.items():
+            for j, yj in y.items():
                 if i < j:
                     vec, s = table.get((i, j)), xi * yj
                 elif i > j:
@@ -169,12 +175,7 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
                 if vec is not None:
                     for k, c in vec:
                         out[k] = out.get(k, 0) + s * c
-        den *= dx * dy
-        result = [_ZERO] * self.dim
-        for k, v in out.items():
-            if v:
-                result[k] = Fraction(v, den)
-        return tuple(result)
+        return {k: v for k, v in out.items() if v}
 
     @cached_property
     def sparse_table(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
@@ -215,8 +216,7 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
 
     def ad_matrix(self, x: Sequence) -> RatMatrix:
         """Matrix of ad_x acting on coordinates (column j is [x, e_j])."""
-        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
-        return RatMatrix([[cols[j][k] for j in range(self.dim)] for k in range(self.dim)])
+        return RatMatrix(list(zip(*(self.bracket(x, self.basis_vector(j)) for j in range(self.dim)))))
 
     # -- validation ---------------------------------------------------
 
@@ -251,22 +251,20 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
         return Subspace.full(self.dim)
 
     def subspace_bracket(self, u: Subspace, v: Subspace) -> Subspace:
-        """Span of brackets of basis pairs; equals [span u, span v]."""
+        """Span of brackets of basis pairs; equals [span u, span v]. Each
+        basis row is read once, as a sparse integer vector; when u = v, each
+        unordered pair is bracketed once."""
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise ValueError("ambient dimension != algebra dimension")
-        vecs = []
-        for bu in u.basis_vectors():
-            for bv in v.basis_vectors():
-                w = self.bracket(bu, bv)
-                if any(w):
-                    vecs.append(w)
-        return Subspace.span(vecs, self.dim)
+        xs = [_integer(row)[0] for row in u.basis_vectors()]
+        if u == v:
+            pairs = itertools.combinations(xs, 2)
+        else:
+            pairs = itertools.product(xs, [_integer(row)[0] for row in v.basis_vectors()])
+        return Subspace.span([self._bracket(x, y) for x, y in pairs], self.dim)
 
     def commutator_ideal(self) -> Subspace:
         return self.subspace_bracket(self.full_space(), self.full_space())
-
-    def is_ideal(self, s: Subspace) -> bool:
-        return s.contains_subspace(self.subspace_bracket(self.full_space(), s))
 
     # -- series and invariants -----------------------------------------
 
@@ -322,8 +320,8 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
     def center(self) -> Subspace:
         """{x : [x, e_j] = 0 for all j}, computed afresh as one kernel;
         `center_space` holds it once per algebra."""
-        rows: dict[tuple[int, int], dict[int, Fraction]] = {}  # (j, k) -> {i: c_ij^k}
-        for (i, j), coeffs in self.sparse_table.items():
+        rows: dict[tuple[int, int], dict[int, int]] = {}  # (j, k) -> {i: den * c_ij^k}
+        for (i, j), coeffs in self.integer_table[1].items():
             for k, c in coeffs:
                 rows.setdefault((j, k), {})[i] = c
                 rows.setdefault((i, k), {})[j] = -c

@@ -12,12 +12,13 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter, defaultdict, namedtuple
+from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul, sub
 
 from .algebra import LieAlgebra
-from .linalg import RatMatrix, Subspace, _backward, _insert, _kernel_vectors, _primitive, nullspace_of_rows
+from .linalg import RatMatrix, Subspace, _backward, _dense, _echelon, _insert, _kernel, _kernel_vectors, _primitive
 
 __all__ = [
     "DerivationAlgebra",
@@ -111,14 +112,18 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
             prow = _insert(echelon, row)
             if prow:
                 if len(echelon) == bound:
-                    ads = [g.ad_matrix(g.basis_vector(i)).flat() for i in range(n)]
+                    # the span of the ad e_i, entry (k, j) of each at k*n + j
+                    ads = [
+                        {k * n + j: c for j in range(n) for k, c in g._bracket({i: 1}, {j: 1}).items()}
+                        for i in range(n)
+                    ]
                     return _from_kernel(g, Subspace.span(ads, n * n))
                 grew = True
                 nonzeros += len(prow)
         if not grew and nonzeros > _DENSE_PIVOT_ROW * len(echelon):
             kernel = _cut(_integer_kernel(echelon, n * n), blocks, inner)
             return _from_kernel(g, Subspace.span(kernel, n * n))
-    return _from_kernel(g, nullspace_of_rows(echelon.values(), n * n))
+    return _from_kernel(g, _kernel(echelon, n * n))
 
 
 def _from_kernel(g: LieAlgebra, space: Subspace) -> DerivationAlgebra:
@@ -173,65 +178,90 @@ def _cut(kernel: list[list[int]], blocks, target: int) -> list[list[int]]:
     return kernel
 
 
+def _integer_basis(mats) -> tuple[list[list[dict[int, int]]], int]:
+    """(the rows of d * m as sparse integer rows {col: value}, for each m; d)
+    for the lcm d of every denominator in mats. Scaling by d > 0 changes
+    neither the nilpotency of a combination nor a preimage."""
+    nonzero = [[[(j, x) for j, x in enumerate(m.row(i)) if x] for i in range(m.rows)] for m in mats]
+    den = lcm(*(x.denominator for rows in nonzero for row in rows for _, x in row))
+    return [[{j: x.numerator * (den // x.denominator) for j, x in row} for row in rows] for rows in nonzero], den
+
+
+def _row_times(row: dict[int, int], mat: list[dict[int, int]]) -> dict[int, int]:
+    """The sparse row vector `row` times the matrix with sparse rows `mat`."""
+    out: dict[int, int] = {}
+    for k, a in row.items():
+        for c, x in mat[k].items():
+            out[c] = out.get(c, 0) + a * x
+    return {c: v for c, v in out.items() if v}
+
+
 def engel_flag(mats: list[RatMatrix] | tuple[RatMatrix, ...], ambient_dim: int) -> list[Subspace] | None:
     """Flag 0 < W_1 < ... < W_r = Q^n with D(W_{k+1}) <= W_k for all D.
 
     W_{k+1} is the preimage of W_k under every matrix at once; the chain
     either climbs to the full space (the span acts nilpotently, flag
-    returned) or stalls strictly below it (None).
+    returned) or stalls strictly below it (None). W_k is the kernel of
+    integer rows A, so W_{k+1} is the kernel of the rows a m for a in A,
+    and their echelon is the next A.
     """
     for m in mats:
         if m.rows != m.cols or m.rows != ambient_dim:
             raise ValueError("matrices must be square of the ambient dimension")
     if ambient_dim == 0:
         return [Subspace.zero(0)]
-    current = Subspace.zero(ambient_dim)
+    rows, _ = _integer_basis(mats)
+    annihilator = [{k: 1} for k in range(ambient_dim)]  # W_0 = 0
     flag: list[Subspace] = []
-    while current.dim < ambient_dim:
-        annihilator = current.annihilator_matrix()
-        constraint_rows = []
-        for m in mats:
-            prod = annihilator @ m
-            constraint_rows.extend(prod.to_lists())
-        nxt = nullspace_of_rows(constraint_rows, ambient_dim)
-        if nxt.dim <= current.dim:
+    while annihilator:
+        echelon = _echelon(_primitive(_row_times(a, m)) for a in annihilator for m in rows)
+        if len(echelon) == len(annihilator):
             return None
-        flag.append(nxt)
-        current = nxt
+        flag.append(_kernel(echelon, ambient_dim))
+        annihilator = list(echelon.values())
     return flag
 
 
-def _is_nilpotent_matrix(m: RatMatrix) -> bool:
-    power = m
-    for _ in range(m.rows):
-        if power.is_zero():
-            return True
-        power = power @ m
-    return power.is_zero()
+def _is_nilpotent_matrix(rows: list[dict[int, int]]) -> bool:
+    """Whether the square matrix with these sparse integer rows is
+    nilpotent: M^n = 0 for n = len(rows), tested on the powers M^(2^j),
+    since M^k = 0 for some k >= n exactly when M^n = 0."""
+    power, k = rows, 1
+    while any(power):
+        if k >= len(rows):
+            return False
+        power = [_row_times(row, power) for row in power]
+        k *= 2
+    return True
+
+
+def _combination(coeffs: dict[int, int], rows: list[list[dict[int, int]]]) -> list[dict[int, int]]:
+    """sum c * rows[t] over coeffs {t: c}, as sparse integer rows."""
+    out: list[dict[int, int]] = [{} for _ in rows[0]]
+    for t, c in coeffs.items():
+        for acc, row in zip(out, rows[t]):
+            for j, x in row.items():
+                acc[j] = acc.get(j, 0) + c * x
+    return [{j: v for j, v in acc.items() if v} for acc in out]
 
 
 def find_non_nilpotent(mats: list[RatMatrix], seed: int = 0, tries: int = 200) -> RatMatrix | None:
     """A non-nilpotent element of the span: basis elements first, then
-    pair sums, then seeded small rational combinations."""
+    pair sums, then seeded small integer combinations."""
     if not mats:
         return None
-    for m in mats:
-        if not _is_nilpotent_matrix(m):
+    rows, den = _integer_basis(mats)
+    for m, r in zip(mats, rows):
+        if not _is_nilpotent_matrix(r):
             return m
-    for a, b in itertools.combinations(mats, 2):
-        s = a + b
-        if not _is_nilpotent_matrix(s):
-            return s
     rng = random.Random(seed)
-    n = mats[0].rows
-    for _ in range(tries):
-        combo = RatMatrix.zeros(n, n)
-        for m in mats:
-            c = rng.randint(-3, 3)
-            if c:
-                combo = combo + m.scale(c)
+    pairs = ({a: 1, b: 1} for a, b in itertools.combinations(range(len(mats)), 2))
+    seeded = ({t: c for t in range(len(mats)) if (c := rng.randint(-3, 3))} for _ in range(tries))
+    for coeffs in itertools.chain(pairs, seeded):
+        combo = _combination(coeffs, rows)
         if not _is_nilpotent_matrix(combo):
-            return combo
+            n = len(combo)
+            return RatMatrix([_dense({j: Fraction(v, den) for j, v in row.items()}, n) for row in combo])
     return None
 
 

@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
-All invariant computations in this package reduce to row reduction,
-kernels and subspace arithmetic over Q. Everything here is exact:
-no floats, no thresholds. Matrices and subspaces are immutable, and
-subspaces are kept in canonical reduced row-echelon form so that
-equality of subspaces is equality of representations.
+All invariant computations in this package reduce to row reduction and
+kernels over Q. The working form is the sparse integer row
+{column: integer}: `sparse_rref` eliminates such rows fraction-free and
+returns the canonical RREF. `RatMatrix` and `Subspace` are dense values
+with no arithmetic, used where results leave the exact layer (reports,
+tests). Everything here is exact: no floats, no thresholds. Subspaces
+are kept in canonical reduced row-echelon form so that equality of
+subspaces is equality of representations.
 """
 
 from __future__ import annotations
@@ -20,10 +23,7 @@ __all__ = [
     "Rational",
     "RatMatrix",
     "Subspace",
-    "rref",
     "nullspace",
-    "subspace_sum",
-    "subspace_intersection",
     "nullspace_of_rows",
     "solve",
     "sparse_rref",
@@ -48,7 +48,9 @@ def rational_vector(xs: Iterable) -> tuple[Fraction, ...]:
 
 
 class RatMatrix:
-    """Immutable matrix with Fraction entries, stored row-major."""
+    """Immutable matrix with Fraction entries, stored row-major: a value
+    for reports and tests, with no arithmetic (the exact layer works on
+    sparse integer rows)."""
 
     __slots__ = ("rows", "cols", "_data")
 
@@ -77,23 +79,11 @@ class RatMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self._data[i]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self._data)
-
     def entry(self, i: int, j: int) -> Fraction:
         return self._data[i][j]
 
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._data]
-
     def flat(self) -> tuple[Fraction, ...]:
         return tuple(x for r in self._data for x in r)
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix([self.column(j) for j in range(self.cols)])
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self._data for x in r)
 
     def __eq__(self, other) -> bool:
         return (
@@ -106,73 +96,29 @@ class RatMatrix:
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self._data))
 
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check_same_shape(other)
-        return RatMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)]
-        )
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check_same_shape(other)
-        return RatMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)]
-        )
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-a for a in r] for r in self._data])
-
-    def scale(self, c) -> "RatMatrix":
-        c = as_rational(c)
-        return RatMatrix([[c * a for a in r] for r in self._data])
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        # sparse rows times sparse rows: zeros are tested once per entry, not per product
-        right = [[(j, y) for j, y in enumerate(r) if y] for r in other._data]
-        out = []
-        for r in self._data:
-            acc = [_ZERO] * other.cols
-            for k, x in enumerate(r):
-                if x:
-                    for j, y in right[k]:
-                        acc[j] += x * y
-            out.append(acc)
-        return RatMatrix(out)
-
-    def apply(self, v: Sequence) -> tuple[Fraction, ...]:
-        """Matrix times column vector."""
-        vv = rational_vector(v)
-        if len(vv) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum((x * y for x, y in zip(r, vv) if x and y), _ZERO) for r in self._data)
-
-    def commutator(self, other: "RatMatrix") -> "RatMatrix":
-        return (self @ other) - (other @ self)
-
-    def rref(self) -> "RatMatrix":
-        reduced = [_dense(row, self.cols) for _, row in sparse_rref(self._data)]
-        zero = (_ZERO,) * self.cols
-        return RatMatrix(reduced + [zero] * (self.rows - len(reduced)))
-
     def rank(self) -> int:
-        return len(_echelon(self._data))
+        return len(_echelon(map(_int_row, self._data)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in r) for r in self._data)
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
-    def _check_same_shape(self, other: "RatMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
+
+def _integer(row: Mapping[int, Fraction] | Sequence[Fraction]) -> tuple[dict[int, int], int]:
+    """(d * row as {col: value} with zeros dropped, d): a row of Fractions or
+    ints, as a sequence or a {col: value} mapping, scaled to integers by the
+    lcm d of its denominators."""
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    entries = [(j, x) for j, x in items if x]
+    den = lcm(*(x.denominator for _, x in entries))
+    if den == 1:
+        return {j: x.numerator for j, x in entries}, 1
+    return {j: x.numerator * (den // x.denominator) for j, x in entries}, den
 
 
 def _int_row(row: Mapping[int, Fraction] | Sequence[Fraction]) -> dict[int, int]:
     """Primitive integer multiple of a rational row as {col: value}, zeros dropped."""
-    items = row.items() if isinstance(row, Mapping) else enumerate(row)
-    entries = [(j, as_rational(x)) for j, x in items if x]
-    den = lcm(*(x.denominator for _, x in entries))
-    return _primitive({j: x.numerator * (den // x.denominator) for j, x in entries})
+    return _primitive(_integer(row)[0])
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -197,17 +143,17 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int,
     return _primitive(out)
 
 
-def _echelon(rows: Iterable) -> dict[int, dict[int, int]]:
+def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Row echelon form of sparse integer rows, keyed by leading column.
 
-    Rows (sequences or {col: value} mappings of rationals) are added one
-    at a time and reduced against the pivot rows found so far, in the
-    fraction-free manner of Bareiss with the content divided out after
-    every step. Zero rows vanish; the number of keys is the rank.
+    Rows ({col: nonzero integer}) are added one at a time and reduced
+    against the pivot rows found so far, in the fraction-free manner of
+    Bareiss with the content divided out after every step. Zero rows
+    vanish; the number of keys is the rank.
     """
     echelon: dict[int, dict[int, int]] = {}
     for row in rows:
-        _insert(echelon, _int_row(row))
+        _insert(echelon, row)
     return echelon
 
 
@@ -226,8 +172,9 @@ def _insert(echelon: dict[int, dict[int, int]], r: dict[int, int]) -> dict[int, 
 
 def sparse_rref(rows: Iterable) -> list[tuple[int, dict[int, Fraction]]]:
     """Canonical RREF of the row space as (pivot column, sparse row) pairs
-    in pivot order."""
-    return _backward(_echelon(rows))
+    in pivot order. Rows are sequences or {col: value} mappings of
+    Fractions or ints."""
+    return _backward(_echelon(map(_int_row, rows)))
 
 
 def _backward(echelon: dict[int, dict[int, int]]) -> list[tuple[int, dict[int, Fraction]]]:
@@ -253,11 +200,6 @@ def _dense(row: Mapping[int, Fraction], ncols: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def rref(m: RatMatrix) -> RatMatrix:
-    """Canonical reduced row-echelon form (same shape, same row space)."""
-    return m.rref()
-
-
 class Subspace(namedtuple("Subspace", "ambient_dim basis")):
     """A subspace of Q^n, represented by its canonical RREF basis.
 
@@ -266,11 +208,12 @@ class Subspace(namedtuple("Subspace", "ambient_dim basis")):
     """
 
     @staticmethod
-    def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        vecs = [rational_vector(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length != ambient dimension")
+    def span(vectors: Iterable, ambient_dim: int) -> "Subspace":
+        """The span of vectors given as sequences of length ambient_dim or
+        as sparse {col: value} mappings, the rows `sparse_rref` takes."""
+        vecs = [v if isinstance(v, Mapping) else rational_vector(v) for v in vectors]
+        if any(len(v) != ambient_dim for v in vecs if not isinstance(v, Mapping)):
+            raise ValueError("vector length != ambient dimension")
         return _subspace(sparse_rref(vecs), ambient_dim)
 
     @staticmethod
@@ -303,16 +246,9 @@ class Subspace(namedtuple("Subspace", "ambient_dim basis")):
         return not any(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(self.contains(b) for b in other.basis_vectors())
-
-    def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-
-    def annihilator_matrix(self) -> RatMatrix:
-        """Matrix A with kernel(A) = self (rows span the dual constraints)."""
-        return nullspace_of_rows(self.basis._data, self.ambient_dim).basis
+        return all(self.contains(b) for b in other.basis_vectors())
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -332,7 +268,13 @@ def nullspace(m: RatMatrix) -> Subspace:
 def nullspace_of_rows(rows: Iterable, ncols: int) -> Subspace:
     """Kernel of the matrix with the given rows (sequences or sparse
     {col: value} mappings), with canonical basis."""
-    return _subspace(sparse_rref(_kernel_vectors(sparse_rref(rows), ncols)), ncols)
+    return _kernel(_echelon(map(_int_row, rows)), ncols)
+
+
+def _kernel(echelon: dict[int, dict[int, int]], ncols: int) -> Subspace:
+    """Kernel of integer rows keyed by distinct leading columns, as `_echelon`
+    returns them, with canonical basis; `echelon` is left as it was."""
+    return _subspace(sparse_rref(_kernel_vectors(_backward(dict(echelon)), ncols)), ncols)
 
 
 def _kernel_vectors(reduced: list[tuple[int, dict[int, Fraction]]], ncols: int) -> list[dict[int, Fraction]]:
@@ -345,19 +287,6 @@ def _kernel_vectors(reduced: list[tuple[int, dict[int, Fraction]]], ncols: int) 
             if f != col:
                 kernel[f][col] = -v
     return list(kernel.values())
-
-
-def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
-    """Span of the union of two subspaces of the same ambient space."""
-    u._check_ambient(v)
-    return Subspace.span(u.basis_vectors() + v.basis_vectors(), u.ambient_dim)
-
-
-def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked constraint system."""
-    u._check_ambient(v)
-    stacked = u.annihilator_matrix()._data + v.annihilator_matrix()._data
-    return nullspace_of_rows(stacked, u.ambient_dim)
 
 
 def solve(a: RatMatrix, b: Sequence) -> tuple[Fraction, ...] | None:

@@ -230,35 +230,16 @@ def projective_kernel(n: int) -> Subspace:
     from .linalg import RatMatrix, nullspace
 
     size = n + 1
-    basis_fields = []
-    monomials: list[tuple[int, tuple[int, ...]]] = []
-    seen = set()
-    for a in range(size):
-        for b in range(size):
-            m = RatMatrix.zeros(size, size)
-            rows = m.to_lists()
-            rows[a][b] = Fraction(1)
-            field = projective_infinitesimal(RatMatrix(rows))
-            basis_fields.append(field)
-            for k, comp in enumerate(field.components):
-                for e, _ in comp.terms:
-                    if (k, e) not in seen:
-                        seen.add((k, e))
-                        monomials.append((k, e))
-    monomials.sort()
-    # rows: one per matrix unit; columns: coefficient on each monomial slot
-    rows = []
-    for field in basis_fields:
-        row = []
-        for k, e in monomials:
-            c = Fraction(0)
-            for ee, cc in field.components[k].terms:
-                if ee == e:
-                    c = cc
-                    break
-            row.append(c)
-        rows.append(row)
-    return nullspace(RatMatrix(rows).transpose())
+    units = [
+        RatMatrix([[Fraction(int((i, j) == (a, b))) for j in range(size)] for i in range(size)])
+        for a in range(size)
+        for b in range(size)
+    ]
+    terms = [[dict(comp.terms) for comp in projective_infinitesimal(u).components] for u in units]
+    # rows: one per monomial slot (component k, exponent e); columns: the matrix units
+    slots = sorted({(k, e) for t in terms for k, comp in enumerate(t) for e in comp})
+    rows = [[t[k].get(e, Fraction(0)) for t in terms] for k, e in slots]
+    return nullspace(RatMatrix(rows))
 
 
 class VFAction(namedtuple("VFAction", "algebra images sign", defaults=(None,))):

@@ -1,4 +1,4 @@
-"""Exact linear algebra: canonical RREF, kernels, subspace arithmetic."""
+"""Exact linear algebra: canonical RREF, kernels, subspaces."""
 
 import random
 from fractions import Fraction
@@ -8,17 +8,22 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieactions.linalg import (
-    RatMatrix,
-    Subspace,
-    nullspace,
-    rref,
-    solve,
-    subspace_intersection,
-    subspace_sum,
-)
+from lieactions.linalg import RatMatrix, Subspace, nullspace, solve, sparse_rref
 
 small_int = st.integers(min_value=-6, max_value=6)
+
+
+def rref(m: RatMatrix) -> RatMatrix:
+    """The canonical RREF of m from `sparse_rref`, as a matrix of m's shape
+    with the zero rows last."""
+    pivot_rows = sparse_rref(m.row(i) for i in range(m.rows))
+    reduced = [[row.get(j, Fraction(0)) for j in range(m.cols)] for _, row in pivot_rows]
+    return RatMatrix(reduced + [[Fraction(0)] * m.cols] * (m.rows - len(reduced)))
+
+
+def _apply(m: RatMatrix, v) -> tuple:
+    """m times the column vector v."""
+    return tuple(sum((x * y for x, y in zip(m.row(i), v)), Fraction(0)) for i in range(m.rows))
 
 
 def matrices(rows, cols):
@@ -40,7 +45,7 @@ def test_rref_rank_one():
 
 def _row_space_contains(a: RatMatrix, b: RatMatrix) -> bool:
     """Oracle: every row of b solvable as a combination of rows of a."""
-    at = a.transpose()
+    at = RatMatrix(list(zip(*(a.row(i) for i in range(a.rows)))))
     return all(solve(at, b.row(i)) is not None for i in range(b.rows))
 
 
@@ -72,7 +77,7 @@ def test_nullspace_dimension_and_membership():
         ker = nullspace(m)
         assert ker.dim == 4 - m.rank()
         for b in ker.basis_vectors():
-            assert all(x == 0 for x in m.apply(b))
+            assert all(x == 0 for x in _apply(m, b))
 
 
 @settings(max_examples=30, deadline=None)
@@ -80,47 +85,7 @@ def test_nullspace_dimension_and_membership():
 def test_nullspace_vectors_annihilated(m):
     ker = nullspace(m)
     for b in ker.basis_vectors():
-        assert all(x == 0 for x in m.apply(b))
-
-
-def test_subspace_idempotence():
-    u = Subspace.span([[1, 2, 0], [0, 1, 1]], 3)
-    assert subspace_sum(u, u) == u
-    assert subspace_intersection(u, u) == u
-
-
-def test_span_e1_e2():
-    e1 = Subspace.span([[1, 0]], 2)
-    e2 = Subspace.span([[0, 1]], 2)
-    assert subspace_sum(e1, e2) == Subspace.full(2)
-    assert subspace_intersection(e1, e2).dim == 0
-
-
-def _random_subspace(rng, ambient, max_vecs=4):
-    vecs = [
-        [rng.randint(-3, 3) for _ in range(ambient)]
-        for _ in range(rng.randint(0, max_vecs))
-    ]
-    return Subspace.span(vecs, ambient)
-
-
-def test_grassmann_dimension_identity():
-    # dim U + dim V = dim(U+V) + dim(U cap V), with dims recomputed by
-    # brute-force rank of stacked generators as the oracle
-    rng = random.Random(23)
-    for _ in range(25):
-        u = _random_subspace(rng, 5)
-        v = _random_subspace(rng, 5)
-        s = subspace_sum(u, v)
-        i = subspace_intersection(u, v)
-        assert u.dim + v.dim == s.dim + i.dim
-        stacked = RatMatrix(
-            [list(r) for r in u.basis_vectors()] + [list(r) for r in v.basis_vectors()]
-        ) if (u.dim + v.dim) else RatMatrix.zeros(0, 5)
-        if stacked.rows:
-            assert s.dim == stacked.rank()
-        assert s.contains_subspace(u) and s.contains_subspace(v)
-        assert u.contains_subspace(i) and v.contains_subspace(i)
+        assert all(x == 0 for x in _apply(m, b))
 
 
 def test_subspace_equality_is_representation_equality():
@@ -141,9 +106,7 @@ def test_ambient_mismatch_rejected():
     u = Subspace.span([[1, 0]], 2)
     v = Subspace.span([[1, 0, 0]], 3)
     with pytest.raises(ValueError):
-        subspace_sum(u, v)
-    with pytest.raises(ValueError):
-        subspace_intersection(u, v)
+        u.contains_subspace(v)
     with pytest.raises(ValueError):
         u.contains([1, 0, 0])
 
@@ -152,7 +115,7 @@ def test_solve_consistent_and_inconsistent():
     a = RatMatrix([[1, 2], [3, 4]])
     x = solve(a, [5, 11])
     assert x is not None
-    assert a.apply(x) == (Fraction(5), Fraction(11))
+    assert _apply(a, x) == (Fraction(5), Fraction(11))
     singular = RatMatrix([[1, 2], [2, 4]])
     assert solve(singular, [1, 0]) is None
 
@@ -205,7 +168,7 @@ def sympy_solution(data, b):
 def test_rref_rank_nullspace_match_sympy(data):
     m = RatMatrix(data)
     reduced, pivots = sp.Matrix(data).rref()
-    assert m.rref() == RatMatrix(to_fractions(reduced))
+    assert rref(m) == RatMatrix(to_fractions(reduced))
     assert m.rank() == len(pivots)
     kernel = sp.Matrix(data).nullspace()
     if kernel:

@@ -230,11 +230,11 @@ def test_projective_t12_in_sl3():
 def test_projective_linear_in_matrix():
     rng = random.Random(12)
     for _ in range(10):
-        a = RatMatrix([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
-        b = RatMatrix([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
-        xa = projective_infinitesimal(a)
-        xb = projective_infinitesimal(b)
-        xab = projective_infinitesimal(a + b)
+        a = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        b = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        xa = projective_infinitesimal(RatMatrix(a))
+        xb = projective_infinitesimal(RatMatrix(b))
+        xab = projective_infinitesimal(RatMatrix([[x + y for x, y in zip(r, q)] for r, q in zip(a, b)]))
         assert xab == xa + xb
 
 
