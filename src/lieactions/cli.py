@@ -17,7 +17,15 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .constants import DEFAULT_SEED, MAX_ACTION_N, MAX_BALLS, MAX_EXPONENT, MAX_SAMPLES
+from .constants import (
+    DEFAULT_SEED,
+    MAX_ACTION_N,
+    MAX_BALLS,
+    MAX_EXPONENT,
+    MAX_FIELD_TERMS,
+    MAX_PROFILES,
+    MAX_SAMPLES,
+)
 from .serialize import POSITIVE, REQUIRED, FormatError, dumps, format_rational, parse_rational, read_object, read_value
 
 if TYPE_CHECKING:
@@ -419,7 +427,7 @@ POLY_KEYS = {"vars": (int, REQUIRED, 0), "terms": ([dict], REQUIRED, None)}
 TERM_KEYS = {"exponents": ([int, 0, MAX_EXPONENT], REQUIRED, None), "coefficient": (str, REQUIRED, None)}
 FIELD_KEYS = {"components": ([dict], REQUIRED, 1)}
 COMMUTING_KEYS = {"check": (str, REQUIRED, None), "f": (dict, REQUIRED, None),
-                  "field": (object, "hamiltonian", None), "profiles": ([dict], REQUIRED, None),
+                  "field": (object, "hamiltonian", None), "profiles": ([dict], REQUIRED, None, MAX_PROFILES),
                   "flow": (dict, None, None)}
 FLOW_CHECK_KEYS = {"point": ([float], [1.0, 0.0], None), "s": (float, 0.3, None), "t": (float, 0.3, None),
                    "h": (float, 1e-3, POSITIVE), "commutation_tolerance": (float, 1e-5, 0.0),
@@ -433,7 +441,7 @@ FLOW_KEYS = {"field": (dict, REQUIRED, None), "point": ([float], REQUIRED, None)
 
 def _flow_steps(duration: float, step: float, what: str) -> None:
     """An input error unless a flow of `duration` in steps of `step` stays
-    within vectorfields.MAX_FLOW_STEPS; checked before anything is allocated."""
+    within constants.MAX_FLOW_STEPS; checked before anything is allocated."""
     from .vectorfields import flow_steps
 
     try:
@@ -490,6 +498,13 @@ def vf_verify(obj, scenario):
             _flow_steps(fl["t"], fl["h"], "'flow'")
         try:
             base = hamiltonian_field(f) if v["field"] == "hamiltonian" else _parse_field(v["field"], "'field'")
+            # the fields u(f) X have degree at most deg u * deg f + deg X, so at most
+            # C(that + n, n) terms each; checked before any u(f) is built
+            degree = max((u.degree() for u in profiles), default=0) * f.degree() + max(c.degree() for c in base.components)
+            terms = math.comb(degree + base.nvars, base.nvars)
+            if terms > MAX_FIELD_TERMS:
+                _input_error(f"the fields u(f) X may have degree {degree} in {base.nvars} variables, so {terms} "
+                             f"terms, above the bound {MAX_FIELD_TERMS}")
             fields, cert = commuting_family(f, base, profiles)
         except ValueError as exc:  # no annihilation, non-univariate profiles, mismatched dimensions
             _input_error(str(exc))

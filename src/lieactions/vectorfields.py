@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import sub
 from typing import TYPE_CHECKING, Sequence
 
-from .constants import max_residual
+from .constants import MAX_FLOW_STEPS, max_residual
 from .polynomials import Poly, eval_compiled
 
 if TYPE_CHECKING:
@@ -304,10 +304,6 @@ class FlowBlowUpError(RuntimeError):
     def __init__(self, time: float):
         self.time = time
         super().__init__(f"flow left the finite range at t = {time}")
-
-
-# The trajectory is held in memory, one row per step, so the step count is bounded.
-MAX_FLOW_STEPS = 10**6
 
 
 def flow_steps(duration: float, h: float) -> int:

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, report determinism."""
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -11,7 +12,15 @@ from hypothesis import strategies as st
 
 from lieactions.algebra import to_json_dict
 from lieactions.catalog import catalog
-from lieactions.constants import MAX_ACTION_N, MAX_BALLS, MAX_CATALOG_DIM, MAX_EXPONENT, MAX_SAMPLES
+from lieactions.constants import (
+    MAX_ACTION_N,
+    MAX_BALLS,
+    MAX_CATALOG_DIM,
+    MAX_EXPONENT,
+    MAX_FIELD_TERMS,
+    MAX_PROFILES,
+    MAX_SAMPLES,
+)
 
 from clirunner import invoke
 
@@ -559,6 +568,10 @@ BALL = {"action": "ball", "group": "ST", "n": 3}
         (VF, {"check": "projective", "n": 6}),
         (VF, {**COMMUTING, "profiles": [_poly(1, ((0,), "1/1")), _poly(1, ((MAX_EXPONENT + 1,), "1/1"))]}),
         (FLOW, {"field": {"components": [_poly(1, ((MAX_EXPONENT + 1,), "1/1"))]}, "point": [0.5]}),
+        # f = sum of x^a y^b for a, b <= 8 with the profile t^8: fields of degree 143
+        (VF, {**COMMUTING, "f": _poly(2, *(((a, b), "1/1") for a in range(9) for b in range(9))),
+              "profiles": [_poly(1, ((0,), "1/1")), _poly(1, ((8,), "1/1"))]}),
+        (VF, {**COMMUTING, "profiles": [_poly(1, *(((e,), f"{k + 1}/1") for e in range(k % 4 + 1))) for k in range(100)]}),
     ],
     ids=["act-n-not-int", "act-tolerance-not-number", "act-no-balls", "act-zero-samples",
          "vf-projective-n-not-int", "act-sphere-n-zero", "act-disk-n-zero",
@@ -573,7 +586,8 @@ BALL = {"action": "ball", "group": "ST", "n": 3}
          "flow-step-denormal", "flow-steps-above-bound", "vf-flow-s-1e20", "vf-flow-t-1e308",
          "vf-flow-h-denormal", "act-samples-above-bound", "act-sphere-n-above-bound", "act-disk-n-above-bound",
          "act-balls-above-bound", "vf-projective-samples-above-bound", "vf-projective-n-6",
-         "vf-profile-exponent-above-bound", "flow-exponent-above-bound"],
+         "vf-profile-exponent-above-bound", "flow-exponent-above-bound", "vf-field-terms-above-bound",
+         "vf-100-profiles"],
 )
 def test_malformed_scenario_value_exits_2(tmp_path, args, scenario):
     path = write_json(tmp_path, "bad.json", scenario)
@@ -774,16 +788,24 @@ def _balls(count):
     return [{"center": [4.0 * b, 0.0]} for b in range(count)]
 
 
+# the largest degree of a profile on x^2 + y^2 (fields of degree 2k + 1), and of
+# f = x^d with the profiles 1 and t (fields of degree 2d - 1), that the bound on
+# the terms of a field u(f) X admits
+CIRCLE_DEGREE = max(k for k in range(MAX_EXPONENT + 1) if math.comb(2 * k + 3, 2) <= MAX_FIELD_TERMS)
+F_DEGREE = max(d for d in range(1, MAX_EXPONENT + 1) if math.comb(2 * d + 1, 2) <= MAX_FIELD_TERMS)
+
+
 # size -> (the arguments that ask for a value of it, a JSON object standing for the
 # file that holds it; its upper bound). Each asks for little else, so that a value
-# at the bound runs quickly.
+# at the bound runs quickly; a list one entry past its bound stands for every
+# longer one, so that a value far above it builds no long list.
 SIZES = {
     "act-samples": (lambda v: (*ACT, "--scenario", {"action": "sphere", "group": "U", "n": 1, "samples": v}),
                     MAX_SAMPLES),
     "act-n": (lambda v: (*ACT, "--scenario", {**SPHERE, "n": v, "samples": 1}), MAX_ACTION_N),
     "disk-n": (lambda v: (*ACT, "--scenario", {"action": "disk", "n": v, "samples": 1}), MAX_ACTION_N),
     "balls": (lambda v: (*ACT, "--scenario", {"action": "multiball", "group": "U", "n": 2, "samples": 1,
-                                             "balls": _balls(v)}), MAX_BALLS),
+                                             "balls": _balls(min(v, MAX_BALLS + 1))}), MAX_BALLS),
     "projective-samples": (lambda v: (*VF, "--scenario", {"check": "projective", "n": 1, "samples": v}), MAX_SAMPLES),
     # sl(6) has dimension 35 and sl(7) 48, so the catalog bounds n at 5
     "projective-n": (lambda v: (*VF, "--scenario", {"check": "projective", "n": v, "samples": 1}), 5),
@@ -793,8 +815,18 @@ SIZES = {
     "deform-n": (lambda v: ("deform", "verify", "--family", "st", "--n", str(v), "--samples", "1"), 8),
     "deform-samples": (lambda v: ("deform", "verify", "--family", "st-prime", "--n", "2", "--samples", str(v)),
                        MAX_SAMPLES),
-    "algebra-dim": (lambda v: ("algebra", "obstruct", {"name": "a", "dim": v, "basis": [f"e{k}" for k in range(v)]}),
+    "algebra-dim": (lambda v: ("algebra", "obstruct", {"name": "a", "dim": v,
+                                                      "basis": [f"e{k}" for k in range(min(v, MAX_CATALOG_DIM + 1))]}),
                     MAX_CATALOG_DIM),
+    # the profiles 1, t, ..., t^(v-1) on x^2 + y^2
+    "profiles": (lambda v: (*VF, "--scenario", {**COMMUTING, "profiles": [
+        _poly(1, ((k,), "1/1")) for k in range(min(v, MAX_PROFILES + 1))]}), MAX_PROFILES),
+    # the profiles 1 and t^v on x^2 + y^2, and f = x^v with the profiles 1 and t; one past
+    # the bound stands for every larger v
+    "profile-degree": (lambda v: (*VF, "--scenario", {**COMMUTING, "profiles": [
+        _poly(1, ((0,), "1/1")), _poly(1, ((min(v, CIRCLE_DEGREE + 1),), "1/1"))]}), CIRCLE_DEGREE),
+    "f-degree": (lambda v: (*VF, "--scenario", {**COMMUTING, "f": _poly(2, ((min(v, F_DEGREE + 1), 0), "1/1"))}),
+                 F_DEGREE),
 }
 
 
