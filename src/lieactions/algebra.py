@@ -16,7 +16,16 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .constants import MAX_CATALOG_DIM
-from .linalg import RatMatrix, Subspace, _dense, _integer, nullspace_of_rows, rational_vector, sparse_rref
+from .linalg import (
+    RatMatrix,
+    Subspace,
+    _dense,
+    _integer,
+    _row_times,
+    nullspace_of_rows,
+    rational_vector,
+    sparse_rref,
+)
 from .serialize import REQUIRED, FormatError, format_rational, parse_rational, read_object
 
 __all__ = [
@@ -100,16 +109,12 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
             return LieAlgebra.create(name, [], {})
         size = mats[0].cols
         width = mats[0].rows * size
-        # each matrix as its nonzero entries (r, c, x), and as {r: [(c, x), ...]}
-        entries = [[(r, c, x) for r in range(m.rows) for c, x in enumerate(m.row(r)) if x] for m in mats]
-        rows = [{} for _ in mats]
-        for nonzero, by_row in zip(entries, rows):
-            for r, c, x in nonzero:
-                by_row.setdefault(r, []).append((c, x))
+        sparse = [[{c: x for c, x in enumerate(m.row(r)) if x} for r in range(m.rows)] for m in mats]
         # factor once: the RREF of [flat | I] is [R | E] with R = E @ flat, so
         # v = sum_t v[pivot t] R_t gives the coordinates sum_t v[pivot t] E_t
         reduced = sparse_rref(
-            {**{r * size + c: x for r, c, x in nonzero}, width + t: 1} for t, nonzero in enumerate(entries)
+            {**{r * size + c: x for r, row in enumerate(m) for c, x in row.items()}, width + t: 1}
+            for t, m in enumerate(sparse)
         )
         if reduced[-1][0] >= width:
             raise ValueError("matrix basis is linearly dependent")
@@ -117,12 +122,12 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
         brackets = {}
         for i in range(dim):
             for j in range(i + 1, dim):
-                # M_i M_j - M_j M_i, flattened, from the nonzeros of each factor
+                # M_i M_j - M_j M_i, flattened, as sparse products
                 rest: dict[int, Fraction] = {}
-                for a, b, sign in ((i, j, 1), (j, i, -1)):
-                    for r, k, x in entries[a]:
-                        for c, y in rows[b].get(k, ()):
-                            rest[r * size + c] = rest.get(r * size + c, 0) + sign * x * y
+                for sign, a, b in ((1, sparse[i], sparse[j]), (-1, sparse[j], sparse[i])):
+                    for r, row in enumerate(a):
+                        for c, v in _row_times(row, b).items():
+                            rest[r * size + c] = rest.get(r * size + c, 0) + sign * v
                 # an RREF row is zero on every other pivot, so each pivot's
                 # coefficient is read off before any row is subtracted
                 coords: dict[int, Fraction] = {}

@@ -18,7 +18,18 @@ from math import gcd, lcm
 from operator import mul, sub
 
 from .algebra import LieAlgebra
-from .linalg import RatMatrix, Subspace, _backward, _dense, _echelon, _insert, _kernel, _kernel_vectors, _primitive
+from .linalg import (
+    RatMatrix,
+    Subspace,
+    _backward,
+    _dense,
+    _echelon,
+    _insert,
+    _kernel,
+    _kernel_vectors,
+    _primitive,
+    _row_times,
+)
 
 __all__ = [
     "DerivationAlgebra",
@@ -185,15 +196,6 @@ def _integer_basis(mats) -> tuple[list[list[dict[int, int]]], int]:
     nonzero = [[[(j, x) for j, x in enumerate(m.row(i)) if x] for i in range(m.rows)] for m in mats]
     den = lcm(*(x.denominator for rows in nonzero for row in rows for _, x in row))
     return [[{j: x.numerator * (den // x.denominator) for j, x in row} for row in rows] for rows in nonzero], den
-
-
-def _row_times(row: dict[int, int], mat: list[dict[int, int]]) -> dict[int, int]:
-    """The sparse row vector `row` times the matrix with sparse rows `mat`."""
-    out: dict[int, int] = {}
-    for k, a in row.items():
-        for c, x in mat[k].items():
-            out[c] = out.get(c, 0) + a * x
-    return {c: v for c, v in out.items() if v}
 
 
 def engel_flag(mats: list[RatMatrix] | tuple[RatMatrix, ...], ambient_dim: int) -> list[Subspace] | None:

@@ -193,6 +193,16 @@ def _backward(echelon: dict[int, dict[int, int]]) -> list[tuple[int, dict[int, F
     return [(c, {j: Fraction(v, echelon[c][c]) for j, v in echelon[c].items()}) for c in order]
 
 
+def _row_times(row: Mapping[int, int], rows: Sequence[Mapping[int, int]]) -> dict[int, int]:
+    """The sparse row vector `row` times the matrix with sparse rows `rows`
+    ({col: value}, of ints or Fractions), zeros dropped."""
+    out: dict[int, int] = {}
+    for k, a in row.items():
+        for c, x in rows[k].items():
+            out[c] = out.get(c, 0) + a * x
+    return {c: v for c, v in out.items() if v}
+
+
 def _dense(row: Mapping[int, Fraction], ncols: int) -> tuple[Fraction, ...]:
     out = [_ZERO] * ncols
     for j, v in row.items():
