@@ -16,16 +16,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .constants import MAX_CATALOG_DIM
-from .linalg import (
-    RatMatrix,
-    Subspace,
-    _dense,
-    _integer,
-    _row_times,
-    nullspace_of_rows,
-    rational_vector,
-    sparse_rref,
-)
+from .linalg import RatMatrix, Subspace, _dense, _integer, _row_times, nullspace_of_rows, rational_vector, sparse_rref
 from .serialize import REQUIRED, FormatError, format_rational, parse_rational, read_object
 
 __all__ = [

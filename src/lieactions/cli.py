@@ -17,15 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .constants import (
-    DEFAULT_SEED,
-    MAX_ACTION_N,
-    MAX_BALLS,
-    MAX_EXPONENT,
-    MAX_FIELD_TERMS,
-    MAX_PROFILES,
-    MAX_SAMPLES,
-)
+from .constants import DEFAULT_SEED, MAX_ACTION_N, MAX_BALLS, MAX_EXPONENT, MAX_FIELD_TERMS, MAX_PROFILES, MAX_SAMPLES
 from .serialize import POSITIVE, REQUIRED, FormatError, dumps, format_rational, parse_rational, read_object, read_value
 
 if TYPE_CHECKING:
@@ -498,9 +490,10 @@ def vf_verify(obj, scenario):
             _flow_steps(fl["t"], fl["h"], "'flow'")
         try:
             base = hamiltonian_field(f) if v["field"] == "hamiltonian" else _parse_field(v["field"], "'field'")
-            # the fields u(f) X have degree at most deg u * deg f + deg X, so at most
-            # C(that + n, n) terms each; checked before any u(f) is built
-            degree = max((u.degree() for u in profiles), default=0) * f.degree() + max(c.degree() for c in base.components)
+            # the fields u(f) X have degree at most d = deg u * deg f + deg X, so at
+            # most C(d + n, n) terms each; checked before any u(f) is built
+            degree = max((u.degree() for u in profiles), default=0) * f.degree()
+            degree += max(c.degree() for c in base.components)
             terms = math.comb(degree + base.nvars, base.nvars)
             if terms > MAX_FIELD_TERMS:
                 _input_error(f"the fields u(f) X may have degree {degree} in {base.nvars} variables, so {terms} "

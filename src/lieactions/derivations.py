@@ -18,18 +18,8 @@ from math import gcd, lcm
 from operator import mul, sub
 
 from .algebra import LieAlgebra
-from .linalg import (
-    RatMatrix,
-    Subspace,
-    _backward,
-    _dense,
-    _echelon,
-    _insert,
-    _kernel,
-    _kernel_vectors,
-    _primitive,
-    _row_times,
-)
+from .linalg import (RatMatrix, Subspace, _backward, _dense, _echelon, _insert, _kernel, _kernel_vectors,
+                     _primitive, _row_times)
 
 __all__ = [
     "DerivationAlgebra",

@@ -571,7 +571,8 @@ BALL = {"action": "ball", "group": "ST", "n": 3}
         # f = sum of x^a y^b for a, b <= 8 with the profile t^8: fields of degree 143
         (VF, {**COMMUTING, "f": _poly(2, *(((a, b), "1/1") for a in range(9) for b in range(9))),
               "profiles": [_poly(1, ((0,), "1/1")), _poly(1, ((8,), "1/1"))]}),
-        (VF, {**COMMUTING, "profiles": [_poly(1, *(((e,), f"{k + 1}/1") for e in range(k % 4 + 1))) for k in range(100)]}),
+        (VF, {**COMMUTING, "profiles": [_poly(1, *(((e,), f"{k + 1}/1") for e in range(k % 4 + 1)))
+                                        for k in range(100)]}),
     ],
     ids=["act-n-not-int", "act-tolerance-not-number", "act-no-balls", "act-zero-samples",
          "vf-projective-n-not-int", "act-sphere-n-zero", "act-disk-n-zero",

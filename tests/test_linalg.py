@@ -88,6 +88,11 @@ def test_nullspace_vectors_annihilated(m):
         assert all(x == 0 for x in _apply(m, b))
 
 
+def test_span_takes_sparse_rows():
+    dense = Subspace.span([[0, 2, 0, 4], [1, 0, 0, 0]], 4)
+    assert Subspace.span([{1: 2, 3: 4}, {0: Fraction(1, 3)}, {}], 4) == dense
+
+
 def test_subspace_equality_is_representation_equality():
     a = Subspace.span([[2, 4], [1, 3]], 2)
     b = Subspace.span([[1, 0], [0, 1]], 2)
