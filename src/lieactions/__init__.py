@@ -26,7 +26,6 @@ _EXPORTS = {
     "catalog": "catalog",
     "DEFAULT_SEED": "constants",
     "RatMatrix": "linalg",
-    "Rational": "linalg",
     "Subspace": "linalg",
 }
 

@@ -37,7 +37,6 @@ __all__ = [
     "BallAction",
     "make_ball_action",
     "radial_action",
-    "multiball_action",
     "MultiBall",
     "ActionReport",
     "verify_action",
@@ -45,7 +44,6 @@ __all__ = [
     "cover_identity",
     "cover_eval",
     "cover_compose",
-    "cover_inverse",
     "interval_action",
     "disk_action",
 ]
@@ -193,10 +191,6 @@ class MultiBall(namedtuple("MultiBall", "balls")):
         return out
 
 
-def multiball_action(balls, elements, y: np.ndarray) -> np.ndarray:
-    return MultiBall(tuple(balls)).apply(elements, y)
-
-
 # -- generic action verification -------------------------------------------
 
 
@@ -205,10 +199,6 @@ class ActionReport(namedtuple("ActionReport", (
 ))):
     """The residuals of the action laws; `witnesses` maps each generator
     name to (point, displacement), or to None when no point moved."""
-
-    @property
-    def all_generators_effective(self) -> bool:
-        return all(w is not None for w in self.witnesses.values())
 
     def to_dict(self) -> dict:
         wit = {}
@@ -353,16 +343,6 @@ def cover_compose(a: CoverElement, b: CoverElement) -> CoverElement:
     ab = (a.as_array() @ b.as_array()).tolist()
     delta = round((_lift_eval(a.matrix, _lift_eval(b.matrix, 0.0)) - _lift_eval(ab, 0.0)) / math.pi)
     return _cover_element(ab, a.deck + b.deck + int(delta))
-
-
-def cover_inverse(a: CoverElement) -> CoverElement:
-    (p, q), (r, s) = a.matrix
-    raw = _cover_element(((s, -q), (-r, p)), -a.deck)
-    # pick the deck index that makes a . raw the identity map of the line
-    # (its own deck index depends on the base-angle normalization)
-    comp = cover_compose(a, raw)
-    shift = round(cover_eval(comp, 0.0) / math.pi)
-    return CoverElement(raw.matrix, raw.deck - int(shift))
 
 
 def interval_action(a: CoverElement, s: float) -> float:

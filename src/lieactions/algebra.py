@@ -23,7 +23,6 @@ __all__ = [
     "LieAlgebra",
     "SeriesReport",
     "AlgebraPredicates",
-    "FormatError",
     "InvalidLieAlgebraError",
     "direct_sum",
     "to_json_dict",
@@ -138,12 +137,6 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
 
     # -- bracket ------------------------------------------------------
 
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        """The e_k-coefficient of [e_i, e_j]."""
-        if i > j:
-            return -self.structure_constant(j, i, k)
-        return dict(self.sparse_table.get((i, j), ())).get(k, Fraction(0))
-
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
         """Exact bracket of coordinate vectors: `_bracket` of x and y scaled
         to integers, divided once by the common denominator."""
@@ -210,10 +203,6 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
     def basis_vector(self, i: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(int(k == i)) for k in range(self.dim))
 
-    def ad_matrix(self, x: Sequence) -> RatMatrix:
-        """Matrix of ad_x acting on coordinates (column j is [x, e_j])."""
-        return RatMatrix(list(zip(*(self.bracket(x, self.basis_vector(j)) for j in range(self.dim)))))
-
     # -- validation ---------------------------------------------------
 
     def jacobi_check(self) -> list[tuple[int, int, int]]:
@@ -258,9 +247,6 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
         else:
             pairs = itertools.product(xs, [_integer(row)[0] for row in v.basis_vectors()])
         return Subspace.span([self._bracket(x, y) for x, y in pairs], self.dim)
-
-    def commutator_ideal(self) -> Subspace:
-        return self.subspace_bracket(self.full_space(), self.full_space())
 
     # -- series and invariants -----------------------------------------
 
@@ -328,12 +314,6 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
             is_solvable=self.derived_length() is not None,
             is_nilpotent=self.nilpotency_class() is not None,
         )
-
-    def jacobson_consistent(self) -> bool:
-        """Solvability of g must match nilpotency of the commutator ideal."""
-        ideal = self.commutator_ideal()
-        ideal_nilpotent = self.lower_central_series_of(ideal).length is not None
-        return (self.derived_length() is not None) == ideal_nilpotent
 
 
 class SeriesReport(namedtuple("SeriesReport", "kind terms stabilized length")):

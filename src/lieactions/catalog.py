@@ -33,11 +33,9 @@ from .serialize import FormatError
 __all__ = [
     "catalog",
     "catalog_matrices",
-    "catalog_entries",
     "parse_catalog_key",
     "convention_notes",
     "DEFAULT_CATALOG",
-    "MAX_CATALOG_DIM",
 ]
 
 
@@ -278,14 +276,6 @@ DEFAULT_CATALOG: tuple[tuple[str, str], ...] = (
     ("st_c2", "realified complex st(2)"),
     ("sl_c2", "realified complex sl(2)"),
 )
-
-
-def catalog_entries() -> list[tuple[str, LieAlgebra, str]]:
-    """(key, algebra, description) for every default catalog entry."""
-    out = []
-    for key, desc in DEFAULT_CATALOG:
-        out.append((key, catalog(key), desc))
-    return out
 
 
 def convention_notes(name: str, param: int | None, computed_derived_length) -> list[str]:

@@ -8,13 +8,14 @@ give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from . import __version__
 from .constants import DEFAULT_SEED, MAX_ACTION_N, MAX_BALLS, MAX_EXPONENT, MAX_FIELD_TERMS, MAX_PROFILES, MAX_SAMPLES
@@ -55,17 +56,18 @@ def _check_output(path: str) -> None:
         _input_error(f"cannot write {path}: directory {parent} is not writable")
 
 
-def _write(ctx_obj: dict, text: str) -> None:
-    """Write `text` to the --output file, or to stdout without one."""
+def _write(ctx_obj: dict, chunks: Iterable[str]) -> None:
+    """Write the strings `chunks`, as they come, to the --output file, or to
+    stdout without one."""
     path = ctx_obj.get("output")
     if path:
         try:
             with open(path, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             _input_error(f"cannot write {path}: {exc}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit(ctx_obj: dict, command: str, body: dict, tolerances: dict | None = None) -> None:
@@ -78,7 +80,7 @@ def _emit(ctx_obj: dict, command: str, body: dict, tolerances: dict | None = Non
     if tolerances:
         head["tolerances"] = tolerances
     head.update(body)
-    _write(ctx_obj, dumps(head))
+    _write(ctx_obj, [dumps(head)])
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -158,7 +160,7 @@ def catalog_list(obj):
         "st(n), st_prime(n), sl(n), N(n), st_c(n), sl_c(n), mueller_roemer7.",
         "Use catalog:KEY (for example catalog:st3) wherever a file is accepted.",
     ]
-    _write(obj, "\n".join(lines) + "\n")
+    _write(obj, ["\n".join(lines) + "\n"])
 
 
 # -- algebra ------------------------------------------------------------
@@ -571,12 +573,11 @@ def vf_flow(obj, scenario):
     except FlowBlowUpError as exc:
         sys.stderr.write(f"flow failed: {exc}\n")
         sys.exit(1)
-    lines = ["t," + ",".join(f"x{i + 1}" for i in range(field.nvars))]
     sign = 1.0 if duration >= 0 else -1.0
-    row_format = ",".join(["%.17g"] * (field.nvars + 1))  # what format(x, ".17g") writes
-    for i, row in enumerate(traj):
-        lines.append(row_format % (sign * i * step, *row))
-    _write(obj, "\n".join(lines) + "\n")
+    row_format = ",".join(["%.17g"] * (field.nvars + 1)) + "\n"  # what format(x, ".17g") writes
+    header = "t," + ",".join(f"x{i + 1}" for i in range(field.nvars)) + "\n"
+    # one row at a time: the CSV text is never held whole
+    _write(obj, itertools.chain([header], (row_format % (sign * i * step, *row) for i, row in enumerate(traj))))
 
 
 # -- command line ------------------------------------------------------------

@@ -40,7 +40,6 @@ if TYPE_CHECKING:
 __all__ = [
     "TransitionProfile",
     "standard_profile",
-    "cocycle_check",
     "Stage",
     "AlgebraDeformation",
     "st_deformation",
@@ -73,29 +72,6 @@ class TransitionProfile(namedtuple("TransitionProfile", "kind")):
 
 def standard_profile() -> TransitionProfile:
     return TransitionProfile("smooth_step")
-
-
-def cocycle_check(n: int, exponents: dict[tuple[int, int], int] | None = None) -> bool:
-    """Exact multiplicativity of the scaling factors s_ij = sigma^e(i,j).
-
-    With the default exponents e(i, j) = j - i this is the identity
-    (j - i) + (k - j) = (k - i); a corrupted exponent table fails.
-    Indices are 1-based with 1 <= i <= j <= n.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-
-    def expo(i: int, j: int) -> int:
-        if exponents is not None and (i, j) in exponents:
-            return exponents[(i, j)]
-        return j - i
-
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                if expo(i, j) + expo(j, k) != expo(i, k):
-                    return False
-    return True
 
 
 # -- algebra-level deformations ------------------------------------------
@@ -166,10 +142,6 @@ class AlgebraDeformation(namedtuple(
                     out[k] *= s ** e
             break
         return out
-
-    def apply(self, t: float, x: Sequence) -> list[float]:
-        f = self.factors(t)
-        return [f[k] * float(x[k]) for k in range(self.parent.dim)]
 
     def domain(self) -> tuple[int, ...]:
         if self.domain_indices is None:
@@ -339,30 +311,6 @@ class GroupDeformation(namedtuple("GroupDeformation", "label group n stages prof
         else:
             raise ValueError(f"unknown stage kind {kind!r}")
         return out.reshape(n, n)
-
-    def induced_algebra_factors(self, t: float) -> list[float]:
-        """Derivative of the family at the identity, as scaling factors on
-        the st(n) basis (traceless diagonal first, then graded uppers)."""
-        kind, p = self.state_at(t)
-        n = self.n
-        diag_part = [1.0] * (n - 1) if kind == "offdiag" else [p] * (n - 1)
-        upper_part: list[float] = []
-        for dist in range(1, n):
-            val = p ** dist if kind == "offdiag" else 0.0
-            upper_part.extend([val] * (n - dist))
-        return diag_part + upper_part
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "group": self.group,
-            "n": self.n,
-            "profile": self.profile.kind,
-            "stages": [
-                {"t0": s.t0, "t1": s.t1, "kind": s.kind, "start": s.start, "end": s.end}
-                for s in self.stages
-            ],
-        }
 
 
 def group_contraction_ST(n: int) -> GroupDeformation:

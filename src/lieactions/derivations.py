@@ -13,7 +13,6 @@ import itertools
 import random
 from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul, sub
 
@@ -37,15 +36,6 @@ class DerivationAlgebra(namedtuple("DerivationAlgebra", "parent basis")):
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def span(self) -> Subspace:
-        """The derivation span as a subspace of Q^(n^2), factored once."""
-        return Subspace.span([m.flat() for m in self.basis], self.parent.dim ** 2)
-
-    def contains(self, mat: RatMatrix) -> bool:
-        """Exact membership of a matrix in the derivation span."""
-        return self.span.contains(mat.flat())
 
 
 # A block of rows that adds no rank switches to the kernel check only when
@@ -188,21 +178,24 @@ def _integer_basis(mats) -> tuple[list[list[dict[int, int]]], int]:
     return [[{j: x.numerator * (den // x.denominator) for j, x in row} for row in rows] for rows in nonzero], den
 
 
-def engel_flag(mats: list[RatMatrix] | tuple[RatMatrix, ...], ambient_dim: int) -> list[Subspace] | None:
+def engel_flag(
+    mats: list[RatMatrix] | tuple[RatMatrix, ...], ambient_dim: int, scaled: tuple | None = None
+) -> list[Subspace] | None:
     """Flag 0 < W_1 < ... < W_r = Q^n with D(W_{k+1}) <= W_k for all D.
 
     W_{k+1} is the preimage of W_k under every matrix at once; the chain
     either climbs to the full space (the span acts nilpotently, flag
     returned) or stalls strictly below it (None). W_k is the kernel of
     integer rows A, so W_{k+1} is the kernel of the rows a m for a in A,
-    and their echelon is the next A.
+    and their echelon is the next A. `scaled` is `_integer_basis(mats)`
+    when the caller already has it.
     """
     for m in mats:
         if m.rows != m.cols or m.rows != ambient_dim:
             raise ValueError("matrices must be square of the ambient dimension")
     if ambient_dim == 0:
         return [Subspace.zero(0)]
-    rows, _ = _integer_basis(mats)
+    rows, _ = _integer_basis(mats) if scaled is None else scaled
     annihilator = [{k: 1} for k in range(ambient_dim)]  # W_0 = 0
     flag: list[Subspace] = []
     while annihilator:
@@ -237,12 +230,15 @@ def _combination(coeffs: dict[int, int], rows: list[list[dict[int, int]]]) -> li
     return [{j: v for j, v in acc.items() if v} for acc in out]
 
 
-def find_non_nilpotent(mats: list[RatMatrix], seed: int = 0, tries: int = 200) -> RatMatrix | None:
+def find_non_nilpotent(
+    mats: list[RatMatrix], seed: int = 0, tries: int = 200, scaled: tuple | None = None
+) -> RatMatrix | None:
     """A non-nilpotent element of the span: basis elements first, then
-    pair sums, then seeded small integer combinations."""
+    pair sums, then seeded small integer combinations. `scaled` is
+    `_integer_basis(mats)` when the caller already has it."""
     if not mats:
         return None
-    rows, den = _integer_basis(mats)
+    rows, den = _integer_basis(mats) if scaled is None else scaled
     for m, r in zip(mats, rows):
         if not _is_nilpotent_matrix(r):
             return m
@@ -267,15 +263,13 @@ class ContractionObstruction(
     a non-nilpotent derivation when one was found, else None).
     """
 
-    @property
-    def obstructed(self) -> bool:
-        return self.status == "obstructed"
-
 
 def contractibility_obstruction(g: LieAlgebra) -> ContractionObstruction:
     der = g.derivation_algebra
-    flag = engel_flag(list(der.basis), g.dim)
+    mats = list(der.basis)
+    scaled = _integer_basis(mats)  # both searches read the same integer rows
+    flag = engel_flag(mats, g.dim, scaled)
     if flag is not None:
         return ContractionObstruction(g.name, "obstructed", der.dim, tuple(flag), None)
-    witness = find_non_nilpotent(list(der.basis))
+    witness = find_non_nilpotent(mats, scaled=scaled)
     return ContractionObstruction(g.name, "inconclusive", der.dim, None, witness)

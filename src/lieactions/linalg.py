@@ -17,10 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "RatMatrix",
     "Subspace",
     "nullspace",
@@ -81,9 +78,6 @@ class RatMatrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self._data[i][j]
-
-    def flat(self) -> tuple[Fraction, ...]:
-        return tuple(x for r in self._data for x in r)
 
     def __eq__(self, other) -> bool:
         return (
@@ -237,9 +231,6 @@ class Subspace(namedtuple("Subspace", "ambient_dim basis")):
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
 
     def basis_vectors(self) -> list[tuple[Fraction, ...]]:
         return [self.basis.row(i) for i in range(self.basis.rows)]

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "random_element",
     "generators",
-    "in_group",
 ]
 
 @lru_cache(maxsize=None)
@@ -103,19 +102,4 @@ def generators(group: str, n: int) -> list[tuple[str, np.ndarray]]:
             ("shear", np.array([[1.0, 1.0], [0.0, 1.0]])),
             ("rot", np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])),
         ]
-    raise ValueError(f"unknown group tag {group!r}")
-
-
-def in_group(g: np.ndarray, group: str, tol: float = 1e-12) -> bool:
-    """Membership check at float tolerance for the tagged group."""
-    n = g.shape[0]
-    if group in ("ST", "U"):
-        below = max((abs(g[i, j]) for i in range(n) for j in range(i)), default=0.0)
-        if below > tol:
-            return False
-        if group == "U":
-            return bool(np.all(np.abs(np.diag(g) - 1.0) <= tol))
-        return bool(np.all(np.diag(g) > 0) and abs(np.prod(np.diag(g)) - 1.0) <= tol * 10)
-    if group == "SL2":
-        return abs(np.linalg.det(g) - 1.0) <= tol * 10
     raise ValueError(f"unknown group tag {group!r}")

@@ -91,11 +91,10 @@ def borderline_analysis(g: LieAlgebra) -> ObstructionReport:
     length = series.length
     if length is None:
         raise ValueError(f"{g.name} is not solvable; borderline analysis does not apply")
-    nilpotent = g.nilpotency_class() is not None
+    borderline = min_effective_action_dim(g)
     center = g.center_space
     last_term = series.terms[length - 1] if length >= 1 else Subspace.zero(g.dim)
     last_central = center.contains_subspace(last_term)
-    borderline = length if nilpotent else length - 1
     verdicts: list[str] = []
     if last_central and center.dim > 1:
         verdicts.append(
@@ -108,10 +107,10 @@ def borderline_analysis(g: LieAlgebra) -> ObstructionReport:
     return ObstructionReport(
         algebra=g.name,
         solvable=True,
-        nilpotent=nilpotent,
+        nilpotent=g.nilpotency_class() is not None,
         derived_length=length,
         nilpotency_class=g.nilpotency_class(),
-        min_effective_dim=length if nilpotent else length - 1,
+        min_effective_dim=borderline,
         last_derived_term=last_term,
         center=center,
         last_term_central=last_central,
@@ -141,8 +140,7 @@ def n_action_verdict(
             f"no effective action exists: n = {n} < {bound} = minimum effective dimension",
         )
     report = borderline if borderline is not None else borderline_analysis(g)
-    border_dim = report.derived_length if report.nilpotent else report.derived_length - 1
-    if n == border_dim and report.last_term_central and report.center_dim > 1:
+    if n == report.min_effective_dim and report.last_term_central and report.center_dim > 1:
         return ActionVerdict(
             g.name,
             n,

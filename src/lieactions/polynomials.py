@@ -42,12 +42,6 @@ class Poly(namedtuple("Poly", "nvars terms")):
     def constant(nvars: int, c) -> "Poly":
         return Poly.make(nvars, {(0,) * nvars: c})
 
-    @staticmethod
-    def variable(nvars: int, i: int) -> "Poly":
-        exp = [0] * nvars
-        exp[i] = 1
-        return Poly.make(nvars, {tuple(exp): 1})
-
     def is_zero(self) -> bool:
         return not self.terms
 

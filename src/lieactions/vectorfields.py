@@ -21,7 +21,6 @@ from .constants import MAX_FLOW_STEPS, max_residual
 from .polynomials import Poly, eval_compiled
 
 if TYPE_CHECKING:
-    from .algebra import LieAlgebra
     from .linalg import RatMatrix, Subspace
 
 # The exact layer is imported inside the functions that run it: `linalg` by
@@ -32,7 +31,6 @@ __all__ = [
     "PolyVectorField",
     "vf_bracket",
     "hamiltonian_field",
-    "annihilation_check",
     "annihilation_residual",
     "AnnihilationError",
     "CommutingFamilyCertificate",
@@ -44,13 +42,10 @@ __all__ = [
     "action_homomorphism_check",
     "make_projective_action",
     "FlowBlowUpError",
-    "MAX_FLOW_STEPS",
     "flow_steps",
     "flow",
     "flow_checks",
-    "orbit_dimension",
     "orbit_info",
-    "fixed_point_check",
 ]
 
 
@@ -74,10 +69,6 @@ class PolyVectorField(namedtuple("PolyVectorField", "components")):
     @property
     def nvars(self) -> int:
         return len(self.components)
-
-    @staticmethod
-    def make(polys: Sequence[Poly]) -> "PolyVectorField":
-        return PolyVectorField(tuple(polys))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
@@ -135,11 +126,6 @@ def annihilation_residual(f: Poly, v: PolyVectorField) -> Poly:
     return total
 
 
-def annihilation_check(f: Poly, v: PolyVectorField) -> bool:
-    """True iff the derivative of f along v is the zero polynomial."""
-    return annihilation_residual(f, v).is_zero()
-
-
 class AnnihilationError(ValueError):
     """Raised when a field fails to annihilate df; carries the residual."""
 
@@ -162,7 +148,7 @@ def commuting_family(
     f: Poly, x_field: PolyVectorField, profiles: Sequence[Poly]
 ) -> tuple[list[PolyVectorField], CommutingFamilyCertificate]:
     """Fields L_j = u_j(f) X with exact commutation and independence
-    certificates. Requires annihilation_check(f, x_field)."""
+    certificates. Requires X(f) = 0; raises AnnihilationError otherwise."""
     from .linalg import RatMatrix
 
     residual = annihilation_residual(f, x_field)
@@ -407,12 +393,3 @@ def orbit_info(action: VFAction, p: Sequence[float]) -> dict:
     dim = 0 if sv.size == 0 or sv[0] <= 1e-300 else int(np.sum(sv > 1e-9 * sv[0]))
     rel = sv / sv[0] if sv.size and sv[0] > 0 else sv
     return {"dimension": dim, "near_degenerate": bool(np.any((rel > 1e-9) & (rel < 1e-6)))}
-
-
-def orbit_dimension(action: VFAction, p: Sequence[float]) -> int:
-    """Numerical rank of the evaluation matrix of the image fields at p."""
-    return orbit_info(action, p)["dimension"]
-
-
-def fixed_point_check(action: VFAction, p: Sequence[float]) -> bool:
-    return orbit_dimension(action, p) == 0

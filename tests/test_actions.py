@@ -11,13 +11,11 @@ from lieactions.actions import (
     cover_compose,
     cover_eval,
     cover_identity,
-    cover_inverse,
     cylinder_transfer,
     cylinder_transfer_inverse,
     disk_action,
     interval_action,
     make_ball_action,
-    multiball_action,
     radial_action,
     sphere_action,
     suspension_act,
@@ -27,6 +25,11 @@ from lieactions.deformations import bump_group_deformation, group_contraction_ST
 from lieactions.matrixgroups import generators, random_element, random_sl2
 
 RNG = lambda s=0: np.random.default_rng(s)
+
+
+def _all_effective(report):
+    """Every generator moved some sampled point."""
+    return all(w is not None for w in report.witnesses.values())
 
 
 def unit_vec(rng, n):
@@ -216,7 +219,7 @@ def test_ball_action_verification_st_and_u():
         )
         assert report.max_identity_residual <= 1e-9
         assert report.max_composition_residual <= 1e-6
-        assert report.all_generators_effective, group
+        assert _all_effective(report), group
 
 
 def test_ball_action_annulus_validation():
@@ -273,19 +276,13 @@ def test_multiball_action_law():
         mb.apply, tuple(np.eye(3) for _ in range(3)), sample_el, sample_pt, gens, samples=200
     )
     assert report.max_composition_residual <= 1e-6
-    assert report.all_generators_effective
+    assert _all_effective(report)
 
 
 def test_multiball_rejects_overlap():
     with pytest.raises(ValueError):
-        multiball_action(
-            [
-                make_ball_action("ST", 3, center=(0.0, 0.0, 0.0)),
-                make_ball_action("ST", 3, center=(1.5, 0.0, 0.0)),
-            ],
-            (np.eye(3), np.eye(3)),
-            np.zeros(3),
-        )
+        MultiBall((make_ball_action("ST", 3, center=(0.0, 0.0, 0.0)),
+                   make_ball_action("ST", 3, center=(1.5, 0.0, 0.0))))
 
 
 # -- verify_action edge cases ------------------------------------------------------------
@@ -302,7 +299,7 @@ def test_verify_sphere_st2_generators_effective():
         samples=100,
     )
     assert report.max_composition_residual <= 1e-12
-    assert report.all_generators_effective
+    assert _all_effective(report)
     # the shear moves (0, 1); the diagonal fixes the axes but moves any
     # generic direction
     shear = dict(generators("ST", 2))["shear12"]
@@ -362,19 +359,6 @@ def test_cover_deck_translation_compose():
     assert abs(cover_eval(i2, 0.3) - (0.3 + 2 * math.pi)) <= 1e-12
 
 
-def test_cover_inverse_gives_identity_map():
-    # the composed element represents the identity homeomorphism; its deck
-    # index is whatever the base-angle normalization dictates
-    rng = RNG(11)
-    for _ in range(20):
-        a = CoverElement.of(random_sl2(rng), int(rng.integers(-2, 3)))
-        inv = cover_inverse(a)
-        comp = cover_compose(a, inv)
-        assert comp.deck in (-1, 0, 1)
-        for t in np.linspace(-4, 4, 9):
-            assert abs(cover_eval(comp, float(t)) - float(t)) <= 1e-9
-
-
 def test_cover_composition_pointwise():
     rng = RNG(12)
     worst = 0.0
@@ -423,7 +407,7 @@ def test_cover_determinant_check_matches_linalg_det():
         drawn = random_sl2(rng)
         a = CoverElement.of(drawn, int(rng.integers(-1, 2)))
         b = CoverElement.of(random_sl2(rng), int(rng.integers(-1, 2)))
-        matrices += [drawn, cover_compose(a, b).as_array(), cover_inverse(a).as_array()]
+        matrices += [drawn, cover_compose(a, b).as_array(), _array_inverse(a).as_array()]
     # the same matrices with the determinant moved inside, across and far past the tolerance
     scaled = [m * np.array([[1.0 + d], [1.0]]) for m in matrices[:150] for d in (5e-10, -5e-10, 2e-9, -2e-9, 1e-3)]
     for m in matrices + scaled:
@@ -495,7 +479,6 @@ def test_cover_operations_match_the_array_versions_bit_for_bit():
         for theta in [*rng.uniform(-12.0, 12.0, size=6), -math.pi, 0.0, math.pi, -3 * math.pi]:
             assert cover_eval(a, float(theta)).hex() == _array_eval(a, float(theta)).hex()
         assert _bits(cover_compose(a, b)) == _bits(_array_compose(a, b))
-        assert _bits(cover_inverse(a)) == _bits(_array_inverse(a))
 
 
 def test_cover_base_normalization():

@@ -1,4 +1,4 @@
-"""Deformation families: profiles, cocycle, algebra and group levels."""
+"""Deformation families: profiles, algebra and group levels."""
 
 import math
 
@@ -9,7 +9,6 @@ from lieactions.catalog import catalog
 from lieactions.deformations import (
     AlgebraDeformation,
     bump_group_deformation,
-    cocycle_check,
     concatenate,
     diag_contraction,
     group_contraction_ST,
@@ -19,7 +18,14 @@ from lieactions.deformations import (
     standard_profile,
     verify_deformation,
 )
-from lieactions.matrixgroups import in_group, random_element
+from lieactions.matrixgroups import random_element
+
+
+def _in_st(g, tol):
+    """g is upper triangular with positive diagonal of product 1, to tol."""
+    n = g.shape[0]
+    below = max((abs(g[i, j]) for i in range(n) for j in range(i)), default=0.0)
+    return below <= tol and bool(np.all(np.diag(g) > 0)) and abs(np.prod(np.diag(g)) - 1.0) <= tol * 10
 
 
 # -- profile -----------------------------------------------------------------
@@ -53,19 +59,6 @@ def test_profile_flat_at_endpoints():
         assert abs(f[1] - f[0]) / h < 1e-6
         assert abs(f[2] - 2 * f[1] + f[0]) / h ** 2 < 1e-6
         assert abs(f[3] - 3 * f[2] + 3 * f[1] - f[0]) / h ** 3 < 1e-6
-
-
-# -- cocycle ------------------------------------------------------------------
-
-
-def test_cocycle_identity():
-    assert cocycle_check(2)
-    assert cocycle_check(8)
-    assert cocycle_check(16)
-
-
-def test_cocycle_corrupted_exponent():
-    assert not cocycle_check(3, {(1, 3): 3})
 
 
 # -- algebra deformations -------------------------------------------------------
@@ -205,7 +198,7 @@ def test_group_contraction_stays_in_group():
     for _ in range(20):
         g = random_element(rng, "ST", 3)
         for t in np.linspace(-0.2, 1.2, 15):
-            assert in_group(gd.apply(float(t), g), "ST", tol=1e-9)
+            assert _in_st(gd.apply(float(t), g), tol=1e-9)
 
 
 def test_bump_deformations():
@@ -237,8 +230,6 @@ def test_group_matches_algebra_deformation_to_first_order():
     eye = np.eye(n)
     for t in (0.1, 0.3, 0.6, 0.85):
         expected = chain.factors(t)
-        induced = gd.induced_algebra_factors(t)
-        assert np.allclose(expected, induced, atol=1e-12)
         for k, mat in enumerate(mats):
             direction = np.array([[float(x) for x in mat.row(i)] for i in range(n)])
             fd = (gd.apply(t, eye + eps * direction) - gd.apply(t, eye)) / eps
@@ -265,8 +256,6 @@ def test_bad_inputs():
         st_deformation(1)
     with pytest.raises(ValueError):
         bump_group_deformation("SL2", 3)
-    with pytest.raises(ValueError):
-        cocycle_check(1)
 
 
 # -- the compiled kernels against the former loops -----------------------------------

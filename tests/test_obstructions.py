@@ -3,7 +3,7 @@
 import pytest
 
 from lieactions.algebra import direct_sum
-from lieactions.catalog import catalog, catalog_entries
+from lieactions.catalog import DEFAULT_CATALOG, catalog
 from lieactions.obstructions import (
     VERDICT_DEGENERATE,
     VERDICT_IMPOSSIBLE,
@@ -12,6 +12,11 @@ from lieactions.obstructions import (
     min_effective_action_dim,
     n_action_verdict,
 )
+
+
+def _catalog_entries():
+    """(key, algebra, description) for every default catalog entry."""
+    return [(key, catalog(key), desc) for key, desc in DEFAULT_CATALOG]
 
 
 def test_min_effective_dims():
@@ -24,7 +29,7 @@ def test_min_effective_dims():
 def test_bound_unchanged_by_abelian_summand():
     # an abelian summand changes neither the derived length nor
     # nilpotency, so the bound is stable for nonabelian solvable entries
-    for key, alg, _ in catalog_entries():
+    for key, alg, _ in _catalog_entries():
         preds = alg.predicates()
         if not preds.is_solvable or alg.derived_length() == 1:
             continue
@@ -69,7 +74,7 @@ def test_action_verdicts():
 
 
 def test_verdict_consistency_invariants():
-    for key, alg, _ in catalog_entries():
+    for key, alg, _ in _catalog_entries():
         bound = min_effective_action_dim(alg)
         for n in range(0, 5):
             verdict = n_action_verdict(alg, n)
@@ -83,7 +88,7 @@ def test_verdict_consistency_invariants():
 def test_report_never_claims_existence():
     # the dictionary of emitted verdict strings only contains
     # impossibility/degeneracy language, never existence claims
-    for key, alg, _ in catalog_entries():
+    for key, alg, _ in _catalog_entries():
         if alg.derived_length() is None:
             continue
         report = borderline_analysis(alg)
@@ -116,7 +121,7 @@ def test_report_not_applicable_for_nonsolvable_bound():
 def test_verdict_with_handed_over_borderline_report():
     # a caller that already ran borderline_analysis passes it on; the
     # verdict must equal the one computed from scratch
-    for key, alg, _ in catalog_entries():
+    for key, alg, _ in _catalog_entries():
         if min_effective_action_dim(alg) is None:
             continue
         report = borderline_analysis(alg)

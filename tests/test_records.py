@@ -65,7 +65,7 @@ RECORDS = {
     SeriesReport: (("kind", "terms", "stabilized", "length"), lambda g: g.derived, ()),
     AlgebraPredicates: (("is_solvable", "is_nilpotent"), lambda g: g.predicates(), ()),
     Subspace: (("ambient_dim", "basis"), lambda g: g.center_space, ()),
-    DerivationAlgebra: (("parent", "basis"), lambda g: g.derivation_algebra, ("span",)),
+    DerivationAlgebra: (("parent", "basis"), lambda g: g.derivation_algebra, ()),
     ContractionObstruction: (
         ("algebra", "status", "derivation_dim", "flag", "witness"),
         contractibility_obstruction,
@@ -106,7 +106,8 @@ RECORDS = {
     PolyVectorField: (("components",), lambda g: hamiltonian_field(CIRCLE), ()),
     CommutingFamilyCertificate: (
         ("pairwise_brackets_zero", "pairs_checked", "independent"),
-        lambda g: commuting_family(CIRCLE, hamiltonian_field(CIRCLE), [Poly.variable(1, 0), Poly.constant(1, 1)])[1],
+        lambda g: commuting_family(CIRCLE, hamiltonian_field(CIRCLE),
+                                   [Poly.make(1, {(1,): 1}), Poly.constant(1, 1)])[1],
         (),
     ),
     VFAction: (("algebra", "images", "sign"), lambda g: make_projective_action(1), ()),
