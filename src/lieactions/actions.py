@@ -40,6 +40,7 @@ __all__ = [
     "MultiBall",
     "ActionReport",
     "verify_action",
+    "looped",
     "CoverElement",
     "cover_identity",
     "cover_eval",
@@ -52,12 +53,22 @@ __all__ = [
 # -- sphere, cylinder, ball ----------------------------------------------
 
 
+def _norms(y: np.ndarray) -> np.ndarray:
+    """The Euclidean norms of a stack of vectors (..., n), shaped (..., 1).
+
+    Each is sqrt(v.dot(v)) bit for bit, which is what np.linalg.norm
+    computes for one float vector: a stacked (1, n) @ (n, 1) product is the
+    same dot product, and np.sqrt is correctly rounded like math.sqrt.
+    """
+    return np.sqrt(y[..., None, :] @ y[..., :, None])[..., 0]
+
+
 def sphere_action(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Projective-style action x -> gx/|gx| on the unit sphere."""
-    y = g @ x
-    # math.sqrt(v.dot(v)) is what np.linalg.norm computes for a 1-D float array
-    norm = math.sqrt(y.dot(y))
-    if norm < 1e-300:
+    """Projective-style action x -> gx/|gx| on the unit sphere, of one
+    matrix on one point or of a stack (..., n, n) on a stack (..., n)."""
+    y = (g @ x[..., None])[..., 0]  # a stacked g @ x, bit for bit
+    norm = _norms(y)
+    if (norm < 1e-300).any():
         raise ValueError("matrix is singular along this direction")
     return y / norm
 
@@ -131,19 +142,26 @@ class BallAction(namedtuple("BallAction", "group n deformation r0 r1 center radi
         log_r1 = math.log(self.r1)
         return log_r1, log_r1 - math.log(self.r0)
 
-    def apply(self, g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def apply(self, gs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The action of gs[s] on ys[s] for a block: a stack of matrices
+        (b, n, n) and a stack of points (b, n). Points off the open annulus
+        are returned as they are; the deformation time of each moved point
+        is worked out one sample at a time with `math.log`."""
         center = self.center_array
         log_r1, log_span = self._log_radii
-        y = np.asarray(y, dtype=float)
-        u = y - center
-        r = math.sqrt(u.dot(u))
-        rel = r / self.radius
-        if rel <= self.r0 or rel >= self.r1:
-            return y.copy()
-        # map radius to deformation time: rel = r1 -> 0, rel = r0 -> 1
-        t = (log_r1 - math.log(rel)) / log_span
-        xp = sphere_action(self.deformation.apply(t, g), u / r)
-        return center + r * xp
+        u = ys - center
+        r = _norms(u)
+        rel = r[:, 0] / self.radius
+        out = ys.copy()
+        # not (rel <= r0 or rel >= r1): a NaN radius moves, as in the formula
+        (moved,) = (~((rel <= self.r0) | (rel >= self.r1))).nonzero()
+        if moved.size:
+            # map radius to deformation time: rel = r1 -> 0, rel = r0 -> 1
+            ts = [(log_r1 - math.log(x)) / log_span for x in rel[moved].tolist()]
+            r = r[moved]
+            xp = sphere_action(self.deformation.apply_many(ts, gs[moved]), u[moved] / r)
+            out[moved] = center + r * xp
+        return out
 
 
 def make_ball_action(
@@ -182,13 +200,14 @@ class MultiBall(namedtuple("MultiBall", "balls")):
                     )
         return self
 
-    def apply(self, elements, y: np.ndarray) -> np.ndarray:
-        if len(elements) != len(self.balls):
+    def apply(self, elements: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The action on a block: elements is a stack (b, k, n, n) of one
+        matrix per ball, ys a stack (b, n) of points."""
+        if elements.shape[1] != len(self.balls):
             raise ValueError("one group element per ball required")
-        out = np.asarray(y, dtype=float).copy()
-        for ball, g in zip(self.balls, elements):
-            out = ball.apply(g, out)
-        return out
+        for j, ball in enumerate(self.balls):
+            ys = ball.apply(elements[:, j], ys)
+        return ys
 
 
 # -- generic action verification -------------------------------------------
@@ -218,9 +237,31 @@ class ActionReport(namedtuple("ActionReport", (
         }
 
 
-def _gap(a, b) -> float:
-    """The largest coordinate difference of two points (NaN if any is NaN)."""
-    return float(np.abs(np.asarray(a) - np.asarray(b)).max())
+# A block of samples holds at most BLOCK_SAMPLES samples and at most
+# BLOCK_FLOATS floats of group elements (k n^2 per sample for k factors of
+# n x n matrices): each stack of elements stays within 128 KB, also for
+# n = 16 with 8 balls, so a run's peak memory stays near that of one sample
+# at a time.
+BLOCK_SAMPLES = 256
+BLOCK_FLOATS = 1 << 14
+
+
+def block_size(identity) -> int:
+    """The samples in one block of `verify_action` for this identity element."""
+    if isinstance(identity, CoverElement):
+        return BLOCK_SAMPLES
+    return max(1, min(BLOCK_SAMPLES, BLOCK_FLOATS // np.size(identity)))
+
+
+def _gaps(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """The largest coordinate difference of each pair of rows (NaN if any is NaN)."""
+    return np.abs(a - b).max(axis=1).tolist()
+
+
+def looped(act):
+    """The block evaluator of a one-sample action act(element, point), for
+    the actions whose evaluation does not batch bit for bit."""
+    return lambda elements, points: np.array([act(g, y) for g, y in zip(elements, points)])
 
 
 def verify_action(
@@ -234,41 +275,77 @@ def verify_action(
     move_threshold: float = 1e-6,
 ) -> ActionReport:
     """Check e.y = y and (gh).y = g.(h.y) on seeded samples, and find a
-    moved point for every generator (or record that none was found)."""
+    moved point for every generator (or record that none was found).
+
+    `act(elements, points)` evaluates a block: the action of elements[s] on
+    points[s] for a stack of points (b, d). Group elements are matrices, or
+    tuples of k matrices for a product group, which go to `act` as float
+    stacks (b, n, n) or (b, k, n, n) and compose by a stacked `@`; or they
+    are CoverElements, which go as lists and compose by `cover_compose`.
+
+    Samples are drawn one at a time, in the order of a loop that checks one
+    sample after the other (the points of the identity and witness checks
+    first, then g, h and y for each composition sample), and are evaluated
+    in blocks of at most `block_size(identity)`. The residuals are folded
+    in sample order, and a witness is the first point in sample order that
+    moves, so the report is that of the one-sample loop, bit for bit.
+    """
     rng = np.random.default_rng(seed)
-    id_res = 0.0
-    comp_res = 0.0
-    points = [sample_point(rng) for _ in range(samples)]
-    for y in points:
-        id_res = max_residual(id_res, _gap(act(identity, y), y))
-    for _ in range(samples):
-        g = sample_element(rng)
-        h = sample_element(rng)
-        y = sample_point(rng)
-        gh = np.asarray(g) @ np.asarray(h) if isinstance(g, np.ndarray) else compose_pair(g, h)
-        lhs = act(gh, y)
-        rhs = act(g, act(h, y))
-        comp_res = max_residual(comp_res, _gap(lhs, rhs))
-    witnesses = {}
-    for name, gen in named_generators:
-        found = None
-        for y in points:
-            disp = _gap(act(gen, y), y)
-            if disp >= move_threshold:
-                found = (np.asarray(y, dtype=float), disp)
-                break
-        witnesses[name] = found
+    block = block_size(identity)
+    if isinstance(identity, CoverElement):
+        empty = lambda b: [None] * b
+        compose = lambda gs, hs: [cover_compose(g, h) for g, h in zip(gs, hs)]
+        repeat = lambda g: [g] * block
+    else:
+        empty = lambda b: np.empty((b, *np.shape(identity)))
+        compose = np.matmul
+        repeat = lambda g: np.broadcast_to(g, (block, *np.shape(g)))  # a block's worth of g, as a view
+    points = _draw_points(sample_point, rng, samples)
+    id_res = comp_res = 0.0
+    identities = repeat(identity)
+    for start in range(0, samples, block):
+        ys = points[start:start + block]
+        id_res = max_residual(id_res, *_gaps(act(identities[:len(ys)], ys), ys))
+    for start in range(0, samples, block):
+        b = min(block, samples - start)
+        gs, hs, ys = empty(b), empty(b), np.empty((b, *points.shape[1:]))
+        for s in range(b):
+            gs[s] = sample_element(rng)
+            hs[s] = sample_element(rng)
+            ys[s] = sample_point(rng)
+        comp_res = max_residual(comp_res, *_gaps(act(compose(gs, hs), ys), act(gs, act(hs, ys))))
+    witnesses = {
+        name: _first_moved(act, repeat(gen), points, block, move_threshold) for name, gen in named_generators
+    }
     return ActionReport(id_res, comp_res, witnesses, samples, seed, move_threshold)
 
 
-def compose_pair(g, h):
-    """Composition for non-matrix group elements: covering-group elements
-    and tuples of matrices (product groups)."""
-    if isinstance(g, CoverElement):
-        return cover_compose(g, h)
-    if isinstance(g, (tuple, list)):
-        return tuple(np.asarray(x) @ np.asarray(y) for x, y in zip(g, h))
-    raise TypeError(f"cannot compose elements of type {type(g).__name__}")
+def _draw_points(sample_point, rng, samples: int) -> np.ndarray:
+    """`samples` points drawn one at a time, as the rows of one float array
+    (a list of the small arrays beside it would double the peak memory)."""
+    points = np.empty((samples, 0))
+    for s in range(samples):
+        y = sample_point(rng)
+        if s == 0:
+            points = np.empty((samples, len(y)))
+        points[s] = y
+    return points
+
+
+def _first_moved(act, gens, points: np.ndarray, block: int, threshold: float):
+    """(point, displacement) of the first point that a generator, repeated a
+    block's worth in `gens`, moves by at least `threshold`, or None. The
+    points are evaluated in chunks of 8, 32, 128, ... samples, at most a
+    block, since a witness is mostly found early."""
+    start, size = 0, min(8, block)
+    while start < len(points):
+        ys = points[start:start + size]
+        for i, disp in enumerate(_gaps(act(gens[:len(ys)], ys), ys)):
+            if disp >= threshold:  # a NaN displacement does not move
+                return points[start + i], disp
+        start += size
+        size = min(4 * size, block)
+    return None
 
 
 # -- lifted circle action ---------------------------------------------------

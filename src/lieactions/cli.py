@@ -292,6 +292,9 @@ PLACEMENT_KEYS = {"center": ([float], REQUIRED, None), "radius": (float, 1.0, PO
 
 # An action kind's function returns the arguments of `verify_action` (action, identity,
 # element sampler, point sampler, named generators) and the witness rule; it imports when run.
+# The action evaluates a block of samples: the sphere, ball and multiball kinds on stacks, the
+# interval and disk kinds one sample at a time (`math.atan2`, `log` and `exp` do not batch bit
+# for bit).
 
 
 def _ball_points(n: int, balls=()):
@@ -364,14 +367,14 @@ def _circle_action(v: dict) -> tuple:
     cover of SL(2, R); some generator must move some point ("any")."""
     import numpy as np
 
-    from .actions import CoverElement, cover_identity, disk_action, interval_action
+    from .actions import CoverElement, cover_identity, disk_action, interval_action, looped
     from .matrixgroups import generators, random_sl2
 
     if v["action"] == "disk":
         unit = _ball_points(v["n"])
-        action, sample_pt = disk_action, lambda r: unit(r) * r.uniform(0.0, 1.0)
+        action, sample_pt = looped(disk_action), lambda r: unit(r) * r.uniform(0.0, 1.0)
     else:
-        action = lambda a, y: np.array([interval_action(a, float(y[0]))])
+        action = looped(lambda a, y: np.array([interval_action(a, float(y[0]))]))
         sample_pt = lambda r: np.array([r.uniform(0.01, 0.99)])
     sample_el = lambda r: CoverElement.of(random_sl2(r), int(r.integers(-1, 2)))
     gens = [(name, CoverElement.of(g)) for name, g in generators("SL2", 2)]

@@ -21,11 +21,11 @@ MAX_ACTION_N = 16
 MAX_BALLS = 8
 # The exponent of a variable in a polynomial term:
 MAX_EXPONENT = 64
-# The profiles of a commuting family (every pair of their fields is bracketed):
+# The profiles of a commuting family (each gives one field u(f) X):
 MAX_PROFILES = 8
 # The terms each field u(f) X of a commuting family can have, C(d + n, n) for
 # d = deg u * deg f + deg X in n variables (the monomials of degree at most d),
-# worked out before any u(f) is built; every pair of fields is bracketed:
+# worked out before any u(f) is built:
 MAX_FIELD_TERMS = 200
 # The steps of a flow (the trajectory is held in memory, one row per step):
 MAX_FLOW_STEPS = 10**6

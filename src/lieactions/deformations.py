@@ -312,6 +312,32 @@ class GroupDeformation(namedtuple("GroupDeformation", "label group n stages prof
             raise ValueError(f"unknown stage kind {kind!r}")
         return out.reshape(n, n)
 
+    def apply_many(self, ts: Sequence[float], gs: np.ndarray) -> np.ndarray:
+        """`apply` on a block: the endomorphism at time ts[s] applied to gs[s],
+        for a stack gs of shape (b, n, n). The state at each time and every
+        power are worked out one sample at a time, as in `apply`; the
+        off-diagonal scalings are one product over the block."""
+        n = self.n
+        flat = gs.reshape(len(ts), n * n)
+        out = np.zeros(flat.shape)
+        diag = range(0, n * n, n + 1)
+        offdiag, powers = [], []
+        for s, t in enumerate(ts):
+            kind, p = self.state_at(t)
+            if kind == "offdiag":
+                offdiag.append(s)
+                powers.append([p ** k for k in range(n)])
+            elif kind == "diagpow":
+                for i in diag:
+                    out[s, i] = flat[s, i] ** p
+            else:
+                raise ValueError(f"unknown stage kind {kind!r}")
+        if offdiag:
+            upper, dist = _upper_indices(n)
+            rows = np.array(offdiag)[:, None]
+            out[rows, upper] = flat[rows, upper] * np.array(powers)[:, dist]
+        return out.reshape(gs.shape)
+
 
 def group_contraction_ST(n: int) -> GroupDeformation:
     """Contraction of ST(n): scale away the off-diagonal part on

@@ -3,10 +3,10 @@ infinitesimal projective actions, and numerical flows.
 
 The commuting-family construction takes a function f, a field X that
 annihilates df, and univariate profiles u_1, ..., u_n; the fields
-L_j = u_j(f) X then commute pairwise, and the certificates (pairwise
-brackets expand to the zero polynomial, the u_j are linearly
-independent) are exact. Flows are only a numerical cross-check of the
-same facts on bounded time windows.
+L_j = u_j(f) X then commute pairwise, and the certificates (X(f) = 0
+expands to the zero polynomial, which makes every pairwise bracket zero;
+the u_j are linearly independent) are exact. Flows are only a numerical
+cross-check of the same facts on bounded time windows.
 """
 
 from __future__ import annotations
@@ -148,7 +148,14 @@ def commuting_family(
     f: Poly, x_field: PolyVectorField, profiles: Sequence[Poly]
 ) -> tuple[list[PolyVectorField], CommutingFamilyCertificate]:
     """Fields L_j = u_j(f) X with exact commutation and independence
-    certificates. Requires X(f) = 0; raises AnnihilationError otherwise."""
+    certificates. Requires X(f) = 0; raises AnnihilationError otherwise.
+
+    The commutation certificate is proved, not computed: for univariate u
+    and v, [u(f) X, v(f) X] = u(f) X(v(f)) X - v(f) X(u(f)) X
+    = (u(f) v'(f) - v(f) u'(f)) X(f) X, which is identically zero once
+    X(f) = 0 has been checked exactly. So all C(k, 2) pairs of the k fields
+    are reported checked and zero without expanding a bracket.
+    """
     from .linalg import RatMatrix
 
     residual = annihilation_residual(f, x_field)
@@ -158,17 +165,11 @@ def commuting_family(
         if u.nvars != 1:
             raise ValueError("profiles must be univariate polynomials")
     fields = [x_field.scale_by_poly(u.substitute(f)) for u in profiles]
-    pairs = 0
-    all_zero = True
-    for a in range(len(fields)):
-        for b in range(a + 1, len(fields)):
-            pairs += 1
-            if not vf_bracket(fields[a], fields[b]).is_zero():
-                all_zero = False
+    pairs = len(fields) * (len(fields) - 1) // 2
     max_deg = max((u.degree() for u in profiles), default=0)
     coeff_rows = [u.coefficient_vector(max_deg) for u in profiles]
     independent = RatMatrix(coeff_rows).rank() == len(profiles) if profiles else True
-    return fields, CommutingFamilyCertificate(all_zero, pairs, independent)
+    return fields, CommutingFamilyCertificate(True, pairs, independent)
 
 
 def projective_infinitesimal(a: RatMatrix) -> PolyVectorField:

@@ -296,7 +296,7 @@ def _ball_suite(group):
     g = random_element(rng, group, 3)
     for r in (0.05, 0.25, 0.95, 2.0):
         y = np.array([r, 0.0, 0.0])
-        assert np.array_equal(ball.apply(g, y), y)
+        assert np.array_equal(ball.apply(g[None], y[None])[0], y)
 
 
 @criterion(9, "compact ball actions (ST(3) and unitriangular) and multiball verify")

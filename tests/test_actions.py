@@ -1,13 +1,18 @@
 """Constructed actions: spheres, cylinders, balls, covers, intervals."""
 
 import math
+import random
+from functools import partial
 
 import numpy as np
 import pytest
 
 from lieactions.actions import (
+    BLOCK_FLOATS,
+    ActionReport,
     CoverElement,
     MultiBall,
+    block_size,
     cover_compose,
     cover_eval,
     cover_identity,
@@ -15,14 +20,18 @@ from lieactions.actions import (
     cylinder_transfer_inverse,
     disk_action,
     interval_action,
+    looped,
     make_ball_action,
     radial_action,
     sphere_action,
     suspension_act,
     verify_action,
 )
+from lieactions.cli import ACTIONS
+from lieactions.constants import max_residual
 from lieactions.deformations import bump_group_deformation, group_contraction_ST
 from lieactions.matrixgroups import generators, random_element, random_sl2
+from lieactions.serialize import dumps
 
 RNG = lambda s=0: np.random.default_rng(s)
 
@@ -35,6 +44,11 @@ def _all_effective(report):
 def unit_vec(rng, n):
     v = rng.normal(size=n)
     return v / np.linalg.norm(v)
+
+
+def one(act, g, y):
+    """A block evaluator act(elements, points) on the single sample (g, y)."""
+    return act(np.asarray(g, dtype=float)[None], np.asarray(y, dtype=float)[None])[0]
 
 
 # -- sphere -------------------------------------------------------------------
@@ -170,7 +184,7 @@ def test_ball_action_identity_outside_annulus():
     g = random_element(rng, "ST", 3)
     for r in (0.05, 0.299, 0.91, 1.5, 7.0):
         y = unit_vec(rng, 3) * r
-        assert np.array_equal(ball.apply(g, y), y)
+        assert np.array_equal(one(ball.apply, g, y), y)
 
 
 def test_ball_action_identity_element():
@@ -178,7 +192,7 @@ def test_ball_action_identity_element():
     rng = RNG(7)
     for _ in range(20):
         y = rng.normal(size=3)
-        assert np.max(np.abs(ball.apply(np.eye(3), y) - y)) <= 1e-15
+        assert np.max(np.abs(one(ball.apply, np.eye(3), y) - y)) <= 1e-15
 
 
 def test_ball_action_moved_points_stay_in_annulus():
@@ -187,7 +201,7 @@ def test_ball_action_moved_points_stay_in_annulus():
     g = generators("ST", 3)[0][1]
     for _ in range(300):
         y = unit_vec(rng, 3) * rng.uniform(0.05, 1.4)
-        out = ball.apply(g, y)
+        out = one(ball.apply, g, y)
         if np.max(np.abs(out - y)) > 0:
             r = np.linalg.norm(y)
             assert 0.3 < r < 0.9
@@ -202,7 +216,7 @@ def test_ball_action_bijective_via_inverse():
         g = random_element(rng, "ST", 3)
         ginv = np.linalg.inv(g)
         y = unit_vec(rng, 3) * rng.uniform(0.05, 1.2)
-        back = ball.apply(ginv, ball.apply(g, y))
+        back = one(ball.apply, ginv, one(ball.apply, g, y))
         assert np.max(np.abs(back - y)) <= 1e-9
 
 
@@ -246,12 +260,12 @@ def test_multiball_identity_and_disjoint_supports():
     rng = RNG(10)
     ident = tuple(np.eye(3) for _ in range(3))
     y = rng.normal(size=3)
-    assert np.max(np.abs(mb.apply(ident, y) - y)) <= 1e-15
+    assert np.max(np.abs(one(mb.apply, ident, y) - y)) <= 1e-15
     # an element acting in ball 1 fixes all of ball 2
     g = generators("ST", 3)[0][1]
     elements = (g, np.eye(3), np.eye(3))
     pt_in_ball2 = np.array([3.0, 0.5, 0.0])
-    assert np.array_equal(mb.apply(elements, pt_in_ball2), pt_in_ball2)
+    assert np.array_equal(one(mb.apply, elements, pt_in_ball2), pt_in_ball2)
 
 
 def test_multiball_action_law():
@@ -339,7 +353,7 @@ def test_verify_detects_fault_injected_action():
         return r * xp
 
     report = verify_action(
-        faulty,
+        looped(faulty),
         np.eye(3),
         lambda r: random_element(r, "ST", 3),
         lambda r: unit_vec(r, 3) * r.uniform(0.4, 0.8),
@@ -347,6 +361,228 @@ def test_verify_detects_fault_injected_action():
         samples=100,
     )
     assert report.max_composition_residual > 1e-3
+
+
+# -- batched checks against the one-sample loop -------------------------------------------
+#
+# The one-sample evaluations of the matrix kinds and the loop that checked one
+# sample after the other, kept as the oracle of the block evaluators and of
+# verify_action: the reports must agree byte for byte, and the generator must
+# end in the same state.
+
+
+def sphere_one(g, x):
+    """x -> gx/|gx| for one matrix and one point."""
+    y = g @ x
+    norm = math.sqrt(y.dot(y))
+    if norm < 1e-300:
+        raise ValueError("matrix is singular along this direction")
+    return y / norm
+
+
+def ball_one(ball, g, y):
+    """The ball action of one matrix on one point."""
+    center = ball.center_array
+    log_r1 = math.log(ball.r1)
+    y = np.asarray(y, dtype=float)
+    u = y - center
+    r = math.sqrt(u.dot(u))
+    rel = r / ball.radius
+    if rel <= ball.r0 or rel >= ball.r1:
+        return y.copy()
+    t = (log_r1 - math.log(rel)) / (log_r1 - math.log(ball.r0))
+    return center + r * sphere_one(ball.deformation.apply(t, g), u / r)
+
+
+def multiball_one(multiball, elements, y):
+    """The multiball action of one tuple of matrices on one point."""
+    out = np.asarray(y, dtype=float).copy()
+    for ball, g in zip(multiball.balls, elements):
+        out = ball_one(ball, g, out)
+    return out
+
+
+def gap(a, b):
+    return float(np.abs(np.asarray(a) - np.asarray(b)).max())
+
+
+def compose_one(g, h):
+    if isinstance(g, CoverElement):
+        return cover_compose(g, h)
+    if isinstance(g, tuple):
+        return tuple(x @ y for x, y in zip(g, h))
+    return g @ h
+
+
+def verify_loop(act, identity, sample_element, sample_point, named_generators, samples, seed, move_threshold=1e-6):
+    """verify_action one sample at a time, with a one-sample act(element, point)."""
+    rng = np.random.default_rng(seed)
+    id_res = comp_res = 0.0
+    points = [sample_point(rng) for _ in range(samples)]
+    for y in points:
+        id_res = max_residual(id_res, gap(act(identity, y), y))
+    for _ in range(samples):
+        g = sample_element(rng)
+        h = sample_element(rng)
+        y = sample_point(rng)
+        comp_res = max_residual(comp_res, gap(act(compose_one(g, h), y), act(g, act(h, y))))
+    witnesses = {}
+    for name, gen in named_generators:
+        found = None
+        for y in points:
+            disp = gap(act(gen, y), y)
+            if disp >= move_threshold:
+                found = (np.asarray(y, dtype=float), disp)
+                break
+        witnesses[name] = found
+    return ActionReport(id_res, comp_res, witnesses, samples, seed, move_threshold)
+
+
+def kind_parts(kind, group=None, n=2, balls=1):
+    """The verify_action arguments of an `act verify` kind, as the CLI sets
+    them up, and the one-sample action of the oracle."""
+    place = random.Random(n * 10 + balls)
+
+    def placement(first):
+        r0 = round(place.uniform(0.2, 0.45), 3)
+        return {"center": [first] + [round(place.uniform(-0.5, 0.5), 3) for _ in range(n - 1)],
+                "radius": round(place.uniform(0.5, 1.5), 3), "annulus": [r0, round(place.uniform(0.6, 0.95), 3)]}
+
+    v = {"action": kind, "group": group, "n": n}
+    if kind == "ball":
+        v.update(placement(0.25))
+    elif kind == "multiball":
+        v["balls"] = [placement(4.0 * j) for j in range(balls)]
+    act, identity, sample_el, sample_pt, gens, _ = ACTIONS[kind][1](v)
+    oracle = {
+        "sphere": lambda: sphere_one,
+        "ball": lambda: partial(ball_one, act.__self__),
+        "multiball": lambda: partial(multiball_one, act.__self__),
+        "interval": lambda: lambda a, y: np.array([interval_action(a, float(y[0]))]),
+        "disk": lambda: disk_action,
+    }[kind]()
+    return (act, identity, sample_el, sample_pt, list(gens)), oracle
+
+
+def assert_same_as_loop(parts, oracle, samples, seed):
+    act, identity, sample_el, sample_pt, gens = parts
+    seen = {}
+
+    def sample_point(rng):
+        seen["rng"] = rng
+        return sample_pt(rng)
+
+    batched = verify_action(act, identity, sample_el, sample_point, gens, samples=samples, seed=seed)
+    state = seen["rng"].bit_generator.state
+    loop = verify_loop(oracle, identity, sample_el, sample_point, gens, samples, seed)
+    assert dumps(batched.to_dict()) == dumps(loop.to_dict())
+    assert state == seen["rng"].bit_generator.state
+
+
+# (kind, group, n, balls): each matrix kind over ST and U, n = 1..6 (the ball
+# kinds need n >= 2), and 1 to 3 balls
+MATRIX_CASES = [
+    (kind, group, n, 1 + n % 3 if kind == "multiball" else 1)
+    for kind in ("sphere", "ball", "multiball") for group in ("ST", "U")
+    for n in range(1 if kind == "sphere" else 2, 7)
+]
+# across the ends of the first block and the block after it
+EDGE_SAMPLES = (1, 255, 256, 257)
+
+
+@pytest.mark.parametrize("kind,group,n,balls", MATRIX_CASES, ids=lambda x: str(x))
+def test_batched_report_matches_the_one_sample_loop(kind, group, n, balls):
+    parts, oracle = kind_parts(kind, group, n, balls)
+    for samples in EDGE_SAMPLES:
+        assert_same_as_loop(parts, oracle, samples, seed=n + samples)
+
+
+@pytest.mark.parametrize("kind,group,n,balls", [
+    ("sphere", "ST", 3, 1),
+    ("sphere", "U", 16, 1),  # 256 floats an element: blocks of 64
+    ("ball", "ST", 5, 1),
+    ("ball", "U", 4, 1),
+    ("multiball", "ST", 5, 3),
+    ("multiball", "U", 12, 3),  # 432 floats an element: blocks of 37
+    ("interval", None, 2, 1),
+    ("disk", None, 3, 1),
+], ids=lambda x: str(x))
+def test_batched_report_matches_the_one_sample_loop_at_2001_samples(kind, group, n, balls):
+    parts, oracle = kind_parts(kind, group, n, balls)
+    assert_same_as_loop(parts, oracle, 2001, seed=7 * n)
+
+
+def test_witness_past_the_first_chunk_and_block_is_the_loops():
+    # moves only the points whose first coordinate is above 0.998, by g[0, 1];
+    # at seed 7 the first of them is point 614, in the third block of 256
+    def plant(gs, ys):
+        out = ys.copy()
+        hit = ys[:, 0] > 0.998
+        out[hit, 0] += gs[hit, 0, 1]
+        return out
+
+    def plant_one(g, y):
+        return plant(g[None], y[None])[0]
+
+    gens = [("still", np.eye(2)), ("shear", np.array([[1.0, 0.5], [0.0, 1.0]]))]
+    parts = (np.eye(2), lambda r: random_element(r, "U", 2), lambda r: r.uniform(size=2), gens)
+    batched = verify_action(plant, *parts, samples=2001, seed=7)
+    loop = verify_loop(plant_one, *parts, samples=2001, seed=7)
+    assert dumps(batched.to_dict()) == dumps(loop.to_dict())
+    assert batched.witnesses["still"] is None
+    point, disp = batched.witnesses["shear"]
+    rng = RNG(7)
+    points = [rng.uniform(size=2) for _ in range(2001)]
+    first = next(i for i, y in enumerate(points) if y[0] > 0.998)
+    assert first == 614 and first > 2 * block_size(np.eye(2))
+    assert np.array_equal(point, points[first]) and disp == (points[first][0] + 0.5) - points[first][0]
+
+
+def test_nan_residual_reports_nan_as_in_the_loop():
+    # sends the points whose first coordinate is above 0.99 to NaN, one of
+    # them in the middle of the second block
+    def nan_at(gs, ys):
+        out = ys.copy()
+        out[ys[:, 0] > 0.99] = np.nan
+        return out
+
+    def nan_at_one(g, y):
+        return nan_at(g[None], y[None])[0]
+
+    parts = (np.eye(2), lambda r: random_element(r, "U", 2), lambda r: r.uniform(size=2), [])
+    batched = verify_action(nan_at, *parts, samples=600, seed=3)
+    loop = verify_loop(nan_at_one, *parts, samples=600, seed=3)
+    assert math.isnan(batched.max_identity_residual) and math.isnan(batched.max_composition_residual)
+    assert dumps(batched.to_dict()) == dumps(loop.to_dict())
+
+
+def test_ball_sends_a_point_with_a_nan_coordinate_through_the_formula():
+    # a NaN radius is neither inside nor outside the annulus: like the
+    # one-sample formula, the block evaluator makes every coordinate NaN
+    ball = make_ball_action("ST", 3)
+    g = random_element(RNG(5), "ST", 3)
+    y = np.array([np.nan, 0.2, 0.1])
+    got = one(ball.apply, g, y)
+    assert np.isnan(got).all() and np.array_equal(got, ball_one(ball, g, y), equal_nan=True)
+
+
+def test_no_block_evaluation_exceeds_the_block_size():
+    # n = 16 with 8 balls: 2048 floats an element, so blocks of 8 samples
+    (act, identity, sample_el, sample_pt, gens), _ = kind_parts("multiball", "U", 16, 8)
+    sizes = []
+
+    def spy(elements, points):
+        assert len(elements) == len(points)
+        sizes.append(len(points))
+        return act(elements, points)
+
+    verify_action(spy, identity, sample_el, sample_pt, gens[:4], samples=40)
+    assert block_size(identity) == BLOCK_FLOATS // (8 * 16 * 16) == 8
+    assert max(sizes) == 8
+    (act, identity, sample_el, sample_pt, gens), _ = kind_parts("sphere", "ST", 3)
+    sizes.clear()
+    verify_action(spy, identity, sample_el, sample_pt, gens, samples=600)
+    assert max(sizes) == block_size(identity) == 256
 
 
 # -- lifted circle action -----------------------------------------------------------------

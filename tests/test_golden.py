@@ -10,7 +10,10 @@ cases are `deform verify` for every family at n = 3, 5 and 6, and every
 scenario in `scenarios/` run through its verb (`act verify`, `vf verify`
 or `vf flow`), plus the wider scenarios kept beside the goldens as
 golden/*.scenario.json (sphere, ball and three-ball actions of ST(5) and
-U(5), and a cubic field in three variables flowed backwards). All run at
+U(5); act scenarios across the edges of the sample blocks of `act verify`:
+a sphere of ST(3) at 257 samples, a ball of ST(4) at 256, three balls of
+U(3) at 513 and two balls of U(16) at 130, 32 to a block; and a cubic
+field in three variables flowed backwards). All run at
 seed 0. After a deliberate change to a report, regenerate the files with
 `PYTHONPATH=src python tests/test_golden.py` and say in the change log
 why the bytes moved.

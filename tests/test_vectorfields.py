@@ -183,6 +183,28 @@ def test_commuting_family_certificates():
     assert fields[1] == x_field.scale_by_poly(f)  # u = s
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_commuting_family_brackets_expand_to_zero(seed):
+    # the bracket loop the certificate replaces, on random annihilating fields:
+    # w (f_j e_i - f_i e_j) for random f and w in two or three variables
+    rng = random.Random(seed)
+    nvars = rng.choice((2, 3))
+    f = random_poly(rng, nvars, deg=3)
+    i, j = rng.sample(range(nvars), 2)
+    comps = [Poly.zero(nvars)] * nvars
+    comps[i], comps[j] = f.diff(j), -f.diff(i)
+    x_field = PolyVectorField(tuple(comps)).scale_by_poly(random_poly(rng, nvars, deg=2))
+    assert annihilation_residual(f, x_field).is_zero()
+    profiles = [random_poly(rng, 1, deg=3) for _ in range(rng.randint(0, 4))]
+    fields, cert = commuting_family(f, x_field, profiles)
+    k = len(profiles)
+    assert cert.pairwise_brackets_zero and cert.pairs_checked == k * (k - 1) // 2
+    for a in range(k):
+        for b in range(a + 1, k):
+            assert vf_bracket(fields[a], fields[b]).is_zero()
+
+
 def test_commuting_family_dependent_profiles():
     f = circle()
     _, cert = commuting_family(
