@@ -14,7 +14,9 @@ U(5); act scenarios across the edges of the sample blocks of `act verify`:
 a sphere of ST(3) at 257 samples, a ball of ST(4) at 256, three balls of
 U(3) at 513 and two balls of U(16) at 130, 32 to a block; and a cubic
 field in three variables flowed backwards). All run at
-seed 0. After a deliberate change to a report, regenerate the files with
+seed 0, except two `deform verify --samples 300` cases at seeds of three
+and of six 32-bit words (2^64 + 5 and 2^160 + 7), which pin how a seed
+longer than the four words of SeedSequence's pool is mixed. After a deliberate change to a report, regenerate the files with
 `PYTHONPATH=src python tests/test_golden.py` and say in the change log
 why the bytes moved.
 """
@@ -72,20 +74,30 @@ def _scenario_verb(path: Path) -> tuple[str, list[str], str]:
     return "vf_flow", ["vf", "flow"], "csv"
 
 
+# (golden stem, family, n, seed) of the deform verify cases at wide seeds
+WIDE_SEEDS = (
+    ("st-prime4_seed3words", "st-prime", 4, 2**64 + 5),
+    ("concat4_seed6words", "concat", 4, 2**160 + 7),
+)
+
+
 def _numeric_cases():
-    """(golden file, lieact arguments) for deform verify and the scenarios."""
+    """(golden file, lieact arguments, seed) for deform verify and the scenarios."""
     for family in ("st", "st-prime", "concat"):
         for n in (3, 5, 6):
             args = ["deform", "verify", "--family", family, "--n", str(n)]
-            yield GOLDEN / f"{family}{n}.deform.json", args
+            yield GOLDEN / f"{family}{n}.deform.json", args, SEED
+    for stem, family, n, seed in WIDE_SEEDS:
+        args = ["deform", "verify", "--family", family, "--n", str(n), "--samples", "300"]
+        yield GOLDEN / f"{stem}.deform.json", args, str(seed)
     for scenario in sorted(SCENARIOS.glob("*.json")) + sorted(GOLDEN.glob("*.scenario.json")):
         name, verb, suffix = _scenario_verb(scenario)
         stem = scenario.name.split(".", 1)[0]
-        yield GOLDEN / f"{stem}.{name}.{suffix}", [*verb, "--scenario", str(scenario)]
+        yield GOLDEN / f"{stem}.{name}.{suffix}", [*verb, "--scenario", str(scenario)], SEED
 
 
-def _run_numeric(args: list[str]):
-    return invoke(["--seed", SEED, *args])
+def _run_numeric(args: list[str], seed: str):
+    return invoke(["--seed", seed, *args])
 
 
 @pytest.mark.parametrize(
@@ -99,10 +111,11 @@ def test_report_matches_golden(source, verb, golden):
 
 
 @pytest.mark.parametrize(
-    "golden,args", [pytest.param(golden, args, id=golden.name) for golden, args in _numeric_cases()]
+    "golden,args,seed",
+    [pytest.param(golden, args, seed, id=golden.name) for golden, args, seed in _numeric_cases()],
 )
-def test_numeric_report_matches_golden(golden, args):
-    result = _run_numeric(args)
+def test_numeric_report_matches_golden(golden, args, seed):
+    result = _run_numeric(args, seed)
     assert result.exit_code == 0, result.output
     assert result.output == golden.read_text()
     assert result.stderr == ""
@@ -110,7 +123,7 @@ def test_numeric_report_matches_golden(golden, args):
 
 if __name__ == "__main__":
     runs = [(_run(source, verb), golden) for source, verb, golden in _cases()]
-    runs += [(_run_numeric(args), golden) for golden, args in _numeric_cases()]
+    runs += [(_run_numeric(args, seed), golden) for golden, args, seed in _numeric_cases()]
     for result, golden in runs:
         if result.exit_code != 0:
             raise SystemExit(f"{golden.name}: exit {result.exit_code}\n{result.output}")
