@@ -27,7 +27,7 @@ MAX_PROFILES = 8
 # d = deg u * deg f + deg X in n variables (the monomials of degree at most d),
 # worked out before any u(f) is built:
 MAX_FIELD_TERMS = 200
-# The steps of a flow (the trajectory is held in memory, one row per step):
+# The steps of a flow (the trajectory is held in memory, 8 bytes a coordinate):
 MAX_FLOW_STEPS = 10**6
 
 

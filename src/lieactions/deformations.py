@@ -25,17 +25,19 @@ from functools import lru_cache
 from operator import sub
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from .constants import DEFAULT_SEED, max_residual
-from .matrixgroups import random_element
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .algebra import LieAlgebra
+    from .pcg64 import DefaultRNG
 
 # The exact layer (`algebra`, `catalog`) is imported only by the builders
 # that take an algebra from the catalog, so the group families that the ball
-# actions use load none of it.
+# actions use load none of it; numpy and `matrixgroups` are imported only by
+# the group-level code, and `pcg64` only by the algebra law check, so each
+# kind of family loads only the sampler it draws from.
 
 __all__ = [
     "TransitionProfile",
@@ -257,6 +259,8 @@ def concatenate(psi: AlgebraDeformation, theta: AlgebraDeformation) -> AlgebraDe
 def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat row-major indices of the entries (i, j), j >= i, of an n x n
     matrix, and their distances j - i from the diagonal."""
+    import numpy as np
+
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     flat = np.array([i * n + j for i, j in pairs], dtype=np.intp)
     dist = np.array([j - i for i, j in pairs], dtype=np.intp)
@@ -298,6 +302,8 @@ class GroupDeformation(namedtuple("GroupDeformation", "label group n stages prof
         """The endomorphism at time t applied to g: each entry (i, j), j >= i,
         times p^(j - i) ("offdiag"), or each diagonal entry d raised to d^p
         ("diagpow"); every other entry is +0.0."""
+        import numpy as np
+
         kind, p = self.state_at(t)
         n = self.n
         out = np.zeros(n * n)
@@ -317,6 +323,8 @@ class GroupDeformation(namedtuple("GroupDeformation", "label group n stages prof
         for a stack gs of shape (b, n, n). The state at each time and every
         power are worked out one sample at a time, as in `apply`; the
         off-diagonal scalings are one product over the block."""
+        import numpy as np
+
         n = self.n
         flat = gs.reshape(len(ts), n * n)
         out = np.zeros(flat.shape)
@@ -410,10 +418,10 @@ class DeformationReport(namedtuple("DeformationReport", (
         }
 
 
-def _sample_rational_vector(rng, dim: int, support: Sequence[int]) -> list[Fraction]:
+def _sample_rational_vector(rng: DefaultRNG, dim: int, support: Sequence[int]) -> list[Fraction]:
     v = [Fraction(0)] * dim
     for k in support:
-        v[k] = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 3)))
+        v[k] = Fraction(rng.integers(-3, 4), rng.integers(1, 3))
     return v
 
 
@@ -421,7 +429,9 @@ _CHECK_TIMES = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
 
 def _verify_algebra(d: AlgebraDeformation, samples: int, seed: int) -> DeformationReport:
-    rng = np.random.default_rng(seed)
+    from .pcg64 import DefaultRNG
+
+    rng = DefaultRNG(seed)  # the draws of numpy.random.default_rng(seed), without numpy
     support = d.domain()
     dim = d.parent.dim
 
@@ -432,7 +442,7 @@ def _verify_algebra(d: AlgebraDeformation, samples: int, seed: int) -> Deformati
     flat = _flatness_quotient(lambda t: d.factors(t), [0.0, 1.0])
 
     law = 0.0
-    ts = list(_CHECK_TIMES) + list(rng.uniform(0.0, 1.0, size=5))
+    ts = _CHECK_TIMES + rng.uniform(0.0, 1.0, 5)
     # d.apply(t, v) at every check time, with the factors and the floats of v worked out once
     factors = [d.factors(t) for t in ts]
     for _ in range(samples):
@@ -450,6 +460,10 @@ def _verify_algebra(d: AlgebraDeformation, samples: int, seed: int) -> Deformati
 
 
 def _verify_group(gd: GroupDeformation, samples: int, seed: int) -> DeformationReport:
+    import numpy as np
+
+    from .matrixgroups import random_element
+
     rng = np.random.default_rng(seed)
     n = gd.n
     eye = np.eye(n)
@@ -503,18 +517,21 @@ def _verify_group(gd: GroupDeformation, samples: int, seed: int) -> DeformationR
 
 def _flatness_quotient(values, boundary_times: list[float], h: float = 1e-3) -> float:
     """Max of the first three one-sided difference quotients at each
-    boundary; flat profiles make these vanish."""
+    boundary; flat profiles make these vanish. `values(t)` is a list of
+    floats; each quotient's maximum over the components is NaN once one of
+    them is NaN, as numpy's `np.max` is, and the builtin max over the
+    quotients then passes over it."""
     worst = 0.0
     for t0 in boundary_times:
         for sign in (+1.0, -1.0):
-            f0 = np.asarray(values(t0), dtype=float)
-            f1 = np.asarray(values(t0 + sign * h), dtype=float)
-            f2 = np.asarray(values(t0 + 2 * sign * h), dtype=float)
-            f3 = np.asarray(values(t0 + 3 * sign * h), dtype=float)
-            q1 = np.max(np.abs(f1 - f0)) / h
-            q2 = np.max(np.abs(f2 - 2 * f1 + f0)) / h ** 2
-            q3 = np.max(np.abs(f3 - 3 * f2 + 3 * f1 - f0)) / h ** 3
-            worst = max(worst, float(q1), float(q2), float(q3))
+            f0 = values(t0)
+            f1 = values(t0 + sign * h)
+            f2 = values(t0 + 2 * sign * h)
+            f3 = values(t0 + 3 * sign * h)
+            q1 = max_residual(0.0, *(abs(b - a) for b, a in zip(f1, f0))) / h
+            q2 = max_residual(0.0, *(abs(c - 2 * b + a) for c, b, a in zip(f2, f1, f0))) / h ** 2
+            q3 = max_residual(0.0, *(abs(d - 3 * c + 3 * b - a) for d, c, b, a in zip(f3, f2, f1, f0))) / h ** 3
+            worst = max(worst, q1, q2, q3)
     return worst
 
 

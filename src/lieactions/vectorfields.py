@@ -12,6 +12,7 @@ cross-check of the same facts on bounded time windows.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import namedtuple
 from fractions import Fraction
 from operator import sub
@@ -42,6 +43,7 @@ __all__ = [
     "action_homomorphism_check",
     "make_projective_action",
     "FlowBlowUpError",
+    "Trajectory",
     "flow_steps",
     "flow",
     "flow_checks",
@@ -308,11 +310,34 @@ def flow_steps(duration: float, h: float) -> int:
     return max(1, math.ceil(ratio)) if duration else 0
 
 
-def flow(v: PolyVectorField, p: Sequence[float], duration: float, h: float) -> list[list[float]]:
+class Trajectory:
+    """The `rows` states of a flow in `n` variables, the start point first,
+    held in `data`, one flat array('d') of 8 bytes a coordinate. A row reads
+    back, by index (negative too) or in order, as a tuple of n floats."""
+
+    def __init__(self, n: int, rows: int, data: array):
+        self.n, self.rows, self.data = n, rows, data
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __getitem__(self, i: int) -> tuple[float, ...]:
+        k = i + self.rows if i < 0 else i
+        if not 0 <= k < self.rows:
+            raise IndexError("trajectory index out of range")
+        return tuple(self.data[k * self.n:(k + 1) * self.n])
+
+    def __iter__(self):
+        if not self.n:
+            return iter([()] * self.rows)
+        return zip(*[iter(self.data)] * self.n)  # n at a time, as tuples
+
+
+def flow(v: PolyVectorField, p: Sequence[float], duration: float, h: float) -> Trajectory:
     """Classical fourth-order one-step integration with fixed step h > 0.
 
-    Returns the trajectory including the start point, one list of Python
-    floats per step; raises FlowBlowUpError at the first non-finite state.
+    Returns the trajectory including the start point, one row of floats per
+    step; raises FlowBlowUpError at the first non-finite state.
 
     The field is compiled once (`Poly.float_terms`) and the steps run on
     Python floats: stage points x + (step/2) k, then
@@ -323,7 +348,7 @@ def flow(v: PolyVectorField, p: Sequence[float], duration: float, h: float) -> l
     half, sixth = 0.5 * step, step / 6.0
     field = [c.float_terms for c in v.components]
     x = [float(c) for c in p]
-    traj = [x]
+    data = array("d", x)
     for i in range(steps):
         try:
             k1 = eval_compiled(field, x)
@@ -338,8 +363,8 @@ def flow(v: PolyVectorField, p: Sequence[float], duration: float, h: float) -> l
         ]
         if not all(map(math.isfinite, x)):
             raise FlowBlowUpError((i + 1) * step)
-        traj.append(x)
-    return traj
+        data.fromlist(x)
+    return Trajectory(len(x), steps + 1, data)
 
 
 class FlowCheckReport(namedtuple("FlowCheckReport", "commutation_residual level_residual")):

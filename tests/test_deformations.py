@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lieactions.catalog import catalog
 from lieactions.deformations import (
     AlgebraDeformation,
+    _flatness_quotient,
     bump_group_deformation,
     concatenate,
     diag_contraction,
@@ -339,3 +342,76 @@ def test_max_residual_keeps_nan_and_inf():
         assert math.isnan(max_residual(0.0, *values)), values
         assert math.isnan(max_residual(max_residual(0.0, *values), 1.0, 9.0))
     assert math.isnan(max_residual(nan, 4.0))
+
+
+# -- the flatness quotients on Python floats against numpy ---------------------------
+
+
+def _reference_flatness_quotient(values, boundary_times, h=1e-3):
+    """The former `_flatness_quotient`, on numpy arrays."""
+    worst = 0.0
+    with np.errstate(all="ignore"):
+        for t0 in boundary_times:
+            for sign in (+1.0, -1.0):
+                f0 = np.asarray(values(t0), dtype=float)
+                f1 = np.asarray(values(t0 + sign * h), dtype=float)
+                f2 = np.asarray(values(t0 + 2 * sign * h), dtype=float)
+                f3 = np.asarray(values(t0 + 3 * sign * h), dtype=float)
+                q1 = np.max(np.abs(f1 - f0)) / h
+                q2 = np.max(np.abs(f2 - 2 * f1 + f0)) / h ** 2
+                q3 = np.max(np.abs(f3 - 3 * f2 + 3 * f1 - f0)) / h ** 3
+                worst = max(worst, float(q1), float(q2), float(q3))
+    return worst
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_flatness_quotient_matches_numpy_on_every_family(n):
+    for d in (st_deformation(n), st_prime_deformation(n), diag_contraction(n),
+              concatenate(diag_contraction(n), st_deformation(n))):
+        assert _flatness_quotient(d.factors, [0.0, 1.0]) == _reference_flatness_quotient(d.factors, [0.0, 1.0])
+    rng = np.random.default_rng(n)
+    for gd in (group_contraction_ST(n), bump_group_deformation("ST", n), bump_group_deformation("U", n)):
+        g = random_element(rng, gd.group, n)
+        values = lambda t, gd=gd, g=g: gd.apply(t, g).ravel().tolist()
+        assert _flatness_quotient(values, [0.0, 1.0]) == _reference_flatness_quotient(values, [0.0, 1.0])
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e300, 1.7e308, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def value_rows(draw):
+    """The 16 value lists one call takes (2 boundaries x 2 sides x 4 times):
+    one row repeated, so that most differences vanish, with a few entries
+    replaced by NaN, an infinity or any float."""
+    dim = draw(st.integers(1, 4))
+    base = draw(st.lists(st.floats(-10, 10), min_size=dim, max_size=dim))
+    rows = [list(base) for _ in range(16)]
+    changes = st.tuples(st.integers(0, 15), st.integers(0, dim - 1), st.one_of(SPECIAL, st.floats()))
+    for k, i, x in draw(st.lists(changes, max_size=6)):
+        rows[k][i] = x
+    return rows
+
+
+def _one_changed_row(k, row):
+    return [list(row) if j == k else [0.0] * len(row) for j in range(16)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_rows())
+# a NaN beside a finite difference, on either side of it: the builtin max would keep the latter
+@example(_one_changed_row(1, [math.nan, 5.0]))
+@example(_one_changed_row(5, [5.0, math.nan]))
+@example(_one_changed_row(2, [math.inf, -3.0]))
+def test_flatness_quotient_matches_numpy_on_nan_and_inf(rows):
+    def values_from(rows):
+        it = iter(rows)
+        return lambda t: next(it)
+
+    got = _flatness_quotient(values_from(rows), [0.0, 1.0])
+    want = _reference_flatness_quotient(values_from(rows), [0.0, 1.0])
+    assert _same_float(got, want), (got, want)

@@ -6,7 +6,9 @@ verbs must not load each other's modules, and `act verify`, `vf flow` and
 the commuting-family `vf verify` load no `algebra` or `catalog`; only
 `algebra analyze` loads `derivations`, only `algebra obstruct` loads
 `obstructions`, an algebra read from a file loads no `catalog`, and `vf
-flow` and the commuting-family `vf verify` run without numpy. Each case
+flow`, the commuting-family `vf verify` and `deform verify` run without
+numpy (`deform verify` draws its samples from `pcg64`, a standard-library
+copy of numpy's default stream, and loads no `matrixgroups`). Each case
 runs one verb in a fresh interpreter and inspects `sys.modules` afterwards,
 so a stray top-level import in `cli.py` (or in a module it imports) fails
 here.
@@ -39,6 +41,7 @@ NUMERICAL = [
     "lieactions.actions",
     "lieactions.deformations",
     "lieactions.matrixgroups",
+    "lieactions.pcg64",
     "lieactions.vectorfields",
     "lieactions.polynomials",
 ]
@@ -92,7 +95,8 @@ CASES = {
     ),
     "act-verify": (
         ["act", "verify", "--scenario", str(SCENARIOS / "sphere_st3.json")],
-        ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", *EXACT_CORE],
+        ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", "lieactions.pcg64",
+         *EXACT_CORE],
         ["numpy", "lieactions.actions", "lieactions.matrixgroups"],
     ),
     "act-verify-interval": (
@@ -102,8 +106,9 @@ CASES = {
     ),
     "deform-verify": (
         ["deform", "verify", "--family", "st", "--n", "3"],
-        ["lieactions.vectorfields", "lieactions.actions", "lieactions.derivations"],
-        ["numpy", "lieactions.deformations"],
+        ["numpy", "lieactions.matrixgroups", "lieactions.vectorfields", "lieactions.actions",
+         "lieactions.derivations"],
+        ["lieactions.deformations", "lieactions.pcg64"],
     ),
 }
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -375,6 +376,31 @@ def test_flow_blowup_reported_with_time():
     with pytest.raises(FlowBlowUpError) as err:
         flow(v, [3.0], 2.0, 1e-3)
     assert 0.0 < err.value.time <= 2.0
+
+
+def test_trajectory_reads_back_the_rows_of_the_loop():
+    v = PolyVectorField((Poly.make(2, {(0, 1): 2}), Poly.make(2, {(1, 0): -2})))
+    traj = flow(v, [1.0, 0.5], -0.3, 0.1)
+    want = [tuple(row) for row in _reference_flow(v, [1.0, 0.5], -0.3, 0.1).tolist()]
+    assert len(traj) == 4 and list(traj) == want
+    assert [traj[i] for i in range(-4, 4)] == want * 2
+    for i in (4, -5):
+        with pytest.raises(IndexError):
+            traj[i]
+    assert list(flow(PolyVectorField(()), [], 0.3, 0.1)) == [()] * 4
+
+
+def test_flow_holds_8_bytes_a_coordinate():
+    # one flat array of doubles, not a list of lists of float objects
+    v = PolyVectorField((Poly.make(2, {(0, 1): 2}), Poly.make(2, {(1, 0): -2})))
+    tracemalloc.start()
+    try:
+        traj = flow(v, [1.0, 0.0], 20.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 20001
+    assert peak <= 2 * 8 * 2 * len(traj) + 65536, peak
 
 
 # The former numpy RK4 loop, kept as the oracle of the compiled one: every
