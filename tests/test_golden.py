@@ -12,8 +12,13 @@ or `vf flow`), plus the wider scenarios kept beside the goldens as
 golden/*.scenario.json (sphere, ball and three-ball actions of ST(5) and
 U(5); act scenarios across the edges of the sample blocks of `act verify`:
 a sphere of ST(3) at 257 samples, a ball of ST(4) at 256, three balls of
-U(3) at 513 and two balls of U(16) at 130, 32 to a block; and a cubic
-field in three variables flowed backwards). All run at
+U(3) at 513 and two balls of U(16) at 130, 32 to a block; every bound of
+the matrix kinds but the sample count, eight balls of ST(16) at 100
+samples, 8 to a block, with a move threshold of 1e-15, since the bump
+deformation shrinks the far shears of ST(16) almost to nothing inside the
+annulus; a multiball of one ball of ST(4), a product of one factor whose
+points draw no ball index; and a sphere of U(1), whose elements draw no
+uniforms; and a cubic field in three variables flowed backwards). All run at
 seed 0, except two `deform verify --samples 300` cases at seeds of three
 and of six 32-bit words (2^64 + 5 and 2^160 + 7), which pin how a seed
 longer than the four words of SeedSequence's pool is mixed. After a deliberate change to a report, regenerate the files with
