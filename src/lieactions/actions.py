@@ -28,6 +28,7 @@ import numpy as np
 
 from .constants import DEFAULT_SEED, max_residual
 from .deformations import GroupDeformation, bump_group_deformation
+from .matrixgroups import _strict_upper
 
 __all__ = [
     "sphere_action",
@@ -40,6 +41,8 @@ __all__ = [
     "MultiBall",
     "ActionReport",
     "verify_action",
+    "OneAtATimeSampler",
+    "StackedSampler",
     "looped",
     "CoverElement",
     "cover_identity",
@@ -267,8 +270,7 @@ def looped(act):
 def verify_action(
     act,
     identity,
-    sample_element,
-    sample_point,
+    sampler,
     named_generators,
     samples: int = 200,
     seed: int = DEFAULT_SEED,
@@ -283,36 +285,33 @@ def verify_action(
     stacks (b, n, n) or (b, k, n, n) and compose by a stacked `@`; or they
     are CoverElements, which go as lists and compose by `cover_compose`.
 
-    Samples are drawn one at a time, in the order of a loop that checks one
-    sample after the other (the points of the identity and witness checks
-    first, then g, h and y for each composition sample), and are evaluated
-    in blocks of at most `block_size(identity)`. The residuals are folded
-    in sample order, and a witness is the first point in sample order that
-    moves, so the report is that of the one-sample loop, bit for bit.
+    `sampler` draws from the generator of `seed`: `sampler.points(rng,
+    samples)`, the points of the identity and witness checks as the rows of
+    one float array, and then, for each block of at most
+    `block_size(identity)` composition samples, `sampler.block(rng, b)`, the
+    block's (gs, hs, ys) as `act` takes them. A `StackedSampler` or a
+    `OneAtATimeSampler` draws what a loop that checks one sample after the
+    other draws, in its order (all points first, then g, h and y for each
+    composition sample). The residuals are folded in sample order, and a
+    witness is the first point in sample order that moves, so the report is
+    that of the one-sample loop, bit for bit.
     """
     rng = np.random.default_rng(seed)
     block = block_size(identity)
     if isinstance(identity, CoverElement):
-        empty = lambda b: [None] * b
         compose = lambda gs, hs: [cover_compose(g, h) for g, h in zip(gs, hs)]
         repeat = lambda g: [g] * block
     else:
-        empty = lambda b: np.empty((b, *np.shape(identity)))
         compose = np.matmul
         repeat = lambda g: np.broadcast_to(g, (block, *np.shape(g)))  # a block's worth of g, as a view
-    points = _draw_points(sample_point, rng, samples)
+    points = sampler.points(rng, samples)
     id_res = comp_res = 0.0
     identities = repeat(identity)
     for start in range(0, samples, block):
         ys = points[start:start + block]
         id_res = max_residual(id_res, *_gaps(act(identities[:len(ys)], ys), ys))
     for start in range(0, samples, block):
-        b = min(block, samples - start)
-        gs, hs, ys = empty(b), empty(b), np.empty((b, *points.shape[1:]))
-        for s in range(b):
-            gs[s] = sample_element(rng)
-            hs[s] = sample_element(rng)
-            ys[s] = sample_point(rng)
+        gs, hs, ys = sampler.block(rng, min(block, samples - start))
         comp_res = max_residual(comp_res, *_gaps(act(compose(gs, hs), ys), act(gs, act(hs, ys))))
     witnesses = {
         name: _first_moved(act, repeat(gen), points, block, move_threshold) for name, gen in named_generators
@@ -320,16 +319,127 @@ def verify_action(
     return ActionReport(id_res, comp_res, witnesses, samples, seed, move_threshold)
 
 
-def _draw_points(sample_point, rng, samples: int) -> np.ndarray:
-    """`samples` points drawn one at a time, as the rows of one float array
-    (a list of the small arrays beside it would double the peak memory)."""
-    points = np.empty((samples, 0))
-    for s in range(samples):
-        y = sample_point(rng)
-        if s == 0:
-            points = np.empty((samples, len(y)))
-        points[s] = y
-    return points
+class OneAtATimeSampler(namedtuple("OneAtATimeSampler", "sample_element sample_point")):
+    """The sampler of `verify_action` that draws each group element and each
+    point with its own calls, sample_element(rng) and sample_point(rng): the
+    interval and disk kinds, whose `random_sl2` rejects on `np.linalg.det`
+    and so does not stack."""
+
+    def points(self, rng, samples: int) -> np.ndarray:
+        """`samples` points drawn one at a time, as the rows of one float array
+        (a list of the small arrays beside it would double the peak memory)."""
+        points = np.empty((samples, 0))
+        for s in range(samples):
+            y = self.sample_point(rng)
+            if s == 0:
+                points = np.empty((samples, len(y)))
+            points[s] = y
+        return points
+
+    def block(self, rng, b: int) -> tuple:
+        """g, h and y for each of b samples, as `act` takes them."""
+        gs, hs, ys = [], [], []
+        for _ in range(b):
+            gs.append(self.sample_element(rng))
+            hs.append(self.sample_element(rng))
+            ys.append(self.sample_point(rng))
+        stack = list if isinstance(gs[0], CoverElement) else np.array
+        return stack(gs), stack(hs), np.array(ys)
+
+
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """The values of `Generator.uniform(low, high)` for its `random()` draws u."""
+    return low + (high - low) * u
+
+
+class StackedSampler(namedtuple("StackedSampler", "group shape balls")):
+    """The sampler of `verify_action` for the sphere, ball and multiball
+    kinds: elements of the matrix group `group` ("ST" or "U") of shape
+    (n, n), or (k, n, n) for a tuple of k factors; points on the unit sphere
+    when `balls` is empty, else in one of the BallActions `balls`.
+
+    It makes the generator draws of `matrixgroups.random_element` for each
+    factor of g and then of h, and of a point (a ball index when there are
+    several balls, a normal vector, and a radius inside a ball), in the same
+    order, but with one `random` call for all the uniforms of a sample's g
+    and h. A block's matrices and points are then finished with array
+    operations that round as the one-sample code does: uniforms as
+    low + (high - low) u, the diagonal product from left to right, its n-th
+    root by Python's `**` one sample at a time, and norms by `_norms`.
+    """
+
+    @cached_property
+    def _sizes(self) -> tuple[int, int, int]:
+        """(n, k, the uniforms of one factor of one element)."""
+        n = self.shape[-1]
+        k = math.prod(self.shape[:-2])
+        return n, k, n * (n - 1) // 2 + (n if self.group == "ST" else 0)
+
+    def points(self, rng, samples: int) -> np.ndarray:
+        n = self._sizes[0]
+        if not self.balls:  # the normal vectors are the only draws, so one call makes them all
+            points = rng.normal(size=(samples, n))
+            points /= _norms(points)
+            return points
+        points = np.empty((samples, n))
+        for start in range(0, samples, BLOCK_SAMPLES):  # finished a chunk at a time, in place
+            self._draw(rng, points[start:start + BLOCK_SAMPLES])
+        return points
+
+    def block(self, rng, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n, k, per_factor = self._sizes
+        uniforms = np.empty((b, 2, k, per_factor))
+        ys = np.empty((b, n))
+        self._draw(rng, ys, uniforms.reshape(b, -1))
+        return self._elements(uniforms[:, 0]), self._elements(uniforms[:, 1]), ys
+
+    def _draw(self, rng, ys: np.ndarray, uniforms: np.ndarray | None = None) -> None:
+        """Draw one sample after the other: the row of `uniforms`, if given,
+        then a point into the row of `ys`; then finish the points in place."""
+        balls, n = self.balls, self._sizes[0]
+        b = len(ys)
+        which = np.zeros(b, dtype=np.intp)
+        radii = np.empty(b)
+        for s in range(b):
+            if uniforms is not None:
+                rng.random(out=uniforms[s])
+            if len(balls) > 1:  # integers(0, 1) would draw nothing, so one ball is taken as it is
+                which[s] = rng.integers(0, len(balls))
+            ys[s] = rng.normal(size=n)
+            if balls:
+                radii[s] = rng.random()
+        ys /= _norms(ys)
+        if balls:
+            # center + (v * uniform(0.05, 1.3)) * radius
+            ys *= _uniform(radii, 0.05, 1.3)[:, None]
+            ys *= self._ball_radii[which]
+            ys += self._ball_centers[which]
+
+    @cached_property
+    def _ball_centers(self) -> np.ndarray:
+        return np.array([ball.center_array for ball in self.balls])
+
+    @cached_property
+    def _ball_radii(self) -> np.ndarray:
+        return np.array([[ball.radius] for ball in self.balls])
+
+    def _elements(self, uniforms: np.ndarray) -> np.ndarray:
+        """The elements of a block from their uniforms (b, k, per factor)."""
+        n, k, _ = self._sizes
+        b = len(uniforms)
+        g = np.zeros((b, k, n * n))
+        if self.group == "ST":
+            diag = _uniform(uniforms[..., :n], 0.5, 2.0)
+            prod = diag[..., 0]
+            for j in range(1, n):
+                prod = prod * diag[..., j]
+            root = np.array([p ** (1.0 / n) for p in prod.ravel().tolist()]).reshape(b, k, 1)
+            g[..., :: n + 1] = diag / root
+            uniforms = uniforms[..., n:]
+        else:
+            g[..., :: n + 1] = 1.0
+        g[..., _strict_upper(n)] = _uniform(uniforms, -2.0, 2.0)
+        return g.reshape(b, *self.shape)
 
 
 def _first_moved(act, gens, points: np.ndarray, block: int, threshold: float):

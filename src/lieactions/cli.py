@@ -291,27 +291,15 @@ PLACEMENT_KEYS = {"center": ([float], REQUIRED, None), "radius": (float, 1.0, PO
                   "annulus": ([float], [0.3, 0.9], None)}
 
 # An action kind's function returns the arguments of `verify_action` (action, identity,
-# element sampler, point sampler, named generators) and the witness rule; it imports when run.
-# The action evaluates a block of samples: the sphere, ball and multiball kinds on stacks, the
-# interval and disk kinds one sample at a time (`math.atan2`, `log` and `exp` do not batch bit
-# for bit).
+# sampler, named generators) and the witness rule; it imports when run. The sphere, ball and
+# multiball kinds draw and evaluate stacks of samples; the interval and disk kinds draw and
+# act one sample at a time (`random_sl2` rejects on `det`; `math.atan2`, `log` and `exp` do
+# not batch bit for bit).
 
 
-def _ball_points(n: int, balls=()):
-    """Point sampler: a random unit vector of R^n or, given balls, a point of a
-    random one at relative radius in [0.05, 1.3), around and across its annulus."""
-    import numpy as np
-
-    def sample(r):
-        if len(balls) > 1:
-            ball = balls[int(r.integers(0, len(balls)))]
-        else:  # integers(0, 1) would draw nothing, so one ball is taken as it is
-            ball = balls[0] if balls else None
-        v = r.normal(size=n)
-        v = v / math.sqrt(v.dot(v))  # the Euclidean norm, as np.linalg.norm computes it
-        return v if ball is None else ball.center_array + v * r.uniform(0.05, 1.3) * ball.radius
-
-    return sample
+def _unit_vector(r, n: int):
+    v = r.normal(size=n)
+    return v / math.sqrt(v.dot(v))  # the Euclidean norm, as np.linalg.norm computes it
 
 
 def _make_ball(group: str, n: int, placement: dict):
@@ -329,27 +317,26 @@ def _matrix_action(v: dict) -> tuple:
     on the unit sphere or inside one ball."""
     import numpy as np
 
-    from .actions import sphere_action
-    from .matrixgroups import generators, random_element
+    from .actions import StackedSampler, sphere_action
+    from .matrixgroups import generators
 
     group, n = v["group"], v["n"]
-    balls = [_make_ball(group, n, v)] if v["action"] == "ball" else []
+    balls = (_make_ball(group, n, v),) if v["action"] == "ball" else ()
     action = balls[0].apply if balls else sphere_action
-    sample_el = lambda r: random_element(r, group, n)
-    return action, np.eye(n), sample_el, _ball_points(n, balls), generators(group, n), "all"
+    return action, np.eye(n), StackedSampler(group, (n, n), balls), generators(group, n), "all"
 
 
 def _multiball(v: dict) -> tuple:
     """The multiball kind: one factor of the group per ball."""
     import numpy as np
 
-    from .actions import MultiBall
-    from .matrixgroups import generators, random_element
+    from .actions import MultiBall, StackedSampler
+    from .matrixgroups import generators
 
     group, n = v["group"], v["n"]
-    balls = [_make_ball(group, n, read_object(b, PLACEMENT_KEYS, "a ball placement")) for b in v["balls"]]
+    balls = tuple(_make_ball(group, n, read_object(b, PLACEMENT_KEYS, "a ball placement")) for b in v["balls"])
     try:
-        multiball = MultiBall(tuple(balls))
+        multiball = MultiBall(balls)
     except ValueError as exc:
         _input_error(f"bad ball placements: {exc}")
     k = len(balls)
@@ -358,8 +345,7 @@ def _multiball(v: dict) -> tuple:
         (f"ball{j + 1}.{name}", identity[:j] + (g,) + identity[j + 1:])
         for j in range(k) for name, g in generators(group, n)
     ]
-    sample_el = lambda r: tuple(random_element(r, group, n) for _ in range(k))
-    return multiball.apply, identity, sample_el, _ball_points(n, balls), gens, "all"
+    return multiball.apply, identity, StackedSampler(group, (k, n, n), balls), gens, "all"
 
 
 def _circle_action(v: dict) -> tuple:
@@ -367,18 +353,17 @@ def _circle_action(v: dict) -> tuple:
     cover of SL(2, R); some generator must move some point ("any")."""
     import numpy as np
 
-    from .actions import CoverElement, cover_identity, disk_action, interval_action, looped
+    from .actions import CoverElement, OneAtATimeSampler, cover_identity, disk_action, interval_action, looped
     from .matrixgroups import generators, random_sl2
 
     if v["action"] == "disk":
-        unit = _ball_points(v["n"])
-        action, sample_pt = looped(disk_action), lambda r: unit(r) * r.uniform(0.0, 1.0)
+        action, sample_pt = looped(disk_action), lambda r: _unit_vector(r, v["n"]) * r.uniform(0.0, 1.0)
     else:
         action = looped(lambda a, y: np.array([interval_action(a, float(y[0]))]))
         sample_pt = lambda r: np.array([r.uniform(0.01, 0.99)])
     sample_el = lambda r: CoverElement.of(random_sl2(r), int(r.integers(-1, 2)))
     gens = [(name, CoverElement.of(g)) for name, g in generators("SL2", 2)]
-    return action, cover_identity(), sample_el, sample_pt, gens, "any"
+    return action, cover_identity(), OneAtATimeSampler(sample_el, sample_pt), gens, "any"
 
 
 # action kind -> (its keys besides ACT_KEYS, the function that sets it up)

@@ -19,6 +19,7 @@ import sympy as sp
 from lieactions.actions import (
     CoverElement,
     MultiBall,
+    OneAtATimeSampler,
     cover_compose,
     cover_eval,
     interval_action,
@@ -283,8 +284,7 @@ def _ball_suite(group):
     report = verify_action(
         ball.apply,
         np.eye(3),
-        lambda r: random_element(r, group, 3),
-        sample_pt,
+        OneAtATimeSampler(lambda r: random_element(r, group, 3), sample_pt),
         generators(group, 3),
         samples=200,
     )
@@ -327,7 +327,7 @@ def test_criterion_09_ball_actions():
             el[j] = g
             gens.append((f"ball{j}.{name}", tuple(el)))
     report = verify_action(
-        mb.apply, tuple(np.eye(3) for _ in range(3)), sample_el, sample_pt, gens, samples=200
+        mb.apply, tuple(np.eye(3) for _ in range(3)), OneAtATimeSampler(sample_el, sample_pt), gens, samples=200
     )
     assert report.max_identity_residual <= 1e-9
     assert report.max_composition_residual <= 1e-6

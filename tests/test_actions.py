@@ -1,8 +1,9 @@
 """Constructed actions: spheres, cylinders, balls, covers, intervals."""
 
 import math
+import operator
 import random
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from lieactions.actions import (
     ActionReport,
     CoverElement,
     MultiBall,
+    OneAtATimeSampler,
+    StackedSampler,
     block_size,
     cover_compose,
     cover_eval,
@@ -168,16 +171,6 @@ def test_radial_action_support_structure():
 # -- ball actions ------------------------------------------------------------------
 
 
-def ball_point_sampler(center, radius, n):
-    center = np.asarray(center, dtype=float)
-
-    def sample(rng):
-        v = unit_vec(rng, n)
-        return center + v * rng.uniform(0.05, 1.3) * radius
-
-    return sample
-
-
 def test_ball_action_identity_outside_annulus():
     ball = make_ball_action("ST", 3)
     rng = RNG(6)
@@ -226,8 +219,7 @@ def test_ball_action_verification_st_and_u():
         report = verify_action(
             ball.apply,
             np.eye(3),
-            lambda r, _g=group: random_element(r, _g, 3),
-            ball_point_sampler(ball.center, ball.radius, 3),
+            OneAtATimeSampler(lambda r, _g=group: random_element(r, _g, 3), point_sampler(3, (ball,))),
             generators(group, 3),
             samples=200,
         )
@@ -287,7 +279,7 @@ def test_multiball_action_law():
             el[j] = g
             gens.append((f"ball{j}.{name}", tuple(el)))
     report = verify_action(
-        mb.apply, tuple(np.eye(3) for _ in range(3)), sample_el, sample_pt, gens, samples=200
+        mb.apply, tuple(np.eye(3) for _ in range(3)), OneAtATimeSampler(sample_el, sample_pt), gens, samples=200
     )
     assert report.max_composition_residual <= 1e-6
     assert _all_effective(report)
@@ -307,8 +299,7 @@ def test_verify_sphere_st2_generators_effective():
     report = verify_action(
         sphere_action,
         np.eye(2),
-        lambda r: random_element(r, "ST", 2),
-        lambda r: unit_vec(r, 2),
+        OneAtATimeSampler(lambda r: random_element(r, "ST", 2), lambda r: unit_vec(r, 2)),
         generators("ST", 2),
         samples=100,
     )
@@ -328,8 +319,7 @@ def test_verify_trivial_action():
     report = verify_action(
         lambda g, y: np.asarray(y, dtype=float),
         np.eye(2),
-        lambda r: random_element(r, "ST", 2),
-        lambda r: r.normal(size=2),
+        OneAtATimeSampler(lambda r: random_element(r, "ST", 2), lambda r: r.normal(size=2)),
         [("gen", np.eye(2) + np.array([[0.0, 1.0], [0.0, 0.0]]))],
         samples=50,
     )
@@ -355,8 +345,7 @@ def test_verify_detects_fault_injected_action():
     report = verify_action(
         looped(faulty),
         np.eye(3),
-        lambda r: random_element(r, "ST", 3),
-        lambda r: unit_vec(r, 3) * r.uniform(0.4, 0.8),
+        OneAtATimeSampler(lambda r: random_element(r, "ST", 3), lambda r: unit_vec(r, 3) * r.uniform(0.4, 0.8)),
         [],
         samples=100,
     )
@@ -365,10 +354,10 @@ def test_verify_detects_fault_injected_action():
 
 # -- batched checks against the one-sample loop -------------------------------------------
 #
-# The one-sample evaluations of the matrix kinds and the loop that checked one
-# sample after the other, kept as the oracle of the block evaluators and of
-# verify_action: the reports must agree byte for byte, and the generator must
-# end in the same state.
+# The one-sample evaluations and samplers of the matrix kinds and the loop
+# that checked one sample after the other, kept as the oracle of the block
+# evaluators, of the stacked sampler and of verify_action: the reports must
+# agree byte for byte, and the generator must end in the same state.
 
 
 def sphere_one(g, x):
@@ -438,9 +427,42 @@ def verify_loop(act, identity, sample_element, sample_point, named_generators, s
     return ActionReport(id_res, comp_res, witnesses, samples, seed, move_threshold)
 
 
+def element_sampler(group, shape):
+    """The one-sample element sampler of a StackedSampler's group and shape:
+    `random_element`, or a tuple of k of them, one factor after the other."""
+    n = shape[-1]
+    if len(shape) == 2:
+        return lambda rng: random_element(rng, group, n)
+    return lambda rng: tuple(random_element(rng, group, n) for _ in range(shape[0]))
+
+
+def point_sampler(n, balls=()):
+    """The one-sample point sampler: a random unit vector of R^n or, given balls, a point of a
+    random one at relative radius in [0.05, 1.3), around and across its annulus."""
+
+    def sample(r):
+        if len(balls) > 1:
+            ball = balls[int(r.integers(0, len(balls)))]
+        else:  # integers(0, 1) would draw nothing, so one ball is taken as it is
+            ball = balls[0] if balls else None
+        v = r.normal(size=n)
+        v = v / math.sqrt(v.dot(v))  # the Euclidean norm, as np.linalg.norm computes it
+        return v if ball is None else ball.center_array + v * r.uniform(0.05, 1.3) * ball.radius
+
+    return sample
+
+
+def one_at_a_time(sampler):
+    """The OneAtATimeSampler that draws what `sampler` draws: the oracle
+    samplers of a StackedSampler, or a OneAtATimeSampler itself."""
+    if isinstance(sampler, OneAtATimeSampler):
+        return sampler
+    return OneAtATimeSampler(element_sampler(sampler.group, sampler.shape), point_sampler(sampler.shape[-1], sampler.balls))
+
+
 def kind_parts(kind, group=None, n=2, balls=1):
     """The verify_action arguments of an `act verify` kind, as the CLI sets
-    them up, and the one-sample action of the oracle."""
+    them up, and the oracle: the one-sample action and its samplers."""
     place = random.Random(n * 10 + balls)
 
     def placement(first):
@@ -453,7 +475,7 @@ def kind_parts(kind, group=None, n=2, balls=1):
         v.update(placement(0.25))
     elif kind == "multiball":
         v["balls"] = [placement(4.0 * j) for j in range(balls)]
-    act, identity, sample_el, sample_pt, gens, _ = ACTIONS[kind][1](v)
+    act, identity, sampler, gens, _ = ACTIONS[kind][1](v)
     oracle = {
         "sphere": lambda: sphere_one,
         "ball": lambda: partial(ball_one, act.__self__),
@@ -461,22 +483,37 @@ def kind_parts(kind, group=None, n=2, balls=1):
         "interval": lambda: lambda a, y: np.array([interval_action(a, float(y[0]))]),
         "disk": lambda: disk_action,
     }[kind]()
-    return (act, identity, sample_el, sample_pt, list(gens)), oracle
+    return (act, identity, sampler, list(gens)), (oracle, one_at_a_time(sampler))
+
+
+class Spy:
+    """A sampler that keeps the generator verify_action hands it."""
+
+    def __init__(self, sampler):
+        self.sampler = sampler
+
+    def points(self, rng, samples):
+        self.rng = rng
+        return self.sampler.points(rng, samples)
+
+    def block(self, rng, b):
+        return self.sampler.block(rng, b)
 
 
 def assert_same_as_loop(parts, oracle, samples, seed):
-    act, identity, sample_el, sample_pt, gens = parts
+    act, identity, sampler, gens = parts
+    one_act, one_sampler = oracle
     seen = {}
 
     def sample_point(rng):
         seen["rng"] = rng
-        return sample_pt(rng)
+        return one_sampler.sample_point(rng)
 
-    batched = verify_action(act, identity, sample_el, sample_point, gens, samples=samples, seed=seed)
-    state = seen["rng"].bit_generator.state
-    loop = verify_loop(oracle, identity, sample_el, sample_point, gens, samples, seed)
+    spy = Spy(sampler)
+    batched = verify_action(act, identity, spy, gens, samples=samples, seed=seed)
+    loop = verify_loop(one_act, identity, one_sampler.sample_element, sample_point, gens, samples, seed)
     assert dumps(batched.to_dict()) == dumps(loop.to_dict())
-    assert state == seen["rng"].bit_generator.state
+    assert spy.rng.bit_generator.state == seen["rng"].bit_generator.state
 
 
 # (kind, group, n, balls): each matrix kind over ST and U, n = 1..6 (the ball
@@ -525,9 +562,9 @@ def test_witness_past_the_first_chunk_and_block_is_the_loops():
         return plant(g[None], y[None])[0]
 
     gens = [("still", np.eye(2)), ("shear", np.array([[1.0, 0.5], [0.0, 1.0]]))]
-    parts = (np.eye(2), lambda r: random_element(r, "U", 2), lambda r: r.uniform(size=2), gens)
-    batched = verify_action(plant, *parts, samples=2001, seed=7)
-    loop = verify_loop(plant_one, *parts, samples=2001, seed=7)
+    draws = (lambda r: random_element(r, "U", 2), lambda r: r.uniform(size=2))
+    batched = verify_action(plant, np.eye(2), OneAtATimeSampler(*draws), gens, samples=2001, seed=7)
+    loop = verify_loop(plant_one, np.eye(2), *draws, gens, samples=2001, seed=7)
     assert dumps(batched.to_dict()) == dumps(loop.to_dict())
     assert batched.witnesses["still"] is None
     point, disp = batched.witnesses["shear"]
@@ -549,9 +586,9 @@ def test_nan_residual_reports_nan_as_in_the_loop():
     def nan_at_one(g, y):
         return nan_at(g[None], y[None])[0]
 
-    parts = (np.eye(2), lambda r: random_element(r, "U", 2), lambda r: r.uniform(size=2), [])
-    batched = verify_action(nan_at, *parts, samples=600, seed=3)
-    loop = verify_loop(nan_at_one, *parts, samples=600, seed=3)
+    draws = (lambda r: random_element(r, "U", 2), lambda r: r.uniform(size=2))
+    batched = verify_action(nan_at, np.eye(2), OneAtATimeSampler(*draws), [], samples=600, seed=3)
+    loop = verify_loop(nan_at_one, np.eye(2), *draws, [], samples=600, seed=3)
     assert math.isnan(batched.max_identity_residual) and math.isnan(batched.max_composition_residual)
     assert dumps(batched.to_dict()) == dumps(loop.to_dict())
 
@@ -568,7 +605,7 @@ def test_ball_sends_a_point_with_a_nan_coordinate_through_the_formula():
 
 def test_no_block_evaluation_exceeds_the_block_size():
     # n = 16 with 8 balls: 2048 floats an element, so blocks of 8 samples
-    (act, identity, sample_el, sample_pt, gens), _ = kind_parts("multiball", "U", 16, 8)
+    (act, identity, sampler, gens), _ = kind_parts("multiball", "U", 16, 8)
     sizes = []
 
     def spy(elements, points):
@@ -576,13 +613,73 @@ def test_no_block_evaluation_exceeds_the_block_size():
         sizes.append(len(points))
         return act(elements, points)
 
-    verify_action(spy, identity, sample_el, sample_pt, gens[:4], samples=40)
+    verify_action(spy, identity, sampler, gens[:4], samples=40)
     assert block_size(identity) == BLOCK_FLOATS // (8 * 16 * 16) == 8
     assert max(sizes) == 8
-    (act, identity, sample_el, sample_pt, gens), _ = kind_parts("sphere", "ST", 3)
+    (act, identity, sampler, gens), _ = kind_parts("sphere", "ST", 3)
     sizes.clear()
-    verify_action(spy, identity, sample_el, sample_pt, gens, samples=600)
+    verify_action(spy, identity, sampler, gens, samples=600)
     assert max(sizes) == block_size(identity) == 256
+
+
+# -- the stacked sampler against the one-sample samplers ---------------------------------------
+#
+# (kind, group, n, balls): ST and U at n = 1..16 (the ball kinds need n >= 2),
+# a multiball of 1 to 8 balls
+SAMPLER_CASES = [
+    (kind, group, n, 1 + (n - 1) % 8 if kind == "multiball" else 1)
+    for kind in ("sphere", "ball", "multiball") for group in ("ST", "U")
+    for n in range(1 if kind == "sphere" else 2, 17)
+]
+
+
+def _bits_of(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("kind,group,n,balls", SAMPLER_CASES, ids=lambda x: str(x))
+def test_stacked_sampler_draws_what_the_one_sample_samplers_draw(kind, group, n, balls):
+    (_, identity, sampler, _), (_, one) = kind_parts(kind, group, n, balls)
+    assert isinstance(sampler, StackedSampler)
+    b = block_size(identity)
+    for samples, seed in ((b - 1, 0), (b, 2**200), (b + 1, 7 * n + balls)):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        points = sampler.points(rng, samples)
+        assert _bits_of(points) == _bits_of([one.sample_point(ref) for _ in range(samples)])
+        gs, hs, ys = sampler.block(rng, samples)
+        want = [(one.sample_element(ref), one.sample_element(ref), one.sample_point(ref)) for _ in range(samples)]
+        for got, drawn in zip((gs, hs, ys), zip(*want)):
+            assert got.shape == (samples, *np.shape(drawn[0]))
+            assert _bits_of(got) == _bits_of(drawn)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# The float facts the stacked sampler rests on. A numpy upgrade that breaks one
+# fails here by name, before any golden report moves.
+RANGES = ((0.5, 2.0), (-2.0, 2.0), (0.05, 1.3))
+
+
+@pytest.mark.parametrize("low,high", RANGES)
+def test_uniform_is_low_plus_range_times_random(low, high):
+    drawn = RNG(11).uniform(low, high, 10**5)
+    assert _bits_of(drawn) == _bits_of(low + (high - low) * RNG(11).random(10**5))
+
+
+def test_prod_of_at_most_16_entries_multiplies_left_to_right():
+    rng = RNG(12)
+    for n in range(1, 17):
+        for row in rng.uniform(0.5, 2.0, (500, n)):
+            assert row.prod() == reduce(operator.mul, row.tolist())
+
+
+def test_numpy_scalar_power_is_python_float_power():
+    # random_st_element takes the root of a numpy float64; the stacked sampler
+    # takes it of a Python float. np.power on an array is not used: its SIMD
+    # loop rounds some powers differently (AVX-512).
+    rng = RNG(13)
+    for n in range(1, 17):
+        for p in rng.uniform(0.5, 2.0, (500, n)).prod(axis=1):
+            assert (p ** (1.0 / n)).hex() == (float(p) ** (1.0 / n)).hex()
 
 
 # -- lifted circle action -----------------------------------------------------------------

@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 from lieactions import catalog
-from lieactions.actions import ActionReport, BallAction, CoverElement, MultiBall, make_ball_action, verify_action
+from lieactions.actions import (
+    ActionReport,
+    BallAction,
+    CoverElement,
+    MultiBall,
+    OneAtATimeSampler,
+    make_ball_action,
+    verify_action,
+)
 from lieactions.algebra import AlgebraPredicates, LieAlgebra, SeriesReport
 from lieactions.deformations import (
     AlgebraDeformation,
@@ -50,7 +58,7 @@ CIRCLE = Poly.make(2, {(2, 0): 1, (0, 2): 1})
 def _ball_report(g):
     ball = make_ball_action("U", 3)
     points = lambda r: r.normal(size=3)
-    return verify_action(ball.apply, np.eye(3), lambda r: random_element(r, "U", 3), points,
+    return verify_action(ball.apply, np.eye(3), OneAtATimeSampler(lambda r: random_element(r, "U", 3), points),
                          generators("U", 3), samples=3)
 
 
