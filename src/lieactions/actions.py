@@ -1,17 +1,11 @@
-"""Concrete group actions on spheres, cylinders, balls, disks and the
-interval, with a generic action-axiom verifier.
+"""Concrete group actions on spheres, balls, disks and the interval, with
+a generic action-axiom verifier.
 
-The ball actions come in two radial variants built from a group
-deformation and the transfer (x, t) -> e^(-t) x between the cylinder
-over the sphere and punctured Euclidean space:
-
-* `radial_action` uses a contraction family: it is the honest transfer
-  of the suspension, which is the identity near the origin and the full
-  sphere action far outside.
-* `BallAction` uses a bump family (trivial at both parameter ends) and
-  is therefore the identity outside an annulus inside a chosen ball;
-  this is the compactly supported variant and the one the multiball
-  construction uses.
+`BallAction` is built from a bump family of group endomorphisms (trivial
+at both parameter ends): a point at distance r from the ball's center
+moves on its sphere by the endomorphism at a time affine in log r, so the
+action is the identity outside an annulus inside the ball. `MultiBall`
+places several of them side by side.
 
 The interval and disk actions lift the projective circle action of
 SL(2, R) to the line and conjugate it into (0, 1); elements of the
@@ -27,17 +21,13 @@ from functools import cached_property
 import numpy as np
 
 from .constants import DEFAULT_SEED, max_residual
-from .deformations import GroupDeformation, bump_group_deformation
+from .deformations import bump_group_deformation
 from .matrixgroups import _strict_upper
 
 __all__ = [
     "sphere_action",
-    "suspension_act",
-    "cylinder_transfer",
-    "cylinder_transfer_inverse",
     "BallAction",
     "make_ball_action",
-    "radial_action",
     "MultiBall",
     "ActionReport",
     "verify_action",
@@ -53,7 +43,7 @@ __all__ = [
 ]
 
 
-# -- sphere, cylinder, ball ----------------------------------------------
+# -- sphere and ball ------------------------------------------------------
 
 
 def _norms(y: np.ndarray) -> np.ndarray:
@@ -74,44 +64,6 @@ def sphere_action(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     if (norm < 1e-300).any():
         raise ValueError("matrix is singular along this direction")
     return y / norm
-
-
-def suspension_act(
-    defm: GroupDeformation, g: np.ndarray, x: np.ndarray, t: float
-) -> tuple[np.ndarray, float]:
-    """Action on the cylinder sphere x R: level t acts through the
-    endomorphism at time t, levels are invariant."""
-    return sphere_action(defm.apply(t, g), x), t
-
-
-def cylinder_transfer(x: np.ndarray, t: float) -> np.ndarray:
-    """Diffeomorphism (x, t) -> e^(-t) x onto punctured space."""
-    return math.exp(-t) * x
-
-
-def cylinder_transfer_inverse(y: np.ndarray) -> tuple[np.ndarray, float]:
-    r = float(np.linalg.norm(y))
-    if r == 0.0:
-        raise ValueError("the origin is not on the cylinder")
-    return y / r, -math.log(r)
-
-
-def radial_action(defm: GroupDeformation, g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Transfer of the suspension of a contraction family to R^n.
-
-    With a contraction family this is the identity map for |y| <= e^(-1)
-    and the full sphere action (radially extended) for |y| >= 1; it is
-    smooth at the origin but not compactly supported.
-    """
-    r = float(np.linalg.norm(y))
-    if r == 0.0:
-        return y.copy()
-    x, t = cylinder_transfer_inverse(y)
-    kind, p = defm.state_at(t)
-    if p == 0.0 and (kind == "diagpow" or defm.group == "U"):
-        return np.asarray(y, dtype=float).copy()  # trivial level: exact identity
-    xp, _ = suspension_act(defm, g, x, t)
-    return cylinder_transfer(xp, t)
 
 
 class BallAction(namedtuple("BallAction", "group n deformation r0 r1 center radius")):

@@ -9,11 +9,12 @@ the entry (i, j) is a grading, so the endomorphism law holds as an
 algebraic identity for every t simultaneously; floats enter only as
 cross-checks.
 
-Group-level families act on the matrix groups themselves through two
-kinds of stage: entrywise scaling of the (i, j) entry by s^(j-i) (a
+Group-level bump families act on the matrix groups themselves through
+two kinds of stage: entrywise scaling of the (i, j) entry by s^(j-i) (a
 group endomorphism for every s, because the exponents add along matrix
 products) and, once the off-diagonal part has been projected away,
-entrywise powers of the positive diagonal.
+entrywise powers of the positive diagonal. The ball actions are built
+from them; `verify_deformation` checks the algebra families.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ if TYPE_CHECKING:
 
 # The exact layer (`algebra`, `catalog`) is imported only by the builders
 # that take an algebra from the catalog, so the group families that the ball
-# actions use load none of it; numpy and `matrixgroups` are imported only by
-# the group-level code, and `pcg64` only by the algebra law check, so each
-# kind of family loads only the sampler it draws from.
+# actions use load none of it; numpy is imported only by the group-level
+# code, and `pcg64` only by the algebra law check.
 
 __all__ = [
     "TransitionProfile",
@@ -50,7 +50,6 @@ __all__ = [
     "concatenate",
     "GroupStage",
     "GroupDeformation",
-    "group_contraction_ST",
     "bump_group_deformation",
     "verify_deformation",
 ]
@@ -286,8 +285,6 @@ class GroupDeformation(namedtuple("GroupDeformation", "label group n stages prof
 
     def state_at(self, t: float) -> tuple[str, float]:
         stages = self.stages
-        if t <= stages[0].t0:
-            return stages[0].kind, stages[0].start
         for stage in stages:
             if t <= stage.t0:
                 return stage.kind, stage.start
@@ -298,31 +295,13 @@ class GroupDeformation(namedtuple("GroupDeformation", "label group n stages prof
         last = stages[-1]
         return last.kind, last.end
 
-    def apply(self, t: float, g: np.ndarray) -> np.ndarray:
-        """The endomorphism at time t applied to g: each entry (i, j), j >= i,
-        times p^(j - i) ("offdiag"), or each diagonal entry d raised to d^p
-        ("diagpow"); every other entry is +0.0."""
-        import numpy as np
-
-        kind, p = self.state_at(t)
-        n = self.n
-        out = np.zeros(n * n)
-        if kind == "offdiag":
-            upper, dist = _upper_indices(n)
-            powers = np.array([p ** k for k in range(n)])  # scalar ** for each weight
-            out[upper] = np.ravel(g)[upper] * powers[dist]
-        elif kind == "diagpow":
-            for i in range(n):
-                out[i * (n + 1)] = g[i, i] ** p
-        else:
-            raise ValueError(f"unknown stage kind {kind!r}")
-        return out.reshape(n, n)
-
     def apply_many(self, ts: Sequence[float], gs: np.ndarray) -> np.ndarray:
-        """`apply` on a block: the endomorphism at time ts[s] applied to gs[s],
-        for a stack gs of shape (b, n, n). The state at each time and every
-        power are worked out one sample at a time, as in `apply`; the
-        off-diagonal scalings are one product over the block."""
+        """The endomorphism at time ts[s] applied to gs[s], for a stack gs of
+        shape (b, n, n): each entry (i, j), j >= i, times p^(j - i)
+        ("offdiag"), or each diagonal entry d raised to d^p ("diagpow"); every
+        other entry is +0.0. The state at each time and every power are
+        worked out one sample at a time; the off-diagonal scalings are one
+        product over the block."""
         import numpy as np
 
         n = self.n
@@ -345,18 +324,6 @@ class GroupDeformation(namedtuple("GroupDeformation", "label group n stages prof
             rows = np.array(offdiag)[:, None]
             out[rows, upper] = flat[rows, upper] * np.array(powers)[:, dist]
         return out.reshape(gs.shape)
-
-
-def group_contraction_ST(n: int) -> GroupDeformation:
-    """Contraction of ST(n): scale away the off-diagonal part on
-    [0, 1/2], then drive the diagonal to the identity on [1/2, 1]."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    stages = (
-        GroupStage(0.0, 0.5, "offdiag", 1.0, 0.0),
-        GroupStage(0.5, 1.0, "diagpow", 1.0, 0.0),
-    )
-    return GroupDeformation(f"ST({n}) contraction", "ST", n, stages, standard_profile())
 
 
 def bump_group_deformation(group: str, n: int) -> GroupDeformation:
@@ -389,13 +356,12 @@ def bump_group_deformation(group: str, n: int) -> GroupDeformation:
 
 
 class DeformationReport(namedtuple("DeformationReport", (
-    "label kind d1_identity_exact d2_constant_exact contraction_at_one trivial_outside_unit "
-    "flatness_max_quotient law_max_residual extra"
+    "label d1_identity_exact d2_constant_exact contraction_at_one flatness_max_quotient law_max_residual extra"
 ))):
-    """The checks of one family: `kind` is "algebra" or "group";
-    `trivial_outside_unit` holds for bump families (trivial at both ends);
-    `law_max_residual` is the endomorphism / homomorphism residual; `extra`
-    is a dict of further entries for the report."""
+    """The checks of one algebra family: `law_max_residual` is the
+    endomorphism residual; `extra` is a dict of further entries for the
+    report. The report's "kind" is "algebra" and its "trivial_outside_unit"
+    is false, since an algebra family is the identity at t <= 0."""
 
     def passed(self, law_tol: float) -> bool:
         return (
@@ -407,11 +373,11 @@ class DeformationReport(namedtuple("DeformationReport", (
     def to_dict(self) -> dict:
         return {
             "label": self.label,
-            "kind": self.kind,
+            "kind": "algebra",
             "d1_identity_exact": self.d1_identity_exact,
             "d2_constant_exact": self.d2_constant_exact,
             "contraction_at_one": self.contraction_at_one,
-            "trivial_outside_unit": self.trivial_outside_unit,
+            "trivial_outside_unit": False,
             "flatness_max_quotient": self.flatness_max_quotient,
             "law_max_residual": self.law_max_residual,
             **self.extra,
@@ -428,7 +394,9 @@ def _sample_rational_vector(rng: DefaultRNG, dim: int, support: Sequence[int]) -
 _CHECK_TIMES = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
 
-def _verify_algebra(d: AlgebraDeformation, samples: int, seed: int) -> DeformationReport:
+def verify_deformation(d: AlgebraDeformation, samples: int = 100, seed: int = DEFAULT_SEED) -> DeformationReport:
+    """Check D1/D2 exactly, the endomorphism law on seeded samples, the
+    contraction endpoint, and flatness of the time dependence."""
     from .pcg64 import DefaultRNG
 
     rng = DefaultRNG(seed)  # the draws of numpy.random.default_rng(seed), without numpy
@@ -443,7 +411,7 @@ def _verify_algebra(d: AlgebraDeformation, samples: int, seed: int) -> Deformati
 
     law = 0.0
     ts = _CHECK_TIMES + rng.uniform(0.0, 1.0, 5)
-    # d.apply(t, v) at every check time, with the factors and the floats of v worked out once
+    # the scaling at every check time, with its factors and the floats of x, y and [x, y] worked out once
     factors = [d.factors(t) for t in ts]
     for _ in range(samples):
         x = _sample_rational_vector(rng, dim, support)
@@ -454,65 +422,7 @@ def _verify_algebra(d: AlgebraDeformation, samples: int, seed: int) -> Deformati
             lhs = [a * b for a, b in zip(f, xyf)]
             rhs = d.parent.bracket_numeric([a * b for a, b in zip(f, xf)], [a * b for a, b in zip(f, yf)])
             law = max_residual(law, *map(abs, map(sub, lhs, rhs)))
-    return DeformationReport(
-        d.label, "algebra", d1, d2, contraction, False, flat, law, {"samples": samples, "seed": seed}
-    )
-
-
-def _verify_group(gd: GroupDeformation, samples: int, seed: int) -> DeformationReport:
-    import numpy as np
-
-    from .matrixgroups import random_element
-
-    rng = np.random.default_rng(seed)
-    n = gd.n
-    eye = np.eye(n)
-
-    def equal(a, b):
-        return bool(np.array_equal(a, b))
-
-    probes = [random_element(rng, gd.group, n) for _ in range(8)]
-    d1 = all(equal(gd.apply(t, g), g) for g in probes for t in (-1.0, 0.0))
-    d2 = all(equal(gd.apply(1.0, g), gd.apply(2.0, g)) for g in probes)
-    contraction = all(equal(gd.apply(1.0, g), eye) for g in probes)
-    trivial_ends = all(
-        equal(gd.apply(t, g), eye) for g in probes for t in (-1.0, 2.0)
-    )
-
-    g0 = probes[0]
-    flat = _flatness_quotient(lambda t: gd.apply(t, g0).ravel().tolist(), [0.0, 1.0])
-
-    law = tri_res = 0.0
-    ts = list(_CHECK_TIMES) + list(rng.uniform(0.0, 1.0, size=5))
-    for _ in range(samples):
-        g = random_element(rng, gd.group, n)
-        h = random_element(rng, gd.group, n)
-        gh = g @ h
-        for t in ts:
-            lhs = gd.apply(t, gh)
-            rhs = gd.apply(t, g) @ gd.apply(t, h)
-            law = max_residual(law, float(np.abs(lhs - rhs).max()))
-            tri_res = max_residual(tri_res, *(abs(lhs[i, j]) for i in range(n) for j in range(i)))
-    det_max = 0.0
-    for g in probes:
-        for t in ts:
-            det_max = max_residual(det_max, abs(float(np.linalg.det(gd.apply(t, g))) - 1.0))
-    return DeformationReport(
-        gd.label,
-        "group",
-        d1,
-        d2,
-        contraction,
-        trivial_ends,
-        flat,
-        law,
-        {
-            "samples": samples,
-            "seed": seed,
-            "det_max_residual": det_max,
-            "below_diagonal_max": tri_res,
-        },
-    )
+    return DeformationReport(d.label, d1, d2, contraction, flat, law, {"samples": samples, "seed": seed})
 
 
 def _flatness_quotient(values, boundary_times: list[float], h: float = 1e-3) -> float:
@@ -533,17 +443,3 @@ def _flatness_quotient(values, boundary_times: list[float], h: float = 1e-3) -> 
             q3 = max_residual(0.0, *(abs(d - 3 * c + 3 * b - a) for d, c, b, a in zip(f3, f2, f1, f0))) / h ** 3
             worst = max(worst, q1, q2, q3)
     return worst
-
-
-def verify_deformation(
-    d: AlgebraDeformation | GroupDeformation,
-    samples: int = 100,
-    seed: int = DEFAULT_SEED,
-) -> DeformationReport:
-    """Check D1/D2 exactly, the endomorphism law on seeded samples, the
-    contraction endpoint, and flatness of the time dependence."""
-    if isinstance(d, AlgebraDeformation):
-        return _verify_algebra(d, samples, seed)
-    if isinstance(d, GroupDeformation):
-        return _verify_group(d, samples, seed)
-    raise TypeError("expected an AlgebraDeformation or GroupDeformation")

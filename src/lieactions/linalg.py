@@ -236,20 +236,23 @@ class Subspace(namedtuple("Subspace", "ambient_dim basis")):
         return [self.basis.row(i) for i in range(self.basis.rows)]
 
     def contains(self, x: Sequence) -> bool:
-        """Exact membership test by reduction against the RREF basis."""
-        v = list(rational_vector(x))
+        """Exact membership test: x reduces to zero against the basis."""
+        v = rational_vector(x)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        for row in self.basis._data:
-            coef = v[next(j for j, x in enumerate(row) if x)]
-            if coef:
-                v = [a - coef * b for a, b in zip(v, row)]
-        return not any(v)
+        return _insert(self._pivot_rows(), _int_row(v)) is None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self.contains(b) for b in other.basis_vectors())
+        # `_insert` adds a row to the echelon only when it is not contained, and all() then stops
+        echelon = self._pivot_rows()
+        return all(_insert(echelon, _int_row(b)) is None for b in other.basis._data)
+
+    def _pivot_rows(self) -> dict[int, dict[int, int]]:
+        """The basis as integer rows keyed by their pivot columns, an echelon
+        for `_insert` to reduce against."""
+        return {min(r): r for r in map(_int_row, self.basis._data)}
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"

@@ -1,4 +1,4 @@
-"""Matrix models of the groups that act: samplers, generators, checks.
+"""Matrix models of the groups that act: samplers and generators.
 
 Group tags:
   "ST"  upper triangular, positive diagonal, determinant 1
@@ -26,27 +26,6 @@ def _strict_upper(n: int) -> np.ndarray:
     return flat
 
 
-def random_st_element(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random ST(n): strict uppers in [-2, 2], diagonal in [0.5, 2]
-    renormalized to determinant one. The diagonal is drawn first, then the
-    strict uppers in row-major order."""
-    g = np.zeros(n * n)
-    diag = rng.uniform(0.5, 2.0, size=n)
-    g[:: n + 1] = diag / diag.prod() ** (1.0 / n)
-    upper = _strict_upper(n)
-    g[upper] = rng.uniform(-2.0, 2.0, size=len(upper))
-    return g.reshape(n, n)
-
-
-def random_unitriangular(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random U(n): strict uppers in [-2, 2], drawn in row-major order."""
-    g = np.zeros(n * n)
-    g[:: n + 1] = 1.0
-    upper = _strict_upper(n)
-    g[upper] = rng.uniform(-2.0, 2.0, size=len(upper))
-    return g.reshape(n, n)
-
-
 def random_sl2(rng: np.random.Generator) -> np.ndarray:
     while True:
         a = rng.uniform(-1.5, 1.5, size=(2, 2))
@@ -56,13 +35,20 @@ def random_sl2(rng: np.random.Generator) -> np.ndarray:
 
 
 def random_element(rng: np.random.Generator, group: str, n: int) -> np.ndarray:
+    """Random ST(n) or U(n): for ST, first the diagonal in [0.5, 2]
+    renormalized to determinant one (U has a unit diagonal); then the
+    strict uppers in [-2, 2], in row-major order."""
+    g = np.zeros(n * n)
     if group == "ST":
-        return random_st_element(rng, n)
-    if group == "U":
-        return random_unitriangular(rng, n)
-    if group == "SL2":
-        return random_sl2(rng)
-    raise ValueError(f"unknown group tag {group!r}")
+        diag = rng.uniform(0.5, 2.0, size=n)
+        g[:: n + 1] = diag / diag.prod() ** (1.0 / n)
+    elif group == "U":
+        g[:: n + 1] = 1.0
+    else:
+        raise ValueError(f"unknown group tag {group!r}")
+    upper = _strict_upper(n)
+    g[upper] = rng.uniform(-2.0, 2.0, size=len(upper))
+    return g.reshape(n, n)
 
 
 def st_generators(n: int) -> list[tuple[str, np.ndarray]]:

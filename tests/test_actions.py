@@ -1,4 +1,4 @@
-"""Constructed actions: spheres, cylinders, balls, covers, intervals."""
+"""Constructed actions: spheres, balls, covers, intervals."""
 
 import math
 import operator
@@ -19,20 +19,16 @@ from lieactions.actions import (
     cover_compose,
     cover_eval,
     cover_identity,
-    cylinder_transfer,
-    cylinder_transfer_inverse,
     disk_action,
     interval_action,
     looped,
     make_ball_action,
-    radial_action,
     sphere_action,
-    suspension_act,
     verify_action,
 )
 from lieactions.cli import ACTIONS
 from lieactions.constants import max_residual
-from lieactions.deformations import bump_group_deformation, group_contraction_ST
+from lieactions.deformations import bump_group_deformation
 from lieactions.matrixgroups import generators, random_element, random_sl2
 from lieactions.serialize import dumps
 
@@ -84,88 +80,6 @@ def test_sphere_rejects_collapse():
     singular = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         sphere_action(singular, np.array([0.0, 1.0]))
-
-
-# -- suspension and cylinder -----------------------------------------------------
-
-
-def test_suspension_levels():
-    gd = group_contraction_ST(3)
-    rng = RNG(2)
-    g = random_element(rng, "ST", 3)
-    x = unit_vec(rng, 3)
-    # below 0: the untouched sphere action; above 1: frozen (trivial)
-    y_neg, t_neg = suspension_act(gd, g, x, -1.0)
-    assert t_neg == -1.0
-    assert np.allclose(y_neg, sphere_action(g, x), atol=0)
-    y_top, t_top = suspension_act(gd, g, x, 2.0)
-    assert t_top == 2.0
-    assert np.array_equal(y_top, x)
-
-
-def test_suspension_composition_per_level():
-    gd = group_contraction_ST(3)
-    rng = RNG(3)
-    res = 0.0
-    for _ in range(200):
-        g = random_element(rng, "ST", 3)
-        h = random_element(rng, "ST", 3)
-        x = unit_vec(rng, 3)
-        t = rng.uniform(-0.5, 1.5)
-        lhs, _ = suspension_act(gd, g @ h, x, t)
-        inner, _ = suspension_act(gd, h, x, t)
-        rhs, _ = suspension_act(gd, g, inner, t)
-        res = max(res, float(np.max(np.abs(lhs - rhs))))
-    assert res <= 1e-9
-
-
-def test_cylinder_transfer_examples():
-    e1 = np.array([1.0, 0.0])
-    assert np.array_equal(cylinder_transfer(e1, 0.0), e1)
-    assert np.allclose(cylinder_transfer(e1, 1.0), [math.exp(-1.0), 0.0], atol=0)
-
-
-def test_cylinder_round_trip():
-    rng = RNG(4)
-    worst = 0.0
-    for _ in range(100):
-        x = unit_vec(rng, 3)
-        t = rng.uniform(-3, 3)
-        y = cylinder_transfer(x, t)
-        x2, t2 = cylinder_transfer_inverse(y)
-        worst = max(worst, float(np.max(np.abs(x2 - x))), abs(t2 - t))
-    assert worst <= 1e-12
-    with pytest.raises(ValueError):
-        cylinder_transfer_inverse(np.zeros(3))
-
-
-def test_cylinder_equivariance():
-    # transferring then acting equals acting then transferring, where the
-    # composite is coded independently of radial_action
-    gd = group_contraction_ST(3)
-    rng = RNG(5)
-    worst = 0.0
-    for _ in range(100):
-        g = random_element(rng, "ST", 3)
-        x = unit_vec(rng, 3)
-        t = rng.uniform(-1.5, 1.5)
-        # act on the cylinder, then transfer
-        xp, _ = suspension_act(gd, g, x, t)
-        via_cylinder = cylinder_transfer(xp, t)
-        # transfer, then act on euclidean space
-        via_euclid = radial_action(gd, g, cylinder_transfer(x, t))
-        worst = max(worst, float(np.max(np.abs(via_cylinder - via_euclid))))
-    assert worst <= 1e-9
-
-
-def test_radial_action_support_structure():
-    gd = group_contraction_ST(3)
-    shear = generators("ST", 3)[2][1]
-    near = np.array([0.2, 0.1, -0.05])  # |y| < e^-1
-    far = np.array([1.5, 0.4, 0.2])  # |y| > 1
-    assert np.array_equal(radial_action(gd, shear, near), near)
-    assert np.max(np.abs(radial_action(gd, shear, far) - far)) > 1e-3
-    assert np.array_equal(radial_action(gd, shear, np.zeros(3)), np.zeros(3))
 
 
 # -- ball actions ------------------------------------------------------------------
@@ -329,8 +243,8 @@ def test_verify_trivial_action():
 
 
 def test_verify_detects_fault_injected_action():
-    # suspension with a deliberately mismatched level: g acts at t, but
-    # composition effectively sees different levels
+    # a ball-like action with a deliberately mismatched level: g acts at t,
+    # but composition effectively sees different levels
     gd = bump_group_deformation("ST", 3)
 
     def faulty(g, y):
@@ -339,7 +253,7 @@ def test_verify_detects_fault_injected_action():
             return np.asarray(y, dtype=float).copy()
         # level depends on the matrix entry, breaking the per-level law
         t = 0.45 + 0.2 * math.tanh(abs(float(g[0, 1])))
-        xp = sphere_action(gd.apply(t, g), y / r)
+        xp = sphere_action(gd.apply_many([t], g[None])[0], y / r)
         return r * xp
 
     report = verify_action(
@@ -380,7 +294,7 @@ def ball_one(ball, g, y):
     if rel <= ball.r0 or rel >= ball.r1:
         return y.copy()
     t = (log_r1 - math.log(rel)) / (log_r1 - math.log(ball.r0))
-    return center + r * sphere_one(ball.deformation.apply(t, g), u / r)
+    return center + r * sphere_one(ball.deformation.apply_many([t], g[None])[0], u / r)
 
 
 def multiball_one(multiball, elements, y):
@@ -673,7 +587,7 @@ def test_prod_of_at_most_16_entries_multiplies_left_to_right():
 
 
 def test_numpy_scalar_power_is_python_float_power():
-    # random_st_element takes the root of a numpy float64; the stacked sampler
+    # random_element takes the root of a numpy float64; the stacked sampler
     # takes it of a Python float. np.power on an array is not used: its SIMD
     # loop rounds some powers differently (AVX-512).
     rng = RNG(13)

@@ -4,13 +4,14 @@ A public top-level def or method (its name does not start with "_") in
 `src/lieactions` must be referenced in `src/` outside its own body, by
 code that is not itself unreferenced, be named by the benchmark's tracer
 or probe (`perfbench/traced_cli.py`, `perfbench/probe.py`), or be on
-`ALLOWED` below. A reference is a name or an attribute in the syntax
-tree, so a string in `__all__` is not one, and a method is referenced
-only as an attribute, so a local variable of the same name is not one.
-A method is matched by its name alone, so a method that shares its name
-with one that is called passes. A module's `__all__` and the package's `_EXPORTS` name only what
-the module defines. The scan reads the sources with `ast` and imports
-nothing, so it does not depend on what other tests imported.
+`ALLOWED` below, which is empty today. A reference is a name or an
+attribute in the syntax tree, so a string in `__all__` is not one, and a
+method is referenced only as an attribute, so a local variable of the
+same name is not one. A method is matched by its name alone, so a method
+that shares its name with one that is called passes. A module's
+`__all__` and the package's `_EXPORTS` name only what the module
+defines. The scan reads the sources with `ast` and imports nothing, so
+it does not depend on what other tests imported.
 """
 
 from __future__ import annotations
@@ -22,14 +23,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lieactions"
 TRACER = (ROOT / "perfbench" / "traced_cli.py", ROOT / "perfbench" / "probe.py")
 
-# Kept with no caller in src/. Each entry must exist and have no caller,
-# so the list shrinks as names gain callers or go.
-ALLOWED = {
-    # the paper's second radial construction and the group contraction it
-    # deforms along; `act verify` is to gain a radial variant that calls them
-    "actions.radial_action",
-    "deformations.group_contraction_ST",
-}
+# Kept with no caller in src/, each with a comment that says why. Each entry
+# must exist and have no caller, so the list shrinks as names gain callers
+# or go. It is empty: a name goes on it only with a plan to call it.
+ALLOWED: set[str] = set()
 
 
 def definitions(tree: ast.Module, module: str) -> dict[str, ast.AST]:

@@ -1,6 +1,7 @@
 """Deformation families: profiles, algebra and group levels."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieactions.catalog import catalog
+from lieactions.constants import DEFAULT_SEED
 from lieactions.deformations import (
+    _CHECK_TIMES,
     AlgebraDeformation,
     _flatness_quotient,
     bump_group_deformation,
     concatenate,
     diag_contraction,
-    group_contraction_ST,
     max_residual,
     st_deformation,
     st_prime_deformation,
@@ -167,91 +169,137 @@ def test_fault_injected_cocycle_violation_detected():
 
 
 # -- group deformations -----------------------------------------------------------
+#
+# The group families are the bump families of the ball actions: their stages
+# cover both kinds ("diagpow" in ST, "offdiag" in ST and U), and each is the
+# trivial endomorphism from t = 1 on, so also a contraction at t = 1.
+
+BUMPS = [bump_group_deformation("ST", 3), bump_group_deformation("U", 3)]
+
+
+def at(gd, t, g):
+    """The endomorphism of gd at time t applied to the one matrix g: a block of one."""
+    return gd.apply_many([t], g[None])[0]
+
+
+def joints(gd):
+    """The ends of the stages of gd, in order."""
+    return sorted({t for stage in gd.stages for t in (stage.t0, stage.t1)})
+
+
+GroupCheck = namedtuple("GroupCheck", (
+    "identity_at_start constant_after_one contraction_at_one trivial_outside_unit flatness_max_quotient "
+    "law_max_residual det_max_residual below_diagonal_max"
+))
+
+
+def verify_group(gd, samples=100, seed=DEFAULT_SEED):
+    """The checks of a group family on seeded elements: whether it is the
+    identity at t <= 0, constant for t >= 1, trivial at t = 1 and outside
+    (0, 1); the flatness quotients at t = 0 and 1; the homomorphism residual
+    of (gh)_t = g_t h_t at the check times; and how far the images leave the
+    group (determinant one, upper triangular)."""
+    rng = np.random.default_rng(seed)
+    n = gd.n
+    eye = np.eye(n)
+    probes = np.array([random_element(rng, gd.group, n) for _ in range(8)])
+    ts = _CHECK_TIMES + list(rng.uniform(0.0, 1.0, size=5))
+
+    def each(t, gs):
+        return gd.apply_many([t] * len(gs), gs)
+
+    def every_time(g):
+        return gd.apply_many(ts, np.array([g] * len(ts)))
+
+    law = below = 0.0
+    lower = np.tril_indices(n, -1)
+    for _ in range(samples):
+        g = random_element(rng, gd.group, n)
+        h = random_element(rng, gd.group, n)
+        lhs = every_time(g @ h)
+        law = max_residual(law, float(np.abs(lhs - every_time(g) @ every_time(h)).max()))
+        below = max_residual(below, *np.abs(lhs[:, lower[0], lower[1]]).ravel().tolist())
+    dets = np.linalg.det(gd.apply_many(ts * len(probes), np.repeat(probes, len(ts), axis=0)))
+    return GroupCheck(
+        all(np.array_equal(each(t, probes), probes) for t in (-1.0, 0.0)),
+        np.array_equal(each(1.0, probes), each(2.0, probes)),
+        all(np.array_equal(m, eye) for m in each(1.0, probes)),
+        all(np.array_equal(m, eye) for t in (-1.0, 2.0) for m in each(t, probes)),
+        _flatness_quotient(lambda t: at(gd, t, probes[0]).ravel().tolist(), [0.0, 1.0]),
+        law,
+        max_residual(0.0, *np.abs(dets - 1.0).tolist()),
+        below,
+    )
 
 
 def test_group_contraction_identity_element_fixed():
-    gd = group_contraction_ST(3)
-    eye = np.eye(3)
-    for t in (-1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0):
-        assert np.array_equal(gd.apply(t, eye), eye)
+    for gd in BUMPS:
+        eye = np.eye(3)
+        for t in (-1.0, 0.0, 0.05, 0.15, 0.25, 0.35, 0.5, 0.75, 0.9, 1.0, 2.0):
+            assert np.array_equal(at(gd, t, eye), eye)
 
 
 def test_group_contraction_endpoint_trivial():
-    gd = group_contraction_ST(3)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        g = random_element(rng, "ST", 3)
-        assert np.array_equal(gd.apply(1.0, g), np.eye(3))
-        assert np.array_equal(gd.apply(1.7, g), np.eye(3))
+    for gd in BUMPS:
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            g = random_element(rng, gd.group, 3)
+            assert np.array_equal(at(gd, 1.0, g), np.eye(3))
+            assert np.array_equal(at(gd, 1.7, g), np.eye(3))
 
 
 def test_group_contraction_homomorphism_and_invariants():
-    report = verify_deformation(group_contraction_ST(3), samples=200)
-    assert report.d1_identity_exact
-    assert report.d2_constant_exact
-    assert report.contraction_at_one
-    assert report.law_max_residual <= 1e-9
-    assert report.extra["det_max_residual"] <= 1e-9
-    assert report.extra["below_diagonal_max"] == 0.0
+    for gd in BUMPS:
+        report = verify_group(gd, samples=200)
+        assert not report.identity_at_start  # a bump is not a D1 family
+        assert report.constant_after_one
+        assert report.contraction_at_one
+        assert report.trivial_outside_unit
+        assert report.law_max_residual <= 1e-9
+        assert report.det_max_residual <= 1e-9
+        assert report.below_diagonal_max == 0.0
 
 
 def test_group_contraction_stays_in_group():
-    gd = group_contraction_ST(3)
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        g = random_element(rng, "ST", 3)
-        for t in np.linspace(-0.2, 1.2, 15):
-            assert _in_st(gd.apply(float(t), g), tol=1e-9)
+    times = [float(t) for t in np.linspace(-0.2, 1.2, 15)]
+    for gd in BUMPS:
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            images = gd.apply_many(times, np.array([random_element(rng, gd.group, 3)] * len(times)))
+            for image in images:
+                assert _in_st(image, tol=1e-9)
+                if gd.group == "U":
+                    assert np.array_equal(np.diag(image), np.ones(3))
 
 
 def test_bump_deformations():
-    for group in ("ST", "U"):
-        bd = bump_group_deformation(group, 3)
+    for gd in BUMPS:
         rng = np.random.default_rng(3)
-        g = random_element(rng, group, 3)
+        g = random_element(rng, gd.group, 3)
         # trivial at both ends, identity automorphism in the middle
-        assert np.array_equal(bd.apply(-0.5, g), np.eye(3))
-        assert np.array_equal(bd.apply(1.5, g), np.eye(3))
-        assert np.array_equal(bd.apply(0.5, g), g)
-        report = verify_deformation(bd, samples=200)
-        assert report.trivial_outside_unit
-        assert report.law_max_residual <= 1e-9
-        assert not report.d1_identity_exact  # a bump is not a D1 family
-
-
-def test_group_matches_algebra_deformation_to_first_order():
-    # finite-difference derivative of the group family at the identity
-    # matrix along basis directions equals the concatenated algebra
-    # contraction, which shares its schedule
-    from lieactions.catalog import catalog_matrices
-
-    n = 3
-    gd = group_contraction_ST(n)
-    chain = concatenate(diag_contraction(n), st_deformation(n))
-    mats = catalog_matrices("st", n)
-    eps = 1e-6
-    eye = np.eye(n)
-    for t in (0.1, 0.3, 0.6, 0.85):
-        expected = chain.factors(t)
-        for k, mat in enumerate(mats):
-            direction = np.array([[float(x) for x in mat.row(i)] for i in range(n)])
-            fd = (gd.apply(t, eye + eps * direction) - gd.apply(t, eye)) / eps
-            assert np.max(np.abs(fd - expected[k] * direction)) <= 1e-4
+        assert np.array_equal(at(gd, -0.5, g), np.eye(3))
+        assert np.array_equal(at(gd, 1.5, g), np.eye(3))
+        assert np.array_equal(at(gd, 0.5, g), g)
 
 
 def test_group_smoothness_quotients_small():
-    report = verify_deformation(group_contraction_ST(3), samples=10)
-    assert report.flatness_max_quotient <= 1e-6
+    for gd in BUMPS:
+        g = random_element(np.random.default_rng(4), gd.group, 3)
+        # a stage spans 0.2 or 0.3, so the default step 1e-3 still sees the profile
+        # leave its ends; at 1e-4 the quotients are rounding (an ulp over h^3 is 2.2e-4),
+        # where a kink would give a first quotient of order one
+        assert _flatness_quotient(lambda t: at(gd, t, g).ravel().tolist(), joints(gd), h=1e-4) <= 1e-3
+        assert verify_group(gd, samples=10).flatness_max_quotient <= 1e-6
 
 
 def test_state_interpolation_continuous_at_stage_joints():
-    gd = group_contraction_ST(3)
-    rng = np.random.default_rng(9)
-    g = random_element(rng, "ST", 3)
-    for joint in (0.0, 0.5, 1.0):
-        before = gd.apply(joint - 1e-9, g)
-        after = gd.apply(joint + 1e-9, g)
-        assert np.max(np.abs(before - after)) < 1e-6
+    for gd in BUMPS:
+        rng = np.random.default_rng(9)
+        g = random_element(rng, gd.group, 3)
+        for joint in joints(gd):
+            before = at(gd, joint - 1e-9, g)
+            after = at(gd, joint + 1e-9, g)
+            assert np.max(np.abs(before - after)) < 1e-6
 
 
 def test_bad_inputs():
@@ -259,13 +307,15 @@ def test_bad_inputs():
         st_deformation(1)
     with pytest.raises(ValueError):
         bump_group_deformation("SL2", 3)
+    with pytest.raises(ValueError, match="unknown group tag"):
+        random_element(np.random.default_rng(0), "SL2", 2)
 
 
 # -- the compiled kernels against the former loops -----------------------------------
 
 
 def _reference_group_apply(gd, t, g):
-    """The former entry-by-entry GroupDeformation.apply."""
+    """The endomorphism of gd at time t applied to g, entry by entry."""
     kind, p = gd.state_at(t)
     n = gd.n
     out = np.zeros_like(g, dtype=float)
@@ -284,9 +334,7 @@ def _reference_group_apply(gd, t, g):
 @pytest.mark.parametrize("n", [2, 3, 5, 6])
 def test_group_apply_matches_entry_loop(group, n):
     rng = np.random.default_rng(n)
-    families = [bump_group_deformation(group, n)]
-    if group == "ST":
-        families.append(group_contraction_ST(n))
+    gd = bump_group_deformation(group, n)
     g = random_element(rng, group, n)
     h = random_element(rng, group, n)
     # signed zeros and negative entries below the diagonal must still give +0.0 there
@@ -295,12 +343,15 @@ def test_group_apply_matches_entry_loop(group, n):
     odd[0, -1] = -0.0
     times = [-1.0, 0.0, 0.05, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0, 2.0]
     times += list(rng.uniform(0.0, 1.0, size=10))
-    for gd in families:
-        for m in (g, h, g @ h, odd):
-            for t in times:
-                got, want = gd.apply(t, m), _reference_group_apply(gd, t, m)
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def same(got, want):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    for m in (g, h, g @ h, odd):
+        want = np.array([_reference_group_apply(gd, t, m) for t in times])
+        same(np.array([at(gd, t, m) for t in times]), want)  # blocks of one
+        same(gd.apply_many(times, np.array([m] * len(times))), want)  # one block that holds every time
 
 
 def _reference_random_element(rng, group, n):
@@ -374,10 +425,11 @@ def test_flatness_quotient_matches_numpy_on_every_family(n):
               concatenate(diag_contraction(n), st_deformation(n))):
         assert _flatness_quotient(d.factors, [0.0, 1.0]) == _reference_flatness_quotient(d.factors, [0.0, 1.0])
     rng = np.random.default_rng(n)
-    for gd in (group_contraction_ST(n), bump_group_deformation("ST", n), bump_group_deformation("U", n)):
+    for gd in (bump_group_deformation("ST", n), bump_group_deformation("U", n)):
         g = random_element(rng, gd.group, n)
-        values = lambda t, gd=gd, g=g: gd.apply(t, g).ravel().tolist()
-        assert _flatness_quotient(values, [0.0, 1.0]) == _reference_flatness_quotient(values, [0.0, 1.0])
+        values = lambda t, gd=gd, g=g: at(gd, t, g).ravel().tolist()
+        for times in ([0.0, 1.0], joints(gd)):
+            assert _flatness_quotient(values, times) == _reference_flatness_quotient(values, times)
 
 
 SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e300, 1.7e308, math.inf, -math.inf, math.nan])

@@ -105,6 +105,12 @@ def test_contains():
     assert u.contains([1, 1, 2])
     assert not u.contains([0, 0, 1])
     assert u.contains([0, 0, 0])
+    zero = Subspace.zero(3)
+    assert zero.contains([0, 0, 0])
+    assert not zero.contains([0, Fraction(1, 2), 0])
+    assert u.contains_subspace(zero) and not zero.contains_subspace(u)
+    with pytest.raises(ValueError):
+        u.contains([1, 1])
 
 
 def test_ambient_mismatch_rejected():

@@ -29,7 +29,6 @@ from lieactions.deformations import (
     Stage,
     TransitionProfile,
     bump_group_deformation,
-    group_contraction_ST,
     standard_profile,
     st_deformation,
     verify_deformation,
@@ -90,11 +89,11 @@ RECORDS = {
     TransitionProfile: (("kind",), lambda g: standard_profile(), ()),
     Stage: (("t0", "t1", "exponents"), lambda g: st_deformation(3).stages[0], ()),
     AlgebraDeformation: (("label", "parent", "profile", "stages", "domain_indices"), lambda g: st_deformation(3), ()),
-    GroupStage: (("t0", "t1", "kind", "start", "end"), lambda g: group_contraction_ST(3).stages[0], ()),
-    GroupDeformation: (("label", "group", "n", "stages", "profile"), lambda g: group_contraction_ST(3), ()),
+    GroupStage: (("t0", "t1", "kind", "start", "end"), lambda g: bump_group_deformation("ST", 3).stages[0], ()),
+    GroupDeformation: (("label", "group", "n", "stages", "profile"), lambda g: bump_group_deformation("ST", 3), ()),
     DeformationReport: (
-        ("label", "kind", "d1_identity_exact", "d2_constant_exact", "contraction_at_one", "trivial_outside_unit",
-         "flatness_max_quotient", "law_max_residual", "extra"),
+        ("label", "d1_identity_exact", "d2_constant_exact", "contraction_at_one", "flatness_max_quotient",
+         "law_max_residual", "extra"),
         lambda g: verify_deformation(st_deformation(3), samples=2),
         (),
     ),
