@@ -10,6 +10,7 @@ import functools
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -437,13 +438,41 @@ def test_catalog_keys_parse():
     assert catalog("n4").name == "N(4)"
 
 
+# (catalog arguments, exception type, the whole message)
+BAD_CATALOG_INPUT = [
+    (("st", 1), ValueError, "st(n) needs n >= 2"),
+    (("ST0",), ValueError, "st(n) needs n >= 2"),
+    (("D0",), ValueError, "d(n) needs n >= 1"),
+    (("st_prime1",), ValueError, "st_prime(n) needs n >= 2"),
+    (("N1",), ValueError, "N(n) needs n >= 2"),
+    (("Sl_C1",), ValueError, "sl(n) needs n >= 2"),
+    (("heisenberg", 4), ValueError, "heisenberg dimension must be odd and >= 3"),
+    (("heisenberg4",), ValueError, "heisenberg dimension must be odd and >= 3"),
+    (("abelian",), ValueError, "catalog family 'abelian' needs a size parameter"),
+    (("nosuch", 3), ValueError, "unknown catalog family 'nosuch'"),
+    (("nosuch3",), ValueError, "unknown catalog family 'nosuch'"),
+    (("",), ValueError, "unknown catalog key ''"),
+    (("Sl_C11",), FormatError,
+     "catalog family 'Sl_C' with parameter 11 has dimension 240, above the bound 40"),
+]
+
+
 def test_catalog_rejects_bad_input():
-    with pytest.raises(ValueError):
-        catalog("st", 1)
-    with pytest.raises(ValueError):
-        catalog("heisenberg", 4)
-    with pytest.raises(ValueError):
-        catalog("nosuch", 3)
+    for args, error, text in BAD_CATALOG_INPUT:
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            catalog(*args)
+
+
+# every sized family at its two smallest sizes, and a few larger ones
+@pytest.mark.parametrize(
+    "family,param",
+    [(family, param) for family, low in (("abelian", 0), ("heisenberg", 3), ("t", 2), ("st", 2), ("st_prime", 2),
+                                         ("sl", 2), ("d", 1), ("N", 2), ("st_c", 2), ("sl_c", 2))
+     for param in (low, low + 2 if family == "heisenberg" else low + 1)]
+    + [("heisenberg", 11), ("st_c", 3), ("sl_c", 3), ("N", 6)],
+)
+def test_catalog_algebras_satisfy_jacobi(family, param):
+    assert catalog(family, param).jacobi_check() == []
 
 
 def test_realified_sl2_is_perfect_and_valid():
