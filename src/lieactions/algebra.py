@@ -23,70 +23,49 @@ __all__ = [
     "LieAlgebra",
     "SeriesReport",
     "AlgebraPredicates",
-    "InvalidLieAlgebraError",
     "direct_sum",
     "to_json_dict",
     "from_json_dict",
 ]
 
 
-class InvalidLieAlgebraError(ValueError):
-    """Structure constants violate the Jacobi identity."""
-
-    def __init__(self, name: str, violations: list[tuple[int, int, int]]):
-        self.violations = violations
-        super().__init__(
-            f"algebra {name!r} violates the Jacobi identity on basis triples "
-            + ", ".join(str((i + 1, j + 1, k + 1)) for i, j, k in violations)
-        )
-
-
 class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
     """Finite-dimensional Lie algebra over Q given by structure constants.
 
-    `table` holds ((i, j), coefficient vector of [e_i, e_j]) for i < j,
-    zero pairs omitted. The fields are read-only; equality and hash are
-    those of the tuple of fields.
+    `table` holds ((i, j), ((k, c), ...)) for i < j: the nonzero constants
+    c of [e_i, e_j] = sum_k c e_k, with pairs and k ascending and zero
+    brackets omitted. It is the one form of the structure constants; every
+    other view is derived from it. The fields are read-only; equality and
+    hash are those of the tuple of fields.
     """
 
     @staticmethod
     def create(
         name: str,
         basis_names: Sequence[str],
-        brackets: Mapping[tuple[int, int], Mapping[int, object] | Sequence],
-        validate: bool = True,
+        brackets: Mapping[tuple[int, int], Mapping[int, object]],
     ) -> "LieAlgebra":
         """Build from 0-based sparse bracket data {(i, j): {k: c}} with i < j.
 
-        Values may also be full coefficient vectors. With validate=True
-        (the default) the Jacobi identity is checked and violations raise
-        InvalidLieAlgebraError.
+        The Jacobi identity is not checked here: each verb that reads an
+        algebra runs `jacobi_check` once.
         """
         dim = len(basis_names)
         entries = []
         for (i, j), val in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket pair {(i, j)} must satisfy 0 <= i < j < dim")
-            if isinstance(val, Mapping):
-                vec = [Fraction(0)] * dim
-                for k, c in val.items():
-                    if not 0 <= k < dim:
-                        raise ValueError(f"bracket target index {k} out of range")
-                    vec[k] = Fraction(c)
-                vec = tuple(vec)
-            else:
-                vec = rational_vector(val)
-                if len(vec) != dim:
-                    raise ValueError("bracket vector length mismatch")
-            if any(vec):
-                entries.append(((i, j), vec))
-        entries.sort(key=lambda e: e[0])
-        alg = LieAlgebra(name, dim, tuple(basis_names), tuple(entries))
-        if validate:
-            bad = alg.jacobi_check()
-            if bad:
-                raise InvalidLieAlgebraError(name, bad)
-        return alg
+            coeffs = []
+            for k, c in val.items():
+                if not 0 <= k < dim:
+                    raise ValueError(f"bracket target index {k} out of range")
+                c = Fraction(c)
+                if c:
+                    coeffs.append((k, c))
+            if coeffs:
+                entries.append(((i, j), tuple(sorted(coeffs))))
+        entries.sort()
+        return LieAlgebra(name, dim, tuple(basis_names), tuple(entries))
 
     @staticmethod
     def from_matrix_basis(
@@ -133,7 +112,7 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
                         f"commutator [{basis_names[i]}, {basis_names[j]}] leaves the span"
                     )
                 brackets[(i, j)] = coords
-        return LieAlgebra.create(name, basis_names, brackets, validate=False)
+        return LieAlgebra.create(name, basis_names, brackets)
 
     # -- bracket ------------------------------------------------------
 
@@ -167,27 +146,21 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
         return {k: v for k, v in out.items() if v}
 
     @cached_property
-    def sparse_table(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
-        """{(i, j): [(k, c), ...]} for the nonzero constants c of [e_i, e_j], i < j."""
-        return {pair: [(k, c) for k, c in enumerate(vec) if c] for pair, vec in self.table}
-
-    @cached_property
     def integer_table(self) -> tuple[int, dict[tuple[int, int], list[tuple[int, int]]]]:
-        """(den, {(i, j): [(k, den * c), ...]}): `sparse_table` with every
-        constant scaled to an integer by the lcm den of their denominators."""
-        table = self.sparse_table
-        den = lcm(*(c.denominator for coeffs in table.values() for _, c in coeffs))
+        """(den, {(i, j): [(k, den * c), ...]}): `table` with every constant
+        scaled to an integer by the lcm den of their denominators."""
+        den = lcm(*(c.denominator for _, coeffs in self.table for _, c in coeffs))
         return den, {
             pair: [(k, c.numerator * (den // c.denominator)) for k, c in coeffs]
-            for pair, coeffs in table.items()
+            for pair, coeffs in self.table
         }
 
     @cached_property
     def float_table(self) -> tuple[tuple[int, int, tuple[tuple[int, float], ...]], ...]:
-        """`sparse_table` as floats, in table order: (i, j, ((k, c), ...))."""
+        """`table` as floats, in table order: (i, j, ((k, c), ...))."""
         return tuple(
             (i, j, tuple((k, float(c)) for k, c in coeffs))
-            for (i, j), coeffs in self.sparse_table.items()
+            for (i, j), coeffs in self.table
         )
 
     def bracket_numeric(self, x: Sequence[float], y: Sequence[float]) -> list[float]:
@@ -339,17 +312,14 @@ def direct_sum(g: LieAlgebra, h: LieAlgebra, name: str | None = None) -> LieAlge
             nn = nn + "'"
         taken.add(nn)
         h_names.append(nn)
-    dim = g.dim + h.dim
-    brackets = {}
-    for (i, j), vec in g.table:
-        brackets[(i, j)] = tuple(vec) + (Fraction(0),) * h.dim
-    for (i, j), vec in h.table:
-        brackets[(i + g.dim, j + g.dim)] = (Fraction(0),) * g.dim + tuple(vec)
+    d = g.dim
+    brackets = {pair: dict(coeffs) for pair, coeffs in g.table}
+    for (i, j), coeffs in h.table:
+        brackets[(i + d, j + d)] = {k + d: c for k, c in coeffs}
     return LieAlgebra.create(
         name or f"{g.name}+{h.name}",
         tuple(g.basis_names) + tuple(h_names),
         brackets,
-        validate=False,
     )
 
 
@@ -358,12 +328,10 @@ def direct_sum(g: LieAlgebra, h: LieAlgebra, name: str | None = None) -> LieAlge
 
 def to_json_dict(g: LieAlgebra) -> dict:
     """Canonical interchange form: 1-based indices, i < j pairs only."""
-    brackets = []
-    for (i, j), vec in g.table:
-        result = {
-            str(k + 1): format_rational(c) for k, c in enumerate(vec) if c
-        }
-        brackets.append({"i": i + 1, "j": j + 1, "result": result})
+    brackets = [
+        {"i": i + 1, "j": j + 1, "result": {str(k + 1): format_rational(c) for k, c in coeffs}}
+        for (i, j), coeffs in g.table
+    ]
     return {
         "name": g.name,
         "dim": g.dim,
@@ -379,8 +347,9 @@ DOCUMENT_KEYS = {"name": (str, REQUIRED, None), "dim": (int, REQUIRED, 0, MAX_CA
 BRACKET_KEYS = {"i": (int, REQUIRED, 1), "j": (int, REQUIRED, 1), "result": (dict, REQUIRED, None)}
 
 
-def from_json_dict(data: dict, validate: bool = True) -> LieAlgebra:
-    """Parse the interchange form, rejecting malformed payloads with a FormatError."""
+def from_json_dict(data: dict) -> LieAlgebra:
+    """Parse the interchange form, rejecting malformed payloads with a
+    FormatError. The Jacobi identity is left to `jacobi_check`."""
     doc = read_object(data, DOCUMENT_KEYS, "the algebra document")
     dim, basis = doc["dim"], doc["basis"]
     if len(basis) != dim:
@@ -405,4 +374,4 @@ def from_json_dict(data: dict, validate: bool = True) -> LieAlgebra:
                 vec[indices[key]] = parse_rational(val)
             except ValueError as exc:
                 raise FormatError(str(exc)) from None
-    return LieAlgebra.create(doc["name"], basis, brackets, validate=validate)
+    return LieAlgebra.create(doc["name"], basis, brackets)

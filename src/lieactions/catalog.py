@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .algebra import LieAlgebra, direct_sum
 from .constants import MAX_CATALOG_DIM
@@ -76,9 +76,13 @@ def heisenberg(dim: int) -> LieAlgebra:
     return LieAlgebra.create(f"heisenberg({dim})", names, brackets)
 
 
-def _t_data(n: int) -> tuple[list[str], list[RatMatrix]]:
+def _d_data(n: int) -> tuple[list[str], list[RatMatrix]]:
     names = [f"T{i + 1}{i + 1}" for i in range(n)]
-    mats = [_unit_matrix(n, i, i) for i in range(n)]
+    return names, [_unit_matrix(n, i, i) for i in range(n)]
+
+
+def _t_data(n: int) -> tuple[list[str], list[RatMatrix]]:
+    names, mats = _d_data(n)
     un, um = _strict_upper(n)
     return names + un, mats + um
 
@@ -103,37 +107,30 @@ def _sl_data(n: int) -> tuple[list[str], list[RatMatrix]]:
     return names, mats
 
 
-_MATRIX_FAMILIES = {"t": _t_data, "st": _st_data, "sl": _sl_data}
+# family -> (smallest n, the named matrix basis of the family at n)
+_MATRIX_FAMILIES = {
+    "t": (2, _t_data),
+    "st": (2, _st_data),
+    "st_prime": (2, _strict_upper),
+    "sl": (2, _sl_data),
+    "d": (1, _d_data),
+}
 
 
 def _matrix_algebra(family: str, n: int) -> tuple[LieAlgebra, tuple[RatMatrix, ...]]:
-    if n < 2:
-        raise ValueError(f"{family}(n) needs n >= 2")
-    names, mats = _MATRIX_FAMILIES[family](n)
+    low, data = _MATRIX_FAMILIES[family]
+    if n < low:
+        raise ValueError(f"{family}(n) needs n >= {low}")
+    names, mats = data(n)
     alg = LieAlgebra.from_matrix_basis(f"{family}({n})", names, mats)
     return alg, tuple(mats)
-
-
-def st_prime(n: int) -> tuple[LieAlgebra, tuple[RatMatrix, ...]]:
-    if n < 2:
-        raise ValueError("st_prime(n) needs n >= 2")
-    names, mats = _strict_upper(n)
-    return LieAlgebra.from_matrix_basis(f"st_prime({n})", names, mats), tuple(mats)
-
-
-def d_algebra(n: int) -> tuple[LieAlgebra, tuple[RatMatrix, ...]]:
-    if n < 1:
-        raise ValueError("d(n) needs n >= 1")
-    names = [f"T{i + 1}{i + 1}" for i in range(n)]
-    mats = tuple(_unit_matrix(n, i, i) for i in range(n))
-    return LieAlgebra.from_matrix_basis(f"d({n})", names, mats), mats
 
 
 def big_n(n: int) -> LieAlgebra:
     """N(n) = st_prime(n) + abelian(1): nilpotent with 2-dimensional center."""
     if n < 2:
         raise ValueError("N(n) needs n >= 2")
-    alg, _ = st_prime(n)
+    alg, _ = _matrix_algebra("st_prime", n)
     return direct_sum(alg, abelian(1), name=f"N({n})")
 
 
@@ -164,14 +161,17 @@ def realify(g: LieAlgebra, name: str) -> LieAlgebra:
     d = g.dim
     names = list(g.basis_names) + [f"i{b}" for b in g.basis_names]
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    zero = Fraction(0)
-    for (i, j), vec in g.table:
-        real_part = {k: c for k, c in enumerate(vec) if c != zero}
-        brackets[(i, j)] = dict(real_part)
-        brackets[(i, j + d)] = {k + d: c for k, c in real_part.items()}
-        brackets[(j, i + d)] = {k + d: -c for k, c in real_part.items()}
-        brackets[(i + d, j + d)] = {k: -c for k, c in real_part.items()}
+    for (i, j), coeffs in g.table:
+        brackets[(i, j)] = dict(coeffs)
+        brackets[(i, j + d)] = {k + d: c for k, c in coeffs}
+        brackets[(j, i + d)] = {k + d: -c for k, c in coeffs}
+        brackets[(i + d, j + d)] = {k: -c for k, c in coeffs}
     return LieAlgebra.create(name, names, brackets)
+
+
+def _complex(family: str, n: int) -> tuple[LieAlgebra, None]:
+    """The realification of the matrix family over C; it has no matrix model here."""
+    return realify(_matrix_algebra(family, n)[0], f"{family}_c({n})"), None
 
 
 _KEY_RE = re.compile(r"^([a-zA-Z_]+?)_?(\d+)?$")
@@ -205,18 +205,19 @@ def catalog_matrices(name: str, param: int | None = None) -> tuple[RatMatrix, ..
     return mats
 
 
-# The dimension of each sized family, known before anything is built.
-_DIMENSIONS = {
-    "abelian": lambda m: m,
-    "heisenberg": lambda d: d,
-    "t": lambda n: n * (n + 1) // 2,
-    "st": lambda n: n * (n + 1) // 2 - 1,
-    "st_prime": lambda n: n * (n - 1) // 2,
-    "sl": lambda n: n * n - 1,
-    "d": lambda n: n,
-    "n": lambda n: n * (n - 1) // 2 + 1,
-    "st_c": lambda n: n * (n + 1) - 2,
-    "sl_c": lambda n: 2 * n * n - 2,
+# Each sized family, by lower-case name: the dimension at size n, known
+# before anything is built, and the builder of (algebra, defining matrices).
+_FAMILIES = {
+    "abelian": (lambda m: m, lambda m: (abelian(m), None)),
+    "heisenberg": (lambda d: d, lambda d: (heisenberg(d), None)),
+    "t": (lambda n: n * (n + 1) // 2, partial(_matrix_algebra, "t")),
+    "st": (lambda n: n * (n + 1) // 2 - 1, partial(_matrix_algebra, "st")),
+    "st_prime": (lambda n: n * (n - 1) // 2, partial(_matrix_algebra, "st_prime")),
+    "sl": (lambda n: n * n - 1, partial(_matrix_algebra, "sl")),
+    "d": (lambda n: n, partial(_matrix_algebra, "d")),
+    "n": (lambda n: n * (n - 1) // 2 + 1, lambda n: (big_n(n), None)),
+    "st_c": (lambda n: n * (n + 1) - 2, partial(_complex, "st")),
+    "sl_c": (lambda n: 2 * n * n - 2, partial(_complex, "sl")),
 }
 
 
@@ -226,36 +227,20 @@ _DIMENSIONS = {
 def _build(name: str, param: int | None) -> tuple[LieAlgebra, tuple[RatMatrix, ...] | None]:
     if param is None:
         name, param = parse_catalog_key(name)
-    family = name.lower() if name != "N" else "N"
+    family = name.lower()
     if family in ("mueller_roemer", "mueller_roemer7", "mr7"):
         return mueller_roemer7(), None
     if param is None:
         raise ValueError(f"catalog family {name!r} needs a size parameter")
-    dimension = _DIMENSIONS.get(family.lower())
-    if dimension is not None and dimension(param) > MAX_CATALOG_DIM:
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown catalog family {name!r}")
+    dimension, build = _FAMILIES[family]
+    if dimension(param) > MAX_CATALOG_DIM:
         raise FormatError(
             f"catalog family {name!r} with parameter {param} has dimension "
             f"{dimension(param)}, above the bound {MAX_CATALOG_DIM}"
         )
-    if family == "abelian":
-        return abelian(param), None
-    if family == "heisenberg":
-        return heisenberg(param), None
-    if family in ("t", "st", "sl"):
-        return _matrix_algebra(family, param)
-    if family == "st_prime":
-        return st_prime(param)
-    if family == "d":
-        return d_algebra(param)
-    if family in ("n", "N"):
-        return big_n(param), None
-    if family == "st_c":
-        base, _ = _matrix_algebra("st", param)
-        return realify(base, f"st_c({param})"), None
-    if family == "sl_c":
-        base, _ = _matrix_algebra("sl", param)
-        return realify(base, f"sl_c({param})"), None
-    raise ValueError(f"unknown catalog family {name!r}")
+    return build(param)
 
 
 # Entries listed by `catalog list` and swept by the acceptance suite.

@@ -118,7 +118,7 @@ def _load_algebra(source: str) -> tuple[LieAlgebra, str | None]:
             _input_error(str(exc))
     data = _json_file(source)
     try:
-        return from_json_dict(data, validate=False), None
+        return from_json_dict(data), None
     except FormatError as exc:
         _input_error(f"bad algebra document: {exc}")
 

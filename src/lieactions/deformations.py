@@ -197,11 +197,8 @@ def st_prime_deformation(n: int) -> AlgebraDeformation:
 
     if n < 2:
         raise ValueError("n must be at least 2")
-    expo = []
-    for dist in range(1, n):
-        expo.extend([dist] * (n - dist))
     return AlgebraDeformation.single_stage(
-        f"st_prime({n}) graded contraction", catalog("st_prime", n), expo
+        f"st_prime({n}) graded contraction", catalog("st_prime", n), _st_exponents(n)[n - 1:]
     )
 
 

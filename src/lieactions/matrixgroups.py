@@ -59,12 +59,7 @@ def st_generators(n: int) -> list[tuple[str, np.ndarray]]:
         g[i, i] = 2.0
         g[i + 1, i + 1] = 0.5
         gens.append((f"diag{i + 1}", g))
-    for i in range(n):
-        for j in range(i + 1, n):
-            g = np.eye(n)
-            g[i, j] = 1.0
-            gens.append((f"shear{i + 1}{j + 1}", g))
-    return gens
+    return gens + unitriangular_generators(n)
 
 
 def unitriangular_generators(n: int) -> list[tuple[str, np.ndarray]]:

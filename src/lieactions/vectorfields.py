@@ -81,9 +81,6 @@ class PolyVectorField(namedtuple("PolyVectorField", "components")):
     def __sub__(self, other: "PolyVectorField") -> "PolyVectorField":
         return PolyVectorField(tuple(a - b for a, b in zip(self.components, other.components)))
 
-    def __neg__(self) -> "PolyVectorField":
-        return PolyVectorField(tuple(-a for a in self.components))
-
     def scale(self, c) -> "PolyVectorField":
         return PolyVectorField(tuple(a.scale(c) for a in self.components))
 

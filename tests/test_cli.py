@@ -92,6 +92,23 @@ def test_analyze_corrupted_file_exits_1(tmp_path):
     assert report["jacobi_violations"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("algebra", "analyze", "catalog:heisenberg5"), ("algebra", "obstruct", "catalog:st_c2", "--dim", "3")],
+)
+def test_one_jacobi_check_per_invocation(monkeypatch, args):
+    # the catalog builds without checking; the verb checks once
+    from lieactions.algebra import LieAlgebra
+    from lieactions.catalog import _build
+
+    _build.cache_clear()
+    calls = []
+    check = LieAlgebra.jacobi_check
+    monkeypatch.setattr(LieAlgebra, "jacobi_check", lambda self: calls.append(self.name) or check(self))
+    assert run(*args).exit_code == 0
+    assert len(calls) == 1, calls
+
+
 def test_analyze_valid_file(tmp_path):
     path = write_json(tmp_path, "h3.json", to_json_dict(catalog("heisenberg3")))
     result = run("algebra", "analyze", path)

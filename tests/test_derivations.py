@@ -78,7 +78,7 @@ def _structure_constant(g, i, j, k):
     """The e_k-coefficient of [e_i, e_j], read from the table."""
     if i > j:
         return -_structure_constant(g, j, i, k)
-    return dict(g.sparse_table.get((i, j), ())).get(k, Fraction(0))
+    return dict(dict(g.table).get((i, j), ())).get(k, Fraction(0))
 
 
 def _ad_matrix(g, x):
@@ -336,7 +336,9 @@ def _dense_copy(g, rng):
     p = _mul(lower, upper)
     cols = [[row[a] for row in p] for a in range(n)]
     brackets = {
-        (a, b): solve(RatMatrix(p), g.bracket(cols[a], cols[b])) for a in range(n) for b in range(a + 1, n)
+        (a, b): dict(enumerate(solve(RatMatrix(p), g.bracket(cols[a], cols[b]))))
+        for a in range(n)
+        for b in range(a + 1, n)
     }
     return LieAlgebra.create(f"{g.name} dense", [f"F{a + 1}" for a in range(n)], brackets)
 
@@ -345,7 +347,7 @@ def _rescaled(g, scale):
     """g in the basis scale[i] e_i: constants c_ijk scale[i] scale[j] / scale[k]."""
     brackets = {
         pair: {k: c * scale[pair[0]] * scale[pair[1]] / scale[k] for k, c in coeffs}
-        for pair, coeffs in g.sparse_table.items()
+        for pair, coeffs in g.table
     }
     return LieAlgebra.create(f"{g.name} rescaled", g.basis_names, brackets)
 

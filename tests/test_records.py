@@ -66,7 +66,7 @@ RECORDS = {
     LieAlgebra: (
         ("name", "dim", "basis_names", "table"),
         lambda g: g,
-        ("sparse_table", "integer_table", "float_table", "derived", "lower_central", "center_space",
+        ("integer_table", "float_table", "derived", "lower_central", "center_space",
          "derivation_algebra"),
     ),
     SeriesReport: (("kind", "terms", "stabilized", "length"), lambda g: g.derived, ()),

@@ -169,7 +169,7 @@ def test_every_key_table_reads_any_json_or_raises_format_error(case):
 @given(documents() | json_values)
 def test_algebra_reader_reads_any_json_or_raises_format_error(doc):
     try:
-        g = from_json_dict(doc, validate=False)
+        g = from_json_dict(doc)
     except FormatError:
         return
     assert g.dim == doc["dim"] and list(g.basis_names) == doc["basis"]
