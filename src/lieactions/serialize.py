@@ -1,4 +1,5 @@
-"""Deterministic JSON emission, and the one reader of JSON input.
+"""Deterministic JSON emission, the one reader of JSON input, and the
+writer of every report.
 
 Reports must be byte-identical across runs with the same inputs, so we
 write JSON ourselves: insertion-ordered keys, rationals as "p/q"
@@ -8,15 +9,26 @@ as the string "nan", "inf" or "-inf").
 Every JSON document read, an algebra or a scenario, is read object by
 object through a key table (`read_object`), so types, defaults and
 bounds are checked by the same rules everywhere.
+
+The verbs' handlers share the helpers at the end: an input error (one
+`error:` line, exit 2), the --output check, the writer of a report, and
+the reader of a JSON file, the one place `json` is imported.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from json.encoder import encode_basestring
+
+from . import __version__
+
+try:  # the C function that json.encoder.encode_basestring is, without importing json
+    from _json import encode_basestring
+except ImportError:  # an interpreter built without the accelerator
+    from json.encoder import encode_basestring
 
 __all__ = ["format_rational", "parse_rational", "dumps", "FormatError", "REQUIRED", "POSITIVE", "read_value",
            "read_object"]
@@ -63,7 +75,7 @@ def _scalar(obj) -> str | None:
     return None
 
 
-def _write(obj, out: list[str], indent: int) -> None:
+def _append(obj, out: list[str], indent: int) -> None:
     """Append the text of a dict, list or tuple. Each leaf is formatted
     once: a container of scalars goes on one line (a dict only up to 8
     keys), otherwise one item per line."""
@@ -90,7 +102,7 @@ def _write(obj, out: list[str], indent: int) -> None:
     for idx, (key, value, text) in enumerate(zip(keys, values, texts)):
         out.append(inner + key)
         if text is None:
-            _write(value, out, indent + 1)
+            _append(value, out, indent + 1)
         else:
             out.append(text)
         out.append(",\n" if idx < last else "\n")
@@ -103,7 +115,7 @@ def dumps(obj) -> str:
     if text is not None:
         return text + "\n"
     out: list[str] = []
-    _write(obj, out, 0)
+    _append(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
@@ -171,3 +183,78 @@ def read_object(doc, spec: dict, what: str) -> dict:
         else:
             values[key] = default
     return values
+
+
+# -- the verbs' input and output -------------------------------------------------------
+
+
+def _input_error(message: str) -> None:
+    sys.stderr.write(f"error: {message}\n")
+    sys.exit(2)
+
+
+def _check_output(path: str) -> None:
+    """An input error unless the --output file `path` can be written, found
+    before the verb runs and without opening the file, so an existing file
+    is left as it is when the verb then fails; `_write` reports the rest."""
+    if os.path.isdir(path):
+        _input_error(f"cannot write {path}: it is a directory")
+    if os.path.exists(path):
+        if not os.access(path, os.W_OK):
+            _input_error(f"cannot write {path}: the file is not writable")
+        return
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        _input_error(f"cannot write {path}: no directory {parent}")
+    if not os.access(parent, os.W_OK):
+        _input_error(f"cannot write {path}: directory {parent} is not writable")
+
+
+def _write(ctx_obj: dict, chunks: Iterable[str]) -> None:
+    """Write the strings `chunks`, as they come, to the --output file, or to
+    stdout without one."""
+    path = ctx_obj.get("output")
+    if path:
+        try:
+            with open(path, "w") as fh:
+                fh.writelines(chunks)
+        except OSError as exc:
+            _input_error(f"cannot write {path}: {exc}")
+    else:
+        sys.stdout.writelines(chunks)
+
+
+def _emit(ctx_obj: dict, command: str, body: dict, tolerances: dict | None = None) -> None:
+    """Write the JSON report of `command`: tool, command, seed, tolerances (if any), body."""
+    head = {
+        "tool": {"name": "lieactions", "version": __version__},
+        "command": command,
+        "seed": ctx_obj["seed"],
+    }
+    if tolerances:
+        head["tolerances"] = tolerances
+    head.update(body)
+    _write(ctx_obj, [dumps(head)])
+
+
+def _unique_keys(pairs: list) -> dict:
+    """object_pairs_hook: a key given twice in one object is malformed JSON
+    here, not a silent last-one-wins."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _json_file(path: str):
+    import json
+
+    try:
+        with open(path) as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except OSError as exc:
+        _input_error(f"cannot read {path}: {exc}")
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        _input_error(f"malformed JSON in {path}: {exc}")

@@ -26,7 +26,7 @@ from lieactions.actions import (
     sphere_action,
     verify_action,
 )
-from lieactions.cli import ACTIONS
+from lieactions.numeric_verbs import ACTIONS
 from lieactions.constants import max_residual
 from lieactions.deformations import bump_group_deformation
 from lieactions.matrixgroups import generators, random_element, random_sl2

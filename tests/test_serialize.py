@@ -7,17 +7,22 @@ bytes on arbitrary nested reports. Every key table, of a scenario object
 or of the algebra document, reads any JSON value or raises FormatError.
 """
 
+import ast
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieactions import cli
+from lieactions import numeric_verbs
 from lieactions.algebra import BRACKET_KEYS, DOCUMENT_KEYS, from_json_dict
-from lieactions.serialize import FormatError, dumps, read_object
+from lieactions.serialize import FormatError, dumps, encode_basestring, read_object
 
 
 def _ref_scalar(obj):
@@ -92,13 +97,53 @@ def test_non_finite_floats_are_json_strings():
     }
 
 
+# -- the escaper of strings ------------------------------------------------------------
+
+# what an escaper gets wrong: the quote, the backslash, every control character,
+# DEL, the line and paragraph separators; with any character, lone surrogates and
+# characters beyond the BMP
+ESCAPED = ['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029"]
+escapable = st.lists(
+    st.sampled_from(ESCAPED) | st.characters() | st.integers(0xD800, 0xDFFF).map(chr)
+    | st.integers(0x10000, 0x10FFFF).map(chr),
+    max_size=24,
+).map("".join)
+SAMPLES = ["", "plain", *ESCAPED, "\ud800", "a\udfffb", "\U0001f600", "\U0010ffff", '"\\\n\u2028\ud83d']
+
+
+@settings(max_examples=300, deadline=None)
+@given(escapable)
+def test_escaper_is_the_json_encoders(text):
+    assert encode_basestring(text) == json.encoder.encode_basestring(text)
+
+
+WITHOUT_JSON_ACCELERATOR = """
+import sys
+sys.modules["_json"] = None  # any import of _json now raises ImportError
+import ast, json
+from lieactions import serialize
+assert serialize.encode_basestring is json.encoder.py_encode_basestring
+print(ascii([serialize.encode_basestring(text) for text in ast.literal_eval(sys.argv[1])]))
+"""
+
+
+def test_escaper_without_the_json_accelerator():
+    env = dict(os.environ)
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_JSON_ACCELERATOR, ascii(SAMPLES)],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert ast.literal_eval(proc.stdout) == [json.encoder.encode_basestring(text) for text in SAMPLES]
+
+
 # -- the reader ----------------------------------------------------------------------
 
 
 # every key table: those of the scenario objects, each action kind's with the keys
 # every kind shares, and those of the algebra document
-TABLES = {name: table for name, table in vars(cli).items() if name.endswith("_KEYS")}
-TABLES.update({f"{kind} action": {**cli.ACT_KEYS, **keys} for kind, (keys, _) in cli.ACTIONS.items()})
+TABLES = {name: table for name, table in vars(numeric_verbs).items() if name.endswith("_KEYS")}
+TABLES.update({f"{kind} action": {**numeric_verbs.ACT_KEYS, **keys}
+               for kind, (keys, _) in numeric_verbs.ACTIONS.items()})
 TABLES.update(DOCUMENT_KEYS=DOCUMENT_KEYS, BRACKET_KEYS=BRACKET_KEYS)
 KEYS = sorted({key for table in TABLES.values() for key in table})
 
