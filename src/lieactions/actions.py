@@ -21,7 +21,6 @@ from functools import cached_property
 import numpy as np
 
 from .constants import DEFAULT_SEED, max_residual
-from .deformations import bump_group_deformation
 from .matrixgroups import _strict_upper
 
 __all__ = [
@@ -127,6 +126,8 @@ def make_ball_action(
     center=None,
     radius: float = 1.0,
 ) -> BallAction:
+    from .deformations import bump_group_deformation  # only the ball kinds load deformations
+
     if center is None:
         center = (0.0,) * n
     return BallAction(

@@ -1,17 +1,22 @@
 """Each verb imports only the layer it runs.
 
-No verb loads `dataclasses`. The exact verbs and `catalog list` must not
-load numpy, any module of the numerical layer, or `inspect`; the numerical
-verbs must not load each other's modules, and `act verify`, `vf flow` and
-the commuting-family `vf verify` load no `algebra` or `catalog`; only
-`algebra analyze` loads `derivations`, only `algebra obstruct` loads
-`obstructions`, an algebra read from a file loads no `catalog`, and `vf
-flow`, the commuting-family `vf verify` and `deform verify` run without
-numpy (`deform verify` draws its samples from `pcg64`, a standard-library
-copy of numpy's default stream, and loads no `matrixgroups`). Each case
-runs one verb in a fresh interpreter and inspects `sys.modules` afterwards,
-so a stray top-level import in `cli.py` (or in a module it imports) fails
-here.
+No verb loads `dataclasses`, or the standard library's `argparse` (with
+the `gettext` and `locale` it pulls in): the parser is the program's own.
+Each verb loads only its own handler module, `exact_verbs` or
+`numeric_verbs`. The exact verbs and `catalog list` must not load numpy,
+any module of the numerical layer, or `inspect`; on a catalog key they
+load no `json`, which only the reader of a file imports, and neither does
+`deform verify`. The numerical verbs must not load each other's modules,
+and `act verify`, `vf flow` and the commuting-family `vf verify` load no
+`algebra` or `catalog`; `act verify` loads `deformations` only for the
+ball kinds; only `algebra analyze` loads `derivations`, only `algebra
+obstruct` loads `obstructions`, an algebra read from a file loads no
+`catalog`, and `vf flow`, the commuting-family `vf verify` and `deform
+verify` run without numpy (`deform verify` draws its samples from
+`pcg64`, a standard-library copy of numpy's default stream, and loads no
+`matrixgroups`). Each case runs one verb in a fresh interpreter and
+inspects `sys.modules` afterwards, so a stray top-level import in `cli.py`
+(or in a module it imports) fails here.
 """
 
 import json
@@ -27,13 +32,15 @@ SCENARIOS = Path(__file__).parent.parent / "scenarios"
 GOLDEN = Path(__file__).parent / "golden"
 
 PROBE = """
-import json, sys
+import sys
 from lieactions.cli import main
 try:
     main(sys.argv[1:])
 except SystemExit:
     pass
-print(json.dumps(sorted(sys.modules)))
+modules = sorted(sys.modules)
+import json  # after the count: a verb on a catalog key must not load it
+print(json.dumps(modules))
 """
 
 NUMERICAL = [
@@ -51,6 +58,10 @@ NUMERICAL = [
 # but no exact verb does.
 EXACT = NUMERICAL + ["inspect"]
 
+# a handler module of the other layer, and json, which only a file needs
+NUMERIC_VERBS = ["lieactions.numeric_verbs"]
+EXACT_VERBS = ["lieactions.exact_verbs"]
+
 # the modules of the exact layer that no numerical verb outside `deform verify`
 # and the projective `vf verify` runs
 EXACT_CORE = ["lieactions.algebra", "lieactions.catalog", "lieactions.derivations", "lieactions.obstructions"]
@@ -59,56 +70,69 @@ EXACT_CORE = ["lieactions.algebra", "lieactions.catalog", "lieactions.derivation
 CASES = {
     "analyze": (
         ["algebra", "analyze", "catalog:st4"],
-        EXACT + ["lieactions.obstructions"],
-        ["lieactions.derivations"],
+        EXACT + NUMERIC_VERBS + ["lieactions.obstructions", "json"],
+        EXACT_VERBS + ["lieactions.derivations"],
     ),
     "analyze-json": (
         ["algebra", "analyze", str(GOLDEN / "st4_dense.algebra.json")],
-        EXACT + ["lieactions.obstructions", "lieactions.catalog"],
-        ["lieactions.derivations"],
+        EXACT + NUMERIC_VERBS + ["lieactions.obstructions", "lieactions.catalog"],
+        EXACT_VERBS + ["lieactions.derivations"],
     ),
     "obstruct": (
         ["algebra", "obstruct", "catalog:st4", "--dim", "3"],
-        EXACT + ["lieactions.derivations"],
-        ["lieactions.obstructions"],
+        EXACT + NUMERIC_VERBS + ["lieactions.derivations", "json"],
+        EXACT_VERBS + ["lieactions.obstructions"],
     ),
     "obstruct-json": (
         ["algebra", "obstruct", str(GOLDEN / "st4_dense.algebra.json"), "--dim", "3"],
-        EXACT + ["lieactions.derivations", "lieactions.catalog"],
-        ["lieactions.obstructions"],
+        EXACT + NUMERIC_VERBS + ["lieactions.derivations", "lieactions.catalog"],
+        EXACT_VERBS + ["lieactions.obstructions"],
     ),
     "catalog-list": (
         ["catalog", "list"],
-        EXACT + ["lieactions.derivations", "lieactions.obstructions"],
-        ["lieactions.catalog"],
+        EXACT + NUMERIC_VERBS + ["lieactions.derivations", "lieactions.obstructions", "json"],
+        EXACT_VERBS + ["lieactions.catalog"],
     ),
     "vf-flow": (
         ["vf", "flow", "--scenario", str(SCENARIOS / "flow_circle.json")],
         ["numpy", "lieactions.actions", "lieactions.deformations", "lieactions.matrixgroups",
-         "lieactions.linalg", *EXACT_CORE],
-        ["lieactions.vectorfields", "lieactions.polynomials"],
+         "lieactions.linalg", *EXACT_CORE, *EXACT_VERBS],
+        NUMERIC_VERBS + ["lieactions.vectorfields", "lieactions.polynomials"],
     ),
     "vf-verify-commuting": (
         ["vf", "verify", "--scenario", str(SCENARIOS / "commuting_family.json")],
-        ["numpy", "lieactions.actions", "lieactions.deformations", "lieactions.matrixgroups", *EXACT_CORE],
-        ["lieactions.vectorfields", "lieactions.polynomials"],
+        ["numpy", "lieactions.actions", "lieactions.deformations", "lieactions.matrixgroups", *EXACT_CORE,
+         *EXACT_VERBS],
+        NUMERIC_VERBS + ["lieactions.vectorfields", "lieactions.polynomials"],
     ),
     "act-verify": (
         ["act", "verify", "--scenario", str(SCENARIOS / "sphere_st3.json")],
         ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", "lieactions.pcg64",
-         *EXACT_CORE],
-        ["numpy", "lieactions.actions", "lieactions.matrixgroups"],
+         "lieactions.deformations", *EXACT_CORE, *EXACT_VERBS],
+        NUMERIC_VERBS + ["numpy", "lieactions.actions", "lieactions.matrixgroups"],
     ),
     "act-verify-interval": (
         ["act", "verify", "--scenario", str(SCENARIOS / "interval.json")],
-        ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", *EXACT_CORE],
-        ["numpy", "lieactions.actions", "lieactions.matrixgroups"],
+        ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", "lieactions.deformations",
+         *EXACT_CORE, *EXACT_VERBS],
+        NUMERIC_VERBS + ["numpy", "lieactions.actions", "lieactions.matrixgroups"],
+    ),
+    "act-verify-disk": (
+        ["act", "verify", "--scenario", str(SCENARIOS / "disk2.json")],
+        ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", "lieactions.deformations",
+         *EXACT_CORE, *EXACT_VERBS],
+        NUMERIC_VERBS + ["numpy", "lieactions.actions", "lieactions.matrixgroups"],
+    ),
+    "act-verify-ball": (
+        ["act", "verify", "--scenario", str(SCENARIOS / "ball_st3.json")],
+        ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", *EXACT_CORE, *EXACT_VERBS],
+        NUMERIC_VERBS + ["numpy", "lieactions.actions", "lieactions.matrixgroups", "lieactions.deformations"],
     ),
     "deform-verify": (
         ["deform", "verify", "--family", "st", "--n", "3"],
         ["numpy", "lieactions.matrixgroups", "lieactions.vectorfields", "lieactions.actions",
-         "lieactions.derivations"],
-        ["lieactions.deformations", "lieactions.pcg64"],
+         "lieactions.derivations", "json", *EXACT_VERBS],
+        NUMERIC_VERBS + ["lieactions.deformations", "lieactions.pcg64"],
     ),
 }
 
@@ -132,10 +156,31 @@ def _modules_after(args: list[str]) -> set[str]:
 def test_verb_imports_only_its_layer(case):
     args, absent, present = CASES[case]
     modules = _modules_after(args)
-    # no verb pays for a command-line library (the parser is the standard
-    # library's argparse) or for `dataclasses` (every record is a namedtuple)
-    absent = absent + ["click", "dataclasses"]
+    # no verb pays for a command-line library (the parser reads cli.VERBS
+    # itself) or for `dataclasses` (every record is a namedtuple)
+    absent = absent + ["click", "argparse", "gettext", "locale", "dataclasses"]
     assert not modules & set(absent), sorted(modules & set(absent))
+    assert set(present) <= modules, sorted(set(present) - modules)
+
+
+RUN_AS_MAIN = """
+import json, runpy, sys
+sys.argv = ["lieact", *sys.argv[1:]]
+try:
+    runpy.run_module("lieactions.cli", run_name="__main__")
+except SystemExit:
+    pass
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("case", ["analyze", "act-verify"])
+def test_run_as_a_script_runs_cli_once(case):
+    # under `python -m lieactions.cli` the script is `__main__`: an import of
+    # `lieactions.cli` by a handler module would run cli.py a second time
+    args, _, present = CASES[case]
+    modules = set(_probe(RUN_AS_MAIN, *args))
+    assert "lieactions.cli" not in modules
     assert set(present) <= modules, sorted(set(present) - modules)
 
 
