@@ -227,8 +227,10 @@ _FAMILIES = {
 def _build(name: str, param: int | None) -> tuple[LieAlgebra, tuple[RatMatrix, ...] | None]:
     if param is None:
         name, param = parse_catalog_key(name)
-    family = name.lower()
-    if family in ("mueller_roemer", "mueller_roemer7", "mr7"):
+    family = _FAMILY_ALIASES.get(name.lower(), name).lower()
+    if family == "mueller_roemer":  # one algebra, of the one size 7
+        if param != 7:
+            raise ValueError(f"catalog family {name!r} has the one size 7 (mueller_roemer7, mr7)")
         return mueller_roemer7(), None
     if param is None:
         raise ValueError(f"catalog family {name!r} needs a size parameter")

@@ -448,6 +448,10 @@ BAD_CATALOG_INPUT = [
     (("nosuch", 3), ValueError, "unknown catalog family 'nosuch'"),
     (("nosuch3",), ValueError, "unknown catalog family 'nosuch'"),
     (("",), ValueError, "unknown catalog key ''"),
+    (("mr3",), ValueError, "catalog family 'mueller_roemer' has the one size 7 (mueller_roemer7, mr7)"),
+    (("mr",), ValueError, "catalog family 'mueller_roemer' has the one size 7 (mueller_roemer7, mr7)"),
+    (("mueller_roemer99",), ValueError, "catalog family 'mueller_roemer' has the one size 7 (mueller_roemer7, mr7)"),
+    (("mueller_roemer", 8), ValueError, "catalog family 'mueller_roemer' has the one size 7 (mueller_roemer7, mr7)"),
     (("Sl_C11",), FormatError,
      "catalog family 'Sl_C' with parameter 11 has dimension 240, above the bound 40"),
 ]
@@ -457,6 +461,33 @@ def test_catalog_rejects_bad_input():
     for args, error, text in BAD_CATALOG_INPUT:
         with pytest.raises(error, match=f"^{re.escape(text)}$"):
             catalog(*args)
+
+
+# every family, as a key may spell it
+KEY_FAMILIES = sorted(_FAMILIES) + ["N", "mueller_roemer", "mr"]
+CASES = {"as-is": str, "lower": str.lower, "upper": str.upper, "title": str.title, "swapcase": str.swapcase}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(KEY_FAMILIES), st.sampled_from(["", "_", "__"]), st.none() | st.integers(0, 45),
+       st.sampled_from(sorted(CASES)))
+def test_catalog_key_builds_what_it_names_or_is_an_input_error(family, separator, size, case):
+    key = CASES[case](family + separator + ("" if size is None else str(size)))
+    try:
+        named = catalog(family, size)
+    except ValueError:  # FormatError too: a size above the bound
+        named = None
+    try:
+        built = catalog(key)
+    except ValueError:
+        built = None
+    assert built == named, key
+
+
+def test_catalog_keys_with_underscores():
+    for key, name in (("st_3", "st(3)"), ("st__3", "st(3)"), ("N_4", "N(4)"), ("sl_c_2", "sl_c(2)"),
+                      ("mueller_roemer_7", "mueller_roemer7"), ("MR7", "mueller_roemer7")):
+        assert catalog(key).name == name, key
 
 
 # every sized family at its two smallest sizes, and a few larger ones

@@ -184,6 +184,15 @@ def test_unknown_catalog_exits_2():
     assert run("algebra", "analyze", "catalog:nosuch9").exit_code == 2
 
 
+@pytest.mark.parametrize("key", ["mr3", "mueller_roemer99", "mr", "mueller_roemer"])
+def test_mueller_roemer_key_of_another_size_exits_2(key):
+    result = run("algebra", "analyze", f"catalog:{key}")
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1, result.stderr
+    assert "one size 7" in result.stderr
+
+
 @pytest.mark.parametrize("key", ["st40", "st9", "sl7", "abelian41"])
 def test_catalog_key_above_the_dimension_bound_exits_2(key):
     result = run("algebra", "analyze", f"catalog:{key}")
