@@ -149,15 +149,11 @@ def _spy_on_handlers(monkeypatch, calls: list) -> None:
     """Replace every verb's handler, where `main` finds it, by a spy that
     records (verb, its arguments, the resolved seed and output)."""
     for group, table in cli.VERBS.items():
-        for verb, entry in table.items():
+        for verb, (module, _, _) in table.items():
             def spy(obj, _verb=f"{group} {verb}", **kwargs):
                 calls.append((_verb, kwargs, obj["seed"], obj["output"]))
 
-            if callable(entry[0]):  # (handler, arguments)
-                spy.__doc__ = entry[0].__doc__
-                monkeypatch.setitem(table, verb, (spy, *entry[1:]))
-            else:  # (handler module, help, arguments): the module's HANDLERS table
-                monkeypatch.setitem(import_module(f"lieactions.{entry[0]}").HANDLERS, f"{group} {verb}", spy)
+            monkeypatch.setitem(import_module(f"lieactions.{module}").HANDLERS, f"{group} {verb}", spy)
 
 
 @pytest.mark.parametrize("args, env, expected", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
