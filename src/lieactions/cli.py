@@ -116,15 +116,19 @@ def _help(prog: str, description: str, arguments, top: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _choose(prog: str, name: str, text: str, choices):
+    """`text` if it is one of `choices`, else a usage error that names the argument `name`."""
+    if text not in choices:
+        _input_error(f"{prog}: argument {name}: invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+    return text
+
+
 def _value(prog: str, arg: Arg, text: str):
     try:
         value = arg.type(text)
     except ValueError as exc:
         _input_error(f"{prog}: argument {arg.name}: {exc}")
-    if arg.choices and value not in arg.choices:
-        _input_error(f"{prog}: argument {arg.name}: invalid choice: {text!r} "
-                     f"(choose from {', '.join(map(repr, arg.choices))})")
-    return value
+    return _choose(prog, arg.name, value, arg.choices) if arg.choices else value
 
 
 def _scan(prog: str, args: list[str], arguments, flags: dict, values: dict, words: list[str], limit: int):
@@ -167,15 +171,12 @@ def _parse(args: list[str], prog: str) -> tuple[str, str, dict, dict]:
     args, unknown = _scan(prog, args, REPORT, flags, values, words, 2)
     if unknown:
         _input_error(f"{prog}: unrecognized arguments: {' '.join(unknown)}")
-    if words and words[0] not in VERBS:
-        _input_error(f"{prog}: argument GROUP: invalid choice: {words[0]!r} (choose from {', '.join(VERBS)})")
+    if words:
+        _choose(prog, "GROUP", words[0], VERBS)
     if len(words) < 2:
         _input_error(f"{prog}: the following arguments are required: {', '.join(('GROUP', 'VERB')[len(words):])}")
     group, verb = words
-    if verb not in VERBS[group]:
-        _input_error(f"{prog}: argument VERB: invalid choice: {verb!r} (choose from {', '.join(VERBS[group])})")
-
-    module, description, arguments = VERBS[group][verb]
+    module, description, arguments = VERBS[group][_choose(prog, "VERB", verb, VERBS[group])]
     prog = f"{prog} {group} {verb}"
     show = lambda: _help(prog, description, arguments)
     values.update((a.dest, a.default) for a in arguments if a not in REPORT)
