@@ -4,8 +4,8 @@
 `cli.VERBS` describes each verb and its arguments; `cli.main` loads this
 module only to run one of these verbs, and calls `HANDLERS["group verb"]`
 as handler({"seed": ..., "output": ...}, **its arguments). Every layer is
-imported inside the function that runs it, so `deform verify` and `vf
-flow` load no numpy, and `act verify` and `vf` load no `algebra`.
+imported inside the function that runs it; README's Start-up table
+lists what each verb loads.
 """
 
 from __future__ import annotations
