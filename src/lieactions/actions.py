@@ -30,15 +30,15 @@ __all__ = [
     "MultiBall",
     "ActionReport",
     "verify_action",
-    "OneAtATimeSampler",
     "StackedSampler",
-    "looped",
+    "CoverSampler",
     "CoverElement",
     "cover_identity",
     "cover_eval",
     "cover_compose",
     "interval_action",
-    "disk_action",
+    "interval_block",
+    "disk_block",
 ]
 
 
@@ -214,12 +214,6 @@ def _gaps(a: np.ndarray, b: np.ndarray) -> list[float]:
     return np.abs(a - b).max(axis=1).tolist()
 
 
-def looped(act):
-    """The block evaluator of a one-sample action act(element, point), for
-    the actions whose evaluation does not batch bit for bit."""
-    return lambda elements, points: np.array([act(g, y) for g, y in zip(elements, points)])
-
-
 def verify_action(
     act,
     identity,
@@ -243,7 +237,7 @@ def verify_action(
     one float array, and then, for each block of at most
     `block_size(identity)` composition samples, `sampler.block(rng, b)`, the
     block's (gs, hs, ys) as `act` takes them. A `StackedSampler` or a
-    `OneAtATimeSampler` draws what a loop that checks one sample after the
+    `CoverSampler` draws what a loop that checks one sample after the
     other draws, in its order (all points first, then g, h and y for each
     composition sample). The residuals are folded in sample order, and a
     witness is the first point in sample order that moves, so the report is
@@ -252,7 +246,7 @@ def verify_action(
     rng = np.random.default_rng(seed)
     block = block_size(identity)
     if isinstance(identity, CoverElement):
-        compose = lambda gs, hs: [cover_compose(g, h) for g, h in zip(gs, hs)]
+        compose = cover_compose
         repeat = lambda g: [g] * block
     else:
         compose = np.matmul
@@ -270,34 +264,6 @@ def verify_action(
         name: _first_moved(act, repeat(gen), points, block, move_threshold) for name, gen in named_generators
     }
     return ActionReport(id_res, comp_res, witnesses, samples, seed, move_threshold)
-
-
-class OneAtATimeSampler(namedtuple("OneAtATimeSampler", "sample_element sample_point")):
-    """The sampler of `verify_action` that draws each group element and each
-    point with its own calls, sample_element(rng) and sample_point(rng): the
-    interval and disk kinds, whose `random_sl2` rejects on `np.linalg.det`
-    and so does not stack."""
-
-    def points(self, rng, samples: int) -> np.ndarray:
-        """`samples` points drawn one at a time, as the rows of one float array
-        (a list of the small arrays beside it would double the peak memory)."""
-        points = np.empty((samples, 0))
-        for s in range(samples):
-            y = self.sample_point(rng)
-            if s == 0:
-                points = np.empty((samples, len(y)))
-            points[s] = y
-        return points
-
-    def block(self, rng, b: int) -> tuple:
-        """g, h and y for each of b samples, as `act` takes them."""
-        gs, hs, ys = [], [], []
-        for _ in range(b):
-            gs.append(self.sample_element(rng))
-            hs.append(self.sample_element(rng))
-            ys.append(self.sample_point(rng))
-        stack = list if isinstance(gs[0], CoverElement) else np.array
-        return stack(gs), stack(hs), np.array(ys)
 
 
 def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
@@ -455,9 +421,6 @@ class CoverElement(namedtuple("CoverElement", "matrix deck")):
             raise ValueError("matrix must be 2x2")
         return _cover_element(a.tolist(), deck)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=float)
-
 
 def _cover_element(rows, deck: int) -> CoverElement:
     """The element of the 2x2 matrix `rows` (rows of floats) and `deck`,
@@ -477,12 +440,19 @@ def cover_eval(a: CoverElement, theta: float) -> float:
     return _lift_eval(a.matrix, theta) + a.deck * math.pi
 
 
-def cover_compose(a: CoverElement, b: CoverElement) -> CoverElement:
-    """(A, k)(B, m) = (AB, k + m + delta) where delta in {-1, 0, 1}
-    corrects the normalization of the composed lift."""
-    ab = (a.as_array() @ b.as_array()).tolist()
-    delta = round((_lift_eval(a.matrix, _lift_eval(b.matrix, 0.0)) - _lift_eval(ab, 0.0)) / math.pi)
-    return _cover_element(ab, a.deck + b.deck + int(delta))
+def cover_compose(gs, hs) -> list[CoverElement]:
+    """The products of two equal-length sequences of elements: (A, k)(B, m)
+    = (AB, k + m + delta), where delta in {-1, 0, 1} corrects the
+    normalization of the composed lift. The products AB are one stacked
+    `np.matmul`, which rounds each of them as a 2x2 `@` does (a product
+    written out in Python floats would not: the BLAS kernel fuses its
+    multiply-adds)."""
+    stack = lambda elements: np.array([a.matrix for a in elements], dtype=float).reshape(-1, 2, 2)
+    out = []
+    for a, b, ab in zip(gs, hs, np.matmul(stack(gs), stack(hs)).tolist()):
+        delta = round((_lift_eval(a.matrix, _lift_eval(b.matrix, 0.0)) - _lift_eval(ab, 0.0)) / math.pi)
+        out.append(_cover_element(ab, a.deck + b.deck + int(delta)))
+    return out
 
 
 def interval_action(a: CoverElement, s: float) -> float:
@@ -500,13 +470,93 @@ def interval_action(a: CoverElement, s: float) -> float:
         return 0.0
 
 
-def disk_action(a: CoverElement, y: np.ndarray) -> np.ndarray:
-    """Interval action on every radius of the closed unit disk;
-    the boundary sphere is fixed exactly."""
-    y = np.asarray(y, dtype=float)
-    r = math.sqrt(y.dot(y))
-    if r > 1.0 + 1e-12:
-        raise ValueError("point must lie in the closed unit disk")
-    if r == 0.0 or r >= 1.0:
-        return y.copy()
-    return y * (interval_action(a, r) / r)
+def interval_block(elements, points: np.ndarray) -> np.ndarray:
+    """The interval action of elements[s] on points[s], for a block of
+    points (b, 1)."""
+    return np.array([interval_action(a, s) for a, s in zip(elements, points[:, 0].tolist())])[:, None]
+
+
+def disk_block(elements, points: np.ndarray) -> np.ndarray:
+    """The interval action of elements[s] on every radius of the closed unit
+    disk, on points[s], for a block of points (b, n); the boundary sphere is
+    fixed exactly. A point y at radius r moves to y * (f(r) / r) for the
+    interval action f, and stays where it is at r = 0 or r >= 1."""
+    scales = []
+    for a, r in zip(elements, _norms(points)[:, 0].tolist()):
+        if r > 1.0 + 1e-12:
+            raise ValueError("point must lie in the closed unit disk")
+        scales.append(1.0 if r == 0.0 or r >= 1.0 else interval_action(a, r) / r)
+    return points * np.array(scales)[:, None]
+
+
+class CoverSampler(namedtuple("CoverSampler", "disk n")):
+    """The sampler of `verify_action` for the interval and disk kinds:
+    elements of the lifted SL(2, R) group, and points of [0.01, 0.99) or,
+    with `disk`, of the closed unit disk of R^n.
+
+    It makes the draws of the one-sample loop, in its order: for an
+    element, tries of four uniforms in [-1.5, 1.5) (one `random(4)` call
+    each) until one has determinant above 0.05, then its deck in {-1, 0, 1}
+    (`integers(-1, 2)`); for a point, a uniform in [0.01, 0.99), or a
+    normal vector of R^n and then a radius uniform in [0, 1). A try is
+    judged on its determinant ps - qr, and within 1e-9 of the threshold on
+    `np.linalg.det`, which the one-sample loop called on every try (the two
+    differ by about 1e-15 here). A block's accepted matrices are divided by
+    the square roots of their determinants with one stacked `np.linalg.det`
+    and `np.sqrt`, which round as the calls on one matrix do, and its points
+    are finished with array operations that round as the one-sample code
+    does.
+    """
+
+    def points(self, rng, samples: int) -> np.ndarray:
+        ys = np.empty((samples, self.n))
+        radii = np.empty(samples)
+        if self.disk:
+            for s in range(samples):
+                self._draw_point(rng, ys, radii, s)
+        else:  # the uniforms are the only draws, so one call makes them all
+            rng.random(out=radii)
+        return self._finish(ys, radii)
+
+    def block(self, rng, b: int) -> tuple[list, list, np.ndarray]:
+        uniforms = np.empty((b, 2, 4))  # the accepted try of g and of h of each sample
+        decks = []
+        ys = np.empty((b, self.n))
+        radii = np.empty(b)
+        for s in range(b):
+            for row in uniforms[s]:
+                _accepted_try(rng, row)
+                decks.append(int(rng.integers(-1, 2)))
+            self._draw_point(rng, ys, radii, s)
+        a = _uniform(uniforms, -1.5, 1.5).reshape(-1, 2, 2)
+        a /= np.sqrt(np.linalg.det(a))[:, None, None]
+        elements = [CoverElement((tuple(p), tuple(q)), deck) for (p, q), deck in zip(a.tolist(), decks)]
+        return elements[0::2], elements[1::2], self._finish(ys, radii)
+
+    def _draw_point(self, rng, ys: np.ndarray, radii: np.ndarray, s: int) -> None:
+        if self.disk:
+            ys[s] = rng.normal(size=self.n)
+        radii[s] = rng.random()
+
+    def _finish(self, ys: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        """The points of their draws: ys the normal vectors of the disk, radii the uniforms."""
+        if not self.disk:
+            ys[:, 0] = _uniform(radii, 0.01, 0.99)
+            return ys
+        ys /= _norms(ys)
+        ys *= _uniform(radii, 0.0, 1.0)[:, None]
+        return ys
+
+
+def _accepted_try(rng, row: np.ndarray) -> None:
+    """Draw tries of four uniforms into `row` until the 2x2 matrix they make
+    after `_uniform(row, -1.5, 1.5)` has determinant above 0.05."""
+    while True:
+        rng.random(out=row)
+        p, q, r, s = [-1.5 + 3.0 * u for u in row.tolist()]
+        det = p * s - q * r
+        if abs(det - 0.05) > 1e-9:
+            if det > 0.05:
+                return
+        elif np.linalg.det(_uniform(row, -1.5, 1.5).reshape(2, 2)) > 0.05:
+            return

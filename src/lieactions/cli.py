@@ -5,8 +5,9 @@ Exit codes: 0 all checks pass, 1 a verification found a violation,
 give byte-identical output.
 
 `VERBS` describes every verb once; the parser below reads it, and the
-help is rendered from it. The handlers live in `exact_verbs` and
-`numeric_verbs`, and `main` imports only the one that runs.
+help is rendered from it. The handlers live in `exact_verbs`,
+`deform_verbs`, `act_verbs` and `vf_verbs`, and `main` imports only the
+one that runs.
 """
 
 from __future__ import annotations
@@ -69,16 +70,16 @@ VERBS = {
         "obstruct": ("exact_verbs", "Minimum-dimension and borderline-degeneracy verdicts.",
                      (SOURCE, Arg("--dim", "dim_", _int, help="Manifold dimension to judge."), *REPORT)),
     },
-    "deform": {"verify": ("numeric_verbs", "Check D1/D2 exactly and the endomorphism law on seeded samples.", (
+    "deform": {"verify": ("deform_verbs", "Check D1/D2 exactly and the endomorphism law on seeded samples.", (
         Arg("--family", "family", choices=("st", "st-prime", "concat"), required=True, help="The family to check."),
         Arg("--n", "n_", _int, required=True, help="The size n of st(n)."),
         Arg("--samples", "samples", _int, default=100, help="Samples of the endomorphism law (default: 100)."),
         *REPORT,
     ))},
-    "act": {"verify": ("numeric_verbs", "Verify the action axioms for a scenario file.", (SCENARIO, *REPORT))},
+    "act": {"verify": ("act_verbs", "Verify the action axioms for a scenario file.", (SCENARIO, *REPORT))},
     "vf": {
-        "verify": ("numeric_verbs", "Exact certificates for a vector-field scenario.", (SCENARIO, *REPORT)),
-        "flow": ("numeric_verbs", "Integrate a field and emit the trajectory as CSV (t, x1..xn).",
+        "verify": ("vf_verbs", "Exact certificates for a vector-field scenario.", (SCENARIO, *REPORT)),
+        "flow": ("vf_verbs", "Integrate a field and emit the trajectory as CSV (t, x1..xn).",
                  (SCENARIO, *REPORT)),
     },
 }

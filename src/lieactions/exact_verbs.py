@@ -66,9 +66,14 @@ def _matrix_strings(m) -> list[list[str]]:
 
 
 def catalog_list(obj):
-    from .catalog import DEFAULT_CATALOG, catalog
+    from .catalog import _FAMILIES, DEFAULT_CATALOG, parse_catalog_key
 
-    lines = [f"{key:<16} dim {catalog(key).dim:>3}  {desc}" for key, desc in DEFAULT_CATALOG]
+    def dimension(key: str) -> int:
+        """The dimension of a listed algebra, by its family's formula: nothing is built."""
+        family, size = parse_catalog_key(key)
+        return 7 if family == "mueller_roemer" else _FAMILIES[family.lower()][0](size)
+
+    lines = [f"{key:<16} dim {dimension(key):>3}  {desc}" for key, desc in DEFAULT_CATALOG]
     lines += [
         "",
         "Families accept any size: abelian(m), heisenberg(2k+1), t(n), d(n),",

@@ -26,14 +26,6 @@ def _strict_upper(n: int) -> np.ndarray:
     return flat
 
 
-def random_sl2(rng: np.random.Generator) -> np.ndarray:
-    while True:
-        a = rng.uniform(-1.5, 1.5, size=(2, 2))
-        det = np.linalg.det(a)
-        if det > 0.05:
-            return a / np.sqrt(det)
-
-
 def random_element(rng: np.random.Generator, group: str, n: int) -> np.ndarray:
     """Random ST(n) or U(n): for ST, first the diagonal in [0.5, 2]
     renormalized to determinant one (U has a unit diagonal); then the

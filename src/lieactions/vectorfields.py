@@ -15,7 +15,8 @@ import math
 from array import array
 from collections import namedtuple
 from fractions import Fraction
-from operator import sub
+from functools import cached_property
+from operator import add, index, sub
 from typing import TYPE_CHECKING, Sequence
 
 from .constants import MAX_FLOW_STEPS, max_residual
@@ -87,6 +88,11 @@ class PolyVectorField(namedtuple("PolyVectorField", "components")):
     def scale_by_poly(self, p: Poly) -> "PolyVectorField":
         return PolyVectorField(tuple(p * a for a in self.components))
 
+    @cached_property
+    def _rk4(self):
+        """This field's RK4 kernel (`_rk4_kernel`), made on the first flow."""
+        return _rk4_kernel(self)
+
     def eval_float(self, x: Sequence[float]) -> np.ndarray:
         import numpy as np
 
@@ -94,18 +100,28 @@ class PolyVectorField(namedtuple("PolyVectorField", "components")):
 
 
 def vf_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
-    """Exact Lie bracket [V, W] = (DW)V - (DV)W."""
+    """Exact Lie bracket [V, W] = (DW)V - (DV)W.
+
+    Component k is sum_i V_i d_i W_k - W_i d_i V_k, gathered term by term in
+    one dict and sorted once."""
     if v.nvars != w.nvars:
         raise ValueError("dimension mismatch")
     n = v.nvars
     comps = []
     for k in range(n):
-        total = Poly.zero(n)
-        wk = w.components[k]
-        vk = v.components[k]
-        for i in range(n):
-            total = total + v.components[i] * wk.diff(i) - w.components[i] * vk.diff(i)
-        comps.append(total)
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for a, b, sign in ((v, w, 1), (w, v, -1)):
+            for i in range(n):
+                for e2, c2 in b.components[k].terms:
+                    if not e2[i]:
+                        continue
+                    d = list(e2)
+                    d[i] -= 1
+                    c2 = sign * e2[i] * c2  # sign * c2 x^d is a term of d_i b_k
+                    for e1, c1 in a.components[i].terms:
+                        e = tuple(map(add, e1, d))
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        comps.append(Poly(n, tuple(sorted((e, c) for e, c in acc.items() if c))))
     return PolyVectorField(tuple(comps))
 
 
@@ -234,12 +250,16 @@ class VFAction(namedtuple("VFAction", "algebra images sign", defaults=(None,))):
     bracket-compatibility sign, or None."""
 
     def image_of(self, x: Sequence) -> PolyVectorField:
-        out = PolyVectorField(tuple(Poly.zero(self.images[0].nvars) for _ in range(self.images[0].nvars)))
+        """sum_j x_j images[j], gathered in one dict per component and sorted once."""
+        n = self.images[0].nvars
+        accs: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(n)]
         for c, field in zip(x, self.images):
-            c = Fraction(c)
-            if c:
-                out = out + field.scale(c)
-        return out
+            if c:  # a zero coordinate adds nothing
+                c = Fraction(c)
+                for acc, comp in zip(accs, field.components):
+                    for e, k in comp.terms:
+                        acc[e] = acc.get(e, 0) + c * k
+        return PolyVectorField(tuple(Poly(n, tuple(sorted((e, c) for e, c in acc.items() if c))) for acc in accs))
 
 
 class HomomorphismCheck(namedtuple("HomomorphismCheck", "sign exact violations")):
@@ -260,9 +280,10 @@ def action_homomorphism_check(action: VFAction) -> HomomorphismCheck:
         for j in range(i + 1, g.dim):
             lhs = action.image_of(g.bracket(g.basis_vector(i), g.basis_vector(j)))
             rhs = vf_bracket(action.images[i], action.images[j])
-            if not (lhs - rhs).is_zero():
+            # the terms of a field are canonical, so equal fields are equal tuples
+            if lhs != rhs:
                 violations[1].append((i, j))
-            if not (lhs + rhs).is_zero():
+            if lhs != rhs.scale(-1):
                 violations[-1].append((i, j))
     fewer = min(violations, key=lambda s: len(violations[s]))
     if not violations[fewer]:
@@ -336,32 +357,90 @@ def flow(v: PolyVectorField, p: Sequence[float], duration: float, h: float) -> T
     Returns the trajectory including the start point, one row of floats per
     step; raises FlowBlowUpError at the first non-finite state.
 
-    The field is compiled once (`Poly.float_terms`) and the steps run on
-    Python floats: stage points x + (step/2) k, then
+    The steps run in the field's own kernel (`_rk4_kernel`, made once per
+    field) on Python floats: stage points x + (step/2) k, then
     x + (step/6) (((k1 + 2 k2) + 2 k3) + k4), component by component.
     """
     steps = flow_steps(duration, h)
+    if len(p) != v.nvars:
+        raise ValueError("point dimension mismatch")
     step = h if duration >= 0 else -h
-    half, sixth = 0.5 * step, step / 6.0
-    field = [c.float_terms for c in v.components]
     x = [float(c) for c in p]
     data = array("d", x)
-    for i in range(steps):
-        try:
-            k1 = eval_compiled(field, x)
-            k2 = eval_compiled(field, [a + half * b for a, b in zip(x, k1)])
-            k3 = eval_compiled(field, [a + half * b for a, b in zip(x, k2)])
-            k4 = eval_compiled(field, [a + step * b for a, b in zip(x, k3)])
-        except OverflowError:  # a power beyond the float range: inf in numpy arithmetic
-            raise FlowBlowUpError((i + 1) * step) from None
-        x = [
-            a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
-        ]
-        if not all(map(math.isfinite, x)):
-            raise FlowBlowUpError((i + 1) * step)
-        data.fromlist(x)
+    v._rk4(x, steps, step, 0.5 * step, step / 6.0, data)
     return Trajectory(len(x), steps + 1, data)
+
+
+# The factors of a term that one statement of a kernel multiplies: a term in
+# more variables goes on over several statements, so that no expression of the
+# generated source nests deeper than this, whatever the field.
+_FACTORS_PER_STATEMENT = 16
+
+
+def _rk4_kernel(v: PolyVectorField):
+    """The RK4 loop of `flow` written out as straight-line code for the field
+    v, compiled once: run(x, steps, step, half, sixth, data) takes `steps`
+    steps from the point x (a list of floats) and appends each new state to
+    the array `data`.
+
+    Each component is summed as `Poly.float_terms` orders its terms, from
+    0.0, one statement per term; a term is its coefficient times the powers
+    x ** k of its variables in index order (x itself for k = 1, which
+    `x ** 1` returns unchanged). A power beyond the float range raises
+    OverflowError, and a state that is not finite ends the loop, both as
+    FlowBlowUpError((i + 1) * step) at step i. The source holds only
+    identifiers, integers and the constants of the RK4 formula; the
+    coefficients are bound as the names c0, c1, ... of one tuple.
+    """
+    n = v.nvars
+    coefficients: list[float] = []
+    terms = []  # per component: (the index of the coefficient, its powers) for each term
+    for comp in v.components:
+        terms.append([(len(coefficients) + t, powers) for t, (_, powers) in enumerate(comp.float_terms)])
+        coefficients += [c for c, _ in comp.float_terms]
+
+    body: list[str] = []
+
+    def stage(k: int, var: str) -> None:
+        """k{k}_j = component j at the point var0, var1, ..., for every j."""
+        for j, row in enumerate(terms):
+            total = f"k{k}_{j}"
+            if not row:
+                body.append(f"{total} = 0.0")
+            for t, (c, powers) in enumerate(row):
+                factors = [f"c{c}"] + [
+                    f"{var}{index(i)}" if e == 1 else f"{var}{index(i)} ** {index(e)}" for i, e in powers
+                ]
+                value = " * ".join(factors[:_FACTORS_PER_STATEMENT])
+                if len(factors) > _FACTORS_PER_STATEMENT:
+                    body.append(f"t = {value}")
+                    body.extend(f"t = t * {' * '.join(factors[a:a + _FACTORS_PER_STATEMENT])}"
+                                for a in range(_FACTORS_PER_STATEMENT, len(factors), _FACTORS_PER_STATEMENT))
+                    value = "t"
+                body.append(f"{total} += {value}" if t else f"{total} = 0.0 + {value}")
+
+    def point(k: int, factor: str) -> None:
+        body.extend(f"y{j} = x{j} + {factor} * k{k}_{j}" for j in range(n))
+
+    stage(1, "x")
+    point(1, "half")
+    stage(2, "y")
+    point(2, "half")
+    stage(3, "y")
+    point(3, "step")
+    stage(4, "y")
+    body += [f"x{j} = x{j} + sixth * (((k1_{j} + 2.0 * k2_{j}) + 2.0 * k3_{j}) + k4_{j})" for j in range(n)]
+    body += [f"if not isfinite(x{j}): raise FlowBlowUpError((i + 1) * step)" for j in range(n)]
+    body += [f"append(x{j})" for j in range(n)]
+    head = [f"{', '.join(f'c{c}' for c in range(len(coefficients)))}, = c"] if coefficients else []
+    head += [f"{', '.join(f'x{j}' for j in range(n))}, = x"] if n else []
+    lines = ["def run(x, steps, step, half, sixth, data, c=c, isfinite=isfinite):"]
+    lines += [f"    {line}" for line in head + ["append = data.append", "try:", "    for i in range(steps):"]]
+    lines += [f"            {line}" for line in body or ["pass"]]
+    lines += ["    except OverflowError:", "        raise FlowBlowUpError((i + 1) * step) from None"]
+    scope = {"c": tuple(coefficients), "isfinite": math.isfinite, "FlowBlowUpError": FlowBlowUpError}
+    exec(compile("\n".join(lines) + "\n", "<rk4 kernel>", "exec"), scope)
+    return scope["run"]
 
 
 class FlowCheckReport(namedtuple("FlowCheckReport", "commutation_residual level_residual")):

@@ -1,11 +1,11 @@
-"""The handlers of the numerical verbs: `deform verify`, `act verify`,
-`vf verify` and `vf flow`, with the key tables of their scenario files.
+"""The handlers of `vf verify` and `vf flow`, with the key tables of their
+scenario files.
 
 `cli.VERBS` describes each verb and its arguments; `cli.main` loads this
 module only to run one of these verbs, and calls `HANDLERS["group verb"]`
 as handler({"seed": ..., "output": ...}, **its arguments). Every layer is
-imported inside the function that runs it; README's Start-up table
-lists what each verb loads.
+imported inside the function that runs it; README's Start-up table lists
+what each verb loads.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .constants import MAX_ACTION_N, MAX_BALLS, MAX_EXPONENT, MAX_FIELD_TERMS, MAX_PROFILES, MAX_SAMPLES
+from .constants import MAX_EXPONENT, MAX_FIELD_TERMS, MAX_PROFILES, MAX_SAMPLES
 from .serialize import (
     POSITIVE,
     REQUIRED,
@@ -28,166 +28,6 @@ from .serialize import (
     read_object,
     read_value,
 )
-
-# -- deformations --------------------------------------------------------
-
-
-def deform_verify(obj, family, n_, samples):
-    from .deformations import (
-        concatenate,
-        diag_contraction,
-        st_deformation,
-        st_prime_deformation,
-        verify_deformation,
-    )
-
-    read_value(n_, int, "--n", 2)
-    read_value(samples, int, "--samples", 0, MAX_SAMPLES)
-    build, needs_contraction = {
-        "st": (st_deformation, False),
-        "st-prime": (st_prime_deformation, True),
-        "concat": (lambda n: concatenate(diag_contraction(n), st_deformation(n)), True),
-    }[family]
-    try:
-        dfm = build(n_)
-    except FormatError as exc:  # the algebra is above the catalog's bound, found before it is built
-        _input_error(f"--n {n_}: {exc}")
-    law_tol = 1e-9
-    report = verify_deformation(dfm, samples=samples, seed=obj["seed"])
-    ok = report.passed(law_tol) and (report.contraction_at_one or not needs_contraction)
-    body = {
-        "family": family,
-        "n": n_,
-        "descriptor": dfm.to_dict(),
-        "checks": report.to_dict(),
-        "status": "pass" if ok else "fail",
-    }
-    _emit(obj, "deform verify", body, {"endomorphism_law": law_tol})
-    sys.exit(0 if ok else 1)
-
-
-# -- actions --------------------------------------------------------------
-
-ACT_KEYS = {"action": (str, REQUIRED, None), "samples": (int, 200, 1, MAX_SAMPLES), "seed": (int, None, 0),
-            "tolerances": (dict, {}, None)}
-TOLERANCE_KEYS = {"composition": (float, 1e-6, 0.0), "identity": (float, 1e-9, 0.0), "move": (float, 1e-6, 0.0)}
-MATRIX_KEYS = {"group": (("ST", "U"), REQUIRED, None), "n": (int, REQUIRED, 1, MAX_ACTION_N)}
-PLACEMENT_KEYS = {"center": ([float], REQUIRED, None), "radius": (float, 1.0, POSITIVE),
-                  "annulus": ([float], [0.3, 0.9], None)}
-
-# An action kind's function returns the arguments of `verify_action` (action, identity,
-# sampler, named generators) and the witness rule; it imports when run. The sphere, ball and
-# multiball kinds draw and evaluate stacks of samples; the interval and disk kinds draw and
-# act one sample at a time (`random_sl2` rejects on `det`; `math.atan2`, `log` and `exp` do
-# not batch bit for bit).
-
-
-def _unit_vector(r, n: int):
-    v = r.normal(size=n)
-    return v / math.sqrt(v.dot(v))  # the Euclidean norm, as np.linalg.norm computes it
-
-
-def _make_ball(group: str, n: int, placement: dict):
-    from .actions import make_ball_action
-
-    try:
-        r0, r1 = placement["annulus"]
-        return make_ball_action(group, n, r0, r1, placement["center"], placement["radius"])
-    except ValueError as exc:
-        _input_error(f"bad ball placement: {exc}")
-
-
-def _matrix_action(v: dict) -> tuple:
-    """The sphere and ball kinds: the matrix group `group` of size n acting
-    on the unit sphere or inside one ball."""
-    import numpy as np
-
-    from .actions import StackedSampler, sphere_action
-    from .matrixgroups import generators
-
-    group, n = v["group"], v["n"]
-    balls = (_make_ball(group, n, v),) if v["action"] == "ball" else ()
-    action = balls[0].apply if balls else sphere_action
-    return action, np.eye(n), StackedSampler(group, (n, n), balls), generators(group, n), "all"
-
-
-def _multiball(v: dict) -> tuple:
-    """The multiball kind: one factor of the group per ball."""
-    import numpy as np
-
-    from .actions import MultiBall, StackedSampler
-    from .matrixgroups import generators
-
-    group, n = v["group"], v["n"]
-    balls = tuple(_make_ball(group, n, read_object(b, PLACEMENT_KEYS, "a ball placement")) for b in v["balls"])
-    try:
-        multiball = MultiBall(balls)
-    except ValueError as exc:
-        _input_error(f"bad ball placements: {exc}")
-    k = len(balls)
-    identity = tuple(np.eye(n) for _ in range(k))
-    gens = [
-        (f"ball{j + 1}.{name}", identity[:j] + (g,) + identity[j + 1:])
-        for j in range(k) for name, g in generators(group, n)
-    ]
-    return multiball.apply, identity, StackedSampler(group, (k, n, n), balls), gens, "all"
-
-
-def _circle_action(v: dict) -> tuple:
-    """The interval and disk kinds: the lifted circle action of the universal
-    cover of SL(2, R); some generator must move some point ("any")."""
-    import numpy as np
-
-    from .actions import CoverElement, OneAtATimeSampler, cover_identity, disk_action, interval_action, looped
-    from .matrixgroups import generators, random_sl2
-
-    if v["action"] == "disk":
-        action, sample_pt = looped(disk_action), lambda r: _unit_vector(r, v["n"]) * r.uniform(0.0, 1.0)
-    else:
-        action = looped(lambda a, y: np.array([interval_action(a, float(y[0]))]))
-        sample_pt = lambda r: np.array([r.uniform(0.01, 0.99)])
-    sample_el = lambda r: CoverElement.of(random_sl2(r), int(r.integers(-1, 2)))
-    gens = [(name, CoverElement.of(g)) for name, g in generators("SL2", 2)]
-    return action, cover_identity(), OneAtATimeSampler(sample_el, sample_pt), gens, "any"
-
-
-# action kind -> (its keys besides ACT_KEYS, the function that sets it up)
-ACTIONS = {
-    "sphere": (MATRIX_KEYS, _matrix_action),
-    "ball": ({**MATRIX_KEYS, "variant": (("compact",), "compact", None), **PLACEMENT_KEYS,
-              "center": ([float], None, None)}, _matrix_action),
-    "multiball": ({**MATRIX_KEYS, "balls": ([dict], REQUIRED, 1, MAX_BALLS)}, _multiball),
-    "interval": ({}, _circle_action),
-    "disk": ({"n": (int, 2, 1, MAX_ACTION_N)}, _circle_action),
-}
-
-
-def act_verify(obj, scenario):
-    from .actions import verify_action
-
-    sc = read_value(_json_file(scenario), dict, "the scenario")
-    kind = read_value(sc.get("action"), tuple(ACTIONS), "'action' in the scenario")
-    keys, setup = ACTIONS[kind]
-    v = read_object(sc, {**ACT_KEYS, **keys}, "the scenario")
-    tols = read_object(v["tolerances"], TOLERANCE_KEYS, "'tolerances'")
-    *parts, witness_rule = setup(v)
-    seed = obj["seed"] if v["seed"] is None else v["seed"]
-    report = verify_action(*parts, samples=v["samples"], seed=seed, move_threshold=tols["move"])
-    effective = (all if witness_rule == "all" else any)(w is not None for w in report.witnesses.values())
-    ok = (effective and report.max_identity_residual <= tols["identity"]
-          and report.max_composition_residual <= tols["composition"])
-    body = {
-        "action": kind,
-        "scenario": sc,
-        "report": report.to_dict(),
-        "witness_rule": witness_rule,
-        "status": "pass" if ok else "fail",
-    }
-    _emit(obj, "act verify", body, tols)
-    sys.exit(0 if ok else 1)
-
-
-# -- vector fields ----------------------------------------------------------
 
 POLY_KEYS = {"vars": (int, REQUIRED, 0), "terms": ([dict], REQUIRED, None)}
 TERM_KEYS = {"exponents": ([int, 0, MAX_EXPONENT], REQUIRED, None), "coefficient": (str, REQUIRED, None)}
@@ -350,4 +190,4 @@ def vf_flow(obj, scenario):
     _write(obj, itertools.chain([header], (row_format % (sign * i * step, *row) for i, row in enumerate(traj))))
 
 
-HANDLERS = {"deform verify": deform_verify, "act verify": act_verify, "vf verify": vf_verify, "vf flow": vf_flow}
+HANDLERS = {"vf verify": vf_verify, "vf flow": vf_flow}

@@ -19,7 +19,6 @@ import sympy as sp
 from lieactions.actions import (
     CoverElement,
     MultiBall,
-    OneAtATimeSampler,
     cover_compose,
     cover_eval,
     interval_action,
@@ -41,7 +40,7 @@ from lieactions.derivations import (
     derivation_algebra,
     engel_flag,
 )
-from lieactions.matrixgroups import generators, random_element, random_sl2
+from lieactions.matrixgroups import generators, random_element
 from lieactions.obstructions import (
     VERDICT_DEGENERATE,
     VERDICT_IMPOSSIBLE,
@@ -59,6 +58,7 @@ from lieactions.vectorfields import (
 )
 
 from clirunner import invoke
+from one_sample import OneAtATimeSampler, random_sl2
 from test_deformations import verify_group
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -398,7 +398,7 @@ def test_criterion_13_cover_action():
     for _ in range(100):
         a = CoverElement.of(random_sl2(rng), int(rng.integers(-2, 3)))
         b = CoverElement.of(random_sl2(rng), int(rng.integers(-2, 3)))
-        ab = cover_compose(a, b)
+        (ab,) = cover_compose([a], [b])
         for theta in rng.uniform(-6, 6, size=3):
             worst = max(worst, abs(cover_eval(ab, float(theta)) - cover_eval(a, cover_eval(b, float(theta)))))
     assert worst <= 1e-9

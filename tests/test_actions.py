@@ -8,29 +8,31 @@ from functools import partial, reduce
 import numpy as np
 import pytest
 
+from lieactions.act_verbs import ACTIONS
 from lieactions.actions import (
     BLOCK_FLOATS,
     ActionReport,
     CoverElement,
+    CoverSampler,
     MultiBall,
-    OneAtATimeSampler,
     StackedSampler,
     block_size,
     cover_compose,
     cover_eval,
     cover_identity,
-    disk_action,
+    disk_block,
     interval_action,
-    looped,
+    interval_block,
     make_ball_action,
     sphere_action,
     verify_action,
 )
-from lieactions.numeric_verbs import ACTIONS
 from lieactions.constants import max_residual
 from lieactions.deformations import bump_group_deformation
-from lieactions.matrixgroups import generators, random_element, random_sl2
+from lieactions.matrixgroups import generators, random_element
 from lieactions.serialize import dumps
+
+from one_sample import OneAtATimeSampler, as_array, cover_compose_one, cover_sampler, disk_action, looped, random_sl2
 
 RNG = lambda s=0: np.random.default_rng(s)
 
@@ -311,7 +313,7 @@ def gap(a, b):
 
 def compose_one(g, h):
     if isinstance(g, CoverElement):
-        return cover_compose(g, h)
+        return cover_compose_one(g, h)
     if isinstance(g, tuple):
         return tuple(x @ y for x, y in zip(g, h))
     return g @ h
@@ -368,9 +370,9 @@ def point_sampler(n, balls=()):
 
 def one_at_a_time(sampler):
     """The OneAtATimeSampler that draws what `sampler` draws: the oracle
-    samplers of a StackedSampler, or a OneAtATimeSampler itself."""
-    if isinstance(sampler, OneAtATimeSampler):
-        return sampler
+    samplers of a StackedSampler or of a CoverSampler."""
+    if isinstance(sampler, CoverSampler):
+        return cover_sampler(sampler.disk, sampler.n)
     return OneAtATimeSampler(element_sampler(sampler.group, sampler.shape), point_sampler(sampler.shape[-1], sampler.balls))
 
 
@@ -441,7 +443,9 @@ MATRIX_CASES = [
 EDGE_SAMPLES = (1, 255, 256, 257)
 
 
-@pytest.mark.parametrize("kind,group,n,balls", MATRIX_CASES, ids=lambda x: str(x))
+@pytest.mark.parametrize("kind,group,n,balls", MATRIX_CASES + [("interval", None, 1, 1), ("disk", None, 1, 1),
+                                                               ("disk", None, 2, 1), ("disk", None, 4, 1)],
+                         ids=lambda x: str(x))
 def test_batched_report_matches_the_one_sample_loop(kind, group, n, balls):
     parts, oracle = kind_parts(kind, group, n, balls)
     for samples in EDGE_SAMPLES:
@@ -599,9 +603,15 @@ def test_numpy_scalar_power_is_python_float_power():
 # -- lifted circle action -----------------------------------------------------------------
 
 
+def compose(a, b):
+    """The composition of one pair, by the block function."""
+    (ab,) = cover_compose([a], [b])
+    return ab
+
+
 def test_cover_deck_translation_compose():
     i1 = CoverElement.of(np.eye(2), 1)
-    i2 = cover_compose(i1, i1)
+    i2 = compose(i1, i1)
     assert i2.deck == 2
     assert abs(cover_eval(i2, 0.3) - (0.3 + 2 * math.pi)) <= 1e-12
 
@@ -612,7 +622,7 @@ def test_cover_composition_pointwise():
     for _ in range(100):
         a = CoverElement.of(random_sl2(rng), int(rng.integers(-2, 3)))
         b = CoverElement.of(random_sl2(rng), int(rng.integers(-2, 3)))
-        ab = cover_compose(a, b)
+        ab = compose(a, b)
         for theta in rng.uniform(-6, 6, size=4):
             lhs = cover_eval(ab, float(theta))
             rhs = cover_eval(a, cover_eval(b, float(theta)))
@@ -627,8 +637,8 @@ def test_cover_associativity():
         a = CoverElement.of(random_sl2(rng))
         b = CoverElement.of(random_sl2(rng))
         c = CoverElement.of(random_sl2(rng))
-        left = cover_compose(cover_compose(a, b), c)
-        right = cover_compose(a, cover_compose(b, c))
+        left = compose(compose(a, b), c)
+        right = compose(a, compose(b, c))
         for theta in rng.uniform(-4, 4, size=3):
             worst = max(worst, abs(cover_eval(left, float(theta)) - cover_eval(right, float(theta))))
     assert worst <= 1e-9
@@ -654,7 +664,7 @@ def test_cover_determinant_check_matches_linalg_det():
         drawn = random_sl2(rng)
         a = CoverElement.of(drawn, int(rng.integers(-1, 2)))
         b = CoverElement.of(random_sl2(rng), int(rng.integers(-1, 2)))
-        matrices += [drawn, cover_compose(a, b).as_array(), _array_inverse(a).as_array()]
+        matrices += [drawn, as_array(compose(a, b)), as_array(_array_inverse(a))]
     # the same matrices with the determinant moved inside, across and far past the tolerance
     scaled = [m * np.array([[1.0 + d], [1.0]]) for m in matrices[:150] for d in (5e-10, -5e-10, 2e-9, -2e-9, 1e-3)]
     for m in matrices + scaled:
@@ -696,18 +706,18 @@ def _array_lift(a: np.ndarray, theta: float) -> float:
 
 
 def _array_eval(a: CoverElement, theta: float) -> float:
-    return _array_lift(a.as_array(), theta) + a.deck * math.pi
+    return _array_lift(as_array(a), theta) + a.deck * math.pi
 
 
 def _array_compose(a: CoverElement, b: CoverElement) -> CoverElement:
-    a_arr, b_arr = a.as_array(), b.as_array()
+    a_arr, b_arr = as_array(a), as_array(b)
     ab = a_arr @ b_arr
     delta = round((_array_lift(a_arr, _array_lift(b_arr, 0.0)) - _array_lift(ab, 0.0)) / math.pi)
     return CoverElement.of(ab, a.deck + b.deck + int(delta))
 
 
 def _array_inverse(a: CoverElement) -> CoverElement:
-    arr = a.as_array()
+    arr = as_array(a)
     raw = CoverElement.of(np.array([[arr[1, 1], -arr[0, 1]], [-arr[1, 0], arr[0, 0]]]), -a.deck)
     shift = round(_array_eval(_array_compose(a, raw), 0.0) / math.pi)
     return CoverElement(raw.matrix, raw.deck - int(shift))
@@ -725,7 +735,7 @@ def test_cover_operations_match_the_array_versions_bit_for_bit():
         # negative angles, angles past several deck shifts, and the multiples of pi
         for theta in [*rng.uniform(-12.0, 12.0, size=6), -math.pi, 0.0, math.pi, -3 * math.pi]:
             assert cover_eval(a, float(theta)).hex() == _array_eval(a, float(theta)).hex()
-        assert _bits(cover_compose(a, b)) == _bits(_array_compose(a, b))
+        assert _bits(compose(a, b)) == _bits(_array_compose(a, b))
 
 
 def test_cover_base_normalization():
@@ -734,6 +744,119 @@ def test_cover_base_normalization():
         a = CoverElement.of(random_sl2(rng))
         base = cover_eval(a, 0.0)
         assert 0.0 <= base < math.pi
+
+
+def _random_elements(rng, count, decks=3):
+    return [CoverElement.of(random_sl2(rng), int(rng.integers(-decks, decks + 1))) for _ in range(count)]
+
+
+def test_block_composition_matches_one_pair_at_a_time_bit_for_bit():
+    # the stacked matmul rounds each product as a 2x2 `@` does; Python float
+    # products would not, since the BLAS kernel fuses its multiply-adds
+    rng = RNG(21)
+    gens = [CoverElement.of(g) for _, g in generators("SL2", 2)] + [cover_identity()]
+    for b in (1, 2, 7, 256, 1000):
+        gs = _random_elements(rng, b) + gens
+        hs = _random_elements(rng, b) + gens[::-1]
+        assert [_bits(ab) for ab in cover_compose(gs, hs)] == [_bits(cover_compose_one(g, h)) for g, h in zip(gs, hs)]
+    assert cover_compose([], []) == []
+
+
+def _cover_draws(sampler, rng, samples, blocks):
+    """What `sampler` draws for `verify_action`: the points, then a block of
+    each size in `blocks`; elements as bits, and the generator's state after."""
+    drawn = [sampler.points(rng, samples).tolist()]
+    for b in blocks:
+        gs, hs, ys = sampler.block(rng, b)
+        drawn.append(([_bits(g) for g in gs], [_bits(h) for h in hs], ys.tolist()))
+    return drawn, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("disk,n", [(False, 1), (True, 1), (True, 2), (True, 3), (True, 16)])
+def test_cover_sampler_draws_what_the_one_sample_loop_draws(disk, n):
+    blocks = (1, 255, 256, 257, 3)  # not multiples of the block size, across its ends
+    for seed in range(12):
+        for samples in (1, 3, 257):
+            got = _cover_draws(CoverSampler(disk, n), RNG(seed), samples, blocks)
+            want = _cover_draws(cover_sampler(disk, n), RNG(seed), samples, blocks)
+            assert got == want, (seed, samples)
+
+
+class BandGenerator:
+    """A stand-in for numpy's generator whose uniforms come from a script, in
+    which every second try of four makes a matrix whose determinant is within
+    1e-9 of the threshold 0.05: both samplers take it, or not, by
+    `np.linalg.det` alone. Normals and decks come from a real generator."""
+
+    def __init__(self, seed):
+        self.rng = RNG(seed)
+        self.script = []
+        self.band = 0
+
+    def _next(self):
+        if not self.script:
+            self._refill()
+        return self.script.pop(0)
+
+    def _refill(self):
+        u = self.rng.random(4).tolist()
+        self.script += u
+        p, q, r = [-1.5 + 3.0 * x for x in u[:3]]
+        for target in (0.05, 0.05 + 4e-10, 0.05 - 4e-10, 0.05 + 3e-17):
+            x = ((target + q * r) / p + 1.5) / 3.0
+            s = -1.5 + 3.0 * x
+            if abs(p) > 0.2 and 0.0 <= x < 1.0 and abs(p * s - q * r - 0.05) <= 1e-9:
+                self.script += [u[0], u[1], u[2], x]
+                self.band += 1
+                return
+
+    def random(self, size=None, out=None):
+        if out is not None:
+            out[...] = [self._next() for _ in range(out.size)]
+            return out
+        return self._next() if size is None else np.array([self._next() for _ in range(size)])
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        if size is None:
+            return low + (high - low) * self._next()
+        return low + (high - low) * self.random(int(np.prod(size))).reshape(size)
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+    def integers(self, low, high):
+        return self.rng.integers(low, high)
+
+    def normal(self, size):
+        return self.rng.normal(size=size)
+
+
+def test_cover_sampler_decides_tries_near_the_threshold_by_linalg_det():
+    for seed in range(6):
+        for disk, n in ((False, 1), (True, 2)):
+            stubs = BandGenerator(seed), BandGenerator(seed)
+            got = _cover_draws(CoverSampler(disk, n), stubs[0], 5, (40, 17))
+            want = _cover_draws(cover_sampler(disk, n), stubs[1], 5, (40, 17))
+            assert got == want and stubs[0].script == stubs[1].script
+            assert stubs[0].band > 50  # tries in the band were drawn, and judged alike
+
+
+def test_interval_and_disk_blocks_match_the_one_sample_forms():
+    rng = RNG(22)
+    elements = _random_elements(rng, 300) + [cover_identity()] + [CoverElement.of(g) for _, g in generators("SL2", 2)]
+    b = len(elements)
+    s = rng.uniform(0.0, 1.0, size=(b, 1))
+    s[:3, 0] = (0.0, 1.0, 0.5)
+    got = interval_block(elements, s)
+    want = looped(lambda a, y: np.array([interval_action(a, float(y[0]))]))(elements, s)
+    assert got.shape == (b, 1) and got.tobytes() == want.tobytes()
+    for n in (1, 2, 5):
+        y = rng.normal(size=(b, n))
+        y *= rng.uniform(0.0, 1.0, size=(b, 1)) / np.sqrt((y * y).sum(axis=1, keepdims=True))
+        y[0] = 0.0
+        y[1] = np.eye(n)[0]  # on the boundary, fixed exactly
+        assert disk_block(elements, y).tobytes() == looped(disk_action)(elements, y).tobytes()
 
 
 # -- interval and disk ----------------------------------------------------------------------
@@ -759,7 +882,7 @@ def test_interval_composition_and_nondegeneracy():
     for _ in range(200):
         a = CoverElement.of(random_sl2(rng))
         b = CoverElement.of(random_sl2(rng))
-        ab = cover_compose(a, b)
+        ab = compose(a, b)
         s = rng.uniform(0.01, 0.99)
         lhs = interval_action(ab, s)
         rhs = interval_action(a, interval_action(b, s))
@@ -778,12 +901,17 @@ def test_interval_domain_validation():
         interval_action(a, 1.1)
 
 
+def disk_one(a, y):
+    """The disk action of one element on one point, by the block function."""
+    return disk_block([a], np.asarray(y, dtype=float)[None])[0]
+
+
 def test_disk_action_boundary_and_center_fixed():
     rng = RNG(18)
     a = CoverElement.of(random_sl2(rng))
     boundary = np.array([0.6, 0.8])
-    assert np.array_equal(disk_action(a, boundary), boundary)
-    assert np.array_equal(disk_action(a, np.zeros(2)), np.zeros(2))
+    assert np.array_equal(disk_one(a, boundary), boundary)
+    assert np.array_equal(disk_one(a, np.zeros(2)), np.zeros(2))
 
 
 def test_disk_action_composition():
@@ -792,10 +920,10 @@ def test_disk_action_composition():
     for _ in range(100):
         a = CoverElement.of(random_sl2(rng))
         b = CoverElement.of(random_sl2(rng))
-        ab = cover_compose(a, b)
+        ab = compose(a, b)
         y = unit_vec(rng, 2) * rng.uniform(0.05, 0.95)
-        lhs = disk_action(ab, y)
-        rhs = disk_action(a, disk_action(b, y))
+        lhs = disk_one(ab, y)
+        rhs = disk_one(a, disk_one(b, y))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst <= 1e-6
 
@@ -803,4 +931,4 @@ def test_disk_action_composition():
 def test_disk_rejects_outside_points():
     a = cover_identity()
     with pytest.raises(ValueError):
-        disk_action(a, np.array([1.2, 0.0]))
+        disk_one(a, np.array([1.2, 0.0]))

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieactions.algebra import to_json_dict
-from lieactions.catalog import catalog
+from lieactions.catalog import DEFAULT_CATALOG, catalog
 from lieactions.constants import (
     MAX_ACTION_N,
     MAX_BALLS,
@@ -52,6 +52,21 @@ def test_catalog_list():
     assert result.exit_code == 0
     assert "mueller_roemer7" in result.output
     assert "st3" in result.output
+
+
+def test_catalog_list_dimensions_are_those_of_the_built_algebras():
+    # the list takes each dimension from the family's formula, building nothing
+    lines = run("catalog", "list").output.splitlines()
+    listed = {line.split()[0]: int(line.split()[2]) for line in lines[:len(DEFAULT_CATALOG)]}
+    assert listed == {key: catalog(key).dim for key, _ in DEFAULT_CATALOG}
+
+
+def test_catalog_list_builds_no_algebra(monkeypatch):
+    import sys
+
+    # the package re-exports the function `catalog`, so the module is taken from sys.modules
+    monkeypatch.setattr(sys.modules["lieactions.catalog"], "_build", lambda *args: pytest.fail(f"built {args}"))
+    assert run("catalog", "list").exit_code == 0
 
 
 def test_catalog_list_output_file(tmp_path):

@@ -2,8 +2,8 @@
 
 No verb loads `dataclasses`, or the standard library's `argparse` (with
 the `gettext` and `locale` it pulls in): the parser is the program's own.
-Each verb loads only its own handler module, `exact_verbs` or
-`numeric_verbs`. The exact verbs and `catalog list` must not load numpy,
+Each verb loads only its own handler module: `exact_verbs`, or one of
+`deform_verbs`, `act_verbs` and `vf_verbs`. The exact verbs and `catalog list` must not load numpy,
 any module of the numerical layer, or `inspect`; on a catalog key they
 load no `json`, which only the reader of a file imports, and neither does
 `deform verify`. The numerical verbs must not load each other's modules,
@@ -58,9 +58,12 @@ NUMERICAL = [
 # but no exact verb does.
 EXACT = NUMERICAL + ["inspect"]
 
-# a handler module of the other layer, and json, which only a file needs
-NUMERIC_VERBS = ["lieactions.numeric_verbs"]
+# the handler modules: of the exact layer, and of each numerical verb
 EXACT_VERBS = ["lieactions.exact_verbs"]
+DEFORM_VERBS = ["lieactions.deform_verbs"]
+ACT_VERBS = ["lieactions.act_verbs"]
+VF_VERBS = ["lieactions.vf_verbs"]
+NUMERIC_VERBS = DEFORM_VERBS + ACT_VERBS + VF_VERBS
 
 # the modules of the exact layer that no numerical verb outside `deform verify`
 # and the projective `vf verify` runs
@@ -96,43 +99,51 @@ CASES = {
     "vf-flow": (
         ["vf", "flow", "--scenario", str(SCENARIOS / "flow_circle.json")],
         ["numpy", "lieactions.actions", "lieactions.deformations", "lieactions.matrixgroups",
-         "lieactions.linalg", *EXACT_CORE, *EXACT_VERBS],
-        NUMERIC_VERBS + ["lieactions.vectorfields", "lieactions.polynomials"],
+         "lieactions.linalg", *EXACT_CORE, *EXACT_VERBS, *DEFORM_VERBS, *ACT_VERBS],
+        VF_VERBS + ["lieactions.vectorfields", "lieactions.polynomials"],
     ),
     "vf-verify-commuting": (
         ["vf", "verify", "--scenario", str(SCENARIOS / "commuting_family.json")],
         ["numpy", "lieactions.actions", "lieactions.deformations", "lieactions.matrixgroups", *EXACT_CORE,
-         *EXACT_VERBS],
-        NUMERIC_VERBS + ["lieactions.vectorfields", "lieactions.polynomials"],
+         *EXACT_VERBS, *DEFORM_VERBS, *ACT_VERBS],
+        VF_VERBS + ["lieactions.vectorfields", "lieactions.polynomials"],
+    ),
+    "vf-verify-projective": (
+        ["vf", "verify", "--scenario", str(SCENARIOS / "projective2.json")],
+        ["lieactions.actions", "lieactions.deformations", "lieactions.matrixgroups", "lieactions.derivations",
+         "lieactions.obstructions", *EXACT_VERBS, *DEFORM_VERBS, *ACT_VERBS],
+        VF_VERBS + ["numpy", "lieactions.vectorfields", "lieactions.polynomials", "lieactions.algebra",
+                    "lieactions.catalog", "lieactions.linalg"],
     ),
     "act-verify": (
         ["act", "verify", "--scenario", str(SCENARIOS / "sphere_st3.json")],
         ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", "lieactions.pcg64",
-         "lieactions.deformations", *EXACT_CORE, *EXACT_VERBS],
-        NUMERIC_VERBS + ["numpy", "lieactions.actions", "lieactions.matrixgroups"],
+         "lieactions.deformations", *EXACT_CORE, *EXACT_VERBS, *DEFORM_VERBS, *VF_VERBS],
+        ACT_VERBS + ["numpy", "lieactions.actions", "lieactions.matrixgroups"],
     ),
     "act-verify-interval": (
         ["act", "verify", "--scenario", str(SCENARIOS / "interval.json")],
         ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", "lieactions.deformations",
-         *EXACT_CORE, *EXACT_VERBS],
-        NUMERIC_VERBS + ["numpy", "lieactions.actions", "lieactions.matrixgroups"],
+         *EXACT_CORE, *EXACT_VERBS, *DEFORM_VERBS, *VF_VERBS],
+        ACT_VERBS + ["numpy", "lieactions.actions", "lieactions.matrixgroups"],
     ),
     "act-verify-disk": (
         ["act", "verify", "--scenario", str(SCENARIOS / "disk2.json")],
         ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", "lieactions.deformations",
-         *EXACT_CORE, *EXACT_VERBS],
-        NUMERIC_VERBS + ["numpy", "lieactions.actions", "lieactions.matrixgroups"],
+         *EXACT_CORE, *EXACT_VERBS, *DEFORM_VERBS, *VF_VERBS],
+        ACT_VERBS + ["numpy", "lieactions.actions", "lieactions.matrixgroups"],
     ),
     "act-verify-ball": (
         ["act", "verify", "--scenario", str(SCENARIOS / "ball_st3.json")],
-        ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", *EXACT_CORE, *EXACT_VERBS],
-        NUMERIC_VERBS + ["numpy", "lieactions.actions", "lieactions.matrixgroups", "lieactions.deformations"],
+        ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", *EXACT_CORE, *EXACT_VERBS,
+         *DEFORM_VERBS, *VF_VERBS],
+        ACT_VERBS + ["numpy", "lieactions.actions", "lieactions.matrixgroups", "lieactions.deformations"],
     ),
     "deform-verify": (
         ["deform", "verify", "--family", "st", "--n", "3"],
         ["numpy", "lieactions.matrixgroups", "lieactions.vectorfields", "lieactions.actions",
-         "lieactions.derivations", "json", *EXACT_VERBS],
-        NUMERIC_VERBS + ["lieactions.deformations", "lieactions.pcg64"],
+         "lieactions.derivations", "json", *EXACT_VERBS, *ACT_VERBS, *VF_VERBS],
+        DEFORM_VERBS + ["lieactions.deformations", "lieactions.pcg64"],
     ),
 }
 

@@ -16,7 +16,6 @@ from lieactions.actions import (
     BallAction,
     CoverElement,
     MultiBall,
-    OneAtATimeSampler,
     make_ball_action,
     verify_action,
 )
@@ -50,6 +49,8 @@ from lieactions.vectorfields import (
     hamiltonian_field,
     make_projective_action,
 )
+
+from one_sample import OneAtATimeSampler
 
 CIRCLE = Poly.make(2, {(2, 0): 1, (0, 2): 1})
 
@@ -110,7 +111,7 @@ RECORDS = {
     ),
     CoverElement: (("matrix", "deck"), lambda g: CoverElement.of(np.eye(2), 1), ()),
     Poly: (("nvars", "terms"), lambda g: CIRCLE, ("float_terms",)),
-    PolyVectorField: (("components",), lambda g: hamiltonian_field(CIRCLE), ()),
+    PolyVectorField: (("components",), lambda g: hamiltonian_field(CIRCLE), ("_rk4",)),
     CommutingFamilyCertificate: (
         ("pairwise_brackets_zero", "pairs_checked", "independent"),
         lambda g: commuting_family(CIRCLE, hamiltonian_field(CIRCLE),

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieactions import numeric_verbs
+from lieactions import act_verbs, deform_verbs, vf_verbs
 from lieactions.algebra import BRACKET_KEYS, DOCUMENT_KEYS, from_json_dict
 from lieactions.serialize import FormatError, dumps, encode_basestring, read_object
 
@@ -141,11 +141,21 @@ def test_escaper_without_the_json_accelerator():
 
 # every key table: those of the scenario objects, each action kind's with the keys
 # every kind shares, and those of the algebra document
-TABLES = {name: table for name, table in vars(numeric_verbs).items() if name.endswith("_KEYS")}
-TABLES.update({f"{kind} action": {**numeric_verbs.ACT_KEYS, **keys}
-               for kind, (keys, _) in numeric_verbs.ACTIONS.items()})
+TABLES = {name: table for module in (deform_verbs, act_verbs, vf_verbs)
+          for name, table in vars(module).items() if name.endswith("_KEYS")}
+TABLES.update({f"{kind} action": {**act_verbs.ACT_KEYS, **keys}
+               for kind, (keys, _) in act_verbs.ACTIONS.items()})
 TABLES.update(DOCUMENT_KEYS=DOCUMENT_KEYS, BRACKET_KEYS=BRACKET_KEYS)
 KEYS = sorted({key for table in TABLES.values() for key in table})
+
+
+def test_every_key_table_is_gathered():
+    # the handler modules hold the scenario tables: none may drop out of the tests below
+    assert sorted(TABLES) == sorted([
+        "ACT_KEYS", "TOLERANCE_KEYS", "MATRIX_KEYS", "PLACEMENT_KEYS", "POLY_KEYS", "TERM_KEYS", "FIELD_KEYS",
+        "COMMUTING_KEYS", "FLOW_CHECK_KEYS", "PROJECTIVE_KEYS", "FLOW_KEYS", "DOCUMENT_KEYS", "BRACKET_KEYS",
+        *(f"{kind} action" for kind in ("sphere", "ball", "multiball", "interval", "disk")),
+    ])
 
 # what json.load can return: NaN and the infinities included; object keys are
 # mostly the keys the tables know, so that values get past the key check

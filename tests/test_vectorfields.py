@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from lieactions.catalog import catalog
 from lieactions.constants import MAX_FLOW_STEPS
 from lieactions.linalg import RatMatrix
-from lieactions.polynomials import Poly
+from lieactions.polynomials import Poly, eval_compiled
 from lieactions.vectorfields import (
     AnnihilationError,
     FlowBlowUpError,
@@ -129,6 +130,78 @@ def test_bracket_bilinear_antisymmetric():
 def test_bracket_dimension_mismatch():
     with pytest.raises(ValueError):
         vf_bracket(random_field(random.Random(0), 2), random_field(random.Random(0), 3))
+
+
+# The bracket and the image of a coordinate vector as they were when built from
+# Poly operations, each intermediate polynomial made and sorted: the oracles of
+# the one-pass versions.
+
+
+def _poly_op_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
+    n = v.nvars
+    comps = []
+    for k in range(n):
+        total = Poly.zero(n)
+        wk = w.components[k]
+        vk = v.components[k]
+        for i in range(n):
+            total = total + v.components[i] * wk.diff(i) - w.components[i] * vk.diff(i)
+        comps.append(total)
+    return PolyVectorField(tuple(comps))
+
+
+def _poly_op_image(action: VFAction, x) -> PolyVectorField:
+    out = PolyVectorField(tuple(Poly.zero(action.images[0].nvars) for _ in range(action.images[0].nvars)))
+    for c, field in zip(x, action.images):
+        c = Fraction(c)
+        if c:
+            out = out + field.scale(c)
+    return out
+
+
+@st.composite
+def fraction_fields(draw, nvars=None):
+    """A field of 1 to 3 variables whose components have up to 5 terms of degree <= 3."""
+    nvars = nvars or draw(st.integers(1, 3))
+    exponent = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars).filter(lambda e: sum(e) <= 3)
+    coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    return PolyVectorField(tuple(
+        Poly.make(nvars, dict(draw(st.lists(st.tuples(exponent.map(tuple), coefficient), max_size=5))))
+        for _ in range(nvars)
+    ))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_pass_bracket_matches_the_poly_operations(data):
+    v = data.draw(fraction_fields())
+    w = data.draw(fraction_fields(v.nvars))
+    got = vf_bracket(v, w)
+    assert got == _poly_op_bracket(v, w)
+    assert all(c and type(c) is Fraction for comp in got.components for _, c in comp.terms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_pass_image_matches_the_poly_operations(data):
+    nvars = data.draw(st.integers(1, 3))
+    images = tuple(data.draw(fraction_fields(nvars)) for _ in range(3))
+    action = VFAction(catalog("abelian", 3), images)
+    x = data.draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4) | st.integers(-2, 2),
+                           min_size=3, max_size=3))
+    assert action.image_of(x) == _poly_op_image(action, x)
+
+
+def test_projective_homomorphism_checks_match_the_poly_operations():
+    for n in (1, 2, 3):
+        action = make_projective_action(n)
+        g = action.algebra
+        for i in range(g.dim):
+            for j in range(i + 1, g.dim):
+                bracket = g.bracket(g.basis_vector(i), g.basis_vector(j))
+                assert action.image_of(bracket) == _poly_op_image(action, bracket)
+                assert vf_bracket(action.images[i], action.images[j]) == _poly_op_bracket(
+                    action.images[i], action.images[j])
 
 
 # -- hamiltonian and annihilation -------------------------------------------------
@@ -495,6 +568,129 @@ def test_compiled_flow_matches_numpy_loop(v, point, duration, h):
 def test_compiled_flow_blow_up_matches_numpy_loop(field, point, duration):
     assert isinstance(_outcome(lambda: _reference_flow(field, point, duration, 0.01)), float)
     _assert_same_flow(field, point, duration, 0.01)
+
+
+# The RK4 loop as it was before each field got its own kernel: the stages
+# evaluated through `eval_compiled` on lists of floats. The kernel must give its
+# trajectories and blow-up times bit for bit.
+
+
+def _eval_compiled_flow(v: PolyVectorField, p, duration: float, h: float) -> array:
+    steps = flow_steps(duration, h)
+    step = h if duration >= 0 else -h
+    half, sixth = 0.5 * step, step / 6.0
+    field = [c.float_terms for c in v.components]
+    x = [float(c) for c in p]
+    data = array("d", x)
+    for i in range(steps):
+        try:
+            k1 = eval_compiled(field, x)
+            k2 = eval_compiled(field, [a + half * b for a, b in zip(x, k1)])
+            k3 = eval_compiled(field, [a + half * b for a, b in zip(x, k2)])
+            k4 = eval_compiled(field, [a + step * b for a, b in zip(x, k3)])
+        except OverflowError:
+            raise FlowBlowUpError((i + 1) * step) from None
+        x = [
+            a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+        ]
+        if not all(map(math.isfinite, x)):
+            raise FlowBlowUpError((i + 1) * step)
+        data.fromlist(x)
+    return data
+
+
+def _assert_kernel_is_the_loop(v, p, duration, h):
+    """The same trajectory bytes, or the same blow-up time (its hex)."""
+    def outcome(run):
+        try:
+            return bytes(run())
+        except FlowBlowUpError as exc:
+            return exc.time.hex()
+
+    got = outcome(lambda: flow(v, p, duration, h).data)
+    want = outcome(lambda: _eval_compiled_flow(v, p, duration, h))
+    assert got == want
+    return got
+
+
+@st.composite
+def wide_fields(draw):
+    """A field of 1 to 4 variables, up to 6 terms a component, exponents up to 4."""
+    nvars = draw(st.integers(1, 4))
+    exponent = st.lists(st.integers(0, 4), min_size=nvars, max_size=nvars).map(tuple)
+    coefficient = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+    return PolyVectorField(tuple(
+        Poly.make(nvars, dict(draw(st.lists(st.tuples(exponent, coefficient), max_size=6))))
+        for _ in range(nvars)
+    ))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    wide_fields(),
+    st.lists(st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 1.0, -1.0]), min_size=4, max_size=4),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.01, 0.05, 1.0 / 64, 0.3]),
+)
+def test_field_kernel_matches_the_eval_compiled_loop(v, point, duration, h):
+    _assert_kernel_is_the_loop(v, point[: v.nvars], duration, h)
+
+
+def test_field_kernel_edge_cases_match_the_eval_compiled_loop():
+    x, y = _variable(2, 0), _variable(2, 1)
+    cases = [
+        # -x at x = 0 is -0.0, which the sum from 0.0 turns into 0.0
+        (PolyVectorField((x.scale(-1), y.scale(-3))), [0.0, -0.0], 0.5, 0.1),
+        (PolyVectorField((Poly.make(1, {(3,): 1}),)), [30.0], 1.0, 0.01),  # a power overflows
+        (PolyVectorField((Poly.make(1, {(3,): 1}),)), [-30.0], -1.0, 0.01),  # backwards, from below
+        (PolyVectorField((Poly.make(1, {(2,): 1}),)), [1.0], 2.0, 0.01),  # non-finite after the pole
+        # x y - x y' in three variables is inf - inf = NaN at 1e300: no power overflows
+        (PolyVectorField((Poly.make(3, {(1, 1, 0): 1, (1, 0, 1): -1}), Poly.zero(3), Poly.zero(3))),
+         [1e300, 1e300, 1e300], 0.1, 0.01),
+        (PolyVectorField((x, y)), [float("nan"), 1.0], 0.1, 0.01),  # a NaN start
+        (PolyVectorField((y, x.scale(-1))), [1.0, 0.5], -0.37, 0.01),  # a negative duration
+        (PolyVectorField((y, x)), [1.0, 0.5], 0.0, 0.01),  # no step at all
+    ]
+    outcomes = [_assert_kernel_is_the_loop(*case) for case in cases]
+    assert [isinstance(o, str) for o in outcomes] == [False, True, True, True, True, True, False, False]
+
+
+def test_field_kernel_of_a_200_term_commuting_family():
+    f = Poly.make(2, {(a, b): Fraction(1 + a, 3 + b) for a in range(5) for b in range(5 - a)})
+    fields, cert = commuting_family(f, hamiltonian_field(f), [Poly.make(1, {(3,): Fraction(1, 5)}),
+                                                             Poly.make(1, {(1,): 1})])
+    assert sum(len(c.terms) for c in fields[0].components) >= 200
+    for field in fields:
+        _assert_kernel_is_the_loop(field, [0.11, -0.07], 0.05, 1e-3)
+
+
+def test_field_kernel_of_2000_terms_and_of_a_term_in_40_variables_compiles_and_flows():
+    # 3 variables, every monomial of degree <= 15 in each component: 816 terms each
+    monomials = [(a, b, c) for a in range(16) for b in range(16 - a) for c in range(16 - a - b)]
+    big = PolyVectorField(tuple(
+        Poly.make(3, {e: Fraction((-1) ** (sum(e) + k), 2 ** sum(e) * (1 + k)) for e in monomials}) for k in range(3)
+    ))
+    assert sum(len(c.terms) for c in big.components) >= 2000
+    _assert_kernel_is_the_loop(big, [0.2, -0.1, 0.3], 0.02, 1e-3)
+    # one term of 41 factors: three statements, none nesting deeper than 16 factors
+    n = 40
+    long_term = Poly.make(n, {tuple(1 + i % 2 for i in range(n)): Fraction(-1, 3)})
+    wide = PolyVectorField((long_term,) + tuple(_variable(n, i) for i in range(1, n)))
+    _assert_kernel_is_the_loop(wide, [1.0 + i / 100 for i in range(n)], 0.05, 1e-2)
+
+
+def test_field_kernel_binds_coefficients_as_names_and_is_made_once():
+    v = PolyVectorField((Poly.make(2, {(0, 1): Fraction(1, 3)}), Poly.make(2, {(1, 0): Fraction(-7, 11)})))
+    run = v._rk4
+    assert v._rk4 is run  # made once per field
+    flow(v, [1.0, 0.0], 0.1, 0.01)
+    assert v._rk4 is run
+    # no coefficient appears among the constants of the generated code
+    assert set(run.__code__.co_consts) <= {None, 0.0, 2.0, 1}
+    assert run.__defaults__[0] == (1 / 3, -7 / 11)
+    with pytest.raises(ValueError, match="dimension"):
+        flow(v, [1.0], 0.1, 0.01)
 
 
 def test_flow_step_count_is_bounded():
