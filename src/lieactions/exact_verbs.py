@@ -68,12 +68,10 @@ def _matrix_strings(m) -> list[list[str]]:
 def catalog_list(obj):
     from .catalog import _FAMILIES, DEFAULT_CATALOG, parse_catalog_key
 
-    def dimension(key: str) -> int:
-        """The dimension of a listed algebra, by its family's formula: nothing is built."""
-        family, size = parse_catalog_key(key)
-        return 7 if family == "mueller_roemer" else _FAMILIES[family.lower()][0](size)
-
-    lines = [f"{key:<16} dim {dimension(key):>3}  {desc}" for key, desc in DEFAULT_CATALOG]
+    # each dimension by its family's formula (mueller_roemer7 has the one size 7): nothing is built
+    keys = [parse_catalog_key(key) for key, _ in DEFAULT_CATALOG]
+    dims = [7 if family == "mueller_roemer" else _FAMILIES[family.lower()][0](size) for family, size in keys]
+    lines = [f"{key:<16} dim {dim:>3}  {desc}" for (key, desc), dim in zip(DEFAULT_CATALOG, dims)]
     lines += [
         "",
         "Families accept any size: abelian(m), heisenberg(2k+1), t(n), d(n),",
