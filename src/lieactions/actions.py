@@ -555,8 +555,7 @@ def _accepted_try(rng, row: np.ndarray) -> None:
         rng.random(out=row)
         p, q, r, s = [-1.5 + 3.0 * u for u in row.tolist()]
         det = p * s - q * r
-        if abs(det - 0.05) > 1e-9:
-            if det > 0.05:
-                return
-        elif np.linalg.det(_uniform(row, -1.5, 1.5).reshape(2, 2)) > 0.05:
+        if abs(det - 0.05) <= 1e-9:  # too close to call on ps - qr
+            det = np.linalg.det(_uniform(row, -1.5, 1.5).reshape(2, 2))
+        if det > 0.05:
             return

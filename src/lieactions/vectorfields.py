@@ -117,10 +117,10 @@ def vf_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
                         continue
                     d = list(e2)
                     d[i] -= 1
-                    c2 = sign * e2[i] * c2  # sign * c2 x^d is a term of d_i b_k
+                    c = sign * e2[i] * c2  # c x^d is the term of d_i b_k, signed
                     for e1, c1 in a.components[i].terms:
                         e = tuple(map(add, e1, d))
-                        acc[e] = acc.get(e, 0) + c1 * c2
+                        acc[e] = acc.get(e, 0) + c1 * c
         comps.append(Poly(n, tuple(sorted((e, c) for e, c in acc.items() if c))))
     return PolyVectorField(tuple(comps))
 

@@ -159,23 +159,11 @@ def _poly_op_image(action: VFAction, x) -> PolyVectorField:
     return out
 
 
-@st.composite
-def fraction_fields(draw, nvars=None):
-    """A field of 1 to 3 variables whose components have up to 5 terms of degree <= 3."""
-    nvars = nvars or draw(st.integers(1, 3))
-    exponent = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars).filter(lambda e: sum(e) <= 3)
-    coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=7)
-    return PolyVectorField(tuple(
-        Poly.make(nvars, dict(draw(st.lists(st.tuples(exponent.map(tuple), coefficient), max_size=5))))
-        for _ in range(nvars)
-    ))
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
 def test_one_pass_bracket_matches_the_poly_operations(data):
-    v = data.draw(fraction_fields())
-    w = data.draw(fraction_fields(v.nvars))
+    v = data.draw(cubic_fields())
+    w = data.draw(cubic_fields(v.nvars))
     got = vf_bracket(v, w)
     assert got == _poly_op_bracket(v, w)
     assert all(c and type(c) is Fraction for comp in got.components for _, c in comp.terms)
@@ -185,7 +173,7 @@ def test_one_pass_bracket_matches_the_poly_operations(data):
 @given(st.data())
 def test_one_pass_image_matches_the_poly_operations(data):
     nvars = data.draw(st.integers(1, 3))
-    images = tuple(data.draw(fraction_fields(nvars)) for _ in range(3))
+    images = tuple(data.draw(cubic_fields(nvars)) for _ in range(3))
     action = VFAction(catalog("abelian", 3), images)
     x = data.draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4) | st.integers(-2, 2),
                            min_size=3, max_size=3))
@@ -532,9 +520,9 @@ def _assert_same_flow(v, p, duration, h):
 
 
 @st.composite
-def cubic_fields(draw):
-    """A field of up to 3 variables whose components have degree <= 3."""
-    nvars = draw(st.integers(1, 3))
+def cubic_fields(draw, nvars=None):
+    """A field of 1 to 3 variables (or `nvars`) whose components have degree <= 3."""
+    nvars = nvars or draw(st.integers(1, 3))
     exponent = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars).filter(lambda e: sum(e) <= 3)
     coefficient = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     comps = [
