@@ -25,7 +25,8 @@ MAX_EXPONENT = 64
 MAX_PROFILES = 8
 # The terms each field u(f) X of a commuting family can have, C(d + n, n) for
 # d = deg u * deg f + deg X in n variables (the monomials of degree at most d),
-# worked out before any u(f) is built:
+# worked out before any u(f) is built; and the terms each polynomial of a
+# scenario lists (f, a profile, a component of a field), checked as it is read:
 MAX_FIELD_TERMS = 200
 # The steps of a flow (the trajectory is held in memory, 8 bytes a coordinate):
 MAX_FLOW_STEPS = 10**6

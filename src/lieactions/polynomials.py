@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from operator import index
 from typing import Mapping, Sequence
 
-__all__ = ["Poly", "eval_compiled"]
+__all__ = ["Poly", "compile_float"]
 
 
 class Poly(namedtuple("Poly", "nvars terms")):
@@ -107,17 +107,6 @@ class Poly(namedtuple("Poly", "nvars terms")):
             acc[tuple(ne)] = acc.get(tuple(ne), Fraction(0)) + c * e[i]
         return Poly(self.nvars, tuple(sorted(acc.items())))
 
-    @cached_property
-    def float_terms(self) -> tuple[tuple[float, tuple[tuple[int, int], ...]], ...]:
-        """The terms compiled once for evaluation: (float coefficient,
-        ((variable, exponent), ...) for the nonzero exponents)."""
-        return tuple(
-            (float(c), tuple((v, k) for v, k in enumerate(e) if k)) for e, c in self.terms
-        )
-
-    def eval_float(self, point: Sequence[float]) -> float:
-        return eval_compiled((self.float_terms,), point)[0]
-
     def substitute(self, inner: "Poly") -> "Poly":
         """Composition for univariate self: returns self(inner)."""
         if self.nvars != 1:
@@ -152,17 +141,44 @@ class Poly(namedtuple("Poly", "nvars terms")):
         return " + ".join(bits)
 
 
-def eval_compiled(compiled: Sequence[tuple], point: Sequence[float]) -> list[float]:
-    """The values at a point of floats of the polynomials whose
-    `Poly.float_terms` are `compiled`. Each term is its coefficient times the
-    powers of the variables in index order, and the terms are summed in
-    order. A power too large for a float raises OverflowError."""
-    out = []
-    for terms in compiled:
-        total = 0.0
-        for term, powers in terms:
-            for v, k in powers:
-                term *= point[v] ** k
-            total += term
-        out.append(total)
-    return out
+# The factors of a term that one statement of a compiled evaluator multiplies:
+# a term in more variables goes on over several statements, so that no
+# expression of the generated source nests deeper than this, whatever the
+# polynomial.
+_FACTORS_PER_STATEMENT = 16
+
+
+def compile_float(polys: Sequence[Poly]):
+    """The polynomials `polys`, all in the same n variables, compiled once
+    into f(x0, ..., x{n-1}), which returns the tuple of their values at a
+    point of floats.
+
+    Each value is summed from 0.0 in the order of the terms, one statement
+    per term; a term is its coefficient times the powers x ** k of its
+    variables in index order (x itself for k = 1, which `x ** 1` returns
+    unchanged). A power beyond the float range raises OverflowError. The
+    source holds only identifiers and integers: the coefficients are bound
+    as the globals c0, c1, ... of the evaluator's own namespace.
+    """
+    n = polys[0].nvars if polys else 0
+    scope = {}
+    body = []
+    for j, poly in enumerate(polys):
+        if not poly.terms:
+            body.append(f"v{j} = 0.0")
+        for t, (exp, c) in enumerate(poly.terms):
+            name = f"c{len(scope)}"
+            scope[name] = float(c)
+            factors = [name] + [f"x{i}" if k == 1 else f"x{i} ** {index(k)}" for i, k in enumerate(exp) if k]
+            value = " * ".join(factors[:_FACTORS_PER_STATEMENT])
+            if len(factors) > _FACTORS_PER_STATEMENT:
+                body.append(f"t = {value}")
+                body.extend(f"t = t * {' * '.join(factors[a:a + _FACTORS_PER_STATEMENT])}"
+                            for a in range(_FACTORS_PER_STATEMENT, len(factors), _FACTORS_PER_STATEMENT))
+                value = "t"
+            body.append(f"v{j} += {value}" if t else f"v{j} = 0.0 + {value}")
+    lines = [f"def f({', '.join(f'x{i}' for i in range(n))}):"]
+    lines += [f"    {line}" for line in body]
+    lines.append(f"    return ({''.join(f'v{j}, ' for j in range(len(polys)))})")
+    exec(compile("\n".join(lines) + "\n", "<float evaluator>", "exec"), scope)
+    return scope["f"]

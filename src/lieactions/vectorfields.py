@@ -15,12 +15,12 @@ import math
 from array import array
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
-from operator import add, index, sub
+from functools import cache, cached_property
+from operator import add, sub
 from typing import TYPE_CHECKING, Sequence
 
 from .constants import MAX_FLOW_STEPS, max_residual
-from .polynomials import Poly, eval_compiled
+from .polynomials import Poly, compile_float
 
 if TYPE_CHECKING:
     from .linalg import RatMatrix, Subspace
@@ -89,14 +89,10 @@ class PolyVectorField(namedtuple("PolyVectorField", "components")):
         return PolyVectorField(tuple(p * a for a in self.components))
 
     @cached_property
-    def _rk4(self):
-        """This field's RK4 kernel (`_rk4_kernel`), made on the first flow."""
-        return _rk4_kernel(self)
-
-    def eval_float(self, x: Sequence[float]) -> np.ndarray:
-        import numpy as np
-
-        return np.array(eval_compiled([c.float_terms for c in self.components], x))
+    def evaluator(self):
+        """f(x0, ..., x{n-1}), the tuple of this field's components at a
+        point of floats, compiled once on first use (`compile_float`)."""
+        return compile_float(self.components)
 
 
 def vf_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
@@ -357,9 +353,10 @@ def flow(v: PolyVectorField, p: Sequence[float], duration: float, h: float) -> T
     Returns the trajectory including the start point, one row of floats per
     step; raises FlowBlowUpError at the first non-finite state.
 
-    The steps run in the field's own kernel (`_rk4_kernel`, made once per
-    field) on Python floats: stage points x + (step/2) k, then
-    x + (step/6) (((k1 + 2 k2) + 2 k3) + k4), component by component.
+    The steps run in the driver of the dimension (`_rk4_driver`), which
+    calls the field's evaluator four times a step on Python floats: stage
+    points x + (step/2) k, then x + (step/6) (((k1 + 2 k2) + 2 k3) + k4),
+    component by component.
     """
     steps = flow_steps(duration, h)
     if len(p) != v.nvars:
@@ -367,79 +364,40 @@ def flow(v: PolyVectorField, p: Sequence[float], duration: float, h: float) -> T
     step = h if duration >= 0 else -h
     x = [float(c) for c in p]
     data = array("d", x)
-    v._rk4(x, steps, step, 0.5 * step, step / 6.0, data)
+    _rk4_driver(len(x))(v.evaluator, x, steps, step, 0.5 * step, step / 6.0, data)
     return Trajectory(len(x), steps + 1, data)
 
 
-# The factors of a term that one statement of a kernel multiplies: a term in
-# more variables goes on over several statements, so that no expression of the
-# generated source nests deeper than this, whatever the field.
-_FACTORS_PER_STATEMENT = 16
+@cache
+def _rk4_driver(n: int):
+    """The RK4 loop of `flow` in n variables as straight-line code, compiled
+    once per n: run(f, x, steps, step, half, sixth, data) takes `steps`
+    steps of the evaluator f from the point x (a list of floats) and
+    appends each new state to the array `data`. An OverflowError of f, and
+    a state that is not finite, end the loop as FlowBlowUpError((i + 1) * step)
+    at step i."""
+    def unpack(names: list[str], value: str) -> str:
+        return f"{', '.join(names)}, = {value}" if names else value
 
+    def stage(k: int, at: str) -> str:
+        """k{k}_0, k{k}_1, ... = f at the point `at`."""
+        return unpack([f"k{k}_{j}" for j in range(n)], f"f({at})")
 
-def _rk4_kernel(v: PolyVectorField):
-    """The RK4 loop of `flow` written out as straight-line code for the field
-    v, compiled once: run(x, steps, step, half, sixth, data) takes `steps`
-    steps from the point x (a list of floats) and appends each new state to
-    the array `data`.
+    def point(k: int, factor: str) -> str:
+        return ", ".join(f"x{j} + {factor} * k{k}_{j}" for j in range(n))
 
-    Each component is summed as `Poly.float_terms` orders its terms, from
-    0.0, one statement per term; a term is its coefficient times the powers
-    x ** k of its variables in index order (x itself for k = 1, which
-    `x ** 1` returns unchanged). A power beyond the float range raises
-    OverflowError, and a state that is not finite ends the loop, both as
-    FlowBlowUpError((i + 1) * step) at step i. The source holds only
-    identifiers, integers and the constants of the RK4 formula; the
-    coefficients are bound as the names c0, c1, ... of one tuple.
-    """
-    n = v.nvars
-    coefficients: list[float] = []
-    terms = []  # per component: (the index of the coefficient, its powers) for each term
-    for comp in v.components:
-        terms.append([(len(coefficients) + t, powers) for t, (_, powers) in enumerate(comp.float_terms)])
-        coefficients += [c for c, _ in comp.float_terms]
-
-    body: list[str] = []
-
-    def stage(k: int, var: str) -> None:
-        """k{k}_j = component j at the point var0, var1, ..., for every j."""
-        for j, row in enumerate(terms):
-            total = f"k{k}_{j}"
-            if not row:
-                body.append(f"{total} = 0.0")
-            for t, (c, powers) in enumerate(row):
-                factors = [f"c{c}"] + [
-                    f"{var}{index(i)}" if e == 1 else f"{var}{index(i)} ** {index(e)}" for i, e in powers
-                ]
-                value = " * ".join(factors[:_FACTORS_PER_STATEMENT])
-                if len(factors) > _FACTORS_PER_STATEMENT:
-                    body.append(f"t = {value}")
-                    body.extend(f"t = t * {' * '.join(factors[a:a + _FACTORS_PER_STATEMENT])}"
-                                for a in range(_FACTORS_PER_STATEMENT, len(factors), _FACTORS_PER_STATEMENT))
-                    value = "t"
-                body.append(f"{total} += {value}" if t else f"{total} = 0.0 + {value}")
-
-    def point(k: int, factor: str) -> None:
-        body.extend(f"y{j} = x{j} + {factor} * k{k}_{j}" for j in range(n))
-
-    stage(1, "x")
-    point(1, "half")
-    stage(2, "y")
-    point(2, "half")
-    stage(3, "y")
-    point(3, "step")
-    stage(4, "y")
+    body = [stage(1, ", ".join(f"x{j}" for j in range(n))), stage(2, point(1, "half")),
+            stage(3, point(2, "half")), stage(4, point(3, "step"))]
     body += [f"x{j} = x{j} + sixth * (((k1_{j} + 2.0 * k2_{j}) + 2.0 * k3_{j}) + k4_{j})" for j in range(n)]
     body += [f"if not isfinite(x{j}): raise FlowBlowUpError((i + 1) * step)" for j in range(n)]
     body += [f"append(x{j})" for j in range(n)]
-    head = [f"{', '.join(f'c{c}' for c in range(len(coefficients)))}, = c"] if coefficients else []
-    head += [f"{', '.join(f'x{j}' for j in range(n))}, = x"] if n else []
-    lines = ["def run(x, steps, step, half, sixth, data, c=c, isfinite=isfinite):"]
-    lines += [f"    {line}" for line in head + ["append = data.append", "try:", "    for i in range(steps):"]]
-    lines += [f"            {line}" for line in body or ["pass"]]
+    lines = ["def run(f, x, steps, step, half, sixth, data):"]
+    head = [unpack([f"x{j}" for j in range(n)], "x"), "append = data.append", "try:", "    for i in range(steps):"]
+    lines += [f"    {line}" for line in head]
+    lines += [f"            {line}" for line in body]
     lines += ["    except OverflowError:", "        raise FlowBlowUpError((i + 1) * step) from None"]
-    scope = {"c": tuple(coefficients), "isfinite": math.isfinite, "FlowBlowUpError": FlowBlowUpError}
-    exec(compile("\n".join(lines) + "\n", "<rk4 kernel>", "exec"), scope)
+    scope = {"isfinite": math.isfinite, "FlowBlowUpError": FlowBlowUpError}
+    exec(compile("\n".join(lines) + "\n", "<rk4 driver>", "exec"), scope)
     return scope["run"]
 
 
@@ -469,13 +427,13 @@ def flow_checks(
     comm = max_residual(0.0, *map(abs, map(sub, leg_vw_2[-1], leg_wv_2[-1])))
     level = None
     if level_function is not None:
-        value = level_function.eval_float
+        value = compile_float((level_function,))
         level = 0.0
         try:
-            base = value([float(c) for c in p])
+            base, = value(*map(float, p))
             for leg in (leg_vw_1, leg_vw_2, leg_wv_1, leg_wv_2):
                 for row in leg:
-                    level = max_residual(level, abs(value(row) - base))
+                    level = max_residual(level, abs(value(*row)[0] - base))
         except OverflowError:  # the function itself leaves the float range
             level = math.inf
     return FlowCheckReport(comm, level)
@@ -490,7 +448,8 @@ def orbit_info(action: VFAction, p: Sequence[float]) -> dict:
     one SVD gives both."""
     import numpy as np
 
-    rows = np.array([f.eval_float([float(c) for c in p]) for f in action.images])
+    point = [float(c) for c in p]
+    rows = np.array([f.evaluator(*point) for f in action.images])
     sv = np.linalg.svd(rows, compute_uv=False) if rows.size else np.zeros(0)
     dim = 0 if sv.size == 0 or sv[0] <= 1e-300 else int(np.sum(sv > 1e-9 * sv[0]))
     rel = sv / sv[0] if sv.size and sv[0] > 0 else sv

@@ -29,7 +29,7 @@ from .serialize import (
     read_value,
 )
 
-POLY_KEYS = {"vars": (int, REQUIRED, 0), "terms": ([dict], REQUIRED, None)}
+POLY_KEYS = {"vars": (int, REQUIRED, 0), "terms": ([dict], REQUIRED, None, MAX_FIELD_TERMS)}
 TERM_KEYS = {"exponents": ([int, 0, MAX_EXPONENT], REQUIRED, None), "coefficient": (str, REQUIRED, None)}
 FIELD_KEYS = {"components": ([dict], REQUIRED, 1)}
 COMMUTING_KEYS = {"check": (str, REQUIRED, None), "f": (dict, REQUIRED, None),

@@ -882,6 +882,10 @@ SIZES = {
     "projective-n": (lambda v: (*VF, "--scenario", {"check": "projective", "n": v, "samples": 1}), 5),
     "exponent": (lambda v: (*FLOW, "--scenario", {"field": {"components": [_poly(1, ((v,), "1/1"))]},
                                                  "point": [0.5], "duration": 0.01}), MAX_EXPONENT),
+    # one component of a flow field listing v distinct terms in two variables
+    "terms": (lambda v: (*FLOW, "--scenario", {"field": {"components": [
+        _poly(2, *(((k % 15, k // 15), "1/1000") for k in range(min(v, MAX_FIELD_TERMS + 1)))), _poly(2)]},
+        "point": [0.5, 0.5], "duration": 0.01}), MAX_FIELD_TERMS),
     # st(8) has dimension 35 and st(9) 44
     "deform-n": (lambda v: ("deform", "verify", "--family", "st", "--n", str(v), "--samples", "1"), 8),
     "deform-samples": (lambda v: ("deform", "verify", "--family", "st-prime", "--n", "2", "--samples", str(v)),

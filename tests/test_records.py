@@ -110,8 +110,8 @@ RECORDS = {
         (),
     ),
     CoverElement: (("matrix", "deck"), lambda g: CoverElement.of(np.eye(2), 1), ()),
-    Poly: (("nvars", "terms"), lambda g: CIRCLE, ("float_terms",)),
-    PolyVectorField: (("components",), lambda g: hamiltonian_field(CIRCLE), ("_rk4",)),
+    Poly: (("nvars", "terms"), lambda g: CIRCLE, ()),
+    PolyVectorField: (("components",), lambda g: hamiltonian_field(CIRCLE), ("evaluator",)),
     CommutingFamilyCertificate: (
         ("pairwise_brackets_zero", "pairs_checked", "independent"),
         lambda g: commuting_family(CIRCLE, hamiltonian_field(CIRCLE),

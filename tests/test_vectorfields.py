@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from lieactions.catalog import catalog
 from lieactions.constants import MAX_FLOW_STEPS
 from lieactions.linalg import RatMatrix
-from lieactions.polynomials import Poly, eval_compiled
+from lieactions.polynomials import Poly, compile_float
 from lieactions.vectorfields import (
     AnnihilationError,
     FlowBlowUpError,
@@ -428,7 +428,8 @@ def test_flow_conserves_level_sets():
     f = circle()
     y = hamiltonian_field(f)
     traj = flow(y, [1.0, 0.0], math.pi, 1e-3)
-    values = [f.eval_float(list(row)) for row in traj]
+    value = compile_float((f,))
+    values = [value(*row)[0] for row in traj]
     assert max(abs(v - 1.0) for v in values) <= 1e-8
 
 
@@ -558,16 +559,36 @@ def test_compiled_flow_blow_up_matches_numpy_loop(field, point, duration):
     _assert_same_flow(field, point, duration, 0.01)
 
 
-# The RK4 loop as it was before each field got its own kernel: the stages
-# evaluated through `eval_compiled` on lists of floats. The kernel must give its
-# trajectories and blow-up times bit for bit.
+# The interpreted float evaluator and the RK4 loop over it, as they were before
+# each field got its compiled evaluator: the compiled evaluator must give its
+# values, and `flow` its trajectories and blow-up times, bit for bit.
+
+
+def float_terms(poly: Poly) -> tuple:
+    """(float coefficient, ((variable, exponent), ...) for the nonzero exponents), per term."""
+    return tuple((float(c), tuple((v, k) for v, k in enumerate(e) if k)) for e, c in poly.terms)
+
+
+def eval_compiled(compiled, point) -> list[float]:
+    """The values at a point of floats of the polynomials whose `float_terms`
+    are `compiled`: each term its coefficient times the powers of the
+    variables in index order, the terms summed in order from 0.0."""
+    out = []
+    for terms in compiled:
+        total = 0.0
+        for term, powers in terms:
+            for v, k in powers:
+                term *= point[v] ** k
+            total += term
+        out.append(total)
+    return out
 
 
 def _eval_compiled_flow(v: PolyVectorField, p, duration: float, h: float) -> array:
     steps = flow_steps(duration, h)
     step = h if duration >= 0 else -h
     half, sixth = 0.5 * step, step / 6.0
-    field = [c.float_terms for c in v.components]
+    field = [float_terms(c) for c in v.components]
     x = [float(c) for c in p]
     data = array("d", x)
     for i in range(steps):
@@ -620,9 +641,30 @@ def wide_fields(draw):
     st.lists(st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 1.0, -1.0]), min_size=4, max_size=4),
     st.floats(-1.0, 1.0),
     st.sampled_from([0.01, 0.05, 1.0 / 64, 0.3]),
+    # points for the evaluator alone: 1e200 ** 2 raises OverflowError, inf and
+    # NaN run through every product and sum
+    st.lists(st.lists(st.floats(-3.0, 3.0) | st.sampled_from([-0.0, math.nan, math.inf, 1e200, -1e200]),
+                      min_size=4, max_size=4), min_size=1, max_size=4),
 )
-def test_field_kernel_matches_the_eval_compiled_loop(v, point, duration, h):
+def test_field_kernel_matches_the_eval_compiled_loop(v, point, duration, h, probes):
     _assert_kernel_is_the_loop(v, point[: v.nvars], duration, h)
+    # the compiled evaluator of the field (orbit_info's) and of each component
+    # alone (the level check's)
+    for probe in [point] + probes:
+        x = probe[: v.nvars]
+        want = _values(lambda: eval_compiled([float_terms(c) for c in v.components], x))
+        assert _values(lambda: v.evaluator(*x)) == want
+        assert _values(lambda: [compile_float((c,))(*x)[0] for c in v.components]) == want
+
+
+def _values(evaluate):
+    """The floats `evaluate()` returns, in hex, or "overflow". A NaN reads
+    "nan" whatever its sign: which operand's NaN a sum of two NaNs keeps
+    depends on the path the interpreter takes for it."""
+    try:
+        return [value.hex() for value in evaluate()]
+    except OverflowError:
+        return "overflow"
 
 
 def test_field_kernel_edge_cases_match_the_eval_compiled_loop():
@@ -670,15 +712,30 @@ def test_field_kernel_of_2000_terms_and_of_a_term_in_40_variables_compiles_and_f
 
 def test_field_kernel_binds_coefficients_as_names_and_is_made_once():
     v = PolyVectorField((Poly.make(2, {(0, 1): Fraction(1, 3)}), Poly.make(2, {(1, 0): Fraction(-7, 11)})))
-    run = v._rk4
-    assert v._rk4 is run  # made once per field
+    f = v.evaluator
+    assert v.evaluator is f  # made once per field
     flow(v, [1.0, 0.0], 0.1, 0.01)
-    assert v._rk4 is run
+    assert v.evaluator is f
     # no coefficient appears among the constants of the generated code
-    assert set(run.__code__.co_consts) <= {None, 0.0, 2.0, 1}
-    assert run.__defaults__[0] == (1 / 3, -7 / 11)
+    assert set(f.__code__.co_consts) <= {None, 0.0}
+    assert (f.__globals__["c0"], f.__globals__["c1"]) == (1 / 3, -7 / 11)
+    assert f(2.0, 3.0) == (0.0 + 1 / 3 * 3.0, 0.0 + -7 / 11 * 2.0)
     with pytest.raises(ValueError, match="dimension"):
         flow(v, [1.0], 0.1, 0.01)
+
+
+def test_field_kernel_compiles_each_term_once():
+    # the 2448-term field of the kernel test: one line of code per term, plus
+    # the signature, the return and at most one more per component
+    monomials = [(a, b, c) for a in range(16) for b in range(16 - a) for c in range(16 - a - b)]
+    big = PolyVectorField(tuple(
+        Poly.make(3, {e: Fraction((-1) ** (sum(e) + k), 2 ** sum(e) * (1 + k)) for e in monomials}) for k in range(3)
+    ))
+    terms = sum(len(c.terms) for c in big.components)
+    assert terms == 2448
+    lines = {line for *_, line in big.evaluator.__code__.co_lines() if line is not None}
+    assert len(lines) <= terms + 2 * big.nvars + 2
+    assert len([k for k in big.evaluator.__globals__ if k.startswith("c")]) == terms
 
 
 def test_flow_step_count_is_bounded():
