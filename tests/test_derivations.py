@@ -227,6 +227,19 @@ def test_find_non_nilpotent():
     assert find_non_nilpotent([unit(3, 0, 1), unit(3, 0, 2)]) is None
 
 
+def test_find_non_nilpotent_pins_its_combination_witnesses():
+    # both units are nilpotent, so the witness is their pair sum
+    w = find_non_nilpotent([unit(3, 0, 1), unit(3, 1, 0)])
+    assert _lists(w) == [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+    # every unit and every pair sum of the 3-cycle is nilpotent, so the
+    # witness is the first seeded combination; the half checks the scaling back
+    cycle = [unit(3, 0, 1), unit(3, 1, 2), unit(3, 2, 0, Fraction(1, 2))]
+    w = find_non_nilpotent(cycle)
+    assert _lists(w) == [[0, 3, 0], [0, 0, 3], [Fraction(-1, 2), 0, 0]]
+    w = find_non_nilpotent(cycle, seed=5)
+    assert _lists(w) == [[0, 1, 0], [0, 0, -1], [1, 0, 0]]
+
+
 # -- contractibility obstruction ---------------------------------------------------
 
 

@@ -44,6 +44,7 @@ SOURCES = [f"catalog:{key}" for key, _ in DEFAULT_CATALOG] + [
     "catalog:sl3",
     "catalog:n5",
     "catalog:heisenberg7",
+    "catalog:heisenberg11",
     "st4_dense.algebra.json",
     "n5_dense.algebra.json",
     "heisenberg7_dense.algebra.json",
