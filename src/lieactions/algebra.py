@@ -16,7 +16,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .constants import MAX_CATALOG_DIM
-from .linalg import RatMatrix, Subspace, _dense, _integer, _row_times, nullspace_of_rows, rational_vector, sparse_rref
+from .linalg import PairRows, Subspace, _dense, _integer, _row_times, nullspace_of_rows, rational_vector, sparse_rref
 from .serialize import REQUIRED, FormatError, format_rational, parse_rational, read_object
 
 __all__ = [
@@ -69,16 +69,16 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
 
     @staticmethod
     def from_matrix_basis(
-        name: str, basis_names: Sequence[str], mats: Sequence[RatMatrix]
+        name: str, basis_names: Sequence[str], mats: Sequence[PairRows]
     ) -> "LieAlgebra":
-        """Structure constants of a linearly independent family of matrices
-        closed under commutator."""
+        """Structure constants of a linearly independent family of square
+        matrices closed under commutator."""
         dim = len(mats)
         if dim == 0:
             return LieAlgebra.create(name, [], {})
-        size = mats[0].cols
-        width = mats[0].rows * size
-        sparse = [[{c: x for c, x in enumerate(m.row(r)) if x} for r in range(m.rows)] for m in mats]
+        size = len(mats[0])
+        width = size * size
+        sparse = [[dict(row) for row in m] for m in mats]
         # factor once: the RREF of [flat | I] is [R | E] with R = E @ flat, so
         # v = sum_t v[pivot t] R_t gives the coordinates sum_t v[pivot t] E_t
         reduced = sparse_rref(

@@ -14,7 +14,8 @@ mueller_roemer7   the 7-dimensional algebra whose derivations are all nilpotent
 st_c(n), sl_c(n)  realifications of the complex families (dim doubled)
 
 Matrix families use the elementary-matrix basis T(i,j); the traceless
-diagonal part is spanned by H_i = T(i,i) - T(i+1,i+1). Strict upper
+diagonal part is spanned by H_i = T(i,i) - T(i+1,i+1). Each defining
+matrix is kept as `linalg.PairRows`, its nonzero entries row by row. Strict upper
 triangular basis vectors are ordered by distance from the diagonal and
 then by row, which makes the nilpotent grading explicit.
 """
@@ -27,7 +28,7 @@ from functools import lru_cache, partial
 
 from .algebra import LieAlgebra, direct_sum
 from .constants import MAX_CATALOG_DIM
-from .linalg import RatMatrix
+from .linalg import PairRows
 from .serialize import FormatError
 
 __all__ = [
@@ -39,20 +40,15 @@ __all__ = [
 ]
 
 
-def _unit_matrix(n: int, i: int, j: int) -> RatMatrix:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[i][j] = Fraction(1)
-    return RatMatrix(rows)
+def _unit_matrix(n: int, i: int, j: int) -> PairRows:
+    return tuple(((j, Fraction(1)),) if r == i else () for r in range(n))
 
 
-def _traceless_diag(n: int, i: int) -> RatMatrix:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[i][i] = Fraction(1)
-    rows[i + 1][i + 1] = Fraction(-1)
-    return RatMatrix(rows)
+def _traceless_diag(n: int, i: int) -> PairRows:
+    return tuple(((r, Fraction(1 if r == i else -1)),) if r in (i, i + 1) else () for r in range(n))
 
 
-def _strict_upper(n: int) -> tuple[list[str], list[RatMatrix]]:
+def _strict_upper(n: int) -> tuple[list[str], list[PairRows]]:
     names, mats = [], []
     for dist in range(1, n):
         for i in range(n - dist):
@@ -76,25 +72,25 @@ def heisenberg(dim: int) -> LieAlgebra:
     return LieAlgebra.create(f"heisenberg({dim})", names, brackets)
 
 
-def _d_data(n: int) -> tuple[list[str], list[RatMatrix]]:
+def _d_data(n: int) -> tuple[list[str], list[PairRows]]:
     names = [f"T{i + 1}{i + 1}" for i in range(n)]
     return names, [_unit_matrix(n, i, i) for i in range(n)]
 
 
-def _t_data(n: int) -> tuple[list[str], list[RatMatrix]]:
+def _t_data(n: int) -> tuple[list[str], list[PairRows]]:
     names, mats = _d_data(n)
     un, um = _strict_upper(n)
     return names + un, mats + um
 
 
-def _st_data(n: int) -> tuple[list[str], list[RatMatrix]]:
+def _st_data(n: int) -> tuple[list[str], list[PairRows]]:
     names = [f"H{i + 1}" for i in range(n - 1)]
     mats = [_traceless_diag(n, i) for i in range(n - 1)]
     un, um = _strict_upper(n)
     return names + un, mats + um
 
 
-def _sl_data(n: int) -> tuple[list[str], list[RatMatrix]]:
+def _sl_data(n: int) -> tuple[list[str], list[PairRows]]:
     names = [f"H{i + 1}" for i in range(n - 1)]
     mats = [_traceless_diag(n, i) for i in range(n - 1)]
     un, um = _strict_upper(n)
@@ -117,7 +113,7 @@ _MATRIX_FAMILIES = {
 }
 
 
-def _matrix_algebra(family: str, n: int) -> tuple[LieAlgebra, tuple[RatMatrix, ...]]:
+def _matrix_algebra(family: str, n: int) -> tuple[LieAlgebra, tuple[PairRows, ...]]:
     low, data = _MATRIX_FAMILIES[family]
     if n < low:
         raise ValueError(f"{family}(n) needs n >= {low}")
@@ -199,7 +195,7 @@ def catalog(name: str, param: int | None = None) -> LieAlgebra:
     return alg
 
 
-def catalog_matrices(name: str, param: int | None = None) -> tuple[RatMatrix, ...] | None:
+def catalog_matrices(name: str, param: int | None = None) -> tuple[PairRows, ...] | None:
     """Defining matrices of a catalog entry, when it has a matrix model."""
     _, mats = _build(name, param)
     return mats
@@ -224,7 +220,7 @@ _FAMILIES = {
 # Memoised: algebras, their cached invariants and the matrix tuples are
 # immutable, so one construction per key and process suffices.
 @lru_cache(maxsize=None)
-def _build(name: str, param: int | None) -> tuple[LieAlgebra, tuple[RatMatrix, ...] | None]:
+def _build(name: str, param: int | None) -> tuple[LieAlgebra, tuple[PairRows, ...] | None]:
     if param is None:
         name, param = parse_catalog_key(name)
     family = _FAMILY_ALIASES.get(name.lower(), name).lower()

@@ -17,8 +17,8 @@ from math import gcd, lcm
 from operator import mul, sub
 
 from .algebra import LieAlgebra
-from .linalg import (RatMatrix, Subspace, _backward, _dense, _echelon, _insert, _kernel, _kernel_vectors,
-                     _primitive, _row_times)
+from .linalg import (PairRows, Subspace, _backward, _echelon, _insert, _kernel, _kernel_vectors, _primitive,
+                     _row_times, sparse_rref)
 
 __all__ = [
     "DerivationAlgebra",
@@ -31,7 +31,8 @@ __all__ = [
 
 
 class DerivationAlgebra(namedtuple("DerivationAlgebra", "parent basis")):
-    """Der(parent), with `basis` a tuple of matrices in canonical RREF order."""
+    """Der(parent), with `basis` a tuple of matrices (`PairRows`) in
+    canonical RREF order."""
 
     @property
     def dim(self) -> int:
@@ -108,18 +109,25 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
                         {k * n + j: c for j in range(n) for k, c in g._bracket({i: 1}, {j: 1}).items()}
                         for i in range(n)
                     ]
-                    return _from_kernel(g, Subspace.span(ads, n * n))
+                    return _from_rref(g, sparse_rref(ads))
                 grew = True
                 nonzeros += len(prow)
         if not grew and nonzeros > _DENSE_PIVOT_ROW * len(echelon):
-            kernel = _cut(_integer_kernel(echelon, n * n), blocks, inner)
-            return _from_kernel(g, Subspace.span(kernel, n * n))
-    return _from_kernel(g, _kernel(echelon, n * n))
+            return _from_rref(g, sparse_rref(_cut(_integer_kernel(echelon, n * n), blocks, inner)))
+    return _from_rref(g, sparse_rref(_kernel_vectors(_backward(echelon), n * n)))
 
 
-def _from_kernel(g: LieAlgebra, space: Subspace) -> DerivationAlgebra:
+def _from_rref(g: LieAlgebra, reduced: list[tuple[int, dict[int, Fraction]]]) -> DerivationAlgebra:
+    """The derivation algebra whose basis is the canonical RREF `reduced` of
+    flattened matrices, entry (a, b) at column a*n + b, each made n x n."""
     n = g.dim
-    return DerivationAlgebra(g, tuple(RatMatrix.from_flat(n, n, vec) for vec in space.basis_vectors()))
+    basis = []
+    for _, vec in reduced:
+        rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+        for col, x in sorted(vec.items()):
+            rows[col // n].append((col % n, x))
+        basis.append(tuple(map(tuple, rows)))
+    return DerivationAlgebra(g, tuple(basis))
 
 
 def _integer_kernel(echelon: dict[int, dict[int, int]], ncols: int) -> list[list[int]]:
@@ -169,18 +177,15 @@ def _cut(kernel: list[list[int]], blocks, target: int) -> list[list[int]]:
     return kernel
 
 
-def _integer_basis(mats) -> tuple[list[list[dict[int, int]]], int]:
+def _integer_basis(mats: list[PairRows]) -> tuple[list[list[dict[int, int]]], int]:
     """(the rows of d * m as sparse integer rows {col: value}, for each m; d)
     for the lcm d of every denominator in mats. Scaling by d > 0 changes
     neither the nilpotency of a combination nor a preimage."""
-    nonzero = [[[(j, x) for j, x in enumerate(m.row(i)) if x] for i in range(m.rows)] for m in mats]
-    den = lcm(*(x.denominator for rows in nonzero for row in rows for _, x in row))
-    return [[{j: x.numerator * (den // x.denominator) for j, x in row} for row in rows] for rows in nonzero], den
+    den = lcm(*(x.denominator for m in mats for row in m for _, x in row))
+    return [[{j: x.numerator * (den // x.denominator) for j, x in row} for row in m] for m in mats], den
 
 
-def engel_flag(
-    mats: list[RatMatrix] | tuple[RatMatrix, ...], ambient_dim: int, scaled: tuple | None = None
-) -> list[Subspace] | None:
+def engel_flag(mats: list[PairRows], ambient_dim: int, scaled: tuple | None = None) -> list[Subspace] | None:
     """Flag 0 < W_1 < ... < W_r = Q^n with D(W_{k+1}) <= W_k for all D.
 
     W_{k+1} is the preimage of W_k under every matrix at once; the chain
@@ -191,7 +196,7 @@ def engel_flag(
     when the caller already has it.
     """
     for m in mats:
-        if m.rows != m.cols or m.rows != ambient_dim:
+        if len(m) != ambient_dim or any(not 0 <= j < ambient_dim for row in m for j, _ in row):
             raise ValueError("matrices must be square of the ambient dimension")
     if ambient_dim == 0:
         return [Subspace.zero(0)]
@@ -231,8 +236,8 @@ def _combination(coeffs: dict[int, int], rows: list[list[dict[int, int]]]) -> li
 
 
 def find_non_nilpotent(
-    mats: list[RatMatrix], seed: int = 0, tries: int = 200, scaled: tuple | None = None
-) -> RatMatrix | None:
+    mats: list[PairRows], seed: int = 0, tries: int = 200, scaled: tuple | None = None
+) -> PairRows | None:
     """A non-nilpotent element of the span: basis elements first, then
     pair sums, then seeded small integer combinations. `scaled` is
     `_integer_basis(mats)` when the caller already has it."""
@@ -248,8 +253,7 @@ def find_non_nilpotent(
     for coeffs in itertools.chain(pairs, seeded):
         combo = _combination(coeffs, rows)
         if not _is_nilpotent_matrix(combo):
-            n = len(combo)
-            return RatMatrix([_dense({j: Fraction(v, den) for j, v in row.items()}, n) for row in combo])
+            return tuple(tuple((j, Fraction(v, den)) for j, v in sorted(row.items())) for row in combo)
     return None
 
 

@@ -61,8 +61,12 @@ def _series_dict(report) -> dict:
     }
 
 
-def _matrix_strings(m) -> list[list[str]]:
-    return [[format_rational(x) for x in m.row(i)] for i in range(m.rows)]
+def _row_strings(pairs, ncols: int) -> list[str]:
+    """A row of `ncols` entries given by its (column, value) pairs, as "p/q" texts: "0/1" elsewhere."""
+    out = ["0/1"] * ncols
+    for j, x in pairs:
+        out[j] = format_rational(x)
+    return out
 
 
 def catalog_list(obj):
@@ -102,6 +106,7 @@ def algebra_analyze(obj, source):
     center = alg.center_space
     der = alg.derivation_algebra
     obstruction = contractibility_obstruction(alg)
+    n = alg.dim
     body = {
         "algebra": alg.name,
         "dim": alg.dim,
@@ -110,15 +115,15 @@ def algebra_analyze(obj, source):
         "predicates": {"is_solvable": preds.is_solvable, "is_nilpotent": preds.is_nilpotent},
         "derived_series": _series_dict(derived),
         "lower_central_series": _series_dict(lower),
-        "center": {"dim": center.dim, "basis": _matrix_strings(center.basis)},
+        "center": {"dim": center.dim, "basis": [_row_strings(enumerate(row), n) for row in center.basis_vectors()]},
         "derivations": {
             "dim": der.dim,
-            "basis": [_matrix_strings(m) for m in der.basis],
+            "basis": [[_row_strings(row, n) for row in m] for m in der.basis],
         },
         "contractibility_obstruction": {
             "status": obstruction.status,
             "flag_dims": None if obstruction.flag is None else [s.dim for s in obstruction.flag],
-            "witness": None if obstruction.witness is None else _matrix_strings(obstruction.witness),
+            "witness": None if obstruction.witness is None else [_row_strings(row, n) for row in obstruction.witness],
         },
         "notes": _notes_for(alg, derived.length),
         "status": "pass",

@@ -3,11 +3,14 @@
 All invariant computations in this package reduce to row reduction and
 kernels over Q. The working form is the sparse integer row
 {column: integer}: `sparse_rref` eliminates such rows fraction-free and
-returns the canonical RREF. `RatMatrix` and `Subspace` are dense values
-with no arithmetic, used where results leave the exact layer (reports,
-tests). Everything here is exact: no floats, no thresholds. Subspaces
-are kept in canonical reduced row-echelon form so that equality of
-subspaces is equality of representations.
+returns the canonical RREF. A matrix that the exact layer makes or reads
+(a catalog matrix, a derivation, a witness) has one form, `PairRows`: a
+tuple of rows, each a tuple of (column, Fraction) pairs in column order
+with zeros dropped. `RatMatrix` is a dense value with no arithmetic: the
+basis of a `Subspace`, and the input of `nullspace`, `solve` and `rank`.
+Everything here is exact: no floats, no thresholds. Subspaces are kept in
+canonical reduced row-echelon form so that equality of subspaces is
+equality of representations.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
+    "PairRows",
     "RatMatrix",
     "Subspace",
     "nullspace",
@@ -27,6 +31,9 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+
+# a matrix as rows of (column, value) pairs, columns ascending, zeros dropped
+PairRows = tuple[tuple[tuple[int, Fraction], ...], ...]
 
 
 def as_rational(x) -> Fraction:
@@ -45,16 +52,17 @@ def rational_vector(xs: Iterable) -> tuple[Fraction, ...]:
 
 
 class RatMatrix:
-    """Immutable matrix with Fraction entries, stored row-major: a value
-    for reports and tests, with no arithmetic (the exact layer works on
-    sparse integer rows)."""
+    """Immutable matrix with Fraction entries, stored row-major: the basis
+    of a `Subspace` and the input of `nullspace`, `solve` and `rank`, with
+    no arithmetic (the exact layer works on sparse integer rows)."""
 
     __slots__ = ("rows", "cols", "_data")
 
-    def __init__(self, data: Sequence[Sequence]) -> None:
+    def __init__(self, data: Sequence[Sequence], cols: int | None = None) -> None:
+        """`cols` is the column count of a matrix with no rows, else read off the rows."""
         self._data = tuple(rational_vector(row) for row in data)
         self.rows = len(self._data)
-        self.cols = len(self._data[0]) if self._data else 0
+        self.cols = len(self._data[0]) if self._data else cols or 0
         if any(len(r) != self.cols for r in self._data):
             raise ValueError("ragged rows")
 
@@ -64,20 +72,10 @@ class RatMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RatMatrix":
-        z = Fraction(0)
-        return RatMatrix([[z] * cols for _ in range(rows)])
-
-    @staticmethod
-    def from_flat(rows: int, cols: int, flat: Sequence) -> "RatMatrix":
-        if len(flat) != rows * cols:
-            raise ValueError("flat length mismatch")
-        return RatMatrix([flat[i * cols:(i + 1) * cols] for i in range(rows)])
+        return RatMatrix([[_ZERO] * cols for _ in range(rows)], cols)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self._data[i]
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._data[i][j]
 
     def __eq__(self, other) -> bool:
         return (
@@ -259,9 +257,7 @@ class Subspace(namedtuple("Subspace", "ambient_dim basis")):
 
 
 def _subspace(reduced: list[tuple[int, dict[int, Fraction]]], ambient_dim: int) -> Subspace:
-    if not reduced:
-        return Subspace.zero(ambient_dim)
-    return Subspace(ambient_dim, RatMatrix([_dense(row, ambient_dim) for _, row in reduced]))
+    return Subspace(ambient_dim, RatMatrix([_dense(row, ambient_dim) for _, row in reduced], ambient_dim))
 
 
 def nullspace(m: RatMatrix) -> Subspace:

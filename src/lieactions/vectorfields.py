@@ -23,7 +23,7 @@ from .constants import MAX_FLOW_STEPS, max_residual
 from .polynomials import Poly, compile_float
 
 if TYPE_CHECKING:
-    from .linalg import RatMatrix, Subspace
+    from .linalg import PairRows, Subspace
 
 # The exact layer is imported inside the functions that run it: `linalg` by
 # the rank and kernel computations, `catalog` by `make_projective_action`; so
@@ -183,7 +183,7 @@ def commuting_family(
     return fields, CommutingFamilyCertificate(True, pairs, independent)
 
 
-def projective_infinitesimal(a: RatMatrix) -> PolyVectorField:
+def projective_infinitesimal(a: PairRows) -> PolyVectorField:
     """Vector field on R^n induced by a matrix in gl(n+1) acting on the
     affine chart of projective space.
 
@@ -191,33 +191,22 @@ def projective_infinitesimal(a: RatMatrix) -> PolyVectorField:
     X(x) = M x + b - x (c^T x + d); it is linear in a and its kernel is
     the scalar matrices.
     """
-    if a.rows != a.cols:
+    if any(not 0 <= j < len(a) for row in a for j, _ in row):
         raise ValueError("matrix must be square")
-    n = a.rows - 1
+    n = len(a) - 1
     if n < 1:
         raise ValueError("matrix must be at least 2x2")
+
+    def monomial(*ks: int) -> tuple[int, ...]:
+        """The exponent of the product of the x_k; k = n stands for 1."""
+        return tuple(ks.count(v) for v in range(n))
+
     comps = []
     for i in range(n):
+        # with x_n = 1: sum_j a_ij x_j - x_i sum_j a_nj x_j, read off the nonzero entries
         coeffs: dict[tuple[int, ...], Fraction] = {}
-
-        def bump(exp: tuple[int, ...], c: Fraction):
-            if c:
-                coeffs[exp] = coeffs.get(exp, Fraction(0)) + c
-
-        zero_exp = (0,) * n
-        bump(zero_exp, a.entry(i, n))  # b_i
-        for j in range(n):
-            e = list(zero_exp)
-            e[j] += 1
-            bump(tuple(e), a.entry(i, j))  # (M x)_i
-        e = list(zero_exp)
-        e[i] += 1
-        bump(tuple(e), -a.entry(n, n))  # -d x_i
-        for j in range(n):
-            e = list(zero_exp)
-            e[i] += 1
-            e[j] += 1
-            bump(tuple(e), -a.entry(n, j))  # -(c^T x) x_i
+        for e, c in [(monomial(j), c) for j, c in a[i]] + [(monomial(i, j), -c) for j, c in a[n]]:
+            coeffs[e] = coeffs.get(e, 0) + c
         comps.append(Poly.make(n, coeffs))
     return PolyVectorField(tuple(comps))
 
@@ -228,11 +217,8 @@ def projective_kernel(n: int) -> Subspace:
     from .linalg import RatMatrix, nullspace
 
     size = n + 1
-    units = [
-        RatMatrix([[Fraction(int((i, j) == (a, b))) for j in range(size)] for i in range(size)])
-        for a in range(size)
-        for b in range(size)
-    ]
+    one = Fraction(1)
+    units = [tuple(((b, one),) if i == a else () for i in range(size)) for a in range(size) for b in range(size)]
     terms = [[dict(comp.terms) for comp in projective_infinitesimal(u).components] for u in units]
     # rows: one per monomial slot (component k, exponent e); columns: the matrix units
     slots = sorted({(k, e) for t in terms for k, comp in enumerate(t) for e in comp})

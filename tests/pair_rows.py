@@ -1,0 +1,19 @@
+"""Between dense matrices and `linalg.PairRows`, the one form in which the
+exact layer makes and reads a matrix: a tuple of rows, each a tuple of
+(column, Fraction) pairs in column order with zeros dropped."""
+
+from fractions import Fraction
+
+
+def pairs(dense) -> tuple:
+    """The pair rows of a matrix given as rows of ints or Fractions."""
+    return tuple(tuple((j, Fraction(x)) for j, x in enumerate(row) if x) for row in dense)
+
+
+def dense(m) -> list[list[Fraction]]:
+    """The square matrix with pair rows m as lists of Fractions."""
+    out = [[Fraction(0)] * len(m) for _ in m]
+    for row, entries in zip(out, m):
+        for j, x in entries:
+            row[j] = x
+    return out

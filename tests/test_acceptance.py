@@ -59,6 +59,7 @@ from lieactions.vectorfields import (
 
 from clirunner import invoke
 from one_sample import OneAtATimeSampler, random_sl2
+from pair_rows import dense
 from test_deformations import verify_group
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -156,7 +157,7 @@ def test_criterion_02_derived_lengths():
     for m in range(2, 7):
         computed.append(catalog("st", m).derived_length())
         sym = [
-            sp.Matrix([[float(x) for x in mat.row(i)] for i in range(m)])
+            sp.Matrix([[float(x) for x in row] for row in dense(mat)])
             for mat in catalog_matrices("st", m)
         ]
         oracle.append(_sympy_derived_length(sym, m))
@@ -224,7 +225,7 @@ def test_criterion_05_mueller_roemer_obstruction():
         assert high.dim > low.dim
         for d in der.basis:
             for b in high.basis_vectors():
-                assert low.contains([sum(x * y for x, y in zip(d.row(i), b)) for i in range(d.rows)])
+                assert low.contains([sum(x * y for x, y in zip(row, b)) for row in dense(d)])
     for m in (2, 3):
         assert derivation_algebra(catalog("abelian", m)).dim == m * m
 

@@ -36,13 +36,15 @@ from lieactions.constants import MAX_CATALOG_DIM
 from lieactions.linalg import RatMatrix, Subspace
 from lieactions.serialize import FormatError
 
+from pair_rows import dense, pairs
+
 
 # -- oracles ---------------------------------------------------------------
 
 
 def _flat(m):
-    """The entries of a RatMatrix, row by row."""
-    return tuple(x for i in range(m.rows) for x in m.row(i))
+    """The entries of a matrix, row by row."""
+    return tuple(x for row in dense(m) for x in row)
 
 
 def _catalog_entries():
@@ -90,8 +92,8 @@ def sympy_derived_length(mats, n):
     return length
 
 
-def to_sympy(m: RatMatrix) -> sp.Matrix:
-    return sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in m.row(i)] for i in range(m.rows)])
+def to_sympy(m) -> sp.Matrix:
+    return sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row] for row in dense(m)])
 
 
 def corrupted_h3() -> LieAlgebra:
@@ -624,11 +626,11 @@ def test_from_matrix_basis_matches_sympy_commutators(family, n):
 
 def test_from_matrix_basis_rejects_dependent_and_open_families():
     mats = catalog_matrices("st3")
-    doubled = RatMatrix.from_flat(3, 3, [2 * x for x in _flat(mats[0])])
+    doubled = pairs([[2 * x for x in row] for row in dense(mats[0])])
     with pytest.raises(ValueError, match="dependent"):
         LieAlgebra.from_matrix_basis("dep", ["a", "b"], [mats[0], doubled])
     # E12 and E21 bracket to a diagonal matrix outside their span
-    e12, e21 = RatMatrix([[0, 1], [0, 0]]), RatMatrix([[0, 0], [1, 0]])
+    e12, e21 = pairs([[0, 1], [0, 0]]), pairs([[0, 0], [1, 0]])
     with pytest.raises(ValueError, match="leaves the span"):
         LieAlgebra.from_matrix_basis("open", ["e", "f"], [e12, e21])
 

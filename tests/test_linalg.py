@@ -70,6 +70,13 @@ def test_nullspace_identity_and_zero():
     assert full == Subspace.full(3)
 
 
+def test_zeros_keeps_its_column_count():
+    assert RatMatrix.zeros(0, 3).cols == 3
+    assert nullspace(RatMatrix.zeros(0, 3)) == Subspace.full(3)
+    assert Subspace.zero(4).basis.cols == 4
+    assert Subspace.zero(4) == Subspace.span([[0, 0, 0, 0]], 4)
+
+
 def test_nullspace_dimension_and_membership():
     rng = random.Random(11)
     for _ in range(15):

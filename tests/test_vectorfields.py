@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from lieactions.catalog import catalog
 from lieactions.constants import MAX_FLOW_STEPS
-from lieactions.linalg import RatMatrix
 from lieactions.polynomials import Poly, compile_float
 from lieactions.vectorfields import (
     AnnihilationError,
@@ -33,6 +32,8 @@ from lieactions.vectorfields import (
     projective_kernel,
     vf_bracket,
 )
+
+from pair_rows import pairs
 
 
 def _variable(nvars, i):
@@ -295,12 +296,12 @@ def test_boundary_tangency_on_half_plane():
 
 
 def test_projective_identity_matrix_gives_zero_field():
-    x = projective_infinitesimal(RatMatrix.identity(3))
+    x = projective_infinitesimal(pairs([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert x.is_zero()
 
 
 def test_projective_riccati():
-    a = RatMatrix([[2, 3], [5, -2]])
+    a = pairs([[2, 3], [5, -2]])
     x = projective_infinitesimal(a)
     # b + 2a x - c x^2 with a=2, b=3, c=5
     assert x == PolyVectorField(
@@ -309,7 +310,7 @@ def test_projective_riccati():
 
 
 def test_projective_t12_in_sl3():
-    t12 = RatMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    t12 = pairs([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     x = projective_infinitesimal(t12)
     assert x == PolyVectorField((Poly.make(2, {(0, 1): 1}), Poly.zero(2)))
 
@@ -319,9 +320,9 @@ def test_projective_linear_in_matrix():
     for _ in range(10):
         a = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
         b = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-        xa = projective_infinitesimal(RatMatrix(a))
-        xb = projective_infinitesimal(RatMatrix(b))
-        xab = projective_infinitesimal(RatMatrix([[x + y for x, y in zip(r, q)] for r, q in zip(a, b)]))
+        xa = projective_infinitesimal(pairs(a))
+        xb = projective_infinitesimal(pairs(b))
+        xab = projective_infinitesimal(pairs([[x + y for x, y in zip(r, q)] for r, q in zip(a, b)]))
         assert xab == xa + xb
 
 
