@@ -26,8 +26,9 @@ if TYPE_CHECKING:
     from .linalg import PairRows, Subspace
 
 # The exact layer is imported inside the functions that run it: `linalg` by
-# the rank and kernel computations, `catalog` by `make_projective_action`; so
-# is numpy, by the functions that build arrays. `vf flow` loads none of them.
+# the rank and kernel computations, `catalog` by `make_projective_action` and
+# `projective_kernel`; so is numpy, by the functions that build arrays. `vf
+# flow` loads none of them.
 
 __all__ = [
     "PolyVectorField",
@@ -214,11 +215,11 @@ def projective_infinitesimal(a: PairRows) -> PolyVectorField:
 def projective_kernel(n: int) -> Subspace:
     """Kernel of A -> X_A on gl(n+1), as a subspace of the flattened
     matrices; equals the scalar matrices."""
+    from .catalog import _unit_matrix
     from .linalg import RatMatrix, nullspace
 
     size = n + 1
-    one = Fraction(1)
-    units = [tuple(((b, one),) if i == a else () for i in range(size)) for a in range(size) for b in range(size)]
+    units = [_unit_matrix(size, a, b) for a in range(size) for b in range(size)]
     terms = [[dict(comp.terms) for comp in projective_infinitesimal(u).components] for u in units]
     # rows: one per monomial slot (component k, exponent e); columns: the matrix units
     slots = sorted({(k, e) for t in terms for k, comp in enumerate(t) for e in comp})
