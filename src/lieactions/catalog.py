@@ -15,9 +15,9 @@ st_c(n), sl_c(n)  realifications of the complex families (dim doubled)
 
 Matrix families use the elementary-matrix basis T(i,j); the traceless
 diagonal part is spanned by H_i = T(i,i) - T(i+1,i+1). Each defining
-matrix is kept as `linalg.PairRows`, its nonzero entries row by row. Strict upper
-triangular basis vectors are ordered by distance from the diagonal and
-then by row, which makes the nilpotent grading explicit.
+matrix is kept as `linalg.PairRows`, its nonzero entries row by row.
+Strict upper triangular basis vectors are ordered by distance from the
+diagonal and then by row, which makes the nilpotent grading explicit.
 """
 
 from __future__ import annotations

@@ -300,6 +300,13 @@ def test_projective_identity_matrix_gives_zero_field():
     assert x.is_zero()
 
 
+def test_projective_rejects_a_matrix_not_square_or_below_2x2():
+    with pytest.raises(ValueError, match="square"):
+        projective_infinitesimal(pairs([[0, 0, 1], [0, 0, 0]]))  # two rows, an entry in column 2
+    with pytest.raises(ValueError, match="2x2"):
+        projective_infinitesimal(pairs([[1]]))
+
+
 def test_projective_riccati():
     a = pairs([[2, 3], [5, -2]])
     x = projective_infinitesimal(a)
