@@ -173,9 +173,6 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
                     out[k] += s * c
         return out
 
-    def basis_vector(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(int(k == i)) for k in range(self.dim))
-
     # -- validation ---------------------------------------------------
 
     def jacobi_check(self) -> list[tuple[int, int, int]]:

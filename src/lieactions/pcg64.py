@@ -7,7 +7,9 @@ the pool, and runs PCG64: a 128-bit linear congruential generator whose
 family of simple fast space-efficient statistically good algorithms for
 random number generation", 2014). `DefaultRNG` replays that stream bit for
 bit, but only through the two `Generator` calls the algebra law check of
-`deform verify` makes, so that verb runs without numpy.
+`deform verify` makes, so that verb runs without numpy; the projective
+`vf verify` makes its standard-normal points from `uniform` alone
+(Box-Muller), so it runs without numpy too.
 """
 
 from __future__ import annotations
@@ -66,7 +68,9 @@ def _pool(seed: int) -> list[int]:
 class DefaultRNG:
     """`numpy.random.default_rng(seed)` for a seed >= 0, with the draws of
     `Generator.integers(low, high)` (int64, 1 <= high - low <= 2^32) and
-    `Generator.uniform(low, high, k)`."""
+    `Generator.uniform(low, high, k)`. The law check of `deform verify`
+    calls both; the projective `vf verify` calls only `uniform`, whose
+    53-bit doubles feed its Box-Muller points."""
 
     def __init__(self, seed: int):
         if seed < 0:

@@ -137,12 +137,31 @@ POSITIVE = math.ulp(0.0)  # the low bound of a number that must be above 0
 _KIND_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "a JSON object"}
 
 
+def _read_scalars(values: list, kind, low=None, high=None) -> list | None:
+    """The entries of `values` read by the rule (kind, low, high) for kind
+    int or float, checked in one pass over the list; None when some entry
+    breaks the rule, or for any other kind."""
+    types = set(map(type, values))
+    if kind is int and types <= {int}:
+        items = list(values)
+    elif kind is float and types <= {int, float} and all(abs(x) <= sys.float_info.max for x in values):
+        items = list(map(float, values))
+    else:
+        return None
+    if items and ((low is not None and min(items) < low) or (high is not None and max(items) > high)):
+        return None
+    return items
+
+
 def read_value(value, kind, label: str, low=None, high=None):
     """`value` if it keeps the rule (kind, low, high), else a FormatError
     that names it by `label`."""
     if isinstance(kind, list):
         item, *bounds = kind
-        items = [read_value(x, item, f"each entry of {label}", *bounds) for x in read_value(value, list, label)]
+        values = read_value(value, list, label)
+        items = _read_scalars(values, item, *bounds)
+        if items is None:  # some entry breaks the rule: the first one is named
+            items = [read_value(x, item, f"each entry of {label}", *bounds) for x in values]
         if low is not None and len(items) < low:
             raise FormatError(f"{label} must have at least {low} entries")
         if high is not None and len(items) > high:

@@ -77,6 +77,20 @@ def _parse_field(data, what: str):
         _input_error(f"bad vector field in {what}: {exc}")
 
 
+def _normal_points(rng, samples: int, n: int) -> list[list[float]]:
+    """`samples` points of R^n with standard normal coordinates, two at a
+    time from two 53-bit uniforms u, w of `rng` (Box-Muller): sqrt(-2
+    log(1 - u)) times cos and sin of 2 pi w. 1 - u is in (0, 1], so every
+    coordinate is finite, of size at most sqrt(106 log 2) < 8.6."""
+    count = samples * n
+    us = rng.uniform(0.0, 1.0, count + count % 2)
+    coords = []
+    for u, w in zip(us[::2], us[1::2]):
+        r, angle = math.sqrt(-2.0 * math.log(1.0 - u)), 2.0 * math.pi * w
+        coords += (r * math.cos(angle), r * math.sin(angle))
+    return [coords[k : k + n] for k in range(0, count, n)]
+
+
 def vf_verify(obj, scenario):
     from .vectorfields import (
         FlowBlowUpError,
@@ -140,7 +154,7 @@ def vf_verify(obj, scenario):
         _emit(obj, "vf verify", body, tols)
         sys.exit(0 if ok else 1)
 
-    import numpy as np
+    from .pcg64 import DefaultRNG
 
     n = v["n"]
     # make_projective_action ran the homomorphism check; the sign it
@@ -153,8 +167,8 @@ def vf_verify(obj, scenario):
     kernel = projective_kernel(n)
     ident = [Fraction(int(i == j)) for i in range(n + 1) for j in range(n + 1)]
     kernel_is_scalars = kernel.dim == 1 and kernel.contains(ident)
-    rng = np.random.default_rng(obj["seed"] if v["seed"] is None else v["seed"])
-    infos = [orbit_info(action, rng.normal(size=n)) for _ in range(v["samples"])]
+    rng = DefaultRNG(obj["seed"] if v["seed"] is None else v["seed"])
+    infos = [orbit_info(action, p) for p in _normal_points(rng, v["samples"], n)]
     dims = sorted({info["dimension"] for info in infos})
     body = {
         "check": check,
@@ -184,10 +198,27 @@ def vf_flow(obj, scenario):
         sys.stderr.write(f"flow failed: {exc}\n")
         sys.exit(1)
     sign = 1.0 if duration >= 0 else -1.0
-    row_format = ",".join(["%.17g"] * (field.nvars + 1)) + "\n"  # what format(x, ".17g") writes
     header = "t," + ",".join(f"x{i + 1}" for i in range(field.nvars)) + "\n"
-    # one row at a time: the CSV text is never held whole
-    _write(obj, itertools.chain([header], (row_format % (sign * i * step, *row) for i, row in enumerate(traj))))
+    _write(obj, itertools.chain([header], _csv_chunks(traj, sign, step)))
+
+
+CSV_CHUNK = 512  # the rows of `vf flow`'s CSV formatted by one `%`
+
+
+def _csv_chunks(traj, sign: float, step: float):
+    """The CSV rows of a trajectory, t = sign * i * step and then the
+    coordinates, each value as format(x, ".17g") writes it; CSV_CHUNK rows
+    are formatted by one `%`, so the text is never held whole."""
+    n, data = traj.n, traj.data
+    width = n + 1
+    row_format = ",".join(["%.17g"] * width) + "\n"
+    for start in range(0, traj.rows, CSV_CHUNK):
+        stop = min(start + CSV_CHUNK, traj.rows)
+        values = [0.0] * ((stop - start) * width)
+        values[::width] = [sign * i * step for i in range(start, stop)]
+        for j in range(n):
+            values[j + 1::width] = data[start * n + j:stop * n:n]
+        yield row_format * (stop - start) % tuple(values)
 
 
 HANDLERS = {"vf verify": vf_verify, "vf flow": vf_flow}

@@ -1,6 +1,8 @@
 """Between dense matrices and `linalg.PairRows`, the one form in which the
 exact layer makes and reads a matrix: a tuple of rows, each a tuple of
-(column, Fraction) pairs in column order with zeros dropped."""
+(column, Fraction) pairs in column order with zeros dropped; and the dense
+basis vectors of an algebra, which the tests bracket with
+`LieAlgebra.bracket`."""
 
 from fractions import Fraction
 
@@ -17,3 +19,8 @@ def dense(m) -> list[list[Fraction]]:
         for j, x in entries:
             row[j] = x
     return out
+
+
+def basis_vector(g, i: int) -> tuple[Fraction, ...]:
+    """e_i of the algebra g as a dense tuple of Fractions."""
+    return tuple(Fraction(int(k == i)) for k in range(g.dim))

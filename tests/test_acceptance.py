@@ -59,7 +59,7 @@ from lieactions.vectorfields import (
 
 from clirunner import invoke
 from one_sample import OneAtATimeSampler, random_sl2
-from pair_rows import dense
+from pair_rows import basis_vector, dense
 from test_deformations import verify_group
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -117,7 +117,10 @@ def test_criterion_01_catalog_jacobi():
         assert alg.jacobi_check() == [], key
     # the 7-dimensional table, transcribed relation by relation
     mr = catalog("mueller_roemer7")
-    e = mr.basis_vector
+
+    def e(i):
+        return basis_vector(mr, i)
+
     for k in range(1, 6):
         assert mr.bracket(e(0), e(k)) == e(k + 1), k
     assert mr.bracket(e(1), e(2)) == e(5)

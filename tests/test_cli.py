@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lieactions import vf_verbs
 from lieactions.algebra import to_json_dict
 from lieactions.catalog import DEFAULT_CATALOG, catalog
 from lieactions.constants import (
@@ -22,8 +23,11 @@ from lieactions.constants import (
     MAX_SAMPLES,
 )
 
+from lieactions.vectorfields import flow
+
 from clirunner import invoke
 
+CSV_CHUNK = vf_verbs.CSV_CHUNK
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
@@ -390,6 +394,24 @@ def test_vf_flow_csv():
     assert lines[0] == "t,x1,x2"
     assert lines[1].startswith("0,1,0")
     assert len(lines) == 1002
+
+
+@pytest.mark.parametrize("steps", [0, 1, CSV_CHUNK - 2, CSV_CHUNK - 1, CSV_CHUNK, 2 * CSV_CHUNK + 3])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_vf_flow_csv_chunks_match_row_by_row(tmp_path, steps, sign):
+    # rows are formatted CSV_CHUNK at a time; the text is what one `%` per row gave
+    field = {"components": [_poly(3, ((0, 1, 0), "1/1"), ((2, 0, 0), "-1/3")), _poly(3, ((1, 0, 0), "-1/1")),
+                            _poly(3, ((0, 0, 0), "1/7"))]}
+    step, duration = 1 / 1024, sign * steps / 1024
+    path = write_json(tmp_path, "flow.json", {"field": field, "point": [0.5, -0.25, 1e-300],
+                                              "duration": duration, "step": step})
+    result = run("vf", "flow", "--scenario", path)
+    assert result.exit_code == 0
+    traj = flow(vf_verbs._parse_field(field, "'field'"), [0.5, -0.25, 1e-300], duration, step)
+    t_sign = 1.0 if duration >= 0 else -1.0
+    rows = ("%.17g,%.17g,%.17g,%.17g\n" % (t_sign * i * step, *row) for i, row in enumerate(traj))
+    assert result.output == "t,x1,x2,x3\n" + "".join(rows)
+    assert len(traj) == steps + 1
 
 
 def test_vf_bad_scenario_exits_2(tmp_path):

@@ -11,10 +11,9 @@ and `act verify`, `vf flow` and the commuting-family `vf verify` load no
 `algebra` or `catalog`; `act verify` loads `deformations` only for the
 ball kinds; only `algebra analyze` loads `derivations`, only `algebra
 obstruct` loads `obstructions`, an algebra read from a file loads no
-`catalog`, and `vf flow`, the commuting-family `vf verify` and `deform
-verify` run without numpy (`deform verify` draws its samples from
-`pcg64`, a standard-library copy of numpy's default stream, and loads no
-`matrixgroups`). Each case runs one verb in a fresh interpreter and
+`catalog`, and only `act verify` loads numpy: `deform verify` and the
+projective `vf verify` draw their samples from `pcg64`, a standard-library
+copy of numpy's default stream (`deform verify` loads no `matrixgroups`). Each case runs one verb in a fresh interpreter and
 inspects `sys.modules` afterwards, so a stray top-level import in `cli.py`
 (or in a module it imports) fails here.
 """
@@ -110,10 +109,10 @@ CASES = {
     ),
     "vf-verify-projective": (
         ["vf", "verify", "--scenario", str(SCENARIOS / "projective2.json")],
-        ["lieactions.actions", "lieactions.deformations", "lieactions.matrixgroups", "lieactions.derivations",
-         "lieactions.obstructions", *EXACT_VERBS, *DEFORM_VERBS, *ACT_VERBS],
-        VF_VERBS + ["numpy", "lieactions.vectorfields", "lieactions.polynomials", "lieactions.algebra",
-                    "lieactions.catalog", "lieactions.linalg"],
+        ["numpy", "numpy.random", "lieactions.actions", "lieactions.deformations", "lieactions.matrixgroups",
+         "lieactions.derivations", "lieactions.obstructions", *EXACT_VERBS, *DEFORM_VERBS, *ACT_VERBS],
+        VF_VERBS + ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.algebra",
+                    "lieactions.catalog", "lieactions.linalg", "lieactions.pcg64"],
     ),
     "act-verify": (
         ["act", "verify", "--scenario", str(SCENARIOS / "sphere_st3.json")],

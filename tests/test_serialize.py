@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from lieactions import act_verbs, deform_verbs, vf_verbs
 from lieactions.algebra import BRACKET_KEYS, DOCUMENT_KEYS, from_json_dict
-from lieactions.serialize import FormatError, dumps, encode_basestring, read_object
+from lieactions.serialize import POSITIVE, FormatError, dumps, encode_basestring, read_object, read_value
 
 
 def _ref_scalar(obj):
@@ -228,3 +228,59 @@ def test_algebra_reader_reads_any_json_or_raises_format_error(doc):
     except FormatError:
         return
     assert g.dim == doc["dim"] and list(g.basis_names) == doc["basis"]
+
+
+# -- lists of a scalar kind -------------------------------------------------------------
+
+# the list rules of the key tables and their kinds, with bounds on the list and on each entry
+LIST_RULES = [([int], None, None), ([int, 0, 64], None, 3), ([float], 1, None), ([float, POSITIVE, None], None, None),
+              ([float, -1.0, 1.0], 0, 4), ([str], None, None), ([dict], None, None)]
+entries = (st.integers(-3, 70) | st.integers() | st.floats() | st.booleans() | st.none() | st.text(max_size=2)
+           | st.sampled_from([2**1024, -(2**1024), 2**1023 * 2 - 1, POSITIVE, 0.0, -0.0]))
+
+
+def _entry_by_entry(value, kind, label, low, high):
+    """The per-entry reading of a list: every entry through `read_value` in
+    turn, then the bounds on the length."""
+    item, *bounds = kind
+    items = [read_value(x, item, f"each entry of {label}", *bounds) for x in read_value(value, list, label)]
+    if low is not None and len(items) < low:
+        raise FormatError(f"{label} must have at least {low} entries")
+    if high is not None and len(items) > high:
+        raise FormatError(f"{label} has {len(items)} entries, above the bound {high}")
+    return items
+
+
+def _outcome(read):
+    try:
+        values = read()
+    except FormatError as exc:
+        return "error", str(exc)
+    return "value", [(type(x), x) for x in values]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(LIST_RULES), st.lists(entries, max_size=6) | json_values)
+def test_list_reader_matches_entry_by_entry(rule, value):
+    # a list of ints or floats is checked in one pass; whatever it returns or
+    # raises, the message of the first bad entry included, is what reading
+    # each entry in turn gives
+    kind, low, high = rule
+    got = _outcome(lambda: read_value(value, kind, "'xs'", low, high))
+    assert got == _outcome(lambda: _entry_by_entry(value, kind, "'xs'", low, high))
+
+
+@pytest.mark.parametrize("value,kind,message", [
+    ([0, 1, -1, 2], [int, 0, 64], "each entry of 'xs' must be at least 0, got -1"),
+    ([0, 65, 70], [int, 0, 64], "each entry of 'xs' is 65, above the bound 64"),
+    ([1, True], [int], "each entry of 'xs' must be an integer, got True"),
+    ([1, 2.0], [int], "each entry of 'xs' must be an integer, got 2.0"),
+    ([1.5, float("nan")], [float], "each entry of 'xs' must be a finite number, got nan"),
+    ([2**1024], [float], f"each entry of 'xs' must be a finite number, got {2**1024!r}"),
+    ([1.0, "2"], [float], "each entry of 'xs' must be a finite number, got '2'"),
+    ([0.5, 0.0], [float, POSITIVE, None], "each entry of 'xs' must be positive, got 0.0"),
+])
+def test_malformed_lists_name_their_first_bad_entry(value, kind, message):
+    with pytest.raises(FormatError) as exc:
+        read_value(value, kind, "'xs'")
+    assert str(exc.value) == message

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieactions import vectorfields
 from lieactions.catalog import catalog
 from lieactions.constants import MAX_FLOW_STEPS
+from lieactions.pcg64 import DefaultRNG
 from lieactions.polynomials import Poly, compile_float
 from lieactions.vectorfields import (
     AnnihilationError,
@@ -32,8 +34,9 @@ from lieactions.vectorfields import (
     projective_kernel,
     vf_bracket,
 )
+from lieactions.vf_verbs import _normal_points
 
-from pair_rows import pairs
+from pair_rows import basis_vector, pairs
 
 
 def _variable(nvars, i):
@@ -187,7 +190,7 @@ def test_projective_homomorphism_checks_match_the_poly_operations():
         g = action.algebra
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
-                bracket = g.bracket(g.basis_vector(i), g.basis_vector(j))
+                bracket = g.bracket(basis_vector(g, i), basis_vector(g, j))
                 assert action.image_of(bracket) == _poly_op_image(action, bracket)
                 assert vf_bracket(action.images[i], action.images[j]) == _poly_op_bracket(
                     action.images[i], action.images[j])
@@ -400,13 +403,45 @@ def test_homomorphism_violations_of_the_sign_with_fewer():
             for i in range(g.dim)
             for j in range(i + 1, g.dim)
             if not (
-                VFAction(g, tuple(images)).image_of(g.bracket(g.basis_vector(i), g.basis_vector(j)))
+                VFAction(g, tuple(images)).image_of(g.bracket(basis_vector(g, i), basis_vector(g, j)))
                 - vf_bracket(images[i], images[j]).scale(sign)
             ).is_zero()
         )
     fewer = min((1, -1), key=lambda s: len(expected[s]))
     assert check.sign is None and not check.exact
     assert check.violations == expected[fewer]
+
+
+def _dense_homomorphism_check(action):
+    """The check as it read [e_i, e_j] before: a dense bracket of basis vectors."""
+    g = action.algebra
+    violations = {1: [], -1: []}
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            lhs = action.image_of(g.bracket(basis_vector(g, i), basis_vector(g, j)))
+            rhs = vf_bracket(action.images[i], action.images[j])
+            for sign in (1, -1):
+                if lhs != rhs.scale(sign):
+                    violations[sign].append((i, j))
+    fewer = min(violations, key=lambda s: len(violations[s]))
+    return (fewer, True, ()) if not violations[fewer] else (None, False, tuple(violations[fewer]))
+
+
+@pytest.mark.parametrize("key,nvars", [("heisenberg", 2), ("st", 2), ("sl", 1), ("abelian", 3), ("N", 1)])
+def test_homomorphism_check_from_the_table_matches_dense_brackets(key, nvars):
+    # random images on algebras with absent pairs (zero brackets), and the
+    # projective action with one image scaled or swapped
+    g = catalog(f"{key}3") if key != "N" else catalog("N4")
+    rng = random.Random(key)
+    for _ in range(4):
+        images = tuple(random_field(rng, nvars, 1) for _ in range(g.dim))
+        action = VFAction(g, images)
+        assert tuple(action_homomorphism_check(action)) == _dense_homomorphism_check(action)
+    projective = make_projective_action(2)
+    for images in (projective.images, projective.images[:1] + (projective.images[1].scale(2),) + projective.images[2:],
+                   projective.images[1::-1] + projective.images[2:]):
+        action = VFAction(projective.algebra, images)
+        assert tuple(action_homomorphism_check(action)) == _dense_homomorphism_check(action)
 
 
 def test_homomorphism_consistent_across_ranks():
@@ -818,6 +853,96 @@ def test_orbit_sl3_open_dense():
     rng = np.random.default_rng(1)
     dims = [orbit_info(action, p)["dimension"] for p in rng.normal(size=(100, 2))]
     assert all(d == 2 for d in dims)
+
+
+def _numpy_orbit_info(action, p):
+    """orbit_info as numpy's SVD gives it: the rank above 1e-9 times the
+    largest singular value, and a value between 1e-9 and 1e-6 times it."""
+    rows = np.array([f.evaluator(*[float(c) for c in p]) for f in action.images])
+    sv = np.linalg.svd(rows, compute_uv=False) if rows.size else np.zeros(0)
+    dim = 0 if sv.size == 0 or sv[0] <= 1e-300 else int(np.sum(sv > 1e-9 * sv[0]))
+    rel = sv / sv[0] if sv.size and sv[0] > 0 else sv
+    return {"dimension": dim, "near_degenerate": bool(np.any((rel > 1e-9) & (rel < 1e-6)))}
+
+
+def _constant_action(matrix):
+    """An action whose evaluation matrix is `matrix` at every point: image
+    j is the constant field given by row j."""
+    rows, nvars = matrix.shape
+    images = tuple(PolyVectorField(tuple(Poly.make(nvars, {(0,) * nvars: Fraction(float(x))}) for x in row))
+                   for row in matrix)
+    return VFAction(catalog("abelian", rows), images)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbit_info_matches_numpy_svd_on_projective_points(n):
+    action = make_projective_action(n)
+    rng = np.random.default_rng(n)
+    points = rng.normal(size=(1000, n))
+    for p in [*points, *(100.0 * points[:200])]:
+        assert orbit_info(action, p) == _numpy_orbit_info(action, p), p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbit_info_matches_numpy_svd_on_degenerate_matrices(n):
+    # prescribed singular values on both sides of the thresholds 1e-9 and 1e-6,
+    # exact zeros, zero matrices, tall and wide shapes and scales from 1e-150
+    # to 1e150: rank deficiency, and a trace out of range, defeat the
+    # certificate, so most of these run the Jacobi fallback
+    rng = np.random.default_rng(10 + n)
+    levels = [1.0, 0.3, 1e-2, 1e-4, 10**-7.5, 1e-11, 1e-14, 0.0]
+    fallbacks = 0
+    for _ in range(200):
+        rows = int(rng.integers(1, 2 * n + 3))
+        k = min(rows, n)
+        u, _ = np.linalg.qr(rng.normal(size=(rows, k)))
+        v, _ = np.linalg.qr(rng.normal(size=(n, k)))
+        sv = np.sort(rng.choice(levels, size=k))[::-1]
+        sv[0] = 1.0
+        sv *= rng.random() > 0.2  # one matrix in five is zero
+        matrix = (u * sv) @ v.T * 10.0 ** rng.integers(-150, 150)
+        action = _constant_action(matrix)
+        vectors = list(zip(*matrix.tolist())) if rows >= n else matrix.tolist()
+        fallbacks += not vectorfields._full_rank_certified(vectors)
+        assert orbit_info(action, [0.0] * n) == _numpy_orbit_info(action, [0.0] * n), matrix
+    assert fallbacks > 60
+
+
+def test_orbit_info_of_the_zero_action_and_tiny_matrices():
+    for n in (1, 3, 5):
+        zero = VFAction(catalog("abelian", 2), (PolyVectorField((Poly.zero(n),) * n),) * 2)
+        assert orbit_info(zero, [0.5] * n) == {"dimension": 0, "near_degenerate": False}
+    # a largest singular value at or below 1e-300 counts as rank 0, as numpy's
+    # did; near the ends of the float range no square overflows or underflows
+    for scale in (1e-310, 1e-300, 1e-290, 1e-200, 1e200, 1e300):
+        for matrix in ([[scale, 0.0], [0.0, scale]], [[scale, 0.0], [0.0, 1e-8 * scale], [scale, 0.0]]):
+            action = _constant_action(np.array(matrix))
+            assert orbit_info(action, [0.0, 0.0]) == _numpy_orbit_info(action, [0.0, 0.0]), matrix
+
+
+def test_jacobi_singular_values_match_numpy():
+    rng = np.random.default_rng(7)
+    for rows, cols in [(3, 1), (8, 2), (15, 3), (24, 4), (35, 5), (4, 4)]:
+        a = rng.normal(size=(rows, cols)) * rng.uniform(0.1, 10, size=cols)
+        got = vectorfields._singular_values(list(zip(*a.tolist())))
+        want = np.linalg.svd(a, compute_uv=False)
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_projective_points_are_box_muller_normals():
+    rng = DefaultRNG(3)
+    u, w = rng.uniform(0.0, 1.0, 2)
+    r = math.sqrt(-2.0 * math.log(1.0 - u))
+    assert _normal_points(DefaultRNG(3), 1, 2) == [[r * math.cos(2.0 * math.pi * w), r * math.sin(2.0 * math.pi * w)]]
+    assert _normal_points(DefaultRNG(3), 0, 5) == []
+    # an odd count of coordinates draws one more uniform and drops its pair's sine
+    points = _normal_points(DefaultRNG(5), 4001, 3)
+    assert len(points) == 4001 and {len(p) for p in points} == {3}
+    coords = [x for p in points for x in p]
+    assert max(map(abs, coords)) < 8.6
+    mean = sum(coords) / len(coords)
+    var = sum((x - mean) ** 2 for x in coords) / len(coords)
+    assert abs(mean) < 0.05 and abs(var - 1.0) < 0.05
 
 
 def test_orbit_info_flags():
