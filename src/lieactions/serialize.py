@@ -141,10 +141,9 @@ def _read_scalars(values: list, kind, low=None, high=None) -> list | None:
     """The entries of `values` read by the rule (kind, low, high) for kind
     int or float, checked in one pass over the list; None when some entry
     breaks the rule, or for any other kind."""
-    types = set(map(type, values))
-    if kind is int and types <= {int}:
+    if kind is int and set(map(type, values)) <= {int}:
         items = list(values)
-    elif kind is float and types <= {int, float} and all(abs(x) <= sys.float_info.max for x in values):
+    elif kind is float and set(map(type, values)) <= {int, float} and all(abs(x) <= sys.float_info.max for x in values):
         items = list(map(float, values))
     else:
         return None

@@ -13,9 +13,10 @@ ball kinds; only `algebra analyze` loads `derivations`, only `algebra
 obstruct` loads `obstructions`, an algebra read from a file loads no
 `catalog`, and only `act verify` loads numpy: `deform verify` and the
 projective `vf verify` draw their samples from `pcg64`, a standard-library
-copy of numpy's default stream (`deform verify` loads no `matrixgroups`). Each case runs one verb in a fresh interpreter and
-inspects `sys.modules` afterwards, so a stray top-level import in `cli.py`
-(or in a module it imports) fails here.
+copy of numpy's default stream (`deform verify` loads no `matrixgroups`).
+Each case runs one verb in a fresh interpreter and inspects `sys.modules`
+afterwards, so a stray top-level import in `cli.py` (or in a module it
+imports) fails here.
 """
 
 import json
