@@ -18,7 +18,9 @@ samples, 8 to a block, with a move threshold of 1e-15, since the bump
 deformation shrinks the far shears of ST(16) almost to nothing inside the
 annulus; a multiball of one ball of ST(4), a product of one factor whose
 points draw no ball index; and a sphere of U(1), whose elements draw no
-uniforms; and a cubic field in three variables flowed backwards). All run at
+uniforms; a cubic field in three variables flowed backwards; and the
+projective `vf verify` at n = 1..5, with 500 samples at the scenario seeds
+3 and 2^64 + 5, and with none). All run at
 seed 0, except two `deform verify --samples 300` cases at seeds of three
 and of six 32-bit words (2^64 + 5 and 2^160 + 7), which pin how a seed
 longer than the four words of SeedSequence's pool is mixed. After a deliberate change to a report, regenerate the files with
