@@ -40,23 +40,19 @@ def _make_ball(group: str, n: int, placement: dict):
 def _matrix_action(v: dict) -> tuple:
     """The sphere and ball kinds: the matrix group `group` of size n acting
     on the unit sphere or inside one ball."""
-    import numpy as np
-
     from .actions import StackedSampler, sphere_action
-    from .matrixgroups import generators
+    from .matrixgroups import generators, identity
 
     group, n = v["group"], v["n"]
     balls = (_make_ball(group, n, v),) if v["action"] == "ball" else ()
     action = balls[0].apply if balls else sphere_action
-    return action, np.eye(n), StackedSampler(group, (n, n), balls), generators(group, n), "all"
+    return action, identity(n), StackedSampler(group, (n, n), balls), generators(group, n), "all"
 
 
 def _multiball(v: dict) -> tuple:
     """The multiball kind: one factor of the group per ball."""
-    import numpy as np
-
     from .actions import MultiBall, StackedSampler
-    from .matrixgroups import generators
+    from .matrixgroups import generators, identity
 
     group, n = v["group"], v["n"]
     balls = tuple(_make_ball(group, n, read_object(b, PLACEMENT_KEYS, "a ball placement")) for b in v["balls"])
@@ -65,12 +61,12 @@ def _multiball(v: dict) -> tuple:
     except ValueError as exc:
         _input_error(f"bad ball placements: {exc}")
     k = len(balls)
-    identity = tuple(np.eye(n) for _ in range(k))
+    unit = (identity(n),) * k
     gens = [
-        (f"ball{j + 1}.{name}", identity[:j] + (g,) + identity[j + 1:])
+        (f"ball{j + 1}.{name}", unit[:j] + (g,) + unit[j + 1:])
         for j in range(k) for name, g in generators(group, n)
     ]
-    return multiball.apply, identity, StackedSampler(group, (k, n, n), balls), gens, "all"
+    return multiball.apply, unit, StackedSampler(group, (k, n, n), balls), gens, "all"
 
 
 def _circle_action(v: dict) -> tuple:

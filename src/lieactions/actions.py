@@ -10,18 +10,24 @@ places several of them side by side.
 The interval and disk actions lift the projective circle action of
 SL(2, R) to the line and conjugate it into (0, 1); elements of the
 lifted group are a matrix plus a deck index.
+
+Points are tuples of Python floats, elements of ST(n) and U(n) are flat
+row-major tuples (`matrixgroups`), and a block of samples is a list of
+each. The sphere and ball actions run as straight-line code compiled once
+per dimension, with every sum taken left to right, so a report is a
+function of its input and seed alone.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
-
-import numpy as np
+from functools import cache, cached_property
+from operator import sub
 
 from .constants import DEFAULT_SEED, max_residual
-from .matrixgroups import _strict_upper
+from .matrixgroups import compile_function, element_maker, triangular_product, uniform_count, unpack
+from .pcg64 import DefaultRNG
 
 __all__ = [
     "sphere_action",
@@ -42,27 +48,93 @@ __all__ = [
 ]
 
 
+# -- compiled kernels -------------------------------------------------------
+
+
+def _names(name: str, n: int) -> str:
+    """"name0, name1, ..., name{n-1}, ": a target that unpacks a point."""
+    return "".join(f"{name}{i}, " for i in range(n))
+
+
+def _square_sum(name: str, n: int) -> str:
+    """The sum of squares of name0 .. name{n-1}, left to right."""
+    return " + ".join(f"{name}{i} * {name}{i}" for i in range(n))
+
+
+@cache
+def _norm(n: int):
+    """norm(v): sqrt(v_0^2 + ... + v_(n-1)^2) of a point of R^n, the sum
+    left to right (not `sum`, which compensates from Python 3.12 on)."""
+    lines = ["def norm(v):", f"    {_names('v', n)}= v", f"    return sqrt({_square_sum('v', n)})"]
+    return compile_function(lines, "norm", f"<norm {n}>")
+
+
+@cache
+def _sphere_block(n: int):
+    """act(gs, xs): gs[s] x_s / |gs[s] x_s| for a block, the matrices upper
+    triangular; (g x)_i = g_ii x_i + ... + g_i,n-1 x_n-1 left to right."""
+    rows = [" + ".join(f"g{i}_{j} * x{j}" for j in range(i, n)) for i in range(n)]
+    lines = [
+        "def act(gs, xs):", "    out = []", "    append = out.append", "    for g, x in zip(gs, xs):",
+        f"        {unpack('g', n)} = g", f"        {_names('x', n)}= x",
+        *[f"        y{i} = {row}" for i, row in enumerate(rows)],
+        f"        norm = sqrt({_square_sum('y', n)})",
+        "        if norm < 1e-300:", "            raise ValueError('matrix is singular along this direction')",
+        f"        append(({''.join(f'y{i} / norm, ' for i in range(n))}))", "    return out",
+    ]
+    return compile_function(lines, "act", f"<sphere action {n}>")
+
+
+@cache
+def _ball_block(n: int):
+    """apply(ball, deform, gs, ys) of BallAction in R^n, deform the
+    deformation's `apply_many`: the points off the open annulus stay as they
+    are; the others move through the deformation and the sphere action, each
+    time worked out one sample at a time."""
+    lines = [
+        "def apply(ball, deform, gs, ys):", f"    {_names('c', n)}= ball.center",
+        "    radius, r0, r1 = ball.radius, ball.r0, ball.r1", "    log_r1, log_span = ball._log_radii",
+        "    out = list(ys)", "    moved, ts, rs, xs = [], [], [], []",
+        "    for s, y in enumerate(ys):", f"        {_names('y', n)}= y",
+        *[f"        u{i} = y{i} - c{i}" for i in range(n)],
+        f"        r = sqrt({_square_sum('u', n)})", "        rel = r / radius",
+        "        if not (rel <= r0 or rel >= r1):  # a NaN radius moves, as in the formula",
+        "            moved.append(s)",
+        "            ts.append((log_r1 - log(rel)) / log_span)  # rel = r1 -> 0, rel = r0 -> 1",
+        "            rs.append(r)", f"            xs.append(({''.join(f'u{i} / r, ' for i in range(n))}))",
+        "    if moved:", "        gs = deform(ts, [gs[s] for s in moved])",
+        f"        for s, r, ({_names('x', n)}) in zip(moved, rs, sphere(gs, xs)):",
+        f"            out[s] = ({''.join(f'c{i} + r * x{i}, ' for i in range(n))})", "    return out",
+    ]
+    return compile_function(lines, "apply", f"<ball action {n}>", sphere=_sphere_block(n))
+
+
+@cache
+def _unit(n: int):
+    """unit(v): v / |v| for a point v of R^n, coordinate by coordinate."""
+    lines = ["def unit(v):", f"    {_names('v', n)}= v", f"    norm = sqrt({_square_sum('v', n)})",
+             f"    return ({''.join(f'v{i} / norm, ' for i in range(n))})"]
+    return compile_function(lines, "unit", f"<unit {n}>")
+
+
+@cache
+def _in_ball(n: int):
+    """in_ball(v, w, radius, center): ((v / |v|) w) radius + center for a
+    point v of R^n, coordinate by coordinate."""
+    lines = ["def in_ball(v, w, radius, c):", f"    {_names('v', n)}= v", f"    {_names('c', n)}= c",
+             f"    norm = sqrt({_square_sum('v', n)})",
+             f"    return ({''.join(f'v{i} / norm * w * radius + c{i}, ' for i in range(n))})"]
+    return compile_function(lines, "in_ball", f"<point in a ball {n}>")
+
+
 # -- sphere and ball ------------------------------------------------------
 
 
-def _norms(y: np.ndarray) -> np.ndarray:
-    """The Euclidean norms of a stack of vectors (..., n), shaped (..., 1).
-
-    Each is sqrt(v.dot(v)) bit for bit, which is what np.linalg.norm
-    computes for one float vector: a stacked (1, n) @ (n, 1) product is the
-    same dot product, and np.sqrt is correctly rounded like math.sqrt.
-    """
-    return np.sqrt(y[..., None, :] @ y[..., :, None])[..., 0]
-
-
-def sphere_action(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Projective-style action x -> gx/|gx| on the unit sphere, of one
-    matrix on one point or of a stack (..., n, n) on a stack (..., n)."""
-    y = (g @ x[..., None])[..., 0]  # a stacked g @ x, bit for bit
-    norm = _norms(y)
-    if (norm < 1e-300).any():
-        raise ValueError("matrix is singular along this direction")
-    return y / norm
+def sphere_action(gs, xs) -> list[tuple]:
+    """Projective-style action x -> gx/|gx| on the unit sphere of R^n, of
+    gs[s] on xs[s] for a block: upper-triangular matrices (flat tuples) and
+    points (tuples)."""
+    return _sphere_block(len(xs[0]))(gs, xs) if xs else []
 
 
 class BallAction(namedtuple("BallAction", "group n deformation r0 r1 center radius")):
@@ -87,35 +159,18 @@ class BallAction(namedtuple("BallAction", "group n deformation r0 r1 center radi
         return self
 
     @cached_property
-    def center_array(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=float)
-
-    @cached_property
     def _log_radii(self) -> tuple[float, float]:
         """(log r1, log r1 - log r0), worked out once."""
         log_r1 = math.log(self.r1)
         return log_r1, log_r1 - math.log(self.r0)
 
-    def apply(self, gs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """The action of gs[s] on ys[s] for a block: a stack of matrices
-        (b, n, n) and a stack of points (b, n). Points off the open annulus
-        are returned as they are; the deformation time of each moved point
-        is worked out one sample at a time with `math.log`."""
-        center = self.center_array
-        log_r1, log_span = self._log_radii
-        u = ys - center
-        r = _norms(u)
-        rel = r[:, 0] / self.radius
-        out = ys.copy()
-        # not (rel <= r0 or rel >= r1): a NaN radius moves, as in the formula
-        (moved,) = (~((rel <= self.r0) | (rel >= self.r1))).nonzero()
-        if moved.size:
-            # map radius to deformation time: rel = r1 -> 0, rel = r0 -> 1
-            ts = [(log_r1 - math.log(x)) / log_span for x in rel[moved].tolist()]
-            r = r[moved]
-            xp = sphere_action(self.deformation.apply_many(ts, gs[moved]), u[moved] / r)
-            out[moved] = center + r * xp
-        return out
+    def apply(self, gs, ys) -> list[tuple]:
+        """The action of gs[s] on ys[s] for a block of matrices and points.
+        A point y at distance r from the center, at rel = r / radius strictly
+        inside the annulus, moves to center + r x', x' the sphere action on
+        (y - center) / r of the deformation at time (log r1 - log rel) /
+        (log r1 - log r0); any other point is returned as it is."""
+        return _ball_block(self.n)(self, self.deformation.apply_many, gs, ys)
 
 
 def make_ball_action(
@@ -146,9 +201,7 @@ class MultiBall(namedtuple("MultiBall", "balls")):
         for a in range(len(self.balls)):
             for b in range(a + 1, len(self.balls)):
                 pa, pb = self.balls[a], self.balls[b]
-                dist = float(
-                    np.linalg.norm(np.asarray(pa.center) - np.asarray(pb.center))
-                )
+                dist = _norm(pa.n)(tuple(map(sub, pa.center, pb.center)))
                 if dist <= pa.radius + pb.radius:
                     raise ValueError(
                         f"balls {a} and {b} overlap: centers at distance {dist}, "
@@ -156,13 +209,13 @@ class MultiBall(namedtuple("MultiBall", "balls")):
                     )
         return self
 
-    def apply(self, elements: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """The action on a block: elements is a stack (b, k, n, n) of one
-        matrix per ball, ys a stack (b, n) of points."""
-        if elements.shape[1] != len(self.balls):
+    def apply(self, elements, ys) -> list[tuple]:
+        """The action on a block: elements[s] is a tuple of one matrix per
+        ball, ys[s] a point."""
+        if any(len(e) != len(self.balls) for e in elements):
             raise ValueError("one group element per ball required")
         for j, ball in enumerate(self.balls):
-            ys = ball.apply(elements[:, j], ys)
+            ys = ball.apply([e[j] for e in elements], ys)
         return ys
 
 
@@ -195,7 +248,7 @@ class ActionReport(namedtuple("ActionReport", (
 
 # A block of samples holds at most BLOCK_SAMPLES samples and at most
 # BLOCK_FLOATS floats of group elements (k n^2 per sample for k factors of
-# n x n matrices): each stack of elements stays within 128 KB, also for
+# n x n matrices): each list of elements stays within 16K floats, also for
 # n = 16 with 8 balls, so a run's peak memory stays near that of one sample
 # at a time.
 BLOCK_SAMPLES = 256
@@ -206,12 +259,26 @@ def block_size(identity) -> int:
     """The samples in one block of `verify_action` for this identity element."""
     if isinstance(identity, CoverElement):
         return BLOCK_SAMPLES
-    return max(1, min(BLOCK_SAMPLES, BLOCK_FLOATS // np.size(identity)))
+    floats = sum(map(len, identity)) if isinstance(identity[0], tuple) else len(identity)
+    return max(1, min(BLOCK_SAMPLES, BLOCK_FLOATS // floats))
 
 
-def _gaps(a: np.ndarray, b: np.ndarray) -> list[float]:
-    """The largest coordinate difference of each pair of rows (NaN if any is NaN)."""
-    return np.abs(a - b).max(axis=1).tolist()
+def _composer(identity):
+    """compose(gs, hs): the products gs[s] hs[s] of a block of elements
+    shaped as `identity`: CoverElements, upper-triangular matrices, or
+    tuples of them, one factor at a time."""
+    if isinstance(identity, CoverElement):
+        return cover_compose
+    if isinstance(identity[0], tuple):
+        mul = triangular_product(math.isqrt(len(identity[0])))
+        return lambda gs, hs: [tuple(map(mul, g, h)) for g, h in zip(gs, hs)]
+    mul = triangular_product(math.isqrt(len(identity)))
+    return lambda gs, hs: list(map(mul, gs, hs))
+
+
+def _gaps(a, b) -> list[float]:
+    """The largest coordinate difference of each pair of points (NaN if any is NaN)."""
+    return [max_residual(0.0, *map(abs, map(sub, p, q))) for p, q in zip(a, b)]
 
 
 def verify_action(
@@ -227,33 +294,28 @@ def verify_action(
     moved point for every generator (or record that none was found).
 
     `act(elements, points)` evaluates a block: the action of elements[s] on
-    points[s] for a stack of points (b, d). Group elements are matrices, or
-    tuples of k matrices for a product group, which go to `act` as float
-    stacks (b, n, n) or (b, k, n, n) and compose by a stacked `@`; or they
-    are CoverElements, which go as lists and compose by `cover_compose`.
+    points[s], two lists of equal length. Group elements are upper-triangular
+    matrices as flat tuples, or tuples of k of them for a product group,
+    which compose factor by factor by `matrixgroups.triangular_product`; or
+    they are CoverElements, which compose by `cover_compose`.
 
-    `sampler` draws from the generator of `seed`: `sampler.points(rng,
-    samples)`, the points of the identity and witness checks as the rows of
-    one float array, and then, for each block of at most
-    `block_size(identity)` composition samples, `sampler.block(rng, b)`, the
-    block's (gs, hs, ys) as `act` takes them. A `StackedSampler` or a
-    `CoverSampler` draws what a loop that checks one sample after the
-    other draws, in its order (all points first, then g, h and y for each
-    composition sample). The residuals are folded in sample order, and a
-    witness is the first point in sample order that moves, so the report is
-    that of the one-sample loop, bit for bit.
+    `sampler` draws from `pcg64.DefaultRNG(seed)`, the stream of
+    `numpy.random.default_rng(seed)`: `sampler.points(rng, samples)`, the
+    points of the identity and witness checks, and then, for each block of
+    at most `block_size(identity)` composition samples, `sampler.block(rng,
+    b)`, the block's (gs, hs, ys). A `StackedSampler` or a `CoverSampler`
+    draws what a loop that checks one sample after the other draws, in its
+    order (all points first, then g, h and y for each composition sample).
+    The residuals are folded in sample order, and a witness is the first
+    point in sample order that moves, so the report is that of the
+    one-sample loop, bit for bit.
     """
-    rng = np.random.default_rng(seed)
+    rng = DefaultRNG(seed)
     block = block_size(identity)
-    if isinstance(identity, CoverElement):
-        compose = cover_compose
-        repeat = lambda g: [g] * block
-    else:
-        compose = np.matmul
-        repeat = lambda g: np.broadcast_to(g, (block, *np.shape(g)))  # a block's worth of g, as a view
+    compose = _composer(identity)
     points = sampler.points(rng, samples)
     id_res = comp_res = 0.0
-    identities = repeat(identity)
+    identities = [identity] * block
     for start in range(0, samples, block):
         ys = points[start:start + block]
         id_res = max_residual(id_res, *_gaps(act(identities[:len(ys)], ys), ys))
@@ -261,30 +323,28 @@ def verify_action(
         gs, hs, ys = sampler.block(rng, min(block, samples - start))
         comp_res = max_residual(comp_res, *_gaps(act(compose(gs, hs), ys), act(gs, act(hs, ys))))
     witnesses = {
-        name: _first_moved(act, repeat(gen), points, block, move_threshold) for name, gen in named_generators
+        name: _first_moved(act, [gen] * block, points, block, move_threshold) for name, gen in named_generators
     }
     return ActionReport(id_res, comp_res, witnesses, samples, seed, move_threshold)
 
 
-def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
-    """The values of `Generator.uniform(low, high)` for its `random()` draws u."""
+def _uniform(u: float, low: float, high: float) -> float:
+    """The value of `Generator.uniform(low, high)` for its `random()` draw u."""
     return low + (high - low) * u
 
 
 class StackedSampler(namedtuple("StackedSampler", "group shape balls")):
     """The sampler of `verify_action` for the sphere, ball and multiball
     kinds: elements of the matrix group `group` ("ST" or "U") of shape
-    (n, n), or (k, n, n) for a tuple of k factors; points on the unit sphere
-    when `balls` is empty, else in one of the BallActions `balls`.
+    (n, n), or tuples of k factors for shape (k, n, n); points on the unit
+    sphere when `balls` is empty, else in one of the BallActions `balls`.
 
-    It makes the generator draws of `matrixgroups.random_element` for each
-    factor of g and then of h, and of a point (a ball index when there are
-    several balls, a normal vector, and a radius inside a ball), in the same
-    order, but with one `random` call for all the uniforms of a sample's g
-    and h. A block's matrices and points are then finished with array
-    operations that round as the one-sample code does: uniforms as
-    low + (high - low) u, the diagonal product from left to right, its n-th
-    root by Python's `**` one sample at a time, and norms by `_norms`.
+    For a composition sample it draws the uniforms of each factor of g and
+    then of h with one `random` call (the draws of `matrixgroups.
+    random_element` for each, in turn), then a point: a ball index when
+    there are several balls, a normal vector, and a radius inside a ball
+    (uniform in [0.05, 1.3) times the ball's radius). The points of the
+    sphere are drawn with one `normal` call.
     """
 
     @cached_property
@@ -292,76 +352,43 @@ class StackedSampler(namedtuple("StackedSampler", "group shape balls")):
         """(n, k, the uniforms of one factor of one element)."""
         n = self.shape[-1]
         k = math.prod(self.shape[:-2])
-        return n, k, n * (n - 1) // 2 + (n if self.group == "ST" else 0)
+        return n, k, uniform_count(self.group, n)
 
-    def points(self, rng, samples: int) -> np.ndarray:
+    def points(self, rng, samples: int) -> list[tuple]:
         n = self._sizes[0]
         if not self.balls:  # the normal vectors are the only draws, so one call makes them all
-            points = rng.normal(size=(samples, n))
-            points /= _norms(points)
-            return points
-        points = np.empty((samples, n))
-        for start in range(0, samples, BLOCK_SAMPLES):  # finished a chunk at a time, in place
-            self._draw(rng, points[start:start + BLOCK_SAMPLES])
-        return points
+            unit = _unit(n)
+            normals = rng.normal(samples * n)
+            return [unit(normals[i:i + n]) for i in range(0, samples * n, n)]
+        return [self._point(rng) for _ in range(samples)]
 
-    def block(self, rng, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n, k, per_factor = self._sizes
-        uniforms = np.empty((b, 2, k, per_factor))
-        ys = np.empty((b, n))
-        self._draw(rng, ys, uniforms.reshape(b, -1))
-        return self._elements(uniforms[:, 0]), self._elements(uniforms[:, 1]), ys
+    def block(self, rng, b: int) -> tuple[list, list, list]:
+        n, k, per = self._sizes
+        make = element_maker(self.group, n)
+        gs, hs, ys = [], [], []
+        for _ in range(b):
+            u = rng.random(2 * k * per)
+            factors = [make(u[i * per:(i + 1) * per]) for i in range(2 * k)]
+            if len(self.shape) == 2:
+                gs.append(factors[0])
+                hs.append(factors[1])
+            else:
+                gs.append(tuple(factors[:k]))
+                hs.append(tuple(factors[k:]))
+            ys.append(self._point(rng))
+        return gs, hs, ys
 
-    def _draw(self, rng, ys: np.ndarray, uniforms: np.ndarray | None = None) -> None:
-        """Draw one sample after the other: the row of `uniforms`, if given,
-        then a point into the row of `ys`; then finish the points in place."""
+    def _point(self, rng) -> tuple:
         balls, n = self.balls, self._sizes[0]
-        b = len(ys)
-        which = np.zeros(b, dtype=np.intp)
-        radii = np.empty(b)
-        for s in range(b):
-            if uniforms is not None:
-                rng.random(out=uniforms[s])
-            if len(balls) > 1:  # integers(0, 1) would draw nothing, so one ball is taken as it is
-                which[s] = rng.integers(0, len(balls))
-            ys[s] = rng.normal(size=n)
-            if balls:
-                radii[s] = rng.random()
-        ys /= _norms(ys)
-        if balls:
-            # center + (v * uniform(0.05, 1.3)) * radius
-            ys *= _uniform(radii, 0.05, 1.3)[:, None]
-            ys *= self._ball_radii[which]
-            ys += self._ball_centers[which]
-
-    @cached_property
-    def _ball_centers(self) -> np.ndarray:
-        return np.array([ball.center_array for ball in self.balls])
-
-    @cached_property
-    def _ball_radii(self) -> np.ndarray:
-        return np.array([[ball.radius] for ball in self.balls])
-
-    def _elements(self, uniforms: np.ndarray) -> np.ndarray:
-        """The elements of a block from their uniforms (b, k, per factor)."""
-        n, k, _ = self._sizes
-        b = len(uniforms)
-        g = np.zeros((b, k, n * n))
-        if self.group == "ST":
-            diag = _uniform(uniforms[..., :n], 0.5, 2.0)
-            prod = diag[..., 0]
-            for j in range(1, n):
-                prod = prod * diag[..., j]
-            root = np.array([p ** (1.0 / n) for p in prod.ravel().tolist()]).reshape(b, k, 1)
-            g[..., :: n + 1] = diag / root
-            uniforms = uniforms[..., n:]
-        else:
-            g[..., :: n + 1] = 1.0
-        g[..., _strict_upper(n)] = _uniform(uniforms, -2.0, 2.0)
-        return g.reshape(b, *self.shape)
+        if not balls:
+            return _unit(n)(rng.normal(n))
+        # integers(0, 1) would draw nothing, so one ball is taken as it is
+        ball = balls[rng.integers(0, len(balls))] if len(balls) > 1 else balls[0]
+        v = rng.normal(n)
+        return _in_ball(n)(v, _uniform(rng.random(1)[0], 0.05, 1.3), ball.radius, ball.center)
 
 
-def _first_moved(act, gens, points: np.ndarray, block: int, threshold: float):
+def _first_moved(act, gens, points, block: int, threshold: float):
     """(point, displacement) of the first point that a generator, repeated a
     block's worth in `gens`, moves by at least `threshold`, or None. The
     points are evaluated in chunks of 8, 32, 128, ... samples, at most a
@@ -416,10 +443,13 @@ class CoverElement(namedtuple("CoverElement", "matrix deck")):
     ((a, b), (c, d)), a tuple of rows of Python floats."""
 
     @staticmethod
-    def of(a: np.ndarray, deck: int = 0) -> "CoverElement":
-        if a.shape != (2, 2):
-            raise ValueError("matrix must be 2x2")
-        return _cover_element(a.tolist(), deck)
+    def of(a, deck: int = 0) -> "CoverElement":
+        """The element of the matrix with rows (p, q) and (r, s), given as
+        the flat (p, q, r, s), and of `deck`."""
+        if len(a) != 4:
+            raise ValueError("matrix must be 2x2, given as its 4 entries")
+        p, q, r, s = a
+        return _cover_element(((p, q), (r, s)), deck)
 
 
 def _cover_element(rows, deck: int) -> CoverElement:
@@ -443,13 +473,13 @@ def cover_eval(a: CoverElement, theta: float) -> float:
 def cover_compose(gs, hs) -> list[CoverElement]:
     """The products of two equal-length sequences of elements: (A, k)(B, m)
     = (AB, k + m + delta), where delta in {-1, 0, 1} corrects the
-    normalization of the composed lift. The products AB are one stacked
-    `np.matmul`, which rounds each of them as a 2x2 `@` does (a product
-    written out in Python floats would not: the BLAS kernel fuses its
-    multiply-adds)."""
-    stack = lambda elements: np.array([a.matrix for a in elements], dtype=float).reshape(-1, 2, 2)
+    normalization of the composed lift. Each entry of AB is a sum of two
+    products, left to right."""
     out = []
-    for a, b, ab in zip(gs, hs, np.matmul(stack(gs), stack(hs)).tolist()):
+    for a, b in zip(gs, hs):
+        (p, q), (r, s) = a.matrix
+        (p2, q2), (r2, s2) = b.matrix
+        ab = ((p * p2 + q * r2, p * q2 + q * s2), (r * p2 + s * r2, r * q2 + s * s2))
         delta = round((_lift_eval(a.matrix, _lift_eval(b.matrix, 0.0)) - _lift_eval(ab, 0.0)) / math.pi)
         out.append(_cover_element(ab, a.deck + b.deck + int(delta)))
     return out
@@ -470,23 +500,29 @@ def interval_action(a: CoverElement, s: float) -> float:
         return 0.0
 
 
-def interval_block(elements, points: np.ndarray) -> np.ndarray:
+def interval_block(elements, points) -> list[tuple]:
     """The interval action of elements[s] on points[s], for a block of
-    points (b, 1)."""
-    return np.array([interval_action(a, s) for a, s in zip(elements, points[:, 0].tolist())])[:, None]
+    points (s,) of [0, 1]."""
+    return [(interval_action(a, s),) for a, (s,) in zip(elements, points)]
 
 
-def disk_block(elements, points: np.ndarray) -> np.ndarray:
+def disk_block(elements, points) -> list[tuple]:
     """The interval action of elements[s] on every radius of the closed unit
-    disk, on points[s], for a block of points (b, n); the boundary sphere is
+    disk, on points[s], for a block of points of R^n; the boundary sphere is
     fixed exactly. A point y at radius r moves to y * (f(r) / r) for the
     interval action f, and stays where it is at r = 0 or r >= 1."""
-    scales = []
-    for a, r in zip(elements, _norms(points)[:, 0].tolist()):
+    out = []
+    norm = _norm(len(points[0])) if points else None
+    for a, y in zip(elements, points):
+        r = norm(y)
         if r > 1.0 + 1e-12:
             raise ValueError("point must lie in the closed unit disk")
-        scales.append(1.0 if r == 0.0 or r >= 1.0 else interval_action(a, r) / r)
-    return points * np.array(scales)[:, None]
+        if r == 0.0 or r >= 1.0:
+            out.append(y)
+        else:
+            scale = interval_action(a, r) / r
+            out.append(tuple(c * scale for c in y))
+    return out
 
 
 class CoverSampler(namedtuple("CoverSampler", "disk n")):
@@ -496,66 +532,40 @@ class CoverSampler(namedtuple("CoverSampler", "disk n")):
 
     It makes the draws of the one-sample loop, in its order: for an
     element, tries of four uniforms in [-1.5, 1.5) (one `random(4)` call
-    each) until one has determinant above 0.05, then its deck in {-1, 0, 1}
-    (`integers(-1, 2)`); for a point, a uniform in [0.01, 0.99), or a
-    normal vector of R^n and then a radius uniform in [0, 1). A try is
-    judged on its determinant ps - qr, and within 1e-9 of the threshold on
-    `np.linalg.det`, which the one-sample loop called on every try (the two
-    differ by about 1e-15 here). A block's accepted matrices are divided by
-    the square roots of their determinants with one stacked `np.linalg.det`
-    and `np.sqrt`, which round as the calls on one matrix do, and its points
-    are finished with array operations that round as the one-sample code
-    does.
+    each) until one has determinant ps - qr above 0.05, then its deck in
+    {-1, 0, 1} (`integers(-1, 2)`); for a point, a uniform in [0.01, 0.99),
+    or a normal vector of R^n and then a radius uniform in [0, 1). An
+    accepted matrix is divided by the square root of its determinant.
     """
 
-    def points(self, rng, samples: int) -> np.ndarray:
-        ys = np.empty((samples, self.n))
-        radii = np.empty(samples)
+    def points(self, rng, samples: int) -> list[tuple]:
         if self.disk:
-            for s in range(samples):
-                self._draw_point(rng, ys, radii, s)
-        else:  # the uniforms are the only draws, so one call makes them all
-            rng.random(out=radii)
-        return self._finish(ys, radii)
+            return [self._point(rng) for _ in range(samples)]
+        # the uniforms are the only draws, so one call makes them all
+        return [(_uniform(u, 0.01, 0.99),) for u in rng.random(samples)]
 
-    def block(self, rng, b: int) -> tuple[list, list, np.ndarray]:
-        uniforms = np.empty((b, 2, 4))  # the accepted try of g and of h of each sample
-        decks = []
-        ys = np.empty((b, self.n))
-        radii = np.empty(b)
-        for s in range(b):
-            for row in uniforms[s]:
-                _accepted_try(rng, row)
-                decks.append(int(rng.integers(-1, 2)))
-            self._draw_point(rng, ys, radii, s)
-        a = _uniform(uniforms, -1.5, 1.5).reshape(-1, 2, 2)
-        a /= np.sqrt(np.linalg.det(a))[:, None, None]
-        elements = [CoverElement((tuple(p), tuple(q)), deck) for (p, q), deck in zip(a.tolist(), decks)]
-        return elements[0::2], elements[1::2], self._finish(ys, radii)
+    def block(self, rng, b: int) -> tuple[list, list, list]:
+        gs, hs, ys = [], [], []
+        for _ in range(b):
+            for elements in (gs, hs):
+                p, q, r, s = _accepted_try(rng)
+                root = math.sqrt(p * s - q * r)
+                elements.append(CoverElement(((p / root, q / root), (r / root, s / root)), rng.integers(-1, 2)))
+            ys.append(self._point(rng))
+        return gs, hs, ys
 
-    def _draw_point(self, rng, ys: np.ndarray, radii: np.ndarray, s: int) -> None:
-        if self.disk:
-            ys[s] = rng.normal(size=self.n)
-        radii[s] = rng.random()
-
-    def _finish(self, ys: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        """The points of their draws: ys the normal vectors of the disk, radii the uniforms."""
+    def _point(self, rng) -> tuple:
         if not self.disk:
-            ys[:, 0] = _uniform(radii, 0.01, 0.99)
-            return ys
-        ys /= _norms(ys)
-        ys *= _uniform(radii, 0.0, 1.0)[:, None]
-        return ys
+            return (_uniform(rng.random(1)[0], 0.01, 0.99),)
+        v = _unit(self.n)(rng.normal(self.n))
+        radius = rng.random(1)[0]
+        return tuple(c * radius for c in v)
 
 
-def _accepted_try(rng, row: np.ndarray) -> None:
-    """Draw tries of four uniforms into `row` until the 2x2 matrix they make
-    after `_uniform(row, -1.5, 1.5)` has determinant above 0.05."""
+def _accepted_try(rng) -> tuple[float, float, float, float]:
+    """(p, q, r, s): tries of four uniforms in [-1.5, 1.5) until the 2x2
+    matrix they make has determinant ps - qr above 0.05."""
     while True:
-        rng.random(out=row)
-        p, q, r, s = [-1.5 + 3.0 * u for u in row.tolist()]
-        det = p * s - q * r
-        if abs(det - 0.05) <= 1e-9:  # too close to call on ps - qr
-            det = np.linalg.det(_uniform(row, -1.5, 1.5).reshape(2, 2))
-        if det > 0.05:
-            return
+        p, q, r, s = [_uniform(u, -1.5, 1.5) for u in rng.random(4)]
+        if p * s - q * r > 0.05:
+            return p, q, r, s

@@ -29,15 +29,13 @@ from typing import TYPE_CHECKING, Sequence
 from .constants import DEFAULT_SEED, max_residual
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .algebra import LieAlgebra
     from .pcg64 import DefaultRNG
 
 # The exact layer (`algebra`, `catalog`) is imported only by the builders
 # that take an algebra from the catalog, so the group families that the ball
-# actions use load none of it; numpy is imported only by the group-level
-# code, and `pcg64` only by the algebra law check.
+# actions use load none of it; `matrixgroups` is imported only by the
+# group-level code, and `pcg64` only by the algebra law check.
 
 __all__ = [
     "TransitionProfile",
@@ -252,16 +250,22 @@ def concatenate(psi: AlgebraDeformation, theta: AlgebraDeformation) -> AlgebraDe
 
 
 @lru_cache(maxsize=None)
-def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat row-major indices of the entries (i, j), j >= i, of an n x n
-    matrix, and their distances j - i from the diagonal."""
-    import numpy as np
+def _endomorphism_kernel(n: int):
+    """apply_many(state_at, ts, gs) of GroupDeformation for n x n matrices,
+    compiled once per n: the state at each time, then the image of the flat
+    matrix as straight-line code."""
+    from .matrixgroups import compile_function, unpack
 
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    flat = np.array([i * n + j for i, j in pairs], dtype=np.intp)
-    dist = np.array([j - i for i, j in pairs], dtype=np.intp)
-    flat.flags.writeable = dist.flags.writeable = False  # shared by every caller
-    return flat, dist
+    offdiag = ", ".join("0.0" if j < i else f"g{i}_{j}" if j == i else f"g{i}_{j} * p{j - i}"
+                        for i in range(n) for j in range(n))
+    diagpow = ", ".join(f"g{i}_{i} ** p" if j == i else "0.0" for i in range(n) for j in range(n))
+    lines = ["def apply_many(state_at, ts, gs):", "    out = []", "    append = out.append",
+             "    for t, g in zip(ts, gs):", "        kind, p = state_at(t)", f"        {unpack('g', n)} = g",
+             "        if kind == 'offdiag':", *[f"            p{k} = p ** {k}" for k in range(1, n)],
+             f"            append(({offdiag},))", "        elif kind == 'diagpow':",
+             f"            append(({diagpow},))", "        else:",
+             "            raise ValueError(f'unknown stage kind {kind!r}')", "    return out"]
+    return compile_function(lines, "apply_many", f"<endomorphisms {n}>")
 
 
 class GroupStage(namedtuple("GroupStage", "t0 t1 kind start end")):
@@ -292,35 +296,12 @@ class GroupDeformation(namedtuple("GroupDeformation", "label group n stages prof
         last = stages[-1]
         return last.kind, last.end
 
-    def apply_many(self, ts: Sequence[float], gs: np.ndarray) -> np.ndarray:
-        """The endomorphism at time ts[s] applied to gs[s], for a stack gs of
-        shape (b, n, n): each entry (i, j), j >= i, times p^(j - i)
-        ("offdiag"), or each diagonal entry d raised to d^p ("diagpow"); every
-        other entry is +0.0. The state at each time and every power are
-        worked out one sample at a time; the off-diagonal scalings are one
-        product over the block."""
-        import numpy as np
-
-        n = self.n
-        flat = gs.reshape(len(ts), n * n)
-        out = np.zeros(flat.shape)
-        diag = range(0, n * n, n + 1)
-        offdiag, powers = [], []
-        for s, t in enumerate(ts):
-            kind, p = self.state_at(t)
-            if kind == "offdiag":
-                offdiag.append(s)
-                powers.append([p ** k for k in range(n)])
-            elif kind == "diagpow":
-                for i in diag:
-                    out[s, i] = flat[s, i] ** p
-            else:
-                raise ValueError(f"unknown stage kind {kind!r}")
-        if offdiag:
-            upper, dist = _upper_indices(n)
-            rows = np.array(offdiag)[:, None]
-            out[rows, upper] = flat[rows, upper] * np.array(powers)[:, dist]
-        return out.reshape(gs.shape)
+    def apply_many(self, ts: Sequence[float], gs: Sequence[tuple]) -> list[tuple]:
+        """The endomorphism at time ts[s] applied to gs[s], for flat row-major
+        n x n matrices: each entry (i, j), j > i, times p ** (j - i)
+        ("offdiag"), or each diagonal entry d raised to d ** p ("diagpow");
+        every entry below the diagonal, and in "diagpow" above it, is +0.0."""
+        return _endomorphism_kernel(self.n)(self.state_at, ts, gs)
 
 
 def bump_group_deformation(group: str, n: int) -> GroupDeformation:

@@ -210,13 +210,10 @@ class Subspace(namedtuple("Subspace", "ambient_dim basis")):
     """
 
     @staticmethod
-    def span(vectors: Iterable, ambient_dim: int) -> "Subspace":
-        """The span of vectors given as sequences of length ambient_dim or
-        as sparse {col: value} mappings, the rows `sparse_rref` takes."""
-        vecs = [v if isinstance(v, Mapping) else rational_vector(v) for v in vectors]
-        if any(len(v) != ambient_dim for v in vecs if not isinstance(v, Mapping)):
-            raise ValueError("vector length != ambient dimension")
-        return _subspace(sparse_rref(vecs), ambient_dim)
+    def span(vectors: Iterable[Mapping], ambient_dim: int) -> "Subspace":
+        """The span of vectors given as sparse {col: value} mappings of
+        Fractions or ints, with columns below ambient_dim."""
+        return _subspace(sparse_rref(vectors), ambient_dim)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":

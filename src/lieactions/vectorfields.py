@@ -86,6 +86,11 @@ class PolyVectorField(namedtuple("PolyVectorField", "components")):
         return PolyVectorField(tuple(a.scale(c) for a in self.components))
 
     def scale_by_poly(self, p: Poly) -> "PolyVectorField":
+        """The field p X. A constant p (u(f) for a constant f, say) scales
+        each component's coefficients in their term order, as the product
+        would, without adding up exponent tuples term by term."""
+        if p.nvars == self.nvars and p.degree() == 0:
+            return self.scale(p.terms[0][1] if p.terms else 0)
         return PolyVectorField(tuple(p * a for a in self.components))
 
     @cached_property

@@ -1,10 +1,13 @@
 """Between dense matrices and `linalg.PairRows`, the one form in which the
 exact layer makes and reads a matrix: a tuple of rows, each a tuple of
-(column, Fraction) pairs in column order with zeros dropped; and the dense
+(column, Fraction) pairs in column order with zeros dropped; the dense
 basis vectors of an algebra, which the tests bracket with
-`LieAlgebra.bracket`."""
+`LieAlgebra.bracket`; and the span of dense vectors, which
+`Subspace.span` takes as sparse {column: value} rows."""
 
 from fractions import Fraction
+
+from lieactions.linalg import Subspace, rational_vector
 
 
 def pairs(dense) -> tuple:
@@ -24,3 +27,13 @@ def dense(m) -> list[list[Fraction]]:
 def basis_vector(g, i: int) -> tuple[Fraction, ...]:
     """e_i of the algebra g as a dense tuple of Fractions."""
     return tuple(Fraction(int(k == i)) for k in range(g.dim))
+
+
+def span(vectors, ambient_dim: int) -> Subspace:
+    """Subspace.span of vectors given as sequences of length ambient_dim."""
+    rows = []
+    for v in map(rational_vector, vectors):
+        if len(v) != ambient_dim:
+            raise ValueError("vector length != ambient dimension")
+        rows.append({j: x for j, x in enumerate(v) if x})
+    return Subspace.span(rows, ambient_dim)

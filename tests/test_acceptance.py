@@ -40,7 +40,8 @@ from lieactions.derivations import (
     derivation_algebra,
     engel_flag,
 )
-from lieactions.matrixgroups import generators, random_element
+from lieactions.matrixgroups import generators, identity, random_element
+from lieactions.pcg64 import DefaultRNG
 from lieactions.obstructions import (
     VERDICT_DEGENERATE,
     VERDICT_IMPOSSIBLE,
@@ -276,19 +277,20 @@ def test_criterion_08_group_deformations():
 # -- 9 ---------------------------------------------------------------------
 
 
+def _unit_point(rng, center):
+    """center + v * uniform(0.05, 1.3), v a unit vector of normals, drawn from a DefaultRNG."""
+    v = rng.normal(len(center))
+    norm = math.sqrt(sum(c * c for c in v))
+    w = rng.uniform(0.05, 1.3, 1)[0]
+    return tuple(c / norm * w + x for c, x in zip(v, center))
+
+
 def _ball_suite(group):
     ball = make_ball_action(group, 3)
-    center = np.asarray(ball.center)
-
-    def sample_pt(rng):
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        return center + v * rng.uniform(0.05, 1.3)
-
     report = verify_action(
         ball.apply,
-        np.eye(3),
-        OneAtATimeSampler(lambda r: random_element(r, group, 3), sample_pt),
+        identity(3),
+        OneAtATimeSampler(lambda r: random_element(r, group, 3), lambda r: _unit_point(r, ball.center)),
         generators(group, 3),
         samples=200,
     )
@@ -296,11 +298,10 @@ def _ball_suite(group):
     assert report.max_composition_residual <= 1e-6
     assert _all_effective(report)
     # identity outside the annulus is exact
-    rng = np.random.default_rng(0)
-    g = random_element(rng, group, 3)
+    g = random_element(DefaultRNG(0), group, 3)
     for r in (0.05, 0.25, 0.95, 2.0):
-        y = np.array([r, 0.0, 0.0])
-        assert np.array_equal(ball.apply(g[None], y[None])[0], y)
+        y = (r, 0.0, 0.0)
+        assert ball.apply([g], [y]) == [y]
 
 
 @criterion(9, "compact ball actions (ST(3) and unitriangular) and multiball verify")
@@ -313,25 +314,21 @@ def test_criterion_09_ball_actions():
         make_ball_action("ST", 3, center=(0.0, 3.0, 0.0)),
     ]
     mb = MultiBall(tuple(balls))
-    centers = [np.asarray(b.center) for b in balls]
 
     def sample_el(rng):
         return tuple(random_element(rng, "ST", 3) for _ in range(3))
 
     def sample_pt(rng):
-        j = int(rng.integers(0, 3))
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        return centers[j] + v * rng.uniform(0.05, 1.3)
+        return _unit_point(rng, balls[rng.integers(0, 3)].center)
 
     gens = []
     for j in range(3):
         for name, g in generators("ST", 3):
-            el = [np.eye(3)] * 3
+            el = [identity(3)] * 3
             el[j] = g
             gens.append((f"ball{j}.{name}", tuple(el)))
     report = verify_action(
-        mb.apply, tuple(np.eye(3) for _ in range(3)), OneAtATimeSampler(sample_el, sample_pt), gens, samples=200
+        mb.apply, (identity(3),) * 3, OneAtATimeSampler(sample_el, sample_pt), gens, samples=200
     )
     assert report.max_identity_residual <= 1e-9
     assert report.max_composition_residual <= 1e-6
@@ -400,15 +397,15 @@ def test_criterion_13_cover_action():
     rng = np.random.default_rng(1729)
     worst = 0.0
     for _ in range(100):
-        a = CoverElement.of(random_sl2(rng), int(rng.integers(-2, 3)))
-        b = CoverElement.of(random_sl2(rng), int(rng.integers(-2, 3)))
+        a = CoverElement.of(random_sl2(rng).ravel(), int(rng.integers(-2, 3)))
+        b = CoverElement.of(random_sl2(rng).ravel(), int(rng.integers(-2, 3)))
         (ab,) = cover_compose([a], [b])
         for theta in rng.uniform(-6, 6, size=3):
             worst = max(worst, abs(cover_eval(ab, float(theta)) - cover_eval(a, cover_eval(b, float(theta)))))
     assert worst <= 1e-9
     deck_worst = 0.0
     for _ in range(20):
-        a = CoverElement.of(random_sl2(rng))
+        a = CoverElement.of(random_sl2(rng).ravel())
         for theta in rng.uniform(-6, 6, size=25):
             deck_worst = max(
                 deck_worst,

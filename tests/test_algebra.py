@@ -36,7 +36,7 @@ from lieactions.constants import MAX_CATALOG_DIM
 from lieactions.linalg import RatMatrix, Subspace
 from lieactions.serialize import FormatError
 
-from pair_rows import dense, pairs
+from pair_rows import dense, pairs, span
 
 
 # -- oracles ---------------------------------------------------------------
@@ -219,7 +219,7 @@ def test_subspace_bracket_with_zero():
 def test_h3_commutator_ideal():
     h3 = catalog("heisenberg3")
     ideal = _commutator_ideal(h3)
-    assert ideal == Subspace.span([[0, 0, 1]], 3)
+    assert ideal == span([[0, 0, 1]], 3)
 
 
 def test_st4_nilradical_bracket_matches_matrix_oracle():
@@ -227,7 +227,7 @@ def test_st4_nilradical_bracket_matches_matrix_oracle():
     mats = catalog_matrices("st4")
     # n = strict uppers: indices 3..8 in the catalog layout
     upper_indices = list(range(3, 9))
-    nil = Subspace.span(
+    nil = span(
         [[Fraction(int(i == k)) for i in range(g.dim)] for k in upper_indices], g.dim
     )
     result = g.subspace_bracket(nil, nil)
@@ -307,7 +307,7 @@ def test_st2_solvable_not_nilpotent():
     report = g.lower_central_series()
     assert report.stabilized and report.length is None
     # [H, E] = 2E keeps span(E) forever
-    assert report.terms[-1] == Subspace.span([[0, 1]], 2)
+    assert report.terms[-1] == span([[0, 1]], 2)
 
 
 # -- center --------------------------------------------------------------------
@@ -319,7 +319,7 @@ def test_center_abelian_full():
 
 
 def test_center_h3():
-    assert catalog("heisenberg3").center() == Subspace.span([[0, 0, 1]], 3)
+    assert catalog("heisenberg3").center() == span([[0, 0, 1]], 3)
 
 
 def test_center_n3_dim2_sympy_oracle():
@@ -384,7 +384,7 @@ def test_direct_sum_invariants():
     # center of a sum is the sum of the centers
     cg = g.center()
     lifted = [list(b) + [Fraction(0)] for b in cg.basis_vectors()] + [[0, 0, 0, 1]]
-    assert s.center() == Subspace.span(lifted, 4)
+    assert s.center() == span(lifted, 4)
 
 
 def test_direct_sum_max_derived_length():

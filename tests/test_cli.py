@@ -372,7 +372,7 @@ def _fast_rotation(tmp_path):
 
 
 @pytest.mark.xfail(strict=True, reason="the fixed level tolerance 1e-8 is below RK4's drift here: "
-                   "level_residual is about 2.47e-8 (ROADMAP item 4)")
+                   "level_residual is about 2.47e-8 (ROADMAP item 2)")
 def test_vf_commuting_family_fast_rotation_passes(tmp_path):
     result = run("vf", "verify", "--scenario", _fast_rotation(tmp_path))
     assert result.exit_code == 0, result.output

@@ -23,11 +23,18 @@ from lieactions.deformations import (
     standard_profile,
     verify_deformation,
 )
-from lieactions.matrixgroups import random_element
+from lieactions.matrixgroups import identity, random_element, triangular_product
+from lieactions.pcg64 import DefaultRNG
+
+
+def as_matrix(flat):
+    """A flat row-major n x n tuple as an n x n array."""
+    n = math.isqrt(len(flat))
+    return np.array(flat, dtype=float).reshape(n, n)
 
 
 def _in_st(g, tol):
-    """g is upper triangular with positive diagonal of product 1, to tol."""
+    """g (an array) is upper triangular with positive diagonal of product 1, to tol."""
     n = g.shape[0]
     below = max((abs(g[i, j]) for i in range(n) for j in range(i)), default=0.0)
     return below <= tol and bool(np.all(np.diag(g) > 0)) and abs(np.prod(np.diag(g)) - 1.0) <= tol * 10
@@ -178,8 +185,8 @@ BUMPS = [bump_group_deformation("ST", 3), bump_group_deformation("U", 3)]
 
 
 def at(gd, t, g):
-    """The endomorphism of gd at time t applied to the one matrix g: a block of one."""
-    return gd.apply_many([t], g[None])[0]
+    """The endomorphism of gd at time t applied to the one flat matrix g: a block of one."""
+    return gd.apply_many([t], [g])[0]
 
 
 def joints(gd):
@@ -199,33 +206,35 @@ def verify_group(gd, samples=100, seed=DEFAULT_SEED):
     (0, 1); the flatness quotients at t = 0 and 1; the homomorphism residual
     of (gh)_t = g_t h_t at the check times; and how far the images leave the
     group (determinant one, upper triangular)."""
-    rng = np.random.default_rng(seed)
+    rng = DefaultRNG(seed)
     n = gd.n
-    eye = np.eye(n)
-    probes = np.array([random_element(rng, gd.group, n) for _ in range(8)])
-    ts = _CHECK_TIMES + list(rng.uniform(0.0, 1.0, size=5))
+    eye = identity(n)
+    mul = triangular_product(n)
+    probes = [random_element(rng, gd.group, n) for _ in range(8)]
+    ts = _CHECK_TIMES + rng.uniform(0.0, 1.0, 5)
 
     def each(t, gs):
         return gd.apply_many([t] * len(gs), gs)
 
     def every_time(g):
-        return gd.apply_many(ts, np.array([g] * len(ts)))
+        return gd.apply_many(ts, [g] * len(ts))
 
     law = below = 0.0
-    lower = np.tril_indices(n, -1)
+    lower = [i * n + j for i in range(n) for j in range(i)]
     for _ in range(samples):
         g = random_element(rng, gd.group, n)
         h = random_element(rng, gd.group, n)
-        lhs = every_time(g @ h)
-        law = max_residual(law, float(np.abs(lhs - every_time(g) @ every_time(h)).max()))
-        below = max_residual(below, *np.abs(lhs[:, lower[0], lower[1]]).ravel().tolist())
-    dets = np.linalg.det(gd.apply_many(ts * len(probes), np.repeat(probes, len(ts), axis=0)))
+        lhs = every_time(mul(g, h))
+        for image, gt, ht in zip(lhs, every_time(g), every_time(h)):
+            law = max_residual(law, *(abs(a - b) for a, b in zip(image, mul(gt, ht))))
+            below = max_residual(below, *(abs(image[k]) for k in lower))
+    dets = np.linalg.det(np.array([as_matrix(m) for m in gd.apply_many(ts * len(probes), [p for p in probes for _ in ts])]))
     return GroupCheck(
-        all(np.array_equal(each(t, probes), probes) for t in (-1.0, 0.0)),
-        np.array_equal(each(1.0, probes), each(2.0, probes)),
-        all(np.array_equal(m, eye) for m in each(1.0, probes)),
-        all(np.array_equal(m, eye) for t in (-1.0, 2.0) for m in each(t, probes)),
-        _flatness_quotient(lambda t: at(gd, t, probes[0]).ravel().tolist(), [0.0, 1.0]),
+        all(each(t, probes) == probes for t in (-1.0, 0.0)),
+        each(1.0, probes) == each(2.0, probes),
+        all(m == eye for m in each(1.0, probes)),
+        all(m == eye for t in (-1.0, 2.0) for m in each(t, probes)),
+        _flatness_quotient(lambda t: list(at(gd, t, probes[0])), [0.0, 1.0]),
         law,
         max_residual(0.0, *np.abs(dets - 1.0).tolist()),
         below,
@@ -234,18 +243,18 @@ def verify_group(gd, samples=100, seed=DEFAULT_SEED):
 
 def test_group_contraction_identity_element_fixed():
     for gd in BUMPS:
-        eye = np.eye(3)
+        eye = identity(3)
         for t in (-1.0, 0.0, 0.05, 0.15, 0.25, 0.35, 0.5, 0.75, 0.9, 1.0, 2.0):
-            assert np.array_equal(at(gd, t, eye), eye)
+            assert at(gd, t, eye) == eye
 
 
 def test_group_contraction_endpoint_trivial():
     for gd in BUMPS:
-        rng = np.random.default_rng(5)
+        rng = DefaultRNG(5)
         for _ in range(10):
             g = random_element(rng, gd.group, 3)
-            assert np.array_equal(at(gd, 1.0, g), np.eye(3))
-            assert np.array_equal(at(gd, 1.7, g), np.eye(3))
+            assert at(gd, 1.0, g) == identity(3)
+            assert at(gd, 1.7, g) == identity(3)
 
 
 def test_group_contraction_homomorphism_and_invariants():
@@ -263,43 +272,43 @@ def test_group_contraction_homomorphism_and_invariants():
 def test_group_contraction_stays_in_group():
     times = [float(t) for t in np.linspace(-0.2, 1.2, 15)]
     for gd in BUMPS:
-        rng = np.random.default_rng(11)
+        rng = DefaultRNG(11)
         for _ in range(20):
-            images = gd.apply_many(times, np.array([random_element(rng, gd.group, 3)] * len(times)))
+            images = gd.apply_many(times, [random_element(rng, gd.group, 3)] * len(times))
             for image in images:
-                assert _in_st(image, tol=1e-9)
+                assert _in_st(as_matrix(image), tol=1e-9)
                 if gd.group == "U":
-                    assert np.array_equal(np.diag(image), np.ones(3))
+                    assert image[::4] == (1.0, 1.0, 1.0)
 
 
 def test_bump_deformations():
     for gd in BUMPS:
-        rng = np.random.default_rng(3)
+        rng = DefaultRNG(3)
         g = random_element(rng, gd.group, 3)
         # trivial at both ends, identity automorphism in the middle
-        assert np.array_equal(at(gd, -0.5, g), np.eye(3))
-        assert np.array_equal(at(gd, 1.5, g), np.eye(3))
-        assert np.array_equal(at(gd, 0.5, g), g)
+        assert at(gd, -0.5, g) == identity(3)
+        assert at(gd, 1.5, g) == identity(3)
+        assert at(gd, 0.5, g) == g
 
 
 def test_group_smoothness_quotients_small():
     for gd in BUMPS:
-        g = random_element(np.random.default_rng(4), gd.group, 3)
+        g = random_element(DefaultRNG(4), gd.group, 3)
         # a stage spans 0.2 or 0.3, so the default step 1e-3 still sees the profile
         # leave its ends; at 1e-4 the quotients are rounding (an ulp over h^3 is 2.2e-4),
         # where a kink would give a first quotient of order one
-        assert _flatness_quotient(lambda t: at(gd, t, g).ravel().tolist(), joints(gd), h=1e-4) <= 1e-3
+        assert _flatness_quotient(lambda t: list(at(gd, t, g)), joints(gd), h=1e-4) <= 1e-3
         assert verify_group(gd, samples=10).flatness_max_quotient <= 1e-6
 
 
 def test_state_interpolation_continuous_at_stage_joints():
     for gd in BUMPS:
-        rng = np.random.default_rng(9)
+        rng = DefaultRNG(9)
         g = random_element(rng, gd.group, 3)
         for joint in joints(gd):
             before = at(gd, joint - 1e-9, g)
             after = at(gd, joint + 1e-9, g)
-            assert np.max(np.abs(before - after)) < 1e-6
+            assert max(abs(a - b) for a, b in zip(before, after)) < 1e-6
 
 
 def test_bad_inputs():
@@ -308,7 +317,7 @@ def test_bad_inputs():
     with pytest.raises(ValueError):
         bump_group_deformation("SL2", 3)
     with pytest.raises(ValueError, match="unknown group tag"):
-        random_element(np.random.default_rng(0), "SL2", 2)
+        random_element(DefaultRNG(0), "SL2", 2)
 
 
 # -- the compiled kernels against the former loops -----------------------------------
@@ -333,29 +342,31 @@ def _reference_group_apply(gd, t, g):
 @pytest.mark.parametrize("group", ["ST", "U"])
 @pytest.mark.parametrize("n", [2, 3, 5, 6])
 def test_group_apply_matches_entry_loop(group, n):
-    rng = np.random.default_rng(n)
+    rng = DefaultRNG(n)
     gd = bump_group_deformation(group, n)
-    g = random_element(rng, group, n)
-    h = random_element(rng, group, n)
+    g = as_matrix(random_element(rng, group, n))
+    h = as_matrix(random_element(rng, group, n))
     # signed zeros and negative entries below the diagonal must still give +0.0 there
     odd = g @ h
     odd[np.tril_indices(n, -1)] = [(-1.0) ** k * (0.0 if k % 3 else 7.5) for k in range(n * (n - 1) // 2)]
     odd[0, -1] = -0.0
     times = [-1.0, 0.0, 0.05, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0, 2.0]
-    times += list(rng.uniform(0.0, 1.0, size=10))
+    times += rng.uniform(0.0, 1.0, 10)
 
     def same(got, want):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     for m in (g, h, g @ h, odd):
-        want = np.array([_reference_group_apply(gd, t, m) for t in times])
-        same(np.array([at(gd, t, m) for t in times]), want)  # blocks of one
-        same(gd.apply_many(times, np.array([m] * len(times))), want)  # one block that holds every time
+        want = np.array([_reference_group_apply(gd, t, m).ravel() for t in times])
+        flat = tuple(m.ravel().tolist())
+        same(np.array([at(gd, t, flat) for t in times]), want)  # blocks of one
+        same(np.array(gd.apply_many(times, [flat] * len(times))), want)  # one block that holds every time
 
 
 def _reference_random_element(rng, group, n):
-    """The former per-entry draws: the ST diagonal first, then each strict upper entry."""
+    """The former per-entry draws of numpy's generator: the ST diagonal
+    first, then each strict upper entry."""
     if group == "ST":
         g = np.zeros((n, n))
         diag = rng.uniform(0.5, 2.0, size=n)
@@ -375,13 +386,14 @@ def _reference_random_element(rng, group, n):
 @pytest.mark.parametrize("group", ["ST", "U"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_random_element_matches_per_entry_draws(group, n):
-    rng, ref = np.random.default_rng(100 + n), np.random.default_rng(100 + n)
+    # the standard-library draws are those of numpy's generator, bit for bit
+    rng, ref = DefaultRNG(100 + n), np.random.default_rng(100 + n)
     for _ in range(50):
         got, want = random_element(rng, group, n), _reference_random_element(ref, group, n)
-        assert got.shape == want.shape == (n, n)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-        assert rng.bit_generator.state == ref.bit_generator.state
+        assert len(got) == n * n
+        assert np.array_equal(as_matrix(got), want)
+        assert np.array_equal(np.signbit(as_matrix(got)), np.signbit(want))
+        assert rng._state == ref.bit_generator.state["state"]["state"]
 
 
 def test_max_residual_keeps_nan_and_inf():
@@ -424,10 +436,10 @@ def test_flatness_quotient_matches_numpy_on_every_family(n):
     for d in (st_deformation(n), st_prime_deformation(n), diag_contraction(n),
               concatenate(diag_contraction(n), st_deformation(n))):
         assert _flatness_quotient(d.factors, [0.0, 1.0]) == _reference_flatness_quotient(d.factors, [0.0, 1.0])
-    rng = np.random.default_rng(n)
+    rng = DefaultRNG(n)
     for gd in (bump_group_deformation("ST", n), bump_group_deformation("U", n)):
         g = random_element(rng, gd.group, n)
-        values = lambda t, gd=gd, g=g: at(gd, t, g).ravel().tolist()
+        values = lambda t, gd=gd, g=g: list(at(gd, t, g))
         for times in ([0.0, 1.0], joints(gd)):
             assert _flatness_quotient(values, times) == _reference_flatness_quotient(values, times)
 

@@ -24,7 +24,7 @@ from lieactions.derivations import (
 from lieactions.linalg import RatMatrix, Subspace, nullspace_of_rows, solve
 
 from clirunner import invoke
-from pair_rows import basis_vector, dense, pairs
+from pair_rows import basis_vector, dense, pairs, span
 
 
 def unit(n, i, j, val=1):
@@ -91,7 +91,7 @@ def _inner_derivations(g):
 
 def _span(der):
     """The derivation span as a subspace of Q^(n^2)."""
-    return Subspace.span([_flat(m) for m in der.basis], der.parent.dim ** 2)
+    return span([_flat(m) for m in der.basis], der.parent.dim ** 2)
 
 
 def _contains(der, mat):

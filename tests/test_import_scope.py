@@ -3,7 +3,7 @@
 No verb loads `dataclasses`, or the standard library's `argparse` (with
 the `gettext` and `locale` it pulls in): the parser is the program's own.
 Each verb loads only its own handler module: `exact_verbs`, or one of
-`deform_verbs`, `act_verbs` and `vf_verbs`. The exact verbs and `catalog list` must not load numpy,
+`deform_verbs`, `act_verbs` and `vf_verbs`. The exact verbs and `catalog list` must not load
 any module of the numerical layer, or `inspect`; on a catalog key they
 load no `json`, which only the reader of a file imports, and neither does
 `deform verify`. The numerical verbs must not load each other's modules,
@@ -11,9 +11,11 @@ and `act verify`, `vf flow` and the commuting-family `vf verify` load no
 `algebra` or `catalog`; `act verify` loads `deformations` only for the
 ball kinds; only `algebra analyze` loads `derivations`, only `algebra
 obstruct` loads `obstructions`, an algebra read from a file loads no
-`catalog`, and only `act verify` loads numpy: `deform verify` and the
-projective `vf verify` draw their samples from `pcg64`, a standard-library
-copy of numpy's default stream (`deform verify` loads no `matrixgroups`).
+`catalog`, and no verb loads numpy: `deform verify`, the projective `vf
+verify` and every kind of `act verify` draw their samples from `pcg64`, a
+standard-library copy of numpy's default stream (`deform verify` loads no
+`matrixgroups`), and only `act verify`, which draws normals, loads the
+ziggurat tables of `ziggurat`.
 Each case runs one verb in a fresh interpreter and inspects `sys.modules`
 afterwards, so a stray top-level import in `cli.py` (or in a module it
 imports) fails here.
@@ -49,13 +51,13 @@ NUMERICAL = [
     "lieactions.deformations",
     "lieactions.matrixgroups",
     "lieactions.pcg64",
+    "lieactions.ziggurat",
     "lieactions.vectorfields",
     "lieactions.polynomials",
 ]
 
 # Every record is a namedtuple: `dataclasses` would cost each invocation the
-# import of `inspect` (and `ast`, `dis`, `tokenize`), which numpy loads anyway
-# but no exact verb does.
+# import of `inspect` (and `ast`, `dis`, `tokenize`), which no verb loads.
 EXACT = NUMERICAL + ["inspect"]
 
 # the handler modules: of the exact layer, and of each numerical verb
@@ -111,37 +113,46 @@ CASES = {
     "vf-verify-projective": (
         ["vf", "verify", "--scenario", str(SCENARIOS / "projective2.json")],
         ["numpy", "numpy.random", "lieactions.actions", "lieactions.deformations", "lieactions.matrixgroups",
-         "lieactions.derivations", "lieactions.obstructions", *EXACT_VERBS, *DEFORM_VERBS, *ACT_VERBS],
+         "lieactions.ziggurat", "lieactions.derivations", "lieactions.obstructions", *EXACT_VERBS, *DEFORM_VERBS,
+         *ACT_VERBS],
         VF_VERBS + ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.algebra",
                     "lieactions.catalog", "lieactions.linalg", "lieactions.pcg64"],
     ),
     "act-verify": (
         ["act", "verify", "--scenario", str(SCENARIOS / "sphere_st3.json")],
-        ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", "lieactions.pcg64",
+        ["numpy", "lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg",
          "lieactions.deformations", *EXACT_CORE, *EXACT_VERBS, *DEFORM_VERBS, *VF_VERBS],
-        ACT_VERBS + ["numpy", "lieactions.actions", "lieactions.matrixgroups"],
+        ACT_VERBS + ["lieactions.actions", "lieactions.matrixgroups", "lieactions.pcg64", "lieactions.ziggurat"],
     ),
     "act-verify-interval": (
         ["act", "verify", "--scenario", str(SCENARIOS / "interval.json")],
-        ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", "lieactions.deformations",
-         *EXACT_CORE, *EXACT_VERBS, *DEFORM_VERBS, *VF_VERBS],
-        ACT_VERBS + ["numpy", "lieactions.actions", "lieactions.matrixgroups"],
+        ["numpy", "lieactions.ziggurat", "lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg",
+         "lieactions.deformations", *EXACT_CORE, *EXACT_VERBS, *DEFORM_VERBS, *VF_VERBS],
+        ACT_VERBS + ["lieactions.actions", "lieactions.matrixgroups", "lieactions.pcg64"],
     ),
     "act-verify-disk": (
         ["act", "verify", "--scenario", str(SCENARIOS / "disk2.json")],
-        ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", "lieactions.deformations",
+        ["numpy", "lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", "lieactions.deformations",
          *EXACT_CORE, *EXACT_VERBS, *DEFORM_VERBS, *VF_VERBS],
-        ACT_VERBS + ["numpy", "lieactions.actions", "lieactions.matrixgroups"],
+        ACT_VERBS + ["lieactions.actions", "lieactions.matrixgroups", "lieactions.pcg64", "lieactions.ziggurat"],
     ),
     "act-verify-ball": (
         ["act", "verify", "--scenario", str(SCENARIOS / "ball_st3.json")],
-        ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", *EXACT_CORE, *EXACT_VERBS,
-         *DEFORM_VERBS, *VF_VERBS],
-        ACT_VERBS + ["numpy", "lieactions.actions", "lieactions.matrixgroups", "lieactions.deformations"],
+        ["numpy", "lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", *EXACT_CORE,
+         *EXACT_VERBS, *DEFORM_VERBS, *VF_VERBS],
+        ACT_VERBS + ["lieactions.actions", "lieactions.matrixgroups", "lieactions.deformations",
+                     "lieactions.pcg64", "lieactions.ziggurat"],
+    ),
+    "act-verify-multiball": (
+        ["act", "verify", "--scenario", str(SCENARIOS / "multiball_st3.json")],
+        ["numpy", "lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", *EXACT_CORE,
+         *EXACT_VERBS, *DEFORM_VERBS, *VF_VERBS],
+        ACT_VERBS + ["lieactions.actions", "lieactions.matrixgroups", "lieactions.deformations",
+                     "lieactions.pcg64", "lieactions.ziggurat"],
     ),
     "deform-verify": (
         ["deform", "verify", "--family", "st", "--n", "3"],
-        ["numpy", "lieactions.matrixgroups", "lieactions.vectorfields", "lieactions.actions",
+        ["numpy", "lieactions.matrixgroups", "lieactions.ziggurat", "lieactions.vectorfields", "lieactions.actions",
          "lieactions.derivations", "json", *EXACT_VERBS, *ACT_VERBS, *VF_VERBS],
         DEFORM_VERBS + ["lieactions.deformations", "lieactions.pcg64"],
     ),

@@ -7,7 +7,6 @@ its fields on construction still raises the same ValueError; and no record
 that multiplies turns into tuple repetition.
 """
 
-import numpy as np
 import pytest
 
 from lieactions import catalog
@@ -34,7 +33,7 @@ from lieactions.deformations import (
 )
 from lieactions.derivations import ContractionObstruction, DerivationAlgebra, contractibility_obstruction
 from lieactions.linalg import Subspace
-from lieactions.matrixgroups import generators, random_element
+from lieactions.matrixgroups import generators, identity, random_element
 from lieactions.obstructions import ActionVerdict, ObstructionReport, borderline_analysis, n_action_verdict
 from lieactions.polynomials import Poly
 from lieactions.vectorfields import (
@@ -57,8 +56,8 @@ CIRCLE = Poly.make(2, {(2, 0): 1, (0, 2): 1})
 
 def _ball_report(g):
     ball = make_ball_action("U", 3)
-    points = lambda r: r.normal(size=3)
-    return verify_action(ball.apply, np.eye(3), OneAtATimeSampler(lambda r: random_element(r, "U", 3), points),
+    points = lambda r: tuple(r.normal(3))
+    return verify_action(ball.apply, identity(3), OneAtATimeSampler(lambda r: random_element(r, "U", 3), points),
                          generators("U", 3), samples=3)
 
 
@@ -101,7 +100,7 @@ RECORDS = {
     BallAction: (
         ("group", "n", "deformation", "r0", "r1", "center", "radius"),
         lambda g: make_ball_action("ST", 3),
-        ("center_array", "_log_radii"),
+        ("_log_radii",),
     ),
     MultiBall: (("balls",), lambda g: MultiBall((make_ball_action("U", 2), make_ball_action("U", 2, center=(3, 0)))), ()),
     ActionReport: (
@@ -109,7 +108,7 @@ RECORDS = {
         _ball_report,
         (),
     ),
-    CoverElement: (("matrix", "deck"), lambda g: CoverElement.of(np.eye(2), 1), ()),
+    CoverElement: (("matrix", "deck"), lambda g: CoverElement.of((1.0, 0.0, 0.0, 1.0), 1), ()),
     Poly: (("nvars", "terms"), lambda g: CIRCLE, ()),
     PolyVectorField: (("components",), lambda g: hamiltonian_field(CIRCLE), ("evaluator",)),
     CommutingFamilyCertificate: (

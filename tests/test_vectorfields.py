@@ -666,6 +666,23 @@ def _assert_kernel_is_the_loop(v, p, duration, h):
     return got
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_scale_by_a_constant_is_the_product(data):
+    # the constant fast path of scale_by_poly against Poly.__mul__: the same
+    # terms in the same order, Fractions alike, also for the zero constant
+    # and for a non-constant polynomial, which still multiplies
+    v = data.draw(cubic_fields())
+    c = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    for p in (Poly.constant(v.nvars, c), Poly.zero(v.nvars), v.components[0]):
+        got = v.scale_by_poly(p)
+        want = PolyVectorField(tuple(p * a for a in v.components))
+        assert [comp.terms for comp in got.components] == [comp.terms for comp in want.components]
+        assert all(type(k) is Fraction for comp in got.components for _, k in comp.terms)
+    with pytest.raises(ValueError, match="variable count"):
+        v.scale_by_poly(Poly.constant(v.nvars + 1, c))
+
+
 @st.composite
 def wide_fields(draw):
     """A field of 1 to 4 variables, up to 6 terms a component, exponents up to 4."""
