@@ -17,6 +17,8 @@ of `deform verify`, `uniform` for the Box-Muller points of the projective
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from functools import cache, lru_cache
 
 MASK32 = 0xFFFFFFFF
@@ -156,12 +158,14 @@ class DefaultRNG:
         uniform's, are (x (2^64 + 1)) >> (r + 11) cut to 53."""
         mults, incs = _batch_steps(self._inc)
         raw = (self._made * mults + incs).to_bytes(SLOT_BYTES * BATCH, "little")
-        words = memoryview(raw).cast("Q")
+        words = array("Q", raw)  # 64-bit words in the machine's byte order
+        if sys.byteorder == "big":
+            words.byteswap()
         lo, hi = words[0::SLOT_WORDS], words[1::SLOT_WORDS]
         self._made = hi[-1] << 64 | lo[-1]
-        xor = int.from_bytes(lo, "little") ^ int.from_bytes(hi, "little")
-        self._xs = memoryview(xor.to_bytes(8 * BATCH, "little")).cast("Q").tolist()
-        top = raw[15::SLOT_BYTES]
+        xor = int.from_bytes(lo.tobytes(), sys.byteorder) ^ int.from_bytes(hi.tobytes(), sys.byteorder)
+        self._xs = array("Q", xor.to_bytes(8 * BATCH, sys.byteorder)).tolist()
+        top = raw[15::SLOT_BYTES]  # the top byte of each state
         self._rotations, self._shifts = top.translate(_ROTATIONS), top.translate(_SHIFTS)
         self._pos = 0
 
@@ -209,7 +213,8 @@ class DefaultRNG:
                 self._refill()
             pos = self._pos
             end = min(pos + k, BATCH)
-            out += [(x * DOUBLE_WORD >> r & MASK53) * 2.0 ** -53 for x, r in zip(self._xs[pos:end], self._shifts[pos:end])]
+            xs, shifts = self._xs[pos:end], self._shifts[pos:end]
+            out += [(x * DOUBLE_WORD >> r & MASK53) * 2.0 ** -53 for x, r in zip(xs, shifts)]
             self._pos = end
             k -= end - pos
         return out

@@ -228,7 +228,8 @@ def verify_group(gd, samples=100, seed=DEFAULT_SEED):
         for image, gt, ht in zip(lhs, every_time(g), every_time(h)):
             law = max_residual(law, *(abs(a - b) for a, b in zip(image, mul(gt, ht))))
             below = max_residual(below, *(abs(image[k]) for k in lower))
-    dets = np.linalg.det(np.array([as_matrix(m) for m in gd.apply_many(ts * len(probes), [p for p in probes for _ in ts])]))
+    images = gd.apply_many(ts * len(probes), [p for p in probes for _ in ts])
+    dets = np.linalg.det(np.array([as_matrix(m) for m in images]))
     return GroupCheck(
         all(each(t, probes) == probes for t in (-1.0, 0.0)),
         each(1.0, probes) == each(2.0, probes),
