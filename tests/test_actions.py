@@ -54,9 +54,6 @@ from one_sample import (
     as_array,
     as_numpy,
     close,
-    cover_compose_one,
-    cover_sampler,
-    disk_action,
     looped,
     np_compose,
     np_verify_loop,

@@ -21,7 +21,7 @@ from lieactions.derivations import (
     engel_flag,
     find_non_nilpotent,
 )
-from lieactions.linalg import RatMatrix, Subspace, nullspace_of_rows, solve
+from lieactions.linalg import RatMatrix, nullspace_of_rows, solve
 
 from clirunner import invoke
 from pair_rows import basis_vector, dense, pairs, span
