@@ -14,8 +14,8 @@ obstruct` loads `obstructions`, an algebra read from a file loads no
 `catalog`, and no verb loads numpy: `deform verify`, the projective `vf
 verify` and every kind of `act verify` draw their samples from `pcg64`, a
 standard-library copy of numpy's default stream (`deform verify` loads no
-`matrixgroups`), and only `act verify`, which draws normals, loads the
-ziggurat tables of `ziggurat`.
+`matrixgroups`), and only the `act verify` kinds that draw normals (all
+but the interval) load the ziggurat tables of `ziggurat`.
 Each case runs one verb in a fresh interpreter and inspects `sys.modules`
 afterwards, so a stray top-level import in `cli.py` (or in a module it
 imports) fails here.
