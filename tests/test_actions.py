@@ -96,10 +96,6 @@ def one(act, g, y):
     return act([g], [tuple(y)])[0]
 
 
-def from_rows(rows):
-    return tuple(float(x) for row in rows for x in row)
-
-
 # -- sphere -------------------------------------------------------------------
 
 
