@@ -20,7 +20,7 @@ ACT_KEYS = {"action": (str, REQUIRED, None), "samples": (int, 200, 1, MAX_SAMPLE
 TOLERANCE_KEYS = {"composition": (float, 1e-6, 0.0), "identity": (float, 1e-9, 0.0), "move": (float, 1e-6, 0.0)}
 MATRIX_KEYS = {"group": (("ST", "U"), REQUIRED, None), "n": (int, REQUIRED, 1, MAX_ACTION_N)}
 PLACEMENT_KEYS = {"center": ([float], REQUIRED, None), "radius": (float, 1.0, POSITIVE),
-                  "annulus": ([float], [0.3, 0.9], None)}
+                  "annulus": ([float], [0.3, 0.9], 2, 2)}
 
 # An action kind's function returns the arguments of `verify_action` (action, identity,
 # sampler, named generators) and the witness rule; it imports when run. Every kind draws and

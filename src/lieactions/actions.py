@@ -25,8 +25,8 @@ from collections import namedtuple
 from functools import cache, cached_property
 from operator import sub
 
-from .constants import DEFAULT_SEED, max_residual
-from .matrixgroups import compile_function, element_maker, triangular_product, uniform_count, unpack
+from .constants import DEFAULT_SEED, compile_function, max_residual
+from .matrixgroups import element_maker, triangular_product, uniform_count, unpack
 from .pcg64 import DefaultRNG
 
 __all__ = [
@@ -328,11 +328,6 @@ def verify_action(
     return ActionReport(id_res, comp_res, witnesses, samples, seed, move_threshold)
 
 
-def _uniform(u: float, low: float, high: float) -> float:
-    """The value of `Generator.uniform(low, high)` for its `random()` draw u."""
-    return low + (high - low) * u
-
-
 class StackedSampler(namedtuple("StackedSampler", "group shape balls")):
     """The sampler of `verify_action` for the sphere, ball and multiball
     kinds: elements of the matrix group `group` ("ST" or "U") of shape
@@ -385,7 +380,7 @@ class StackedSampler(namedtuple("StackedSampler", "group shape balls")):
         # integers(0, 1) would draw nothing, so one ball is taken as it is
         ball = balls[rng.integers(0, len(balls))] if len(balls) > 1 else balls[0]
         v = rng.normal(n)
-        return _in_ball(n)(v, _uniform(rng.random(1)[0], 0.05, 1.3), ball.radius, ball.center)
+        return _in_ball(n)(v, rng.uniform(0.05, 1.3, 1)[0], ball.radius, ball.center)
 
 
 def _first_moved(act, gens, points, block: int, threshold: float):
@@ -531,7 +526,7 @@ class CoverSampler(namedtuple("CoverSampler", "disk n")):
     with `disk`, of the closed unit disk of R^n.
 
     It makes the draws of the one-sample loop, in its order: for an
-    element, tries of four uniforms in [-1.5, 1.5) (one `random(4)` call
+    element, tries of four uniforms in [-1.5, 1.5) (one `uniform` call
     each) until one has determinant ps - qr above 0.05, then its deck in
     {-1, 0, 1} (`integers(-1, 2)`); for a point, a uniform in [0.01, 0.99),
     or a normal vector of R^n and then a radius uniform in [0, 1). An
@@ -542,7 +537,7 @@ class CoverSampler(namedtuple("CoverSampler", "disk n")):
         if self.disk:
             return [self._point(rng) for _ in range(samples)]
         # the uniforms are the only draws, so one call makes them all
-        return [(_uniform(u, 0.01, 0.99),) for u in rng.random(samples)]
+        return [(u,) for u in rng.uniform(0.01, 0.99, samples)]
 
     def block(self, rng, b: int) -> tuple[list, list, list]:
         gs, hs, ys = [], [], []
@@ -556,7 +551,7 @@ class CoverSampler(namedtuple("CoverSampler", "disk n")):
 
     def _point(self, rng) -> tuple:
         if not self.disk:
-            return (_uniform(rng.random(1)[0], 0.01, 0.99),)
+            return (rng.uniform(0.01, 0.99, 1)[0],)
         v = _unit(self.n)(rng.normal(self.n))
         radius = rng.random(1)[0]
         return tuple(c * radius for c in v)
@@ -566,6 +561,6 @@ def _accepted_try(rng) -> tuple[float, float, float, float]:
     """(p, q, r, s): tries of four uniforms in [-1.5, 1.5) until the 2x2
     matrix they make has determinant ps - qr above 0.05."""
     while True:
-        p, q, r, s = [_uniform(u, -1.5, 1.5) for u in rng.random(4)]
+        p, q, r, s = rng.uniform(-1.5, 1.5, 4)
         if p * s - q * r > 0.05:
             return p, q, r, s

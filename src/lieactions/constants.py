@@ -1,5 +1,8 @@
-"""Package-wide defaults, and the residual maximum every numerical check
-shares (this module imports nothing, so every verb can load it)."""
+"""Package-wide defaults, the residual maximum every numerical check
+shares, and the one compiler of generated straight-line code (this module
+imports only `math`, so every verb can load it)."""
+
+import math
 
 # Default PRNG seed for every sampled verification; reports echo the
 # seed actually used so runs are reproducible byte for byte.
@@ -40,3 +43,11 @@ def max_residual(best: float, *residuals: float) -> float:
         if not r <= best and best == best:  # r is larger, or r is NaN
             best = r
     return best
+
+
+def compile_function(lines: list[str], name: str, filename: str, **names):
+    """The function `name` that the source `lines` define, with `names` as
+    its globals beside `sqrt` and `log`, math's."""
+    scope = {"sqrt": math.sqrt, "log": math.log, **names}
+    exec(compile("\n".join(lines) + "\n", filename, "exec"), scope)
+    return scope[name]

@@ -2,9 +2,9 @@
 
 An algebra deformation here is a time-indexed family of diagonal
 scalings of a fixed basis: basis element k is multiplied by sigma(t)^e_k
-for a nonnegative integer exponent e_k, where sigma is a smooth
-transition profile equal to 1 for t <= 0 and 0 for t >= 1 and flat at
-both ends. On the unimodular triangular algebra the exponent j - i on
+for a nonnegative integer exponent e_k, where sigma is `smooth_step`, the
+one transition profile: equal to 1 for t <= 0 and 0 for t >= 1, and flat
+at both ends. On the unimodular triangular algebra the exponent j - i on
 the entry (i, j) is a grading, so the endomorphism law holds as an
 algebraic identity for every t simultaneously; floats enter only as
 cross-checks.
@@ -26,7 +26,7 @@ from functools import lru_cache
 from operator import sub
 from typing import TYPE_CHECKING, Sequence
 
-from .constants import DEFAULT_SEED, max_residual
+from .constants import DEFAULT_SEED, compile_function, max_residual
 
 if TYPE_CHECKING:
     from .algebra import LieAlgebra
@@ -38,8 +38,7 @@ if TYPE_CHECKING:
 # group-level code, and `pcg64` only by the algebra law check.
 
 __all__ = [
-    "TransitionProfile",
-    "standard_profile",
+    "smooth_step",
     "Stage",
     "AlgebraDeformation",
     "st_deformation",
@@ -56,21 +55,16 @@ __all__ = [
 # -- transition profile -------------------------------------------------
 
 
-class TransitionProfile(namedtuple("TransitionProfile", "kind")):
-    """Smooth nonincreasing step: 1 for t <= 0, 0 for t >= 1, flat ends."""
-
-    def __call__(self, t: float) -> float:
-        if t <= 0.0:
-            return 1.0
-        if t >= 1.0:
-            return 0.0
-        # exp(-exp(-1/t)/(1-t)): value and all derivatives match the
-        # clamped branches at both endpoints.
-        return math.exp(-math.exp(-1.0 / t) / (1.0 - t))
-
-
-def standard_profile() -> TransitionProfile:
-    return TransitionProfile("smooth_step")
+def smooth_step(t: float) -> float:
+    """The transition profile of every family: a smooth nonincreasing step,
+    1 for t <= 0, 0 for t >= 1, flat at both ends."""
+    if t <= 0.0:
+        return 1.0
+    if t >= 1.0:
+        return 0.0
+    # exp(-exp(-1/t)/(1-t)): value and all derivatives match the
+    # clamped branches at both endpoints.
+    return math.exp(-math.exp(-1.0 / t) / (1.0 - t))
 
 
 # -- algebra-level deformations ------------------------------------------
@@ -82,10 +76,10 @@ class Stage(namedtuple("Stage", "t0 t1 exponents")):
 
 
 class AlgebraDeformation(namedtuple(
-    "AlgebraDeformation", "label parent profile stages domain_indices", defaults=(None,)
+    "AlgebraDeformation", "label parent stages domain_indices", defaults=(None,)
 )):
     """Piecewise family of diagonal scalings of parent's basis (a
-    LieAlgebra), with a TransitionProfile and a tuple of Stages.
+    LieAlgebra), through a tuple of Stages, each run by `smooth_step`.
 
     domain_indices restricts the family to the coordinate subalgebra
     spanned by those basis vectors (None means all of parent).
@@ -118,7 +112,6 @@ class AlgebraDeformation(namedtuple(
         return AlgebraDeformation(
             label,
             parent,
-            standard_profile(),
             (Stage(0.0, 1.0, tuple(exponents)),),
             tuple(domain_indices) if domain_indices is not None else None,
         )
@@ -135,7 +128,7 @@ class AlgebraDeformation(namedtuple(
             if t <= stage.t0:
                 break
             tau = (t - stage.t0) / (stage.t1 - stage.t0)
-            s = self.profile(tau)
+            s = smooth_step(tau)
             for k, e in enumerate(stage.exponents):
                 if e:
                     out[k] *= s ** e
@@ -155,7 +148,7 @@ class AlgebraDeformation(namedtuple(
         return {
             "label": self.label,
             "algebra": self.parent.name,
-            "profile": self.profile.kind,
+            "profile": "smooth_step",
             "stages": [
                 {"t0": s.t0, "t1": s.t1, "exponents": list(s.exponents)}
                 for s in self.stages
@@ -240,7 +233,6 @@ def concatenate(psi: AlgebraDeformation, theta: AlgebraDeformation) -> AlgebraDe
     return AlgebraDeformation(
         f"{psi.label} # {theta.label}",
         theta.parent,
-        theta.profile,
         tuple(stages),
         theta.domain_indices,
     )
@@ -254,7 +246,7 @@ def _endomorphism_kernel(n: int):
     """apply_many(state_at, ts, gs) of GroupDeformation for n x n matrices,
     compiled once per n: the state at each time, then the image of the flat
     matrix as straight-line code."""
-    from .matrixgroups import compile_function, unpack
+    from .matrixgroups import unpack
 
     offdiag = ", ".join("0.0" if j < i else f"g{i}_{j}" if j == i else f"g{i}_{j} * p{j - i}"
                         for i in range(n) for j in range(n))
@@ -273,15 +265,15 @@ class GroupStage(namedtuple("GroupStage", "t0 t1 kind start end")):
     `kind` is "offdiag" (scale entry (i,j) by p^(j-i)) or "diagpow" (d -> d^p)."""
 
 
-class GroupDeformation(namedtuple("GroupDeformation", "label group n stages profile")):
+class GroupDeformation(namedtuple("GroupDeformation", "label group n stages")):
     """Piecewise path of endomorphisms of a triangular matrix group
     (`group` is "ST" or "U"), through a tuple of GroupStages.
 
     Every fixed-t map is multiplicative: off-diagonal cocycle scaling for
     any parameter because the exponents add along products, and diagonal
     entrywise powers after the off-diagonal part has been projected away.
-    Consecutive stages agree at their junction, so the path is continuous
-    and (with the flat profile) smooth in t.
+    Consecutive stages agree at their junction, so the path is continuous,
+    and smooth in t since `smooth_step` is flat at both ends.
     """
 
     def state_at(self, t: float) -> tuple[str, float]:
@@ -291,7 +283,7 @@ class GroupDeformation(namedtuple("GroupDeformation", "label group n stages prof
                 return stage.kind, stage.start
             if t < stage.t1:
                 tau = (t - stage.t0) / (stage.t1 - stage.t0)
-                s = self.profile(tau)
+                s = smooth_step(tau)
                 return stage.kind, stage.start * s + stage.end * (1.0 - s)
         last = stages[-1]
         return last.kind, last.end
@@ -318,7 +310,7 @@ def bump_group_deformation(group: str, n: int) -> GroupDeformation:
             GroupStage(0.05, 0.35, "offdiag", 0.0, 1.0),
             GroupStage(0.65, 0.95, "offdiag", 1.0, 0.0),
         )
-        return GroupDeformation(f"U({n}) bump", "U", n, stages, standard_profile())
+        return GroupDeformation(f"U({n}) bump", "U", n, stages)
     if group == "ST":
         stages = (
             GroupStage(0.05, 0.25, "diagpow", 0.0, 1.0),
@@ -326,7 +318,7 @@ def bump_group_deformation(group: str, n: int) -> GroupDeformation:
             GroupStage(0.55, 0.75, "offdiag", 1.0, 0.0),
             GroupStage(0.75, 0.95, "diagpow", 1.0, 0.0),
         )
-        return GroupDeformation(f"ST({n}) bump", "ST", n, stages, standard_profile())
+        return GroupDeformation(f"ST({n}) bump", "ST", n, stages)
     raise ValueError(f"unsupported group tag {group!r}")
 
 

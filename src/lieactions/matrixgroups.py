@@ -7,8 +7,9 @@ Group tags:
 
 An element of ST(n) or U(n) is a flat row-major tuple of n^2 Python floats,
 +0.0 below the diagonal. Sampling and products are straight-line code
-compiled once per n (as `vectorfields._rk4_driver` is), and every sum runs
-left to right, so a result depends on its inputs alone.
+compiled once per n by `constants.compile_function`, the package's one
+compiler of generated code, and every sum runs left to right, so a result
+depends on its inputs alone.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from __future__ import annotations
 import math
 from functools import cache
 
+from .constants import compile_function
+
 __all__ = [
     "identity",
     "random_element",
     "generators",
     "triangular_product",
-    "compile_function",
 ]
 
 
@@ -85,14 +87,6 @@ def unpack(name: str, n: int) -> str:
     """The targets that unpack a flat n x n matrix into name{i}_{j}, the
     entries below the diagonal into `_`."""
     return ", ".join(f"{name}{i}_{j}" if j >= i else "_" for i in range(n) for j in range(n)) + ","
-
-
-def compile_function(lines: list[str], name: str, filename: str, **names):
-    """The function `name` that the source `lines` define, with `names` as
-    its globals beside `sqrt` and `log`, math's."""
-    scope = {"sqrt": math.sqrt, "log": math.log, **names}
-    exec(compile("\n".join(lines) + "\n", filename, "exec"), scope)
-    return scope[name]
 
 
 def st_generators(n: int) -> list[tuple[str, tuple[float, ...]]]:

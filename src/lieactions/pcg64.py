@@ -8,8 +8,8 @@ family of simple fast space-efficient statistically good algorithms for
 random number generation", 2014). `DefaultRNG` replays that stream bit for
 bit, through the `Generator` calls that the numerical verbs make, so that
 they run without numpy: `integers` and `uniform` for the algebra law check
-of `deform verify`, `uniform` for the Box-Muller points of the projective
-`vf verify`, and `random`, `normal` and `integers` for `act verify`.
+of `deform verify`, `normal` for the points of the projective `vf verify`,
+and `random`, `uniform`, `normal` and `integers` for `act verify`.
 `normal` is numpy's ziggurat (Marsaglia and Tsang, J. Stat. Softw. 5(8),
 2000), replayed from numpy's tables in `ziggurat`.
 """
@@ -114,8 +114,9 @@ class DefaultRNG:
     """`numpy.random.default_rng(seed)` for a seed >= 0, with the draws of
     `Generator.integers(low, high)` (int64, 1 <= high - low <= 2^32),
     `Generator.uniform(low, high, k)`, `Generator.random(k)` and
-    `Generator.normal(size=k)`. Every float draw takes a 64-bit output and
-    leaves a 32-bit half kept by `integers` kept.
+    `Generator.normal(size=k)`. Every float draw takes a whole 64-bit
+    output, and leaves any 32-bit half that `integers` kept for the next
+    32-bit draw.
 
     The 64-bit outputs are made BATCH at a time (`_refill`) and drawn in
     order; `_state` is the generator's state after the last

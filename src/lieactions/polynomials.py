@@ -11,6 +11,8 @@ from fractions import Fraction
 from operator import index
 from typing import Mapping, Sequence
 
+from .constants import compile_function
+
 __all__ = ["Poly", "compile_float"]
 
 
@@ -158,17 +160,17 @@ def compile_float(polys: Sequence[Poly]):
     variables in index order (x itself for k = 1, which `x ** 1` returns
     unchanged). A power beyond the float range raises OverflowError. The
     source holds only identifiers and integers: the coefficients are bound
-    as the globals c0, c1, ... of the evaluator's own namespace.
+    as the globals c0, c1, ... of the evaluator (`constants.compile_function`).
     """
     n = polys[0].nvars if polys else 0
-    scope = {}
+    coeffs = {}
     body = []
     for j, poly in enumerate(polys):
         if not poly.terms:
             body.append(f"v{j} = 0.0")
         for t, (exp, c) in enumerate(poly.terms):
-            name = f"c{len(scope)}"
-            scope[name] = float(c)
+            name = f"c{len(coeffs)}"
+            coeffs[name] = float(c)
             factors = [name] + [f"x{i}" if k == 1 else f"x{i} ** {index(k)}" for i, k in enumerate(exp) if k]
             value = " * ".join(factors[:_FACTORS_PER_STATEMENT])
             if len(factors) > _FACTORS_PER_STATEMENT:
@@ -180,5 +182,4 @@ def compile_float(polys: Sequence[Poly]):
     lines = [f"def f({', '.join(f'x{i}' for i in range(n))}):"]
     lines += [f"    {line}" for line in body]
     lines.append(f"    return ({''.join(f'v{j}, ' for j in range(len(polys)))})")
-    exec(compile("\n".join(lines) + "\n", "<float evaluator>", "exec"), scope)
-    return scope["f"]
+    return compile_function(lines, "f", "<float evaluator>", **coeffs)

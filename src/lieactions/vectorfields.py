@@ -19,7 +19,7 @@ from functools import cache, cached_property
 from operator import add, mul, sub
 from typing import TYPE_CHECKING, Sequence
 
-from .constants import MAX_FLOW_STEPS, max_residual
+from .constants import MAX_FLOW_STEPS, compile_function, max_residual
 from .polynomials import Poly, compile_float
 
 if TYPE_CHECKING:
@@ -392,9 +392,7 @@ def _rk4_driver(n: int):
     lines += [f"    {line}" for line in head]
     lines += [f"            {line}" for line in body]
     lines += ["    except OverflowError:", "        raise FlowBlowUpError((i + 1) * step) from None"]
-    scope = {"isfinite": math.isfinite, "FlowBlowUpError": FlowBlowUpError}
-    exec(compile("\n".join(lines) + "\n", "<rk4 driver>", "exec"), scope)
-    return scope["run"]
+    return compile_function(lines, "run", "<rk4 driver>", isfinite=math.isfinite, FlowBlowUpError=FlowBlowUpError)
 
 
 class FlowCheckReport(namedtuple("FlowCheckReport", "commutation_residual level_residual")):

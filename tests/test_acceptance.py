@@ -31,8 +31,8 @@ from lieactions.deformations import (
     bump_group_deformation,
     concatenate,
     diag_contraction,
+    smooth_step,
     st_deformation,
-    standard_profile,
     verify_deformation,
 )
 from lieactions.derivations import (
@@ -240,9 +240,8 @@ def test_criterion_05_mueller_roemer_obstruction():
 @criterion(6, "scaling cocycle exact for 1 <= i <= j <= k <= 8; profile clamps exact")
 def test_criterion_06_cocycle_and_profile():
     assert _cocycle_check(8)
-    sigma = standard_profile()
-    assert sigma(0.0) == 1.0 and sigma(-3.5) == 1.0
-    assert sigma(1.0) == 0.0 and sigma(7.0) == 0.0
+    assert smooth_step(0.0) == 1.0 and smooth_step(-3.5) == 1.0
+    assert smooth_step(1.0) == 0.0 and smooth_step(7.0) == 0.0
 
 
 # -- 7 ---------------------------------------------------------------------

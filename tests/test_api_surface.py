@@ -10,8 +10,10 @@ method is referenced only as an attribute, so a local variable of the
 same name is not one. A method is matched by its name alone, so a method
 that shares its name with one that is called passes. A module's
 `__all__` and the package's `_EXPORTS` name only what the module
-defines. The scan reads the sources with `ast` and imports nothing, so
-it does not depend on what other tests imported.
+defines. Generated code is compiled in one place: the builtins `compile`
+and `exec` are called only by `constants.compile_function`, and `eval`
+nowhere. The scans read the sources with `ast` and import nothing, so
+they do not depend on what other tests imported.
 """
 
 from __future__ import annotations
@@ -200,3 +202,27 @@ def test_scan_flags_defs_called_only_by_themselves_by_dead_defs_or_by_strings():
     }
     assert unreferenced(sources, set()) == ["m.C.local", "m.C.unused", "m.chain", "m.chained", "m.dead", "m.nested"]
     assert unreferenced(sources, {"m.dead", "chain"}) == ["m.C.local", "m.C.unused", "m.nested"]
+
+
+def builtin_compiler_calls(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module.def, builtin) for every call of `compile`, `exec` or `eval`
+    by its bare name, named by the top-level def (or module) it is in."""
+    found = []
+    for module, text in sources.items():
+        for top in ast.parse(text).body:
+            where = f"{module}.{top.name}" if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else module
+            found += [
+                (where, node.func.id) for node in ast.walk(top)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("compile", "exec", "eval")
+            ]
+    return sorted(found)
+
+
+def test_generated_code_has_one_compiler():
+    calls = builtin_compiler_calls(package_sources())
+    assert calls == [("constants.compile_function", "compile"), ("constants.compile_function", "exec")], (
+        f"compile generated code with constants.compile_function, not on its own: {calls}"
+    )
+    private = {"m": "import re\nPAT = re.compile('x')\ndef run(src):\n    exec(compile(src, '<m>', 'exec'), {})\n"}
+    assert builtin_compiler_calls(private) == [("m.run", "compile"), ("m.run", "exec")]

@@ -641,6 +641,7 @@ BALL = {"action": "ball", "group": "ST", "n": 3}
         (ACT, {**BALL, "variant": "radial"}),
         (ACT, {**SPHERE, "tolerances": {"compositon": 1e-6}}),
         (ACT, {**BALL, "annulus": [0.3, 0.6, 0.9]}),
+        (ACT, {**BALL, "annulus": [0.3]}),
         (ACT, [SPHERE]),
         (FLOW, {"field": CIRCLE_FIELD, "point": [1.0, 0.0], "step": float("nan")}),
         (VF, {**COMMUTING, "flow": {"point": [1.0, 0.0], "h": 0}}),
@@ -674,7 +675,7 @@ BALL = {"action": "ball", "group": "ST", "n": 3}
          "vf-hamiltonian-three-variables", "vf-projective-negative-samples",
          "flow-point-too-short", "vf-flow-point-too-short", "act-n-float", "act-samples-bool",
          "act-seed-negative", "act-variant-radial", "act-tolerance-unknown-key",
-         "act-annulus-three-radii", "act-scenario-not-object", "flow-step-nan",
+         "act-annulus-three-radii", "act-annulus-one-radius", "act-scenario-not-object", "flow-step-nan",
          "vf-flow-step-zero", "flow-duration-1e20", "flow-duration-minus-1e308",
          "flow-step-denormal", "flow-steps-above-bound", "vf-flow-s-1e20", "vf-flow-t-1e308",
          "vf-flow-h-denormal", "act-samples-above-bound", "act-sphere-n-above-bound", "act-disk-n-above-bound",
@@ -688,6 +689,22 @@ def test_malformed_scenario_value_exits_2(tmp_path, args, scenario):
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
     assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1, result.stderr
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ({**BALL, "annulus": [0.3]}, "'annulus' in the scenario must have at least 2 entries"),
+        ({**BALL, "annulus": [0.3, 0.6, 0.9]}, "'annulus' in the scenario has 3 entries, above the bound 2"),
+        ({"action": "multiball", "group": "ST", "n": 3, "balls": [{"center": [0, 0, 0], "annulus": [0.3]}]},
+         "'annulus' in a ball placement must have at least 2 entries"),
+    ],
+    ids=["one-radius", "three-radii", "multiball-one-radius"],
+)
+def test_annulus_takes_exactly_two_radii(tmp_path, scenario, message):
+    result = run(*ACT, "--scenario", write_json(tmp_path, "bad.json", scenario))
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -18,9 +18,9 @@ from lieactions.deformations import (
     concatenate,
     diag_contraction,
     max_residual,
+    smooth_step,
     st_deformation,
     st_prime_deformation,
-    standard_profile,
     verify_deformation,
 )
 from lieactions.matrixgroups import identity, random_element, triangular_product
@@ -44,30 +44,26 @@ def _in_st(g, tol):
 
 
 def test_profile_boundary_clauses_exact():
-    sigma = standard_profile()
-    assert sigma(-1.0) == 1.0
-    assert sigma(0.0) == 1.0
-    assert sigma(1.0) == 0.0
-    assert sigma(2.0) == 0.0
+    assert smooth_step(-1.0) == 1.0
+    assert smooth_step(0.0) == 1.0
+    assert smooth_step(1.0) == 0.0
+    assert smooth_step(2.0) == 0.0
 
 
 def test_profile_transition_region_strict():
-    sigma = standard_profile()
-    assert 0.0 < sigma(0.5) < 1.0
+    assert 0.0 < smooth_step(0.5) < 1.0
 
 
 def test_profile_monotone_on_grid():
-    sigma = standard_profile()
-    values = [sigma(t) for t in np.linspace(-0.5, 1.5, 1000)]
+    values = [smooth_step(t) for t in np.linspace(-0.5, 1.5, 1000)]
     for a, b in zip(values, values[1:]):
         assert a >= b
 
 
 def test_profile_flat_at_endpoints():
-    sigma = standard_profile()
     h = 1e-3
     for t0, sign in ((0.0, 1.0), (1.0, -1.0)):
-        f = [sigma(t0 + sign * k * h) for k in range(4)]
+        f = [smooth_step(t0 + sign * k * h) for k in range(4)]
         assert abs(f[1] - f[0]) / h < 1e-6
         assert abs(f[2] - 2 * f[1] + f[0]) / h ** 2 < 1e-6
         assert abs(f[3] - 3 * f[2] + 3 * f[1] - f[0]) / h ** 3 < 1e-6

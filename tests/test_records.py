@@ -25,9 +25,7 @@ from lieactions.deformations import (
     GroupDeformation,
     GroupStage,
     Stage,
-    TransitionProfile,
     bump_group_deformation,
-    standard_profile,
     st_deformation,
     verify_deformation,
 )
@@ -86,11 +84,10 @@ RECORDS = {
     ),
     ActionVerdict: (("algebra", "manifold_dim", "verdict", "detail"), lambda g: n_action_verdict(g, 3), ()),
     # the numerical layer; st(3) is only handed through
-    TransitionProfile: (("kind",), lambda g: standard_profile(), ()),
     Stage: (("t0", "t1", "exponents"), lambda g: st_deformation(3).stages[0], ()),
-    AlgebraDeformation: (("label", "parent", "profile", "stages", "domain_indices"), lambda g: st_deformation(3), ()),
+    AlgebraDeformation: (("label", "parent", "stages", "domain_indices"), lambda g: st_deformation(3), ()),
     GroupStage: (("t0", "t1", "kind", "start", "end"), lambda g: bump_group_deformation("ST", 3).stages[0], ()),
-    GroupDeformation: (("label", "group", "n", "stages", "profile"), lambda g: bump_group_deformation("ST", 3), ()),
+    GroupDeformation: (("label", "group", "n", "stages"), lambda g: bump_group_deformation("ST", 3), ()),
     DeformationReport: (
         ("label", "d1_identity_exact", "d2_constant_exact", "contraction_at_one", "flatness_max_quotient",
          "law_max_residual", "extra"),

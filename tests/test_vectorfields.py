@@ -1,5 +1,6 @@
 """Polynomial fields: exact brackets, families, projective actions, flows."""
 
+import json
 import math
 import random
 import tracemalloc
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from lieactions import vectorfields
 from lieactions.catalog import catalog
 from lieactions.constants import MAX_FLOW_STEPS
-from lieactions.pcg64 import DefaultRNG
 from lieactions.polynomials import Poly, compile_float
 from lieactions.vectorfields import (
     AnnihilationError,
@@ -34,8 +34,7 @@ from lieactions.vectorfields import (
     projective_kernel,
     vf_bracket,
 )
-from lieactions.vf_verbs import _normal_points
-
+from clirunner import invoke
 from pair_rows import basis_vector, pairs
 
 
@@ -946,20 +945,26 @@ def test_jacobi_singular_values_match_numpy():
         assert np.allclose(got, want, rtol=1e-13, atol=0)
 
 
-def test_projective_points_are_box_muller_normals():
-    rng = DefaultRNG(3)
-    u, w = rng.uniform(0.0, 1.0, 2)
-    r = math.sqrt(-2.0 * math.log(1.0 - u))
-    assert _normal_points(DefaultRNG(3), 1, 2) == [[r * math.cos(2.0 * math.pi * w), r * math.sin(2.0 * math.pi * w)]]
-    assert _normal_points(DefaultRNG(3), 0, 5) == []
-    # an odd count of coordinates draws one more uniform and drops its pair's sine
-    points = _normal_points(DefaultRNG(5), 4001, 3)
-    assert len(points) == 4001 and {len(p) for p in points} == {3}
-    coords = [x for p in points for x in p]
-    assert max(map(abs, coords)) < 8.6
-    mean = sum(coords) / len(coords)
-    var = sum((x - mean) ** 2 for x in coords) / len(coords)
-    assert abs(mean) < 0.05 and abs(var - 1.0) < 0.05
+@pytest.mark.parametrize("seed", [0, 7, 1517])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_projective_report_is_built_from_numpys_normals(tmp_path, monkeypatch, seed, n):
+    """The projective `vf verify` evaluates the rows of numpy's
+    `default_rng(seed).normal(size=samples * n)`, and its report is the one
+    `orbit_info` gives on them."""
+    samples = 300
+    points = np.random.default_rng(seed).normal(size=samples * n).reshape(samples, n).tolist()
+    action = make_projective_action(n)
+    infos = [orbit_info(action, p) for p in points]
+    seen = []
+    monkeypatch.setattr(vectorfields, "orbit_info", lambda a, p: seen.append(list(p)) or orbit_info(a, p))
+    path = tmp_path / "projective.json"
+    path.write_text(json.dumps({"check": "projective", "n": n, "samples": samples}))
+    result = invoke(["--seed", str(seed), "vf", "verify", "--scenario", str(path)])
+    assert result.exit_code == 0, result.stderr
+    assert seen == points
+    report = json.loads(result.stdout)
+    assert report["orbit_dimensions_sampled"] == sorted({info["dimension"] for info in infos})
+    assert report["near_degenerate_points"] == sum(info["near_degenerate"] for info in infos)
 
 
 def test_orbit_info_flags():
