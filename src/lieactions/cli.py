@@ -12,6 +12,8 @@ one that runs.
 
 from __future__ import annotations
 
+import atexit
+import gc
 import os
 import re
 import sys
@@ -197,6 +199,11 @@ def _parse(args: list[str], prog: str) -> tuple[str, str, dict, dict]:
 
 def main(args: list[str] | None = None, prog_name: str = "lieact") -> None:
     """Exact Lie-algebra invariants, contractions, and constructed actions."""
+    # Interpreter finalization runs full collections over every object still
+    # alive, about 10 ms after each report; freezing the heap at exit lets
+    # them skip it. Registered here, not at import, once per process.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     module, verb, values, obj = _parse(sys.argv[1:] if args is None else args, prog_name)
     if obj["seed"] is None:
         try:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 from typing import TYPE_CHECKING, Sequence
@@ -355,6 +354,8 @@ class DeformationReport(namedtuple("DeformationReport", (
 
 
 def _sample_rational_vector(rng: DefaultRNG, dim: int, support: Sequence[int]) -> list[Fraction]:
+    from fractions import Fraction
+
     v = [Fraction(0)] * dim
     for k in support:
         v[k] = Fraction(rng.integers(-3, 4), rng.integers(1, 3))

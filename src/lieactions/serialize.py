@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 
 from . import __version__
 
@@ -51,6 +50,8 @@ def parse_rational(s: str) -> Fraction:
         raise ValueError(f"malformed rational {s!r}") from None
     if d <= 0:
         raise ValueError(f"malformed rational {s!r}: denominator must be positive")
+    from fractions import Fraction
+
     return Fraction(n, d)
 
 
@@ -70,6 +71,10 @@ def _scalar(obj) -> str | None:
         text = format(obj, ".17g")
         # JSON has no NaN or infinity: those go out as the strings "nan", "inf", "-inf"
         return text if math.isfinite(obj) else f'"{text}"'
+    if isinstance(obj, (dict, list, tuple)):
+        return None
+    from fractions import Fraction  # only a report that holds a rational loads it
+
     if isinstance(obj, Fraction):
         return f'"{format_rational(obj)}"'  # "p/q" needs no escaping
     return None
@@ -239,7 +244,16 @@ def _write(ctx_obj: dict, chunks: Iterable[str]) -> None:
         except OSError as exc:
             _input_error(f"cannot write {path}: {exc}")
     else:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe, a full disk
+            # the interpreter flushes stdout again at exit, and a second failure
+            # there would turn exit 2 into 120: send what is left to os.devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            _input_error(f"cannot write stdout: {exc}")
 
 
 def _emit(ctx_obj: dict, command: str, body: dict, tolerances: dict | None = None) -> None:
