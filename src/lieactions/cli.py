@@ -22,7 +22,7 @@ from importlib import import_module
 
 from . import __version__
 from .constants import DEFAULT_SEED
-from .serialize import FormatError, _check_output, _input_error
+from .serialize import FormatError, _check_output, _input_error, _write
 
 SEED_ENV_VAR = "LIEACTIONS_SEED"
 
@@ -150,7 +150,7 @@ def _scan(prog: str, args: list[str], arguments, flags: dict, values: dict, word
         elif word == "--":
             ended = True
         elif word in flags:
-            sys.stdout.write(flags[word]())
+            _write({}, [flags[word]()])
             sys.exit(0)
         elif name not in options:
             unknown.append(word)

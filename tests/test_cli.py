@@ -1,8 +1,12 @@
 """CLI contract: subcommands, exit codes, report determinism."""
 
+import atexit
+import gc
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -29,6 +33,7 @@ from clirunner import invoke
 
 CSV_CHUNK = vf_verbs.CSV_CHUNK
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def run(*args, env=None):
@@ -587,6 +592,78 @@ def test_obstruct_negative_dim_exits_2():
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error:")
+
+
+# -- the exit path ---------------------------------------------------------------------
+
+
+def test_main_registers_gc_freeze_at_exit_once(monkeypatch):
+    registered = []  # the callbacks atexit would run, in the order registered
+
+    def register(func, *args, **kwargs):
+        registered.append(func)
+        return func
+
+    def unregister(func):
+        registered[:] = [f for f in registered if f != func]
+
+    monkeypatch.setattr(atexit, "register", register)
+    monkeypatch.setattr(atexit, "unregister", unregister)
+    assert run("catalog", "list").exit_code == 0
+    assert run("algebra", "analyze", "catalog:st3").exit_code == 0
+    assert registered == [gc.freeze]
+    # registered before the arguments are read, so a usage error registers it too
+    registered.clear()
+    assert run("nosuch", "list").exit_code == 2
+    assert registered == [gc.freeze]
+
+
+def _lieact(args, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m lieactions.cli args` in a fresh interpreter, on this checkout's source."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.update(kwargs.pop("env", {}))
+    return subprocess.run([sys.executable, "-m", "lieactions.cli", *args], env=env, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("case", ["pass", "violation", "input-error"])
+def test_run_as_a_module_matches_the_in_process_runner(tmp_path, case):
+    args = {"pass": ["algebra", "analyze", "catalog:st3"],
+            "violation": ["algebra", "analyze", write_json(tmp_path, "bad.json", corrupted_h3_doc())],
+            "input-error": ["algebra", "analyze", "catalog:nosuch"]}[case]
+    expected = invoke(args)
+    proc = _lieact(args, capture_output=True)
+    assert proc.returncode == expected.exit_code == {"pass": 0, "violation": 1, "input-error": 2}[case]
+    assert proc.stdout == expected.stdout.encode()
+    assert proc.stderr == expected.stderr.encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "args",
+    [("algebra", "analyze", "catalog:st3"), ("vf", "flow", "--scenario", os.path.join(SCENARIOS, "flow_circle.json")),
+     ("--help",)],
+    ids=["report", "flow-csv", "help"],
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["closed-pipe", "full-device"])
+def test_unwritable_stdout_exits_2(args, unbuffered, target):
+    # unbuffered, the write fails; buffered, the flush does, and then the
+    # interpreter's own flush at exit must not fail a second time
+    env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+    if target == "closed-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _lieact(args, stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+    else:
+        with open("/dev/full", "w") as stdout:
+            proc = _lieact(args, stdout=stdout, stderr=subprocess.PIPE, env=env)
+    stderr = proc.stderr.decode()
+    assert proc.returncode == 2, stderr
+    assert stderr.startswith("error: cannot write stdout: ") and stderr.count("\n") == 1, stderr
 
 
 # -- malformed scenario values are input errors ----------------------------------------

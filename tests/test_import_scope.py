@@ -16,7 +16,9 @@ verify` and every kind of `act verify` draw their samples from `pcg64`, a
 standard-library copy of numpy's default stream (`deform verify` loads no
 `matrixgroups`), and only the verbs that draw normals (the projective `vf
 verify`, and every `act verify` kind but the interval) load the ziggurat
-tables of `ziggurat`.
+tables of `ziggurat`. No `act verify` kind loads `fractions`, or the
+`decimal` it imports: no act report holds a rational, so only the verbs
+that parse, build or write one load it.
 Each case runs one verb in a fresh interpreter and inspects `sys.modules`
 afterwards, so a stray top-level import in `cli.py` (or in a module it
 imports) fails here.
@@ -60,6 +62,9 @@ NUMERICAL = [
 # Every record is a namedtuple: `dataclasses` would cost each invocation the
 # import of `inspect` (and `ast`, `dis`, `tokenize`), which no verb loads.
 EXACT = NUMERICAL + ["inspect"]
+
+# what `fractions` loads, which no `act verify` kind needs
+RATIONALS = ["fractions", "decimal"]
 
 # the handler modules: of the exact layer, and of each numerical verb
 EXACT_VERBS = ["lieactions.exact_verbs"]
@@ -120,32 +125,32 @@ CASES = {
     ),
     "act-verify": (
         ["act", "verify", "--scenario", str(SCENARIOS / "sphere_st3.json")],
-        ["numpy", "lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg",
+        ["numpy", *RATIONALS, "lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg",
          "lieactions.deformations", *EXACT_CORE, *EXACT_VERBS, *DEFORM_VERBS, *VF_VERBS],
         ACT_VERBS + ["lieactions.actions", "lieactions.matrixgroups", "lieactions.pcg64", "lieactions.ziggurat"],
     ),
     "act-verify-interval": (
         ["act", "verify", "--scenario", str(SCENARIOS / "interval.json")],
-        ["numpy", "lieactions.ziggurat", "lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg",
-         "lieactions.deformations", *EXACT_CORE, *EXACT_VERBS, *DEFORM_VERBS, *VF_VERBS],
+        ["numpy", *RATIONALS, "lieactions.ziggurat", "lieactions.vectorfields", "lieactions.polynomials",
+         "lieactions.linalg", "lieactions.deformations", *EXACT_CORE, *EXACT_VERBS, *DEFORM_VERBS, *VF_VERBS],
         ACT_VERBS + ["lieactions.actions", "lieactions.matrixgroups", "lieactions.pcg64"],
     ),
     "act-verify-disk": (
         ["act", "verify", "--scenario", str(SCENARIOS / "disk2.json")],
-        ["numpy", "lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", "lieactions.deformations",
-         *EXACT_CORE, *EXACT_VERBS, *DEFORM_VERBS, *VF_VERBS],
+        ["numpy", *RATIONALS, "lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg",
+         "lieactions.deformations", *EXACT_CORE, *EXACT_VERBS, *DEFORM_VERBS, *VF_VERBS],
         ACT_VERBS + ["lieactions.actions", "lieactions.matrixgroups", "lieactions.pcg64", "lieactions.ziggurat"],
     ),
     "act-verify-ball": (
         ["act", "verify", "--scenario", str(SCENARIOS / "ball_st3.json")],
-        ["numpy", "lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", *EXACT_CORE,
+        ["numpy", *RATIONALS, "lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", *EXACT_CORE,
          *EXACT_VERBS, *DEFORM_VERBS, *VF_VERBS],
         ACT_VERBS + ["lieactions.actions", "lieactions.matrixgroups", "lieactions.deformations",
                      "lieactions.pcg64", "lieactions.ziggurat"],
     ),
     "act-verify-multiball": (
         ["act", "verify", "--scenario", str(SCENARIOS / "multiball_st3.json")],
-        ["numpy", "lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", *EXACT_CORE,
+        ["numpy", *RATIONALS, "lieactions.vectorfields", "lieactions.polynomials", "lieactions.linalg", *EXACT_CORE,
          *EXACT_VERBS, *DEFORM_VERBS, *VF_VERBS],
         ACT_VERBS + ["lieactions.actions", "lieactions.matrixgroups", "lieactions.deformations",
                      "lieactions.pcg64", "lieactions.ziggurat"],
