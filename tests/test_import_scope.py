@@ -17,8 +17,8 @@ standard-library copy of numpy's default stream (`deform verify` loads no
 `matrixgroups`), and only the verbs that draw normals (the projective `vf
 verify`, and every `act verify` kind but the interval) load the ziggurat
 tables of `ziggurat`. No `act verify` kind loads `fractions`, or the
-`decimal` it imports: no act report holds a rational, so only the verbs
-that parse, build or write one load it.
+`decimal` and `numbers` it imports: no act report holds a rational, and
+only the verbs that parse, build or write one load it.
 Each case runs one verb in a fresh interpreter and inspects `sys.modules`
 afterwards, so a stray top-level import in `cli.py` (or in a module it
 imports) fails here.
@@ -63,8 +63,8 @@ NUMERICAL = [
 # import of `inspect` (and `ast`, `dis`, `tokenize`), which no verb loads.
 EXACT = NUMERICAL + ["inspect"]
 
-# what `fractions` loads, which no `act verify` kind needs
-RATIONALS = ["fractions", "decimal"]
+# `fractions` and what it imports, which no `act verify` kind needs
+RATIONALS = ["fractions", "decimal", "numbers"]
 
 # the handler modules: of the exact layer, and of each numerical verb
 EXACT_VERBS = ["lieactions.exact_verbs"]
