@@ -33,6 +33,7 @@ from .serialize import FormatError
 
 __all__ = [
     "catalog",
+    "catalog_dimension",
     "catalog_matrices",
     "parse_catalog_key",
     "convention_notes",
@@ -172,10 +173,7 @@ def _complex(family: str, n: int) -> tuple[LieAlgebra, None]:
 
 _KEY_RE = re.compile(r"^([a-zA-Z_]+?)_?(\d+)?$")
 
-_FAMILY_ALIASES = {
-    "n": "N",
-    "mr": "mueller_roemer",
-}
+_FAMILY_ALIASES = {"n": "N", "mr": "mueller_roemer"}
 
 
 def parse_catalog_key(key: str) -> tuple[str, int | None]:
@@ -201,9 +199,10 @@ def catalog_matrices(name: str, param: int | None = None) -> tuple[PairRows, ...
     return mats
 
 
-# Each sized family, by lower-case name: the dimension at size n, known
-# before anything is built, and the builder of (algebra, defining matrices).
+# Each family, by lower-case name: the dimension at size n, known before
+# anything is built, and the builder of (algebra, defining matrices).
 _FAMILIES = {
+    "mueller_roemer": (lambda n: 7, lambda n: (mueller_roemer7(), None)),
     "abelian": (lambda m: m, lambda m: (abelian(m), None)),
     "heisenberg": (lambda d: d, lambda d: (heisenberg(d), None)),
     "t": (lambda n: n * (n + 1) // 2, partial(_matrix_algebra, "t")),
@@ -217,28 +216,33 @@ _FAMILIES = {
 }
 
 
+def catalog_dimension(name: str, param: int | None = None) -> int:
+    """The dimension of a named algebra, by its family's formula: nothing is built."""
+    if param is None:
+        name, param = parse_catalog_key(name)
+    family = _FAMILY_ALIASES.get(name.lower(), name).lower()
+    if family == "mueller_roemer" and param != 7:  # one algebra, of the one size 7
+        raise ValueError(f"catalog family {name!r} has the one size 7 (mueller_roemer7, mr7)")
+    if param is None:
+        raise ValueError(f"catalog family {name!r} needs a size parameter")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown catalog family {name!r}")
+    return _FAMILIES[family][0](param)
+
+
 # Memoised: algebras, their cached invariants and the matrix tuples are
 # immutable, so one construction per key and process suffices.
 @lru_cache(maxsize=None)
 def _build(name: str, param: int | None) -> tuple[LieAlgebra, tuple[PairRows, ...] | None]:
     if param is None:
         name, param = parse_catalog_key(name)
-    family = _FAMILY_ALIASES.get(name.lower(), name).lower()
-    if family == "mueller_roemer":  # one algebra, of the one size 7
-        if param != 7:
-            raise ValueError(f"catalog family {name!r} has the one size 7 (mueller_roemer7, mr7)")
-        return mueller_roemer7(), None
-    if param is None:
-        raise ValueError(f"catalog family {name!r} needs a size parameter")
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown catalog family {name!r}")
-    dimension, build = _FAMILIES[family]
-    if dimension(param) > MAX_CATALOG_DIM:
+    dimension = catalog_dimension(name, param)
+    if dimension > MAX_CATALOG_DIM:
         raise FormatError(
             f"catalog family {name!r} with parameter {param} has dimension "
-            f"{dimension(param)}, above the bound {MAX_CATALOG_DIM}"
+            f"{dimension}, above the bound {MAX_CATALOG_DIM}"
         )
-    return build(param)
+    return _FAMILIES[_FAMILY_ALIASES.get(name.lower(), name).lower()][1](param)
 
 
 # Entries listed by `catalog list` and swept by the acceptance suite.

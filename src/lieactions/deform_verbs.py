@@ -8,8 +8,6 @@ imported inside the handler; README's Start-up table lists what it loads.
 
 from __future__ import annotations
 
-import sys
-
 from .constants import MAX_SAMPLES
 from .serialize import FormatError, _emit, _input_error, read_value
 
@@ -42,10 +40,8 @@ def deform_verify(obj, family, n_, samples):
         "n": n_,
         "descriptor": dfm.to_dict(),
         "checks": report.to_dict(),
-        "status": "pass" if ok else "fail",
     }
-    _emit(obj, "deform verify", body, {"endomorphism_law": law_tol})
-    sys.exit(0 if ok else 1)
+    _emit(obj, "deform verify", body, ok, {"endomorphism_law": law_tol})
 
 
 HANDLERS = {"deform verify": deform_verify}

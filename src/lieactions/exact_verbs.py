@@ -14,30 +14,27 @@ layer ever.
 from __future__ import annotations
 
 import re
-import sys
 from typing import TYPE_CHECKING
 
-from .serialize import FormatError, _emit, _input_error, _json_file, _write, format_rational
+from .serialize import FormatError, _emit, _input_error, _json_file, _write, rational_row
 
 if TYPE_CHECKING:
     from .algebra import LieAlgebra
 
 
-def _load_algebra(source: str) -> tuple[LieAlgebra, str | None]:
-    """Load from 'catalog:KEY' or a JSON file; returns (algebra, catalog key)."""
+def _load_algebra(source: str) -> LieAlgebra:
+    """Load from 'catalog:KEY' or a JSON file."""
     from .algebra import from_json_dict
 
     if source.startswith("catalog:"):
         from .catalog import catalog
 
-        key = source.split(":", 1)[1]
         try:
-            return catalog(key), key
+            return catalog(source.split(":", 1)[1])
         except ValueError as exc:
             _input_error(str(exc))
-    data = _json_file(source)
     try:
-        return from_json_dict(data), None
+        return from_json_dict(_json_file(source))
     except FormatError as exc:
         _input_error(f"bad algebra document: {exc}")
 
@@ -61,21 +58,10 @@ def _series_dict(report) -> dict:
     }
 
 
-def _row_strings(pairs, ncols: int) -> list[str]:
-    """A row of `ncols` entries given by its (column, value) pairs, as "p/q" texts: "0/1" elsewhere."""
-    out = ["0/1"] * ncols
-    for j, x in pairs:
-        out[j] = format_rational(x)
-    return out
-
-
 def catalog_list(obj):
-    from .catalog import _FAMILIES, DEFAULT_CATALOG, parse_catalog_key
+    from .catalog import DEFAULT_CATALOG, catalog_dimension
 
-    # each dimension by its family's formula (mueller_roemer7 has the one size 7): nothing is built
-    keys = [parse_catalog_key(key) for key, _ in DEFAULT_CATALOG]
-    dims = [7 if family == "mueller_roemer" else _FAMILIES[family.lower()][0](size) for family, size in keys]
-    lines = [f"{key:<16} dim {dim:>3}  {desc}" for (key, desc), dim in zip(DEFAULT_CATALOG, dims)]
+    lines = [f"{key:<16} dim {catalog_dimension(key):>3}  {desc}" for key, desc in DEFAULT_CATALOG]
     lines += [
         "",
         "Families accept any size: abelian(m), heisenberg(2k+1), t(n), d(n),",
@@ -88,17 +74,15 @@ def catalog_list(obj):
 def algebra_analyze(obj, source):
     from .derivations import contractibility_obstruction
 
-    alg, _ = _load_algebra(source)
+    alg = _load_algebra(source)
     violations = alg.jacobi_check()
     if violations:
         body = {
             "algebra": alg.name,
             "dim": alg.dim,
             "jacobi_violations": [[i + 1, j + 1, k + 1] for i, j, k in violations],
-            "status": "fail",
         }
-        _emit(obj, "algebra analyze", body)
-        sys.exit(1)
+        _emit(obj, "algebra analyze", body, False)
 
     derived = alg.derived
     lower = alg.lower_central
@@ -115,20 +99,19 @@ def algebra_analyze(obj, source):
         "predicates": {"is_solvable": preds.is_solvable, "is_nilpotent": preds.is_nilpotent},
         "derived_series": _series_dict(derived),
         "lower_central_series": _series_dict(lower),
-        "center": {"dim": center.dim, "basis": [_row_strings(enumerate(row), n) for row in center.basis_vectors()]},
+        "center": {"dim": center.dim, "basis": [rational_row(enumerate(row), n) for row in center.basis_vectors()]},
         "derivations": {
             "dim": der.dim,
-            "basis": [[_row_strings(row, n) for row in m] for m in der.basis],
+            "basis": [[rational_row(row, n) for row in m] for m in der.basis],
         },
         "contractibility_obstruction": {
             "status": obstruction.status,
             "flag_dims": None if obstruction.flag is None else [s.dim for s in obstruction.flag],
-            "witness": None if obstruction.witness is None else [_row_strings(row, n) for row in obstruction.witness],
+            "witness": None if obstruction.witness is None else [rational_row(row, n) for row in obstruction.witness],
         },
         "notes": _notes_for(alg, derived.length),
-        "status": "pass",
     }
-    _emit(obj, "algebra analyze", body)
+    _emit(obj, "algebra analyze", body, True)
 
 
 def algebra_obstruct(obj, source, dim_):
@@ -136,7 +119,7 @@ def algebra_obstruct(obj, source, dim_):
 
     if dim_ is not None and dim_ < 0:
         _input_error("--dim must be a nonnegative manifold dimension")
-    alg, _ = _load_algebra(source)
+    alg = _load_algebra(source)
     if alg.jacobi_check():
         _input_error(f"{alg.name} is not a Lie algebra (Jacobi fails); run analyze for details")
     bound = min_effective_action_dim(alg)
@@ -157,8 +140,7 @@ def algebra_obstruct(obj, source, dim_):
             "detail": verdict.detail,
         }
     body["notes"] = _notes_for(alg, alg.derived_length())
-    body["status"] = "pass"
-    _emit(obj, "algebra obstruct", body)
+    _emit(obj, "algebra obstruct", body, True)
 
 
 HANDLERS = {"catalog list": catalog_list, "algebra analyze": algebra_analyze, "algebra obstruct": algebra_obstruct}

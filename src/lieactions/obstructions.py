@@ -15,6 +15,7 @@ from collections import namedtuple
 
 from .algebra import LieAlgebra
 from .linalg import Subspace
+from .serialize import rational_row
 
 __all__ = [
     "ObstructionReport",
@@ -46,7 +47,7 @@ class ObstructionReport(namedtuple("ObstructionReport", (
                 return None
             return {
                 "dim": s.dim,
-                "basis": [list(row) for row in s.basis_vectors()],
+                "basis": [rational_row(enumerate(row), s.ambient_dim) for row in s.basis_vectors()],
             }
 
         return {

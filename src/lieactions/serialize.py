@@ -2,17 +2,18 @@
 writer of every report.
 
 Reports must be byte-identical across runs with the same inputs, so we
-write JSON ourselves: insertion-ordered keys, rationals as "p/q"
-strings, floats printed with 17 significant digits (a non-finite float
-as the string "nan", "inf" or "-inf").
+write JSON ourselves: insertion-ordered keys, rationals as "p/q" texts
+(`rational_row`), floats printed with 17 significant digits (a
+non-finite float as the string "nan", "inf" or "-inf").
 
 Every JSON document read, an algebra or a scenario, is read object by
 object through a key table (`read_object`), so types, defaults and
 bounds are checked by the same rules everywhere.
 
-The verbs' handlers share the helpers at the end: an input error (one
-`error:` line, exit 2), the --output check, the writer of a report, and
-the reader of a JSON file, the one place `json` is imported.
+The verbs' handlers end in the helpers at the end: an input error (one
+`error:` line, exit 2), the --output check, the writer of a report (its
+"status", exit 0 or 1), a violation with no report (one line, exit 1),
+and the reader of a JSON file, the one place `json` is imported.
 """
 
 from __future__ import annotations
@@ -29,12 +30,20 @@ try:  # the C function that json.encoder.encode_basestring is, without importing
 except ImportError:  # an interpreter built without the accelerator
     from json.encoder import encode_basestring
 
-__all__ = ["format_rational", "parse_rational", "dumps", "FormatError", "REQUIRED", "POSITIVE", "read_value",
-           "read_object"]
+__all__ = ["format_rational", "rational_row", "parse_rational", "dumps", "FormatError", "REQUIRED", "POSITIVE",
+           "read_value", "read_object"]
 
 
 def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+def rational_row(pairs, ncols: int) -> list[str]:
+    """A row of `ncols` entries given by its (column, value) pairs, as "p/q" texts: "0/1" elsewhere."""
+    out = ["0/1"] * ncols
+    for j, x in pairs:
+        out[j] = format_rational(x)
+    return out
 
 
 def parse_rational(s: str) -> Fraction:
@@ -71,12 +80,6 @@ def _scalar(obj) -> str | None:
         text = format(obj, ".17g")
         # JSON has no NaN or infinity: those go out as the strings "nan", "inf", "-inf"
         return text if math.isfinite(obj) else f'"{text}"'
-    if isinstance(obj, (dict, list, tuple)):
-        return None
-    from fractions import Fraction  # only a report that holds a rational loads it
-
-    if isinstance(obj, Fraction):
-        return f'"{format_rational(obj)}"'  # "p/q" needs no escaping
     return None
 
 
@@ -256,8 +259,9 @@ def _write(ctx_obj: dict, chunks: Iterable[str]) -> None:
             _input_error(f"cannot write stdout: {exc}")
 
 
-def _emit(ctx_obj: dict, command: str, body: dict, tolerances: dict | None = None) -> None:
-    """Write the JSON report of `command`: tool, command, seed, tolerances (if any), body."""
+def _emit(ctx_obj: dict, command: str, body: dict, ok: bool, tolerances: dict | None = None) -> None:
+    """Write the JSON report of `command`: tool, command, seed, tolerances (if
+    any), body and its "status", then end the verb: exit 0 when `ok`, else 1."""
     head = {
         "tool": {"name": "lieactions", "version": __version__},
         "command": command,
@@ -266,7 +270,15 @@ def _emit(ctx_obj: dict, command: str, body: dict, tolerances: dict | None = Non
     if tolerances:
         head["tolerances"] = tolerances
     head.update(body)
+    head["status"] = "pass" if ok else "fail"
     _write(ctx_obj, [dumps(head)])
+    sys.exit(0 if ok else 1)
+
+
+def _violation(message: str) -> None:
+    """A violation found with no report to write: one line on stderr, exit 1."""
+    sys.stderr.write(f"{message}\n")
+    sys.exit(1)
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from fractions import Fraction
 
 from .constants import MAX_EXPONENT, MAX_FIELD_TERMS, MAX_PROFILES, MAX_SAMPLES
@@ -23,6 +22,7 @@ from .serialize import (
     _emit,
     _input_error,
     _json_file,
+    _violation,
     _write,
     parse_rational,
     read_object,
@@ -128,17 +128,14 @@ def vf_verify(obj, scenario):
             try:
                 fr = flow_checks(fields[0], fields[1], fl["point"], fl["s"], fl["t"], fl["h"], level_function=f)
             except FlowBlowUpError as exc:
-                sys.stderr.write(f"flow failed: {exc}\n")
-                sys.exit(1)
+                _violation(f"flow failed: {exc}")
             body["flow"] = {
                 "commutation_residual": fr.commutation_residual,
                 "level_residual": fr.level_residual,
             }
             tols = {"commutation": fl["commutation_tolerance"], "level": fl["level_tolerance"]}
             ok = ok and fr.commutation_residual <= tols["commutation"] and fr.level_residual <= tols["level"]
-        body["status"] = "pass" if ok else "fail"
-        _emit(obj, "vf verify", body, tols)
-        sys.exit(0 if ok else 1)
+        _emit(obj, "vf verify", body, ok, tols)
 
     from .pcg64 import DefaultRNG
 
@@ -165,10 +162,8 @@ def vf_verify(obj, scenario):
         "kernel_is_scalars": kernel_is_scalars,
         "orbit_dimensions_sampled": dims,
         "near_degenerate_points": sum(1 for i in infos if i["near_degenerate"]),
-        "status": "pass" if (exact and kernel_is_scalars) else "fail",
     }
-    _emit(obj, "vf verify", body)
-    sys.exit(0 if exact and kernel_is_scalars else 1)
+    _emit(obj, "vf verify", body, exact and kernel_is_scalars)
 
 
 def vf_flow(obj, scenario):
@@ -183,8 +178,7 @@ def vf_flow(obj, scenario):
     try:
         traj = flow(field, v["point"], duration, step)
     except FlowBlowUpError as exc:
-        sys.stderr.write(f"flow failed: {exc}\n")
-        sys.exit(1)
+        _violation(f"flow failed: {exc}")
     sign = 1.0 if duration >= 0 else -1.0
     header = "t," + ",".join(f"x{i + 1}" for i in range(field.nvars)) + "\n"
     _write(obj, itertools.chain([header], _csv_chunks(traj, sign, step)))

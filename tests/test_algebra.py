@@ -29,8 +29,8 @@ from lieactions.catalog import (
     _FAMILIES,
     DEFAULT_CATALOG,
     catalog,
+    catalog_dimension,
     catalog_matrices,
-    parse_catalog_key,
 )
 from lieactions.constants import MAX_CATALOG_DIM
 from lieactions.linalg import RatMatrix, Subspace
@@ -414,18 +414,18 @@ def test_catalog_dimensions():
     "family,params",
     [("abelian", (0, 2, 4)), ("heisenberg", (3, 5, 7)), ("t", (2, 3, 4)), ("st", (2, 3, 4)),
      ("st_prime", (2, 3, 4)), ("sl", (2, 3)), ("d", (1, 3)), ("N", (2, 3, 4)), ("n", (3,)),
-     ("st_c", (2, 3)), ("sl_c", (2,))],
+     ("st_c", (2, 3)), ("sl_c", (2,)), ("mueller_roemer", (7,)), ("mr", (7,))],
 )
 def test_catalog_dimension_formulas_match_the_built_algebras(family, params):
     for param in params:
-        assert _FAMILIES[family.lower()][0](param) == catalog(family, param).dim
+        assert catalog_dimension(family, param) == catalog(family, param).dim
+        assert catalog_dimension(f"{family}{param}") == catalog(family, param).dim
 
 
 def test_catalog_bound_admits_the_size_ladders():
     # the largest keys the tests, golden reports and benchmark use
     for key, dim in (("st8", 35), ("sl5", 24), ("n7", 22), ("heisenberg11", 11)):
-        family, param = parse_catalog_key(key)
-        assert _FAMILIES[family.lower()][0](param) == dim <= MAX_CATALOG_DIM
+        assert catalog_dimension(key) == dim <= MAX_CATALOG_DIM
     with pytest.raises(ValueError, match="above the bound"):
         catalog("st", 9)
 
@@ -466,7 +466,7 @@ def test_catalog_rejects_bad_input():
 
 
 # every family, as a key may spell it
-KEY_FAMILIES = sorted(_FAMILIES) + ["N", "mueller_roemer", "mr"]
+KEY_FAMILIES = sorted(_FAMILIES) + ["N", "mr"]
 CASES = {"as-is": str, "lower": str.lower, "upper": str.upper, "title": str.title, "swapcase": str.swapcase}
 
 

@@ -12,8 +12,10 @@ that shares its name with one that is called passes. A module's
 `__all__` and the package's `_EXPORTS` name only what the module
 defines. Generated code is compiled in one place: the builtins `compile`
 and `exec` are called only by `constants.compile_function`, and `eval`
-nowhere. The scans read the sources with `ast` and import nothing, so
-they do not depend on what other tests imported.
+nowhere. The exit code of a verb is set in one module: only `serialize`
+ends the process or writes to stderr, and `cli` ends it only after
+--help or --version. The scans read the sources with `ast` and import
+nothing, so they do not depend on what other tests imported.
 """
 
 from __future__ import annotations
@@ -204,19 +206,23 @@ def test_scan_flags_defs_called_only_by_themselves_by_dead_defs_or_by_strings():
     assert unreferenced(sources, {"m.dead", "chain"}) == ["m.C.local", "m.C.unused", "m.nested"]
 
 
-def builtin_compiler_calls(sources: dict[str, str]) -> list[tuple[str, str]]:
-    """(module.def, builtin) for every call of `compile`, `exec` or `eval`
-    by its bare name, named by the top-level def (or module) it is in."""
-    found = []
+def located(sources: dict[str, str]):
+    """(module.def, node) for every node of `sources`, named by the top-level
+    def (or module) it is in."""
     for module, text in sources.items():
         for top in ast.parse(text).body:
             where = f"{module}.{top.name}" if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else module
-            found += [
-                (where, node.func.id) for node in ast.walk(top)
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in ("compile", "exec", "eval")
-            ]
-    return sorted(found)
+            yield from ((where, node) for node in ast.walk(top))
+
+
+def builtin_compiler_calls(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module.def, builtin) for every call of `compile`, `exec` or `eval`
+    by its bare name."""
+    return sorted(
+        (where, node.func.id) for where, node in located(sources)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("compile", "exec", "eval")
+    )
 
 
 def test_generated_code_has_one_compiler():
@@ -226,3 +232,32 @@ def test_generated_code_has_one_compiler():
     )
     private = {"m": "import re\nPAT = re.compile('x')\ndef run(src):\n    exec(compile(src, '<m>', 'exec'), {})\n"}
     assert builtin_compiler_calls(private) == [("m.run", "compile"), ("m.run", "exec")]
+
+
+EXITS = ("sys.exit", "os._exit", "SystemExit", "exit", "quit")
+
+
+def exits_and_stderr(sources: dict[str, str]) -> tuple[list[tuple[str, str]], list[str]]:
+    """(module.def, call) for every call of one of `EXITS`, which end the
+    process, and the module.def of every name, attribute or import `stderr`."""
+    exits, stderr = [], []
+    for where, node in located(sources):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in EXITS:
+            exits.append((where, ast.unparse(node)))
+        elif "stderr" in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)):
+            stderr.append(where)
+    return sorted(exits), sorted(stderr)
+
+
+def test_exit_codes_and_stderr_have_one_owner():
+    # serialize ends every verdict and every error of a verb, and is the one
+    # writer to stderr; cli exits on its own only after --help or --version
+    assert exits_and_stderr(package_sources()) == ([
+        ("cli._scan", "sys.exit(0)"),
+        ("serialize._emit", "sys.exit(0 if ok else 1)"),
+        ("serialize._input_error", "sys.exit(2)"),
+        ("serialize._violation", "sys.exit(1)"),
+    ], ["serialize._input_error", "serialize._violation"])
+    handler = {"m": "import sys\nfrom sys import stderr\ndef run():\n    print(file=sys.stderr)\n"
+                    "    raise SystemExit(1)\nsys.exit(2)\n"}
+    assert exits_and_stderr(handler) == ([("m", "sys.exit(2)"), ("m.run", "SystemExit(1)")], ["m", "m.run"])

@@ -842,6 +842,21 @@ def test_flow_blow_up_exits_1(tmp_path):
     assert result.stdout == ""
 
 
+def test_vf_verify_flow_blow_up_exits_1(tmp_path):
+    # X = (0, x2^2) annihilates f = x1; the flow of x2 X from x2 = 1 leaves every bound near t = 1
+    path = write_json(tmp_path, "blowup.json", {
+        "check": "commuting_family", "f": _poly(2, ((1, 0), "1/1")),
+        "field": {"components": [_poly(2), _poly(2, ((0, 2), "1/1"))]},
+        "profiles": [_poly(1, ((0,), "1/1")), _poly(1, ((1,), "1/1"))],
+        "flow": {"point": [0.5, 1.0], "s": 2, "t": 2, "h": 0.01},
+    })
+    result = run("vf", "verify", "--scenario", path)
+    assert result.exit_code == 1
+    assert result.stderr == "flow failed: flow left the finite range at t = 1.03\n"
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+
+
 def _assert_exit_code_contract(result, case):
     assert result.exit_code in (0, 1, 2), (case, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (case, result.exception)

@@ -28,8 +28,6 @@ from lieactions.serialize import POSITIVE, FormatError, dumps, encode_basestring
 def _ref_scalar(obj):
     if obj is None or isinstance(obj, bool):
         return json.dumps(obj)
-    if isinstance(obj, Fraction):
-        return json.dumps(f"{obj.numerator}/{obj.denominator}")
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -64,7 +62,6 @@ scalars = st.one_of(
     st.booleans(),
     st.integers(),
     st.floats(),
-    st.fractions(),
     st.text(),
 )
 values = st.recursive(
@@ -85,8 +82,13 @@ def test_dumps_matches_reference(obj):
 
 
 def test_dumps_rejects_unknown_types():
-    with pytest.raises(TypeError, match="object"):
-        dumps({"x": [object()]})
+    # a rational reaches a report only as "p/q" text, written by serialize.rational_row
+    for leaf in (object(), Fraction(1, 2)):
+        name = type(leaf).__name__
+        with pytest.raises(TypeError, match=name):
+            dumps({"x": [leaf]})
+        with pytest.raises(TypeError, match=name):
+            dumps(leaf)
 
 
 def test_non_finite_floats_are_json_strings():

@@ -335,6 +335,16 @@ def test_projective_linear_in_matrix():
         assert xab == xa + xb
 
 
+def test_projective_images_include_the_constant_unit_fields():
+    # the images of the E(i, n+1) are the translations d/dx_i: at every point the
+    # fields span R^n with smallest singular value at least 1, so every orbit is open
+    for n in range(1, 6):
+        images = make_projective_action(n).images
+        units = [PolyVectorField(tuple(Poly.constant(n, int(i == j)) for j in range(n))) for i in range(n)]
+        assert len(images) == n * (n + 2)
+        assert [unit in images for unit in units] == [True] * n
+
+
 def test_projective_kernel_is_scalars():
     for n in (1, 2, 3):
         ker = projective_kernel(n)
