@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Mapping, Sequence
 
-from .constants import MAX_CATALOG_DIM
-from .linalg import PairRows, Subspace, _dense, _integer, _row_times, nullspace_of_rows, rational_vector, sparse_rref
+from .constants import MAX_CATALOG_DIM, compile_function
+from .linalg import PairRows, Subspace, _integer, _row_times, nullspace_of_rows, sparse_rref
 from .serialize import REQUIRED, FormatError, format_rational, parse_rational, read_object
 
 __all__ = [
@@ -116,17 +116,6 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
 
     # -- bracket ------------------------------------------------------
 
-    def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-        """Exact bracket of coordinate vectors: `_bracket` of x and y scaled
-        to integers, divided once by the common denominator."""
-        xv = rational_vector(x)
-        yv = rational_vector(y)
-        if len(xv) != self.dim or len(yv) != self.dim:
-            raise ValueError("vector length != algebra dimension")
-        (nx, dx), (ny, dy) = _integer(xv), _integer(yv)
-        den = self.integer_table[0] * dx * dy
-        return _dense({k: Fraction(v, den) for k, v in self._bracket(nx, ny).items()}, self.dim)
-
     def _bracket(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
         """den * [x, y] for sparse integer vectors {i: x_i}, summed in
         integers over `integer_table` (whose scale is den); zeros dropped."""
@@ -164,14 +153,24 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
         )
 
     def bracket_numeric(self, x: Sequence[float], y: Sequence[float]) -> list[float]:
-        """Float bracket for the numerical verification paths."""
-        out = [0.0] * self.dim
-        for i, j, coeffs in self.float_table:
-            s = x[i] * y[j] - x[j] * y[i]
-            if s:
-                for k, c in coeffs:
-                    out[k] += s * c
-        return out
+        """Float bracket for the numerical verification paths: for each pair
+        (i, j) of `float_table` in order, s = x_i y_j - x_j y_i and, when s
+        is nonzero, out[k] += s * c for each of its constants, each out[k]
+        summed from 0.0. x and y have length dim."""
+        return self._float_kernel(x, y)
+
+    @cached_property
+    def _float_kernel(self):
+        """`bracket_numeric` compiled once per algebra (`_compile_bracket`)."""
+        return _compile_bracket(self.dim, self.float_table, 0.0, f"<float bracket {self.name}>")
+
+    @cached_property
+    def _integer_kernel(self):
+        """den * [x, y] for dense integer vectors x and y of length dim, as a
+        dense list of integers: `_bracket` over `integer_table`, compiled once
+        per algebra (`_compile_bracket`)."""
+        rows = [(i, j, coeffs) for (i, j), coeffs in self.integer_table[1].items()]
+        return _compile_bracket(self.dim, rows, 0, f"<integer bracket {self.name}>")
 
     # -- validation ---------------------------------------------------
 
@@ -284,6 +283,30 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
             is_solvable=self.derived_length() is not None,
             is_nilpotent=self.nilpotency_class() is not None,
         )
+
+
+def _compile_bracket(dim: int, table, zero, filename: str):
+    """bracket(x, y) over `table`, rows (i, j, ((k, c), ...)) in table order,
+    as straight-line code: for each row s = x_i y_j - x_j y_i and, when s is
+    nonzero, o_k += s * c for each of its constants, each o_k summed from
+    `zero`; it returns [o_0, ..., o_{dim-1}]. x and y are unpacked into one
+    local per coordinate, so they must have length dim, and each constant
+    is written with `repr`, which reads back as the same number."""
+    body, targets = [], set()
+    for i, j, coeffs in table:
+        body += [f"    s = x{i} * y{j} - x{j} * y{i}", "    if s:"]
+        body += [f"        o{k} += s * {c!r}" for k, c in coeffs]
+        targets.update(k for k, _ in coeffs)
+    coords = range(dim)
+    lines = [
+        "def bracket(x, y):",
+        f"    ({''.join(f'x{i}, ' for i in coords)}) = x",
+        f"    ({''.join(f'y{i}, ' for i in coords)}) = y",
+        *(f"    o{k} = {zero!r}" for k in sorted(targets)),
+        *body,
+        f"    return [{', '.join(f'o{k}' if k in targets else repr(zero) for k in coords)}]",
+    ]
+    return compile_function(lines, "bracket", filename)
 
 
 class SeriesReport(namedtuple("SeriesReport", "kind terms stabilized length")):

@@ -265,12 +265,12 @@ DEFAULT_CATALOG: tuple[tuple[str, str], ...] = (
 )
 
 
-def convention_notes(name: str, param: int | None, computed_derived_length) -> list[str]:
-    """Flags for entries whose computed derived length disagrees with the
-    value sometimes quoted for the family in the literature."""
-    family, p = (name, param) if param is not None else parse_catalog_key(name)
+def convention_notes(family: str, p: int, computed_derived_length) -> list[str]:
+    """Flags for the entry (family, p) when its computed derived length
+    disagrees with the value sometimes quoted for the family in the
+    literature."""
     notes = []
-    if family.lower() == "st" and p is not None:
+    if family.lower() == "st":
         quoted = p + 1
         if computed_derived_length != quoted:
             notes.append(
@@ -279,7 +279,7 @@ def convention_notes(name: str, param: int | None, computed_derived_length) -> l
                 f"this family in parts of the literature does not match the "
                 f"recursive definition and is not used"
             )
-    if family in ("N", "n") and p is not None:
+    if family in ("N", "n"):
         quoted = p
         if computed_derived_length != quoted:
             notes.append(

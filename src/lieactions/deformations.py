@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import lru_cache
-from operator import sub
-from typing import TYPE_CHECKING, Sequence
+from operator import mul, sub
 
 from .constants import DEFAULT_SEED, compile_function, max_residual
 
+TYPE_CHECKING = False  # true to a type checker only: `typing` is not loaded at run time
 if TYPE_CHECKING:
     from .algebra import LieAlgebra
     from .pcg64 import DefaultRNG
@@ -353,13 +354,26 @@ class DeformationReport(namedtuple("DeformationReport", (
         }
 
 
-def _sample_rational_vector(rng: DefaultRNG, dim: int, support: Sequence[int]) -> list[Fraction]:
-    from fractions import Fraction
-
-    v = [Fraction(0)] * dim
+def _sample_vector(rng: DefaultRNG, dim: int, support: Sequence[int]) -> tuple[list[int], list[float]]:
+    """A vector x whose support coordinates are each p/q, p drawn from
+    [-3, 4) and then q from [1, 3), as (2 x, an integer vector since q is 1
+    or 2; x as floats, each the int/int division p / q, which is
+    float(Fraction(p, q)))."""
+    doubled, floats = [0] * dim, [0.0] * dim
     for k in support:
-        v[k] = Fraction(rng.integers(-3, 4), rng.integers(1, 3))
-    return v
+        p = rng.integers(-3, 4)
+        q = rng.integers(1, 3)
+        doubled[k] = 2 * p // q
+        floats[k] = p / q
+    return doubled, floats
+
+
+def _half_bracket(g: LieAlgebra, x: list[int], y: list[int]) -> list[float]:
+    """[x/2, y/2] as floats for integer vectors x and y: the integer kernel
+    gives 4 den times it, and the int/int division of each coordinate by
+    4 den is float(Fraction) of the exact value."""
+    scale = 4 * g.integer_table[0]
+    return [v / scale for v in g._integer_kernel(x, y)]
 
 
 _CHECK_TIMES = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
@@ -372,7 +386,8 @@ def verify_deformation(d: AlgebraDeformation, samples: int = 100, seed: int = DE
 
     rng = DefaultRNG(seed)  # the draws of numpy.random.default_rng(seed), without numpy
     support = d.domain()
-    dim = d.parent.dim
+    parent = d.parent
+    dim = parent.dim
 
     d1 = d.factors(-1.0) == [1.0] * dim and d.factors(0.0) == [1.0] * dim
     d2 = d.factors(1.0) == d.factors(2.0)
@@ -385,14 +400,12 @@ def verify_deformation(d: AlgebraDeformation, samples: int = 100, seed: int = DE
     # the scaling at every check time, with its factors and the floats of x, y and [x, y] worked out once
     factors = [d.factors(t) for t in ts]
     for _ in range(samples):
-        x = _sample_rational_vector(rng, dim, support)
-        y = _sample_rational_vector(rng, dim, support)
-        xy = d.parent.bracket(x, y)
-        xf, yf, xyf = ([float(c) for c in v] for v in (x, y, xy))
+        x2, xf = _sample_vector(rng, dim, support)
+        y2, yf = _sample_vector(rng, dim, support)
+        xyf = _half_bracket(parent, x2, y2)
         for f in factors:
-            lhs = [a * b for a, b in zip(f, xyf)]
-            rhs = d.parent.bracket_numeric([a * b for a, b in zip(f, xf)], [a * b for a, b in zip(f, yf)])
-            law = max_residual(law, *map(abs, map(sub, lhs, rhs)))
+            rhs = parent.bracket_numeric(list(map(mul, f, xf)), list(map(mul, f, yf)))
+            law = max_residual(law, *map(abs, map(sub, map(mul, f, xyf), rhs)))
     return DeformationReport(d.label, d1, d2, contraction, flat, law, {"samples": samples, "seed": seed})
 
 

@@ -14,10 +14,10 @@ layer ever.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING
 
 from .serialize import FormatError, _emit, _input_error, _json_file, _write, rational_row
 
+TYPE_CHECKING = False  # true to a type checker only: `typing` is not loaded at run time
 if TYPE_CHECKING:
     from .algebra import LieAlgebra
 

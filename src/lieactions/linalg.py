@@ -16,9 +16,9 @@ equality of representations.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "PairRows",

@@ -7,9 +7,9 @@ representations is equality of polynomials.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from operator import index
-from typing import Mapping, Sequence
 
 from .constants import compile_function
 

@@ -14,14 +14,15 @@ from __future__ import annotations
 import math
 from array import array
 from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import add, mul, sub
-from typing import TYPE_CHECKING, Sequence
 
 from .constants import MAX_FLOW_STEPS, compile_function, max_residual
 from .polynomials import Poly, compile_float
 
+TYPE_CHECKING = False  # true to a type checker only: `typing` is not loaded at run time
 if TYPE_CHECKING:
     from .linalg import PairRows, Subspace
 

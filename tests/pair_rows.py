@@ -1,13 +1,14 @@
 """Between dense matrices and `linalg.PairRows`, the one form in which the
 exact layer makes and reads a matrix: a tuple of rows, each a tuple of
 (column, Fraction) pairs in column order with zeros dropped; the dense
-basis vectors of an algebra, which the tests bracket with
-`LieAlgebra.bracket`; and the span of dense vectors, which
+basis vectors of an algebra, and their exact bracket (`exact_bracket`,
+which only the tests use: the program brackets sparse integer vectors
+with `LieAlgebra._bracket`); and the span of dense vectors, which
 `Subspace.span` takes as sparse {column: value} rows."""
 
 from fractions import Fraction
 
-from lieactions.linalg import Subspace, rational_vector
+from lieactions.linalg import Subspace, _integer, rational_vector
 
 
 def pairs(dense) -> tuple:
@@ -27,6 +28,21 @@ def dense(m) -> list[list[Fraction]]:
 def basis_vector(g, i: int) -> tuple[Fraction, ...]:
     """e_i of the algebra g as a dense tuple of Fractions."""
     return tuple(Fraction(int(k == i)) for k in range(g.dim))
+
+
+def exact_bracket(g, x, y) -> tuple[Fraction, ...]:
+    """The exact bracket of coordinate vectors of the algebra g (ints,
+    strings or Fractions) as a dense tuple of Fractions: `_bracket` of x and
+    y scaled to integers, divided once by the common denominator."""
+    xv, yv = rational_vector(x), rational_vector(y)
+    if len(xv) != g.dim or len(yv) != g.dim:
+        raise ValueError("vector length != algebra dimension")
+    (nx, dx), (ny, dy) = _integer(xv), _integer(yv)
+    den = g.integer_table[0] * dx * dy
+    out = [Fraction(0)] * g.dim
+    for k, v in g._bracket(nx, ny).items():
+        out[k] = Fraction(v, den)
+    return tuple(out)
 
 
 def span(vectors, ambient_dim: int) -> Subspace:

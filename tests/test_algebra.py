@@ -9,6 +9,7 @@ Jacobi identity.
 import functools
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -36,7 +37,7 @@ from lieactions.constants import MAX_CATALOG_DIM
 from lieactions.linalg import RatMatrix, Subspace
 from lieactions.serialize import FormatError
 
-from pair_rows import dense, pairs, span
+from pair_rows import dense, exact_bracket, pairs, span
 
 
 # -- oracles ---------------------------------------------------------------
@@ -113,12 +114,12 @@ def test_bracket_of_vector_with_itself_is_zero():
     rng = random.Random(3)
     for _ in range(10):
         x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(7)]
-        assert all(c == 0 for c in g.bracket(x, x))
+        assert all(c == 0 for c in exact_bracket(g, x, x))
 
 
 def test_heisenberg_defining_relation():
     h3 = catalog("heisenberg3")
-    assert h3.bracket([1, 0, 0], [0, 1, 0]) == (0, 0, 1)
+    assert exact_bracket(h3, [1, 0, 0], [0, 1, 0]) == (0, 0, 1)
 
 
 def test_st2_bracket_matches_matrix_commutator():
@@ -127,20 +128,20 @@ def test_st2_bracket_matches_matrix_commutator():
     # oracle: [H, E] as 2x2 matrices
     comm = to_sympy(mats[0]) * to_sympy(mats[1]) - to_sympy(mats[1]) * to_sympy(mats[0])
     assert comm == 2 * to_sympy(mats[1])
-    assert g.bracket([1, 0], [0, 1]) == (0, 2)
+    assert exact_bracket(g, [1, 0], [0, 1]) == (0, 2)
 
 
 def test_bracket_length_mismatch():
     with pytest.raises(ValueError):
-        catalog("st2").bracket([1], [0, 1])
+        exact_bracket(catalog("st2"), [1], [0, 1])
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.integers(-3, 3), min_size=5, max_size=5), st.lists(st.integers(-3, 3), min_size=5, max_size=5))
 def test_bracket_antisymmetry_property(x, y):
     g = catalog("st3")
-    xy = g.bracket(x, y)
-    yx = g.bracket(y, x)
+    xy = exact_bracket(g, x, y)
+    yx = exact_bracket(g, y, x)
     assert all(a == -b for a, b in zip(xy, yx))
 
 
@@ -718,8 +719,56 @@ def test_bracket_matches_fraction_sum(g):
     for _ in range(10):
         x = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) * rng.randint(0, 1) for _ in range(g.dim)]
         y = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(g.dim)]
-        got = g.bracket(x, y)
+        got = exact_bracket(g, x, y)
         assert got == _reference_bracket(g, x, y)
         assert all(type(c) is Fraction for c in got)
     ints = list(range(g.dim))
-    assert g.bracket(ints, ints[::-1]) == _reference_bracket(g, ints, ints[::-1])
+    assert exact_bracket(g, ints, ints[::-1]) == _reference_bracket(g, ints, ints[::-1])
+
+
+def _kernel_cases():
+    """`_bracket_cases`, and the other seeded random-basis copies of the golden inputs."""
+    golden = Path(__file__).parent / "golden"
+    copies = [from_json_dict(json.loads((golden / f"{key}_dense.algebra.json").read_text()))
+              for key in ("n5", "heisenberg7", "mr7")]
+    return _bracket_cases() + [pytest.param(g, id=g.name) for g in copies]
+
+
+# coordinates the float kernel must treat as the loop does: signed zeros, values
+# whose products overflow or underflow, infinities and NaN
+SPECIAL = [0.0, -0.0, 1e-300, -1e300, 1.7e308, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("g", _kernel_cases())
+def test_compiled_bracket_numeric_matches_the_loop_by_repr(g):
+    # repr tells -0.0 from 0.0 and sees NaN, which == does not
+    rng = random.Random(g.dim + 1)
+    for trial in range(60):
+        special = SPECIAL if trial % 3 == 0 else [0.0]
+        x = [rng.choice([*special, rng.uniform(-3, 3)]) for _ in range(g.dim)]
+        y = [rng.choice([*special, rng.uniform(-3, 3)]) for _ in range(g.dim)]
+        got = g.bracket_numeric(x, y)
+        assert type(got) is list and all(type(v) is float for v in got)
+        assert list(map(repr, got)) == list(map(repr, _reference_bracket_numeric(g, x, y)))
+
+
+@pytest.mark.parametrize("g", _kernel_cases())
+def test_integer_kernel_matches_the_sparse_bracket(g):
+    rng = random.Random(g.dim + 2)
+    for _ in range(30):
+        # some zeros, and entries far beyond 64 bits
+        x = [rng.choice([0, rng.randint(-9, 9), rng.randint(-10**30, 10**30)]) for _ in range(g.dim)]
+        y = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(g.dim)]
+        got = g._integer_kernel(x, y)
+        want = g._bracket({k: v for k, v in enumerate(x) if v}, {k: v for k, v in enumerate(y) if v})
+        assert all(type(v) is int for v in got)
+        assert got == [want.get(k, 0) for k in range(g.dim)]
+
+
+def test_compiled_brackets_check_the_length():
+    g = catalog("st3")
+    with pytest.raises(ValueError):
+        g.bracket_numeric([1.0] * 4, [1.0] * 5)
+    with pytest.raises(ValueError):
+        g._integer_kernel([1] * 5, [1] * 6)
+    assert catalog("abelian", 1).bracket_numeric([2.0], [3.0]) == [0.0]

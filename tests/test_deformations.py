@@ -2,6 +2,8 @@
 
 import math
 from collections import namedtuple
+from fractions import Fraction
+from operator import sub
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from lieactions.deformations import (
     _CHECK_TIMES,
     AlgebraDeformation,
     _flatness_quotient,
+    _half_bracket,
+    _sample_vector,
     bump_group_deformation,
     concatenate,
     diag_contraction,
@@ -25,6 +29,9 @@ from lieactions.deformations import (
 )
 from lieactions.matrixgroups import identity, random_element, triangular_product
 from lieactions.pcg64 import DefaultRNG
+
+from pair_rows import exact_bracket
+from test_algebra import _reference_bracket_numeric, _rescaled
 
 
 def as_matrix(flat):
@@ -476,3 +483,61 @@ def test_flatness_quotient_matches_numpy_on_nan_and_inf(rows):
     got = _flatness_quotient(values_from(rows), [0.0, 1.0])
     want = _reference_flatness_quotient(values_from(rows), [0.0, 1.0])
     assert _same_float(got, want), (got, want)
+
+
+# -- the law check in integers against the Fraction path it replaced ---------------
+
+
+def _fraction_vector(rng, dim, support):
+    """The sampler the integer one replaced: each support coordinate Fraction(p, q)."""
+    v = [Fraction(0)] * dim
+    for k in support:
+        v[k] = Fraction(rng.integers(-3, 4), rng.integers(1, 3))
+    return v
+
+
+# st(3) in a basis with denominators, so that `integer_table` has den above 1
+RESCALED = _rescaled(catalog("st3"), [Fraction(1, 2), Fraction(3), Fraction(2, 5), Fraction(7, 3), Fraction(5, 4)])
+
+
+@pytest.mark.parametrize("g", [catalog("st4"), catalog("st_prime", 5), RESCALED], ids=lambda g: g.name)
+def test_integer_samples_and_brackets_match_fractions(g):
+    if g is RESCALED:
+        assert g.integer_table[0] > 1
+    support = list(range(g.dim))[1:]  # one coordinate off the support
+    ours, theirs = DefaultRNG(11), DefaultRNG(11)
+    for _ in range(200):
+        (x2, xf), (y2, yf) = _sample_vector(ours, g.dim, support), _sample_vector(ours, g.dim, support)
+        x, y = _fraction_vector(theirs, g.dim, support), _fraction_vector(theirs, g.dim, support)
+        assert x2 == [2 * c for c in x] and y2 == [2 * c for c in y]
+        assert list(map(repr, xf + yf)) == [repr(float(c)) for c in x + y]
+        got = _half_bracket(g, x2, y2)
+        assert list(map(repr, got)) == [repr(float(c)) for c in exact_bracket(g, x, y)]
+    assert ours.integers(0, 1 << 32) == theirs.integers(0, 1 << 32)  # the same draws were taken
+
+
+def _reference_law(d, samples, seed):
+    """The law residual of `verify_deformation` as it was: Fraction samples,
+    the exact Fraction bracket, and the float bracket as a loop."""
+    rng = DefaultRNG(seed)
+    g, support = d.parent, d.domain()
+    ts = _CHECK_TIMES + rng.uniform(0.0, 1.0, 5)
+    law = 0.0
+    for _ in range(samples):
+        x, y = _fraction_vector(rng, g.dim, support), _fraction_vector(rng, g.dim, support)
+        xf, yf, xyf = ([float(c) for c in v] for v in (x, y, exact_bracket(g, x, y)))
+        for t in ts:
+            f = d.factors(t)
+            lhs = [a * b for a, b in zip(f, xyf)]
+            rhs = _reference_bracket_numeric(g, [a * b for a, b in zip(f, xf)], [a * b for a, b in zip(f, yf)])
+            law = max_residual(law, *map(abs, map(sub, lhs, rhs)))
+    return law
+
+
+@pytest.mark.parametrize("seed", [7, DEFAULT_SEED])
+def test_law_residual_matches_the_fraction_path(seed):
+    families = [st_deformation(4), st_prime_deformation(5), concatenate(diag_contraction(4), st_deformation(4)),
+                AlgebraDeformation.single_stage("fault", catalog("st", 3), [0, 0, 1, 2, 1]),
+                AlgebraDeformation.single_stage("rescaled", RESCALED, [0, 0, 1, 1, 2])]
+    for d in families:
+        assert repr(verify_deformation(d, 40, seed).law_max_residual) == repr(_reference_law(d, 40, seed)), d.label

@@ -164,12 +164,13 @@ CASES = {
 }
 
 
-def _probe(code: str, *args: str):
-    """The JSON that `code` prints last, run with `args` in a fresh interpreter."""
+def _probe(code: str, *args: str, flags: tuple[str, ...] = ()):
+    """The JSON that `code` prints last, run with `args` in a fresh interpreter
+    started with `flags`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
@@ -187,6 +188,17 @@ def test_verb_imports_only_its_layer(case):
     # itself) or for `dataclasses` (every record is a namedtuple)
     absent = absent + ["click", "argparse", "gettext", "locale", "dataclasses"]
     assert not modules & set(absent), sorted(modules & set(absent))
+    assert set(present) <= modules, sorted(set(present) - modules)
+
+
+@pytest.mark.parametrize("case", ["analyze", "act-verify-ball"])
+def test_no_verb_loads_typing(case):
+    # annotations name their types from `collections.abc`, or behind a
+    # TYPE_CHECKING that is False at run time; under -S no `site` module
+    # has loaded `typing` before the verb runs
+    args, _, present = CASES[case]
+    modules = set(_probe(PROBE, *args, flags=("-S",)))
+    assert "typing" not in modules
     assert set(present) <= modules, sorted(set(present) - modules)
 
 
