@@ -15,7 +15,7 @@ from .serialize import POSITIVE, REQUIRED, _emit, _input_error, _json_file, read
 
 ACT_KEYS = {"action": (str, REQUIRED, None), "samples": (int, 200, 1, MAX_SAMPLES), "seed": (int, None, 0),
             "tolerances": (dict, {}, None)}
-TOLERANCE_KEYS = {"composition": (float, 1e-6, 0.0), "identity": (float, 1e-9, 0.0), "move": (float, 1e-6, 0.0)}
+TOLERANCE_KEYS = {"composition": (float, 1e-6, 0.0), "identity": (float, 1e-9, 0.0), "move": (float, 1e-6, POSITIVE)}
 MATRIX_KEYS = {"group": (("ST", "U"), REQUIRED, None), "n": (int, REQUIRED, 1, MAX_ACTION_N)}
 PLACEMENT_KEYS = {"center": ([float], REQUIRED, None), "radius": (float, 1.0, POSITIVE),
                   "annulus": ([float], [0.3, 0.9], 2, 2)}

@@ -17,7 +17,7 @@ from math import lcm
 
 from .constants import MAX_CATALOG_DIM, compile_function
 from .linalg import PairRows, Subspace, _integer, _row_times, nullspace_of_rows, sparse_rref
-from .serialize import REQUIRED, FormatError, format_rational, parse_rational, read_object
+from .serialize import REQUIRED, FormatError, _quoted, format_rational, parse_rational, read_object
 
 __all__ = [
     "LieAlgebra",
@@ -389,7 +389,7 @@ def from_json_dict(data: dict) -> LieAlgebra:
         vec = brackets[(i - 1, j - 1)] = {}
         for key, val in result.items():
             if key not in indices:
-                raise FormatError(f"bad result index {key!r}: not one of 1..{dim}")
+                raise FormatError(f"bad result index {_quoted(key)}: not one of 1..{dim}")
             try:
                 vec[indices[key]] = parse_rational(val)
             except ValueError as exc:

@@ -35,14 +35,12 @@ def _int(text: str) -> int:
 
 
 def _seed(text: str) -> int:
-    """A seed given by --seed or LIEACTIONS_SEED: a nonnegative integer."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
+    """A seed given by --seed or LIEACTIONS_SEED: a nonnegative integer in
+    ASCII digits, with no sign, space, underscore or other digit that
+    `int` would read."""
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"must be a nonnegative integer, got {text!r}")
-    return seed
+    return int(text)
 
 
 # An argument of a verb: its name ("--dim", or "source" for a positional), the

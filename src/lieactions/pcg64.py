@@ -8,8 +8,8 @@ family of simple fast space-efficient statistically good algorithms for
 random number generation", 2014). `DefaultRNG` replays that stream bit for
 bit, through the `Generator` calls that the numerical verbs make, so that
 they run without numpy: `integers` and `uniform` for the algebra law check
-of `deform verify`, `normal` for the points of the projective `vf verify`,
-and `random`, `uniform`, `normal` and `integers` for `act verify`.
+of `deform verify`, and `random`, `uniform`, `normal` and `integers` for
+`act verify`.
 `normal` is numpy's ziggurat (Marsaglia and Tsang, J. Stat. Softw. 5(8),
 2000), replayed from numpy's tables in `ziggurat`.
 """

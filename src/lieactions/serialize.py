@@ -49,16 +49,16 @@ def rational_row(pairs, ncols: int) -> list[str]:
 def parse_rational(s: str) -> Fraction:
     """Parse 'p/q' (or a bare integer 'p'); reject anything else."""
     if not isinstance(s, str):
-        raise ValueError(f"rational must be a string, got {s!r}")
+        raise ValueError(f"rational must be a string, got {_quoted(s)}")
     txt = s.strip()
     num, sep, den = txt.partition("/")
     try:
         n = int(num)
         d = int(den) if sep else 1
     except ValueError:
-        raise ValueError(f"malformed rational {s!r}") from None
+        raise ValueError(f"malformed rational {_quoted(s)}") from None
     if d <= 0:
-        raise ValueError(f"malformed rational {s!r}: denominator must be positive")
+        raise ValueError(f"malformed rational {_quoted(s)}: denominator must be positive")
     from fractions import Fraction
 
     return Fraction(n, d)
@@ -131,6 +131,35 @@ def dumps(obj) -> str:
 # -- reading ------------------------------------------------------------------
 
 
+def _quoted(value, limit: int = 100) -> str:
+    """repr(value) as an error line quotes it: its first `limit` characters
+    and "..." when it is longer. A list or dict is written a piece at a
+    time, so the text stops where it passes `limit`, however long or deeply
+    nested the value; a shorter value reads as repr writes it."""
+    def pieces(value):
+        if type(value) is list:
+            yield "["
+            for k, item in enumerate(value):
+                yield ", " if k else ""
+                yield from pieces(item)
+            yield "]"
+        elif type(value) is dict:
+            yield "{"
+            for k, (key, item) in enumerate(value.items()):
+                yield (", " if k else "") + repr(key) + ": "
+                yield from pieces(item)
+            yield "}"
+        else:
+            yield repr(value)
+
+    text = ""
+    for piece in pieces(value):
+        text += piece
+        if len(text) > limit:
+            return text[:limit] + "..."
+    return text
+
+
 class FormatError(ValueError):
     """Malformed input data: an algebra document, a scenario object or a size above its bound."""
 
@@ -183,12 +212,12 @@ def read_value(value, kind, label: str, low=None, high=None):
     else:  # a JSON object is any Mapping, as a library caller may pass one
         ok, what = isinstance(value, Mapping if kind is dict else kind), _KIND_NAMES.get(kind)
     if not ok:
-        raise FormatError(f"{label} must be {what}, got {value!r}")
+        raise FormatError(f"{label} must be {what}, got {_quoted(value)}")
     value = float(value) if kind is float else value
     if low is not None and value < low:
-        raise FormatError(f"{label} must be {'positive' if low is POSITIVE else f'at least {low}'}, got {value!r}")
+        raise FormatError(f"{label} must be {'positive' if low is POSITIVE else f'at least {low}'}, got {_quoted(value)}")
     if high is not None and value > high:
-        raise FormatError(f"{label} is {value!r}, above the bound {high}")
+        raise FormatError(f"{label} is {_quoted(value)}, above the bound {high}")
     return value
 
 
@@ -199,7 +228,7 @@ def read_object(doc, spec: dict, what: str) -> dict:
     read_value(doc, dict, what)
     unknown = [key for key in doc if key not in spec]
     if unknown:
-        raise FormatError(f"unknown key {unknown[0]!r} in {what}; allowed: {', '.join(spec)}")
+        raise FormatError(f"unknown key {_quoted(unknown[0])} in {what}; allowed: {', '.join(spec)}")
     values = {}
     for key, (kind, default, *bounds) in spec.items():
         if key in doc:
@@ -287,7 +316,7 @@ def _unique_keys(pairs: list) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
+            raise ValueError(f"duplicate key {_quoted(key)}")
         obj[key] = value
     return obj
 
@@ -300,5 +329,5 @@ def _json_file(path: str):
             return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         _input_error(f"cannot read {path}: {exc}")
-    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # malformed JSON, bytes that are not UTF-8, or nested too deep
         _input_error(f"malformed JSON in {path}: {exc}")

@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import add, mul, sub
+from operator import add, sub
 
 from .constants import MAX_FLOW_STEPS, compile_function, max_residual
 from .polynomials import Poly, compile_float
@@ -436,104 +436,21 @@ def flow_checks(
 
 # -- orbit diagnostics -------------------------------------------------------
 
-# one-sided Jacobi stops when every pair of columns has a cosine of at most
-# JACOBI_TOLERANCE, or after JACOBI_SWEEPS sweeps (it converges quadratically,
-# in well under ten sweeps on the matrices here)
-JACOBI_TOLERANCE = 1e-15
-JACOBI_SWEEPS = 60
 
+def orbit_info(action: VFAction) -> int:
+    """The dimension n of every orbit of an action on R^n whose images
+    include the n unit fields d/dx_i, as the images of E(i, n+1) under
+    `projective_infinitesimal` are; checked exactly on the polynomial
+    images, with a ValueError when one is missing.
 
-def orbit_info(action: VFAction, p: Sequence[float]) -> dict:
-    """Orbit dimension, the numerical rank of the evaluation matrix of the
-    image fields at p, plus a flag for nearly rank-deficient evaluations:
-    the rank counts the singular values above 1e-9 times the largest, and
-    the flag is set when one of them lies between 1e-9 and 1e-6 times it.
-
-    When the Gram matrix G of the matrix's shorter side has a Cholesky
-    factor and trace(G) trace(G^-1) <= 1e10, every singular value is at
-    least 1e-5 times the largest (lambda_min >= 1 / trace(G^-1), lambda_max
-    <= trace(G)), so the rank is full and no value is near the thresholds;
-    otherwise the singular values come from a one-sided Jacobi SVD."""
-    point = [float(c) for c in p]
-    rows = [f.evaluator(*point) for f in action.images]
-    vectors = list(zip(*rows)) if len(rows) >= len(point) else rows
-    if not vectors:
-        return {"dimension": 0, "near_degenerate": False}
-    if _full_rank_certified(vectors):
-        return {"dimension": len(vectors), "near_degenerate": False}
-    sv = _singular_values(vectors)
-    dim = 0 if sv[0] <= 1e-300 else sum(1 for s in sv if s > 1e-9 * sv[0])
-    rel = [s / sv[0] for s in sv] if sv[0] > 0 else sv
-    return {"dimension": dim, "near_degenerate": any(1e-9 < r < 1e-6 for r in rel)}
-
-
-def _full_rank_certified(vectors: Sequence[Sequence[float]]) -> bool:
-    """Whether the Gram matrix G of `vectors` (the columns of a matrix A)
-    is certified to have lambda_min / lambda_max >= 1e-10, so that every
-    singular value of A is at least 1e-5 times the largest: a Cholesky
-    factor L exists and trace(G) ||L^-1||_F^2 <= 1e10. A trace outside
-    [1e-200, 1e200] certifies nothing, so underflow and overflow cannot
-    fake a certificate, and neither can a NaN."""
-    # G_ij = (|a|^2 + |b|^2 - |a - b|^2) / 2 from C-level norms: its error,
-    # a few ulps of |a|^2 + |b|^2, moves an eigenvalue by ~1e-15 trace(G),
-    # far below the 1e-10 trace(G) that the certificate asks of lambda_min
-    squares = [h * h for h in (math.hypot(*v) for v in vectors)]
-    trace = sum(squares)
-    if not 1e-200 <= trace <= 1e200:
-        return False
-    chol: list[list[float]] = []
-    for i, a in enumerate(vectors):
-        row: list[float] = []
-        for j in range(i):
-            d = math.dist(a, vectors[j])
-            gram = 0.5 * (squares[i] + squares[j] - d * d)
-            row.append((gram - sum(map(mul, row, chol[j]))) / chol[j][j])
-        pivot = squares[i] - sum(map(mul, row, row))
-        if not pivot > 0.0:
-            return False
-        row.append(math.sqrt(pivot))
-        chol.append(row)
-    # ||L^-1||_F^2 column by column: forward substitution on each unit vector
-    inverse_norm2 = 0.0
-    for j in range(len(chol)):
-        col = [1.0 / chol[j][j]]
-        for i in range(j + 1, len(chol)):
-            col.append(-sum(map(mul, chol[i][j:i], col)) / chol[i][i])
-        inverse_norm2 += sum(map(mul, col, col))
-    return trace * inverse_norm2 <= 1e10
-
-
-def _singular_values(vectors: Sequence[Sequence[float]]) -> list[float]:
-    """The singular values of the matrix whose columns are `vectors`, in
-    decreasing order: one-sided Jacobi (Hestenes), which rotates pairs of
-    columns until each pair is orthogonal to working precision, so the
-    column norms are the singular values to high relative accuracy. The
-    columns are first scaled by a power of two, exactly, so no sum of
-    squares overflows or underflows."""
-    top = max(abs(x) for v in vectors for x in v)
-    if not top:
-        return [0.0] * len(vectors)
-    shift = -math.frexp(top)[1]
-    cols = [[math.ldexp(x, shift) for x in v] for v in vectors]
-    norms = [sum(map(mul, v, v)) for v in cols]
-    for _ in range(JACOBI_SWEEPS):
-        rotated = False
-        for i in range(len(cols)):
-            for j in range(i + 1, len(cols)):
-                a, b = cols[i], cols[j]
-                gamma = sum(map(mul, a, b))
-                if abs(gamma) <= JACOBI_TOLERANCE * math.sqrt(norms[i]) * math.sqrt(norms[j]):
-                    continue
-                rotated = True
-                # the rotation by t = tan(theta) that makes columns i and j orthogonal
-                zeta = (norms[j] - norms[i]) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                cols[i] = [c * x - s * y for x, y in zip(a, b)]
-                cols[j] = [s * x + c * y for x, y in zip(a, b)]
-                norms[i] = sum(map(mul, cols[i], cols[i]))
-                norms[j] = sum(map(mul, cols[j], cols[j]))
-        if not rotated:
-            break
-    return sorted((math.ldexp(math.sqrt(x), -shift) for x in norms), reverse=True)
+    At each point the unit fields evaluate to the n rows of the identity,
+    so the evaluation matrix A of the images has rank n and A^T A >= I:
+    its smallest singular value is at least 1 everywhere."""
+    if not action.images:
+        raise ValueError("the action has no image fields")
+    n = action.images[0].nvars
+    images = set(action.images)
+    for i in range(n):
+        if PolyVectorField(tuple(Poly.constant(n, int(i == j)) for j in range(n))) not in images:
+            raise ValueError(f"the unit field d/dx{i + 1} is not among the images")
+    return n

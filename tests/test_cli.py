@@ -862,7 +862,84 @@ def _assert_exit_code_contract(result, case):
     assert result.exception is None or isinstance(result.exception, SystemExit), (case, result.exception)
     if result.exit_code == 2:
         assert result.stdout == "" and result.stderr.startswith("error:"), (case, result.stderr)
-        assert result.stderr.count("\n") == 1, (case, result.stderr)
+        # one line, which quotes at most a bounded prefix of any value
+        assert result.stderr.count("\n") == 1 and len(result.stderr) < 400, (case, result.stderr[:400])
+
+
+# -- deep, long and vacuous inputs ------------------------------------------------------------
+
+
+def _nested(depth: int) -> str:
+    """The JSON text of an empty list nested `depth` levels deep."""
+    return "[" * depth + "]" * depth
+
+
+def _json_depth_limit() -> int:
+    """The least depth of `_nested` that json cannot read from this frame."""
+    low, high = 1, 10**5
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            json.loads(_nested(mid))
+            low = mid + 1
+        except RecursionError:
+            high = mid
+    return low
+
+
+@pytest.mark.parametrize("verb", ["act verify", "algebra analyze"])
+def test_deep_nesting_is_malformed_json(tmp_path, verb):
+    # far above the recursion limit the reader reports malformed JSON; just
+    # below it the document is read, and the error quotes a bounded prefix
+    path = tmp_path / "deep.json"
+    for depth in (10**5, _json_depth_limit() - 20):
+        path.write_text('{"action": ' + _nested(depth) + "}" if verb == "act verify" else _nested(depth))
+        result = run(*ACT, "--scenario", str(path)) if verb == "act verify" else run("algebra", "analyze", str(path))
+        _assert_exit_code_contract(result, depth)
+        assert result.exit_code == 2
+        assert ("malformed JSON" in result.stderr) == (depth == 10**5), result.stderr
+        assert depth == 10**5 or result.stderr.endswith("[" * 100 + "...\n")
+
+
+LONG_KEY = "k" * 10**5
+
+
+@pytest.mark.parametrize(
+    "args, text, quoted",
+    [
+        (ACT, json.dumps({"action": list(range(200000))}), "got [0, 1, 2, 3, 4"),
+        (ACT, json.dumps({"action": "x" * 10**6}), "got 'xxxx"),
+        (ACT, json.dumps({**SPHERE, LONG_KEY: 1}), "unknown key 'kkkk"),
+        (ACT, f'{{"{LONG_KEY}": 1, "{LONG_KEY}": 2}}', "duplicate key 'kkkk"),
+        (("algebra", "analyze"), json.dumps({"name": "a", "dim": 2, "basis": ["x", "y"],
+                                             "brackets": [{"i": 1, "j": 2, "result": {LONG_KEY: "1"}}]}),
+         "bad result index 'kkkk"),
+        (("algebra", "analyze"), json.dumps({"name": "a", "dim": 2, "basis": ["x", "y"],
+                                             "brackets": [{"i": 1, "j": 2, "result": {"1": "1/" + "x" * 10**5}}]}),
+         "malformed rational '1/xxxx"),
+    ],
+    ids=["long-list", "long-string", "long-unknown-key", "long-duplicate-key", "long-result-index",
+         "long-rational"],
+)
+def test_error_line_quotes_a_bounded_prefix(tmp_path, args, text, quoted):
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    result = run(*args, "--scenario", str(path)) if args == ACT else run(*args, str(path))
+    _assert_exit_code_contract(result, text[:80])
+    assert result.exit_code == 2 and quoted in result.stderr and "..." in result.stderr, result.stderr
+
+
+def test_move_tolerance_must_be_positive(tmp_path):
+    # at "move": 0 every generator of a ball was "witnessed" by a point that it
+    # does not move; a positive move of any size is still read
+    doc = {"action": "multiball", "group": "ST", "n": 3, "samples": 20, "tolerances": {"move": 0},
+           "balls": [{"center": [0.0, 0.0, 0.0]}, {"center": [3.0, 0.0, 0.0]}]}
+    result = run(*ACT, "--scenario", write_json(tmp_path, "move0.json", doc))
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: 'move' in 'tolerances' must be positive, got 0.0\n"
+    doc["tolerances"]["move"] = 5e-324
+    result = run(*ACT, "--scenario", write_json(tmp_path, "move_tiny.json", doc))
+    assert result.exit_code in (0, 1) and json.loads(result.stdout)["tolerances"]["move"] == 5e-324
 
 
 # -- mutated scenarios keep the exit-code contract ----------------------------------------
@@ -877,6 +954,15 @@ SMALL_VALUES = st.one_of(
     st.none(),
     st.booleans(),
 )
+# a value written as `_nested` text of a drawn depth, far above the recursion limit or not
+DEEP = "\x00deep"
+# small values, values that an error line must not quote whole, and deep ones
+VALUES = st.one_of(
+    SMALL_VALUES,
+    st.sampled_from([list(range(10**5)), "x" * 10**5, {str(k): k for k in range(10**4)}]),
+    st.just(DEEP),
+)
+DEPTHS = st.integers(1, 1200) | st.just(10**5)
 
 
 def _containers(doc):
@@ -895,10 +981,16 @@ def _keys(doc):
 ADDED_KEYS = sorted(set().union(*(_keys(json.loads(p.read_text())) for p in SCENARIO_FILES)) | {"seed", "x"})
 
 
+def _deepen(text: str, depth: int) -> str:
+    """`text` with the JSON string DEEP, if it holds it, written as `_nested(depth)`."""
+    return text.replace(json.dumps(DEEP), _nested(depth))
+
+
 @st.composite
 def mutated_scenarios(draw):
-    """(verb, document): a shipped scenario with one key or list entry
-    dropped, replaced or added, anywhere in it."""
+    """(verb, JSON text): a shipped scenario with one key or list entry
+    dropped, replaced or added, anywhere in it; a new value may be long or
+    nested to a drawn depth."""
     path = draw(st.sampled_from(SCENARIO_FILES))
     doc = json.loads(path.read_text())
     verb = ACT if "action" in doc else VF if "check" in doc else FLOW
@@ -906,26 +998,26 @@ def mutated_scenarios(draw):
     slots = list(target) if isinstance(target, dict) else list(range(len(target)))
     op = draw(st.sampled_from(["drop", "replace", "add"] if slots else ["add"]))
     if op == "add" and isinstance(target, dict):
-        target[draw(st.sampled_from(ADDED_KEYS))] = draw(SMALL_VALUES)
+        target[draw(st.sampled_from(ADDED_KEYS))] = draw(VALUES)
     elif op == "add":
-        target.append(draw(SMALL_VALUES))
+        target.append(draw(VALUES))
     elif op == "drop":
         del target[draw(st.sampled_from(slots))]
     else:
-        target[draw(st.sampled_from(slots))] = draw(SMALL_VALUES)
-    return verb, doc
+        target[draw(st.sampled_from(slots))] = draw(VALUES)
+    return verb, _deepen(json.dumps(doc), draw(DEPTHS))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(mutated_scenarios())
 def test_mutated_scenario_keeps_exit_code_contract(case):
-    verb, doc = case
+    verb, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "mutant.json")
         with open(path, "w") as fh:
-            json.dump(doc, fh)
+            fh.write(text)
         result = run(*verb, "--scenario", path)
-    _assert_exit_code_contract(result, doc)
+    _assert_exit_code_contract(result, text[:200])
 
 
 # -- mutated algebra documents keep the exit-code contract ---------------------------------
@@ -947,8 +1039,9 @@ def _json_text(obj, repeat=None) -> str:
 @st.composite
 def mutated_algebras(draw):
     """The JSON text of a golden algebra document with one key dropped,
-    written twice or given a value of another type, or with one bracket or
-    result index shifted by one."""
+    written twice or given a value of another type (long, or nested to a
+    drawn depth, among them), or with one bracket or result index shifted
+    by one."""
     doc = json.loads(draw(st.sampled_from(ALGEBRA_FILES)).read_text())
     op = draw(st.sampled_from(["drop", "duplicate", "retype", "shift"]))
     if op == "shift":
@@ -968,8 +1061,8 @@ def mutated_algebras(draw):
     if op == "drop":
         del target[key]
     else:
-        target[key] = draw(SMALL_VALUES.filter(lambda value: type(value) is not type(target[key])))
-    return _json_text(doc)
+        target[key] = draw(VALUES.filter(lambda value: type(value) is not type(target[key])))
+    return _deepen(_json_text(doc), draw(DEPTHS))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -980,7 +1073,7 @@ def test_mutated_algebra_document_keeps_exit_code_contract(text):
         with open(path, "w") as fh:
             fh.write(text)
         result = run("algebra", "obstruct", path)
-    _assert_exit_code_contract(result, text)
+    _assert_exit_code_contract(result, text[:200])
 
 
 # -- sizes on both sides of their bounds ---------------------------------------------------

@@ -41,6 +41,8 @@ ANALYZE = {"source": "catalog:st3"}
 DEFORM = ["deform", "verify", "--family", "st", "--n", "3"]
 DEFORM_ARGS = {"family": "st", "n_": 3, "samples": 100}
 SCENARIO = "scenario.json"  # never opened: the spy replaces the handler
+# (name, text): seeds that Python's `int` reads but that are not ASCII digits alone
+LOOSE_SEEDS = [("plus", "+5"), ("underscore", "1_000"), ("spaces", " 7 "), ("fullwidth", "\uff15")]
 
 # (id, arguments, environment, expected)
 CASES = [
@@ -69,6 +71,11 @@ CASES = [
     ("bad-seed-env", ST3, {"LIEACTIONS_SEED": "x"}, error("LIEACTIONS_SEED")),
     ("negative-seed-env", ST3, {"LIEACTIONS_SEED": "-1"}, error("LIEACTIONS_SEED")),
     ("bad-seed-env-on-catalog-list", ["catalog", "list"], {"LIEACTIONS_SEED": "x"}, error("LIEACTIONS_SEED")),
+    # a seed is ASCII digits only: no sign, underscore, space or other digit that `int` reads
+    *((f"loose-seed-flag-{name}", ["--seed", text, *ST3], {}, error("--seed")) for name, text in LOOSE_SEEDS),
+    *((f"loose-seed-equals-{name}", [f"--seed={text}", *ST3], {}, error("--seed")) for name, text in LOOSE_SEEDS),
+    *((f"loose-seed-env-{name}", ST3, {"LIEACTIONS_SEED": text}, error("LIEACTIONS_SEED"))
+      for name, text in LOOSE_SEEDS),
     # --output
     ("output-before-group", ["--output", OUT, *ST3], {}, call("algebra analyze", output=OUT, **ANALYZE)),
     ("output-after-verb", [*ST3, "--output", OUT], {}, call("algebra analyze", output=OUT, **ANALYZE)),

@@ -118,10 +118,11 @@ CASES = {
     ),
     "vf-verify-projective": (
         ["vf", "verify", "--scenario", str(SCENARIOS / "projective2.json")],
-        ["numpy", "numpy.random", "lieactions.actions", "lieactions.deformations", "lieactions.matrixgroups",
-         "lieactions.derivations", "lieactions.obstructions", *EXACT_VERBS, *DEFORM_VERBS, *ACT_VERBS],
+        ["numpy", "numpy.random", "lieactions.pcg64", "lieactions.ziggurat", "lieactions.actions",
+         "lieactions.deformations", "lieactions.matrixgroups", "lieactions.derivations", "lieactions.obstructions",
+         *EXACT_VERBS, *DEFORM_VERBS, *ACT_VERBS],
         VF_VERBS + ["lieactions.vectorfields", "lieactions.polynomials", "lieactions.algebra",
-                    "lieactions.catalog", "lieactions.linalg", "lieactions.pcg64", "lieactions.ziggurat"],
+                    "lieactions.catalog", "lieactions.linalg"],
     ),
     "act-verify": (
         ["act", "verify", "--scenario", str(SCENARIOS / "sphere_st3.json")],

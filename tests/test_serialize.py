@@ -22,7 +22,15 @@ from hypothesis import strategies as st
 
 from lieactions import act_verbs, deform_verbs, vf_verbs
 from lieactions.algebra import BRACKET_KEYS, DOCUMENT_KEYS, from_json_dict
-from lieactions.serialize import POSITIVE, FormatError, dumps, encode_basestring, read_object, read_value
+from lieactions.serialize import (
+    POSITIVE,
+    FormatError,
+    _quoted,
+    dumps,
+    encode_basestring,
+    read_object,
+    read_value,
+)
 
 
 def _ref_scalar(obj):
@@ -232,6 +240,22 @@ def test_algebra_reader_reads_any_json_or_raises_format_error(doc):
     assert g.dim == doc["dim"] and list(g.basis_names) == doc["basis"]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(json_values, st.integers(0, 60))
+def test_quoted_is_a_bounded_prefix_of_repr(value, limit):
+    text = repr(value)
+    assert _quoted(value, limit) == (text if len(text) <= limit else text[:limit] + "...")
+
+
+def test_quoted_stops_in_a_long_or_deep_value():
+    deep = []
+    for _ in range(10**5):  # repr of this list would exceed the recursion limit
+        deep = [deep]
+    assert _quoted(deep) == "[" * 100 + "..."
+    assert _quoted(list(range(10**6))) == repr(list(range(40)))[:100] + "..."
+    assert _quoted({"k" * 10**6: 1}) == "{'" + "k" * 98 + "..."
+
+
 # -- lists of a scalar kind -------------------------------------------------------------
 
 # the list rules of the key tables and their kinds, with bounds on the list and on each entry
@@ -278,7 +302,7 @@ def test_list_reader_matches_entry_by_entry(rule, value):
     ([1, True], [int], "each entry of 'xs' must be an integer, got True"),
     ([1, 2.0], [int], "each entry of 'xs' must be an integer, got 2.0"),
     ([1.5, float("nan")], [float], "each entry of 'xs' must be a finite number, got nan"),
-    ([2**1024], [float], f"each entry of 'xs' must be a finite number, got {2**1024!r}"),
+    ([2**1024], [float], f"each entry of 'xs' must be a finite number, got {str(2**1024)[:100]}..."),
     ([1.0, "2"], [float], "each entry of 'xs' must be a finite number, got '2'"),
     ([0.5, 0.0], [float, POSITIVE, None], "each entry of 'xs' must be positive, got 0.0"),
 ])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieactions import vectorfields
+from lieactions import pcg64, vectorfields
 from lieactions.catalog import catalog
 from lieactions.constants import MAX_FLOW_STEPS
 from lieactions.polynomials import Poly, compile_float
@@ -383,7 +383,7 @@ def test_homomorphism_fault_injection():
 
 
 def test_homomorphism_check_brackets_each_pair_once(monkeypatch):
-    from lieactions import vectorfields
+    from lieactions import pcg64, vectorfields
 
     calls = []
     original = vectorfields.vf_bracket
@@ -860,35 +860,54 @@ def test_flow_checks_keep_a_nan_level_residual():
 # -- orbit diagnostics ----------------------------------------------------------------------
 
 
-def test_orbit_zero_action_fixed():
-    g = catalog("abelian", 2)
-    zero = PolyVectorField((Poly.zero(1),))
-    action = VFAction(g, (zero, zero))
-    assert orbit_info(action, [0.7])["dimension"] == 0
-
-
-def test_orbit_riccati_transitive_on_chart():
-    action = make_projective_action(1)
-    rng = np.random.default_rng(0)
-    for x in rng.uniform(-5, 5, size=20):
-        assert orbit_info(action, [float(x)])["dimension"] == 1
-
-
-def test_orbit_sl3_open_dense():
-    action = make_projective_action(2)
-    rng = np.random.default_rng(1)
-    dims = [orbit_info(action, p)["dimension"] for p in rng.normal(size=(100, 2))]
-    assert all(d == 2 for d in dims)
-
-
 def _numpy_orbit_info(action, p):
-    """orbit_info as numpy's SVD gives it: the rank above 1e-9 times the
-    largest singular value, and a value between 1e-9 and 1e-6 times it."""
+    """The orbit dimension at p as numpy's SVD gives it, the rank above 1e-9
+    times the largest singular value, and whether a value lies between 1e-9
+    and 1e-6 times it: the rule of the float check that the exact
+    `orbit_info` replaced."""
     rows = np.array([f.evaluator(*[float(c) for c in p]) for f in action.images])
     sv = np.linalg.svd(rows, compute_uv=False) if rows.size else np.zeros(0)
     dim = 0 if sv.size == 0 or sv[0] <= 1e-300 else int(np.sum(sv > 1e-9 * sv[0]))
     rel = sv / sv[0] if sv.size and sv[0] > 0 else sv
     return {"dimension": dim, "near_degenerate": bool(np.any((rel > 1e-9) & (rel < 1e-6)))}
+
+
+def test_orbit_zero_action_fixed():
+    # the zero action fixes every point; it has no unit field, so the
+    # certificate of an open orbit refuses it, as it refuses no images at all
+    g = catalog("abelian", 2)
+    zero = PolyVectorField((Poly.zero(1),))
+    with pytest.raises(ValueError, match="d/dx1"):
+        orbit_info(VFAction(g, (zero, zero)))
+    with pytest.raises(ValueError, match="no image fields"):
+        orbit_info(VFAction(catalog("abelian", 0), ()))
+
+
+def test_orbit_riccati_transitive_on_chart():
+    action = make_projective_action(1)
+    assert orbit_info(action) == 1
+    for x in np.random.default_rng(0).uniform(-5, 5, size=20):
+        assert _numpy_orbit_info(action, [x])["dimension"] == 1
+
+
+def test_orbit_sl3_open_dense():
+    action = make_projective_action(2)
+    assert orbit_info(action) == 2
+    for p in np.random.default_rng(1).normal(size=(100, 2)):
+        assert _numpy_orbit_info(action, p)["dimension"] == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbit_info_refuses_images_without_a_unit_field(n):
+    images = list(make_projective_action(n).images)
+    assert orbit_info(VFAction(catalog("abelian", len(images)), tuple(reversed(images)))) == n
+    for i in range(n):
+        unit = PolyVectorField(tuple(Poly.constant(n, int(i == j)) for j in range(n)))
+        for replacement in ([], [unit.scale(2)], [unit + PolyVectorField((_variable(n, 0),) * n)]):
+            k = images.index(unit)
+            hand_made = tuple(images[:k] + replacement + images[k + 1:])
+            with pytest.raises(ValueError, match=f"d/dx{i + 1} is not"):
+                orbit_info(VFAction(catalog("abelian", len(hand_made)), hand_made))
 
 
 def _constant_action(matrix):
@@ -901,23 +920,15 @@ def _constant_action(matrix):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_orbit_info_matches_numpy_svd_on_projective_points(n):
-    action = make_projective_action(n)
-    rng = np.random.default_rng(n)
-    points = rng.normal(size=(1000, n))
-    for p in [*points, *(100.0 * points[:200])]:
-        assert orbit_info(action, p) == _numpy_orbit_info(action, p), p
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_orbit_info_matches_numpy_svd_on_degenerate_matrices(n):
     # prescribed singular values on both sides of the thresholds 1e-9 and 1e-6,
     # exact zeros, zero matrices, tall and wide shapes and scales from 1e-150
-    # to 1e150: rank deficiency, and a trace out of range, defeat the
-    # certificate, so most of these run the Jacobi fallback
+    # to 1e150: with no unit field among the rows the certificate refuses
+    # every one, and with the n unit rows added it certifies n, where
+    # numpy's smallest singular value is at least 1
     rng = np.random.default_rng(10 + n)
     levels = [1.0, 0.3, 1e-2, 1e-4, 10**-7.5, 1e-11, 1e-14, 0.0]
-    fallbacks = 0
+    degenerate = 0
     for _ in range(200):
         rows = int(rng.integers(1, 2 * n + 3))
         k = min(rows, n)
@@ -926,59 +937,83 @@ def test_orbit_info_matches_numpy_svd_on_degenerate_matrices(n):
         sv = np.sort(rng.choice(levels, size=k))[::-1]
         sv[0] = 1.0
         sv *= rng.random() > 0.2  # one matrix in five is zero
-        matrix = (u * sv) @ v.T * 10.0 ** rng.integers(-150, 150)
-        action = _constant_action(matrix)
-        vectors = list(zip(*matrix.tolist())) if rows >= n else matrix.tolist()
-        fallbacks += not vectorfields._full_rank_certified(vectors)
-        assert orbit_info(action, [0.0] * n) == _numpy_orbit_info(action, [0.0] * n), matrix
-    assert fallbacks > 60
+        scale = 10.0 ** rng.integers(-150, 150)
+        matrix = (u * sv) @ v.T * scale
+        degenerate += _numpy_orbit_info(_constant_action(matrix), [0.0] * n)["dimension"] < n
+        with pytest.raises(ValueError, match="is not among the images"):
+            orbit_info(_constant_action(matrix))
+        if scale <= 1.0:
+            stacked = np.vstack([matrix, np.eye(n)])
+            assert orbit_info(_constant_action(stacked)) == n
+            assert np.linalg.svd(stacked, compute_uv=False)[-1] >= 1.0 - 1e-12
+    assert degenerate > 30  # the zero matrices at least, one in five
 
 
 def test_orbit_info_of_the_zero_action_and_tiny_matrices():
+    # the certificate is exact: a zero field, or a unit field scaled by any
+    # factor but 1, near the ends of the float range or not, is no unit field
     for n in (1, 3, 5):
         zero = VFAction(catalog("abelian", 2), (PolyVectorField((Poly.zero(n),) * n),) * 2)
-        assert orbit_info(zero, [0.5] * n) == {"dimension": 0, "near_degenerate": False}
-    # a largest singular value at or below 1e-300 counts as rank 0, as numpy's
-    # did; near the ends of the float range no square overflows or underflows
-    for scale in (1e-310, 1e-300, 1e-290, 1e-200, 1e200, 1e300):
-        for matrix in ([[scale, 0.0], [0.0, scale]], [[scale, 0.0], [0.0, 1e-8 * scale], [scale, 0.0]]):
-            action = _constant_action(np.array(matrix))
-            assert orbit_info(action, [0.0, 0.0]) == _numpy_orbit_info(action, [0.0, 0.0]), matrix
+        with pytest.raises(ValueError, match="d/dx1 is not"):
+            orbit_info(zero)
+    for scale in (1e-310, 1e-300, 1e-290, 1e-200, 1 - 2**-53, 1 + 2**-52, 1e200, 1e300):
+        for matrix in ([[scale, 0.0], [0.0, scale]], [[1.0, 0.0], [0.0, scale], [scale, 0.0]]):
+            with pytest.raises(ValueError, match="is not among the images"):
+                orbit_info(_constant_action(np.array(matrix)))
+    assert orbit_info(_constant_action(np.array([[1e-310, 1e300], [0.0, 1.0], [1.0, 0.0]]))) == 2
 
 
-def test_jacobi_singular_values_match_numpy():
-    rng = np.random.default_rng(7)
-    for rows, cols in [(3, 1), (8, 2), (15, 3), (24, 4), (35, 5), (4, 4)]:
-        a = rng.normal(size=(rows, cols)) * rng.uniform(0.1, 10, size=cols)
-        got = vectorfields._singular_values(list(zip(*a.tolist())))
-        want = np.linalg.svd(a, compute_uv=False)
-        assert np.allclose(got, want, rtol=1e-13, atol=0)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbit_info_matches_numpy_svd_on_projective_points(n):
+    # numpy's SVD agrees with the certificate at normal points, and at points
+    # a hundred times farther out than a normal draw can reach
+    action = make_projective_action(n)
+    points = np.random.default_rng(n).normal(size=(1000, n))
+    want = {"dimension": orbit_info(action), "near_degenerate": False}
+    for p in [*points, *(100.0 * points[:200])]:
+        assert _numpy_orbit_info(action, p) == want, p
+
+
+def test_orbit_info_flags():
+    """The projective report's near-degenerate count is 0 at every point
+    that `DefaultRNG.normal` can draw. A draw off the tail is below NOR_R;
+    the tail gives NOR_R + log(1/(1 - u)) / NOR_R for a uniform
+    u <= 1 - 2^-53, so every |z| < 13.71. On the box |x_i| <= 13.71 each
+    entry of the evaluation matrix A is at most the sum of its terms'
+    |c| 13.71^deg, so ||A||_F < 2500 for n <= 5, while the unit fields among
+    the images keep the smallest singular value at or above 1: no singular
+    value falls below 1e-6 times the largest."""
+    ki, wi, _, nor_r, minus_inv_r = pcg64._ziggurat()
+    assert max((k - 1) * w for k, w in zip(ki, wi) if k) < nor_r  # the boxes' fast path
+    assert max((2**52 - 1) * w for w in wi[1:]) < nor_r  # the wedges
+    largest_uniform = (2**53 - 1) * 2.0**-53
+    bound = nor_r + minus_inv_r * math.log1p(-largest_uniform)  # the tail's extreme draw
+    assert 13.7 < bound < 13.71
+    for n in range(1, 6):
+        action = make_projective_action(n)
+        entries = [sum(abs(c) * 13.71 ** sum(e) for e, c in comp.terms)
+                   for field in action.images for comp in field.components]
+        assert math.sqrt(sum(x * x for x in entries)) < 2500
+        assert orbit_info(action) == n
+        corner = np.array([f.evaluator(*[bound] * n) for f in action.images])
+        sv = np.linalg.svd(corner, compute_uv=False)
+        assert np.linalg.norm(corner) < 1e6 and sv[-1] >= 1.0 and sv[-1] > 1e-6 * sv[0]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 1517])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_projective_report_is_built_from_numpys_normals(tmp_path, monkeypatch, seed, n):
-    """The projective `vf verify` evaluates the rows of numpy's
-    `default_rng(seed).normal(size=samples * n)`, and its report is the one
-    `orbit_info` gives on them."""
+def test_projective_report_is_built_from_numpys_normals(tmp_path, seed, n):
+    """The projective `vf verify` report is the one numpy's SVD gives on the
+    rows of `default_rng(seed).normal(size=samples * n)`, the points it
+    drew before its orbit dimension was proved exactly."""
     samples = 300
-    points = np.random.default_rng(seed).normal(size=samples * n).reshape(samples, n).tolist()
+    points = np.random.default_rng(seed).normal(size=samples * n).reshape(samples, n)
     action = make_projective_action(n)
-    infos = [orbit_info(action, p) for p in points]
-    seen = []
-    monkeypatch.setattr(vectorfields, "orbit_info", lambda a, p: seen.append(list(p)) or orbit_info(a, p))
+    infos = [_numpy_orbit_info(action, p) for p in points]
     path = tmp_path / "projective.json"
     path.write_text(json.dumps({"check": "projective", "n": n, "samples": samples}))
     result = invoke(["--seed", str(seed), "vf", "verify", "--scenario", str(path)])
     assert result.exit_code == 0, result.stderr
-    assert seen == points
     report = json.loads(result.stdout)
     assert report["orbit_dimensions_sampled"] == sorted({info["dimension"] for info in infos})
     assert report["near_degenerate_points"] == sum(info["near_degenerate"] for info in infos)
-
-
-def test_orbit_info_flags():
-    action = make_projective_action(1)
-    info = orbit_info(action, [0.5])
-    assert info["dimension"] == 1
-    assert isinstance(info["near_degenerate"], bool)
