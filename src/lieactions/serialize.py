@@ -215,7 +215,8 @@ def read_value(value, kind, label: str, low=None, high=None):
         raise FormatError(f"{label} must be {what}, got {_quoted(value)}")
     value = float(value) if kind is float else value
     if low is not None and value < low:
-        raise FormatError(f"{label} must be {'positive' if low is POSITIVE else f'at least {low}'}, got {_quoted(value)}")
+        bound = "positive" if low is POSITIVE else f"at least {low}"
+        raise FormatError(f"{label} must be {bound}, got {_quoted(value)}")
     if high is not None and value > high:
         raise FormatError(f"{label} is {_quoted(value)}, above the bound {high}")
     return value
