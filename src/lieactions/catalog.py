@@ -29,7 +29,7 @@ from functools import lru_cache, partial
 from .algebra import LieAlgebra, direct_sum
 from .constants import MAX_CATALOG_DIM
 from .linalg import PairRows
-from .serialize import FormatError
+from .serialize import FormatError, _quoted, read_int
 
 __all__ = [
     "catalog",
@@ -92,11 +92,7 @@ def _st_data(n: int) -> tuple[list[str], list[PairRows]]:
 
 
 def _sl_data(n: int) -> tuple[list[str], list[PairRows]]:
-    names = [f"H{i + 1}" for i in range(n - 1)]
-    mats = [_traceless_diag(n, i) for i in range(n - 1)]
-    un, um = _strict_upper(n)
-    names += un
-    mats += um
+    names, mats = _st_data(n)
     for dist in range(1, n):
         for i in range(n - dist):
             names.append(f"E{i + 1 + dist}{i + 1}")
@@ -104,18 +100,9 @@ def _sl_data(n: int) -> tuple[list[str], list[PairRows]]:
     return names, mats
 
 
-# family -> (smallest n, the named matrix basis of the family at n)
-_MATRIX_FAMILIES = {
-    "t": (2, _t_data),
-    "st": (2, _st_data),
-    "st_prime": (2, _strict_upper),
-    "sl": (2, _sl_data),
-    "d": (1, _d_data),
-}
-
-
-def _matrix_algebra(family: str, n: int) -> tuple[LieAlgebra, tuple[PairRows, ...]]:
-    low, data = _MATRIX_FAMILIES[family]
+def _matrix_algebra(family: str, low: int, data, n: int) -> tuple[LieAlgebra, tuple[PairRows, ...]]:
+    """The algebra that the named matrix basis `data(n)` spans, and those
+    matrices; the family needs n >= `low`."""
     if n < low:
         raise ValueError(f"{family}(n) needs n >= {low}")
     names, mats = data(n)
@@ -127,7 +114,7 @@ def big_n(n: int) -> LieAlgebra:
     """N(n) = st_prime(n) + abelian(1): nilpotent with 2-dimensional center."""
     if n < 2:
         raise ValueError("N(n) needs n >= 2")
-    alg, _ = _matrix_algebra("st_prime", n)
+    alg, _ = _matrix_algebra("st_prime", 2, _strict_upper, n)
     return direct_sum(alg, abelian(1), name=f"N({n})")
 
 
@@ -166,25 +153,39 @@ def realify(g: LieAlgebra, name: str) -> LieAlgebra:
     return LieAlgebra.create(name, names, brackets)
 
 
-def _complex(family: str, n: int) -> tuple[LieAlgebra, None]:
+def _complex(family: str, low: int, data, n: int) -> tuple[LieAlgebra, None]:
     """The realification of the matrix family over C; it has no matrix model here."""
-    return realify(_matrix_algebra(family, n)[0], f"{family}_c({n})"), None
+    return realify(_matrix_algebra(family, low, data, n)[0], f"{family}_c({n})"), None
 
 
-_KEY_RE = re.compile(r"^([a-zA-Z_]+?)_?(\d+)?$")
+# a key: a family name that ends in a letter, any underscores, then the size
+_KEY_RE = re.compile(r"([a-zA-Z_]*[a-zA-Z])_*(.*)", re.DOTALL)
 
 _FAMILY_ALIASES = {"n": "N", "mr": "mueller_roemer"}
 
 
-def parse_catalog_key(key: str) -> tuple[str, int | None]:
-    """Split an identifier like 'st3' or 'heisenberg5' into (family, param)."""
-    m = _KEY_RE.match(key.strip())
-    if not m:
-        raise ValueError(f"unknown catalog key {key!r}")
-    family = m.group(1).rstrip("_")
-    param = int(m.group(2)) if m.group(2) else None
-    family = _FAMILY_ALIASES.get(family.lower(), family)
-    return family, param
+def parse_catalog_key(key: str, size: int | None = None) -> tuple[str, str, int | None]:
+    """(family, name, size) of a key like 'st3', 'st_3' or 'mr7', or, given
+    `size`, of the family named `key` at that size: the family as `_FAMILIES`
+    keys it, and its name as messages spell it, with an alias resolved. The
+    size in a key is read by `serialize.read_int`."""
+    text = ""
+    if size is None:
+        m = _KEY_RE.fullmatch(key)
+        if not m:
+            raise ValueError(f"unknown catalog key {_quoted(key)}")
+        key, text = m.groups()
+    name = _FAMILY_ALIASES.get(key.lower(), key)
+    family = name.lower()
+    if text:
+        size = read_int(text, f"the size of catalog family {_quoted(name)}")
+    if family == "mueller_roemer" and size != 7:  # one algebra, of the one size 7
+        raise ValueError(f"catalog family {_quoted(name)} has the one size 7 (mueller_roemer7, mr7)")
+    if size is None:
+        raise ValueError(f"catalog family {_quoted(name)} needs a size parameter")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown catalog family {_quoted(name)}")
+    return family, name, size
 
 
 def catalog(name: str, param: int | None = None) -> LieAlgebra:
@@ -199,50 +200,42 @@ def catalog_matrices(name: str, param: int | None = None) -> tuple[PairRows, ...
     return mats
 
 
-# Each family, by lower-case name: the dimension at size n, known before
-# anything is built, and the builder of (algebra, defining matrices).
+# The one table of families, by lower-case name: the dimension at size n,
+# known before anything is built, and the builder of (algebra, defining
+# matrices); a matrix family's builder names its smallest n and its basis.
 _FAMILIES = {
     "mueller_roemer": (lambda n: 7, lambda n: (mueller_roemer7(), None)),
     "abelian": (lambda m: m, lambda m: (abelian(m), None)),
     "heisenberg": (lambda d: d, lambda d: (heisenberg(d), None)),
-    "t": (lambda n: n * (n + 1) // 2, partial(_matrix_algebra, "t")),
-    "st": (lambda n: n * (n + 1) // 2 - 1, partial(_matrix_algebra, "st")),
-    "st_prime": (lambda n: n * (n - 1) // 2, partial(_matrix_algebra, "st_prime")),
-    "sl": (lambda n: n * n - 1, partial(_matrix_algebra, "sl")),
-    "d": (lambda n: n, partial(_matrix_algebra, "d")),
+    "t": (lambda n: n * (n + 1) // 2, partial(_matrix_algebra, "t", 2, _t_data)),
+    "st": (lambda n: n * (n + 1) // 2 - 1, partial(_matrix_algebra, "st", 2, _st_data)),
+    "st_prime": (lambda n: n * (n - 1) // 2, partial(_matrix_algebra, "st_prime", 2, _strict_upper)),
+    "sl": (lambda n: n * n - 1, partial(_matrix_algebra, "sl", 2, _sl_data)),
+    "d": (lambda n: n, partial(_matrix_algebra, "d", 1, _d_data)),
     "n": (lambda n: n * (n - 1) // 2 + 1, lambda n: (big_n(n), None)),
-    "st_c": (lambda n: n * (n + 1) - 2, partial(_complex, "st")),
-    "sl_c": (lambda n: 2 * n * n - 2, partial(_complex, "sl")),
+    "st_c": (lambda n: n * (n + 1) - 2, partial(_complex, "st", 2, _st_data)),
+    "sl_c": (lambda n: 2 * n * n - 2, partial(_complex, "sl", 2, _sl_data)),
 }
 
 
 def catalog_dimension(name: str, param: int | None = None) -> int:
     """The dimension of a named algebra, by its family's formula: nothing is built."""
-    if param is None:
-        name, param = parse_catalog_key(name)
-    family = _FAMILY_ALIASES.get(name.lower(), name).lower()
-    if family == "mueller_roemer" and param != 7:  # one algebra, of the one size 7
-        raise ValueError(f"catalog family {name!r} has the one size 7 (mueller_roemer7, mr7)")
-    if param is None:
-        raise ValueError(f"catalog family {name!r} needs a size parameter")
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown catalog family {name!r}")
-    return _FAMILIES[family][0](param)
+    family, _, size = parse_catalog_key(name, param)
+    return _FAMILIES[family][0](size)
 
 
 # Memoised: algebras, their cached invariants and the matrix tuples are
 # immutable, so one construction per key and process suffices.
 @lru_cache(maxsize=None)
 def _build(name: str, param: int | None) -> tuple[LieAlgebra, tuple[PairRows, ...] | None]:
-    if param is None:
-        name, param = parse_catalog_key(name)
-    dimension = catalog_dimension(name, param)
+    family, name, param = parse_catalog_key(name, param)
+    dimension = _FAMILIES[family][0](param)
     if dimension > MAX_CATALOG_DIM:
         raise FormatError(
-            f"catalog family {name!r} with parameter {param} has dimension "
-            f"{dimension}, above the bound {MAX_CATALOG_DIM}"
+            f"catalog family {_quoted(name)} with parameter {_quoted(param)} has dimension "
+            f"{_quoted(dimension)}, above the bound {MAX_CATALOG_DIM}"
         )
-    return _FAMILIES[_FAMILY_ALIASES.get(name.lower(), name).lower()][1](param)
+    return _FAMILIES[family][1](param)
 
 
 # Entries listed by `catalog list` and swept by the acceptance suite.
@@ -275,7 +268,7 @@ def convention_notes(family: str, p: int, computed_derived_length) -> list[str]:
         if computed_derived_length != quoted:
             notes.append(
                 f"derived length computed from the series definition is "
-                f"{computed_derived_length}; the value {quoted} (= m+1) quoted for "
+                f"{computed_derived_length}; the value {_quoted(quoted)} (= m+1) quoted for "
                 f"this family in parts of the literature does not match the "
                 f"recursive definition and is not used"
             )
@@ -284,7 +277,7 @@ def convention_notes(family: str, p: int, computed_derived_length) -> list[str]:
         if computed_derived_length != quoted:
             notes.append(
                 f"derived length computed from the series definition is "
-                f"{computed_derived_length}; the value {quoted} (= n) quoted for "
+                f"{computed_derived_length}; the value {_quoted(quoted)} (= n) quoted for "
                 f"N(n) in parts of the literature does not match; verdicts use "
                 f"the computed borderline dimension"
             )

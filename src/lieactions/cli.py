@@ -21,39 +21,24 @@ from collections import namedtuple
 from importlib import import_module
 
 from . import __version__
-from .constants import DEFAULT_SEED
-from .serialize import FormatError, _check_output, _input_error, _write
+from .constants import DEFAULT_SEED, MAX_SAMPLES
+from .serialize import FormatError, _check_output, _input_error, _quoted, _write, read_int
 
 SEED_ENV_VAR = "LIEACTIONS_SEED"
 
 
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"must be an integer, got {text!r}") from None
-
-
-def _seed(text: str) -> int:
-    """A seed given by --seed or LIEACTIONS_SEED: a nonnegative integer in
-    ASCII digits, with no sign, space, underscore or other digit that
-    `int` would read."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"must be a nonnegative integer, got {text!r}")
-    return int(text)
-
-
 # An argument of a verb: its name ("--dim", or "source" for a positional), the
-# keyword its handler takes it as, the function that reads its text (raising
-# ValueError), the values it may take (None for any), whether it must be given,
-# its value when it is not, and its help.
-Arg = namedtuple("Arg", "name dest type choices required default help",
-                 defaults=(str, None, False, None, ""))
+# keyword its handler takes it as, the inclusive bounds (low, high) of an
+# integer, read by `serialize.read_int` (None for text, taken as it is), the
+# values it may take (None for any), whether it must be given, its value when
+# it is not, and its help.
+Arg = namedtuple("Arg", "name dest bounds choices required default help",
+                 defaults=(None, None, False, None, ""))
 
 # --seed and --output go before the verb, or after it on a verb that writes a
 # report; a value after the verb wins.
 REPORT = (
-    Arg("--seed", "seed", _seed, help=f"PRNG seed (default {DEFAULT_SEED}; env {SEED_ENV_VAR})."),
+    Arg("--seed", "seed", (0, None), help=f"PRNG seed (default {DEFAULT_SEED}; env {SEED_ENV_VAR})."),
     Arg("--output", "output", help="Write the report here instead of stdout."),
 )
 SOURCE = Arg("source", "source", required=True, help="catalog:KEY or an algebra JSON file.")
@@ -68,12 +53,14 @@ VERBS = {
         "analyze": ("exact_verbs", "Full invariants report: series, center, predicates, derivations.",
                     (SOURCE, *REPORT)),
         "obstruct": ("exact_verbs", "Minimum-dimension and borderline-degeneracy verdicts.",
-                     (SOURCE, Arg("--dim", "dim_", _int, help="Manifold dimension to judge."), *REPORT)),
+                     (SOURCE, Arg("--dim", "dim_", (0, None), help="Manifold dimension to judge."), *REPORT)),
     },
     "deform": {"verify": ("deform_verbs", "Check D1/D2 exactly and the endomorphism law on seeded samples.", (
         Arg("--family", "family", choices=("st", "st-prime", "concat"), required=True, help="The family to check."),
-        Arg("--n", "n_", _int, required=True, help="The size n of st(n)."),
-        Arg("--samples", "samples", _int, default=100, help="Samples of the endomorphism law (default: 100)."),
+        # n's upper bound is the catalog's: st(n) and st_prime(n) up to MAX_CATALOG_DIM
+        Arg("--n", "n_", (2, None), required=True, help="The size n of st(n)."),
+        Arg("--samples", "samples", (0, MAX_SAMPLES), default=100,
+            help="Samples of the endomorphism law (default: 100)."),
         *REPORT,
     ))},
     "act": {"verify": ("act_verbs", "Verify the action axioms for a scenario file.", (SCENARIO, *REPORT))},
@@ -120,16 +107,15 @@ def _help(prog: str, description: str, arguments, top: bool = False) -> str:
 def _choose(prog: str, name: str, text: str, choices):
     """`text` if it is one of `choices`, else a usage error that names the argument `name`."""
     if text not in choices:
-        _input_error(f"{prog}: argument {name}: invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+        raise FormatError(f"{prog}: argument {name}: invalid choice: {_quoted(text)} "
+                          f"(choose from {', '.join(map(repr, choices))})")
     return text
 
 
 def _value(prog: str, arg: Arg, text: str):
-    try:
-        value = arg.type(text)
-    except ValueError as exc:
-        _input_error(f"{prog}: argument {arg.name}: {exc}")
-    return _choose(prog, arg.name, value, arg.choices) if arg.choices else value
+    if arg.bounds:
+        return read_int(text, f"{prog}: argument {arg.name}", *arg.bounds)
+    return _choose(prog, arg.name, text, arg.choices) if arg.choices else text
 
 
 def _scan(prog: str, args: list[str], arguments, flags: dict, values: dict, words: list[str], limit: int):
@@ -155,7 +141,7 @@ def _scan(prog: str, args: list[str], arguments, flags: dict, values: dict, word
         else:
             if not eq:
                 if i == len(args) or _is_option(args[i], options):
-                    _input_error(f"{prog}: argument {name}: expected one argument")
+                    raise FormatError(f"{prog}: argument {name}: expected one argument")
                 text = args[i]
                 i += 1
             values[options[name].dest] = _value(prog, options[name], text)
@@ -171,11 +157,11 @@ def _parse(args: list[str], prog: str) -> tuple[str, str, dict, dict]:
     words: list[str] = []
     args, unknown = _scan(prog, args, REPORT, flags, values, words, 2)
     if unknown:
-        _input_error(f"{prog}: unrecognized arguments: {' '.join(unknown)}")
+        raise FormatError(f"{prog}: unrecognized arguments: {_quoted(' '.join(unknown))}")
     if words:
         _choose(prog, "GROUP", words[0], VERBS)
     if len(words) < 2:
-        _input_error(f"{prog}: the following arguments are required: {', '.join(('GROUP', 'VERB')[len(words):])}")
+        raise FormatError(f"{prog}: the following arguments are required: {', '.join(('GROUP', 'VERB')[len(words):])}")
     group, verb = words
     module, description, arguments = VERBS[group][_choose(prog, "VERB", verb, VERBS[group])]
     prog = f"{prog} {group} {verb}"
@@ -187,10 +173,10 @@ def _parse(args: list[str], prog: str) -> tuple[str, str, dict, dict]:
     values.update(zip([a.dest for a in positional], words))
     missing = [a.name for a in arguments if a.required and values[a.dest] is None]
     if missing:
-        _input_error(f"{prog}: the following arguments are required: {', '.join(missing)}")
+        raise FormatError(f"{prog}: the following arguments are required: {', '.join(missing)}")
     unknown += words[len(positional):]
     if unknown:
-        _input_error(f"{prog}: unrecognized arguments: {' '.join(unknown)}")
+        raise FormatError(f"{prog}: unrecognized arguments: {_quoted(' '.join(unknown))}")
     obj = {key: values.pop(key) for key in ("seed", "output")}
     return module, f"{group} {verb}", values, obj
 
@@ -202,18 +188,15 @@ def main(args: list[str] | None = None, prog_name: str = "lieact") -> None:
     # them skip it. Registered here, not at import, once per process.
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    module, verb, values, obj = _parse(sys.argv[1:] if args is None else args, prog_name)
-    if obj["seed"] is None:
-        try:
-            obj["seed"] = _seed(os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED)))
-        except ValueError as exc:
-            _input_error(f"{SEED_ENV_VAR} {exc}")
-    if obj["output"]:
-        _check_output(obj["output"])
-    handler = import_module(f"lieactions.{module}").HANDLERS[verb]
-    try:
+    try:  # every input the program cannot read raises FormatError: one error line, exit 2
+        module, verb, values, obj = _parse(sys.argv[1:] if args is None else args, prog_name)
+        if obj["seed"] is None:
+            obj["seed"] = read_int(os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED)), SEED_ENV_VAR)
+        if obj["output"]:
+            _check_output(obj["output"])
+        handler = import_module(f"lieactions.{module}").HANDLERS[verb]
         handler(obj, **values)
-    except FormatError as exc:  # raised by the reader of a scenario or an algebra document
+    except FormatError as exc:
         _input_error(str(exc))
 
 

@@ -8,8 +8,7 @@ imported inside the handler; README's Start-up table lists what it loads.
 
 from __future__ import annotations
 
-from .constants import MAX_SAMPLES
-from .serialize import FormatError, _emit, _input_error, read_value
+from .serialize import FormatError, _emit
 
 
 def deform_verify(obj, family, n_, samples):
@@ -21,8 +20,6 @@ def deform_verify(obj, family, n_, samples):
         verify_deformation,
     )
 
-    read_value(n_, int, "--n", 2)
-    read_value(samples, int, "--samples", 0, MAX_SAMPLES)
     build, needs_contraction = {
         "st": (st_deformation, False),
         "st-prime": (st_prime_deformation, True),
@@ -31,7 +28,7 @@ def deform_verify(obj, family, n_, samples):
     try:
         dfm = build(n_)
     except FormatError as exc:  # the algebra is above the catalog's bound, found before it is built
-        _input_error(f"--n {n_}: {exc}")
+        raise FormatError(f"--n: {exc}") from None
     law_tol = 1e-9
     report = verify_deformation(dfm, samples=samples, seed=obj["seed"])
     ok = report.passed(law_tol) and (report.contraction_at_one or not needs_contraction)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 
-from .serialize import FormatError, _emit, _input_error, _json_file, _write, rational_row
+from .serialize import FormatError, _emit, _input_error, _json_file, _quoted, _write, rational_row, read_int
 
 TYPE_CHECKING = False  # true to a type checker only: `typing` is not loaded at run time
 if TYPE_CHECKING:
@@ -39,16 +39,17 @@ def _load_algebra(source: str) -> LieAlgebra:
         _input_error(f"bad algebra document: {exc}")
 
 
-_NAME_RE = re.compile(r"^(st|N)\((\d+)\)$")
+_NAME_RE = re.compile(r"(st|N)\(([0-9]+)\)")
 
 
 def _notes_for(alg: LieAlgebra, derived_length) -> list[str]:
-    m = _NAME_RE.match(alg.name)
+    m = _NAME_RE.fullmatch(alg.name)
     if not m:
         return []
     from .catalog import convention_notes
 
-    return convention_notes(m.group(1), int(m.group(2)), derived_length)
+    size = read_int(m.group(2), f"the size in algebra name {_quoted(alg.name)}")
+    return convention_notes(m.group(1), size, derived_length)
 
 
 def _series_dict(report) -> dict:
@@ -117,8 +118,6 @@ def algebra_analyze(obj, source):
 def algebra_obstruct(obj, source, dim_):
     from .obstructions import borderline_analysis, min_effective_action_dim, n_action_verdict
 
-    if dim_ is not None and dim_ < 0:
-        _input_error("--dim must be a nonnegative manifold dimension")
     alg = _load_algebra(source)
     if alg.jacobi_check():
         _input_error(f"{alg.name} is not a Lie algebra (Jacobi fails); run analyze for details")

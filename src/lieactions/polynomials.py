@@ -63,9 +63,6 @@ class Poly(namedtuple("Poly", "nvars terms")):
             acc[e] = acc.get(e, Fraction(0)) + c
         return Poly(self.nvars, tuple(sorted((e, c) for e, c in acc.items() if c)))
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __neg__(self) -> "Poly":
         return Poly(self.nvars, tuple((e, -c) for e, c in self.terms))
 

@@ -31,7 +31,7 @@ except ImportError:  # an interpreter built without the accelerator
     from json.encoder import encode_basestring
 
 __all__ = ["format_rational", "rational_row", "parse_rational", "dumps", "FormatError", "REQUIRED", "POSITIVE",
-           "read_value", "read_object"]
+           "read_int", "read_value", "read_object"]
 
 
 def format_rational(x: Fraction) -> str:
@@ -47,18 +47,16 @@ def rational_row(pairs, ncols: int) -> list[str]:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse 'p/q' (or a bare integer 'p'); reject anything else."""
+    """The rational that `s` writes as "p/q" or as "p" alone, p and q read
+    by `read_int`: p may start with "-", and q is at least 1."""
     if not isinstance(s, str):
         raise ValueError(f"rational must be a string, got {_quoted(s)}")
-    txt = s.strip()
-    num, sep, den = txt.partition("/")
+    num, sep, den = s.partition("/")
     try:
-        n = int(num)
-        d = int(den) if sep else 1
-    except ValueError:
-        raise ValueError(f"malformed rational {_quoted(s)}") from None
-    if d <= 0:
-        raise ValueError(f"malformed rational {_quoted(s)}: denominator must be positive")
+        n = read_int(num, "its numerator", None)
+        d = read_int(den, "its denominator", 1) if sep else 1
+    except FormatError as exc:
+        raise FormatError(f"malformed rational {_quoted(s)}: {exc}") from None
     from fractions import Fraction
 
     return Fraction(n, d)
@@ -135,9 +133,13 @@ def _quoted(value, limit: int = 100) -> str:
     """repr(value) as an error line quotes it: its first `limit` characters
     and "..." when it is longer. A list or dict is written a piece at a
     time, so the text stops where it passes `limit`, however long or deeply
-    nested the value; a shorter value reads as repr writes it."""
+    nested the value; a shorter value reads as repr writes it. An integer
+    longer than `limit` digits is cut by dividing it, so one past the
+    interpreter's digit limit is quoted too."""
     def pieces(value):
-        if type(value) is list:
+        if type(value) is int and value.bit_length() > 4 * limit:  # more than `limit` digits: the leading ones
+            yield "-" * (value < 0) + str(abs(value) // 10 ** ((value.bit_length() - 1) * 301 // 1000 - limit))
+        elif type(value) is list:
             yield "["
             for k, item in enumerate(value):
                 yield ", " if k else ""
@@ -161,7 +163,28 @@ def _quoted(value, limit: int = 100) -> str:
 
 
 class FormatError(ValueError):
-    """Malformed input data: an algebra document, a scenario object or a size above its bound."""
+    """Malformed input: a command-line value, a catalog key, an algebra
+    document, a scenario object or a size above its bound."""
+
+
+def read_int(text: str, label: str, low: int | None = 0, high: int | None = None) -> int:
+    """The integer that outside text writes: a command-line value, the size
+    in a catalog key, or p or q of a rational. It is ASCII digits alone,
+    after a "-" only where `low` is None, within the inclusive bounds `low`
+    and `high` (checked by `read_value`); else a FormatError names it by
+    `label` and quotes it. The length is checked first: no value is built
+    with more digits than the interpreter converts
+    (`sys.get_int_max_str_digits()`), so every value read can be written."""
+    negative = low is None and text[:1] == "-"
+    digits = text[1:] if negative else text
+    if not (digits.isascii() and digits.isdigit()):
+        what = "an integer" if low is None else "a nonnegative integer"
+        raise FormatError(f"{label} must be {what} in ASCII digits, got {_quoted(text)}")
+    digits = digits.lstrip("0") or "0"  # a leading zero counts toward the interpreter's limit
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < len(digits):
+        raise FormatError(f"{label} is {_quoted(text)}, longer than {limit} digits")
+    return read_value(-int(digits) if negative else int(digits), int, label, low, high)
 
 
 # A key rule is (kind, default, low) or (kind, default, low, high). kind is int, float

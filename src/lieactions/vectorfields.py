@@ -57,8 +57,8 @@ class PolyVectorField(namedtuple("PolyVectorField", "components")):
     """Vector field on R^n whose components are a tuple of n Polys in n
     variables."""
 
-    # A tuple would repeat itself under `field * 2` and `2 * field`.
-    __mul__ = __rmul__ = None
+    # A tuple would join under `field + field` and repeat under `field * 2` and `2 * field`.
+    __add__ = __mul__ = __rmul__ = None
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # run the checks of __new__ in _make and _replace too
 
@@ -73,15 +73,6 @@ class PolyVectorField(namedtuple("PolyVectorField", "components")):
     @property
     def nvars(self) -> int:
         return len(self.components)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
-        return PolyVectorField(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "PolyVectorField") -> "PolyVectorField":
-        return PolyVectorField(tuple(a - b for a, b in zip(self.components, other.components)))
 
     def scale(self, c) -> "PolyVectorField":
         return PolyVectorField(tuple(a.scale(c) for a in self.components))

@@ -457,6 +457,11 @@ BAD_CATALOG_INPUT = [
     (("mueller_roemer", 8), ValueError, "catalog family 'mueller_roemer' has the one size 7 (mueller_roemer7, mr7)"),
     (("Sl_C11",), FormatError,
      "catalog family 'Sl_C' with parameter 11 has dimension 240, above the bound 40"),
+    # the size is ASCII digits, and the key has no space around it
+    (("st\uff13",), FormatError,
+     "the size of catalog family 'st' must be a nonnegative integer in ASCII digits, got '\uff13'"),
+    ((" st3",), ValueError, "unknown catalog key ' st3'"),
+    (("st3 ",), FormatError, "the size of catalog family 'st' must be a nonnegative integer in ASCII digits, got '3 '"),
 ]
 
 

@@ -929,6 +929,106 @@ def test_error_line_quotes_a_bounded_prefix(tmp_path, args, text, quoted):
     assert result.exit_code == 2 and quoted in result.stderr and "..." in result.stderr, result.stderr
 
 
+# -- integers written in outside text ---------------------------------------------------
+
+
+def _assert_one_short_error(result, needle):
+    """Exit 2 with one `error:` line of at most 300 bytes that contains
+    `needle`, nothing on stdout, and neither a traceback nor the
+    interpreter's own text about its digit limit."""
+    _assert_exit_code_contract(result, needle)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit), result.exception
+    assert len(result.stderr.encode()) <= 300 and needle in result.stderr, result.stderr[:400]
+    assert "Exceeds the limit" not in result.stderr
+
+
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "args, env, needle",
+    [
+        (("deform", "verify", "--family", "st", "--n", NINES[:2200]), {}, "--n"),
+        (("deform", "verify", "--family", "st-prime", "--n", NINES[:2200]), {}, "--n"),
+        (("algebra", "obstruct", "catalog:st3", "--dim", NINES), {}, "--dim"),
+        (("--seed", NINES, "catalog", "list"), {}, "--seed"),
+        (("catalog", "list"), {"LIEACTIONS_SEED": NINES}, "LIEACTIONS_SEED"),
+        (("algebra", "analyze", "catalog:st" + NINES[:2500]), {}, "catalog family 'st'"),
+        (("algebra", "analyze", "catalog:st" + NINES), {}, "catalog family 'st'"),
+        (("deform", "verify", "--family", "st", "--n", "9" * 10**5), {}, "--n"),
+        (("deform", "verify", "--family", "st", "--n", "x" * 10**5), {}, "--n"),
+        (("deform", "verify", "--family", "x" * 10**5, "--n", "3"), {}, "--family"),
+        (("x" * 10**5, "list"), {}, "GROUP"),
+        (("algebra", "analyze", "catalog:" + "?" * 10**5), {}, "catalog key"),
+        (("algebra", "analyze", "catalog:st3" + "x" * 10**5), {}, "catalog family 'st'"),
+        (("algebra", "analyze", f"--{'x' * 10**5}", "catalog:st3"), {}, "unrecognized arguments"),
+    ],
+    ids=["n-2200-digits", "st-prime-n-2200-digits", "dim-5000-digits", "seed-5000-digits", "env-seed-5000-digits",
+         "key-size-2500-digits", "key-size-5000-digits", "n-long-digits", "n-long-text", "family-long", "group-long",
+         "key-long", "key-size-long", "option-long"],
+)
+def test_huge_or_long_command_line_value_is_one_short_error(args, env, needle):
+    _assert_one_short_error(run(*args, env=env), needle)
+
+
+def test_size_in_an_algebra_name_is_read_by_the_one_rule(tmp_path):
+    # the notes on a document named like a catalog entry read its size as a catalog key's
+    def analyze(name):
+        doc = {"name": name, "dim": 1, "basis": ["a"], "brackets": []}
+        return run("algebra", "analyze", write_json(tmp_path, "named.json", doc))
+
+    _assert_one_short_error(analyze(f"st({NINES})"), "algebra name 'st(999")
+    # p + 1 has one digit more than the interpreter writes: the note quotes its first 100
+    report = json.loads(analyze(f"st({NINES[:4300]})").stdout)
+    assert report["notes"] and "the value 1" + "0" * 99 + "... (= m+1)" in report["notes"][0]
+    assert json.loads(analyze("st(\uff13)").stdout)["notes"] == []
+    assert json.loads(analyze("st(3)").stdout)["notes"] != []
+
+
+# texts that Python's `int` reads as p or q, but that are not ASCII digits alone
+LOOSE_RATIONALS = [" 1/2", "+1/2", "1_0/3", "\uff13/1", "1/ 2"]
+
+
+@pytest.mark.parametrize("text", LOOSE_RATIONALS)
+@pytest.mark.parametrize("where", ["algebra-document", "scenario-term"])
+def test_loose_rational_is_malformed(tmp_path, where, text):
+    if where == "algebra-document":
+        doc = {"name": "h3", "dim": 3, "basis": ["P", "Q", "Z"], "brackets": [{"i": 1, "j": 2, "result": {"3": text}}]}
+        result = run("algebra", "analyze", write_json(tmp_path, "h3.json", doc))
+    else:
+        doc = {"field": {"components": [_poly(1, ((1,), text))]}, "point": [0.5], "duration": 0.01}
+        result = run(*FLOW, "--scenario", write_json(tmp_path, "flow.json", doc))
+    _assert_one_short_error(result, f"malformed rational {text!r}")
+
+
+# source -> (the arguments and environment that give it the text, its bounds)
+INTEGER_SOURCES = {
+    "--seed": (lambda t: (["algebra", "obstruct", "catalog:st3", "--seed", t], {}), 0, None),
+    "LIEACTIONS_SEED": (lambda t: (["algebra", "obstruct", "catalog:st3"], {"LIEACTIONS_SEED": t}), 0, None),
+    "--n": (lambda t: (["deform", "verify", "--family", "st", "--n", t, "--samples", "0"], {}), 2, 8),
+    "--samples": (lambda t: (["deform", "verify", "--family", "st", "--n", "2", "--samples", t], {}), 0, MAX_SAMPLES),
+    "--dim": (lambda t: (["algebra", "obstruct", "catalog:st3", "--dim", t], {}), 0, None),
+    # underscores after the family separate it from the size, so they are no part of the size
+    "catalog key size": (lambda t: (["algebra", "obstruct", f"catalog:abelian{t}"], {}), 0, MAX_CATALOG_DIM),
+}
+# any text, with digits, signs, underscores and spaces weighted in
+INTEGER_TEXTS = st.text(st.sampled_from("0123456789+-_ ") | st.characters(blacklist_characters="\x00"), max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(INTEGER_SOURCES)), INTEGER_TEXTS | st.integers(0, 10**5).map(str))
+def test_every_integer_in_outside_text_has_one_rule(source, text):
+    build, low, high = INTEGER_SOURCES[source]
+    size = text.lstrip("_") if source == "catalog key size" else text
+    admitted = size.isascii() and size.isdigit() and low <= int(size) and (high is None or int(size) <= high)
+    args, env = build(text)
+    result = run(*args, env=env)
+    if admitted:
+        assert result.exit_code == 0, (source, text, result.stderr)
+    else:
+        _assert_one_short_error(result, "error: ")
+
+
 def test_move_tolerance_must_be_positive(tmp_path):
     # at "move": 0 every generator of a ball was "witnessed" by a point that it
     # does not move; a positive move of any size is still read
@@ -1040,10 +1140,17 @@ def _json_text(obj, repeat=None) -> str:
 def mutated_algebras(draw):
     """The JSON text of a golden algebra document with one key dropped,
     written twice or given a value of another type (long, or nested to a
-    drawn depth, among them), or with one bracket or result index shifted
-    by one."""
+    drawn depth, among them), with one bracket or result index shifted by
+    one, or with one coefficient written loosely (" 1/2", "+1/2", "1_0/3")."""
     doc = json.loads(draw(st.sampled_from(ALGEBRA_FILES)).read_text())
-    op = draw(st.sampled_from(["drop", "duplicate", "retype", "shift"]))
+    op = draw(st.sampled_from(["drop", "duplicate", "retype", "shift", "rational"]))
+    if op == "rational":  # a coefficient that `int` would read, but not as "p/q" in ASCII digits alone
+        result = draw(st.sampled_from([entry["result"] for entry in doc["brackets"]]))
+        key = draw(st.sampled_from(list(result)))
+        result[key] = draw(st.sampled_from(LOOSE_RATIONALS) | st.builds(
+            lambda text, at, extra: text[:at] + extra + text[at:], st.just(result[key]),
+            st.integers(0, len(result[key])), st.sampled_from([" ", "+", "_", "\uff13"])))
+        return _json_text(doc)
     if op == "shift":
         entry = draw(st.sampled_from(doc["brackets"]))
         d = draw(st.sampled_from([-1, 1]))

@@ -41,8 +41,11 @@ ANALYZE = {"source": "catalog:st3"}
 DEFORM = ["deform", "verify", "--family", "st", "--n", "3"]
 DEFORM_ARGS = {"family": "st", "n_": 3, "samples": 100}
 SCENARIO = "scenario.json"  # never opened: the spy replaces the handler
-# (name, text): seeds that Python's `int` reads but that are not ASCII digits alone
+# (name, text): integers that Python's `int` reads but that are not ASCII digits alone
 LOOSE_SEEDS = [("plus", "+5"), ("underscore", "1_000"), ("spaces", " 7 "), ("fullwidth", "\uff15")]
+OBSTRUCT = ["algebra", "obstruct", "catalog:st3"]
+# every integer option other than --seed, with the arguments before it
+INTEGER_OPTIONS = [("n", ["deform", "verify", "--family", "st"]), ("samples", DEFORM), ("dim", OBSTRUCT)]
 
 # (id, arguments, environment, expected)
 CASES = [
@@ -76,6 +79,11 @@ CASES = [
     *((f"loose-seed-equals-{name}", [f"--seed={text}", *ST3], {}, error("--seed")) for name, text in LOOSE_SEEDS),
     *((f"loose-seed-env-{name}", ST3, {"LIEACTIONS_SEED": text}, error("LIEACTIONS_SEED"))
       for name, text in LOOSE_SEEDS),
+    # so is every other integer on the command line
+    *((f"loose-{option}-{name}", [*before, f"--{option}", text], {}, error(f"--{option}"))
+      for option, before in INTEGER_OPTIONS for name, text in LOOSE_SEEDS),
+    *((f"loose-{option}-equals-{name}", [*before, f"--{option}={text}"], {}, error(f"--{option}"))
+      for option, before in INTEGER_OPTIONS for name, text in LOOSE_SEEDS),
     # --output
     ("output-before-group", ["--output", OUT, *ST3], {}, call("algebra analyze", output=OUT, **ANALYZE)),
     ("output-after-verb", [*ST3, "--output", OUT], {}, call("algebra analyze", output=OUT, **ANALYZE)),
@@ -114,12 +122,12 @@ CASES = [
     ("unknown-family", ["deform", "verify", "--family", "nope", "--n", "3"], {}, error("--family")),
     ("dim-default", ["algebra", "obstruct", "catalog:st3"], {},
      call("algebra obstruct", source="catalog:st3", dim_=None)),
-    ("dim-negative-reaches-the-handler", ["algebra", "obstruct", "catalog:st3", "--dim", "-1"], {},
-     call("algebra obstruct", source="catalog:st3", dim_=-1)),
-    ("dim-equals-negative", ["algebra", "obstruct", "catalog:st3", "--dim=-1"], {},
-     call("algebra obstruct", source="catalog:st3", dim_=-1)),
-    ("n-negative", ["deform", "verify", "--family", "st", "--n", "-2"], {},
-     call("deform verify", family="st", n_=-2, samples=100)),
+    # each bound of an integer is checked by the parser, from its entry in VERBS
+    ("dim-negative", [*OBSTRUCT, "--dim", "-1"], {}, error("--dim")),
+    ("dim-equals-negative", [*OBSTRUCT, "--dim=-1"], {}, error("--dim")),
+    ("n-negative", ["deform", "verify", "--family", "st", "--n", "-2"], {}, error("--n")),
+    ("n-below-2", ["deform", "verify", "--family", "st", "--n", "1"], {}, error("--n")),
+    ("samples-above-the-bound", [*DEFORM, "--samples", "10001"], {}, error("--samples")),
     ("equals-everywhere", ["deform", "verify", "--family=concat", "--n=4", "--samples=7"], {},
      call("deform verify", family="concat", n_=4, samples=7)),
     ("negative-number-positional", ["algebra", "analyze", "-5"], {}, call("algebra analyze", source="-5")),

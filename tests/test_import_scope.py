@@ -11,14 +11,15 @@ and `act verify`, `vf flow` and the commuting-family `vf verify` load no
 `algebra` or `catalog`; `act verify` loads `deformations` only for the
 ball kinds; only `algebra analyze` loads `derivations`, only `algebra
 obstruct` loads `obstructions`, an algebra read from a file loads no
-`catalog`, and no verb loads numpy: `deform verify`, the projective `vf
-verify` and every kind of `act verify` draw their samples from `pcg64`, a
-standard-library copy of numpy's default stream (`deform verify` loads no
-`matrixgroups`), and only the verbs that draw normals (the projective `vf
-verify`, and every `act verify` kind but the interval) load the ziggurat
-tables of `ziggurat`. No `act verify` kind loads `fractions`, or the
-`decimal` and `numbers` it imports: no act report holds a rational, and
-only the verbs that parse, build or write one load it.
+`catalog`, and no verb loads numpy: `deform verify` and every kind of
+`act verify` draw their samples from `pcg64`, a standard-library copy of
+numpy's default stream (`deform verify` loads no `matrixgroups`), and only
+the verbs that draw normals (every `act verify` kind but the interval)
+load the ziggurat tables of `ziggurat`. The projective `vf verify` draws
+nothing, so it loads neither `pcg64` nor `ziggurat`. No `act verify`
+kind loads `fractions`, or the `decimal` and `numbers` it imports: no act
+report holds a rational, and only the verbs that parse, build or write
+one load it.
 Each case runs one verb in a fresh interpreter and inspects `sys.modules`
 afterwards, so a stray top-level import in `cli.py` (or in a module it
 imports) fails here.

@@ -11,6 +11,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -28,6 +29,8 @@ from lieactions.serialize import (
     _quoted,
     dumps,
     encode_basestring,
+    parse_rational,
+    read_int,
     read_object,
     read_value,
 )
@@ -254,6 +257,67 @@ def test_quoted_stops_in_a_long_or_deep_value():
     assert _quoted(deep) == "[" * 100 + "..."
     assert _quoted(list(range(10**6))) == repr(list(range(40)))[:100] + "..."
     assert _quoted({"k" * 10**6: 1}) == "{'" + "k" * 98 + "..."
+
+
+def test_quoted_cuts_an_integer_past_the_digit_limit():
+    # repr could not write these, past the interpreter's limit of digits
+    assert _quoted(10**5000 - 1) == "9" * 100 + "..."
+    assert _quoted(-(10**9000)) == "-1" + "0" * 98 + "..."
+    # around the size where the cut by division starts, it agrees with repr
+    for bits in range(380, 420):
+        for value in (2**bits - 1, 2**bits, -(3**(bits * 2 // 3))):
+            assert _quoted(value) == repr(value)[:100] + "..." * (len(repr(value)) > 100), value
+            assert _quoted(value, 7) == repr(value)[:7] + "...", value
+
+
+# -- integers written in outside text ------------------------------------------------------
+
+# text that `int` may read: digits, signs, underscores and spaces weighted in
+INT_TEXT = st.text(st.sampled_from("0123456789+-_ \uff15") | st.characters(), max_size=8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(INT_TEXT, st.sampled_from([None, 0, 2]), st.sampled_from([None, 5, 10_000]))
+def test_read_int_reads_ascii_digits_within_bounds(text, low, high):
+    digits = text[1:] if low is None and text[:1] == "-" else text
+    try:
+        value = read_int(text, "the value", low, high)
+    except FormatError as exc:
+        assert str(exc).startswith("the value ")
+        assert not (digits.isascii() and digits.isdigit()) or not (
+            (low is None or int(text) >= low) and (high is None or int(text) <= high))
+    else:
+        assert digits.isascii() and digits.isdigit() and value == int(text)
+        assert (low is None or value >= low) and (high is None or value <= high)
+
+
+def test_read_int_checks_the_length_before_it_builds_the_value():
+    limit = sys.get_int_max_str_digits()
+    for text in ("9" * (limit + 1), "1" + "0" * 10**5, "-" + "9" * (limit + 1)):
+        for low, high in ((None, None), (0, None), (0, 10_000)):
+            with pytest.raises(FormatError, match=f"^--n (is '-?(9|10)|must be a nonnegative)"):
+                read_int(text, "--n", low, high)
+        with pytest.raises(FormatError, match=f"longer than {limit} digits$"):
+            read_int(text, "p", None)
+    assert read_int("9" * limit, "--seed") == 10**limit - 1
+    # leading zeros do not count toward the limit
+    assert read_int("0" * 5000 + "7", "--n") == 7
+    assert read_int("-" + "0" * 5000 + "7", "p", None) == -7
+
+
+@pytest.mark.parametrize("text", [" 1/2", "+1/2", "1_0/3", "\uff13/1", "1/ 2", " +1_0/\uff13 ", "1/2 ", "-1/-2",
+                                  "--1", "1/", "/2", "", "1/0", "9" * 5000])
+def test_malformed_rationals(text):
+    with pytest.raises(FormatError, match=f"^malformed rational {re.escape(_quoted(text))}: its (numerator|denominator) "):
+        parse_rational(text)
+
+
+def test_rationals():
+    # the last has more leading zeros than the interpreter converts digits: they do not count
+    for text, value in (("1/2", Fraction(1, 2)), ("-3", -3), ("0/5", 0), ("007/010", Fraction(7, 10)),
+                        ("-4/6", Fraction(-2, 3)), ("9" * 4300 + "/1", 10**4300 - 1),
+                        ("-" + "0" * 5000 + "7/" + "0" * 5000 + "2", Fraction(-7, 2))):
+        assert parse_rational(text) == value
 
 
 # -- lists of a scalar kind -------------------------------------------------------------
