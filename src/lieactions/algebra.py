@@ -118,31 +118,33 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
 
     def _bracket(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
         """den * [x, y] for sparse integer vectors {i: x_i}, summed in
-        integers over `integer_table` (whose scale is den); zeros dropped."""
-        table = self.integer_table[1]
+        integers over `adjoint`; zeros dropped."""
         out: dict[int, int] = {}
         for i, xi in x.items():
+            ad = self.adjoint[i]
             for j, yj in y.items():
-                if i < j:
-                    vec, s = table.get((i, j)), xi * yj
-                elif i > j:
-                    vec, s = table.get((j, i)), -xi * yj
-                else:
-                    continue
+                vec = ad.get(j)
                 if vec is not None:
+                    s = xi * yj
                     for k, c in vec:
                         out[k] = out.get(k, 0) + s * c
         return {k: v for k, v in out.items() if v}
 
     @cached_property
-    def integer_table(self) -> tuple[int, dict[tuple[int, int], list[tuple[int, int]]]]:
-        """(den, {(i, j): [(k, den * c), ...]}): `table` with every constant
-        scaled to an integer by the lcm den of their denominators."""
-        den = lcm(*(c.denominator for _, coeffs in self.table for _, c in coeffs))
-        return den, {
-            pair: [(k, c.numerator * (den // c.denominator)) for k, c in coeffs]
-            for pair, coeffs in self.table
-        }
+    def den(self) -> int:
+        """The lcm of the denominators of the structure constants."""
+        return lcm(*(c.denominator for _, coeffs in self.table for _, c in coeffs))
+
+    @cached_property
+    def adjoint(self) -> tuple[dict[int, list[tuple[int, int]]], ...]:
+        """The one integer form of the bracket, the matrices ad(e_a) scaled by
+        den: adjoint[a] maps each b with [e_a, e_b] = sum_k c e_k nonzero to
+        [(k, den * c), ...], b and k ascending."""
+        adjoint = tuple({} for _ in range(self.dim))
+        for (i, j), coeffs in self.table:  # pairs ascending: each b is added in order
+            adjoint[i][j] = [(k, c.numerator * (self.den // c.denominator)) for k, c in coeffs]
+            adjoint[j][i] = [(k, -c) for k, c in adjoint[i][j]]
+        return adjoint
 
     @cached_property
     def float_table(self) -> tuple[tuple[int, int, tuple[tuple[int, float], ...]], ...]:
@@ -167,9 +169,9 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
     @cached_property
     def _integer_kernel(self):
         """den * [x, y] for dense integer vectors x and y of length dim, as a
-        dense list of integers: `_bracket` over `integer_table`, compiled once
-        per algebra (`_compile_bracket`)."""
-        rows = [(i, j, coeffs) for (i, j), coeffs in self.integer_table[1].items()]
+        dense list of integers: `_bracket` over the pairs i < j of `adjoint`
+        in table order, compiled once per algebra (`_compile_bracket`)."""
+        rows = [(i, j, self.adjoint[i][j]) for (i, j), _ in self.table]
         return _compile_bracket(self.dim, rows, 0, f"<integer bracket {self.name}>")
 
     # -- validation ---------------------------------------------------
@@ -178,22 +180,18 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
         """All 0-based basis triples violating the Jacobi identity.
 
         Adds each nonzero term [[e_p, e_q], e_r] into its sorted triple, with
-        the constants scaled to integers (which scales every sum alike).
+        the constants scaled to integers (`adjoint`, which scales every sum
+        alike).
         """
-        sparse = self.integer_table[1].items()
-        # nonzero brackets [e_a, e_r] = sign * sum_k c e_k, listed by a
-        ad: list[list] = [[] for _ in range(self.dim)]
-        for (i, j), coeffs in sparse:
-            ad[i].append((j, coeffs, 1))
-            ad[j].append((i, coeffs, -1))
+        adjoint = self.adjoint
         totals: dict[tuple[int, int, int], dict[int, int]] = {}
-        for (p, q), coeffs in sparse:
-            for a, c in coeffs:
-                for r, inner, sign in ad[a]:
+        for (p, q), _ in self.table:
+            for a, c in adjoint[p][q]:
+                for r, inner in adjoint[a].items():
                     if r == p or r == q:
                         continue
                     # in the sorted triple the term enters as -[[e_p, e_q], e_r] when p < r < q
-                    s = -sign * c if p < r < q else sign * c
+                    s = -c if p < r < q else c
                     acc = totals.setdefault(tuple(sorted((p, q, r))), {})
                     for k, d in inner:
                         acc[k] = acc.get(k, 0) + s * d
@@ -272,10 +270,10 @@ class LieAlgebra(namedtuple("LieAlgebra", "name dim basis_names table")):
         """{x : [x, e_j] = 0 for all j}, computed afresh as one kernel;
         `center_space` holds it once per algebra."""
         rows: dict[tuple[int, int], dict[int, int]] = {}  # (j, k) -> {i: den * c_ij^k}
-        for (i, j), coeffs in self.integer_table[1].items():
-            for k, c in coeffs:
-                rows.setdefault((j, k), {})[i] = c
-                rows.setdefault((i, k), {})[j] = -c
+        for i, ad in enumerate(self.adjoint):
+            for j, coeffs in ad.items():
+                for k, c in coeffs:
+                    rows.setdefault((j, k), {})[i] = c
         return nullspace_of_rows(rows.values(), self.dim)
 
     def predicates(self) -> "AlgebraPredicates":

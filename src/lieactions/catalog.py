@@ -177,14 +177,14 @@ def parse_catalog_key(key: str, size: int | None = None) -> tuple[str, str, int 
         key, text = m.groups()
     name = _FAMILY_ALIASES.get(key.lower(), key)
     family = name.lower()
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown catalog family {_quoted(name)}")
     if text:
         size = read_int(text, f"the size of catalog family {_quoted(name)}")
     if family == "mueller_roemer" and size != 7:  # one algebra, of the one size 7
         raise ValueError(f"catalog family {_quoted(name)} has the one size 7 (mueller_roemer7, mr7)")
     if size is None:
         raise ValueError(f"catalog family {_quoted(name)} needs a size parameter")
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown catalog family {_quoted(name)}")
     return family, name, size
 
 

@@ -157,12 +157,15 @@ class AlgebraDeformation(namedtuple(
         }
 
 
-def _st_exponents(n: int) -> list[int]:
-    # catalog st(n) layout: H_1..H_{n-1}, then strict uppers by distance
-    expo = [0] * (n - 1)
-    for dist in range(1, n):
-        expo.extend([dist] * (n - dist))
-    return expo
+def _graded(family: str, n: int) -> tuple["LieAlgebra", list[int]]:
+    """The catalog algebra family(n) and the distance of each of its basis
+    matrices from the diagonal: 0 for H_i, d for the unit matrix at (i, i + d)."""
+    from .catalog import catalog, catalog_matrices
+
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    distances = [max(c - r for r, row in enumerate(m) for c, _ in row) for m in catalog_matrices(family, n)]
+    return catalog(family, n), distances
 
 
 def st_deformation(n: int) -> AlgebraDeformation:
@@ -172,40 +175,26 @@ def st_deformation(n: int) -> AlgebraDeformation:
     onto the diagonal subalgebra, and restricted to the commutator ideal
     it is a contraction onto zero.
     """
-    from .catalog import catalog
-
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return AlgebraDeformation.single_stage(
-        f"st({n}) graded scaling", catalog("st", n), _st_exponents(n)
-    )
+    parent, distances = _graded("st", n)
+    return AlgebraDeformation.single_stage(f"st({n}) graded scaling", parent, distances)
 
 
 def st_prime_deformation(n: int) -> AlgebraDeformation:
     """The same graded scaling on the strictly upper triangular algebra,
     where it is already a contraction onto zero."""
-    from .catalog import catalog
-
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return AlgebraDeformation.single_stage(
-        f"st_prime({n}) graded contraction", catalog("st_prime", n), _st_exponents(n)[n - 1:]
-    )
+    parent, distances = _graded("st_prime", n)
+    return AlgebraDeformation.single_stage(f"st_prime({n}) graded contraction", parent, distances)
 
 
 def diag_contraction(n: int) -> AlgebraDeformation:
     """Contraction of the diagonal subalgebra of st(n): every diagonal
     basis vector is scaled by sigma(t)."""
-    from .catalog import catalog
-
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    parent = catalog("st", n)
+    parent, distances = _graded("st", n)
     return AlgebraDeformation.single_stage(
         f"d({n}) contraction",
         parent,
         [1] * parent.dim,
-        domain_indices=tuple(range(n - 1)),
+        domain_indices=tuple(k for k, d in enumerate(distances) if d == 0),
     )
 
 
@@ -372,7 +361,7 @@ def _half_bracket(g: LieAlgebra, x: list[int], y: list[int]) -> list[float]:
     """[x/2, y/2] as floats for integer vectors x and y: the integer kernel
     gives 4 den times it, and the int/int division of each coordinate by
     4 den is float(Fraction) of the exact value."""
-    scale = 4 * g.integer_table[0]
+    scale = 4 * g.den
     return [v / scale for v in g._integer_kernel(x, y)]
 
 

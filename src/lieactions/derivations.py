@@ -49,27 +49,23 @@ _DENSE_PIVOT_ROW = 4
 def _blocks(g: LieAlgebra):
     """The rows of D[e_i, e_j] = [De_i, e_j] + [e_i, De_j], one list per
     pair i < j, as primitive integer rows {a*n + b: coefficient of D[a][b]}
-    (the constants scaled to integers, which scales every row alike)."""
+    (the constants scaled to integers, `g.adjoint`, which scales every row
+    alike)."""
     n = g.dim
-    table = g.integer_table[1]
-    # ad[j]: (a, [(k, c), ...]) for every nonzero [e_a, e_j] = sum_k c e_k
-    ad: list[list] = [[] for _ in range(n)]
-    for (i, j), coeffs in table.items():
-        ad[j].append((i, coeffs))
-        ad[i].append((j, [(k, -c) for k, c in coeffs]))
+    adjoint = g.adjoint
     for i in range(n):
         for j in range(i + 1, n):
             # row k: the e_k-component of D[e_i, e_j] - [De_i, e_j] - [e_i, De_j]
             eq: defaultdict[int, Counter] = defaultdict(Counter)
-            for a, c in table.get((i, j), ()):
+            for a, c in adjoint[i].get(j, ()):
                 for k in range(n):
                     eq[k][k * n + a] += c
-            for a, coeffs in ad[j]:
+            for a, coeffs in adjoint[j].items():  # [e_a, e_j] = -[e_j, e_a]
                 for k, c in coeffs:
-                    eq[k][a * n + i] -= c
-            for a, coeffs in ad[i]:  # [e_i, e_a] = -[e_a, e_i]
+                    eq[k][a * n + i] += c
+            for a, coeffs in adjoint[i].items():
                 for k, c in coeffs:
-                    eq[k][a * n + j] += c
+                    eq[k][a * n + j] -= c
             rows = ({col: v for col, v in row.items() if v} for row in eq.values())
             yield [_primitive(row) for row in rows if row]
 
@@ -105,10 +101,7 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
             if prow:
                 if len(echelon) == bound:
                     # the span of the ad e_i, entry (k, j) of each at k*n + j
-                    ads = [
-                        {k * n + j: c for j in range(n) for k, c in g._bracket({i: 1}, {j: 1}).items()}
-                        for i in range(n)
-                    ]
+                    ads = [{k * n + j: c for j, coeffs in ad.items() for k, c in coeffs} for ad in g.adjoint]
                     return _from_rref(g, sparse_rref(ads))
                 grew = True
                 nonzeros += len(prow)

@@ -37,12 +37,11 @@ PairRows = tuple[tuple[tuple[int, Fraction], ...], ...]
 
 
 def as_rational(x) -> Fraction:
-    """Coerce ints, strings like '2/3', and Fractions to Fraction."""
+    """Coerce ints and Fractions to Fraction. Text is refused: a rational
+    written as text is read by `serialize.parse_rational`."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 

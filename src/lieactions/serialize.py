@@ -275,18 +275,20 @@ def _input_error(message: str) -> None:
 def _check_output(path: str) -> None:
     """An input error unless the --output file `path` can be written, found
     before the verb runs and without opening the file, so an existing file
-    is left as it is when the verb then fails; `_write` reports the rest."""
+    is left as it is when the verb then fails; `_write` reports the rest.
+    Each message quotes the path once, cut as `_quoted` cuts it."""
+    quoted = _quoted(path)
     if os.path.isdir(path):
-        _input_error(f"cannot write {path}: it is a directory")
+        _input_error(f"cannot write {quoted}: it is a directory")
     if os.path.exists(path):
         if not os.access(path, os.W_OK):
-            _input_error(f"cannot write {path}: the file is not writable")
+            _input_error(f"cannot write {quoted}: the file is not writable")
         return
     parent = os.path.dirname(path) or os.curdir
     if not os.path.isdir(parent):
-        _input_error(f"cannot write {path}: no directory {parent}")
+        _input_error(f"cannot write {quoted}: its directory does not exist")
     if not os.access(parent, os.W_OK):
-        _input_error(f"cannot write {path}: directory {parent} is not writable")
+        _input_error(f"cannot write {quoted}: its directory is not writable")
 
 
 def _write(ctx_obj: dict, chunks: Iterable[str]) -> None:
@@ -298,7 +300,7 @@ def _write(ctx_obj: dict, chunks: Iterable[str]) -> None:
             with open(path, "w") as fh:
                 fh.writelines(chunks)
         except OSError as exc:
-            _input_error(f"cannot write {path}: {exc}")
+            _input_error(f"cannot write {_quoted(path)}: {exc.strerror}")
     else:
         try:
             sys.stdout.writelines(chunks)
@@ -352,6 +354,6 @@ def _json_file(path: str):
         with open(path) as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
-        _input_error(f"cannot read {path}: {exc}")
+        _input_error(f"cannot read {_quoted(path)}: {exc.strerror}")
     except (ValueError, RecursionError) as exc:  # malformed JSON, bytes that are not UTF-8, or nested too deep
-        _input_error(f"malformed JSON in {path}: {exc}")
+        _input_error(f"malformed JSON in {_quoted(path)}: {exc}")

@@ -31,14 +31,14 @@ def basis_vector(g, i: int) -> tuple[Fraction, ...]:
 
 
 def exact_bracket(g, x, y) -> tuple[Fraction, ...]:
-    """The exact bracket of coordinate vectors of the algebra g (ints,
-    strings or Fractions) as a dense tuple of Fractions: `_bracket` of x and
+    """The exact bracket of coordinate vectors of the algebra g (ints or
+    Fractions) as a dense tuple of Fractions: `_bracket` of x and
     y scaled to integers, divided once by the common denominator."""
     xv, yv = rational_vector(x), rational_vector(y)
     if len(xv) != g.dim or len(yv) != g.dim:
         raise ValueError("vector length != algebra dimension")
     (nx, dx), (ny, dy) = _integer(xv), _integer(yv)
-    den = g.integer_table[0] * dx * dy
+    den = g.den * dx * dy
     out = [Fraction(0)] * g.dim
     for k, v in g._bracket(nx, ny).items():
         out[k] = Fraction(v, den)

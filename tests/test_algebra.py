@@ -336,6 +336,23 @@ def test_center_n3_dim2_sympy_oracle():
     assert len(m.nullspace()) == 2
 
 
+def _center_cases():
+    """Catalog algebras, and the golden inputs in dense and scaled bases,
+    where a row of the center system mixes both orders of the bracket."""
+    golden = Path(__file__).parent / "golden"
+    algebras = [catalog(key) for key in ("n3", "n5", "heisenberg7", "mr7", "st4")]
+    algebras += [from_json_dict(json.loads((golden / f"{stem}.algebra.json").read_text()))
+                 for stem in ("st4_dense", "n5_dense", "heisenberg7_dense", "mr7_dense", "n5_scaled")]
+    return [pytest.param(g, id=g.name) for g in algebras]
+
+
+@pytest.mark.parametrize("g", _center_cases())
+def test_center_is_the_sympy_kernel_of_the_table(g):
+    rows = [[_structure_constant(g, i, j, k) for i in range(g.dim)] for j in range(g.dim) for k in range(g.dim)]
+    kernel = sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row] for row in rows]).nullspace()
+    assert g.center() == span([[Fraction(int(x.p), int(x.q)) for x in v] for v in kernel], g.dim)
+
+
 # -- predicates -------------------------------------------------------------------
 
 
@@ -450,6 +467,11 @@ BAD_CATALOG_INPUT = [
     (("abelian",), ValueError, "catalog family 'abelian' needs a size parameter"),
     (("nosuch", 3), ValueError, "unknown catalog family 'nosuch'"),
     (("nosuch3",), ValueError, "unknown catalog family 'nosuch'"),
+    # the family is checked before the size: these name none, and give none
+    (("nosuch",), ValueError, "unknown catalog family 'nosuch'"),
+    (("mrx",), ValueError, "unknown catalog family 'mrx'"),
+    (("nosuch-3",), ValueError, "unknown catalog family 'nosuch'"),
+    (("x" * 10**5,), ValueError, f"unknown catalog family '{'x' * 99}..."),
     (("",), ValueError, "unknown catalog key ''"),
     (("mr3",), ValueError, "catalog family 'mueller_roemer' has the one size 7 (mueller_roemer7, mr7)"),
     (("mr",), ValueError, "catalog family 'mueller_roemer' has the one size 7 (mueller_roemer7, mr7)"),

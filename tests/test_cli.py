@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, report determinism."""
 
 import atexit
+import errno
 import gc
 import json
 import math
@@ -27,6 +28,7 @@ from lieactions.constants import (
     MAX_SAMPLES,
 )
 
+from lieactions.serialize import _quoted
 from lieactions.vectorfields import flow
 
 from clirunner import invoke
@@ -559,9 +561,46 @@ def test_unwritable_output_rejected_before_the_verb_runs(tmp_path, monkeypatch, 
     result = run("--output", str(path), "algebra", "analyze", source)
     assert result.exit_code == 2, result.exception
     assert result.stdout == ""
-    assert result.stderr.startswith(f"error: cannot write {path}: ") and result.stderr.count("\n") == 1, result.stderr
+    assert result.stderr.startswith(f"error: cannot write {_quoted(str(path))}: ") and result.stderr.count("\n") == 1, \
+        result.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
     assert (tmp_path / "old.json").read_text() == "old"
+
+
+def _long_path_case(tmp_path, case):
+    """(lieact arguments, the path they fail on, the reason the error gives)
+    for a path of more than 1000 characters: a directory 1000 characters
+    deep, or a file name longer than any the system takes."""
+    deep = tmp_path.joinpath(*["d" * 200] * 5)
+    deep.mkdir(parents=True)
+    (deep / "bad.json").write_text("{")
+    long_name = tmp_path / ("x" * 1000)
+    too_long = os.strerror(errno.ENAMETOOLONG)
+    analyze = ["algebra", "analyze", "catalog:st3"]
+    return {
+        "output-directory": (["--output", str(deep), *analyze], deep, "it is a directory"),
+        "output-missing-directory": (["--output", str(long_name / "out.json"), *analyze], long_name / "out.json",
+                                     "its directory does not exist"),
+        "output-open": (["--output", str(long_name), *analyze], long_name, too_long),
+        "algebra-source": (["algebra", "analyze", str(long_name)], long_name, too_long),
+        "scenario": (["act", "verify", "--scenario", str(long_name)], long_name, too_long),
+        "malformed-source": (["algebra", "analyze", str(deep / "bad.json")], deep / "bad.json", None),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["output-directory", "output-missing-directory", "output-open", "algebra-source",
+                                  "scenario", "malformed-source"])
+def test_a_long_path_is_quoted_once(tmp_path, case):
+    args, path, reason = _long_path_case(tmp_path, case)
+    assert len(str(path)) > 1000
+    result = run(*args)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    verb = "malformed JSON in" if reason is None else "cannot write" if args[0] == "--output" else "cannot read"
+    head = f"error: {verb} {_quoted(str(path))}: "
+    assert result.stderr.startswith(head) and result.stderr.count("\n") == 1, result.stderr
+    assert reason is None or result.stderr == f"{head}{reason}\n"
+    assert len(result.stderr.encode()) <= 300
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -425,6 +426,54 @@ def _invariants(g):
 def test_invariants_survive_a_unimodular_change_of_basis(key, seed):
     g = catalog(key)
     assert _invariants(_dense_copy(g, random.Random(seed))) == _invariants(g)
+
+
+# the catalog size ladder of the exact benchmark workloads
+LADDER = ("st3", "st4", "st5", "st6", "sl2", "sl3", "sl4", "n4", "n5", "n6", "heisenberg5", "heisenberg7",
+          "heisenberg9", "heisenberg11", "mr7", "st_c2", "st_c3")
+
+
+def _assert_adjoint_is_the_bracket(g):
+    """`adjoint[a][b]` is den [e_a, e_b] both as `exact_bracket` gives it and
+    as the table writes it, nonzero exactly where the bracket is, with b and
+    k ascending; `adjoint[b][a]` is its negation; den is the lcm of the
+    table's denominators."""
+    assert g.den == math.lcm(*(c.denominator for _, coeffs in g.table for _, c in coeffs))
+    table = {pair: dict(coeffs) for pair, coeffs in g.table}
+    for a in range(g.dim):
+        row = g.adjoint[a]
+        assert list(row) == sorted(row)
+        for b in range(g.dim):
+            want = [g.den * c for c in exact_bracket(g, basis_vector(g, a), basis_vector(g, b))]
+            written = table.get((a, b), {}) if a < b else {k: -c for k, c in table.get((b, a), {}).items()}
+            assert want == [g.den * written.get(k, 0) for k in range(g.dim)]
+            if not any(want):
+                assert b not in row
+                continue
+            assert [k for k, _ in row[b]] == sorted(k for k, c in enumerate(want) if c)
+            assert all(type(c) is int and c == want[k] for k, c in row[b])
+            assert g.adjoint[b][a] == [(k, -c) for k, c in row[b]]
+
+
+def _with_denominators(g):
+    """g in the basis s_k e_k, s_k = (k + 2) / (2k + 3)."""
+    return _rescaled(g, [Fraction(k + 2, 2 * k + 3) for k in range(g.dim)])
+
+
+@pytest.mark.parametrize("key", LADDER)
+def test_adjoint_is_the_bracket_on_the_ladder(key):
+    g = catalog(key)
+    _assert_adjoint_is_the_bracket(g)
+    scaled = _with_denominators(g)
+    assert scaled.den > 1
+    _assert_adjoint_is_the_bracket(scaled)
+
+
+@settings(max_examples=15, deadline=None)
+@given(key=st.sampled_from(INVARIANT_KEYS), seed=st.integers(0, 2**32 - 1), rescale=st.booleans())
+def test_adjoint_is_the_bracket_in_random_bases(key, seed, rescale):
+    g = _dense_copy(catalog(key), random.Random(seed))
+    _assert_adjoint_is_the_bracket(_with_denominators(g) if rescale else g)
 
 
 def _unimodular(n, rng):

@@ -5,7 +5,10 @@ every DEFAULT_CATALOG entry, a few larger catalog algebras, and st(4),
 N(5), heisenberg(7) and mueller_roemer7 in dense unimodular bases
 (golden/*_dense.algebra.json). The dense nilpotent ones are the inputs on
 which `derivation_algebra` stops eliminating and checks the remaining
-rows against the kernel instead. The numerical
+rows against the kernel instead. st(4) and N(5) are also run in the
+basis s_i e_i with s_i alternately 1/2 and 2/3 (golden/*_scaled.algebra.json),
+whose constants have denominators, so that the common denominator of the
+integer bracket is above 1. The numerical
 cases are `deform verify` for every family at n = 3, 5 and 6, and every
 scenario in `scenarios/` run through its verb (`act verify`, `vf verify`
 or `vf flow`), plus the wider scenarios kept beside the goldens as
@@ -51,6 +54,8 @@ SOURCES = [f"catalog:{key}" for key, _ in DEFAULT_CATALOG] + [
     "n5_dense.algebra.json",
     "heisenberg7_dense.algebra.json",
     "mr7_dense.algebra.json",
+    "st4_scaled.algebra.json",
+    "n5_scaled.algebra.json",
 ]
 VERBS = {
     "analyze": ("algebra", "analyze"),

@@ -147,6 +147,15 @@ def test_fractional_entries():
     assert r.row(0) == (Fraction(1), Fraction(2, 3))
 
 
+@pytest.mark.parametrize("text", ["1/2", " 1/2 ", "1.5", "1e3", "1_0", "3"])
+def test_text_entries_are_refused(text):
+    # a rational written as text is read by serialize.parse_rational alone
+    with pytest.raises(TypeError, match="not an exact rational"):
+        RatMatrix([[1, text]])
+    with pytest.raises(TypeError, match="not an exact rational"):
+        span([[Fraction(1), text]], 2)
+
+
 # -- sympy oracle for the one elimination routine -------------------------------
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)

@@ -64,7 +64,7 @@ RECORDS = {
     LieAlgebra: (
         ("name", "dim", "basis_names", "table"),
         lambda g: g,
-        ("integer_table", "float_table", "derived", "lower_central", "center_space",
+        ("den", "adjoint", "float_table", "derived", "lower_central", "center_space",
          "derivation_algebra"),
     ),
     SeriesReport: (("kind", "terms", "stabilized", "length"), lambda g: g.derived, ()),
