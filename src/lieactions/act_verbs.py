@@ -20,9 +20,10 @@ MATRIX_KEYS = {"group": (("ST", "U"), REQUIRED, None), "n": (int, REQUIRED, 1, M
 PLACEMENT_KEYS = {"center": ([float], REQUIRED, None), "radius": (float, 1.0, POSITIVE),
                   "annulus": ([float], [0.3, 0.9], 2, 2)}
 
-# An action kind's function returns the arguments of `verify_action` (action, identity,
-# sampler, named generators) and the witness rule; it imports when run. Every kind draws and
-# evaluates a block of samples at a time.
+# An action kind's function returns (action, sampler, witness rule): the sampler draws the
+# kind's points and elements and knows its group (`verify_action` reads the identity, the
+# product, the block size and the generators off it). It imports when run; every kind draws
+# and evaluates a block of samples at a time.
 
 
 def _make_ball(group: str, n: int, placement: dict):
@@ -39,18 +40,15 @@ def _matrix_action(v: dict) -> tuple:
     """The sphere and ball kinds: the matrix group `group` of size n acting
     on the unit sphere or inside one ball."""
     from .actions import StackedSampler, sphere_action
-    from .matrixgroups import generators, identity
 
     group, n = v["group"], v["n"]
     balls = (_make_ball(group, n, v),) if v["action"] == "ball" else ()
-    action = balls[0].apply if balls else sphere_action
-    return action, identity(n), StackedSampler(group, (n, n), balls), generators(group, n), "all"
+    return balls[0].apply if balls else sphere_action, StackedSampler(group, (n, n), balls), "all"
 
 
 def _multiball(v: dict) -> tuple:
     """The multiball kind: one factor of the group per ball."""
     from .actions import MultiBall, StackedSampler
-    from .matrixgroups import generators, identity
 
     group, n = v["group"], v["n"]
     balls = tuple(_make_ball(group, n, read_object(b, PLACEMENT_KEYS, "a ball placement")) for b in v["balls"])
@@ -58,25 +56,16 @@ def _multiball(v: dict) -> tuple:
         multiball = MultiBall(balls)
     except ValueError as exc:
         _input_error(f"bad ball placements: {exc}")
-    k = len(balls)
-    unit = (identity(n),) * k
-    gens = [
-        (f"ball{j + 1}.{name}", unit[:j] + (g,) + unit[j + 1:])
-        for j in range(k) for name, g in generators(group, n)
-    ]
-    return multiball.apply, unit, StackedSampler(group, (k, n, n), balls), gens, "all"
+    return multiball.apply, StackedSampler(group, (len(balls), n, n), balls), "all"
 
 
 def _circle_action(v: dict) -> tuple:
     """The interval and disk kinds: the lifted circle action of the universal
     cover of SL(2, R); some generator must move some point ("any")."""
-    from .actions import CoverElement, CoverSampler, cover_identity, disk_block, interval_block
-    from .matrixgroups import generators
+    from .actions import CoverSampler, disk_block, interval_block
 
     disk = v["action"] == "disk"
-    sampler = CoverSampler(disk, v["n"] if disk else 1)
-    gens = [(name, CoverElement.of(g)) for name, g in generators("SL2", 2)]
-    return disk_block if disk else interval_block, cover_identity(), sampler, gens, "any"
+    return disk_block if disk else interval_block, CoverSampler(disk, v["n"] if disk else 1), "any"
 
 
 # action kind -> (its keys besides ACT_KEYS, the function that sets it up)
@@ -98,9 +87,10 @@ def act_verify(obj, scenario):
     keys, setup = ACTIONS[kind]
     v = read_object(sc, {**ACT_KEYS, **keys}, "the scenario")
     tols = read_object(v["tolerances"], TOLERANCE_KEYS, "'tolerances'")
-    *parts, witness_rule = setup(v)
+    act, sampler, witness_rule = setup(v)
     seed = obj["seed"] if v["seed"] is None else v["seed"]
-    report = verify_action(*parts, samples=v["samples"], seed=seed, move_threshold=tols["move"])
+    report = verify_action(act, sampler, sampler.generators, samples=v["samples"], seed=seed,
+                           move_threshold=tols["move"])
     effective = (all if witness_rule == "all" else any)(w is not None for w in report.witnesses.values())
     ok = (effective and report.max_identity_residual <= tols["identity"]
           and report.max_composition_residual <= tols["composition"])

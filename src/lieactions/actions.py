@@ -26,7 +26,7 @@ from functools import cache, cached_property
 from operator import sub
 
 from .constants import DEFAULT_SEED, compile_function, max_residual
-from .matrixgroups import element_maker, triangular_product, uniform_count, unpack
+from .matrixgroups import element_maker, generators, identity, triangular_product, uniform_count, unpack
 from .pcg64 import DefaultRNG
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "StackedSampler",
     "CoverSampler",
     "CoverElement",
-    "cover_identity",
     "cover_eval",
     "cover_compose",
     "interval_action",
@@ -255,27 +254,6 @@ BLOCK_SAMPLES = 256
 BLOCK_FLOATS = 1 << 14
 
 
-def block_size(identity) -> int:
-    """The samples in one block of `verify_action` for this identity element."""
-    if isinstance(identity, CoverElement):
-        return BLOCK_SAMPLES
-    floats = sum(map(len, identity)) if isinstance(identity[0], tuple) else len(identity)
-    return max(1, min(BLOCK_SAMPLES, BLOCK_FLOATS // floats))
-
-
-def _composer(identity):
-    """compose(gs, hs): the products gs[s] hs[s] of a block of elements
-    shaped as `identity`: CoverElements, upper-triangular matrices, or
-    tuples of them, one factor at a time."""
-    if isinstance(identity, CoverElement):
-        return cover_compose
-    if isinstance(identity[0], tuple):
-        mul = triangular_product(math.isqrt(len(identity[0])))
-        return lambda gs, hs: [tuple(map(mul, g, h)) for g, h in zip(gs, hs)]
-    mul = triangular_product(math.isqrt(len(identity)))
-    return lambda gs, hs: list(map(mul, gs, hs))
-
-
 def _gaps(a, b) -> list[float]:
     """The largest coordinate difference of each pair of points (NaN if any is NaN)."""
     return [max_residual(0.0, *map(abs, map(sub, p, q))) for p, q in zip(a, b)]
@@ -283,7 +261,6 @@ def _gaps(a, b) -> list[float]:
 
 def verify_action(
     act,
-    identity,
     sampler,
     named_generators,
     samples: int = 200,
@@ -294,34 +271,32 @@ def verify_action(
     moved point for every generator (or record that none was found).
 
     `act(elements, points)` evaluates a block: the action of elements[s] on
-    points[s], two lists of equal length. Group elements are upper-triangular
-    matrices as flat tuples, or tuples of k of them for a product group,
-    which compose factor by factor by `matrixgroups.triangular_product`; or
-    they are CoverElements, which compose by `cover_compose`.
+    points[s], two lists of equal length.
 
-    `sampler` draws from `pcg64.DefaultRNG(seed)`, the stream of
-    `numpy.random.default_rng(seed)`: `sampler.points(rng, samples)`, the
-    points of the identity and witness checks, and then, for each block of
-    at most `block_size(identity)` composition samples, `sampler.block(rng,
-    b)`, the block's (gs, hs, ys). A `StackedSampler` or a `CoverSampler`
-    draws what a loop that checks one sample after the other draws, in its
-    order (all points first, then g, h and y for each composition sample).
-    The residuals are folded in sample order, and a witness is the first
-    point in sample order that moves, so the report is that of the
-    one-sample loop, bit for bit.
+    `sampler` knows the group and draws from it: `sampler.identity` is e,
+    `sampler.compose(gs, hs)` the products gs[s] hs[s] of a block, and
+    `sampler.block_size` the most samples in one block. It draws from
+    `pcg64.DefaultRNG(seed)`, the stream of `numpy.random.default_rng(seed)`:
+    `sampler.points(rng, samples)`, the points of the identity and witness
+    checks, and then, for each block of composition samples,
+    `sampler.block(rng, b)`, the block's (gs, hs, ys). A `StackedSampler` or
+    a `CoverSampler` draws what a loop that checks one sample after the
+    other draws, in its order (all points first, then g, h and y for each
+    composition sample). The residuals are folded in sample order, and a
+    witness is the first point in sample order that moves, so the report is
+    that of the one-sample loop, bit for bit.
     """
     rng = DefaultRNG(seed)
-    block = block_size(identity)
-    compose = _composer(identity)
+    block = sampler.block_size
     points = sampler.points(rng, samples)
     id_res = comp_res = 0.0
-    identities = [identity] * block
+    identities = [sampler.identity] * block
     for start in range(0, samples, block):
         ys = points[start:start + block]
         id_res = max_residual(id_res, *_gaps(act(identities[:len(ys)], ys), ys))
     for start in range(0, samples, block):
         gs, hs, ys = sampler.block(rng, min(block, samples - start))
-        comp_res = max_residual(comp_res, *_gaps(act(compose(gs, hs), ys), act(gs, act(hs, ys))))
+        comp_res = max_residual(comp_res, *_gaps(act(sampler.compose(gs, hs), ys), act(gs, act(hs, ys))))
     witnesses = {
         name: _first_moved(act, [gen] * block, points, block, move_threshold) for name, gen in named_generators
     }
@@ -333,6 +308,9 @@ class StackedSampler(namedtuple("StackedSampler", "group shape balls")):
     kinds: elements of the matrix group `group` ("ST" or "U") of shape
     (n, n), or tuples of k factors for shape (k, n, n); points on the unit
     sphere when `balls` is empty, else in one of the BallActions `balls`.
+    Elements compose factor by factor by `matrixgroups.triangular_product`;
+    the generators of a product are those of each factor, named
+    ball{j}.{name} for the j-th ball and the identity in the other factors.
 
     For a composition sample it draws the uniforms of each factor of g and
     then of h with one `random` call (the draws of `matrixgroups.
@@ -348,6 +326,31 @@ class StackedSampler(namedtuple("StackedSampler", "group shape balls")):
         n = self.shape[-1]
         k = math.prod(self.shape[:-2])
         return n, k, uniform_count(self.group, n)
+
+    @cached_property
+    def identity(self):
+        n, k, _ = self._sizes
+        return identity(n) if len(self.shape) == 2 else (identity(n),) * k
+
+    @property
+    def block_size(self) -> int:
+        n, k, _ = self._sizes
+        return max(1, min(BLOCK_SAMPLES, BLOCK_FLOATS // (k * n * n)))
+
+    @property
+    def generators(self) -> list[tuple[str, tuple]]:
+        n, k, _ = self._sizes
+        gens = generators(self.group, n)
+        if len(self.shape) == 2:
+            return gens
+        unit = self.identity
+        return [(f"ball{j + 1}.{name}", unit[:j] + (g,) + unit[j + 1:]) for j in range(k) for name, g in gens]
+
+    def compose(self, gs, hs) -> list:
+        mul = triangular_product(self._sizes[0])
+        if len(self.shape) == 2:
+            return list(map(mul, gs, hs))
+        return [tuple(map(mul, g, h)) for g, h in zip(gs, hs)]
 
     def points(self, rng, samples: int) -> list[tuple]:
         n = self._sizes[0]
@@ -457,10 +460,6 @@ def _cover_element(rows, deck: int) -> CoverElement:
     return CoverElement(((float(p), float(q)), (float(r), float(s))), deck)
 
 
-def cover_identity() -> CoverElement:
-    return CoverElement(((1.0, 0.0), (0.0, 1.0)), 0)
-
-
 def cover_eval(a: CoverElement, theta: float) -> float:
     return _lift_eval(a.matrix, theta) + a.deck * math.pi
 
@@ -532,6 +531,13 @@ class CoverSampler(namedtuple("CoverSampler", "disk n")):
     or a normal vector of R^n and then a radius uniform in [0, 1). An
     accepted matrix is divided by the square root of its determinant.
     """
+
+    identity = CoverElement(((1.0, 0.0), (0.0, 1.0)), 0)
+    compose = staticmethod(cover_compose)
+    block_size = BLOCK_SAMPLES
+    # the lifts of a diagonal, a shear and a rotation of SL(2, R), each of deck 0
+    generators = (("diag", CoverElement.of((2.0, 0.0, 0.0, 0.5))), ("shear", CoverElement.of((1.0, 1.0, 0.0, 1.0))),
+                  ("rot", CoverElement.of((math.cos(0.7), -math.sin(0.7), math.sin(0.7), math.cos(0.7)))))
 
     def points(self, rng, samples: int) -> list[tuple]:
         if self.disk:

@@ -17,8 +17,8 @@ from math import gcd, lcm
 from operator import mul, sub
 
 from .algebra import LieAlgebra
-from .linalg import (PairRows, Subspace, _backward, _echelon, _insert, _kernel, _kernel_vectors, _primitive,
-                     _row_times, sparse_rref)
+from .linalg import (PairRows, Subspace, _backward, _echelon, _insert, _integer, _kernel, _kernel_vectors,
+                     _primitive, _row_times, sparse_rref)
 
 __all__ = [
     "DerivationAlgebra",
@@ -131,10 +131,9 @@ def _integer_kernel(echelon: dict[int, dict[int, int]], ncols: int) -> list[list
     copy."""
     vectors = []
     for vec in _kernel_vectors(_backward(dict(echelon)), ncols):
-        den = lcm(*(x.denominator for x in vec.values()))
         dense = [0] * ncols
-        for j, x in vec.items():
-            dense[j] = x.numerator * (den // x.denominator)
+        for j, x in _integer(vec)[0].items():
+            dense[j] = x
         vectors.append(dense)
     return vectors
 

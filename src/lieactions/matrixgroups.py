@@ -3,7 +3,6 @@
 Group tags:
   "ST"  upper triangular, positive diagonal, determinant 1
   "U"   unitriangular (upper triangular, unit diagonal)
-  "SL2" 2x2 of determinant 1
 
 An element of ST(n) or U(n) is a flat row-major tuple of n^2 Python floats,
 +0.0 below the diagonal. Sampling and products are straight-line code
@@ -14,7 +13,6 @@ depends on its inputs alone.
 
 from __future__ import annotations
 
-import math
 from functools import cache
 
 from .constants import compile_function
@@ -89,35 +87,21 @@ def unpack(name: str, n: int) -> str:
     return ", ".join(f"{name}{i}_{j}" if j >= i else "_" for i in range(n) for j in range(n)) + ","
 
 
-def st_generators(n: int) -> list[tuple[str, tuple[float, ...]]]:
-    """One diagonal and one shear generator per basis direction."""
+def generators(group: str, n: int) -> list[tuple[str, tuple[float, ...]]]:
+    """Named generators of ST(n) or U(n), flat row-major tuples: for ST, one
+    diagonal generator per pair of neighbouring basis directions; then one
+    shear per entry above the diagonal."""
+    if group not in ("ST", "U"):
+        raise ValueError(f"unknown group tag {group!r}")
     gens = []
-    for i in range(n - 1):
+    for i in range(n - 1 if group == "ST" else 0):
         g = list(identity(n))
         g[i * n + i] = 2.0
         g[(i + 1) * n + i + 1] = 0.5
         gens.append((f"diag{i + 1}", tuple(g)))
-    return gens + unitriangular_generators(n)
-
-
-def unitriangular_generators(n: int) -> list[tuple[str, tuple[float, ...]]]:
-    gens = []
     for i in range(n):
         for j in range(i + 1, n):
             g = list(identity(n))
             g[i * n + j] = 1.0
             gens.append((f"shear{i + 1}{j + 1}", tuple(g)))
     return gens
-
-
-def generators(group: str, n: int) -> list[tuple[str, tuple[float, ...]]]:
-    """Named generators, flat row-major tuples; for SL2, (p, q, r, s) is the
-    matrix with rows (p, q) and (r, s)."""
-    if group == "ST":
-        return st_generators(n)
-    if group == "U":
-        return unitriangular_generators(n)
-    if group == "SL2":
-        c, s = math.cos(0.7), math.sin(0.7)
-        return [("diag", (2.0, 0.0, 0.0, 0.5)), ("shear", (1.0, 1.0, 0.0, 1.0)), ("rot", (c, -s, s, c))]
-    raise ValueError(f"unknown group tag {group!r}")

@@ -130,12 +130,12 @@ def dumps(obj) -> str:
 
 
 def _quoted(value, limit: int = 100) -> str:
-    """repr(value) as an error line quotes it: its first `limit` characters
-    and "..." when it is longer. A list or dict is written a piece at a
-    time, so the text stops where it passes `limit`, however long or deeply
-    nested the value; a shorter value reads as repr writes it. An integer
-    longer than `limit` digits is cut by dividing it, so one past the
-    interpreter's digit limit is quoted too."""
+    """repr(value) as an error line quotes it: its first `limit` bytes of
+    UTF-8, never part of a character, and "..." when it is longer. A list
+    or dict is written a piece at a time, so the text stops where it passes
+    `limit`, however long or deeply nested the value; a shorter value reads
+    as repr writes it. An integer longer than `limit` digits is cut by
+    dividing it, so one past the interpreter's digit limit is quoted too."""
     def pieces(value):
         if type(value) is int and value.bit_length() > 4 * limit:  # more than `limit` digits: the leading ones
             yield "-" * (value < 0) + str(abs(value) // 10 ** ((value.bit_length() - 1) * 301 // 1000 - limit))
@@ -157,8 +157,9 @@ def _quoted(value, limit: int = 100) -> str:
     text = ""
     for piece in pieces(value):
         text += piece
-        if len(text) > limit:
-            return text[:limit] + "..."
+        data = text.encode()
+        if len(data) > limit:  # a character cut by the limit is dropped whole
+            return data[:limit].decode(errors="ignore") + "..."
     return text
 
 

@@ -40,7 +40,6 @@ FLOW_CHECK_KEYS = {"point": ([float], [1.0, 0.0], None), "s": (float, 0.3, None)
                    "level_tolerance": (float, 1e-8, 0.0)}
 PROJECTIVE_KEYS = {"check": (str, REQUIRED, None), "n": (int, REQUIRED, 1), "samples": (int, 50, 0, MAX_SAMPLES),
                    "seed": (int, None, 0)}
-CHECKS = {"commuting_family": COMMUTING_KEYS, "projective": PROJECTIVE_KEYS}
 FLOW_KEYS = {"field": (dict, REQUIRED, None), "point": ([float], REQUIRED, None), "duration": (float, 1.0, None),
              "step": (float, 1e-3, POSITIVE)}
 
@@ -77,65 +76,59 @@ def _parse_field(data, what: str):
         _input_error(f"bad vector field in {what}: {exc}")
 
 
-def vf_verify(obj, scenario):
-    from .vectorfields import (
-        FlowBlowUpError,
-        commuting_family,
-        flow_checks,
-        hamiltonian_field,
-        make_projective_action,
-        orbit_info,
-        projective_kernel,
-    )
+def _commuting_family(obj, v: dict) -> None:
+    """The commuting-family check, and the flow check of its first two fields."""
+    from .vectorfields import FlowBlowUpError, commuting_family, flow_checks, hamiltonian_field
 
-    sc = read_value(_json_file(scenario), dict, "the scenario")
-    check = read_value(sc.get("check"), tuple(CHECKS), "'check' in the scenario")
-    v = read_object(sc, CHECKS[check], "the scenario")
-    if check == "commuting_family":
-        f = _parse_poly(v["f"], "'f'")
-        profiles = [_parse_poly(p, "'profiles'") for p in v["profiles"]]
-        # an empty "flow" object, like a missing one, asks for no flow check
-        fl = read_object(v["flow"], FLOW_CHECK_KEYS, "'flow'") if v["flow"] else None
-        if fl and len(fl["point"]) != f.nvars:
-            _input_error(f"'point' in 'flow' has {len(fl['point'])} coordinates, 'f' has {f.nvars} variables")
-        if fl:
-            _flow_steps(fl["s"], fl["h"], "'flow'")
-            _flow_steps(fl["t"], fl["h"], "'flow'")
+    f = _parse_poly(v["f"], "'f'")
+    profiles = [_parse_poly(p, "'profiles'") for p in v["profiles"]]
+    # an empty "flow" object, like a missing one, asks for no flow check
+    fl = read_object(v["flow"], FLOW_CHECK_KEYS, "'flow'") if v["flow"] else None
+    if fl and len(fl["point"]) != f.nvars:
+        _input_error(f"'point' in 'flow' has {len(fl['point'])} coordinates, 'f' has {f.nvars} variables")
+    if fl:
+        _flow_steps(fl["s"], fl["h"], "'flow'")
+        _flow_steps(fl["t"], fl["h"], "'flow'")
+    try:
+        base = hamiltonian_field(f) if v["field"] == "hamiltonian" else _parse_field(v["field"], "'field'")
+        # the fields u(f) X have degree at most d = deg u * deg f + deg X, so at
+        # most C(d + n, n) terms each; checked before any u(f) is built
+        degree = max((u.degree() for u in profiles), default=0) * f.degree()
+        degree += max(c.degree() for c in base.components)
+        terms = math.comb(degree + base.nvars, base.nvars)
+        if terms > MAX_FIELD_TERMS:
+            _input_error(f"the fields u(f) X may have degree {degree} in {base.nvars} variables, so {terms} "
+                         f"terms, above the bound {MAX_FIELD_TERMS}")
+        fields, cert = commuting_family(f, base, profiles)
+    except ValueError as exc:  # no annihilation, non-univariate profiles, mismatched dimensions
+        _input_error(str(exc))
+    body = {
+        "check": v["check"],
+        "certificate": {
+            "pairwise_brackets_zero": cert.pairwise_brackets_zero,
+            "pairs_checked": cert.pairs_checked,
+            "independent": cert.independent,
+        },
+    }
+    tols = {}
+    ok = cert.valid
+    if fl and len(fields) >= 2:
         try:
-            base = hamiltonian_field(f) if v["field"] == "hamiltonian" else _parse_field(v["field"], "'field'")
-            # the fields u(f) X have degree at most d = deg u * deg f + deg X, so at
-            # most C(d + n, n) terms each; checked before any u(f) is built
-            degree = max((u.degree() for u in profiles), default=0) * f.degree()
-            degree += max(c.degree() for c in base.components)
-            terms = math.comb(degree + base.nvars, base.nvars)
-            if terms > MAX_FIELD_TERMS:
-                _input_error(f"the fields u(f) X may have degree {degree} in {base.nvars} variables, so {terms} "
-                             f"terms, above the bound {MAX_FIELD_TERMS}")
-            fields, cert = commuting_family(f, base, profiles)
-        except ValueError as exc:  # no annihilation, non-univariate profiles, mismatched dimensions
-            _input_error(str(exc))
-        body = {
-            "check": check,
-            "certificate": {
-                "pairwise_brackets_zero": cert.pairwise_brackets_zero,
-                "pairs_checked": cert.pairs_checked,
-                "independent": cert.independent,
-            },
+            fr = flow_checks(fields[0], fields[1], fl["point"], fl["s"], fl["t"], fl["h"], level_function=f)
+        except FlowBlowUpError as exc:
+            _violation(f"flow failed: {exc}")
+        body["flow"] = {
+            "commutation_residual": fr.commutation_residual,
+            "level_residual": fr.level_residual,
         }
-        tols = {}
-        ok = cert.valid
-        if fl and len(fields) >= 2:
-            try:
-                fr = flow_checks(fields[0], fields[1], fl["point"], fl["s"], fl["t"], fl["h"], level_function=f)
-            except FlowBlowUpError as exc:
-                _violation(f"flow failed: {exc}")
-            body["flow"] = {
-                "commutation_residual": fr.commutation_residual,
-                "level_residual": fr.level_residual,
-            }
-            tols = {"commutation": fl["commutation_tolerance"], "level": fl["level_tolerance"]}
-            ok = ok and fr.commutation_residual <= tols["commutation"] and fr.level_residual <= tols["level"]
-        _emit(obj, "vf verify", body, ok, tols)
+        tols = {"commutation": fl["commutation_tolerance"], "level": fl["level_tolerance"]}
+        ok = ok and fr.commutation_residual <= tols["commutation"] and fr.level_residual <= tols["level"]
+    _emit(obj, "vf verify", body, ok, tols)
+
+
+def _projective(obj, v: dict) -> None:
+    """The projective check of sl(n + 1) acting on R^n."""
+    from .vectorfields import make_projective_action, orbit_info, projective_kernel
 
     n = v["n"]
     # make_projective_action ran the homomorphism check; the sign it
@@ -154,7 +147,7 @@ def vf_verify(obj, scenario):
     # drawn: 'samples' only says whether any was asked for, and the
     # scenario's 'seed' is read and bounded as before but never used
     body = {
-        "check": check,
+        "check": v["check"],
         "n": n,
         "homomorphism": {"sign": action.sign, "exact": exact},
         "kernel_is_scalars": kernel_is_scalars,
@@ -162,6 +155,17 @@ def vf_verify(obj, scenario):
         "near_degenerate_points": 0,
     }
     _emit(obj, "vf verify", body, exact and kernel_is_scalars)
+
+
+# check -> (its keys, the function that runs it and writes its report)
+CHECKS = {"commuting_family": (COMMUTING_KEYS, _commuting_family), "projective": (PROJECTIVE_KEYS, _projective)}
+
+
+def vf_verify(obj, scenario):
+    sc = read_value(_json_file(scenario), dict, "the scenario")
+    check = read_value(sc.get("check"), tuple(CHECKS), "'check' in the scenario")
+    keys, run = CHECKS[check]
+    run(obj, read_object(sc, keys, "the scenario"))
 
 
 def vf_flow(obj, scenario):

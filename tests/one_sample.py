@@ -27,9 +27,17 @@ from lieactions.constants import max_residual
 ROUNDING_BOUND = 1e-12
 
 
-class OneAtATimeSampler(namedtuple("OneAtATimeSampler", "sample_element sample_point")):
+class OneAtATimeSampler(namedtuple("OneAtATimeSampler", "sample_element sample_point group")):
     """A sampler of `verify_action` that draws each group element and each
-    point with its own calls, sample_element(rng) and sample_point(rng)."""
+    point with its own calls, sample_element(rng) and sample_point(rng), and
+    takes the identity, product and block size of `group`, the sampler of an
+    `act verify` kind (a StackedSampler or a CoverSampler)."""
+
+    identity = property(lambda self: self.group.identity)
+    block_size = property(lambda self: self.group.block_size)
+
+    def compose(self, gs, hs) -> list:
+        return self.group.compose(gs, hs)
 
     def points(self, rng, samples: int) -> list:
         return [self.sample_point(rng) for _ in range(samples)]
@@ -193,7 +201,7 @@ def cover_sampler(disk: bool, n: int) -> OneAtATimeSampler:
     else:
         def sample_point(r):
             return np.array([r.uniform(0.01, 0.99)])
-    return OneAtATimeSampler(sample_cover_element, sample_point)
+    return OneAtATimeSampler(sample_cover_element, sample_point, CoverSampler(disk, n))
 
 
 # -- whole runs -----------------------------------------------------------------------

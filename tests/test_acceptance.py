@@ -18,7 +18,9 @@ import sympy as sp
 
 from lieactions.actions import (
     CoverElement,
+    CoverSampler,
     MultiBall,
+    StackedSampler,
     cover_compose,
     cover_eval,
     interval_action,
@@ -288,8 +290,8 @@ def _ball_suite(group):
     ball = make_ball_action(group, 3)
     report = verify_action(
         ball.apply,
-        identity(3),
-        OneAtATimeSampler(lambda r: random_element(r, group, 3), lambda r: _unit_point(r, ball.center)),
+        OneAtATimeSampler(lambda r: random_element(r, group, 3), lambda r: _unit_point(r, ball.center),
+                          StackedSampler(group, (3, 3), (ball,))),
         generators(group, 3),
         samples=200,
     )
@@ -327,7 +329,8 @@ def test_criterion_09_ball_actions():
             el[j] = g
             gens.append((f"ball{j}.{name}", tuple(el)))
     report = verify_action(
-        mb.apply, (identity(3),) * 3, OneAtATimeSampler(sample_el, sample_pt), gens, samples=200
+        mb.apply, OneAtATimeSampler(sample_el, sample_pt, StackedSampler("ST", (3, 3, 3), tuple(balls))), gens,
+        samples=200
     )
     assert report.max_identity_residual <= 1e-9
     assert report.max_composition_residual <= 1e-6
@@ -412,8 +415,7 @@ def test_criterion_13_cover_action():
             )
     assert deck_worst <= 1e-9
     movers = 0
-    for name, g in generators("SL2", 2):
-        a = CoverElement.of(g)
+    for name, a in CoverSampler.generators:
         assert interval_action(a, 0.0) == 0.0
         assert interval_action(a, 1.0) == 1.0
         if abs(interval_action(a, 0.5) - 0.5) >= 1e-6:

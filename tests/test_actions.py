@@ -23,18 +23,16 @@ import pytest
 from lieactions.act_verbs import ACT_KEYS, ACTIONS
 from lieactions.actions import (
     BLOCK_FLOATS,
+    BLOCK_SAMPLES,
     ActionReport,
     CoverElement,
     CoverSampler,
     MultiBall,
     StackedSampler,
-    _composer,
     _cover_element,
     _lift_eval,
-    block_size,
     cover_compose,
     cover_eval,
-    cover_identity,
     disk_block,
     interval_action,
     interval_block,
@@ -179,8 +177,8 @@ def test_ball_action_verification_st_and_u():
         ball = make_ball_action(group, 3)
         report = verify_action(
             ball.apply,
-            identity(3),
-            OneAtATimeSampler(lambda r, _g=group: random_element(r, _g, 3), point_sampler(3, (ball,))),
+            OneAtATimeSampler(lambda r, _g=group: random_element(r, _g, 3), point_sampler(3, (ball,)),
+                              StackedSampler(group, (3, 3), (ball,))),
             generators(group, 3),
             samples=200,
         )
@@ -234,9 +232,9 @@ def test_multiball_action_law():
             el = [identity(3)] * 3
             el[j] = g
             gens.append((f"ball{j}.{name}", tuple(el)))
-    report = verify_action(
-        mb.apply, (identity(3),) * 3, OneAtATimeSampler(sample_el, point_sampler(3, tuple(balls))), gens, samples=200
-    )
+    group = StackedSampler("ST", (3, 3, 3), tuple(balls))
+    sampler = OneAtATimeSampler(sample_el, point_sampler(3, tuple(balls)), group)
+    report = verify_action(mb.apply, sampler, gens, samples=200)
     assert report.max_composition_residual <= 1e-6
     assert _all_effective(report)
 
@@ -254,8 +252,8 @@ def test_verify_sphere_st2_generators_effective():
     # both the diagonal and the shear generator move the direction (0, 1)
     report = verify_action(
         sphere_action,
-        identity(2),
-        OneAtATimeSampler(lambda r: random_element(r, "ST", 2), lambda r: unit_vec(r, 2)),
+        OneAtATimeSampler(lambda r: random_element(r, "ST", 2), lambda r: unit_vec(r, 2),
+                          StackedSampler("ST", (2, 2), ())),
         generators("ST", 2),
         samples=100,
     )
@@ -273,8 +271,8 @@ def test_verify_sphere_st2_generators_effective():
 def test_verify_trivial_action():
     report = verify_action(
         lambda gs, ys: list(ys),
-        identity(2),
-        OneAtATimeSampler(lambda r: random_element(r, "ST", 2), lambda r: tuple(r.normal(2))),
+        OneAtATimeSampler(lambda r: random_element(r, "ST", 2), lambda r: tuple(r.normal(2)),
+                          StackedSampler("ST", (2, 2), ())),
         [("gen", (1.0, 1.0, 0.0, 1.0))],
         samples=50,
     )
@@ -298,9 +296,9 @@ def test_verify_detects_fault_injected_action():
 
     report = verify_action(
         looped(faulty),
-        identity(3),
         OneAtATimeSampler(lambda r: random_element(r, "ST", 3),
-                          lambda r: scaled(unit_vec(r, 3), r.uniform(0.4, 0.8, 1)[0])),
+                          lambda r: scaled(unit_vec(r, 3), r.uniform(0.4, 0.8, 1)[0]),
+                          StackedSampler("ST", (3, 3), ())),
         [],
         samples=100,
     )
@@ -471,13 +469,14 @@ def one_at_a_time(sampler):
     """The OneAtATimeSampler that draws what `sampler` draws: the oracle
     samplers of a StackedSampler or of a CoverSampler."""
     if isinstance(sampler, CoverSampler):
-        return OneAtATimeSampler(sample_cover, cover_point_sampler(sampler.disk, sampler.n))
-    return OneAtATimeSampler(element_sampler(sampler.group, sampler.shape), point_sampler(sampler.shape[-1], sampler.balls))
+        return OneAtATimeSampler(sample_cover, cover_point_sampler(sampler.disk, sampler.n), sampler)
+    elements = element_sampler(sampler.group, sampler.shape)
+    return OneAtATimeSampler(elements, point_sampler(sampler.shape[-1], sampler.balls), sampler)
 
 
 def kind_parts(kind, group=None, n=2, balls=1):
-    """The verify_action arguments of an `act verify` kind, as the CLI sets
-    them up, and the oracle: the one-sample action and its samplers."""
+    """The verify_action arguments of an `act verify` kind (action, sampler,
+    generators), as the CLI sets them up, and the oracle: the one-sample action and its samplers."""
     place = random.Random(n * 10 + balls)
 
     def placement(first):
@@ -490,7 +489,7 @@ def kind_parts(kind, group=None, n=2, balls=1):
         v.update(placement(0.25))
     elif kind == "multiball":
         v["balls"] = [placement(4.0 * j) for j in range(balls)]
-    act, identity, sampler, gens, _ = ACTIONS[kind][1](v)
+    act, sampler, _ = ACTIONS[kind][1](v)
     oracle = {
         "sphere": lambda: sphere_one,
         "ball": lambda: partial(ball_one, act.__self__),
@@ -498,7 +497,7 @@ def kind_parts(kind, group=None, n=2, balls=1):
         "interval": lambda: lambda a, y: (interval_action(a, y[0]),),
         "disk": lambda: disk_one_sample,
     }[kind]()
-    return (act, identity, sampler, list(gens)), (oracle, one_at_a_time(sampler))
+    return (act, sampler, list(sampler.generators)), (oracle, one_at_a_time(sampler))
 
 
 class Spy:
@@ -514,9 +513,12 @@ class Spy:
     def block(self, rng, b):
         return self.sampler.block(rng, b)
 
+    def __getattr__(self, name):  # the group: identity, compose, block_size
+        return getattr(self.sampler, name)
+
 
 def assert_same_as_loop(parts, oracle, samples, seed):
-    act, identity, sampler, gens = parts
+    act, sampler, gens = parts
     one_act, one_sampler = oracle
     seen = {}
 
@@ -525,8 +527,8 @@ def assert_same_as_loop(parts, oracle, samples, seed):
         return one_sampler.sample_point(rng)
 
     spy = Spy(sampler)
-    batched = verify_action(act, identity, spy, gens, samples=samples, seed=seed)
-    loop = verify_loop(one_act, identity, one_sampler.sample_element, sample_point, gens, samples, seed)
+    batched = verify_action(act, spy, gens, samples=samples, seed=seed)
+    loop = verify_loop(one_act, sampler.identity, one_sampler.sample_element, sample_point, gens, samples, seed)
     assert dumps(batched.to_dict()) == dumps(loop.to_dict())
     assert (spy.rng._state, spy.rng._half) == (seen["rng"]._state, seen["rng"]._half)
 
@@ -574,7 +576,8 @@ def test_witness_past_the_first_chunk_and_block_is_the_loops():
 
     gens = [("still", identity(2)), ("shear", (1.0, 0.5, 0.0, 1.0))]
     draws = (lambda r: random_element(r, "U", 2), lambda r: tuple(r.random(2)))
-    batched = verify_action(looped(plant_one), identity(2), OneAtATimeSampler(*draws), gens, samples=2001, seed=7)
+    group = StackedSampler("U", (2, 2), ())
+    batched = verify_action(looped(plant_one), OneAtATimeSampler(*draws, group), gens, samples=2001, seed=7)
     loop = verify_loop(plant_one, identity(2), *draws, gens, samples=2001, seed=7)
     assert dumps(batched.to_dict()) == dumps(loop.to_dict())
     assert batched.witnesses["still"] is None
@@ -582,7 +585,7 @@ def test_witness_past_the_first_chunk_and_block_is_the_loops():
     rng = RNG(7)
     points = [tuple(rng.uniform(size=2).tolist()) for _ in range(2001)]
     first = next(i for i, y in enumerate(points) if y[0] > 0.998)
-    assert first == 614 and first > 2 * block_size(identity(2))
+    assert first == 614 and first > 2 * group.block_size
     assert point == points[first] and disp == (points[first][0] + 0.5) - points[first][0]
 
 
@@ -593,7 +596,8 @@ def test_nan_residual_reports_nan_as_in_the_loop():
         return (math.nan,) * len(y) if y[0] > 0.99 else y
 
     draws = (lambda r: random_element(r, "U", 2), lambda r: tuple(r.random(2)))
-    batched = verify_action(looped(nan_at_one), identity(2), OneAtATimeSampler(*draws), [], samples=600, seed=3)
+    sampler = OneAtATimeSampler(*draws, StackedSampler("U", (2, 2), ()))
+    batched = verify_action(looped(nan_at_one), sampler, [], samples=600, seed=3)
     loop = verify_loop(nan_at_one, identity(2), *draws, [], samples=600, seed=3)
     assert math.isnan(batched.max_identity_residual) and math.isnan(batched.max_composition_residual)
     assert dumps(batched.to_dict()) == dumps(loop.to_dict())
@@ -611,7 +615,7 @@ def test_ball_sends_a_point_with_a_nan_coordinate_through_the_formula():
 
 def test_no_block_evaluation_exceeds_the_block_size():
     # n = 16 with 8 balls: 2048 floats an element, so blocks of 8 samples
-    (act, identity, sampler, gens), _ = kind_parts("multiball", "U", 16, 8)
+    (act, sampler, gens), _ = kind_parts("multiball", "U", 16, 8)
     sizes = []
 
     def spy(elements, points):
@@ -619,13 +623,13 @@ def test_no_block_evaluation_exceeds_the_block_size():
         sizes.append(len(points))
         return act(elements, points)
 
-    verify_action(spy, identity, sampler, gens[:4], samples=40)
-    assert block_size(identity) == BLOCK_FLOATS // (8 * 16 * 16) == 8
+    verify_action(spy, sampler, gens[:4], samples=40)
+    assert sampler.block_size == BLOCK_FLOATS // (8 * 16 * 16) == 8
     assert max(sizes) == 8
-    (act, identity, sampler, gens), _ = kind_parts("sphere", "ST", 3)
+    (act, sampler, gens), _ = kind_parts("sphere", "ST", 3)
     sizes.clear()
-    verify_action(spy, identity, sampler, gens, samples=600)
-    assert max(sizes) == block_size(identity) == 256
+    verify_action(spy, sampler, gens, samples=600)
+    assert max(sizes) == sampler.block_size == 256
 
 
 # -- the stacked sampler against the one-sample samplers ---------------------------------------
@@ -645,9 +649,9 @@ def _bits_of(a) -> bytes:
 
 @pytest.mark.parametrize("kind,group,n,balls", SAMPLER_CASES, ids=lambda x: str(x))
 def test_stacked_sampler_draws_what_the_one_sample_samplers_draw(kind, group, n, balls):
-    (_, identity, sampler, _), (_, one) = kind_parts(kind, group, n, balls)
+    (_, sampler, _), (_, one) = kind_parts(kind, group, n, balls)
     assert isinstance(sampler, StackedSampler)
-    b = block_size(identity)
+    b = sampler.block_size
     for samples, seed in ((b - 1, 0), (b, 2**200), (b + 1, 7 * n + balls)):
         rng, ref = DefaultRNG(seed), DefaultRNG(seed)
         points = sampler.points(rng, samples)
@@ -658,6 +662,43 @@ def test_stacked_sampler_draws_what_the_one_sample_samplers_draw(kind, group, n,
             assert len(got) == samples and np.shape(got[0]) == np.shape(drawn[0])
             assert _bits_of(got) == _bits_of(drawn)
         assert (rng._state, rng._half) == (ref._state, ref._half)
+
+
+# -- the group of each kind ----------------------------------------------------------------
+#
+# The sampler of every `act verify` kind, as the CLI sets it up, owns its group:
+# ST(n) or U(n) for the sphere and one ball, a product of one factor per ball for
+# a multiball, the lifted SL(2, R) for the interval and the disk.
+GROUP_CASES = SAMPLER_CASES + [("interval", None, 1, 1)] + [("disk", None, n, 1) for n in (1, 2, 5, 16)]
+
+
+@pytest.mark.parametrize("kind,group,n,balls", GROUP_CASES, ids=lambda x: str(x))
+def test_each_kind_owns_its_identity_product_and_block_size(kind, group, n, balls):
+    (_, sampler, gens), _ = kind_parts(kind, group, n, balls)
+    gs, hs, _ = sampler.block(DefaultRNG(n + balls), 8)
+    elements = gs + [g for _, g in gens]
+    units = [sampler.identity] * len(elements)
+    assert sampler.compose(units, elements) == elements and sampler.compose(elements, units) == elements
+    if kind in ("interval", "disk"):
+        assert sampler.block_size == BLOCK_SAMPLES == 256
+        assert [_bits(gh) for gh in sampler.compose(gs, hs)] == [_bits(gh) for gh in cover_compose(gs, hs)]
+        return
+    k = balls if kind == "multiball" else 1
+    assert sampler.block_size == max(1, min(BLOCK_SAMPLES, BLOCK_FLOATS // (k * n * n)))
+    mul = triangular_product(n)
+    if kind != "multiball":
+        assert sampler.identity == identity(n) and gens == generators(group, n)
+        assert sampler.compose(gs, hs) == list(map(mul, gs, hs))
+        return
+    assert sampler.identity == (identity(n),) * k
+    assert sampler.compose(gs, hs) == [tuple(map(mul, g, h)) for g, h in zip(gs, hs)]
+    # each generator of the group in one factor, the identity in the others
+    base = generators(group, n)
+    assert len(gens) == k * len(base)
+    for t, (name, g) in enumerate(gens):
+        j, (base_name, base_g) = t // len(base), base[t % len(base)]
+        assert name == f"ball{j + 1}.{base_name}"
+        assert g == (identity(n),) * j + (base_g,) + (identity(n),) * (k - j - 1)
 
 
 # The float facts on which drawing numpy's stream without numpy rests: the
@@ -703,7 +744,7 @@ REFERENCE_CASES = [("sphere", "ST", 5, 1), ("sphere", "U", 3, 1), ("sphere", "U"
 
 @pytest.mark.parametrize("kind,group,n,balls", REFERENCE_CASES, ids=lambda x: str(x))
 def test_blocks_match_the_numpy_reference(kind, group, n, balls):
-    (act, identity, sampler, gens), _ = kind_parts(kind, group, n, balls)
+    (act, sampler, gens), _ = kind_parts(kind, group, n, balls)
     one_np, _, _ = reference_of(act, sampler)
     rng = DefaultRNG(n + balls)
     gs, hs, ys = sampler.block(rng, 64)
@@ -712,7 +753,7 @@ def test_blocks_match_the_numpy_reference(kind, group, n, balls):
     for g, y, got in zip(elements, points, act(elements, points)):
         want = one_np(as_numpy(g), np.array(y))
         assert close(got, want), (g, y)
-    for g, h, gh in zip(gs, hs, _composer(identity)(gs, hs)):
+    for g, h, gh in zip(gs, hs, sampler.compose(gs, hs)):
         want = np_compose(as_numpy(g), as_numpy(h))
         if isinstance(g, CoverElement):
             assert gh.deck == want.deck and close(gh.matrix, want.matrix)
@@ -736,12 +777,12 @@ def assert_close_to_reference(report, reference):
 
 @pytest.mark.parametrize("kind,group,n,balls", REFERENCE_CASES, ids=lambda x: str(x))
 def test_reports_match_the_numpy_reference(kind, group, n, balls):
-    (act, identity, sampler, gens), _ = kind_parts(kind, group, n, balls)
+    (act, sampler, gens), _ = kind_parts(kind, group, n, balls)
     samples = 40 if n == 16 else 300
     spy = Spy(sampler)
-    report = verify_action(act, identity, spy, gens, samples=samples, seed=n)
+    report = verify_action(act, spy, gens, samples=samples, seed=n)
     one_np, sample_element, sample_point = reference_of(act, sampler)
-    reference, ref_rng = np_verify_loop(one_np, identity, sample_element, sample_point, gens, samples, n, 1e-6)
+    reference, ref_rng = np_verify_loop(one_np, sampler.identity, sample_element, sample_point, gens, samples, n, 1e-6)
     assert_close_to_reference(report, reference)
     assert spy.rng._state == ref_rng.bit_generator.state["state"]["state"]
 
@@ -759,10 +800,10 @@ def test_generator_ends_where_numpy_ends_on_every_act_golden(path):
     scenario = json.loads(path.read_text())
     keys, setup = ACTIONS[scenario["action"]]
     values = read_object(scenario, {**ACT_KEYS, **keys}, "the scenario")
-    act, identity, sampler, gens, _ = setup(values)
+    act, sampler, _ = setup(values)
     seed = 0 if values["seed"] is None else values["seed"]
     spy = Spy(sampler)
-    verify_action(act, identity, spy, gens, samples=values["samples"], seed=seed)
+    verify_action(act, spy, sampler.generators, samples=values["samples"], seed=seed)
     _, sample_element, sample_point = reference_of(act, sampler)
     ref = np.random.default_rng(seed)
     for _ in range(values["samples"]):
@@ -930,7 +971,7 @@ def _random_elements(rng, count, decks=3):
 def test_block_composition_matches_one_pair_at_a_time_bit_for_bit():
     # the block products are the entry-by-entry products of one pair
     rng = RNG(21)
-    gens = [CoverElement.of(g) for _, g in generators("SL2", 2)] + [cover_identity()]
+    gens = [g for _, g in CoverSampler.generators] + [CoverSampler.identity]
     for b in (1, 2, 7, 256, 1000):
         gs = _random_elements(rng, b) + gens
         hs = _random_elements(rng, b) + gens[::-1]
@@ -1012,7 +1053,7 @@ def test_cover_sampler_decides_tries_near_the_threshold_by_ps_minus_qr():
 
 def test_interval_and_disk_blocks_match_the_one_sample_forms():
     rng = RNG(22)
-    elements = _random_elements(rng, 300) + [cover_identity()] + [CoverElement.of(g) for _, g in generators("SL2", 2)]
+    elements = _random_elements(rng, 300) + [CoverSampler.identity] + [g for _, g in CoverSampler.generators]
     b = len(elements)
     s = [(u,) for u in rng.uniform(0.0, 1.0, size=b).tolist()]
     s[:3] = [(0.0,), (1.0,), (0.5,)]
@@ -1039,7 +1080,7 @@ def test_interval_endpoints_fixed_exactly():
 
 
 def test_interval_identity_element():
-    ident = cover_identity()
+    ident = CoverSampler.identity
     for s in (0.0, 0.2, 0.5, 0.9, 1.0):
         assert abs(interval_action(ident, s) - s) <= 1e-12
 
@@ -1062,7 +1103,7 @@ def test_interval_composition_and_nondegeneracy():
 
 
 def test_interval_domain_validation():
-    a = cover_identity()
+    a = CoverSampler.identity
     with pytest.raises(ValueError):
         interval_action(a, -0.1)
     with pytest.raises(ValueError):
@@ -1098,6 +1139,6 @@ def test_disk_action_composition():
 
 
 def test_disk_rejects_outside_points():
-    a = cover_identity()
+    a = CoverSampler.identity
     with pytest.raises(ValueError):
         disk_one(a, (1.2, 0.0))

@@ -567,14 +567,21 @@ def test_unwritable_output_rejected_before_the_verb_runs(tmp_path, monkeypatch, 
     assert (tmp_path / "old.json").read_text() == "old"
 
 
+# a character of each UTF-8 length past one byte that a long path may be made of
+WIDE = {"cjk": "\N{CJK UNIFIED IDEOGRAPH-6587}", "emoji": "\N{GRINNING FACE}"}
+
+
 def _long_path_case(tmp_path, case):
     """(lieact arguments, the path they fail on, the reason the error gives)
     for a path of more than 1000 characters: a directory 1000 characters
-    deep, or a file name longer than any the system takes."""
+    deep, or a file name longer than any the system takes. A case
+    "name:script" names a file of 1001 characters of WIDE[script], relative to
+    the working directory, so the error line quotes none of `tmp_path`."""
+    case, _, script = case.partition(":")
     deep = tmp_path.joinpath(*["d" * 200] * 5)
     deep.mkdir(parents=True)
     (deep / "bad.json").write_text("{")
-    long_name = tmp_path / ("x" * 1000)
+    long_name = Path(WIDE[script] * 1001) if script else tmp_path / ("x" * 1000)
     too_long = os.strerror(errno.ENAMETOOLONG)
     analyze = ["algebra", "analyze", "catalog:st3"]
     return {
@@ -589,8 +596,10 @@ def _long_path_case(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["output-directory", "output-missing-directory", "output-open", "algebra-source",
-                                  "scenario", "malformed-source"])
-def test_a_long_path_is_quoted_once(tmp_path, case):
+                                  "scenario", "malformed-source", "algebra-source:cjk", "algebra-source:emoji",
+                                  "output-open:cjk", "scenario:emoji"])
+def test_a_long_path_is_quoted_once(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
     args, path, reason = _long_path_case(tmp_path, case)
     assert len(str(path)) > 1000
     result = run(*args)

@@ -15,6 +15,7 @@ from lieactions.actions import (
     BallAction,
     CoverElement,
     MultiBall,
+    StackedSampler,
     make_ball_action,
     verify_action,
 )
@@ -31,7 +32,7 @@ from lieactions.deformations import (
 )
 from lieactions.derivations import ContractionObstruction, DerivationAlgebra, contractibility_obstruction
 from lieactions.linalg import Subspace
-from lieactions.matrixgroups import generators, identity, random_element
+from lieactions.matrixgroups import generators, random_element
 from lieactions.obstructions import ActionVerdict, ObstructionReport, borderline_analysis, n_action_verdict
 from lieactions.polynomials import Poly
 from lieactions.vectorfields import (
@@ -55,8 +56,8 @@ CIRCLE = Poly.make(2, {(2, 0): 1, (0, 2): 1})
 def _ball_report(g):
     ball = make_ball_action("U", 3)
     points = lambda r: tuple(r.normal(3))
-    return verify_action(ball.apply, identity(3), OneAtATimeSampler(lambda r: random_element(r, "U", 3), points),
-                         generators("U", 3), samples=3)
+    sampler = OneAtATimeSampler(lambda r: random_element(r, "U", 3), points, StackedSampler("U", (3, 3), (ball,)))
+    return verify_action(ball.apply, sampler, generators("U", 3), samples=3)
 
 
 # record class -> (its fields in order, how to build one from st(3), its cached properties)

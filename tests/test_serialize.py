@@ -246,8 +246,22 @@ def test_algebra_reader_reads_any_json_or_raises_format_error(doc):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(json_values, st.integers(0, 60))
 def test_quoted_is_a_bounded_prefix_of_repr(value, limit):
-    text = repr(value)
-    assert _quoted(value, limit) == (text if len(text) <= limit else text[:limit] + "...")
+    # the longest prefix of repr within `limit` bytes of UTF-8, and "..." when it is cut
+    text, quoted = repr(value), _quoted(value, limit)
+    if len(text.encode()) <= limit:
+        assert quoted == text
+    else:
+        cut = quoted[:-3]
+        assert quoted.endswith("...") and text.startswith(cut)
+        assert len(cut.encode()) <= limit < len(text[:len(cut) + 1].encode())
+
+
+def test_quoted_cuts_at_a_byte_limit_between_characters():
+    for char in ("\N{LATIN SMALL LETTER E WITH ACUTE}", "\N{CJK UNIFIED IDEOGRAPH-6587}", "\N{GRINNING FACE}"):
+        width = len(char.encode())
+        assert _quoted(char * 1000) == "'" + char * ((100 - 1) // width) + "..."
+        assert _quoted(char * 10, 1 + 3 * width) == "'" + char * 3 + "..."
+    assert _quoted("x" * 1000) == "'" + "x" * 99 + "..."
 
 
 def test_quoted_stops_in_a_long_or_deep_value():

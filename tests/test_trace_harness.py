@@ -41,8 +41,10 @@ def test_every_traced_name_resolves(module, path):
     [
         ["algebra", "analyze", "catalog:st3"],
         ["act", "verify", "--scenario", str(ROOT / "scenarios" / "sphere_st3.json")],
+        ["act", "verify", "--scenario", str(ROOT / "scenarios" / "multiball_st3.json")],
+        ["act", "verify", "--scenario", str(ROOT / "scenarios" / "interval.json")],
     ],
-    ids=["analyze-st3", "act-sphere"],
+    ids=["analyze-st3", "act-sphere", "act-multiball", "act-interval"],
 )
 def test_traced_run_has_a_cli_verb_root(args, tmp_path):
     # the tracer rewrites module attributes, so it runs in its own process
@@ -58,3 +60,7 @@ def test_traced_run_has_a_cli_verb_root(args, tmp_path):
     roots = [span for span in spans if span[1] == -1]
     assert [span[2] for span in roots] == ["cli.verb"]
     assert len(spans) > 1
+    if args[0] == "act":
+        # the tracer counts the action it finds first among verify_action's arguments
+        counts = json.loads(spans_path.read_text())["counts"]
+        assert "actions.verify" in [span[2] for span in spans] and counts["actions.apply_calls"] > 0
